@@ -33,13 +33,15 @@ from .markov import MarkovModel, ModelError
 from .rpf import ComplexRPF, build_rpf, slice_holder_norm
 from .scales import (ScaleFunction, UniCertificate, matching_scale,
                      recurrence_rate, uni_scan)
-from .thermo import base_system
+from .thermo import base_system, forward_index
 
 KAPPA5_DEFAULT = 0.05
 C9_DEFAULT = 4.0
 SMALL_FACTOR = 0.75          # load threshold of the branch dichotomy
 ALIGN_SPREAD = 0.01          # phase spread allowed for alignment: kappa6/100
 DEPTH_CAP = 40
+SHRINK_RETRIES = 8           # kappa5 shrinks before a cutoff is given up
+REFINE_BLOCK = 1 << 18       # branch images per block in check_refining
 DOMINATION_TOL = 1e-12
 CONE_TOL = 1e-4     # headroom for the central-difference curvature bias
 
@@ -83,36 +85,59 @@ class CylinderPartition:
     by_interval: dict = field(repr=False, compare=False)
     condition_margin: float = 0.0     # max length * inf(scale) / c1, <= 1
     half_scale: float = 0.0           # min length * inf(scale) over atoms
+    # interval index -> (atom ids, their left ends), both sorted by left
+    _lefts: dict = field(init=False, repr=False, compare=False)
 
-    def locate(self, x: float) -> int:
-        """Index of the atom containing x (right-continuous at seams)."""
-        iid = self.model.interval_of(x)
-        ids = self.by_interval[iid]
-        lefts = [self.atoms[i].left for i in ids]
-        k = int(np.searchsorted(lefts, x, side="right")) - 1
-        k = min(max(k, 0), len(ids) - 1)
-        return ids[k]
+    def __post_init__(self):
+        object.__setattr__(self, "_lefts", {
+            self.model.interval(iid).index: (
+                np.asarray(ids, dtype=int),
+                np.array([self.atoms[i].left for i in ids]))
+            for iid, ids in self.by_interval.items()})
+
+    def locate(self, x):
+        """Index of the atom containing x (right-continuous at seams);
+        vectorized over x."""
+        scalar = np.isscalar(x)
+        xv = np.atleast_1d(np.asarray(x, dtype=float))
+        rows = self.model.interval_index(xv)
+        out = np.empty(xv.shape, dtype=int)
+        for r in np.unique(rows):
+            ids, lefts = self._lefts[int(r)]
+            sel = rows == r
+            k = np.searchsorted(lefts, xv[sel], side="right") - 1
+            out[sel] = ids[np.clip(k, 0, len(ids) - 1)]
+        return int(out[0]) if scalar else out
 
 
-def _atom_scale_range(model: MarkovModel, scale: ScaleFunction,
-                      iid: str, left: float, right: float):
-    """(min, max, argmin point) of the scale value over an atom."""
+def _atom_scale_ranges(model: MarkovModel, scale: ScaleFunction,
+                       iids: list, lefts: np.ndarray, rights: np.ndarray):
+    """Per atom: (min, max, argmin point, j_lo, j_hi) of the scale value.
+
+    The scale is read at each atom's left, middle and right end in one
+    value_at call, and at the grid nodes inside the atom.
+    """
     n = model.grid_size
-    iv = model.interval(iid)
-    j_lo = max(int(math.ceil((left - iv.left) * n - 1e-9)), 0)
-    j_hi = min(int(math.floor((right - iv.left) * n + 1e-9)), n)
-    pts = [left, 0.5 * (left + right), right - 1e-12]
-    vals = [scale.value_at(p) for p in pts]
-    if j_hi >= j_lo:
-        row = scale.values[iv.index, j_lo:j_hi + 1]
-        k = int(np.argmin(row))
-        pts.append(iv.left + (j_lo + k) / n)
-        vals.append(float(row[k]))
-        vals.append(float(row.max()))
-    lo = min(vals)
-    hi = max(vals)
-    rep = pts[int(np.argmin(vals[:len(pts)]))]
-    return lo, hi, rep, j_lo, j_hi
+    ivs = [model.interval(iid) for iid in iids]
+    iv_lefts = np.array([iv.left for iv in ivs])
+    j_los = np.maximum(np.ceil((lefts - iv_lefts) * n - 1e-9), 0).astype(int)
+    j_his = np.minimum(np.floor((rights - iv_lefts) * n + 1e-9), n).astype(int)
+    probes = np.stack([lefts, 0.5 * (lefts + rights), rights - 1e-12])
+    probe_vals = scale.value_at(probes)
+    out = []
+    for i, iv in enumerate(ivs):
+        pts = [float(p) for p in probes[:, i]]
+        vals = [float(v) for v in probe_vals[:, i]]
+        j_lo, j_hi = int(j_los[i]), int(j_his[i])
+        if j_hi >= j_lo:
+            row = scale.values[iv.index, j_lo:j_hi + 1]
+            k = int(np.argmin(row))
+            pts.append(iv.left + (j_lo + k) / n)
+            vals.append(float(row[k]))
+            vals.append(float(row.max()))
+        rep = pts[int(np.argmin(vals[:len(pts)]))]
+        out.append((min(vals), max(vals), rep, j_lo, j_hi))
+    return out
 
 
 def build_partition(model: MarkovModel, scale: ScaleFunction,
@@ -120,7 +145,8 @@ def build_partition(model: MarkovModel, scale: ScaleFunction,
     """Refine cylinders until each is shorter than c1 over its scale.
 
     Splitting stops as soon as length <= c1 / inf(atom scale); the scale
-    must resolve below whole intervals or the request is rejected.
+    must resolve below whole intervals or the request is rejected.  The
+    refinement runs level by level, so each level reads the scale once.
     """
     if c1 <= 0.0:
         raise EngineError("c1 must be positive")
@@ -130,27 +156,36 @@ def build_partition(model: MarkovModel, scale: ScaleFunction,
     for lst in by_target.values():
         lst.sort(key=lambda b: b.offset)
     done: list[Atom] = []
-    # stack entries: word, inner domain, containing interval, affine (contr, off), depth
-    stack = [("", iv.id, iv.id, 1.0, 0.0, 0) for iv in model.intervals]
-    while stack:
-        word, dom, iid, contr, off, depth = stack.pop()
-        d_iv = model.interval(dom)
-        left = contr * d_iv.left + off
-        right = contr * d_iv.right + off
-        lo, hi, rep, j_lo, j_hi = _atom_scale_range(model, scale, iid, left, right)
-        if (right - left) * lo <= c1:
-            if depth == 0:
-                raise EngineError(
-                    "scale too coarse: a whole interval already satisfies "
-                    "the refinement condition")
-            done.append(Atom(word, dom, iid, left, right, contr, depth,
-                             rep, lo, hi, j_lo, j_hi))
-            continue
-        if depth >= DEPTH_CAP:
-            raise EngineError("partition refinement did not terminate")
-        for b in by_target[dom]:
-            stack.append((word + b.sym, b.domain, iid,
-                          contr / b.slope, contr * b.offset + off, depth + 1))
+    # cylinders of one depth: word, inner domain, containing interval, affine (contr, off)
+    level = [("", iv.id, iv.id, 1.0, 0.0) for iv in model.intervals]
+    depth = 0
+    while level:
+        contrs = np.array([c[3] for c in level])
+        offs = np.array([c[4] for c in level])
+        doms = [model.interval(c[1]) for c in level]
+        lefts = contrs * np.array([iv.left for iv in doms]) + offs
+        rights = contrs * np.array([iv.right for iv in doms]) + offs
+        ranges = _atom_scale_ranges(model, scale, [c[2] for c in level],
+                                    lefts, rights)
+        nxt = []
+        cylinders = zip(level, lefts.tolist(), rights.tolist(), ranges)
+        for (word, dom, iid, contr, off), left, right, rng in cylinders:
+            lo, hi, rep, j_lo, j_hi = rng
+            if (right - left) * lo <= c1:
+                if depth == 0:
+                    raise EngineError(
+                        "scale too coarse: a whole interval already satisfies "
+                        "the refinement condition")
+                done.append(Atom(word, dom, iid, left, right, contr, depth,
+                                 rep, lo, hi, j_lo, j_hi))
+                continue
+            if depth >= DEPTH_CAP:
+                raise EngineError("partition refinement did not terminate")
+            for b in by_target[dom]:
+                nxt.append((word + b.sym, b.domain, iid,
+                            contr / b.slope, contr * b.offset + off))
+        level = nxt
+        depth += 1
     done.sort(key=lambda a: a.left)
     by_interval: dict[str, list[int]] = {}
     for i, a in enumerate(done):
@@ -199,14 +234,29 @@ def all_words(model: MarkovModel, domain: str, k: int):
 
 def check_refining(model: MarkovModel, part: CylinderPartition,
                    n: int) -> tuple[bool, tuple | None]:
-    """Does every n-step backward branch map each atom inside one atom?"""
-    for a in part.atoms:
-        for word, contr, off, tgt in all_words(model, a.iid, n):
-            lo = contr * a.left + off
-            hi = contr * a.right + off
-            holder = part.atoms[part.locate(0.5 * (lo + hi))]
-            if lo < holder.left - 1e-9 or hi > holder.right + 1e-9:
-                return False, (a.word, word)
+    """Does every n-step backward branch map each atom inside one atom?
+
+    Atoms are checked in order, a block of them against all words at once;
+    the first failing (atom word, branch word) pair is the witness.
+    """
+    lefts = np.array([a.left for a in part.atoms])
+    rights = np.array([a.right for a in part.atoms])
+    for iv in model.intervals:
+        items = all_words(model, iv.id, n)
+        contr = np.array([w[1] for w in items])[:, None]
+        off = np.array([w[2] for w in items])[:, None]
+        ids = part.by_interval.get(iv.id, [])
+        block = max(1, REFINE_BLOCK // len(items))
+        for start in range(0, len(ids), block):
+            sel = ids[start:start + block]
+            lo = contr * lefts[sel] + off
+            hi = contr * rights[sel] + off
+            holder = part.locate(0.5 * (lo + hi))
+            bad = (lo < lefts[holder] - 1e-9) | (hi > rights[holder] + 1e-9)
+            if bad.any():
+                k = int(np.argmax(bad.any(axis=0)))
+                j = int(np.argmax(bad[:, k]))
+                return False, (part.atoms[sel[k]].word, items[j][0])
     return True, None
 
 
@@ -376,31 +426,75 @@ class Dichotomy:
     weight: float             # mean normalized branch weight on the window
 
 
-def _interp_row(model: MarkovModel, values: np.ndarray, iid: str, pts):
-    iv = model.interval(iid)
+def _interp_rows(model: MarkovModel, values: np.ndarray, rows, pts):
+    """Linear interpolation of grid rows: pts[i] is read on row rows[i].
+
+    rows may be one interval index for all points.
+    """
     xs = np.arange(model.grid_size + 1) / model.grid_size
-    loc = np.asarray(pts, dtype=float) - iv.left
-    row = values[iv.index]
-    if np.iscomplexobj(row):
-        return (np.interp(loc, xs, row.real)
-                + 1j * np.interp(loc, xs, row.imag))
-    return np.interp(loc, xs, row)
+    pts = np.asarray(pts, dtype=float)
+    rows = np.broadcast_to(rows, pts.shape)
+    out = np.empty(pts.shape, dtype=values.dtype)
+    for r in np.unique(rows):
+        sel = rows == r
+        loc = pts[sel] - model.intervals[r].left
+        row = values[r]
+        if np.iscomplexobj(row):
+            out[sel] = (np.interp(loc, xs, row.real)
+                        + 1j * np.interp(loc, xs, row.imag))
+        else:
+            out[sel] = np.interp(loc, xs, row)
+    return out
 
 
 def _orbit_weight(model: MarkovModel, f_hat: np.ndarray, z: np.ndarray,
-                  n: int) -> np.ndarray:
+                  n: int, iid: str) -> np.ndarray:
     """exp of the normalized log-weight summed along the n-step orbit of z.
 
     f_hat is the fully normalized per-step sample (eigenvalue constant and
     eigenfunction telescope included), so the sum is the n-step weight.
+    The points z start in U_iid; every later orbit point is read on the
+    row of its own interval, so orbits that split at a slice seam keep
+    their true weights.
     """
     total = np.zeros(np.shape(z))
     cur = np.asarray(z, dtype=float)
+    rows = model.interval(iid).index
     for _ in range(n):
-        iid = model.interval_of(float(cur.flat[0]))
-        total += _interp_row(model, f_hat, iid, cur)
+        total += _interp_rows(model, f_hat, rows, cur)
         cur = model.forward(cur)
+        rows = model.interval_index(cur)
     return np.exp(total)
+
+
+def _grid_orbit_sum(model: MarkovModel, samples: np.ndarray,
+                    n: int) -> np.ndarray:
+    """sum_{i<n} samples(sigma^i x) at every grid node x.
+
+    samples has shape (..., intervals, grid_size + 1).  Grid nodes stay on
+    the grid under the forward map, so the orbit is walked with
+    forward_index and the sums come out bit-for-bit equal to an
+    interpolating walk started at the nodes (see _orbit_weight).
+    """
+    rows_i, cols_i = forward_index(model)
+    r = np.repeat(np.arange(len(model.intervals))[:, None],
+                  model.grid_size + 1, axis=1)
+    c = np.repeat(np.arange(model.grid_size + 1)[None, :],
+                  len(model.intervals), axis=0)
+    total = np.zeros(samples.shape)
+    for _ in range(n):
+        total += samples[..., r, c]
+        r, c = rows_i[r, c], cols_i[r, c]
+    return total
+
+
+def _dichotomy_tables(model: MarkovModel, f_hat: np.ndarray,
+                      n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(n-step branch weights, n-step roof sums) at every grid node."""
+    roof = np.stack([np.asarray(model.roof(model.grid(iv.id)), dtype=float)
+                     for iv in model.intervals])
+    log_w, tau_n = _grid_orbit_sum(model, np.stack([f_hat, roof]), n)
+    return np.exp(log_w), tau_n
 
 
 def _circular_stats(phases: np.ndarray) -> tuple[float, float]:
@@ -416,36 +510,35 @@ def _circular_stats(phases: np.ndarray) -> tuple[float, float]:
 def dichotomy_test(model: MarkovModel, rpf: ComplexRPF, u: np.ndarray,
                    big_h: np.ndarray, atom: Atom, word_item,
                    kappa6: float, c9: float = C9_DEFAULT,
-                   f_hat: np.ndarray | None = None) -> Dichotomy:
+                   tables: tuple | None = None) -> Dichotomy:
     """Classify one backward branch of an atom window.
 
     Small when |u|/H <= 3/4 at every grid node of the branch image
     (including the interpolation fringe); aligned when |u|/H >= 1/c9
     everywhere and the summand phase stays within kappa6/100 of one
     direction; indeterminate otherwise, and treated as aligned with no
-    usable phase, so no cancellation is claimed on it.
+    usable phase, so no cancellation is claimed on it.  tables are the
+    len(word)-step _dichotomy_tables; they are built when not given.
     """
     word, contr, off, tgt = word_item
     n = model.grid_size
     iv = model.interval(tgt)
     g_lo = max(0, int(math.floor((contr * atom.left + off - iv.left) * n)))
     g_hi = min(n, int(math.ceil((contr * atom.right + off - iv.left) * n)))
-    js = np.arange(g_lo, g_hi + 1)
-    uz = u[iv.index, js]
-    hz = big_h[iv.index, js]
-    ratios = np.abs(uz) / hz
+    win = slice(g_lo, g_hi + 1)
+    uz = u[iv.index, win]
+    ratios = np.abs(uz) / big_h[iv.index, win]
     max_ratio = float(ratios.max())
     min_ratio = float(ratios.min())
-    z = iv.left + js / n
-    if f_hat is None:
-        f_hat = rpf.f_ab_grid
-    w_mean = float(_orbit_weight(model, f_hat, z, len(word)).mean())
+    if tables is None:
+        tables = _dichotomy_tables(model, rpf.f_ab_grid, len(word))
+    weights, roof_sums = tables
+    w_mean = float(weights[iv.index, win].mean())
     if max_ratio <= SMALL_FACTOR:
         return Dichotomy("small", word, max_ratio, min_ratio, None,
                          0.0, w_mean)
     if min_ratio >= 1.0 / c9:
-        tau_n = model.birkhoff_sum(model.roof, z, len(word))
-        phases = rpf.b * np.asarray(tau_n) + np.angle(uz)
+        phases = rpf.b * roof_sums[iv.index, win] + np.angle(uz)
         omega, spread = _circular_stats(phases)
         if spread <= ALIGN_SPREAD * kappa6:
             return Dichotomy("aligned", word, max_ratio, min_ratio,
@@ -479,6 +572,7 @@ class Cancellation:
     kappa6: float
     skipped: int                   # atoms with no certified option
     cone_ratio_p: float
+    retries: int = 0               # kappa5 shrinks to fit the cone
 
 
 def _pair_window(delta_phase: np.ndarray, kappa6: float) -> tuple | None:
@@ -516,51 +610,56 @@ def build_cancellation(model: MarkovModel, rpf: ComplexRPF,
     branches take the bump outright (sound for kappa5 < 1/4); aligned
     pairs are accepted only after the two-term sum inequality is checked
     on the window, shrinking kappa5 locally when needed.  Atoms with no
-    certified option keep P = 1.
+    certified option keep P = 1.  A cutoff that leaves the cone is rebuilt
+    with a smaller kappa5, at most SHRINK_RETRIES times.
     """
     if kappa6 <= 0.0:
         raise EngineError("no cancellation available: oscillation margin is zero")
     if not 0.0 < kappa5 < 0.25:
         raise EngineError("kappa5 must lie in (0, 1/4)")
-    scale = part.scale
-    p_vals = np.ones_like(big_h)
-    core = np.zeros(big_h.shape, dtype=bool)
-    records = []
-    bumped = set()
-    skipped = 0
     n = model.grid_size
     f_hat = rpf.f_ab_grid
+    tables = _dichotomy_tables(model, f_hat, n1)
+    words = {iv.id: all_words(model, iv.id, n1) for iv in model.intervals}
+    # the dichotomy and the pair analysis do not depend on kappa5, so they
+    # run once; a retry only writes the bumps again with a smaller kappa5
+    plans = []       # (atom index, atom, case, branch, s-window, room)
+    marked = 0
     for ai in omega_atoms:
+        marked += 1
         atom = part.atoms[ai]
-        words = all_words(model, atom.iid, n1)
+        ws = words[atom.iid]
         tests = [dichotomy_test(model, rpf, u, big_h, atom, w, kappa6, c9,
-                                f_hat) for w in words]
-        smalls = [(t, w) for t, w in zip(tests, words) if t.kind == "small"]
-        rec = None
+                                tables) for w in ws]
+        smalls = [(t, w) for t, w in zip(tests, ws) if t.kind == "small"]
         if smalls:
-            t, w = min(smalls, key=lambda tw: tw[0].max_ratio)
-            rec = _place_bump(model, p_vals, core, atom, w, (0.0, 1.0),
-                              kappa5, n)
-            if rec is not None:
-                records.append(BumpRecord(ai, "small", t.word, (0.0, 1.0),
-                                          kappa5))
-        else:
-            rec = _try_pair(model, rpf, f_hat, p_vals, core, atom, words,
-                            tests, u, big_h, kappa5, kappa6, n1)
-            if rec is not None:
-                records.append(BumpRecord(ai, "paired", rec[0], rec[1], rec[2]))
-        if rec is not None:
-            bumped.add(ai)
-        else:
-            skipped += 1
-    ratio = cone_ratio(model, scale, p_vals)
-    if ratio > 1.0:
+            _, w = min(smalls, key=lambda tw: tw[0].max_ratio)
+            plans.append((ai, atom, "small", w, (0.0, 1.0), None))
+            continue
+        aligned = [(t, w) for t, w in zip(tests, ws) if t.kind == "aligned"]
+        pair = _pair_plan(model, rpf.b, f_hat, atom, aligned, u, big_h,
+                          kappa6, n1)
+        if pair is not None:
+            plans.append((ai, atom, "paired") + pair)
+    for retries in range(SHRINK_RETRIES + 1):
+        p_vals = np.ones_like(big_h)
+        core = np.zeros(big_h.shape, dtype=bool)
+        records = []
+        for ai, atom, case, w, window, room in plans:
+            kap = kappa5 if room is None else min(kappa5, 0.5 * room, 0.2499)
+            if _place_bump(model, p_vals, core, atom, w, window, kap, n):
+                records.append(BumpRecord(ai, case, w[0], window, kap))
+        bumped = frozenset(r.atom_index for r in records)
+        ratio = cone_ratio(model, part.scale, p_vals)
+        if ratio <= 1.0:
+            return Cancellation(p_vals, core, bumped, tuple(records), kappa5,
+                                kappa6, marked - len(bumped),
+                                ratio, retries)
         # the cutoff slope scales linearly in kappa5 near one
-        shrink = kappa5 / (ratio * 1.05)
-        return build_cancellation(model, rpf, part, u, big_h, omega_atoms,
-                                  n1, shrink, kappa6, c9)
-    return Cancellation(p_vals, core, frozenset(bumped), tuple(records),
-                        kappa5, kappa6, skipped, ratio)
+        kappa5 = kappa5 / (ratio * 1.05)
+    raise EngineError(
+        f"cutoff left the cone after {SHRINK_RETRIES} kappa5 shrinks "
+        f"(log-slope ratio {ratio:.3g})")
 
 
 def _place_bump(model, p_vals, core, atom: Atom, word_item, j1, kappa5, n):
@@ -572,7 +671,7 @@ def _place_bump(model, p_vals, core, atom: Atom, word_item, j1, kappa5, n):
     g_lo = int(math.ceil((img_left - iv.left) * n - 1e-9))
     g_hi = int(math.floor((img_left + img_len - iv.left) * n + 1e-9))
     if g_hi < g_lo:
-        return None
+        return False
     js = np.arange(g_lo, g_hi + 1)
     s = ((iv.left + js / n) - img_left) / img_len
     a, b = j1
@@ -591,9 +690,14 @@ def _place_bump(model, p_vals, core, atom: Atom, word_item, j1, kappa5, n):
     return True
 
 
-def _try_pair(model, rpf, f_hat, p_vals, core, atom, words, tests, u, big_h,
-              kappa5, kappa6, n1):
-    aligned = [(t, w) for t, w in zip(tests, words) if t.kind == "aligned"]
+def _pair_plan(model, b, f_hat, atom, aligned, u, big_h, kappa6, n1):
+    """(branch, s-window, room) for the paired bump on an atom, or None.
+
+    The two aligned branches with the widest phase gap are compared; the
+    smaller-weight one carries the bump on a window where the phase
+    difference stays off zero, and room is the verified relative slack of
+    the two-term sum there.
+    """
     if len(aligned) < 2:
         return None
     best, gap = None, 0.0
@@ -612,10 +716,12 @@ def _try_pair(model, rpf, f_hat, p_vals, core, atom, words, tests, u, big_h,
     y = model.interval(atom.iid).left + np.arange(atom.j_lo, atom.j_hi + 1) / n
     z1 = w1[1] * y + w1[2]
     z2 = w2[1] * y + w2[2]
-    ph1 = rpf.b * np.asarray(model.birkhoff_sum(model.roof, z1, n1)) \
-        + np.angle(_interp_row(model, u, w1[3], z1))
-    ph2 = rpf.b * np.asarray(model.birkhoff_sum(model.roof, z2, n1)) \
-        + np.angle(_interp_row(model, u, w2[3], z2))
+    r1 = model.interval(w1[3]).index
+    r2 = model.interval(w2[3]).index
+    ph1 = b * np.asarray(model.birkhoff_sum(model.roof, z1, n1)) \
+        + np.angle(_interp_rows(model, u, r1, z1))
+    ph2 = b * np.asarray(model.birkhoff_sum(model.roof, z2, n1)) \
+        + np.angle(_interp_rows(model, u, r2, z2))
     j1 = _pair_window(ph1 - ph2, kappa6)
     if j1 is None:
         return None
@@ -623,19 +729,16 @@ def _try_pair(model, rpf, f_hat, p_vals, core, atom, words, tests, u, big_h,
     lo = int(round(j1[0] * (len(y) - 1)))
     hi = max(lo + 1, int(round(j1[1] * (len(y) - 1))))
     sel = slice(lo, hi + 1)
-    g1 = _orbit_weight(model, f_hat, z1[sel], n1) * np.abs(
-        _interp_row(model, big_h, w1[3], z1[sel]))
-    g2 = _orbit_weight(model, f_hat, z2[sel], n1) * np.abs(
-        _interp_row(model, big_h, w2[3], z2[sel]))
+    g1 = _orbit_weight(model, f_hat, z1[sel], n1, w1[3]) * np.abs(
+        _interp_rows(model, big_h, r1, z1[sel]))
+    g2 = _orbit_weight(model, f_hat, z2[sel], n1, w2[3]) * np.abs(
+        _interp_rows(model, big_h, r2, z2[sel]))
     two = np.abs(g1 * np.exp(1j * ph1[sel]) + g2 * np.exp(1j * ph2[sel]))
     room = (g1 + g2 - two) / np.maximum(g1, 1e-300)
     allowed = float(room.min())
     if allowed < 1e-4:
         return None
-    kap = min(kappa5, 0.5 * allowed, 0.2499)
-    if _place_bump(model, p_vals, core, atom, w1, j1, kap, n) is None:
-        return None
-    return (w1[0], j1, kap)
+    return w1, j1, allowed
 
 
 # ---------------------------------------------------------------------------

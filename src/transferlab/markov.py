@@ -201,6 +201,7 @@ class MarkovModel:
     _by_sym_domain: dict = field(repr=False, compare=False, default_factory=dict)
     _by_domain: dict = field(repr=False, compare=False, default_factory=dict)
     _intervals_by_id: dict = field(repr=False, compare=False, default_factory=dict)
+    # interval id -> (slope, left endpoints of the slice targets in order)
     _forward_table: dict = field(repr=False, compare=False, default_factory=dict)
 
     # -- geometry --------------------------------------------------------
@@ -217,6 +218,20 @@ class MarkovModel:
             else:
                 raise ModelError(f"coordinate {x!r} outside the phase space")
         return self.intervals[idx].id
+
+    def interval_index(self, x) -> np.ndarray:
+        """Array form of interval_of: interval indices, same rule.
+
+        interval_of stays scalar because apply_word calls it once per
+        word, tens of thousands of times in an orbit census.
+        """
+        x = np.asarray(x, dtype=float)
+        last = len(self.intervals) - 1
+        inside = np.isfinite(x) & (x >= 0.0) & (x <= last + 1.0)
+        if not inside.all():
+            bad = float(x[~inside].flat[0])
+            raise ModelError(f"coordinate {bad!r} outside the phase space")
+        return np.minimum(np.floor(x).astype(int), last)
 
     def grid(self, iid: str) -> np.ndarray:
         """Sample points of U_iid: grid_size cells, both endpoints included."""
@@ -249,11 +264,10 @@ class MarkovModel:
             mask = idx == k
             if not mask.any():
                 continue
-            d, targets = self._forward_table[iv.id]
+            d, target_lefts = self._forward_table[iv.id]
             s = d * (x[mask] - iv.left)
             j = np.clip(np.floor(s).astype(int), 0, d - 1)
-            lefts = np.array([self._intervals_by_id[targets[jj]].left for jj in j])
-            out[mask] = lefts + (s - j)
+            out[mask] = target_lefts[j] + (s - j)
         return float(out[0]) if scalar else out
 
     def orbit(self, x, n: int) -> np.ndarray:
@@ -335,25 +349,6 @@ class MarkovModel:
             cur = br(cur)
             dom = br.target
         return float(cur[0]) if scalar else cur
-
-    def word_contraction(self, word: str, domain: str | None = None) -> float:
-        """|v_word'| for the instance applied on U_domain (affine: constant).
-
-        When domain is omitted, any admissible one for word[-1] is used; the
-        value can depend on it for mixed out-degree adjacency.
-        """
-        if domain is None:
-            for b in self.branches:
-                if b.sym == word[-1]:
-                    domain = b.domain
-                    break
-        prod = 1.0
-        dom = domain
-        for sym in reversed(word):
-            br = self.branch(sym, dom)
-            prod *= br.contraction
-            dom = br.target
-        return prod
 
     # -- cocycles and Birkhoff sums ---------------------------------------
 
@@ -444,7 +439,7 @@ def build_model(config: ModelConfig) -> MarkovModel:
             Branch("1", "u", "u", 2.0, 0.5),
         )
         derived_slopes = (2.0, 2.0)
-        forward_table = {"u": (2, ("u", "u"))}
+        forward_table = {"u": (2, np.array([0.0, 0.0]))}
     elif config.family == "markov3":
         names = ("0", "1", "2")
         forb = _parse_forbidden(config.forbidden)
@@ -463,7 +458,8 @@ def build_model(config: ModelConfig) -> MarkovModel:
             outs = adj[a]
             d = len(outs)
             la = intervals[names.index(a)].left
-            forward_table[a] = (d, outs)
+            forward_table[a] = (d, np.array([intervals[names.index(b)].left
+                                             for b in outs]))
             for j, b in enumerate(outs):
                 lb = intervals[names.index(b)].left
                 # slice j of U_a maps onto U_b with slope d, so the inverse

@@ -25,7 +25,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.ndimage import minimum_filter1d
 
 from .markov import MarkovModel, ModelError
 from .thermo import base_system, forward_index
@@ -61,23 +60,14 @@ class ScaleFunction:
     values: np.ndarray
     kappa_lower: float
 
-    def _locate(self, x):
-        xv = np.atleast_1d(np.asarray(x, dtype=float))
-        out_t = np.empty(xv.shape, dtype=int)
-        out_v = np.empty(xv.shape, dtype=float)
-        for i, xi in enumerate(xv):
-            t, v = _stop_and_value(self.model, float(xi), self.eps)
-            out_t[i], out_v[i] = t, v
-        return out_t, out_v
-
     def theta_at(self, x):
         """Stopping index at arbitrary leaf coordinates (recomputed)."""
-        t, _ = self._locate(x)
+        t, _ = _stopping_cocycle(self.model, x, self.eps)
         return int(t[0]) if np.isscalar(x) else t
 
     def value_at(self, x):
         """Expansion value at arbitrary leaf coordinates (recomputed)."""
-        _, v = self._locate(x)
+        _, v = _stopping_cocycle(self.model, x, self.eps)
         return float(v[0]) if np.isscalar(x) else v
 
     def rows(self, iid: str) -> tuple[np.ndarray, np.ndarray]:
@@ -93,16 +83,31 @@ class ScaleFunction:
         return float(self.values.max())
 
 
-def _stop_and_value(model: MarkovModel, x: float, eps: float) -> tuple[int, float]:
-    contr = 1.0
-    expf = 1.0
-    cur = x
+def _stopping_cocycle(model: MarkovModel, x, eps: float):
+    """(steps, values) of the stable cocycle run to eps from every point.
+
+    The products are taken step by step in orbit order, so every point gets
+    bit-for-bit the numbers a one-point loop would give.  Scalars come back
+    as one-element arrays.
+    """
+    xv = np.atleast_1d(np.asarray(x, dtype=float))
+    cur = xv.ravel()
+    live = np.arange(cur.size)
+    contr = np.ones(cur.size)
+    expf = np.ones(cur.size)
+    steps = np.zeros(cur.size, dtype=int)
+    values = np.zeros(cur.size)
     for k in range(1, THETA_CAP + 1):
-        contr *= float(model.mu(cur))
-        expf *= float(model.slope_at(cur))
-        if contr < eps:
-            return k, expf
-        cur = model.forward(cur)
+        contr *= np.asarray(model.mu(cur), dtype=float)
+        expf *= model.slope_at(cur)
+        hit = contr < eps
+        steps[live[hit]] = k
+        values[live[hit]] = expf[hit]
+        if hit.all():
+            return steps.reshape(xv.shape), values.reshape(xv.shape)
+        keep = ~hit
+        live, contr, expf = live[keep], contr[keep], expf[keep]
+        cur = model.forward(cur[keep])
     raise ScaleError(f"stable cocycle did not reach {eps!r} in {THETA_CAP} steps")
 
 
@@ -114,29 +119,8 @@ def matching_scale(model: MarkovModel, eps: float) -> ScaleFunction:
     """
     if not 0.0 < eps <= EPS_MAX:
         raise ScaleError(f"eps must lie in (0, {EPS_MAX}], got {eps!r}")
-    n = model.grid_size
-    k = len(model.intervals)
-    flat = np.concatenate([model.grid(iv.id) for iv in model.intervals])
-    contr = np.ones_like(flat)
-    expf = np.ones_like(flat)
-    steps = np.zeros(flat.shape, dtype=int)
-    values = np.zeros_like(flat)
-    cur = flat.copy()
-    undone = np.ones(flat.shape, dtype=bool)
-    for i in range(1, THETA_CAP + 1):
-        contr[undone] *= np.asarray(model.mu(cur[undone]), dtype=float)
-        expf[undone] *= model.slope_at(cur[undone])
-        hit = undone & (contr < eps)
-        steps[hit] = i
-        values[hit] = expf[hit]
-        undone &= ~hit
-        if not undone.any():
-            break
-        cur[undone] = model.forward(cur[undone])
-    else:
-        raise ScaleError(f"stable cocycle did not reach {eps!r} in {THETA_CAP} steps")
-    steps = steps.reshape(k, n + 1)
-    values = values.reshape(k, n + 1)
+    nodes = np.stack([model.grid(iv.id) for iv in model.intervals])
+    steps, values = _stopping_cocycle(model, nodes, eps)
     kappa_lower = float(np.log(values).min() / math.log(1.0 / eps))
     return ScaleFunction(model, eps, steps, values, kappa_lower)
 
@@ -449,33 +433,43 @@ def _best_margin(dist: np.ndarray, n_windows: int) -> tuple[float, dict]:
     """Largest min(window length, worst-phase window margin) over sizes.
 
     dist has shape (phases, s points); for each phase the best window of
-    each tested length is found with a sliding minimum, then the weakest
-    phase decides.  Returns the margin and witness data for that phase.
+    each tested length is found from a running minimum over all windows
+    that fit, then the weakest phase decides.  Returns the margin and
+    witness data for that phase.
     """
     n_om, n_s = dist.shape
     best = np.zeros(n_om)
-    info = [(0.0, 0, 0, 0.0)] * n_om   # (frac, lo, hi, dist) per phase
+    # witness per phase: window fraction, start, size and margin
+    w_frac = np.zeros(n_om)
+    w_lo = np.zeros(n_om, dtype=int)
+    w_size = np.zeros(n_om, dtype=int)
+    w_dist = np.zeros(n_om)
+    # win[:, p] = min(dist[:, p:p + width]); widths only grow with j
+    win, width = dist, 1
+    rows = np.arange(n_om)
     for j in range(1, n_windows + 1):
         frac = j / n_windows
         size = max(1, int(round(frac * n_s)))
-        lo = size // 2
-        hi = n_s - (size - 1 - size // 2)
-        if hi <= lo:
+        if size > n_s:
             continue
-        filt = minimum_filter1d(dist, size=size, axis=1, mode="nearest")
-        seg = filt[:, lo:hi]
-        pos = np.argmax(seg, axis=1)
-        m = seg[np.arange(n_om), pos]
+        while width < size:
+            step = min(width, size - width)
+            win = np.minimum(win[:, :-step], win[:, step:])
+            width += step
+        pos = np.argmax(win, axis=1)
+        m = win[rows, pos]
         cand = np.minimum(frac, m)
         better = cand > best
-        for i in np.nonzero(better)[0]:
-            start = lo + pos[i] - size // 2
-            info[i] = (frac, start, start + size, float(m[i]))
+        w_frac[better] = frac
+        w_lo[better] = pos[better]
+        w_size[better] = size
+        w_dist[better] = m[better]
         best = np.where(better, cand, best)
-    i_worst = int(np.argmin(best))
-    frac, w_lo, w_hi, d = info[i_worst]
-    return float(best[i_worst]), {
-        "omega_idx": i_worst, "frac": frac, "lo": w_lo, "hi": w_hi, "dist": d}
+    i = int(np.argmin(best))
+    lo = int(w_lo[i])
+    return float(best[i]), {
+        "omega_idx": i, "frac": float(w_frac[i]), "lo": lo,
+        "hi": lo + int(w_size[i]), "dist": float(w_dist[i])}
 
 
 def uni_scan(model: MarkovModel, scale: ScaleFunction,

@@ -35,7 +35,9 @@ from hypothesis import strategies as st
 from transferlab.markov import doubling_model, markov3_model
 from transferlab.rpf import build_rpf
 from transferlab.scales import matching_scale
+from transferlab import cancellation
 from transferlab.cancellation import (
+    SHRINK_RETRIES,
     Cancellation,
     EngineError,
     EngineParams,
@@ -299,6 +301,7 @@ def test_small_case_bumps(plain, rpf6, part32, scale32):
     assert canc.bumped_atoms == frozenset(range(32))
     assert canc.skipped == 0
     assert canc.kappa5 == 0.05                  # no cone shrink at default
+    assert canc.retries == 0
     assert float(canc.p_values.min()) == 1.0 - 0.05
     assert float(canc.p_values.max()) == 1.0
     assert canc.cone_ratio_p <= 1.0
@@ -338,9 +341,26 @@ def test_cone_autoshrink(plain, rpf6, part32):
     canc = build_cancellation(plain, rpf6, part32, u0, _ones(plain),
                               range(32), 1, kappa5=0.2, kappa6=0.05)
     assert canc.kappa5 < 0.2
+    assert 1 <= canc.retries <= SHRINK_RETRIES
     assert canc.cone_ratio_p <= 1.0
     assert float(canc.p_values.min()) == pytest.approx(1 - canc.kappa5,
                                                        abs=1e-12)
+
+
+def test_cone_retry_is_bounded(plain, rpf6, part32, monkeypatch):
+    # a cutoff that never fits the cone ends with an error, not a recursion
+    calls = []
+
+    def never_fits(model, scale, values):
+        calls.append(1)
+        return 2.0
+
+    monkeypatch.setattr(cancellation, "cone_ratio", never_fits)
+    u0 = np.zeros((1, GRID + 1), dtype=complex)
+    with pytest.raises(EngineError, match="kappa5 shrinks"):
+        build_cancellation(plain, rpf6, part32, u0, _ones(plain),
+                           range(32), 1, kappa5=0.05, kappa6=0.05)
+    assert len(calls) == SHRINK_RETRIES + 1
 
 
 def test_paired_case(sin_model):

@@ -1,0 +1,292 @@
+"""Array fast paths against the one-point paths they replace.
+
+Each reference below is a plain loop kept here on purpose: the package
+runs the same arithmetic on whole arrays, in the same order, so every
+comparison is exact (``==``), not within a tolerance.
+
+* Stopping cocycle: ``value_at`` and ``theta_at`` against a one-point
+  loop of mu, slope and forward at random off-grid points.
+* Cylinder partition: the level-wise ``build_partition`` against a
+  depth-first refinement that reads the scale one probe at a time.
+* Grid orbit sums: the n-step weight and roof tables against per-node
+  forward walks, the interpolating ``_orbit_weight`` and ``birkhoff_sum``.
+* ``locate`` against a linear scan of the atoms.
+* ``_best_margin`` against window minima taken one window at a time.
+
+Models are drawn from both families with random roofs, potentials and
+stable factors; the coefficient ranges keep the roof positive and mu
+inside (0, 1) on the whole leaf, so every draw is a valid model.
+"""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import assume, given, settings, strategies as st
+
+from transferlab import cancellation as C
+from transferlab import scales as S
+from transferlab.markov import ModelConfig, ModelError, build_model
+
+PROPS = settings(max_examples=25, deadline=None)
+
+_FORBIDDEN = ((), ("0>1",), ("2>0",), ("1>1",))
+
+
+@st.composite
+def models(draw):
+    family = draw(st.sampled_from(("doubling", "markov3")))
+    coef = st.floats(-0.2, 0.2)
+    roof = (draw(st.floats(2.0, 3.0)), draw(st.floats(-0.2, 0.2)),
+            draw(st.floats(-0.4, 0.4)), draw(st.floats(-0.4, 0.4)))
+    potential = (draw(coef), draw(coef), draw(coef), draw(coef))
+    mu = (draw(st.floats(0.3, 0.7)), draw(st.floats(-0.03, 0.03)),
+          draw(st.floats(-0.1, 0.1)), draw(st.floats(-0.1, 0.1)))
+    forbidden = (draw(st.sampled_from(_FORBIDDEN))
+                 if family == "markov3" else ())
+    grid = draw(st.sampled_from((64, 128, 256)))
+    return build_model(ModelConfig(family, roof, potential, mu, grid, 0.5,
+                                   forbidden=forbidden))
+
+
+def _points(draw_list, model):
+    """Leaf coordinates from (interval, fraction) pairs."""
+    return np.array([model.intervals[i % len(model.intervals)].left + f
+                     for i, f in draw_list])
+
+
+point_lists = st.lists(st.tuples(st.integers(0, 2),
+                                 st.floats(0.0, 1.0, exclude_max=True)),
+                       min_size=1, max_size=12)
+
+
+# ---------------------------------------------------------------------------
+# stopping cocycle
+
+
+def _reference_stop(model, x, eps):
+    contr, expf, cur = 1.0, 1.0, float(x)
+    for k in range(1, S.THETA_CAP + 1):
+        contr *= float(model.mu(cur))
+        expf *= float(model.slope_at(cur))
+        if contr < eps:
+            return k, expf
+        cur = model.forward(cur)
+    raise AssertionError("reference loop did not stop")
+
+
+@PROPS
+@given(model=models(), q=st.integers(2, 9), pts=point_lists)
+def test_value_and_theta_match_one_point_loop(model, q, pts):
+    eps = 2.0 ** -q * 1.37
+    scale = S.matching_scale(model, eps)
+    xs = _points(pts, model)
+    vals = scale.value_at(xs)
+    thetas = scale.theta_at(xs)
+    for x, v, t in zip(xs, vals, thetas):
+        ref_t, ref_v = _reference_stop(model, x, eps)
+        assert t == ref_t and v == ref_v
+        assert scale.value_at(float(x)) == ref_v
+        assert scale.theta_at(float(x)) == ref_t
+
+
+@PROPS
+@given(model=models(), q=st.integers(2, 9))
+def test_matching_scale_grid_matches_one_point_loop(model, q):
+    eps = 2.0 ** -q
+    scale = S.matching_scale(model, eps)
+    for iv in model.intervals:
+        g = model.grid(iv.id)
+        for j in (0, 1, model.grid_size // 3, model.grid_size):
+            ref_t, ref_v = _reference_stop(model, g[j], eps)
+            assert scale.steps[iv.index, j] == ref_t
+            assert scale.values[iv.index, j] == ref_v
+
+
+# ---------------------------------------------------------------------------
+# cylinder partition
+
+
+def _reference_range(model, scale, iid, left, right):
+    n = model.grid_size
+    iv = model.interval(iid)
+    j_lo = max(int(math.ceil((left - iv.left) * n - 1e-9)), 0)
+    j_hi = min(int(math.floor((right - iv.left) * n + 1e-9)), n)
+    pts = [left, 0.5 * (left + right), right - 1e-12]
+    vals = [scale.value_at(p) for p in pts]
+    if j_hi >= j_lo:
+        row = scale.values[iv.index, j_lo:j_hi + 1]
+        k = int(np.argmin(row))
+        pts.append(iv.left + (j_lo + k) / n)
+        vals.append(float(row[k]))
+        vals.append(float(row.max()))
+    rep = pts[int(np.argmin(vals[:len(pts)]))]
+    return min(vals), max(vals), rep, j_lo, j_hi
+
+
+def _reference_partition(model, scale, c1):
+    """Depth-first refinement, one atom and one probe at a time."""
+    by_target = {}
+    for b in model.branches:
+        by_target.setdefault(b.target, []).append(b)
+    for lst in by_target.values():
+        lst.sort(key=lambda b: b.offset)
+    done = []
+    stack = [("", iv.id, iv.id, 1.0, 0.0, 0) for iv in model.intervals]
+    while stack:
+        word, dom, iid, contr, off, depth = stack.pop()
+        d_iv = model.interval(dom)
+        left = contr * d_iv.left + off
+        right = contr * d_iv.right + off
+        lo, hi, rep, j_lo, j_hi = _reference_range(model, scale, iid,
+                                                   left, right)
+        if (right - left) * lo <= c1:
+            if depth == 0:
+                return None
+            done.append(C.Atom(word, dom, iid, left, right, contr, depth,
+                               rep, lo, hi, j_lo, j_hi))
+            continue
+        for b in by_target[dom]:
+            stack.append((word + b.sym, b.domain, iid, contr / b.slope,
+                          contr * b.offset + off, depth + 1))
+    return tuple(sorted(done, key=lambda a: a.left))
+
+
+@PROPS
+@given(model=models(), q=st.integers(1, 5), c1=st.sampled_from((0.5, 1.0)))
+def test_levelwise_partition_matches_depth_first(model, q, c1):
+    scale = S.matching_scale(model, 2.0 ** -q)
+    assume(scale.max_value <= 300.0)     # keeps the reference loop short
+    ref = _reference_partition(model, scale, c1)
+    if ref is None:
+        with pytest.raises(C.EngineError, match="too coarse"):
+            C.build_partition(model, scale, c1)
+        return
+    part = C.build_partition(model, scale, c1)
+    assert part.atoms == ref
+
+
+# ---------------------------------------------------------------------------
+# grid orbit sums
+
+
+def _per_node_walk(model, samples, n):
+    """Walk every grid node forward one point at a time."""
+    out = np.zeros(samples.shape)
+    for iv in model.intervals:
+        for j, x in enumerate(model.grid(iv.id)):
+            r, c, cur = iv.index, j, float(x)
+            for _ in range(n):
+                out[iv.index, j] += samples[r, c]
+                cur = model.forward(cur)
+                r = model.interval_index(cur)
+                c = int(round((cur - model.intervals[r].left)
+                              * model.grid_size))
+    return out
+
+
+@PROPS
+@given(model=models(), n=st.integers(1, 4), seed=st.integers(0, 2 ** 16))
+def test_grid_orbit_sum_matches_per_node_walk(model, n, seed):
+    rng = np.random.default_rng(seed)
+    f = rng.normal(size=(len(model.intervals), model.grid_size + 1))
+    table = C._grid_orbit_sum(model, f, n)
+    assert np.array_equal(table, _per_node_walk(model, f, n))
+    weights, roof_sums = C._dichotomy_tables(model, f, n)
+    for iv in model.intervals:
+        g = model.grid(iv.id)
+        assert np.array_equal(weights[iv.index],
+                              C._orbit_weight(model, f, g, n, iv.id))
+        assert np.array_equal(roof_sums[iv.index],
+                              model.birkhoff_sum(model.roof, g, n))
+
+
+def test_orbit_weight_window_across_seam():
+    # markov3 with 0>1 forbidden: U_0 has two slices, [0, 1/2) -> U_0 and
+    # [1/2, 1) -> U_2, so a window around 1/2 splits after one step.
+    model = build_model(ModelConfig("markov3", grid_size=256,
+                                    forbidden=("0>1",)))
+    rng = np.random.default_rng(3)
+    f = rng.normal(size=(3, model.grid_size + 1)) + np.arange(3)[:, None]
+    z = np.linspace(0.40, 0.60, 41)
+    assert len(set(model.interval_index(model.forward(z)))) == 2
+    w = C._orbit_weight(model, f, z, 3, "0")
+    alone = np.array([C._orbit_weight(model, f, z[i:i + 1], 3, "0")[0]
+                      for i in range(z.size)])
+    assert np.array_equal(w, alone)
+    # reading every orbit point on the row of the first point, as a walk
+    # that ignores the seam would, gives different weights past 1/2
+    xs = np.arange(model.grid_size + 1) / model.grid_size
+    total, cur = np.zeros(z.size), z.copy()
+    for _ in range(3):
+        r = model.interval_index(cur[0])
+        total += np.interp(cur - model.intervals[r].left, xs, f[r])
+        cur = model.forward(cur)
+    first_row = np.exp(total)
+    past = z >= 0.5
+    assert np.array_equal(first_row[~past], w[~past])
+    assert np.all(first_row[past] != w[past])
+
+
+# ---------------------------------------------------------------------------
+# atom lookup
+
+
+def _linear_locate(part, x):
+    ids = part.by_interval[part.model.interval_of(x)]
+    below = [i for i in ids if part.atoms[i].left <= x]
+    return below[-1] if below else ids[0]
+
+
+@PROPS
+@given(model=models(), q=st.integers(2, 6), pts=point_lists,
+       take=st.lists(st.integers(0, 10 ** 6), max_size=6))
+def test_locate_matches_linear_scan(model, q, pts, take):
+    try:
+        part = C.build_partition(model, S.matching_scale(model, 2.0 ** -q))
+    except C.EngineError:
+        return
+    xs = list(_points(pts, model))
+    xs += [part.atoms[t % len(part.atoms)].left for t in take]
+    xs.append(float(len(model.intervals)))        # right end of the leaf
+    found = part.locate(np.array(xs))
+    for x, k in zip(xs, found):
+        assert k == _linear_locate(part, x) == part.locate(float(x))
+    with pytest.raises(ModelError):
+        part.locate(-0.5)
+
+
+# ---------------------------------------------------------------------------
+# oscillation margins
+
+
+def _reference_best_margin(dist, n_windows):
+    n_om, n_s = dist.shape
+    best = np.zeros(n_om)
+    info = [(0.0, 0, 0, 0.0)] * n_om
+    for j in range(1, n_windows + 1):
+        frac = j / n_windows
+        size = max(1, int(round(frac * n_s)))
+        for i in range(n_om):
+            mins = [dist[i, p:p + size].min() for p in range(n_s - size + 1)]
+            p = int(np.argmax(mins))
+            if min(frac, mins[p]) > best[i]:
+                best[i] = min(frac, mins[p])
+                info[i] = (frac, p, p + size, float(mins[p]))
+    i = int(np.argmin(best))
+    frac, lo, hi, d = info[i]
+    return float(best[i]), {"omega_idx": i, "frac": frac, "lo": lo,
+                            "hi": hi, "dist": d}
+
+
+@PROPS
+@given(n_om=st.integers(1, 6), n_s=st.integers(1, 40),
+       n_windows=st.integers(1, 12), seed=st.integers(0, 2 ** 16),
+       coarse=st.booleans())
+def test_best_margin_matches_window_by_window(n_om, n_s, n_windows, seed,
+                                              coarse):
+    dist = np.random.default_rng(seed).uniform(0.0, 3.0, (n_om, n_s))
+    if coarse:                 # ties between windows and phases
+        dist = np.round(dist, 0)
+    assert S._best_margin(dist, n_windows) == _reference_best_margin(
+        dist, n_windows)
