@@ -30,19 +30,17 @@ def main() -> None:
     args = ap.parse_args()
 
     model = doubling_model(roof=ROOFS[args.roof])
-    neck = orbits.necklace_counts(model, args.n_max)
-    enum = orbits.enumerate_periodic_orbits(model, args.n_max)
-    by_n = Counter(o.n for o in enum)
-    mismatch = [n for n in range(1, args.n_max + 1)
-                if by_n.get(n, 0) != neck[n - 1]]
-    print(f"primitive orbits up to n={args.n_max}: {len(enum)} "
-          f"(necklace check: {'ok' if not mismatch else mismatch})")
-
-    h = orbits.entropy(model)
     top = args.n_max * model.tau_0
     t_grid = [top * (k + 1) / args.points for k in range(args.points)]
     report = orbits.prime_orbit_report(model, args.n_max, t_grid)
-    print(f"entropy h = {h:.6f}   "
+
+    neck = orbits.necklace_counts(model, args.n_max)
+    by_n = Counter(o.n for o in report.orbits)
+    mismatch = [n for n in range(1, args.n_max + 1)
+                if by_n.get(n, 0) != neck[n - 1]]
+    print(f"primitive orbits up to n={args.n_max}: {len(report.orbits)} "
+          f"(necklace check: {'ok' if not mismatch else mismatch})")
+    print(f"entropy h = {report.h:.6f}   "
           f"c_hat = {report.c_hat if report.c_hat is None else round(report.c_hat, 4)}")
     print(f"{'T':>7} {'pi(T)':>8} {'li(e^hT)':>12} {'diff':>10} {'|diff|/li':>10}")
     for t, pi, li in zip(report.t_grid, report.pi, report.li_values):

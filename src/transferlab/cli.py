@@ -424,11 +424,10 @@ def _orbit_params(model: MarkovModel, cfg: ExperimentConfig):
 
 def _cmd_orbits(model: MarkovModel, cfg: ExperimentConfig):
     n_max, t_grid = _orbit_params(model, cfg)
-    orbit_list = orbits.enumerate_periodic_orbits(model, n_max)
     report = orbits.prime_orbit_report(model, n_max, t_grid)
     _write_csv(os.path.join(cfg.out_dir, "orbit_table.csv"), cfg.command,
                model, [("n_max", n_max)], ("word", "n", "period"),
-               [(o.word, o.n, o.period) for o in orbit_list])
+               [(o.word, o.n, o.period) for o in report.orbits])
     count_rows = [
         (float(t), int(pi), float(li), float(pi - li), bool(comp))
         for t, pi, li, comp in zip(report.t_grid, report.pi,
@@ -437,7 +436,7 @@ def _cmd_orbits(model: MarkovModel, cfg: ExperimentConfig):
                [("n_max", n_max), ("entropy", report.h),
                 ("c_hat", report.c_hat)],
                ("t", "pi", "li", "diff", "complete"), count_rows)
-    summary = (f"orbits: primitives={len(orbit_list)} n_max={n_max} "
+    summary = (f"orbits: primitives={len(report.orbits)} n_max={n_max} "
                f"entropy={_fmt(report.h)} c_hat={_fmt(report.c_hat)} "
                f"-> {cfg.out_dir}/counting.csv")
     return summary, OK
@@ -514,17 +513,16 @@ def _invariant_checks(model: MarkovModel, cfg: ExperimentConfig):
     checks.append(("necklace_vs_trace", float(trace_gap), 0.0))
 
     enum = orbits.enumerate_periodic_orbits(model, 6)
-    by_n = [0] * 6
-    for o in enum:
-        by_n[o.n - 1] += 1
-    enum_gap = max(abs(by_n[i] - neck[i]) for i in range(6))
+    words_by_n = [[o.word for o in enum if o.n == n] for n in range(1, 7)]
+    enum_gap = max(abs(len(words_by_n[i]) - neck[i]) for i in range(6))
     checks.append(("necklace_vs_enumeration", float(enum_gap), 0.0))
 
     worst_ret = 0.0
-    for o in enum:
-        x = orbits.orbit_fixed_point(model, o.word)
-        back = float(model.orbit(x, o.n + 1)[-1, 0])
-        worst_ret = max(worst_ret, abs(back - x))
+    for n, words in enumerate(words_by_n, start=1):
+        if words:
+            x = orbits.cyclic_fixed_points(model, words)
+            back = model.orbit(x, n + 1)[-1]
+            worst_ret = max(worst_ret, float(np.max(np.abs(back - x))))
     checks.append(("orbit_return_residual", worst_ret, 1e-10))
 
     quad = orbits.covariance_at_zero(model, _section_sine, _section_sine)

@@ -222,8 +222,10 @@ class MarkovModel:
     def interval_index(self, x) -> np.ndarray:
         """Array form of interval_of: interval indices, same rule.
 
-        interval_of stays scalar because apply_word calls it once per
-        word, tens of thousands of times in an orbit census.
+        The array paths use it: atom lookup and orbit weights in
+        cancellation, and every round of orbits.cyclic_fixed_points.
+        interval_of serves the one-point calls of apply_word and
+        roof_sum_on_word, no longer a hot path.
         """
         x = np.asarray(x, dtype=float)
         last = len(self.intervals) - 1

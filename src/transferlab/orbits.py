@@ -25,6 +25,8 @@ from .markov import MarkovModel, ModelError
 from .thermo import gibbs_measure, pressure
 
 WORD_CAP_DEFAULT = 2 ** 21
+# upper bound on fixed-point rounds; a point stops early once a round
+# leaves it unchanged (see _settle)
 FIXED_POINT_ITERATIONS = 200
 ENTROPY_TOL = 1e-10
 
@@ -120,29 +122,29 @@ class PeriodicOrbit:
     period: float
 
 
-def _admissible_words(model: MarkovModel, n: int) -> np.ndarray:
-    """All admissible words of length n as rows of alphabet indices."""
-    k = len(model.alphabet)
-    trans = np.array(transfer_matrix(model), dtype=bool)
-    rows = np.arange(k, dtype=np.int64)[:, None]
-    for _ in range(n - 1):
-        parts = []
-        for j in range(k):
-            ok = trans[rows[:, -1], j]
-            if ok.any():
-                block = rows[ok]
-                col = np.full((block.shape[0], 1), j, dtype=np.int64)
-                parts.append(np.hstack([block, col]))
-        if not parts:
-            return np.empty((0, n), dtype=np.int64)
-        rows = np.vstack(parts)
-    return rows
+def _extend_words(words: np.ndarray, trans: np.ndarray) -> np.ndarray:
+    """Admissible words one symbol longer, as rows of alphabet indices:
+    every row followed by each symbol its last symbol may precede, grouped
+    by the appended symbol."""
+    parts = []
+    for j in range(trans.shape[0]):
+        block = words[trans[words[:, -1], j]]
+        if block.shape[0]:
+            col = np.full((block.shape[0], 1), j, dtype=words.dtype)
+            parts.append(np.hstack([block, col]))
+    if not parts:
+        return np.empty((0, words.shape[1] + 1), dtype=words.dtype)
+    return np.vstack(parts)
 
 
 def _word_codes(words: np.ndarray, base: int) -> np.ndarray:
-    n = words.shape[1]
-    weights = base ** np.arange(n - 1, -1, -1, dtype=np.int64)
-    return words @ weights
+    """Each row read as a base-`base` integer, first symbol most
+    significant; one column at a time, so the compact rows are never
+    widened whole."""
+    codes = np.zeros(words.shape[0], dtype=np.int64)
+    for i in range(words.shape[1]):
+        codes = codes * base + words[:, i]
+    return codes
 
 
 def _canonical_codes(codes: np.ndarray, n: int, base: int):
@@ -156,51 +158,138 @@ def _canonical_codes(codes: np.ndarray, n: int, base: int):
     return canon
 
 
-def _decode(code: int, n: int, base: int, alphabet) -> str:
-    digits = []
-    for _ in range(n):
-        code, d = divmod(code, base)
-        digits.append(alphabet[d])
-    return "".join(reversed(digits))
+def _decode_words(codes: np.ndarray, n: int, alphabet) -> list[str]:
+    """Words of length n from their codes, most significant digit first:
+    digits, then one alphabet byte per digit, read n bytes at a time."""
+    base = len(alphabet)
+    powers = base ** np.arange(n - 1, -1, -1, dtype=np.int64)
+    digits = codes[:, None] // powers % base
+    letters = np.frombuffer("".join(alphabet).encode("ascii"), dtype=np.uint8)
+    return letters[digits].view(f"S{n}").ravel().astype(f"U{n}").tolist()
+
+
+def _word_rows(model: MarkovModel, words) -> np.ndarray:
+    """Equal-length words as rows of alphabet indices."""
+    index = {a: i for i, a in enumerate(model.alphabet)}
+    if not words or any(len(w) != len(words[0]) for w in words):
+        raise ModelError("words must be nonempty and of one length")
+    try:
+        return np.array([[index[c] for c in w] for w in words],
+                        dtype=np.int64)
+    except KeyError as exc:
+        raise ModelError(f"unknown symbol {exc.args[0]!r}") from None
+
+
+def _branch_table(model: MarkovModel):
+    """Inverse-branch slope and offset by (symbol, domain interval), NaN
+    where no instance exists, and the target interval of each symbol."""
+    k, m = len(model.alphabet), len(model.intervals)
+    slope = np.full((k, m), np.nan)
+    offset = np.full((k, m), np.nan)
+    for i, a in enumerate(model.alphabet):
+        for iv in model.intervals:
+            inst = model._by_sym_domain.get((a, iv.id))
+            if inst is not None:
+                slope[i, iv.index] = inst.slope
+                offset[i, iv.index] = inst.offset
+    target = np.array([model.interval(model.sym_target(a)).index
+                       for a in model.alphabet])
+    return slope, offset, target
+
+
+def _settle(step, y: np.ndarray, *cols) -> np.ndarray:
+    """FIXED_POINT_ITERATIONS rounds of y <- step(y, *cols), elementwise.
+
+    An element whose bits a round leaves unchanged drops out: the round is
+    a function of those bits and of the element's own rows of cols, so
+    every later round would leave it unchanged too, and the result equals
+    the full iteration bit for bit.  Stopping the whole array at once
+    would not help: the point of a word of zeros shrinks towards 0 every
+    round and is still moving after the last one.
+    """
+    y = np.array(y, dtype=float)
+    live = np.arange(y.size)
+    cur = y
+    for _ in range(FIXED_POINT_ITERATIONS):
+        if not live.size:
+            break
+        nxt = step(cur, *cols)
+        moved = nxt.view(np.uint64) != cur.view(np.uint64)
+        if not moved.all():
+            y[live] = nxt
+            live, nxt = live[moved], nxt[moved]
+            cols = tuple(c[moved] for c in cols)
+        cur = nxt
+    y[live] = cur
+    return y
+
+
+def _affine_step(y, contr, off):
+    return contr * y + off
 
 
 def _cyclic_affine(model: MarkovModel, words: np.ndarray):
     """Composite inverse-branch coefficients (contraction, offset) per
     cyclic word, and the left endpoint of the interval holding its fixed
     point."""
+    slope, offset, target = _branch_table(model)
     k = len(model.alphabet)
-    slope = np.full((k, k), np.nan)
-    offset = np.full((k, k), np.nan)
-    for i, a in enumerate(model.alphabet):
-        for j, b in enumerate(model.alphabet):
-            inst = model._by_sym_domain.get((a, model.sym_target(b)))
-            if inst is not None:
-                slope[i, j] = inst.slope
-                offset[i, j] = inst.offset
+    # flat (symbol, next symbol) tables: the next symbol's target interval
+    # is the domain of the branch instance
+    slope, offset = slope[:, target].ravel(), offset[:, target].ravel()
     n = words.shape[1]
     contr = np.ones(words.shape[0])
     off = np.zeros(words.shape[0])
     # innermost branch instance first: position i pairs with the symbol at
     # position i+1 (cyclically) as its domain
     for i in range(n - 1, -1, -1):
-        s = slope[words[:, i], words[:, (i + 1) % n]]
-        t = offset[words[:, i], words[:, (i + 1) % n]]
+        # widened first: the compact rows would wrap at k * k
+        pair = words[:, i].astype(np.intp) * k + words[:, (i + 1) % n]
+        s = slope.take(pair)
         contr /= s
-        off = off / s + t
-    lefts = np.array([model.interval(model.sym_target(a)).left
-                      for a in model.alphabet])
+        off = off / s + offset.take(pair)
+    lefts = np.array([iv.left for iv in model.intervals])[target]
     return contr, off, lefts[words[:, 0]]
 
 
+def cyclic_fixed_points(model: MarkovModel, words) -> np.ndarray:
+    """Fixed points of equal-length cyclic words by contraction iteration.
+
+    Each round does what apply_word does, on all words at once: find the
+    domain interval of the current point (model.interval_index), then
+    apply the branch instances y / slope + offset right to left.  A point
+    on a slice seam therefore takes the same domain, and raises the same
+    error, as it would there.  The result equals FIXED_POINT_ITERATIONS
+    apply_word rounds bit for bit.
+    """
+    rows = _word_rows(model, words)
+    slope, offset, target = _branch_table(model)
+    m = len(model.intervals)
+    slope, offset = slope.ravel(), offset.ravel()
+    lefts = np.array([iv.left for iv in model.intervals])
+
+    def apply_words(y, rows):
+        dom = model.interval_index(y)
+        for i in range(rows.shape[1] - 1, -1, -1):
+            pair = rows[:, i] * m + dom
+            s = slope.take(pair)
+            if np.isnan(s).any():
+                bad = int(np.flatnonzero(np.isnan(s))[0])
+                raise ModelError(
+                    f"no branch {model.alphabet[rows[bad, i]]!r} with domain "
+                    f"{model.intervals[dom[bad]].id!r}")
+            y = y / s + offset.take(pair)
+            dom = target.take(rows[:, i])
+        return y
+
+    return _settle(apply_words, lefts[target[rows[:, 0]]] + 0.5, rows)
+
+
 def orbit_fixed_point(model: MarkovModel, word: str) -> float:
-    """Fixed point of the cyclic word by contraction iteration."""
+    """Fixed point of one cyclic word (see cyclic_fixed_points)."""
     if not model.word_admissible(word + word[0]):
         raise ModelError(f"word {word!r} is not cyclically admissible")
-    iv = model.interval(model.sym_target(word[0]))
-    y = iv.left + 0.5
-    for _ in range(FIXED_POINT_ITERATIONS):
-        y = model.apply_word(word, y)
-    return float(y)
+    return float(cyclic_fixed_points(model, [word])[0])
 
 
 def enumerate_periodic_orbits(model: MarkovModel, n_max: int,
@@ -215,33 +304,31 @@ def enumerate_periodic_orbits(model: MarkovModel, n_max: int,
     if n_max >= 1 and base ** n_max > cap:
         raise ModelError(
             f"alphabet^{n_max} exceeds the enumeration cap {cap}")
+    trans = np.array(transfer_matrix(model), dtype=bool)
     orbits: list[PeriodicOrbit] = []
+    # one byte per symbol: the rows of the longest words are the memory
+    # peak of an orbit census
+    words = np.arange(base, dtype=np.min_scalar_type(base - 1))[:, None]
     for n in range(1, n_max + 1):
-        words = _admissible_words(model, n)
-        if words.size == 0:
+        if n > 1:
+            words = _extend_words(words, trans)
+        cyclic = words[trans[words[:, -1], words[:, 0]]]
+        if cyclic.size == 0:
             continue
-        wrap_ok = np.array(transfer_matrix(model), dtype=bool)[
-            words[:, -1], words[:, 0]]
-        words = words[wrap_ok]
-        if words.size == 0:
-            continue
-        contr, off, lefts = _cyclic_affine(model, words)
-        y = lefts + 0.5
-        for _ in range(FIXED_POINT_ITERATIONS):
-            y = contr * y + off
+        contr, off, lefts = _cyclic_affine(model, cyclic)
+        y = _settle(_affine_step, lefts + 0.5, contr, off)
         tau = np.asarray(model.roof(y), dtype=float)
-        codes = _word_codes(words, base)
-        canon = _canonical_codes(codes, n, base)
+        canon = _canonical_codes(_word_codes(cyclic, base), n, base)
         uniq, inverse, counts = np.unique(canon, return_inverse=True,
                                           return_counts=True)
         periods = np.bincount(inverse, weights=tau, minlength=uniq.size)
         # a primitive class has n distinct rotations; fewer means the word
         # is a power of a shorter one already listed
-        for code, mult, period in zip(uniq, counts, periods):
-            if int(mult) == n:
-                orbits.append(PeriodicOrbit(
-                    _decode(int(code), n, base, model.alphabet), n,
-                    float(period)))
+        prim = counts == n
+        orbits.extend(
+            PeriodicOrbit(word, n, period) for word, period in zip(
+                _decode_words(uniq[prim], n, model.alphabet),
+                periods[prim].tolist()))
     return orbits
 
 
@@ -297,6 +384,7 @@ class CountingReport:
     h: float
     complete: np.ndarray         # rows with T inside the enumeration window
     n_max: int
+    orbits: list[PeriodicOrbit]  # the enumeration the counts come from
 
     @property
     def diff(self) -> np.ndarray:
@@ -326,7 +414,8 @@ def prime_orbit_report(model: MarkovModel, n_max: int,
     c_hat = None
     if sel.sum() >= 2 and np.ptp(t[sel]) > 0:
         c_hat = float(np.polyfit(t[sel], np.log(np.abs(diff[sel])), 1)[0])
-    return CountingReport(t, pi, li_vals, c_hat, h, complete, n_max)
+    return CountingReport(t, pi, li_vals, c_hat, h, complete, n_max,
+                          orbits)
 
 
 # ---------------------------------------------------------------------------

@@ -196,9 +196,6 @@ class TransferOperator:
             out = out * self.out_factor
         return out
 
-    def apply_gf(self, u: GridFunction) -> GridFunction:
-        return GridFunction(self.model, self(u.values))
-
     def adjoint(self, w: np.ndarray) -> np.ndarray:
         """Push-forward of weighted point masses at grid cells (no transpose
         materialized): mass at z scatters to the interpolation cells of each
@@ -227,20 +224,6 @@ def make_operator(model: MarkovModel, recipe: WeightRecipe,
         if phase != 0.0:
             coef = coef * np.exp(1j * phase * np.asarray(model.roof(st.y)))
         coefs.append(coef)
-    shape = (len(model.intervals), model.grid_size + 1)
-    return TransferOperator(model, stencils, tuple(coefs),
-                            recipe.out_factor(shape))
-
-
-def make_operator_grid_phase(model: MarkovModel, recipe: WeightRecipe,
-                             b: float, tau_grid: np.ndarray) -> TransferOperator:
-    """Like make_operator but with phase b * (grid roof), interpolated;
-    used for checks that need a smoothed roof in the phase."""
-    stencils = _stencils_of(model)
-    coefs = []
-    for st in stencils:
-        coef = recipe.coef_at_stencil(st)
-        coefs.append(coef * np.exp(1j * b * gather(np.asarray(tau_grid), st)))
     shape = (len(model.intervals), model.grid_size + 1)
     return TransferOperator(model, stencils, tuple(coefs),
                             recipe.out_factor(shape))

@@ -5,6 +5,17 @@ subprocess test covers the `python -m` entry.  Frozen facts: the default
 model is the doubling map with unit roof, whose decay sweep is exactly
 flat (kappa_hat 0.0) and whose invariant suite is green; necklace totals
 for n <= 8 sum to 71 primitive orbits.
+
+Golden digests (GOLDEN_SHA256): the sha256 of orbit_table.csv,
+counting.csv and invariants.csv for GOLDEN_MODEL (three-symbol family,
+0>1 forbidden) with N_MAX=8, invariants at seed 7.  They were made by
+running `orbits` and `invariants` with those inputs on the code as it
+stood before the orbit census moved to arrays (each orbit set enumerated
+twice, fixed points by 200 scalar apply_word rounds), with numpy 2.4.6 on
+x86-64 Linux, and hashing the files with sha256sum.  They pin byte
+identity of these artifacts across versions of the package, not only
+between two runs of one version; libm or numpy changes to sin/cos may
+move them.
 """
 
 import csv
@@ -27,6 +38,24 @@ mu = 0.5, 0.0, 0.0, 0.0
 grid_size = 4096
 theta = 0.5
 """
+
+GOLDEN_MODEL = """family = markov3
+forbidden = 0>1
+roof = 2.0, 0.05, 0.4, -0.2
+potential = 0.1, -0.05, 0.2, 0.1
+mu = 0.45, 0.01, 0.05, -0.03
+grid_size = 256
+theta = 0.5
+"""
+
+GOLDEN_SHA256 = {
+    "orbit_table.csv":
+        "d7dc6d9c9e8a3e2376849b0ab8b22bfa32c377ba1ee71f1bd37160bd550a89a9",
+    "counting.csv":
+        "e7998cb42698c59e0bdfa1d904bd270f53361682c266ff2eea9a491bb25e51cb",
+    "invariants.csv":
+        "efb9054d289a1983f3143beb851c36ae9778e18bb5ac1517aafcaede78ff7386",
+}
 
 
 @pytest.fixture(autouse=True)
@@ -252,6 +281,19 @@ def test_orbits_counts_match_library(tmp_path, monkeypatch):
     report = orbits.prime_orbit_report(model, 8,
                                        [float(r[0]) for r in counts])
     assert [int(r[1]) for r in counts] == list(report.pi)
+
+
+def test_orbit_artifacts_match_golden_digests(tmp_path, monkeypatch):
+    model = tmp_path / "golden.txt"
+    model.write_text(GOLDEN_MODEL)
+    out = str(tmp_path / "run")
+    monkeypatch.setenv("TRANSFERLAB_N_MAX", "8")
+    assert cli.main(["orbits", "--model", str(model), "--out", out]) == 0
+    assert cli.main(["invariants", "--model", str(model), "--out", out,
+                     "--seed", "7"]) == 0
+    for name, digest in GOLDEN_SHA256.items():
+        with open(os.path.join(out, name), "rb") as fh:
+            assert hashlib.sha256(fh.read()).hexdigest() == digest, name
 
 
 def test_correlation_determinism(tmp_path, sin_path, monkeypatch):

@@ -12,6 +12,12 @@ comparison is exact (``==``), not within a tolerance.
   forward walks, the interpolating ``_orbit_weight`` and ``birkhoff_sum``.
 * ``locate`` against a linear scan of the atoms.
 * ``_best_margin`` against window minima taken one window at a time.
+* Periodic orbits: ``cyclic_fixed_points`` and ``orbit_fixed_point``
+  against FIXED_POINT_ITERATIONS scalar ``apply_word`` rounds; the
+  early-exit affine iteration against the same number of full steps; the
+  array word decode against ``divmod``; words grown one symbol at a time
+  against a rebuild from length 1; the orbits a counting report carries
+  against a fresh enumeration.  Fixed points compare by their bits.
 
 Models are drawn from both families with random roofs, potentials and
 stable factors; the coefficient ranges keep the roof positive and mu
@@ -25,16 +31,20 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from transferlab import cancellation as C
+from transferlab import orbits as O
 from transferlab import scales as S
 from transferlab.markov import ModelConfig, ModelError, build_model
 
 PROPS = settings(max_examples=25, deadline=None)
 
 _FORBIDDEN = ((), ("0>1",), ("2>0",), ("1>1",))
+# every single forbidden transition; 1>2 and 2>2 put fixed points on a
+# slice seam
+_ANY_FORBIDDEN = ((),) + tuple((f"{a}>{b}",) for a in "012" for b in "012")
 
 
 @st.composite
-def models(draw):
+def models(draw, forbidden_choices=_FORBIDDEN):
     family = draw(st.sampled_from(("doubling", "markov3")))
     coef = st.floats(-0.2, 0.2)
     roof = (draw(st.floats(2.0, 3.0)), draw(st.floats(-0.2, 0.2)),
@@ -42,7 +52,7 @@ def models(draw):
     potential = (draw(coef), draw(coef), draw(coef), draw(coef))
     mu = (draw(st.floats(0.3, 0.7)), draw(st.floats(-0.03, 0.03)),
           draw(st.floats(-0.1, 0.1)), draw(st.floats(-0.1, 0.1)))
-    forbidden = (draw(st.sampled_from(_FORBIDDEN))
+    forbidden = (draw(st.sampled_from(forbidden_choices))
                  if family == "markov3" else ())
     grid = draw(st.sampled_from((64, 128, 256)))
     return build_model(ModelConfig(family, roof, potential, mu, grid, 0.5,
@@ -290,3 +300,141 @@ def test_best_margin_matches_window_by_window(n_om, n_s, n_windows, seed,
         dist = np.round(dist, 0)
     assert S._best_margin(dist, n_windows) == _reference_best_margin(
         dist, n_windows)
+
+
+# ---------------------------------------------------------------------------
+# periodic orbits
+
+
+def _bits(x):
+    return np.asarray(x, dtype=float).view(np.uint64).tolist()
+
+
+def _cyclic_words(model, n):
+    return [w for w in model.enumerate_words(n)
+            if model.word_admissible(w + w[0])]
+
+
+def _reference_fixed_point(model, word):
+    y = model.interval(model.sym_target(word[0])).left + 0.5
+    for _ in range(O.FIXED_POINT_ITERATIONS):
+        y = model.apply_word(word, y)
+    return y
+
+
+@PROPS
+@given(model=models(_ANY_FORBIDDEN), n=st.integers(1, 5), data=st.data())
+def test_fixed_point_kernel_matches_apply_word_loop(model, n, data):
+    words = data.draw(st.lists(st.sampled_from(_cyclic_words(model, n)),
+                               min_size=1, max_size=8))
+    ref, errors = [], []
+    for w in words:
+        try:
+            ref.append(_reference_fixed_point(model, w))
+        except ModelError as exc:          # a fixed point on a slice seam
+            errors.append(str(exc))
+            with pytest.raises(ModelError) as got:
+                O.orbit_fixed_point(model, w)
+            assert str(got.value) == str(exc)
+        else:
+            assert _bits(O.orbit_fixed_point(model, w)) == _bits(ref[-1])
+    if errors:
+        with pytest.raises(ModelError) as got:
+            O.cyclic_fixed_points(model, words)
+        assert str(got.value) in errors
+    else:
+        assert _bits(O.cyclic_fixed_points(model, words)) == _bits(ref)
+
+
+def test_fixed_point_kernel_on_slice_seams():
+    # 1>2 forbidden: the word 1 converges to 2.0, which the next round
+    # reads as a point of U_2, where branch 1 has no instance
+    seam = build_model(ModelConfig("markov3", forbidden=("1>2",)))
+    with pytest.raises(ModelError, match="no branch '1' with domain '2'"):
+        O.orbit_fixed_point(seam, "1")
+    with pytest.raises(ModelError, match="no branch '1' with domain '2'"):
+        O.cyclic_fixed_points(seam, ["0", "1"])
+    # 2>2 forbidden: the word 21 sits on the right end of the leaf
+    end = build_model(ModelConfig("markov3", forbidden=("2>2",)))
+    assert O.orbit_fixed_point(end, "21") == 3.0
+    with pytest.raises(ModelError, match="one length"):
+        O.cyclic_fixed_points(end, ["21", "112"])
+
+
+@PROPS
+@given(model=models(_ANY_FORBIDDEN), n=st.integers(1, 6))
+def test_settled_affine_iteration_matches_full_loop(model, n):
+    rows = O._word_rows(model, _cyclic_words(model, n))
+    contr, off, lefts = O._cyclic_affine(model, rows)
+    ref = lefts + 0.5
+    for _ in range(O.FIXED_POINT_ITERATIONS):
+        ref = contr * ref + off
+    got = O._settle(O._affine_step, lefts + 0.5, contr, off)
+    assert _bits(got) == _bits(ref)
+
+
+@PROPS
+@given(maps=st.lists(st.tuples(st.floats(0.01, 0.99), st.floats(-4.0, 4.0),
+                               st.floats(-10.0, 10.0)), max_size=20))
+def test_settled_iteration_matches_full_loop_on_any_contraction(maps):
+    # (0.5, 0, 0.5) halves towards zero and is still moving after the
+    # last round
+    contr, off, y0 = (np.array(c) for c in zip((0.5, 0.0, 0.5), *maps))
+    ref = y0.copy()
+    for _ in range(O.FIXED_POINT_ITERATIONS):
+        ref = contr * ref + off
+    got = O._settle(O._affine_step, y0, contr, off)
+    assert _bits(got) == _bits(ref)
+    assert got[0] == 0.5 ** (O.FIXED_POINT_ITERATIONS + 1)
+
+
+def _reference_decode(code, n, alphabet):
+    digits = []
+    for _ in range(n):
+        code, d = divmod(code, len(alphabet))
+        digits.append(alphabet[d])
+    return "".join(reversed(digits))
+
+
+@PROPS
+@given(alphabet=st.sampled_from((("0", "1"), ("0", "1", "2"))),
+       n=st.integers(1, 13), data=st.data())
+def test_array_decode_matches_divmod(alphabet, n, data):
+    codes = data.draw(st.lists(st.integers(0, len(alphabet) ** n - 1),
+                               max_size=30))
+    got = O._decode_words(np.array(codes, dtype=np.int64), n, alphabet)
+    assert got == [_reference_decode(c, n, alphabet) for c in codes]
+
+
+def _reference_words(trans, n):
+    """Admissible words of length n, built up from length 1."""
+    rows = np.arange(trans.shape[0], dtype=np.int64)[:, None]
+    for _ in range(n - 1):
+        parts = []
+        for j in range(trans.shape[0]):
+            ok = trans[rows[:, -1], j]
+            if ok.any():
+                block = rows[ok]
+                col = np.full((block.shape[0], 1), j, dtype=np.int64)
+                parts.append(np.hstack([block, col]))
+        rows = np.vstack(parts)
+    return rows
+
+
+@PROPS
+@given(model=models(_ANY_FORBIDDEN), n_max=st.integers(1, 7))
+def test_grown_words_match_rebuild(model, n_max):
+    trans = np.array(O.transfer_matrix(model), dtype=bool)
+    words = np.arange(trans.shape[0], dtype=np.uint8)[:, None]
+    for n in range(1, n_max + 1):
+        if n > 1:
+            words = O._extend_words(words, trans)
+        assert np.array_equal(words, _reference_words(trans, n))
+
+
+@settings(max_examples=10, deadline=None)
+@given(model=models(_ANY_FORBIDDEN), n_max=st.integers(1, 7))
+def test_report_orbits_equal_enumeration(model, n_max):
+    report = O.prime_orbit_report(model, n_max, [2 * n_max * model.tau_star])
+    assert report.orbits == O.enumerate_periodic_orbits(model, n_max)
+    assert report.pi[0] == len(report.orbits)
