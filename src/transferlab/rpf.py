@@ -7,13 +7,20 @@ Three operator layers share one set of branch stencils:
 * M_{a,b}: real operator for the smoothed normalized weight f^(a,b); fixes
   the constant function 1 up to the eigensolver residual.
 * tilde L_{a,b}: smoothed weight with the same unsmoothed phase, so the
-  modulus of its coefficients equals M's coefficients exactly and
-  |tilde L u| <= M |u| holds sample-for-sample.
+  modulus of its coefficients equals M's coefficients up to rounding and
+  |tilde L u| <= M |u| holds sample-for-sample within the majorant's
+  domination tolerance.
+
+The two phase operators are fused: each is one sparse matrix (see
+``thermo.make_operator``), which sums the same terms in another order.
+M_{a,b} and every eigensolve stay on the exact per-stencil gather, whose
+bits the pinned census artifacts depend on.
 
 Smoothing follows the branch structure: the normalized weight jumps where
 the forward map changes branch, so convolution runs per forward-branch
-slice with reflection at slice ends.  The seam sample between two slices
-carries the right-hand value, matching the right-continuous forward map.
+slice with reflection at slice ends, in linear time as two prefix-sum box
+passes.  The seam sample between two slices carries the right-hand value,
+matching the right-continuous forward map.
 """
 
 from __future__ import annotations
@@ -97,29 +104,32 @@ def slice_c1_norm(model: MarkovModel, values: np.ndarray) -> float:
 # mollifier
 # ---------------------------------------------------------------------------
 
-def _triangle_kernel(radius: int) -> np.ndarray:
-    i = np.arange(-radius, radius + 1)
-    k = (radius + 1 - np.abs(i)).astype(float)
-    return k / k.sum()
-
-
 def smooth_grid(model: MarkovModel, values: np.ndarray,
                 width: float) -> np.ndarray:
     """Triangular-kernel convolution per forward-branch slice, reflected at
     the slice ends.  Symmetric normalized kernel: constants are fixed
-    exactly and affine data is fixed away from the slice ends."""
+    exactly and affine data is fixed away from the slice ends.
+
+    The triangle of half-width r is a box of length r+1 convolved with
+    itself, so the convolution is two running box sums, each a difference
+    of prefix sums (repeated integration): linear time in the slice length
+    whatever r is.  Sums run over the slice's offsets from its first sample,
+    which keeps a constant slice exactly constant."""
     values = np.asarray(values, dtype=float)
     n = model.grid_size
     radius = max(1, round(width * n))
-    kern = _triangle_kernel(radius)
+    box = radius + 1
     out = values.copy()
     for iv, ranges in zip(model.intervals, slice_table(model)):
         for lo, hi in ranges:
             seg = values[iv.index, lo:hi + 1]
             if len(seg) < 2:
                 continue
-            pad = np.pad(seg, radius, mode="reflect")
-            out[iv.index, lo:hi + 1] = np.convolve(pad, kern, mode="valid")
+            run = np.pad(seg - seg[0], radius, mode="reflect")
+            for _ in range(2):
+                acc = np.concatenate(([0.0], np.cumsum(run)))
+                run = acc[box:] - acc[:-box]
+            out[iv.index, lo:hi + 1] = seg[0] + run / (box * box)
     return out
 
 
@@ -315,16 +325,9 @@ class DecayProfile:
 
 def _holder_seminorm_rows(model: MarkovModel, u: np.ndarray,
                           theta: float) -> float:
+    """Largest dyadic Hoelder seminorm over the whole interval rows."""
     h = 1.0 / model.grid_size
-    worst = 0.0
-    for iv in model.intervals:
-        row = u[iv.index]
-        lag = model.grid_size
-        while lag >= 1:
-            gap = float(np.max(np.abs(row[lag:] - row[:-lag])))
-            worst = max(worst, gap / (lag * h) ** theta)
-            lag //= 2
-    return worst
+    return max(_range_seminorm(u[iv.index], h, theta) for iv in model.intervals)
 
 
 def decay_profile(model: MarkovModel, a: float, b_list=(64.0, 128.0, 256.0, 512.0),

@@ -15,6 +15,12 @@ interpolation accuracy.
 Eigendata comes from power iteration with a projective (ratio-oscillation)
 stopping rule; left eigen-weights from iterating the adjoint push-forward of
 weighted point masses on grid cells.
+
+Operators with a phase exp(i b tau) are fused: stencils, interpolation
+weights, coefficients and the output factor fold into one sparse matrix
+over a per-model index pattern, and an application is one product.  Real
+operators (eigensolves, the adjoint, pressure) keep the per-stencil gather,
+whose arithmetic order the pinned census artifacts depend on bit for bit.
 """
 
 from __future__ import annotations
@@ -23,6 +29,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.sparse import csr_array
 
 from .gridfun import GridFunction, check_weights, interval_mass
 from .markov import MarkovModel, ModelError
@@ -179,15 +186,22 @@ class WeightRecipe:
 
 @dataclass
 class TransferOperator:
-    """Concrete weighted operator with precomputed stencil coefficients."""
+    """Concrete weighted operator.
+
+    Real operators hold per-stencil coefficients and apply by gather; an
+    operator with a phase holds one fused CSR matrix instead (``coefs`` is
+    empty and ``out_factor`` is folded in)."""
 
     model: MarkovModel
     stencils: tuple[Stencil, ...]
-    coefs: tuple[np.ndarray, ...]      # exp(log-weight at y), real or complex
+    coefs: tuple[np.ndarray, ...]      # exp(log-weight at y), real
     out_factor: np.ndarray | None      # exp(out part at z), real positive
+    matrix: csr_array | None = None    # fused phase operator
 
     def __call__(self, values: np.ndarray) -> np.ndarray:
         values = np.asarray(values)
+        if self.matrix is not None:
+            return (self.matrix @ values.reshape(-1)).reshape(values.shape)
         dtype = np.result_type(values.dtype, *(c.dtype for c in self.coefs))
         out = np.zeros(values.shape, dtype=dtype)
         for st, coef in zip(self.stencils, self.coefs):
@@ -199,7 +213,9 @@ class TransferOperator:
     def adjoint(self, w: np.ndarray) -> np.ndarray:
         """Push-forward of weighted point masses at grid cells (no transpose
         materialized): mass at z scatters to the interpolation cells of each
-        of its preimages."""
+        of its preimages.  Real operators only."""
+        if self.matrix is not None:
+            raise ModelError("the adjoint is defined for real operators only")
         w = np.asarray(w, dtype=float)
         n = self.model.grid_size
         out = np.zeros_like(w)
@@ -216,27 +232,71 @@ class TransferOperator:
 def make_operator(model: MarkovModel, recipe: WeightRecipe,
                   phase: float = 0.0) -> TransferOperator:
     """Build L with the recipe's real weight and optional phase exp(i b tau),
-    the roof entering the phase unsmoothed and in closed form."""
+    the roof entering the phase unsmoothed and in closed form.  A phase
+    operator is fused into one matrix; a real one keeps its stencils'
+    coefficients."""
     stencils = _stencils_of(model)
-    coefs = []
-    for st in stencils:
-        coef = recipe.coef_at_stencil(st)
-        if phase != 0.0:
-            coef = coef * np.exp(1j * phase * np.asarray(model.roof(st.y)))
-        coefs.append(coef)
     shape = (len(model.intervals), model.grid_size + 1)
-    return TransferOperator(model, stencils, tuple(coefs),
-                            recipe.out_factor(shape))
+    out_factor = recipe.out_factor(shape)
+    if phase == 0.0:
+        coefs = tuple(recipe.coef_at_stencil(st) for st in stencils)
+        return TransferOperator(model, stencils, coefs, out_factor)
+    indptr, indices, slots = _fused_pattern(model)
+    data = np.empty(indices.size, dtype=complex)
+    for st, (start, d, slot) in zip(stencils, slots):
+        amp = recipe.coef_at_stencil(st)
+        if out_factor is not None:
+            amp *= out_factor[st.domain_idx]
+        arg = phase * np.asarray(model.roof(st.y))
+        cos, sin = np.cos(arg), np.sin(arg)
+        cell = data[start:start + 2 * d * shape[1]].reshape(shape[1], d, 2)
+        for side, w in ((0, amp * (1.0 - st.frac)), (1, amp * st.frac)):
+            np.multiply(w, cos, out=cell[:, slot, side].real)
+            np.multiply(w, sin, out=cell[:, slot, side].imag)
+    size = shape[0] * shape[1]
+    matrix = csr_array((data, indices, indptr), shape=(size, size))
+    return TransferOperator(model, stencils, (), None, matrix)
 
 
-_stencil_cache: dict = {}
+_stencil_cache: dict = {}     # config -> [stencils, fused pattern or None]
 
 
 def _stencils_of(model: MarkovModel) -> tuple[Stencil, ...]:
     key = model.config
     if key not in _stencil_cache:
-        _stencil_cache[key] = build_stencils(model)
-    return _stencil_cache[key]
+        _stencil_cache[key] = [build_stencils(model), None]
+    return _stencil_cache[key][0]
+
+
+def _fused_pattern(model: MarkovModel):
+    """(indptr, indices, slots) of the fused operator, int32, per model.
+
+    Output sample i of interval k is one matrix row holding the two
+    interpolation cells (lower, upper) of each branch with domain k, in
+    stencil order.  ``slots[s]`` = (start, d, slot): stencil s fills
+    column ``slot`` of the (N+1, d, 2) block at ``start`` of the data."""
+    stencils = _stencils_of(model)
+    entry = _stencil_cache[model.config]
+    if entry[1] is None:
+        n1 = model.grid_size + 1
+        members = [[s for s, st in enumerate(stencils) if st.domain_idx == k]
+                   for k in range(len(model.intervals))]
+        row_len = np.repeat([2 * len(m) for m in members], n1)
+        indptr = np.concatenate(([0], np.cumsum(row_len))).astype(np.int32)
+        indices = np.empty(int(indptr[-1]), dtype=np.int32)
+        slots = [None] * len(stencils)
+        start = 0
+        for mem in members:
+            d = len(mem)
+            cell = indices[start:start + 2 * d * n1].reshape(n1, d, 2)
+            for slot, s in enumerate(mem):
+                st = stencils[s]
+                cell[:, slot, 0] = st.target_idx * n1 + st.j
+                cell[:, slot, 1] = cell[:, slot, 0] + 1
+                slots[s] = (start, d, slot)
+            start += 2 * d * n1
+        entry[1] = (indptr, indices, tuple(slots))
+    return entry[1]
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,9 @@
 """Array fast paths against the one-point paths they replace.
 
-Each reference below is a plain loop kept here on purpose: the package
-runs the same arithmetic on whole arrays, in the same order, so every
-comparison is exact (``==``), not within a tolerance.
+Each reference below is a plain loop kept here on purpose.  Where the
+package runs the same arithmetic on whole arrays, in the same order, the
+comparison is exact (``==``); the fused phase operator and the prefix-sum
+smoothing reorder their sums, and their tolerances are stated below.
 
 * Stopping cocycle: ``value_at`` and ``theta_at`` against a one-point
   loop of mu, slope and forward at random off-grid points.
@@ -18,6 +19,14 @@ comparison is exact (``==``), not within a tolerance.
   array word decode against ``divmod``; words grown one symbol at a time
   against a rebuild from length 1; the orbits a counting report carries
   against a fresh enumeration.  Fixed points compare by their bits.
+* Operators: a real ``make_operator`` against the per-stencil gather loop
+  (bitwise); a fused phase operator against the same loop within a
+  relative 1e-13 of the modulus operator's sup, since the fused matrix
+  sums the same terms in another order.
+* ``smooth_grid`` (two prefix-sum box passes) against ``np.convolve``
+  with the triangle kernel, within 1e-12; constants stay exact.
+* The row Hoelder seminorm against its own dyadic loop (bitwise), and
+  column-wise CSV formatting against ``_fmt`` one value at a time.
 
 Models are drawn from both families with random roofs, potentials and
 stable factors; the coefficient ranges keep the roof positive and mu
@@ -31,8 +40,11 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from transferlab import cancellation as C
+from transferlab import cli
 from transferlab import orbits as O
+from transferlab import rpf as R
 from transferlab import scales as S
+from transferlab import thermo as T
 from transferlab.markov import ModelConfig, ModelError, build_model
 
 PROPS = settings(max_examples=25, deadline=None)
@@ -438,3 +450,143 @@ def test_report_orbits_equal_enumeration(model, n_max):
     report = O.prime_orbit_report(model, n_max, [2 * n_max * model.tau_star])
     assert report.orbits == O.enumerate_periodic_orbits(model, n_max)
     assert report.pi[0] == len(report.orbits)
+
+
+# ---------------------------------------------------------------------------
+# operators and smoothing
+
+
+def _reference_apply(model, recipe, phase, u):
+    """The per-stencil gather loop: interpolate, weight, sum, out factor."""
+    shape = (len(model.intervals), model.grid_size + 1)
+    coefs = []
+    for stc in T.build_stencils(model):
+        coef = recipe.coef_at_stencil(stc)
+        if phase != 0.0:
+            coef = coef * np.exp(1j * phase * np.asarray(model.roof(stc.y)))
+        coefs.append((stc, coef))
+    dtype = np.result_type(u.dtype, *(c.dtype for _, c in coefs))
+    out = np.zeros(shape, dtype=dtype)
+    for stc, coef in coefs:
+        out[stc.domain_idx] += coef * T.gather(u, stc)
+    fac = recipe.out_factor(shape)
+    return out if fac is None else out * fac
+
+
+def _recipe(model, a, normalized):
+    if normalized:
+        return T.normalize_potential(model, a).recipe
+    return T.WeightRecipe(closed=(model.potential,))
+
+
+def _complex_field(model, seed):
+    rng = np.random.default_rng(seed)
+    shape = (len(model.intervals), model.grid_size + 1)
+    return rng.uniform(-1, 1, shape) + 1j * rng.uniform(-1, 1, shape)
+
+
+@PROPS
+@given(model=models(), a=st.floats(-0.04, 0.04), b=st.floats(-4096.0, 4096.0),
+       normalized=st.booleans(), seed=st.integers(0, 2 ** 16))
+def test_fused_phase_operator_matches_gather_loop(model, a, b, normalized,
+                                                  seed):
+    assume(b != 0.0)
+    recipe = _recipe(model, a, normalized)
+    u = _complex_field(model, seed)
+    op = T.make_operator(model, recipe, phase=b)
+    assert op.matrix is not None and len(op.stencils) == len(model.branches)
+    ref = _reference_apply(model, recipe, b, u)
+    scale = float(np.max(T.make_operator(model, recipe)(np.abs(u))))
+    assert float(np.max(np.abs(op(u) - ref))) <= 1e-13 * scale
+    real = u.real.copy()
+    assert float(np.max(np.abs(op(real) - _reference_apply(
+        model, recipe, b, real)))) <= 1e-13 * scale
+
+
+@PROPS
+@given(model=models(), a=st.floats(-0.04, 0.04), normalized=st.booleans(),
+       seed=st.integers(0, 2 ** 16))
+def test_real_operator_matches_gather_loop_bitwise(model, a, normalized, seed):
+    recipe = _recipe(model, a, normalized)
+    op = T.make_operator(model, recipe, phase=0)
+    assert op.matrix is None
+    u = _complex_field(model, seed)
+    for field in (u, u.real.copy()):
+        got, ref = op(field), _reference_apply(model, recipe, 0.0, field)
+        assert got.dtype == ref.dtype and np.array_equal(got, ref)
+
+
+def _reference_smooth(model, values, width):
+    """Per-slice reflected convolution with the normalized triangle."""
+    n = model.grid_size
+    radius = max(1, round(width * n))
+    i = np.arange(-radius, radius + 1)
+    kern = (radius + 1 - np.abs(i)).astype(float)
+    kern /= kern.sum()
+    out = values.copy()
+    for iv, ranges in zip(model.intervals, R.slice_table(model)):
+        for lo, hi in ranges:
+            seg = values[iv.index, lo:hi + 1]
+            if len(seg) < 2:
+                continue
+            pad = np.pad(seg, radius, mode="reflect")
+            out[iv.index, lo:hi + 1] = np.convolve(pad, kern, mode="valid")
+    return out
+
+
+@PROPS
+@given(model=models(), width=st.floats(0.0, 0.7), seed=st.integers(0, 2 ** 16),
+       level=st.floats(-3.0, 3.0))
+def test_prefix_sum_smoothing_matches_convolution(model, width, seed, level):
+    rng = np.random.default_rng(seed)
+    shape = (len(model.intervals), model.grid_size + 1)
+    values = level + np.cumsum(rng.standard_normal(shape), axis=1) / 8
+    got = R.smooth_grid(model, values, width)
+    assert float(np.max(np.abs(got - _reference_smooth(model, values,
+                                                       width)))) <= 1e-12
+    const = R.smooth_grid(model, np.full(shape, level), width)
+    assert np.ptp(const) == 0 and np.all(const == level)
+
+
+def _reference_row_seminorm(model, u, theta):
+    h = 1.0 / model.grid_size
+    worst = 0.0
+    for iv in model.intervals:
+        row = u[iv.index]
+        lag = model.grid_size
+        while lag >= 1:
+            gap = float(np.max(np.abs(row[lag:] - row[:-lag])))
+            worst = max(worst, gap / (lag * h) ** theta)
+            lag //= 2
+    return worst
+
+
+@PROPS
+@given(model=models(), seed=st.integers(0, 2 ** 16), freq=st.floats(0.1, 3.0),
+       noise=st.sampled_from((0.0, 1e-3, 1.0)))
+def test_row_seminorm_matches_dyadic_loop(model, seed, freq, noise):
+    xs = np.linspace(0.0, 1.0, model.grid_size + 1)
+    # smooth rows put the worst quotient at long lags, noisy ones at lag 1
+    u = np.exp(2j * np.pi * freq * xs) + noise * _complex_field(model, seed)
+    for field in (u, u.real.copy()):
+        assert (R._holder_seminorm_rows(model, field, model.theta)
+                == _reference_row_seminorm(model, field, model.theta))
+
+
+_CSV_KINDS = (
+    st.floats(), st.integers(-10 ** 6, 10 ** 6), st.booleans(), st.none(),
+    st.text(alphabet="ab,\"", max_size=4),
+    st.lists(st.floats(allow_nan=False), max_size=3),
+    st.floats(-1e3, 1e3).map(np.float64))
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_column_formatting_matches_fmt(data):
+    # columns of one kind or a mix of two, so every plain-type shortcut and
+    # its near misses (bools among ints, numpy floats among floats) occur
+    kinds = data.draw(st.lists(st.sampled_from(_CSV_KINDS), min_size=1,
+                               max_size=2))
+    col = tuple(data.draw(st.lists(st.one_of(kinds), min_size=1,
+                                   max_size=20)))
+    assert cli._fmt_column(col) == [cli._fmt(v) for v in col]
