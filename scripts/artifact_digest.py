@@ -1,0 +1,94 @@
+"""Print the sha256 of every CLI artifact of a benchmark workload.
+
+    python3 scripts/artifact_digest.py --workload census --seed 1 > new.txt
+    python3 scripts/artifact_digest.py --workload census --seed 1 \\
+        --root ../parent > old.txt
+    diff old.txt new.txt
+
+Loads perfbench/workloads.py of the checkout by path, read-only, and
+generates the workload's model configs and queries for the seed, as a
+benchmark pass does.  It then runs every CLI query in order, in this one
+process, through transferlab.cli.main of <root>/src, each into its own
+directory under a temporary directory.  For each query it prints the exit
+code, the sha256 of the captured stdout and stderr (with the run
+directory replaced by a placeholder), and the sha256 of each file the
+query wrote.  Queries that call an rpf function instead of a command are
+skipped.  Two checkouts give identical output exactly when every artifact
+is byte-identical.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import hashlib
+import importlib.util
+import io
+import os
+import sys
+import tempfile
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def _load_workloads(root: str):
+    path = os.path.join(root, "perfbench", "workloads.py")
+    spec = importlib.util.spec_from_file_location("_bench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    # its dataclasses look their module up by name
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+def _sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def digest_lines(root: str, workload: str, seed: int):
+    """Yield one line per query and per artifact."""
+    workloads = _load_workloads(root)
+    sys.path.insert(0, os.path.join(root, "src"))
+    from transferlab import cli
+
+    wl = workloads.generate(workload, seed)
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = workloads.write_models(wl, tmp)
+        for q in wl.queries:
+            if q.call is not None:
+                yield f"{q.qid:03d} skipped ({q.call} is not a CLI command)"
+                continue
+            out = os.path.join(tmp, f"q{q.qid:03d}")
+            argv = list(q.argv)
+            i = argv.index("--model") + 1
+            argv[i] = paths[argv[i]]
+            sink = io.StringIO()
+            with contextlib.redirect_stdout(sink), \
+                    contextlib.redirect_stderr(sink):
+                code = cli.main(argv + ["--out", out])
+            text = sink.getvalue().replace(out, "<run>").replace(tmp, "<tmp>")
+            yield f"{q.qid:03d} {q.label}: exit {code}"
+            yield f"{q.qid:03d}   output {_sha(text.encode())}"
+            names = sorted(os.listdir(out)) if os.path.isdir(out) else []
+            for name in names:
+                with open(os.path.join(out, name), "rb") as fh:
+                    yield f"{q.qid:03d}   {name} {_sha(fh.read())}"
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--workload", required=True,
+                    choices=("spectral", "certify", "census"))
+    ap.add_argument("--seed", type=int, required=True)
+    ap.add_argument("--root", default=ROOT,
+                    help="checkout whose src/ and perfbench/ to use "
+                         "(default: this one)")
+    args = ap.parse_args(argv)
+    for line in digest_lines(os.path.abspath(args.root), args.workload,
+                             args.seed):
+        print(line, flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

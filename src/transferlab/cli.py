@@ -19,7 +19,6 @@ import hashlib
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from itertools import islice
 
@@ -111,7 +110,8 @@ def _build_parser() -> _Parser:
     p.add_argument("--seed", type=int, metavar="<u64>",
                    help="random seed for sampled quantities (default: 0)")
     p.add_argument("--threads", type=int, metavar="<n>",
-                   help="worker cap for parallel sweeps (default: 1)")
+                   help="accepted for compatibility; every command runs "
+                        "in one thread (default: 1)")
     p.add_argument("--a", type=float, metavar="<f>",
                    help="real tilt of the twisted operator (default: 0)")
     p.add_argument("--b", type=float, metavar="<f>",
@@ -343,17 +343,10 @@ def _decay_b_list(cfg: ExperimentConfig) -> tuple[float, ...]:
 
 def _cmd_decay(model: MarkovModel, cfg: ExperimentConfig):
     b_list = _decay_b_list(cfg)
-    # warm the shared eigendata caches before any worker threads start
+    # the tilt's eigendata, which every b of the sweep shares
     thermo.normalize_potential(model, cfg.a)
-
-    def one(b: float):
-        return rpf.decay_profile(model, cfg.a, (b,)).rows[0]
-
-    if cfg.threads > 1 and len(b_list) > 1:
-        with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-            profile_rows = list(pool.map(one, b_list))
-    else:
-        profile_rows = [one(b) for b in b_list]
+    profile_rows = [rpf.decay_profile(model, cfg.a, (b,)).rows[0]
+                    for b in b_list]
 
     good = [r for r in profile_rows if not r.flagged and r.l2 > 0]
     kappa_hat = None
@@ -383,16 +376,8 @@ def _uni_eps_list(cfg: ExperimentConfig) -> tuple[float, ...]:
 
 def _cmd_uni_scan(model: MarkovModel, cfg: ExperimentConfig):
     eps_list = _uni_eps_list(cfg)
-
-    def one(eps: float):
-        scale = scales.matching_scale(model, eps)
-        return scales.uni_scan(model, scale)
-
-    if cfg.threads > 1 and len(eps_list) > 1:
-        with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-            certs = list(pool.map(one, eps_list))
-    else:
-        certs = [one(eps) for eps in eps_list]
+    certs = [scales.uni_scan(model, scales.matching_scale(model, eps))
+             for eps in eps_list]
 
     rows = [(c.eps, c.kappa_hat, len(c.witnesses), c.skipped, c.ok)
             for c in certs]

@@ -9,26 +9,41 @@ word length, counts them independently through the symbol transfer matrix
 (necklace counting), locates the entropy as the zero of the pressure of
 -s*roof, compares the orbit count pi(T) against li(e^{hT}), and estimates
 flow correlation functions by seeded Monte Carlo on the suspension.
+
+The entropy is the root scipy's bisection returns, found from a third of
+its pressure evaluations: pressure falls at least as fast as tau_min * s,
+so Illinois steps narrow the bracket and only the bisection midpoints
+next to it are evaluated.  Monte Carlo blocks each draw from their own
+seed stream and are then advanced together as one array; both results
+are bit for bit those of the one-at-a-time loops they replace.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import quad
-from scipy.optimize import bisect
 
 from .markov import MarkovModel, ModelError
-from .thermo import gibbs_measure, pressure
+from .thermo import RATIO_TOL, ConvergenceError, gibbs_measure, pressure
 
 WORD_CAP_DEFAULT = 2 ** 21
 # upper bound on fixed-point rounds; a point stops early once a round
 # leaves it unchanged (see _settle)
 FIXED_POINT_ITERATIONS = 200
 ENTROPY_TOL = 1e-10
+# entropy root: pressure signs are taken from the bracket beyond this
+# distance (derived in _replay_bisect); Illinois steps shrink the bracket
+# below it first
+MARGIN = 1e-9
+ILLINOIS_STEPS = 40
+# scipy.optimize.bisect's defaults, which _replay_bisect reproduces
+BISECT_ITER = 100
+BISECT_RTOL = 4 * np.finfo(float).eps
+# Monte Carlo points advanced at once (whole blocks; at least one block)
+MC_CHUNK_POINTS = 2 ** 17
 
 
 # ---------------------------------------------------------------------------
@@ -340,14 +355,27 @@ _entropy_cache: dict = {}
 
 
 def entropy(model: MarkovModel, tol: float = ENTROPY_TOL) -> float:
-    """Unique s with pressure(-s * roof) = 0, by bisection."""
+    """Unique s with pressure(-s * roof) = 0: the root that
+    scipy.optimize.bisect(pressure, 0, hi, xtol=tol) returns, bit for bit,
+    from about a third of its pressure evaluations.
+
+    Pressure is evaluated once per s.  After the bracket [0, hi] is found,
+    Illinois steps (_illinois) shrink a sign bracket [lo, up] below
+    MARGIN, and _replay_bisect walks scipy's bisection midpoints, taking
+    the sign of each midpoint outside [lo - MARGIN, up + MARGIN] from the
+    bracket and evaluating the few inside it.  MARGIN is derived there.
+    """
     key = (model.config, tol)
     if key in _entropy_cache:
         return _entropy_cache[key]
     roof = model.roof
+    memo: dict = {}
 
     def pr(s: float) -> float:
-        return pressure(model, lambda x, _s=s: -_s * np.asarray(roof(x)))
+        if s not in memo:
+            memo[s] = pressure(
+                model, lambda x, _s=s: -_s * np.asarray(roof(x)))
+        return memo[s]
 
     p0 = pr(0.0)
     if p0 <= 0:
@@ -359,9 +387,119 @@ def entropy(model: MarkovModel, tol: float = ENTROPY_TOL) -> float:
         hi *= 2.0
     else:
         raise ModelError("failed to bracket the entropy root")
-    h = float(bisect(pr, 0.0, hi, xtol=tol))
+    # assumes only tau >= tau_0 / 2, so a roof that dips below the
+    # validation grid's minimum tau_0 between its samples is covered
+    margin = max(MARGIN, 4.0 * RATIO_TOL / model.tau_0)
+    lo, up = _illinois(pr, 0.0, hi, margin)
+    h = _replay_bisect(pr, 0.0, hi, lo, up, tol, margin)
     _entropy_cache[key] = h
     return h
+
+
+def _illinois(f, lo: float, up: float, width: float) -> tuple[float, float]:
+    """Shrink a sign bracket of f (f(lo) > 0 > f(up)) by Illinois steps
+    (regula falsi that halves the stale end's value when the same end
+    moves twice in a row; Dowell and Jarratt, BIT 11, 1971) until it is
+    narrower than width, or ILLINOIS_STEPS steps were taken.
+
+    Each step is kept width / 2 inside the bracket: once one end sits on
+    the root, the next estimate lands next to it, and the kept distance
+    puts it on the other side, so the bracket closes in one more step.  A
+    step that lands on a zero closes the bracket there; one that lands on
+    a NaN ends the shrinking, and the replay then evaluates more midpoints
+    without changing its result.
+    """
+    flo, fup = f(lo), f(up)
+    side = 0
+    for _ in range(ILLINOIS_STEPS):
+        if up - lo < width:
+            break
+        x = up - fup * (up - lo) / (fup - flo)
+        x = min(max(x, lo + 0.5 * width), up - 0.5 * width)
+        fx = f(x)
+        if fx > 0:
+            lo, flo = x, fx
+            if side == 1:
+                fup *= 0.5
+            side = 1
+        elif fx < 0:
+            up, fup = x, fx
+            if side == -1:
+                flo *= 0.5
+            side = -1
+        else:
+            if fx == 0:
+                lo = up = x
+            break
+    return lo, up
+
+
+def _replay_bisect(f, xa: float, xb: float, lo: float, up: float,
+                   xtol: float, margin: float) -> float:
+    """scipy.optimize.bisect(f, xa, xb, xtol=xtol), step for step, for a
+    decreasing f with f(xa) > 0 > f(xb), given a sign bracket
+    f(lo) >= 0 >= f(up).
+
+    The loop is scipy's: dm halves, xm = xa + dm, xa moves to xm when
+    f(xm) * f(xa) >= 0 (f(xa) of the first xa throughout), and it stops at
+    f(xm) == 0 or |dm| < xtol + rtol * |xm|, after at most BISECT_ITER
+    steps.  Only the sign test needs f(xm), and a midpoint farther than
+    margin outside [lo, up] takes its sign from the bracket end it lies
+    beyond; the rest are evaluated, and each evaluation narrows [lo, up].
+
+    Why margin = MARGIN = 1e-9 is safe for the entropy pressure.  Let
+    P_N(s) = log lambda(s) be the exact pressure of the grid operator,
+    whose matrix entries are sums of c * exp(-s tau(y)) with c >= 0 and
+    tau(y) >= tau_min.  Raising s by d scales every entry down by at least
+    exp(-tau_min d), and the Perron root is monotone in the entries, so
+    P_N(s + d) <= P_N(s) - tau_min * d: the grid form of
+    P'(s) = -int tau dmu_s <= -tau_min (Parry and Pollicott, Asterisque
+    187-188, 1990).  power_iteration stops with every ratio (L u / u) in
+    [rmin, rmax], rmax / rmin < 1 + RATIO_TOL, and both lambda and the
+    returned eigenvalue lie in that range (Collatz-Wielandt), so a
+    computed pressure is within RATIO_TOL of P_N (plus rounding near
+    1e-15).  A midpoint xm < lo - margin then has
+    P_N(xm) >= P_N(lo) + tau_min * margin > tau_min * margin - RATIO_TOL,
+    and a computed pressure above tau_min * margin - 2 * RATIO_TOL > 0 when
+    margin > 2 * RATIO_TOL / tau_min; the right side is the mirror image.
+    MARGIN = 1e-9 = 1000 * RATIO_TOL meets that for every tau_min >= 2e-3,
+    and entropy() widens it to 4 * RATIO_TOL / tau_0 when tau_0 < 4e-3.
+    """
+    if xtol <= 0:
+        raise ValueError(f"xtol too small ({xtol:g} <= 0)")
+    fa, fb = f(xa), f(xb)
+    if fa * fb > 0:
+        raise ValueError("f(a) and f(b) must have different signs")
+    if fa == 0:
+        return xa
+    if fb == 0:
+        return xb
+    dm = xb - xa
+    for _ in range(BISECT_ITER):
+        dm *= .5
+        xm = xa + dm
+        if xm < lo - margin:
+            same = True
+        elif xm > up + margin:
+            same = False
+        else:
+            fm = f(xm)
+            if math.isnan(fm):
+                raise ValueError(f"The function value at x={xm} is NaN; "
+                                 "solver cannot continue.")
+            if fm == 0:
+                return xm
+            same = fm * fa >= 0
+            if fm > 0:
+                lo = max(lo, xm)
+            else:
+                up = min(up, xm)
+        if same:
+            xa = xm
+        if abs(dm) < xtol + BISECT_RTOL * abs(xm):
+            return xm
+    raise ConvergenceError(
+        f"bisection did not converge in {BISECT_ITER} steps, value is {xa}")
 
 
 def li(y: float) -> float:
@@ -514,18 +652,18 @@ def _draw_section(cum, lefts, grid_size, rng, m):
     return lefts[iv] + (cell + rng.random(m)) / grid_size
 
 
-def _advance(model: MarkovModel, x, u, dt):
-    """Flow forward by dt, unwinding the roof crossings in place."""
+def _advance(model: MarkovModel, x, u, tau, dt):
+    """Flow forward by dt, unwinding the roof crossings in place; tau holds
+    roof(x) and is kept current.  A point under its roof after the shift
+    stays there, so each round only revisits the points that crossed."""
     u = u + dt
-    tau = np.asarray(model.roof(x), dtype=float)
-    while True:
-        over = u >= tau
-        if not over.any():
-            break
-        u[over] -= tau[over]
-        x[over] = model.forward(x[over])
-        tau[over] = np.asarray(model.roof(x[over]), dtype=float)
-    return x, u
+    idx = np.flatnonzero(u >= tau)
+    while idx.size:
+        u[idx] -= tau[idx]
+        x[idx] = model.forward(x[idx])
+        tau[idx] = np.asarray(model.roof(x[idx]), dtype=float)
+        idx = idx[u[idx] >= tau[idx]]
+    return x, u, tau
 
 
 @dataclass(frozen=True)
@@ -544,21 +682,37 @@ class DecayReport:
     seed: int
 
 
-def _mc_block(model, sec_a, fib_a, sec_b, fib_b, t_sorted, m, child,
-              sampler):
-    rng = np.random.Generator(np.random.PCG64(child))
+def _mc_blocks(model, sec_a, fib_a, sec_b, fib_b, t_sorted, m, children,
+               sampler) -> np.ndarray:
+    """Per-block covariances at the sorted times, one row per child seed.
+
+    Each block draws its m points from its own stream, as if run alone;
+    then all blocks advance together as one flat array, and each is
+    centred by its own row mean.  Every point sees the same arithmetic as
+    in a one-block run, and a row mean of a C-ordered (blocks, m) array
+    sums pairwise like a one-block mean, so the rows are bit for bit
+    those of running the blocks one at a time.
+    """
     cum, lefts, grid_size = sampler
-    x = _draw_section(cum, lefts, grid_size, rng, m)
-    u = rng.random(m) * np.asarray(model.roof(x), dtype=float)
-    b0 = _eval_observable(sec_b, fib_b, x, u)
-    b0 = b0 - b0.mean()
-    out = np.empty(t_sorted.size)
+    n = len(children)
+    x = np.empty((n, m))
+    v = np.empty((n, m))
+    for row, child in enumerate(children):
+        rng = np.random.Generator(np.random.PCG64(child))
+        x[row] = _draw_section(cum, lefts, grid_size, rng, m)
+        v[row] = rng.random(m)
+    x = x.ravel()
+    tau = np.asarray(model.roof(x), dtype=float)
+    u = v.ravel() * tau
+    b0 = _eval_observable(sec_b, fib_b, x, u).reshape(n, m)
+    b0 = b0 - b0.mean(axis=1, keepdims=True)
+    out = np.empty((n, t_sorted.size))
     t_prev = 0.0
     for k, t in enumerate(t_sorted):
-        x, u = _advance(model, x, u, t - t_prev)
+        x, u, tau = _advance(model, x, u, tau, t - t_prev)
         t_prev = t
-        a_t = _eval_observable(sec_a, fib_a, x, u)
-        out[k] = float(((a_t - a_t.mean()) * b0).mean())
+        a_t = _eval_observable(sec_a, fib_a, x, u).reshape(n, m)
+        out[:, k] = ((a_t - a_t.mean(axis=1, keepdims=True)) * b0).mean(axis=1)
     return out
 
 
@@ -568,9 +722,14 @@ def correlation_decay(model: MarkovModel, a, b, t_grid, samples: int,
     """Correlation of two suspension observables along the flow.
 
     Initial points are drawn from the flow-invariant measure; the flow is
-    advanced by unwinding the roof.  Per-block covariances with per-block
-    centering are merged in block order, so the result depends only on the
-    seed and block count, not on the thread schedule.
+    advanced by unwinding the roof.  Each of the blocks draws its points
+    from its own child of the seed, is centred by its own mean, and gives
+    one covariance per time; the estimate is the mean over blocks and the
+    error their spread.  Blocks advance together, at most MC_CHUNK_POINTS
+    points at a time (but whole blocks), so memory stays bounded for any
+    sample count, and the result depends only on the seed and the block
+    count.  threads is accepted and ignored: the blocks run in one
+    thread.
     """
     t = np.asarray(t_grid, dtype=float)
     if t.ndim != 1 or t.size == 0:
@@ -586,16 +745,10 @@ def correlation_decay(model: MarkovModel, a, b, t_grid, samples: int,
     sampler = _section_sampler(model)
     m = samples // blocks
     children = np.random.SeedSequence(seed).spawn(blocks)
-
-    def run(child):
-        return _mc_block(model, sec_a, fib_a, sec_b, fib_b, t_sorted, m,
-                         child, sampler)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(run, children))
-    else:
-        rows = [run(c) for c in children]
+    group = max(1, MC_CHUNK_POINTS // m)
+    rows = [_mc_blocks(model, sec_a, fib_a, sec_b, fib_b, t_sorted, m,
+                       children[i:i + group], sampler)
+            for i in range(0, blocks, group)]
     table = np.vstack(rows)
     corr_sorted = table.mean(axis=0)
     err_sorted = table.std(axis=0, ddof=1) / math.sqrt(blocks)

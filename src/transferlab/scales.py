@@ -359,9 +359,9 @@ def check_tame(model: MarkovModel, scale: ScaleFunction,
     """
     rows = []
     worst = 0.0
-    for x, iid in _sample_points(model, samples):
-        k = scale.theta_at(x)
-        lam = scale.value_at(x)
+    pts = _sample_points(model, samples)
+    thetas, values = _stopping_cocycle(model, [x for x, _ in pts], scale.eps)
+    for (x, iid), k, lam in zip(pts, thetas.tolist(), values.tolist()):
         s = np.arange(s_points) / s_points
         iv = model.interval(iid)
         side = 1.0 if x + 1.0 / lam <= iv.right else -1.0
@@ -436,18 +436,28 @@ def _best_margin(dist: np.ndarray, n_windows: int) -> tuple[float, dict]:
     each tested length is found from a running minimum over all windows
     that fit, then the weakest phase decides.  Returns the margin and
     witness data for that phase.
+
+    A larger window cannot raise a phase's window margin m, so after each
+    size the phase's final best lies in [best, max(best, m)].  A phase
+    drops out once m <= best (settled) or once best exceeds the smallest
+    upper bound of all phases (it cannot be the weakest; the test is
+    strict, so a phase tied for weakest stays); the result equals the
+    scan of every size for every phase.
     """
     n_om, n_s = dist.shape
     best = np.zeros(n_om)
+    upper = np.full(n_om, np.inf)
     # witness per phase: window fraction, start, size and margin
     w_frac = np.zeros(n_om)
     w_lo = np.zeros(n_om, dtype=int)
     w_size = np.zeros(n_om, dtype=int)
     w_dist = np.zeros(n_om)
-    # win[:, p] = min(dist[:, p:p + width]); widths only grow with j
+    live = np.arange(n_om)
+    # win[r, p] = min(dist[live[r], p:p + width]); widths only grow with j
     win, width = dist, 1
-    rows = np.arange(n_om)
     for j in range(1, n_windows + 1):
+        if not live.size:
+            break
         frac = j / n_windows
         size = max(1, int(round(frac * n_s)))
         if size > n_s:
@@ -457,14 +467,20 @@ def _best_margin(dist: np.ndarray, n_windows: int) -> tuple[float, dict]:
             win = np.minimum(win[:, :-step], win[:, step:])
             width += step
         pos = np.argmax(win, axis=1)
-        m = win[rows, pos]
+        m = win[np.arange(live.size), pos]
         cand = np.minimum(frac, m)
-        better = cand > best
-        w_frac[better] = frac
-        w_lo[better] = pos[better]
-        w_size[better] = size
-        w_dist[better] = m[better]
-        best = np.where(better, cand, best)
+        cur = best[live]
+        better = cand > cur
+        idx = live[better]
+        w_frac[idx] = frac
+        w_lo[idx] = pos[better]
+        w_size[idx] = size
+        w_dist[idx] = m[better]
+        cur = np.where(better, cand, cur)
+        best[live] = cur
+        upper[live] = np.maximum(cur, m)
+        keep = ~((m <= cur) | (cur > upper.min()))
+        live, win = live[keep], win[keep]
     i = int(np.argmin(best))
     lo = int(w_lo[i])
     return float(best[i]), {
@@ -492,13 +508,12 @@ def uni_scan(model: MarkovModel, scale: ScaleFunction,
         pts = _sample_points(model, samples)
     omegas = TWO_PI * np.arange(omega_points) / omega_points
     s = np.arange(s_points) / s_points
+    thetas, values = _stopping_cocycle(model, [x for x, _ in pts], scale.eps)
     wits = []
     skipped = 0
-    for x, iid in pts:
-        k = scale.theta_at(x)
-        lam = scale.value_at(x)
+    for (x, iid), k, lam in zip(pts, thetas.tolist(), values.tolist()):
         if omega_mask is not None and not _near_marked(
-                model, scale, x, iid, c1, omega_mask):
+                model, x, iid, lam, c1, omega_mask):
             skipped += 1
             continue
         iv = model.interval(iid)
@@ -531,9 +546,9 @@ def uni_scan(model: MarkovModel, scale: ScaleFunction,
     return UniCertificate(scale.eps, float(kappa_hat), tuple(wits), skipped)
 
 
-def _near_marked(model, scale, x, iid, c1, mask) -> bool:
-    """Is any marked grid node within c1 / value(x) of x (same interval)?"""
-    lam = scale.value_at(x)
+def _near_marked(model, x, iid, lam, c1, mask) -> bool:
+    """Is any marked grid node within c1 / lam of x (same interval)?  lam
+    is the scale value at x."""
     n = model.grid_size
     iv = model.interval(iid)
     j = int(round((x - iv.left) * n))

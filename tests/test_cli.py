@@ -16,6 +16,15 @@ x86-64 Linux, and hashing the files with sha256sum.  They pin byte
 identity of these artifacts across versions of the package, not only
 between two runs of one version; libm or numpy changes to sin/cos may
 move them.
+
+GOLDEN_MC_SHA256 pins pressure.csv (`pressure`) and correlation.csv
+(`correlation` at seed 7 with SAMPLES=8000, so 32 blocks of 250 points,
+enough for numpy's pairwise summation to engage) for the same model.
+They were made the same way, on the code as it stood before the entropy
+root was found by replayed bisection and the Monte Carlo blocks were
+advanced together (scipy's bisect called on pressure directly; one block
+at a time, roof values recomputed at every time step), with numpy 2.4.6
+and scipy 1.17.1.
 """
 
 import csv
@@ -55,6 +64,13 @@ GOLDEN_SHA256 = {
         "e7998cb42698c59e0bdfa1d904bd270f53361682c266ff2eea9a491bb25e51cb",
     "invariants.csv":
         "efb9054d289a1983f3143beb851c36ae9778e18bb5ac1517aafcaede78ff7386",
+}
+
+GOLDEN_MC_SHA256 = {
+    "pressure.csv":
+        "6ce60bef0768fff29329a198f7241a48a471cced06a25273d0ddd45a19a2050c",
+    "correlation.csv":
+        "1884d69db64b11ee9714dd2567bb346d73f4b9373cd0b753f100c5d2eabfcd3e",
 }
 
 
@@ -292,6 +308,20 @@ def test_orbit_artifacts_match_golden_digests(tmp_path, monkeypatch):
     assert cli.main(["invariants", "--model", str(model), "--out", out,
                      "--seed", "7"]) == 0
     for name, digest in GOLDEN_SHA256.items():
+        with open(os.path.join(out, name), "rb") as fh:
+            assert hashlib.sha256(fh.read()).hexdigest() == digest, name
+
+
+def test_entropy_and_correlation_match_golden_digests(tmp_path,
+                                                      monkeypatch):
+    model = tmp_path / "golden.txt"
+    model.write_text(GOLDEN_MODEL)
+    out = str(tmp_path / "run")
+    monkeypatch.setenv("TRANSFERLAB_SAMPLES", "8000")
+    assert cli.main(["pressure", "--model", str(model), "--out", out]) == 0
+    assert cli.main(["correlation", "--model", str(model), "--out", out,
+                     "--seed", "7"]) == 0
+    for name, digest in GOLDEN_MC_SHA256.items():
         with open(os.path.join(out, name), "rb") as fh:
             assert hashlib.sha256(fh.read()).hexdigest() == digest, name
 

@@ -27,17 +27,33 @@ smoothing reorder their sums, and their tolerances are stated below.
   with the triangle kernel, within 1e-12; constants stay exact.
 * The row Hoelder seminorm against its own dyadic loop (bitwise), and
   column-wise CSV formatting against ``_fmt`` one value at a time.
+* Entropy: ``entropy`` (Illinois steps, then replayed bisection) against
+  ``scipy.optimize.bisect`` on the same pressure, bit for bit, with fewer
+  than 21 pressure evaluations; the replay against scipy on synthetic
+  decreasing pressures whose noise is below the bound the margin is
+  derived from, and a check that noise above it is caught.
+* ``_best_margin`` with pruned phases against the scan of every window
+  size for every phase: value and witness, on torus-distance rows with
+  constant, zero, rounded (tied) and duplicated rows.
+* ``uni_scan`` and ``check_tame`` run the stopping cocycle once each.
+* Monte Carlo: ``correlation_decay`` (blocks advanced together, roof
+  values carried, any chunk size) against the per-block loop and roof
+  recomputation it replaced, bit for bit, with repeated, unsorted and
+  zero times and a fibre profile.
 
 Models are drawn from both families with random roofs, potentials and
 stable factors; the coefficient ranges keep the roof positive and mu
 inside (0, 1) on the whole leaf, so every draw is a valid model.
 """
 
+import hashlib
 import math
+import struct
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
+from scipy.optimize import bisect
 
 from transferlab import cancellation as C
 from transferlab import cli
@@ -590,3 +606,283 @@ def test_column_formatting_matches_fmt(data):
     col = tuple(data.draw(st.lists(st.one_of(kinds), min_size=1,
                                    max_size=20)))
     assert cli._fmt_column(col) == [cli._fmt(v) for v in col]
+
+
+# ---------------------------------------------------------------------------
+# entropy root: Illinois steps and replayed bisection
+
+
+def _reference_entropy(model):
+    """The bracket and scipy bisection that entropy replays."""
+    def pr(s):
+        return T.pressure(model, lambda x, _s=s: -_s * np.asarray(model.roof(x)))
+
+    p0 = pr(0.0)
+    hi = p0 / model.tau_0 + 1.0
+    for _ in range(60):
+        if pr(hi) < 0:
+            break
+        hi *= 2.0
+    return float(bisect(pr, 0.0, hi, xtol=O.ENTROPY_TOL))
+
+
+@settings(max_examples=15, deadline=None)
+@given(model=models())
+def test_entropy_matches_scipy_bisect_bitwise(model):
+    evals = []
+
+    def counted(*args, **kwargs):
+        evals.append(args)
+        return T.pressure(*args, **kwargs)
+
+    O._entropy_cache.clear()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(O, "pressure", counted)
+        h = O.entropy(model)
+    assert _bits(h) == _bits(_reference_entropy(model))
+    # scipy's loop takes about 38 evaluations on these models
+    assert len(evals) <= 20
+
+
+def _noise(s, seed):
+    """A fixed pseudo-random number in [-1, 1) for each float s."""
+    h = hashlib.blake2b(struct.pack("<dq", s, seed), digest_size=8).digest()
+    return int.from_bytes(h, "little") / 2.0 ** 63 - 1.0
+
+
+def _noisy_pressure(taus, weights, amp, seed):
+    """log sum w_i exp(-s tau_i), a finite-system pressure with slope at
+    most -min(taus), plus noise of size amp."""
+    taus, logw = np.asarray(taus), np.log(weights)
+
+    def f(s):
+        z = logw - s * taus
+        top = z.max()
+        return float(top + np.log(np.exp(z - top).sum())) + amp * _noise(s, seed)
+    return f
+
+
+def _replay(f, hi, margin, xtol=O.ENTROPY_TOL):
+    lo, up = O._illinois(f, 0.0, hi, margin)
+    return O._replay_bisect(f, 0.0, hi, lo, up, xtol, margin)
+
+
+finite_systems = st.tuples(
+    st.lists(st.floats(0.05, 4.0), min_size=2, max_size=6),
+    st.lists(st.floats(0.2, 3.0), min_size=6, max_size=6),
+    st.integers(0, 2 ** 32),
+    st.sampled_from((1e-10, 1e-7, 1e-13, 1e-16, 5e-324)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(system=finite_systems, frac=st.floats(0.0, 0.49))
+def test_replay_matches_scipy_bisect_below_noise_bound(system, frac):
+    taus, weights, seed, xtol = system
+    weights = weights[:len(taus)]
+    assume(sum(weights) > 1.0)          # positive pressure at s = 0
+    # noise below the bound: |noise| < tau_min * margin / 2
+    amp = frac * min(taus) * O.MARGIN
+    f = _noisy_pressure(taus, weights, amp, seed)
+    hi = f(0.0) / min(taus) + 1.0
+    assert f(hi) < 0
+    assert _bits(_replay(f, hi, O.MARGIN, xtol)) == _bits(
+        bisect(f, 0.0, hi, xtol=xtol))
+
+
+def test_replay_with_too_small_margin_is_caught():
+    # noise 50 times the bound flips signs farther than MARGIN from the
+    # root, and the comparison with scipy notices
+    taus, weights = [1.0, 2.5], [1.5, 1.0]
+    amp = 50.0 * O.MARGIN
+    misses = 0
+    for seed in range(40):
+        f = _noisy_pressure(taus, weights, amp, seed)
+        hi = f(0.0) + 1.0
+        misses += _replay(f, hi, O.MARGIN) != bisect(f, 0.0, hi,
+                                                     xtol=O.ENTROPY_TOL)
+    assert misses > 0
+
+
+def test_replay_exact_zero_and_flat_roof():
+    # a line with an exact zero at a dyadic point: scipy stops there
+    f = lambda s: 0.75 - s          # noqa: E731
+    assert _replay(f, 2.0, O.MARGIN) == bisect(f, 0.0, 2.0,
+                                               xtol=O.ENTROPY_TOL) == 0.75
+    # flat roof: pressure is linear in s, and Illinois lands on the root
+    model = build_model(ModelConfig("doubling", (1.7, 0.0, 0.0, 0.0),
+                                    (0.0,) * 4, (0.5, 0.0, 0.0, 0.0), 128,
+                                    0.5))
+    O._entropy_cache.clear()
+    assert _bits(O.entropy(model)) == _bits(_reference_entropy(model))
+
+
+# ---------------------------------------------------------------------------
+# pruned oscillation margin
+
+
+def _full_best_margin(dist, n_windows):
+    """Every window size for every phase, as before pruning."""
+    n_om, n_s = dist.shape
+    best = np.zeros(n_om)
+    w_frac = np.zeros(n_om)
+    w_lo = np.zeros(n_om, dtype=int)
+    w_size = np.zeros(n_om, dtype=int)
+    w_dist = np.zeros(n_om)
+    win, width = dist, 1
+    rows = np.arange(n_om)
+    for j in range(1, n_windows + 1):
+        frac = j / n_windows
+        size = max(1, int(round(frac * n_s)))
+        while width < size:
+            step = min(width, size - width)
+            win = np.minimum(win[:, :-step], win[:, step:])
+            width += step
+        pos = np.argmax(win, axis=1)
+        m = win[rows, pos]
+        cand = np.minimum(frac, m)
+        better = cand > best
+        w_frac[better] = frac
+        w_lo[better] = pos[better]
+        w_size[better] = size
+        w_dist[better] = m[better]
+        best = np.where(better, cand, best)
+    i = int(np.argmin(best))
+    lo = int(w_lo[i])
+    return float(best[i]), {
+        "omega_idx": i, "frac": float(w_frac[i]), "lo": lo,
+        "hi": lo + int(w_size[i]), "dist": float(w_dist[i])}
+
+
+@settings(max_examples=120, deadline=None)
+@given(seed=st.integers(0, 2 ** 32), n_s=st.sampled_from((7, 64, 256)),
+       n_windows=st.sampled_from((5, 32)), amp=st.floats(0.0, 30.0),
+       special=st.sampled_from(("none", "constant", "zero", "tied",
+                                "duplicate")))
+def test_pruned_best_margin_matches_full_scan(seed, n_s, n_windows, amp,
+                                              special):
+    # torus distances of a contrast profile from a phase grid, as uni_scan
+    # builds them, with rows made constant, zero or tied on demand
+    rng = np.random.default_rng(seed)
+    s = np.arange(n_s) / n_s
+    psi = amp * np.sin(2 * np.pi * (s + rng.uniform())) * rng.uniform(0, 1)
+    omegas = S.TWO_PI * np.arange(64) / 64
+    dist = S._torus_dist(psi[None, :] - omegas[:, None])
+    rows = rng.choice(64, size=3, replace=False)
+    if special == "constant":
+        dist[rows] = rng.uniform(0.0, 1.0)
+    elif special == "zero":
+        dist[rows] = 0.0
+    elif special == "tied":
+        dist = np.round(dist, 1)
+    elif special == "duplicate":
+        dist[rows[1:]] = dist[rows[0]]
+    got = S._best_margin(dist, n_windows)
+    ref = _full_best_margin(dist, n_windows)
+    assert _bits(got[0]) == _bits(ref[0]) and got[1] == ref[1]
+
+
+# ---------------------------------------------------------------------------
+# one stopping-cocycle call per scan
+
+
+@settings(max_examples=8, deadline=None)
+@given(model=models(), q=st.integers(4, 7), marked=st.booleans())
+def test_uni_scan_and_tame_run_the_cocycle_once(model, q, marked):
+    scale = S.matching_scale(model, 2.0 ** -q)
+    mask = None
+    if marked:
+        mask = np.zeros((len(model.intervals), model.grid_size + 1), bool)
+        mask[:, ::7] = True
+    calls = []
+    kernel = S._stopping_cocycle
+
+    def counted(*args):
+        calls.append(args)
+        return kernel(*args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(S, "_stopping_cocycle", counted)
+        try:
+            S.uni_scan(model, scale, omega_mask=mask)
+        except S.ScaleError:
+            pass                        # every point skipped
+        assert len(calls) == 1
+        S.check_tame(model, scale, samples=4)
+    assert len(calls) == 2
+
+
+# ---------------------------------------------------------------------------
+# Monte Carlo blocks advanced together
+
+
+def _reference_advance(model, x, u, dt):
+    u = u + dt
+    tau = np.asarray(model.roof(x), dtype=float)
+    while True:
+        over = u >= tau
+        if not over.any():
+            break
+        u[over] -= tau[over]
+        x[over] = model.forward(x[over])
+        tau[over] = np.asarray(model.roof(x[over]), dtype=float)
+    return x, u
+
+
+def _reference_mc_block(model, sec_a, fib_a, sec_b, fib_b, t_sorted, m,
+                        child, sampler):
+    """One block run alone, as correlation_decay did block by block."""
+    rng = np.random.Generator(np.random.PCG64(child))
+    cum, lefts, grid_size = sampler
+    x = O._draw_section(cum, lefts, grid_size, rng, m)
+    u = rng.random(m) * np.asarray(model.roof(x), dtype=float)
+    b0 = O._eval_observable(sec_b, fib_b, x, u)
+    b0 = b0 - b0.mean()
+    out = np.empty(t_sorted.size)
+    t_prev = 0.0
+    for k, t in enumerate(t_sorted):
+        x, u = _reference_advance(model, x, u, t - t_prev)
+        t_prev = t
+        a_t = O._eval_observable(sec_a, fib_a, x, u)
+        out[k] = float(((a_t - a_t.mean()) * b0).mean())
+    return out
+
+
+def _fibre(u):
+    return np.cos(2.0 * np.pi * np.asarray(u))
+
+
+def _section(x):
+    return np.sin(2.0 * np.pi * np.asarray(x))
+
+
+@settings(max_examples=15, deadline=None)
+@given(model=models(),
+       t_grid=st.lists(st.sampled_from((0.0, 0.3, 1.1, 2.5, 4.0)),
+                       min_size=1, max_size=5),
+       samples=st.integers(40, 3000), blocks=st.integers(2, 12),
+       seed=st.integers(0, 2 ** 32), fibre=st.booleans(),
+       chunk=st.sampled_from((1, 100, O.MC_CHUNK_POINTS)))
+def test_block_monte_carlo_matches_block_loop(model, t_grid, samples, blocks,
+                                              seed, fibre, chunk):
+    assume(samples >= blocks)
+    obs_a = (_section, _fibre) if fibre else _section
+    obs_b = _section
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(O, "MC_CHUNK_POINTS", chunk)
+        rep = O.correlation_decay(model, obs_a, obs_b, t_grid, samples,
+                                  seed=seed, blocks=blocks)
+    t = np.asarray(t_grid, dtype=float)
+    order = np.argsort(t, kind="stable")
+    m = samples // blocks
+    sampler = O._section_sampler(model)
+    fib_a = _fibre if fibre else None
+    table = np.vstack([
+        _reference_mc_block(model, _section, fib_a, _section, None, t[order],
+                            m, child, sampler)
+        for child in np.random.SeedSequence(seed).spawn(blocks)])
+    corr = np.empty(t.size)
+    err = np.empty(t.size)
+    corr[order] = table.mean(axis=0)
+    err[order] = table.std(axis=0, ddof=1) / math.sqrt(blocks)
+    assert np.array_equal(rep.corr.view(np.uint64), corr.view(np.uint64))
+    assert np.array_equal(rep.stderr.view(np.uint64), err.view(np.uint64))
