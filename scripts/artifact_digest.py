@@ -12,21 +12,26 @@ process, through transferlab.cli.main of <root>/src, each into its own
 directory under a temporary directory.  For each query it prints the exit
 code, the sha256 of the captured stdout and stderr (with the run
 directory replaced by a placeholder), and the sha256 of each file the
-query wrote.  Queries that call an rpf function instead of a command are
-skipped.  Two checkouts give identical output exactly when every artifact
-is byte-identical.
+query wrote.  Queries that call an rpf function instead of a command
+(build_rpf, operator_gap) are called on the model the worker would
+build, and the sha256 of the bytes of every array and number in the
+result is printed.  Two checkouts give identical output exactly when
+every artifact and every rpf result is bit-identical.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
 import hashlib
 import importlib.util
 import io
 import os
 import sys
 import tempfile
+
+import numpy as np
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -45,18 +50,37 @@ def _sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
+def _result_bytes(value) -> bytes:
+    """Bytes of every array and number in an rpf result, in field order;
+    the model and the cached operators are left out."""
+    if dataclasses.is_dataclass(value):
+        return b"".join(_result_bytes(getattr(value, f.name))
+                        for f in dataclasses.fields(value)
+                        if f.name != "model" and not f.name.startswith("_"))
+    if isinstance(value, (tuple, list)):
+        return b"".join(map(_result_bytes, value))
+    arr = np.asarray(value)
+    if arr.dtype == object:
+        raise TypeError(f"cannot digest {type(value).__name__}")
+    return arr.tobytes()
+
+
 def digest_lines(root: str, workload: str, seed: int):
     """Yield one line per query and per artifact."""
     workloads = _load_workloads(root)
     sys.path.insert(0, os.path.join(root, "src"))
-    from transferlab import cli
+    from transferlab import cli, rpf
+    from transferlab.markov import ModelConfig, build_model
 
     wl = workloads.generate(workload, seed)
     with tempfile.TemporaryDirectory() as tmp:
         paths = workloads.write_models(wl, tmp)
         for q in wl.queries:
             if q.call is not None:
-                yield f"{q.qid:03d} skipped ({q.call} is not a CLI command)"
+                model = build_model(ModelConfig.from_text(wl.models[q.model]))
+                result = getattr(rpf, q.call)(model, **q.kwargs)
+                yield f"{q.qid:03d} {q.label}"
+                yield f"{q.qid:03d}   result {_sha(_result_bytes(result))}"
                 continue
             out = os.path.join(tmp, f"q{q.qid:03d}")
             argv = list(q.argv)

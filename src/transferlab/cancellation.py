@@ -33,7 +33,7 @@ from .markov import MarkovModel, ModelError
 from .rpf import ComplexRPF, build_rpf, slice_holder_norm
 from .scales import (ScaleFunction, UniCertificate, matching_scale,
                      recurrence_rate, uni_scan)
-from .thermo import base_system, forward_index
+from .thermo import base_system, grid_orbit
 
 KAPPA5_DEFAULT = 0.05
 C9_DEFAULT = 4.0
@@ -472,27 +472,20 @@ def _grid_orbit_sum(model: MarkovModel, samples: np.ndarray,
     """sum_{i<n} samples(sigma^i x) at every grid node x.
 
     samples has shape (..., intervals, grid_size + 1).  Grid nodes stay on
-    the grid under the forward map, so the orbit is walked with
-    forward_index and the sums come out bit-for-bit equal to an
-    interpolating walk started at the nodes (see _orbit_weight).
+    the grid under the forward map, so the sums come out bit-for-bit
+    equal to an interpolating walk started at the nodes (see
+    _orbit_weight).
     """
-    rows_i, cols_i = forward_index(model)
-    r = np.repeat(np.arange(len(model.intervals))[:, None],
-                  model.grid_size + 1, axis=1)
-    c = np.repeat(np.arange(model.grid_size + 1)[None, :],
-                  len(model.intervals), axis=0)
     total = np.zeros(samples.shape)
-    for _ in range(n):
+    for r, c in grid_orbit(model, n):
         total += samples[..., r, c]
-        r, c = rows_i[r, c], cols_i[r, c]
     return total
 
 
 def _dichotomy_tables(model: MarkovModel, f_hat: np.ndarray,
                       n: int) -> tuple[np.ndarray, np.ndarray]:
     """(n-step branch weights, n-step roof sums) at every grid node."""
-    roof = np.stack([np.asarray(model.roof(model.grid(iv.id)), dtype=float)
-                     for iv in model.intervals])
+    roof = model.roof(model.nodes())
     log_w, tau_n = _grid_orbit_sum(model, np.stack([f_hat, roof]), n)
     return np.exp(log_w), tau_n
 

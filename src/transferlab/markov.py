@@ -54,20 +54,8 @@ class CoefFn:
             out = out + self.cos * np.cos(TWO_PI * x)
         return out if out.ndim else float(out)
 
-    def derivative(self, x):
-        x = np.asarray(x, dtype=float)
-        out = np.full_like(x, self.linear)
-        if self.sin:
-            out = out + self.sin * TWO_PI * np.cos(TWO_PI * x)
-        if self.cos:
-            out = out - self.cos * TWO_PI * np.sin(TWO_PI * x)
-        return out if out.ndim else float(out)
-
     def coeffs(self) -> tuple[float, float, float, float]:
         return (self.const, self.linear, self.sin, self.cos)
-
-    def is_constant(self) -> bool:
-        return self.linear == 0.0 and self.sin == 0.0 and self.cos == 0.0
 
 
 @dataclass(frozen=True)
@@ -210,26 +198,19 @@ class MarkovModel:
         return self._intervals_by_id[iid]
 
     def interval_of(self, x) -> str:
-        """Interval containing leaf coordinate x (right endpoints excluded)."""
-        idx = int(math.floor(x))
-        if not 0 <= idx < len(self.intervals):
-            if x == self.intervals[-1].right:
-                idx = len(self.intervals) - 1
-            else:
-                raise ModelError(f"coordinate {x!r} outside the phase space")
-        return self.intervals[idx].id
+        """Interval containing leaf coordinate x: interval_index of one point."""
+        return self.intervals[int(self.interval_index(x))].id
 
     def interval_index(self, x) -> np.ndarray:
-        """Array form of interval_of: interval indices, same rule.
+        """Interval indices of leaf coordinates (right endpoints excluded,
+        except the right end of the last interval).
 
-        The array paths use it: atom lookup and orbit weights in
-        cancellation, and every round of orbits.cyclic_fixed_points.
-        interval_of serves the one-point calls of apply_word and
-        roof_sum_on_word, no longer a hot path.
+        Raises ModelError for any coordinate outside the phase space,
+        NaN and infinities included.
         """
         x = np.asarray(x, dtype=float)
         last = len(self.intervals) - 1
-        inside = np.isfinite(x) & (x >= 0.0) & (x <= last + 1.0)
+        inside = (x >= 0.0) & (x <= last + 1.0)      # False for NaN, +-inf
         if not inside.all():
             bad = float(x[~inside].flat[0])
             raise ModelError(f"coordinate {bad!r} outside the phase space")
@@ -239,6 +220,12 @@ class MarkovModel:
         """Sample points of U_iid: grid_size cells, both endpoints included."""
         iv = self.interval(iid)
         return iv.left + np.arange(self.grid_size + 1) / self.grid_size
+
+    def nodes(self) -> np.ndarray:
+        """All sample points, stacked (intervals, grid_size + 1); row k is
+        grid(intervals[k].id) bit for bit."""
+        lefts = np.array([iv.left for iv in self.intervals])
+        return lefts[:, None] + np.arange(self.grid_size + 1) / self.grid_size
 
     def branch(self, sym: str, domain: str) -> Branch:
         try:
@@ -354,41 +341,29 @@ class MarkovModel:
 
     # -- cocycles and Birkhoff sums ---------------------------------------
 
+    def _orbit_fold(self, x, n: int, step, fold):
+        """fold(step(sigma^i x) for i < n, axis=0), vectorized over x; the
+        empty orbit folds to fold's identity without calling step."""
+        pts = self.orbit(x, n)
+        vals = np.asarray(step(pts.ravel())).reshape(pts.shape) if n else pts
+        out = fold(vals, axis=0)
+        return float(out[0]) if np.isscalar(x) else out
+
     def expansion_cocycle(self, x, n: int):
         """Lambda_n(x) = product of |sigma'| along the n-step forward orbit."""
-        pts = self.orbit(x, n) if n > 0 else None
-        if n == 0:
-            return 1.0 if np.isscalar(x) else np.ones(np.size(x))
-        vals = self.slope_at(pts.ravel()).reshape(pts.shape)
-        out = vals.prod(axis=0)
-        return float(out[0]) if np.isscalar(x) else out
+        return self._orbit_fold(x, n, self.slope_at, np.prod)
 
     def stable_cocycle(self, x, n: int):
         """Product of mu along the n-step forward orbit (in (0,1) per step)."""
-        if n == 0:
-            return 1.0 if np.isscalar(x) else np.ones(np.size(x))
-        pts = self.orbit(x, n)
-        vals = np.asarray(self.mu(pts.ravel())).reshape(pts.shape)
-        out = vals.prod(axis=0)
-        return float(out[0]) if np.isscalar(x) else out
+        return self._orbit_fold(x, n, self.mu, np.prod)
 
     def det_cocycle(self, x, n: int):
         """Product of det_step along the n-step forward orbit."""
-        if n == 0:
-            return 1.0 if np.isscalar(x) else np.ones(np.size(x))
-        pts = self.orbit(x, n)
-        vals = (self.slope_at(pts.ravel()) * np.asarray(self.mu(pts.ravel())))
-        out = vals.reshape(pts.shape).prod(axis=0)
-        return float(out[0]) if np.isscalar(x) else out
+        return self._orbit_fold(x, n, self.det_step, np.prod)
 
     def birkhoff_sum(self, fn, x, n: int):
         """sum_{i<n} fn(sigma^i x) for a callable fn on leaf coordinates."""
-        if n == 0:
-            return 0.0 if np.isscalar(x) else np.zeros(np.size(x))
-        pts = self.orbit(x, n)
-        vals = np.asarray(fn(pts.ravel())).reshape(pts.shape)
-        out = vals.sum(axis=0)
-        return float(out[0]) if np.isscalar(x) else out
+        return self._orbit_fold(x, n, fn, np.sum)
 
     def roof_sum_on_word(self, word: str, x):
         """tau_n(v_word(x)): Birkhoff roof sum along the branch preimage."""

@@ -631,17 +631,9 @@ def covariance_at_zero(model: MarkovModel, a, b,
 def _section_sampler(model: MarkovModel):
     """Cumulative cell weights for drawing x from the size-biased section
     measure nu * tau / mean(tau)."""
-    nu = gibbs_measure(model)
-    lefts = []
-    cells = []
-    for iv in model.intervals:
-        xs = model.grid(iv.id)
-        p = nu[iv.index] * np.asarray(model.roof(xs), dtype=float)
-        cells.append(0.5 * (p[:-1] + p[1:]))
-        lefts.append(iv.left)
-    flat = np.concatenate(cells)
-    cum = np.cumsum(flat)
-    lefts = np.asarray(lefts)
+    p = gibbs_measure(model) * model.roof(model.nodes())
+    cum = np.cumsum((0.5 * (p[:, :-1] + p[:, 1:])).ravel())
+    lefts = np.array([iv.left for iv in model.intervals])
     return cum, lefts, model.grid_size
 
 

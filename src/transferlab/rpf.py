@@ -30,6 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .gridfun import _halving_lags, _lag_seminorm
 from .markov import MarkovModel, ModelError
 from .thermo import (WeightRecipe, base_system, gibbs_measure,
                      leading_eigendata, make_operator, power_iteration,
@@ -61,14 +62,18 @@ def slice_table(model: MarkovModel) -> tuple[tuple[tuple[int, int], ...], ...]:
     return tuple(out)
 
 
-def _range_seminorm(vals: np.ndarray, h: float, theta: float) -> float:
-    worst = 0.0
-    lag = len(vals) - 1
-    while lag >= 1:
-        gap = float(np.max(np.abs(vals[lag:] - vals[:-lag])))
-        worst = max(worst, gap / (lag * h) ** theta)
-        lag //= 2
-    return worst
+def _slice_seminorm(model: MarkovModel, values: np.ndarray, theta: float,
+                    lags_of) -> float:
+    """Largest lag seminorm over the forward-branch slices; lags_of(m)
+    gives the lags of a slice of m + 1 samples."""
+    sem = 0.0
+    for iv, ranges in zip(model.intervals, slice_table(model)):
+        for lo, hi in ranges:
+            if hi > lo:
+                sem = max(sem, _lag_seminorm(values[iv.index, lo:hi + 1],
+                                             lags_of(hi - lo),
+                                             model.grid_size, theta))
+    return sem
 
 
 def slice_holder_norm(model: MarkovModel, values: np.ndarray,
@@ -76,28 +81,15 @@ def slice_holder_norm(model: MarkovModel, values: np.ndarray,
     """(sup norm, max per-slice Hoelder seminorm); pairs never straddle a
     slice seam, where the sampled weight genuinely jumps."""
     values = np.asarray(values)
-    h = 1.0 / model.grid_size
     c0 = float(np.max(np.abs(values)))
-    sem = 0.0
-    for iv, ranges in zip(model.intervals, slice_table(model)):
-        for lo, hi in ranges:
-            if hi > lo:
-                sem = max(sem, _range_seminorm(values[iv.index, lo:hi + 1], h, theta))
-    return c0, sem
+    return c0, _slice_seminorm(model, values, theta, _halving_lags)
 
 
 def slice_c1_norm(model: MarkovModel, values: np.ndarray) -> float:
     """sup norm plus the largest per-slice difference quotient."""
     values = np.asarray(values)
-    h = 1.0 / model.grid_size
     c0 = float(np.max(np.abs(values)))
-    slope = 0.0
-    for iv, ranges in zip(model.intervals, slice_table(model)):
-        for lo, hi in ranges:
-            if hi > lo:
-                seg = values[iv.index, lo:hi + 1]
-                slope = max(slope, float(np.max(np.abs(np.diff(seg)))) / h)
-    return c0 + slope
+    return c0 + _slice_seminorm(model, values, 1.0, lambda m: (1,))
 
 
 # ---------------------------------------------------------------------------
@@ -155,8 +147,7 @@ def smooth_coefficients(model: MarkovModel, b: float,
     if clamped:
         width = h
     sys = base_system(model)
-    tau = np.stack([np.asarray(model.roof(model.grid(iv.id)))
-                    for iv in model.intervals])
+    tau = model.roof(model.nodes())
     return SmoothedPair(b, delta1, width, clamped,
                         smooth_grid(model, sys.fhat_grid, width),
                         smooth_grid(model, tau, width))
@@ -245,8 +236,7 @@ def smoothing_report(model: MarkovModel, b_list,
     half-exponent Hoelder norm against |b|^(-delta1 theta / 4), C1 norms
     against |b|^delta1."""
     sys = base_system(model)
-    tau = np.stack([np.asarray(model.roof(model.grid(iv.id)))
-                    for iv in model.intervals])
+    tau = model.roof(model.nodes())
     th = model.theta / 2.0
     rows = []
     c_diff = 0.0
@@ -326,8 +316,8 @@ class DecayProfile:
 def _holder_seminorm_rows(model: MarkovModel, u: np.ndarray,
                           theta: float) -> float:
     """Largest dyadic Hoelder seminorm over the whole interval rows."""
-    h = 1.0 / model.grid_size
-    return max(_range_seminorm(u[iv.index], h, theta) for iv in model.intervals)
+    n = model.grid_size
+    return _lag_seminorm(u, _halving_lags(n), n, theta)
 
 
 def decay_profile(model: MarkovModel, a: float, b_list=(64.0, 128.0, 256.0, 512.0),

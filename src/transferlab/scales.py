@@ -22,12 +22,14 @@ says so instead of raising.
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from .gridfun import _lag_seminorm
 from .markov import MarkovModel, ModelError
-from .thermo import base_system, forward_index
+from .thermo import base_system, grid_orbit
 
 EPS_MAX = 0.5
 THETA_CAP = 4096          # stopping-index iterations before giving up
@@ -119,8 +121,7 @@ def matching_scale(model: MarkovModel, eps: float) -> ScaleFunction:
     """
     if not 0.0 < eps <= EPS_MAX:
         raise ScaleError(f"eps must lie in (0, {EPS_MAX}], got {eps!r}")
-    nodes = np.stack([model.grid(iv.id) for iv in model.intervals])
-    steps, values = _stopping_cocycle(model, nodes, eps)
+    steps, values = _stopping_cocycle(model, model.nodes(), eps)
     kappa_lower = float(np.log(values).min() / math.log(1.0 / eps))
     return ScaleFunction(model, eps, steps, values, kappa_lower)
 
@@ -153,21 +154,17 @@ def check_stable(model: MarkovModel, scale: ScaleFunction,
     (log Lambda_m(z) + log value(sigma^m z) - log value(z)) / m; the
     branch exponent is the min.  Constant cocycles give log(slope).
     """
-    rows_i, cols_i = forward_index(model)
     logv = np.log(scale.values)
-    logslope = np.log(np.stack([
-        model.slope_at(model.grid(iv.id)) for iv in model.intervals]))
-    r = np.arange(len(model.intervals))[:, None] * np.ones_like(rows_i)
-    c = np.arange(model.grid_size + 1)[None, :] * np.ones_like(rows_i)
+    logslope = np.log(model.slope_at(model.nodes()))
     cum = np.zeros_like(logv)
     rows = []
     kappa_branch = math.inf
-    for m in range(1, m_max + 1):
+    for m, (r, c) in enumerate(grid_orbit(model, m_max + 1)):
+        if m:
+            margin = float(((cum + logv[r, c] - logv) / m).min())
+            rows.append((m, margin))
+            kappa_branch = min(kappa_branch, margin)
         cum = cum + logslope[r, c]
-        r, c = rows_i[r, c], cols_i[r, c]
-        margin = float(((cum + logv[r, c] - logv) / m).min())
-        rows.append((m, margin))
-        kappa_branch = min(kappa_branch, margin)
     return StableReport(scale.eps, scale.kappa_lower, kappa_branch, tuple(rows))
 
 
@@ -192,13 +189,9 @@ def check_adapted(model: MarkovModel, scale: ScaleFunction,
     the largest ratio value(sigma^n z) / value(y).  A constant scale gives
     exactly 1.
     """
-    rows_i, cols_i = forward_index(model)
     k = len(model.intervals)
     npts = model.grid_size + 1
-    r = np.tile(np.arange(k)[:, None], (1, npts))
-    c = np.tile(np.arange(npts)[None, :], (k, 1))
-    for _ in range(n):
-        r, c = rows_i[r, c], cols_i[r, c]
+    r, c = deque(grid_orbit(model, n + 1), maxlen=1)[0]
     lam_x = scale.values[r, c]
     sel = np.ones((k, npts), dtype=bool) if omega_mask is None \
         else omega_mask[r, c]
@@ -337,14 +330,8 @@ class TameReport:
 def _profile_theta_norm(vals: np.ndarray, theta: float) -> float:
     """sup plus Hoelder-theta seminorm of a sampled profile on [0, 1)."""
     n = len(vals)
-    c0 = float(np.abs(vals).max())
-    sem = 0.0
-    lag = 1
-    while lag < n:
-        d = float(np.abs(vals[lag:] - vals[:-lag]).max())
-        sem = max(sem, d / (lag / n) ** theta)
-        lag *= 2
-    return c0 + sem
+    lags = [1 << j for j in range((n - 1).bit_length())]    # 1, 2, 4, ... < n
+    return float(np.abs(vals).max()) + _lag_seminorm(vals, lags, n, theta)
 
 
 def check_tame(model: MarkovModel, scale: ScaleFunction,
@@ -585,24 +572,16 @@ def uniform_set(model: MarkovModel, n: int, kappa: float, horizon: int,
         raise ScaleError("need 0 <= n < horizon")
     if horizon > HORIZON_CAP:
         raise ScaleError(f"horizon capped at {HORIZON_CAP}")
-    rows_i, cols_i = forward_index(model)
-    k = len(model.intervals)
-    npts = model.grid_size + 1
-    logdet = np.log(np.stack([
-        np.asarray(model.det_step(model.grid(iv.id)), dtype=float)
-        for iv in model.intervals]))
+    logdet = np.log(np.asarray(model.det_step(model.nodes()), dtype=float))
     if eps is not None:
         cutoff = matching_scale(model, eps).steps
         cutoff = np.minimum(cutoff, horizon)
     else:
-        cutoff = np.full((k, npts), horizon, dtype=int)
-    r = np.tile(np.arange(k)[:, None], (1, npts))
-    c = np.tile(np.arange(npts)[None, :], (k, 1))
-    cum = np.zeros((k, npts))
-    ok = np.ones((k, npts), dtype=bool)
-    for i in range(1, int(cutoff.max()) + 1):
+        cutoff = np.full(logdet.shape, horizon, dtype=int)
+    cum = np.zeros(logdet.shape)
+    ok = np.ones(logdet.shape, dtype=bool)
+    for i, (r, c) in enumerate(grid_orbit(model, int(cutoff.max())), 1):
         cum = cum + logdet[r, c]
-        r, c = rows_i[r, c], cols_i[r, c]
         if i <= n:
             continue
         active = cutoff >= i
@@ -638,18 +617,16 @@ def recurrence_rate(model: MarkovModel, omega_mask: np.ndarray,
         raise ScaleError("need n1 >= 1 and m >= 1")
     if n1 * m > HORIZON_CAP:
         raise ScaleError(f"orbit length capped at {HORIZON_CAP}")
-    rows_i, cols_i = forward_index(model)
     nu = base_system(model).nu
     p = nu.ravel() / nu.sum()
     rng = np.random.default_rng(seed)
     flat = rng.choice(p.size, size=trials, p=p)
     npts = model.grid_size + 1
-    r, c = flat // npts, flat % npts
     counts = np.zeros(trials, dtype=int)
-    for j in range(1, m + 1):
-        for _ in range(n1):
-            r, c = rows_i[r, c], cols_i[r, c]
-        counts += omega_mask[r, c]
+    start = (flat // npts, flat % npts)
+    for i, (r, c) in enumerate(grid_orbit(model, n1 * m + 1, start)):
+        if i and i % n1 == 0:
+            counts += omega_mask[r, c]
     rows = []
     for kap in kappas:
         bad = float((counts < kap * m).mean())

@@ -94,6 +94,21 @@ def forward_index(model: MarkovModel) -> tuple[np.ndarray, np.ndarray]:
     return rows, cols
 
 
+def grid_orbit(model: MarkovModel, n: int, start=None):
+    """Yield (rows, cols) of x, sigma x, ..., sigma^(n-1) x on the grid.
+
+    x runs over every grid node, as index arrays of shape
+    (intervals, grid_size + 1), or over the nodes of a given
+    (rows, cols) start.  Steps follow forward_index, so they are exact.
+    """
+    rows_i, cols_i = forward_index(model)
+    r, c = np.indices(rows_i.shape) if start is None else start
+    for i in range(n):
+        yield r, c
+        if i + 1 < n:
+            r, c = rows_i[r, c], cols_i[r, c]
+
+
 # ---------------------------------------------------------------------------
 # weight recipes and operators
 # ---------------------------------------------------------------------------
@@ -126,16 +141,6 @@ class WeightRecipe:
                             self.factors + tuple(factors),
                             self.out_factors + tuple(out_factors))
 
-    def log_at_stencil(self, st: Stencil) -> np.ndarray:
-        acc = np.full(st.y.shape, self.const)
-        for fn in self.closed:
-            acc = acc + np.asarray(fn(st.y))
-        for g in self.grids:
-            acc = acc + gather(np.asarray(g), st)
-        for g, p in self.factors:
-            acc = acc + p * np.log(gather(np.asarray(g), st))
-        return acc
-
     def coef_at_stencil(self, st: Stencil) -> np.ndarray:
         acc = np.full(st.y.shape, self.const)
         for fn in self.closed:
@@ -162,17 +167,14 @@ class WeightRecipe:
         """Total log-weight sampled on the grid, with the output parts read
         at the exact forward image of each sample.  Used for reporting and
         smoothing."""
-        vals = np.zeros((len(model.intervals), model.grid_size + 1))
-        for iv in model.intervals:
-            xs = model.grid(iv.id)
-            acc = np.full(xs.shape, self.const)
-            for fn in self.closed:
-                acc = acc + np.asarray(fn(xs))
-            for g in self.grids:
-                acc = acc + np.asarray(g)[iv.index]
-            for g, p in self.factors:
-                acc = acc + p * np.log(np.asarray(g)[iv.index])
-            vals[iv.index] = acc
+        xs = model.nodes()
+        vals = np.full(xs.shape, self.const, dtype=float)
+        for fn in self.closed:
+            vals = vals + np.asarray(fn(xs))
+        for g in self.grids:
+            vals = vals + np.asarray(g)
+        for g, p in self.factors:
+            vals = vals + p * np.log(np.asarray(g))
         if self.out or self.out_factors:
             rows, cols = forward_index(model)
             extra = np.zeros_like(vals)

@@ -40,6 +40,16 @@ smoothing reorder their sums, and their tolerances are stated below.
   values carried, any chunk size) against the per-block loop and roof
   recomputation it replaced, bit for bit, with repeated, unsorted and
   zero times and a fibre profile.
+* One copy of each primitive, against copies of the loops it replaced,
+  bit for bit, on every single forbidden ``markov3`` transition: the lag
+  seminorm kernel against ``holder_seminorm``'s, the row and slice loops
+  (slice lengths that are not powers of two) and the profile loop (any
+  length, NaN samples included); the orbit fold against the four
+  cocycle and Birkhoff-sum folds (scalar and array x, n = 0); the grid
+  walk against the walks of ``check_stable``, ``check_adapted``,
+  ``uniform_set`` and ``recurrence_rate``; stacked node sampling against
+  per-row stacks; ``interval_of`` against its old scalar rule, with NaN
+  and infinities raising ``ModelError``.
 
 Models are drawn from both families with random roofs, potentials and
 stable factors; the coefficient ranges keep the roof positive and mu
@@ -61,6 +71,7 @@ from transferlab import orbits as O
 from transferlab import rpf as R
 from transferlab import scales as S
 from transferlab import thermo as T
+from transferlab.gridfun import GridFunction, holder_seminorm
 from transferlab.markov import ModelConfig, ModelError, build_model
 
 PROPS = settings(max_examples=25, deadline=None)
@@ -886,3 +897,319 @@ def test_block_monte_carlo_matches_block_loop(model, t_grid, samples, blocks,
     err[order] = table.std(axis=0, ddof=1) / math.sqrt(blocks)
     assert np.array_equal(rep.corr.view(np.uint64), corr.view(np.uint64))
     assert np.array_equal(rep.stderr.view(np.uint64), err.view(np.uint64))
+
+
+# ---------------------------------------------------------------------------
+# one copy of each numerical primitive, against the loops it replaced
+
+
+def _old_holder_seminorm(u, theta):
+    n = u.model.grid_size
+    best = 0.0
+    for row in u.values:
+        lag = n
+        while lag >= 1:
+            h = lag / n
+            diff = np.max(np.abs(row[lag:] - row[:-lag]))
+            best = max(best, diff / h ** theta)
+            lag //= 2
+    return float(best)
+
+
+def _old_range_seminorm(vals, h, theta):
+    worst = 0.0
+    lag = len(vals) - 1
+    while lag >= 1:
+        gap = float(np.max(np.abs(vals[lag:] - vals[:-lag])))
+        worst = max(worst, gap / (lag * h) ** theta)
+        lag //= 2
+    return worst
+
+
+def _old_slice_norms(model, values, theta):
+    """(slice_holder_norm, slice_c1_norm) as two per-slice loops."""
+    h = 1.0 / model.grid_size
+    c0 = float(np.max(np.abs(values)))
+    sem = slope = 0.0
+    for iv, ranges in zip(model.intervals, R.slice_table(model)):
+        for lo, hi in ranges:
+            if hi > lo:
+                seg = values[iv.index, lo:hi + 1]
+                sem = max(sem, _old_range_seminorm(seg, h, theta))
+                slope = max(slope, float(np.max(np.abs(np.diff(seg)))) / h)
+    return (c0, sem), c0 + slope
+
+
+def _old_profile_theta_norm(vals, theta):
+    n = len(vals)
+    c0 = float(np.abs(vals).max())
+    sem = 0.0
+    lag = 1
+    while lag < n:
+        d = float(np.abs(vals[lag:] - vals[:-lag]).max())
+        sem = max(sem, d / (lag / n) ** theta)
+        lag *= 2
+    return c0 + sem
+
+
+def _field(model, seed, kind):
+    """A complex, real or NaN-holed real field on the model grid."""
+    u = _complex_field(model, seed)
+    if kind == "complex":
+        return u
+    u = u.real.copy()
+    if kind == "nan":
+        rng = np.random.default_rng(seed + 1)
+        u[rng.integers(len(model.intervals)),
+          rng.integers(model.grid_size + 1)] = np.nan
+    return u
+
+
+@PROPS
+@given(model=models(_ANY_FORBIDDEN), seed=st.integers(0, 2 ** 16),
+       kind=st.sampled_from(("complex", "real", "nan")),
+       theta=st.sampled_from((None, 0.25, 0.5, 1.0)),
+       smooth=st.booleans())
+def test_lag_seminorm_matches_grid_and_row_loops(model, seed, kind, theta,
+                                                 smooth):
+    u = _field(model, seed, kind)
+    if smooth:
+        # smooth rows put the worst quotient at long lags
+        u = u * 1e-3 + np.sin(np.pi * model.nodes())
+    gf = GridFunction(model, u)
+    th = model.theta if theta is None else theta
+    assert _bits(holder_seminorm(gf, theta)) == _bits(
+        _old_holder_seminorm(gf, th))
+    assert _bits(R._holder_seminorm_rows(model, u, th)) == _bits(
+        _reference_row_seminorm(model, u, th))
+
+
+@PROPS
+@given(model=models(_ANY_FORBIDDEN), seed=st.integers(0, 2 ** 16),
+       theta=st.sampled_from((0.25, 0.5, 1.0)), smooth=st.booleans())
+def test_lag_seminorm_matches_slice_loops(model, seed, theta, smooth):
+    # markov3 slices of a full row are about grid_size / 3 samples long,
+    # so their lags are not powers of two
+    u = _field(model, seed, "real")
+    if smooth:
+        u = u * 1e-3 + np.cos(3.0 * model.nodes())
+    holder, c1 = _old_slice_norms(model, u, theta)
+    assert _bits(R.slice_holder_norm(model, u, theta)) == _bits(holder)
+    assert _bits(R.slice_c1_norm(model, u)) == _bits(c1)
+
+
+@settings(max_examples=80, deadline=None)
+@given(n=st.integers(2, 300), seed=st.integers(0, 2 ** 16),
+       theta=st.sampled_from((0.25, 0.5, 1.0)), nan=st.booleans())
+def test_lag_seminorm_matches_profile_loop(n, seed, theta, nan):
+    rng = np.random.default_rng(seed)
+    psi = np.cumsum(rng.normal(size=n)) / n
+    if nan:
+        psi[rng.integers(n)] = np.nan
+    assert _bits(S._profile_theta_norm(psi, theta)) == _bits(
+        _old_profile_theta_norm(psi, theta))
+
+
+def _old_folds(model, fn, x, n):
+    """The four per-method orbit folds before they shared one."""
+    if n == 0:
+        one = 1.0 if np.isscalar(x) else np.ones(np.size(x))
+        zero = 0.0 if np.isscalar(x) else np.zeros(np.size(x))
+        return one, one, one, zero
+    pts = model.orbit(x, n)
+    flat = pts.ravel()
+    outs = (model.slope_at(flat).reshape(pts.shape).prod(axis=0),
+            np.asarray(model.mu(flat)).reshape(pts.shape).prod(axis=0),
+            (model.slope_at(flat) * np.asarray(model.mu(flat)))
+            .reshape(pts.shape).prod(axis=0),
+            np.asarray(fn(flat)).reshape(pts.shape).sum(axis=0))
+    return tuple(float(o[0]) if np.isscalar(x) else o for o in outs)
+
+
+@PROPS
+@given(model=models(_ANY_FORBIDDEN), pts=point_lists, n=st.integers(0, 7),
+       scalar=st.booleans())
+def test_orbit_fold_matches_per_method_folds(model, pts, n, scalar):
+    x = _points(pts, model)
+    x = float(x[0]) if scalar else x
+    got = (model.expansion_cocycle(x, n), model.stable_cocycle(x, n),
+           model.det_cocycle(x, n), model.birkhoff_sum(model.roof, x, n))
+    for g, ref in zip(got, _old_folds(model, model.roof, x, n)):
+        assert type(g) is type(ref)
+        assert _bits(g) == _bits(ref)
+
+
+def _old_walk(model):
+    """The hand-built node grid and one-step index tables of the walks."""
+    rows_i, cols_i = T.forward_index(model)
+    k, npts = rows_i.shape
+    r = np.tile(np.arange(k)[:, None], (1, npts))
+    c = np.tile(np.arange(npts)[None, :], (k, 1))
+    return rows_i, cols_i, r, c
+
+
+def _old_stacked(model, fn):
+    return np.stack([np.asarray(fn(model.grid(iv.id)), dtype=float)
+                     for iv in model.intervals])
+
+
+def _old_check_stable(model, scale, m_max):
+    rows_i, cols_i, r, c = _old_walk(model)
+    logv = np.log(scale.values)
+    logslope = np.log(_old_stacked(model, model.slope_at))
+    cum = np.zeros_like(logv)
+    rows = []
+    for m in range(1, m_max + 1):
+        cum = cum + logslope[r, c]
+        r, c = rows_i[r, c], cols_i[r, c]
+        rows.append((m, float(((cum + logv[r, c] - logv) / m).min())))
+    return tuple(rows)
+
+
+def _old_check_adapted(model, scale, mask, n, radius_factor=4.0):
+    rows_i, cols_i, r, c = _old_walk(model)
+    k, npts = r.shape
+    for _ in range(n):
+        r, c = rows_i[r, c], cols_i[r, c]
+    lam_x = scale.values[r, c]
+    sel = mask[r, c]
+    h = 1.0 / model.grid_size
+    max_cells = int(math.ceil(radius_factor / (scale.min_value * h))) + 1
+    max_cells = min(max_cells, model.grid_size)
+    worst = 1.0
+    checked = 0
+    for d in range(-max_cells, max_cells + 1):
+        lo_z, hi_z, lo_y = ((0, npts, 0) if d == 0 else
+                            (0, npts - d, d) if d > 0 else (-d, npts, 0))
+        lam_y = scale.values[:, lo_y:lo_y + hi_z - lo_z]
+        use = sel[:, lo_z:hi_z] & ((abs(d) * h) * lam_y < radius_factor)
+        if use.any():
+            ratio = lam_x[:, lo_z:hi_z] / lam_y
+            worst = max(worst, float(ratio[use].max()))
+            checked += int(use.sum())
+    return worst, checked
+
+
+def _old_uniform_mask(model, n, kappa, horizon, cutoff):
+    rows_i, cols_i, r, c = _old_walk(model)
+    logdet = np.log(_old_stacked(model, model.det_step))
+    cum = np.zeros(logdet.shape)
+    ok = np.ones(logdet.shape, dtype=bool)
+    for i in range(1, int(cutoff.max()) + 1):
+        cum = cum + logdet[r, c]
+        r, c = rows_i[r, c], cols_i[r, c]
+        if i <= n:
+            continue
+        ok &= (cum < i * kappa) | ~(cutoff >= i)
+    return ok
+
+
+def _old_recurrence_counts(model, mask, n1, m, trials, seed):
+    rows_i, cols_i, _, _ = _old_walk(model)
+    nu = T.base_system(model).nu
+    p = nu.ravel() / nu.sum()
+    flat = np.random.default_rng(seed).choice(p.size, size=trials, p=p)
+    npts = model.grid_size + 1
+    r, c = flat // npts, flat % npts
+    counts = np.zeros(trials, dtype=int)
+    for _ in range(m):
+        for _ in range(n1):
+            r, c = rows_i[r, c], cols_i[r, c]
+        counts += mask[r, c]
+    return counts
+
+
+@settings(max_examples=15, deadline=None)
+@given(model=models(_ANY_FORBIDDEN), q=st.integers(2, 6),
+       m_max=st.integers(1, 6), n=st.integers(0, 3), seed=st.integers(0, 99),
+       marked=st.booleans())
+def test_grid_walk_matches_stable_and_adapted(model, q, m_max, n, seed,
+                                              marked):
+    scale = S.matching_scale(model, 2.0 ** -q)
+    rep = S.check_stable(model, scale, m_max)
+    ref = _old_check_stable(model, scale, m_max)
+    assert _bits([r[1] for r in rep.rows]) == _bits([r[1] for r in ref])
+    assert _bits(rep.kappa_branch) == _bits(min(r[1] for r in ref))
+
+    mask = np.random.default_rng(seed).random(scale.values.shape) < 0.3
+    got = S.check_adapted(model, scale, mask if marked else None, n=n)
+    worst, checked = _old_check_adapted(
+        model, scale, mask if marked else np.ones_like(mask), n)
+    assert _bits(got.c_measured) == _bits(worst)
+    assert got.pairs_checked == checked
+
+
+@settings(max_examples=15, deadline=None)
+@given(model=models(_ANY_FORBIDDEN), n=st.integers(0, 3),
+       extra=st.integers(1, 6), kappa=st.floats(0.05, 1.5),
+       q=st.sampled_from((None, 3, 5)))
+def test_grid_walk_matches_uniform_set(model, n, extra, kappa, q):
+    horizon = n + extra
+    eps = None if q is None else 2.0 ** -q
+    rep = S.uniform_set(model, n, kappa, horizon, eps)
+    shape = (len(model.intervals), model.grid_size + 1)
+    cutoff = (np.full(shape, horizon, dtype=int) if eps is None else
+              np.minimum(S.matching_scale(model, eps).steps, horizon))
+    assert np.array_equal(rep.mask,
+                          _old_uniform_mask(model, n, kappa, horizon, cutoff))
+
+
+@settings(max_examples=15, deadline=None)
+@given(model=models(_ANY_FORBIDDEN), n1=st.integers(1, 4), m=st.integers(1, 5),
+       seed=st.integers(0, 99))
+def test_grid_walk_matches_recurrence_rate(model, n1, m, seed):
+    shape = (len(model.intervals), model.grid_size + 1)
+    mask = np.random.default_rng(seed + 7).random(shape) < 0.4
+    kappas = (0.05, 0.2, 0.5, 0.8)
+    rep = S.recurrence_rate(model, mask, n1, m, trials=64, seed=seed,
+                            kappas=kappas)
+    counts = _old_recurrence_counts(model, mask, n1, m, 64, seed)
+    assert [r[1] for r in rep.rows] == [float((counts < k * m).mean())
+                                        for k in kappas]
+
+
+@PROPS
+@given(model=models(_ANY_FORBIDDEN))
+def test_stacked_node_sampling_matches_per_row_stack(model):
+    nodes = model.nodes()
+    assert np.array_equal(nodes, _old_stacked(model, lambda x: x))
+    for fn in (model.roof, model.mu, model.slope_at, model.det_step,
+               lambda x: np.log(model.roof(x))):
+        assert _bits(fn(nodes)) == _bits(_old_stacked(model, fn))
+
+
+def _old_interval_of(model, x):
+    idx = int(math.floor(x))
+    if not 0 <= idx < len(model.intervals):
+        if x == model.intervals[-1].right:
+            idx = len(model.intervals) - 1
+        else:
+            raise ModelError(f"coordinate {x!r} outside the phase space")
+    return model.intervals[idx].id
+
+
+@PROPS
+@given(model=models(_ANY_FORBIDDEN),
+       xs=st.lists(st.one_of(st.floats(-1.5, 4.5),
+                             st.sampled_from((-1e-300, 0.0, -0.0, 1.0, 2.0,
+                                              3.0, np.nextafter(1.0, 0.0)))),
+                   min_size=1, max_size=10))
+def test_interval_of_is_interval_index_of_one_point(model, xs):
+    for x in xs:
+        try:
+            ref = _old_interval_of(model, x)
+        except ModelError:
+            with pytest.raises(ModelError, match="outside the phase space"):
+                model.interval_of(x)
+            continue
+        assert model.interval_of(x) == ref
+        assert model.intervals[int(model.interval_index(x))].id == ref
+
+
+@pytest.mark.parametrize("family", ("doubling", "markov3"))
+@pytest.mark.parametrize("x", (math.nan, math.inf, -math.inf))
+def test_interval_of_rejects_nan_and_infinity(family, x):
+    model = build_model(ModelConfig(family, grid_size=64))
+    for call in (model.interval_of, model.interval_index):
+        with pytest.raises(ModelError, match="outside the phase space"):
+            call(x)

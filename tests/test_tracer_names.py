@@ -1,9 +1,10 @@
-"""Every name the benchmark tracer wraps or lists still exists.
+"""Every name the benchmark tracer wraps, lists or probes still exists.
 
-perfbench/tracer.py patches package functions and methods by name and
-derives counts for some of them; a renamed or deleted target would make
-its metric read zero instead of failing.  The tracer is loaded from its
-file, so the benchmark directory needs no package of its own.
+perfbench/tracer.py patches package functions and methods by name,
+derives counts for some of them and probes three caches before some
+calls; a renamed or deleted target would make its metric read zero
+instead of failing.  The tracer is loaded from its file, so the
+benchmark directory needs no package of its own.
 """
 
 import importlib
@@ -47,3 +48,29 @@ def test_counter_and_post_names_resolve(tracer):
         # only public functions defined in their layer get wrapped
         assert inspect.isfunction(fn) and fn.__module__ == mod.__name__, name
         assert not attr.startswith("_"), name
+
+
+# the cache probes read these module attributes by name, and test keys
+# with ``in``; the entropy probe also reads the default tolerance
+PROBED_CACHES = (("thermo", "_system_cache"), ("thermo", "_stencil_cache"),
+                 ("orbits", "_entropy_cache"))
+# a probe left behind when its function was removed; it never fires
+INERT_PRE = {"thermo.make_operator_grid_phase"}
+
+
+def test_probed_caches_exist(tracer):
+    for layer, attr in PROBED_CACHES:
+        cache = getattr(_layer(layer), attr, None)
+        assert hasattr(cache, "__contains__"), f"{layer}.{attr}"
+    assert isinstance(_layer("orbits").ENTROPY_TOL, float)
+
+
+def test_pre_names_resolve(tracer):
+    for name in sorted(set(tracer._PRE) - INERT_PRE):
+        layer, _, attr = name.partition(".")
+        mod = _layer(layer)
+        fn = getattr(mod, attr, None)
+        assert inspect.isfunction(fn) and fn.__module__ == mod.__name__, name
+    for name in INERT_PRE:
+        layer, _, attr = name.partition(".")
+        assert name in tracer._PRE and not hasattr(_layer(layer), attr), name
