@@ -1,9 +1,12 @@
-"""Print the sha256 of every CLI artifact of a benchmark workload.
+"""Print the sha256 of every CLI artifact of benchmark workloads.
 
-    python3 scripts/artifact_digest.py --workload census --seed 1 > new.txt
-    python3 scripts/artifact_digest.py --workload census --seed 1 \\
-        --root ../parent > old.txt
+    W="--workload spectral certify census --seed 1 3"
+    python3 scripts/artifact_digest.py $W > new.txt
+    python3 scripts/artifact_digest.py $W --root ../parent > old.txt
     diff old.txt new.txt
+
+Each (seed, workload) pair, seeds in the outer loop, starts with a
+``# <workload> seed <n>`` line.
 
 Loads perfbench/workloads.py of the checkout by path, read-only, and
 generates the workload's model configs and queries for the seed, as a
@@ -101,16 +104,19 @@ def digest_lines(root: str, workload: str, seed: int):
 
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--workload", required=True,
+    ap.add_argument("--workload", required=True, nargs="+",
                     choices=("spectral", "certify", "census"))
-    ap.add_argument("--seed", type=int, required=True)
+    ap.add_argument("--seed", type=int, required=True, nargs="+")
     ap.add_argument("--root", default=ROOT,
                     help="checkout whose src/ and perfbench/ to use "
                          "(default: this one)")
     args = ap.parse_args(argv)
-    for line in digest_lines(os.path.abspath(args.root), args.workload,
-                             args.seed):
-        print(line, flush=True)
+    for seed in args.seed:
+        for workload in args.workload:
+            print(f"# {workload} seed {seed}", flush=True)
+            for line in digest_lines(os.path.abspath(args.root), workload,
+                                     seed):
+                print(line, flush=True)
     return 0
 
 

@@ -119,7 +119,7 @@ def _atom_scale_ranges(model: MarkovModel, scale: ScaleFunction,
     """
     n = model.grid_size
     ivs = [model.interval(iid) for iid in iids]
-    iv_lefts = np.array([iv.left for iv in ivs])
+    iv_lefts = model.lefts[[iv.index for iv in ivs]]
     j_los = np.maximum(np.ceil((lefts - iv_lefts) * n - 1e-9), 0).astype(int)
     j_his = np.minimum(np.floor((rights - iv_lefts) * n + 1e-9), n).astype(int)
     probes = np.stack([lefts, 0.5 * (lefts + rights), rights - 1e-12])

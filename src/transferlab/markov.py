@@ -19,6 +19,10 @@ Two families are built in:
 * ``markov3``: three intervals, full 3-shift by default, slope equal to the
   out-degree of each interval; an optional forbidden transition removes one
   edge (out-degree 2 rows then have slope 2).
+
+``build_model`` lays the branch structure out once, as the read-only array
+fields ``lefts`` through ``transitions`` of ``MarkovModel``; the forward map,
+the word walk and the orbit kernels of ``orbits`` read those arrays.
 """
 
 from __future__ import annotations
@@ -88,10 +92,6 @@ class Branch:
 
     def __call__(self, y):
         return np.asarray(y, dtype=float) / self.slope + self.offset
-
-    @property
-    def contraction(self) -> float:
-        return 1.0 / self.slope
 
 
 class ModelError(ValueError):
@@ -185,12 +185,23 @@ class MarkovModel:
     chi_star: float
     tau_0: float
     tau_star: float
+    # branch structure, read-only arrays over k symbols and m intervals:
+    # interval lefts; out-degree (the forward slope) and slice-target lefts
+    # in slice order (NaN past the out-degree) per interval; inverse branch
+    # v(y) = y / slope + offset by (symbol, domain), NaN where none exists;
+    # target interval per symbol; transitions[i, j] = 1 when symbol j may
+    # follow symbol i in a word
+    lefts: np.ndarray = field(repr=False, compare=False)          # (m,)
+    out_degree: np.ndarray = field(repr=False, compare=False)     # (m,)
+    slice_lefts: np.ndarray = field(repr=False, compare=False)    # (m, max d)
+    branch_slope: np.ndarray = field(repr=False, compare=False)   # (k, m)
+    branch_offset: np.ndarray = field(repr=False, compare=False)  # (k, m)
+    symbol_target: np.ndarray = field(repr=False, compare=False)  # (k,)
+    transitions: np.ndarray = field(repr=False, compare=False)    # (k, k)
     # lookup tables
     _by_sym_domain: dict = field(repr=False, compare=False, default_factory=dict)
     _by_domain: dict = field(repr=False, compare=False, default_factory=dict)
     _intervals_by_id: dict = field(repr=False, compare=False, default_factory=dict)
-    # interval id -> (slope, left endpoints of the slice targets in order)
-    _forward_table: dict = field(repr=False, compare=False, default_factory=dict)
 
     # -- geometry --------------------------------------------------------
 
@@ -224,8 +235,7 @@ class MarkovModel:
     def nodes(self) -> np.ndarray:
         """All sample points, stacked (intervals, grid_size + 1); row k is
         grid(intervals[k].id) bit for bit."""
-        lefts = np.array([iv.left for iv in self.intervals])
-        return lefts[:, None] + np.arange(self.grid_size + 1) / self.grid_size
+        return self.lefts[:, None] + np.arange(self.grid_size + 1) / self.grid_size
 
     def branch(self, sym: str, domain: str) -> Branch:
         try:
@@ -246,17 +256,11 @@ class MarkovModel:
         """
         scalar = np.isscalar(x)
         x = np.atleast_1d(np.asarray(x, dtype=float))
-        out = np.empty_like(x)
-        idx = np.floor(x).astype(int)
-        idx = np.clip(idx, 0, len(self.intervals) - 1)
-        for k, iv in enumerate(self.intervals):
-            mask = idx == k
-            if not mask.any():
-                continue
-            d, target_lefts = self._forward_table[iv.id]
-            s = d * (x[mask] - iv.left)
-            j = np.clip(np.floor(s).astype(int), 0, d - 1)
-            out[mask] = target_lefts[j] + (s - j)
+        k = np.clip(np.floor(x).astype(int), 0, len(self.intervals) - 1)
+        d = self.out_degree[k]
+        s = d * (x - self.lefts[k])
+        j = np.clip(np.floor(s).astype(int), 0, d - 1)
+        out = self.slice_lefts[k, j] + (s - j)
         return float(out[0]) if scalar else out
 
     def orbit(self, x, n: int) -> np.ndarray:
@@ -274,12 +278,8 @@ class MarkovModel:
         """Forward expansion |sigma'(x)|."""
         scalar = np.isscalar(x)
         x = np.atleast_1d(np.asarray(x, dtype=float))
-        out = np.empty_like(x)
-        idx = np.clip(np.floor(x).astype(int), 0, len(self.intervals) - 1)
-        for k, iv in enumerate(self.intervals):
-            mask = idx == k
-            if mask.any():
-                out[mask] = self._forward_table[iv.id][0]
+        k = np.clip(np.floor(x).astype(int), 0, len(self.intervals) - 1)
+        out = self.out_degree[k].astype(float)
         return float(out[0]) if scalar else out
 
     def det_step(self, x):
@@ -289,54 +289,51 @@ class MarkovModel:
     # -- words ------------------------------------------------------------
 
     def sym_target(self, sym: str) -> str:
-        return self._sym_target_map[sym]
-
-    @property
-    def _sym_target_map(self) -> dict:
-        tbl = self.__dict__.get("_sym_target_cache")
-        if tbl is None:
-            tbl = {b.sym: b.target for b in self.branches}
-            object.__setattr__(self, "_sym_target_cache", tbl)
-        return tbl
+        return self.intervals[self.symbol_target[self.alphabet.index(sym)]].id
 
     def word_admissible(self, word: str) -> bool:
-        if not word:
+        if not word or not set(word) <= set(self.alphabet):
             return False
-        tbl = self._sym_target_map
-        if any(sym not in tbl for sym in word):
-            return False
-        return all((a, tbl[b]) in self._by_sym_domain for a, b in zip(word, word[1:]))
+        idx = [self.alphabet.index(sym) for sym in word]
+        return all(self.transitions[a, b] for a, b in zip(idx, idx[1:]))
 
     def enumerate_words(self, n: int) -> list[str]:
         """All admissible branch words of length n, lexicographic order."""
         if n < 1:
             raise ModelError("word length must be >= 1")
-        tbl = self._sym_target_map
-        words = [s for s in self.alphabet]
+        words = list(self.alphabet)
         for _ in range(n - 1):
-            nxt = []
-            for w in words:
-                for s in self.alphabet:
-                    # w extends on the right: transition w[-1] -> target(s)
-                    if (w[-1], tbl[s]) in self._by_sym_domain:
-                        nxt.append(w + s)
-            words = nxt
+            # w extends on the right by the symbols that may follow w[-1]
+            words = [w + s for w in words for s, ok in zip(self.alphabet,
+                     self.transitions[self.alphabet.index(w[-1])]) if ok]
         return words
 
-    def apply_word(self, word: str, x):
+    def _word_walk(self, word: str, x: np.ndarray, domain: str | None):
+        """v_{word[i:]}(x) for i = len(word) - 1 down to 0: the branch
+        instances of word applied right to left, starting on U_domain
+        (default: the interval of the first point of x)."""
+        k = (int(self.interval_index(x.flat[0])) if domain is None
+             else self.interval(domain).index)
+        for sym in reversed(word):
+            i = self.alphabet.index(sym) if sym in self.alphabet else None
+            if i is None or np.isnan(self.branch_slope[i, k]):
+                raise ModelError(f"no branch {sym!r} with domain "
+                                 f"{self.intervals[k].id!r}")
+            x = x / self.branch_slope[i, k] + self.branch_offset[i, k]
+            k = self.symbol_target[i]
+            yield x
+
+    def apply_word(self, word: str, x, domain: str | None = None):
         """v_word(x): compose branch instances right to left.
 
         Requires the word to be admissible and the final transition
-        word[-1] -> interval(x) to be allowed.
+        word[-1] -> U_domain to be allowed; domain defaults to the
+        interval of x (of its first point, for an array).
         """
         scalar = np.isscalar(x)
-        xv = np.atleast_1d(np.asarray(x, dtype=float))
-        dom = self.interval_of(float(xv.flat[0]))
-        cur = xv
-        for sym in reversed(word):
-            br = self.branch(sym, dom)
-            cur = br(cur)
-            dom = br.target
+        cur = np.atleast_1d(np.asarray(x, dtype=float))
+        for cur in self._word_walk(word, cur, domain):
+            pass
         return float(cur[0]) if scalar else cur
 
     # -- cocycles and Birkhoff sums ---------------------------------------
@@ -365,17 +362,13 @@ class MarkovModel:
         """sum_{i<n} fn(sigma^i x) for a callable fn on leaf coordinates."""
         return self._orbit_fold(x, n, fn, np.sum)
 
-    def roof_sum_on_word(self, word: str, x):
-        """tau_n(v_word(x)): Birkhoff roof sum along the branch preimage."""
+    def roof_sum_on_word(self, word: str, x, domain: str | None = None):
+        """tau_n(v_word(x)): Birkhoff roof sum along the branch preimage,
+        walked from U_domain as in apply_word."""
         scalar = np.isscalar(x)
         xv = np.atleast_1d(np.asarray(x, dtype=float))
-        dom = self.interval_of(float(xv.flat[0]))
         total = np.zeros_like(xv)
-        cur = xv
-        for sym in reversed(word):
-            br = self.branch(sym, dom)
-            cur = br(cur)
-            dom = br.target
+        for cur in self._word_walk(word, xv, domain):
             total = total + np.asarray(self.roof(cur))
         return float(total[0]) if scalar else total
 
@@ -416,7 +409,8 @@ def build_model(config: ModelConfig) -> MarkovModel:
             Branch("1", "u", "u", 2.0, 0.5),
         )
         derived_slopes = (2.0, 2.0)
-        forward_table = {"u": (2, np.array([0.0, 0.0]))}
+        # slice targets of each interval, as interval indices in slice order
+        slices = ((0, 0),)
     elif config.family == "markov3":
         names = ("0", "1", "2")
         forb = _parse_forbidden(config.forbidden)
@@ -430,13 +424,10 @@ def build_model(config: ModelConfig) -> MarkovModel:
             raise ModelError("adjacency has a dead row")
         intervals = tuple(Interval(n, i, float(i)) for i, n in enumerate(names))
         branch_list = []
-        forward_table = {}
         for a in names:
             outs = adj[a]
             d = len(outs)
             la = intervals[names.index(a)].left
-            forward_table[a] = (d, np.array([intervals[names.index(b)].left
-                                             for b in outs]))
             for j, b in enumerate(outs):
                 lb = intervals[names.index(b)].left
                 # slice j of U_a maps onto U_b with slope d, so the inverse
@@ -446,6 +437,7 @@ def build_model(config: ModelConfig) -> MarkovModel:
         # group instances by symbol for stable ordering
         branches = tuple(sorted(branch_list, key=lambda br: (br.sym, br.domain)))
         derived_slopes = tuple(float(len(adj[a])) for a in names)
+        slices = tuple(tuple(names.index(b) for b in adj[a]) for a in names)
         alphabet = names
     else:
         raise ModelError(f"unknown family {config.family!r}")
@@ -473,6 +465,13 @@ def build_model(config: ModelConfig) -> MarkovModel:
     chi_s = float(-np.log(mu_vals.max()))
     chi_s_bar = float(-np.log(mu_vals.min()))
 
+    by_id = {iv.id: iv for iv in intervals}
+    lefts = np.array([iv.left for iv in intervals])
+    out_degree = np.array([len(t) for t in slices])
+    slice_lefts = np.array([[lefts[i] for i in t] + [np.nan] * (
+        out_degree.max() - len(t)) for t in slices])
+    branch_slope, branch_offset = np.full(
+        (2, len(alphabet), len(intervals)), np.nan)
     by_sym_domain = {}
     by_domain: dict = {iv.id: [] for iv in intervals}
     for b in branches:
@@ -481,9 +480,20 @@ def build_model(config: ModelConfig) -> MarkovModel:
             raise ModelError(f"branch {b} has unknown domain")
         by_sym_domain[(b.sym, b.domain)] = b
         by_domain[b.domain].append(b)
+        i, k = alphabet.index(b.sym), by_id[b.domain].index
+        branch_slope[i, k], branch_offset[i, k] = b.slope, b.offset
     by_domain = {k: tuple(sorted(v, key=lambda br: br.offset)) for k, v in by_domain.items()}
     if any(len(v) == 0 for v in by_domain.values()):
         raise ModelError("some interval has an empty preimage fiber")
+    targets = {b.sym: b.target for b in branches}
+    symbol_target = np.array([by_id[targets[a]].index for a in alphabet])
+    tables = dict(
+        lefts=lefts, out_degree=out_degree, slice_lefts=slice_lefts,
+        branch_slope=branch_slope, branch_offset=branch_offset,
+        symbol_target=symbol_target,
+        transitions=(~np.isnan(branch_slope[:, symbol_target])).astype(int))
+    for arr in tables.values():
+        arr.setflags(write=False)
 
     model = MarkovModel(
         config=config,
@@ -503,10 +513,10 @@ def build_model(config: ModelConfig) -> MarkovModel:
         chi_star=max(chi_u_bar, chi_s_bar),
         tau_0=float(roof_vals.min()),
         tau_star=float(roof_vals.max()),
+        **tables,
         _by_sym_domain=by_sym_domain,
         _by_domain=by_domain,
-        _intervals_by_id={iv.id: iv for iv in intervals},
-        _forward_table=forward_table,
+        _intervals_by_id=by_id,
     )
     return model
 

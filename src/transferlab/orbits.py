@@ -53,36 +53,19 @@ MC_CHUNK_POINTS = 2 ** 17
 def transfer_matrix(model: MarkovModel) -> tuple[tuple[int, ...], ...]:
     """0/1 matrix over the alphabet: entry (i, j) = 1 when symbol j may
     follow symbol i in a word."""
-    alpha = model.alphabet
-    rows = []
-    for a in alpha:
-        row = tuple(
-            1 if (a, model.sym_target(b)) in model._by_sym_domain else 0
-            for b in alpha)
-        rows.append(row)
-    return tuple(rows)
-
-
-def _mat_mul(a, b):
-    k = len(a)
-    return tuple(
-        tuple(sum(a[i][m] * b[m][j] for m in range(k)) for j in range(k))
-        for i in range(k))
+    return tuple(tuple(row) for row in model.transitions.tolist())
 
 
 def fixed_word_count(model: MarkovModel, n: int) -> int:
     """Number of cyclic words of length n: trace of the n-th matrix power.
 
-    Exact integer arithmetic; each cyclic word owns one fixed point of the
-    n-fold section map.
+    Exact integer arithmetic (Python integers in an object array); each
+    cyclic word owns one fixed point of the n-fold section map.
     """
     if n < 1:
         raise ModelError("word length must be >= 1")
-    mat = transfer_matrix(model)
-    power = mat
-    for _ in range(n - 1):
-        power = _mat_mul(power, mat)
-    return sum(power[i][i] for i in range(len(mat)))
+    mat = np.array(transfer_matrix(model), dtype=object)
+    return int(np.trace(np.linalg.matrix_power(mat, n)))
 
 
 def _divisors(n: int) -> list[int]:
@@ -195,23 +178,6 @@ def _word_rows(model: MarkovModel, words) -> np.ndarray:
         raise ModelError(f"unknown symbol {exc.args[0]!r}") from None
 
 
-def _branch_table(model: MarkovModel):
-    """Inverse-branch slope and offset by (symbol, domain interval), NaN
-    where no instance exists, and the target interval of each symbol."""
-    k, m = len(model.alphabet), len(model.intervals)
-    slope = np.full((k, m), np.nan)
-    offset = np.full((k, m), np.nan)
-    for i, a in enumerate(model.alphabet):
-        for iv in model.intervals:
-            inst = model._by_sym_domain.get((a, iv.id))
-            if inst is not None:
-                slope[i, iv.index] = inst.slope
-                offset[i, iv.index] = inst.offset
-    target = np.array([model.interval(model.sym_target(a)).index
-                       for a in model.alphabet])
-    return slope, offset, target
-
-
 def _settle(step, y: np.ndarray, *cols) -> np.ndarray:
     """FIXED_POINT_ITERATIONS rounds of y <- step(y, *cols), elementwise.
 
@@ -247,11 +213,12 @@ def _cyclic_affine(model: MarkovModel, words: np.ndarray):
     """Composite inverse-branch coefficients (contraction, offset) per
     cyclic word, and the left endpoint of the interval holding its fixed
     point."""
-    slope, offset, target = _branch_table(model)
+    target = model.symbol_target
     k = len(model.alphabet)
     # flat (symbol, next symbol) tables: the next symbol's target interval
     # is the domain of the branch instance
-    slope, offset = slope[:, target].ravel(), offset[:, target].ravel()
+    slope, offset = (t[:, target].ravel()
+                     for t in (model.branch_slope, model.branch_offset))
     n = words.shape[1]
     contr = np.ones(words.shape[0])
     off = np.zeros(words.shape[0])
@@ -263,8 +230,7 @@ def _cyclic_affine(model: MarkovModel, words: np.ndarray):
         s = slope.take(pair)
         contr /= s
         off = off / s + offset.take(pair)
-    lefts = np.array([iv.left for iv in model.intervals])[target]
-    return contr, off, lefts[words[:, 0]]
+    return contr, off, model.lefts[target[words[:, 0]]]
 
 
 def cyclic_fixed_points(model: MarkovModel, words) -> np.ndarray:
@@ -278,10 +244,9 @@ def cyclic_fixed_points(model: MarkovModel, words) -> np.ndarray:
     apply_word rounds bit for bit.
     """
     rows = _word_rows(model, words)
-    slope, offset, target = _branch_table(model)
+    target = model.symbol_target
     m = len(model.intervals)
-    slope, offset = slope.ravel(), offset.ravel()
-    lefts = np.array([iv.left for iv in model.intervals])
+    slope, offset = model.branch_slope.ravel(), model.branch_offset.ravel()
 
     def apply_words(y, rows):
         dom = model.interval_index(y)
@@ -297,7 +262,7 @@ def cyclic_fixed_points(model: MarkovModel, words) -> np.ndarray:
             dom = target.take(rows[:, i])
         return y
 
-    return _settle(apply_words, lefts[target[rows[:, 0]]] + 0.5, rows)
+    return _settle(apply_words, model.lefts[target[rows[:, 0]]] + 0.5, rows)
 
 
 def orbit_fixed_point(model: MarkovModel, word: str) -> float:
@@ -633,8 +598,7 @@ def _section_sampler(model: MarkovModel):
     measure nu * tau / mean(tau)."""
     p = gibbs_measure(model) * model.roof(model.nodes())
     cum = np.cumsum((0.5 * (p[:, :-1] + p[:, 1:])).ravel())
-    lefts = np.array([iv.left for iv in model.intervals])
-    return cum, lefts, model.grid_size
+    return cum, model.lefts, model.grid_size
 
 
 def _draw_section(cum, lefts, grid_size, rng, m):

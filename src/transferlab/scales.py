@@ -223,13 +223,11 @@ def check_adapted(model: MarkovModel, scale: ScaleFunction,
 
 
 def _check_word(model: MarkovModel, word: str, domain: str) -> None:
-    dom = domain
-    for sym in reversed(word):
-        br = model._by_sym_domain.get((sym, dom))
-        if br is None:
-            raise ModelError(
-                f"word {word!r} not applicable at interval {domain!r}")
-        dom = br.target
+    try:
+        model.apply_word(word, model.interval(domain).left, domain)
+    except ModelError:
+        raise ModelError(
+            f"word {word!r} not applicable at interval {domain!r}") from None
 
 
 def temporal_distance(model: MarkovModel, x, w1: str, w2: str, z):
@@ -251,10 +249,10 @@ def temporal_distance(model: MarkovModel, x, w1: str, w2: str, z):
     iv = model.interval(dom)
     if (zv < iv.left - 1e-12).any() or (zv > iv.right + 1e-12).any():
         raise ModelError("probe points must stay in the interval of x")
-    t1z = model.roof_sum_on_word(w1, zv)
-    t2z = model.roof_sum_on_word(w2, zv)
-    t1x = model.roof_sum_on_word(w1, float(x))
-    t2x = model.roof_sum_on_word(w2, float(x))
+    t1z = model.roof_sum_on_word(w1, zv, dom)
+    t2z = model.roof_sum_on_word(w2, zv, dom)
+    t1x = model.roof_sum_on_word(w1, float(x), dom)
+    t2x = model.roof_sum_on_word(w2, float(x), dom)
     out = (t1z - t1x) - (t2z - t2x)
     return float(out[0]) if np.isscalar(z) else out
 

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.sparse import csr_array
 
-from .gridfun import GridFunction, check_weights, interval_mass
+from .gridfun import check_weights, interval_mass
 from .markov import MarkovModel, ModelError
 
 RATIO_TOL = 1e-12
@@ -81,16 +81,12 @@ def forward_index(model: MarkovModel) -> tuple[np.ndarray, np.ndarray]:
     falls off the grid.
     """
     n = model.grid_size
-    rows = np.empty((len(model.intervals), n + 1), dtype=int)
-    cols = np.empty_like(rows)
-    for iv in model.intervals:
-        img = model.forward(model.grid(iv.id))
-        r = np.clip(np.floor(img).astype(int), 0, len(model.intervals) - 1)
-        ongrid = (img - np.array([model.intervals[k].left for k in r])) * n
-        c = np.round(ongrid).astype(int)
-        if np.max(np.abs(ongrid - c)) > 1e-9:
-            raise ModelError("forward orbit of a grid point left the grid")
-        rows[iv.index], cols[iv.index] = r, c
+    img = model.forward(model.nodes())
+    rows = np.clip(np.floor(img).astype(int), 0, len(model.intervals) - 1)
+    ongrid = (img - model.lefts[rows]) * n
+    cols = np.round(ongrid).astype(int)
+    if np.max(np.abs(ongrid - cols)) > 1e-9:
+        raise ModelError("forward orbit of a grid point left the grid")
     return rows, cols
 
 
@@ -115,8 +111,8 @@ def grid_orbit(model: MarkovModel, n: int, start=None):
 
 @dataclass(frozen=True)
 class WeightRecipe:
-    """weight = exp(closed parts at y + grid parts at y + const + out parts
-    at z) * prod(factor parts at y) * prod(out_factor parts at z).
+    """weight = exp(closed parts at y + grid parts at y + const)
+    * prod(factor parts at y) * prod(out_factor parts at z).
 
     Factor parts are positive grid arrays interpolated in linear space and
     raised to an integer power.  Eigenfunction corrections ride here: the
@@ -128,16 +124,14 @@ class WeightRecipe:
     closed: tuple = ()            # callables on leaf coordinates
     grids: tuple = ()             # stacked log arrays (K, N+1), interp at y
     const: float = 0.0
-    out: tuple = ()               # stacked log arrays (K, N+1), added at z
     factors: tuple = ()           # (array, power) pairs, interpolated at y
     out_factors: tuple = ()       # (array, power) pairs, evaluated at z
 
-    def plus(self, *, closed=(), grids=(), const=0.0, out=(),
+    def plus(self, *, closed=(), grids=(), const=0.0,
              factors=(), out_factors=()) -> "WeightRecipe":
         return WeightRecipe(self.closed + tuple(closed),
                             self.grids + tuple(grids),
                             self.const + const,
-                            self.out + tuple(out),
                             self.factors + tuple(factors),
                             self.out_factors + tuple(out_factors))
 
@@ -153,12 +147,9 @@ class WeightRecipe:
         return coef
 
     def out_factor(self, shape) -> np.ndarray | None:
-        if not self.out and not self.out_factors:
+        if not self.out_factors:
             return None
-        acc = np.zeros(shape)
-        for g in self.out:
-            acc = acc + np.asarray(g)
-        fac = np.exp(acc)
+        fac = np.ones(shape)
         for g, p in self.out_factors:
             fac = fac * np.asarray(g) ** p
         return fac
@@ -175,11 +166,9 @@ class WeightRecipe:
             vals = vals + np.asarray(g)
         for g, p in self.factors:
             vals = vals + p * np.log(np.asarray(g))
-        if self.out or self.out_factors:
+        if self.out_factors:
             rows, cols = forward_index(model)
             extra = np.zeros_like(vals)
-            for g in self.out:
-                extra = extra + np.asarray(g)
             for g, p in self.out_factors:
                 extra = extra + p * np.log(np.asarray(g))
             vals = vals + extra[rows, cols]
@@ -197,7 +186,7 @@ class TransferOperator:
     model: MarkovModel
     stencils: tuple[Stencil, ...]
     coefs: tuple[np.ndarray, ...]      # exp(log-weight at y), real
-    out_factor: np.ndarray | None      # exp(out part at z), real positive
+    out_factor: np.ndarray | None      # out_factor parts at z, real positive
     matrix: csr_array | None = None    # fused phase operator
 
     def __call__(self, values: np.ndarray) -> np.ndarray:
@@ -464,20 +453,14 @@ def transfer_complex(model: MarkovModel, a: float, b: float) -> TransferOperator
 
 
 def pressure(model: MarkovModel, weight=None) -> float:
-    """Topological pressure of the given raw weight (default: the model
-    potential): log of the leading eigenvalue."""
+    """Topological pressure of the given raw weight, a callable on leaf
+    coordinates (default: the model potential): log of the leading
+    eigenvalue.  Raises ModelError for any other weight."""
     if weight is None:
         return float(math.log(base_system(model).value))
-    if isinstance(weight, WeightRecipe):
-        recipe = weight
-    elif isinstance(weight, GridFunction):
-        recipe = WeightRecipe(grids=(weight.values,))
-    elif isinstance(weight, np.ndarray):
-        recipe = WeightRecipe(grids=(weight,))
-    elif callable(weight):
-        recipe = WeightRecipe(closed=(weight,))
-    else:
+    if not callable(weight):
         raise ModelError(f"unsupported weight type {type(weight)!r}")
+    recipe = WeightRecipe(closed=(weight,))
     value, _, _ = power_iteration(make_operator(model, recipe))
     return float(math.log(value))
 

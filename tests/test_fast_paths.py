@@ -50,6 +50,16 @@ smoothing reorder their sums, and their tolerances are stated below.
   ``uniform_set`` and ``recurrence_rate``; stacked node sampling against
   per-row stacks; ``interval_of`` against its old scalar rule, with NaN
   and infinities raising ``ModelError``.
+* Branch structure as model arrays, bit for bit, on every single
+  forbidden ``markov3`` transition: ``forward`` and ``slope_at`` (one
+  gather each) against the per-interval mask loop over the old forward
+  table, with scalar and array points, slice seams, both ends of each
+  interval and the last right end; the arrays against ``_by_sym_domain``
+  and ``fiber_branches``; ``transfer_matrix``, ``word_admissible``,
+  ``enumerate_words`` and ``fixed_word_count`` against their dict-based
+  and tuple-product versions; ``apply_word`` and ``roof_sum_on_word``,
+  with and without a given domain, against the scalar ``branch`` loop,
+  errors included; ``temporal_distance`` with one interval lookup.
 
 Models are drawn from both families with random roofs, potentials and
 stable factors; the coefficient ranges keep the roof positive and mu
@@ -1213,3 +1223,227 @@ def test_interval_of_rejects_nan_and_infinity(family, x):
     for call in (model.interval_of, model.interval_index):
         with pytest.raises(ModelError, match="outside the phase space"):
             call(x)
+
+
+# ---------------------------------------------------------------------------
+# branch structure as model arrays
+
+
+def _old_forward_table(model):
+    """interval id -> (out-degree, lefts of the slice targets in order), as
+    build_model laid it out before the arrays."""
+    if model.config.family == "doubling":
+        return {"u": (2, np.array([0.0, 0.0]))}
+    names = ("0", "1", "2")
+    forb = {tuple(f.split(">")) for f in model.config.forbidden}
+    table = {}
+    for a in names:
+        outs = tuple(b for b in names if (a, b) not in forb)
+        table[a] = (len(outs), np.array([model.interval(b).left
+                                         for b in outs]))
+    return table
+
+
+def _old_forward(model, x):
+    table = _old_forward_table(model)
+    scalar = np.isscalar(x)
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    out = np.empty_like(x)
+    idx = np.floor(x).astype(int)
+    idx = np.clip(idx, 0, len(model.intervals) - 1)
+    for k, iv in enumerate(model.intervals):
+        mask = idx == k
+        if not mask.any():
+            continue
+        d, target_lefts = table[iv.id]
+        s = d * (x[mask] - iv.left)
+        j = np.clip(np.floor(s).astype(int), 0, d - 1)
+        out[mask] = target_lefts[j] + (s - j)
+    return float(out[0]) if scalar else out
+
+
+def _old_slope_at(model, x):
+    table = _old_forward_table(model)
+    scalar = np.isscalar(x)
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    out = np.empty_like(x)
+    idx = np.clip(np.floor(x).astype(int), 0, len(model.intervals) - 1)
+    for k, iv in enumerate(model.intervals):
+        mask = idx == k
+        if mask.any():
+            out[mask] = table[iv.id][0]
+    return float(out[0]) if scalar else out
+
+
+def _seam_points(model):
+    """Slice seams, both ends of every interval and the last right end."""
+    pts = []
+    for iv in model.intervals:
+        d = _old_forward_table(model)[iv.id][0]
+        pts += [iv.left + j / d for j in range(d)]
+        pts += [np.nextafter(iv.left + j / d, -np.inf) for j in range(1, d)]
+        pts += [np.nextafter(iv.right, 0.0)]
+    return pts + [model.intervals[-1].right]
+
+
+@PROPS
+@given(model=models(_ANY_FORBIDDEN), data=point_lists)
+def test_forward_and_slope_gather_match_mask_loop(model, data):
+    xs = np.concatenate([_points(data, model), _seam_points(model)])
+    for fast, old in ((model.forward, _old_forward),
+                      (model.slope_at, _old_slope_at)):
+        assert _bits(fast(xs)) == _bits(old(model, xs))
+        assert _bits(fast(xs.reshape(1, -1))[0]) == _bits(old(model, xs))
+        for x in xs.tolist():
+            got = fast(x)
+            assert type(got) is float and _bits(got) == _bits(old(model, x))
+
+
+@PROPS
+@given(model=models(_ANY_FORBIDDEN))
+def test_branch_arrays_match_branch_instances(model):
+    assert model.lefts.tolist() == [iv.left for iv in model.intervals]
+    for k, (d, lefts) in enumerate(_old_forward_table(model).values()):
+        assert model.out_degree[k] == d
+        assert _bits(model.slice_lefts[k, :d]) == _bits(lefts)
+        assert np.isnan(model.slice_lefts[k, d:]).all()
+    for i, a in enumerate(model.alphabet):
+        targets = set()
+        for iv in model.intervals:
+            inst = model._by_sym_domain.get((a, iv.id))
+            assert (inst in model.fiber_branches(iv.id)) == (inst is not None)
+            if inst is None:
+                assert np.isnan(model.branch_slope[i, iv.index])
+                assert np.isnan(model.branch_offset[i, iv.index])
+                continue
+            assert model.branch_slope[i, iv.index] == inst.slope
+            assert model.branch_offset[i, iv.index] == inst.offset
+            targets.add(inst.target)
+        assert targets == {model.intervals[model.symbol_target[i]].id}
+        assert model.sym_target(a) == targets.pop()
+    for iv in model.intervals:
+        fiber = {b.sym for b in model.fiber_branches(iv.id)}
+        assert fiber == {a for i, a in enumerate(model.alphabet)
+                         if not np.isnan(model.branch_slope[i, iv.index])}
+    for arr in (model.lefts, model.out_degree, model.slice_lefts,
+                model.branch_slope, model.branch_offset, model.symbol_target,
+                model.transitions):
+        with pytest.raises(ValueError):
+            arr[0] = 0
+
+
+def _old_sym_target_map(model):
+    return {b.sym: b.target for b in model.branches}
+
+
+def _old_transfer_matrix(model):
+    tbl = _old_sym_target_map(model)
+    return tuple(
+        tuple(1 if (a, tbl[b]) in model._by_sym_domain else 0
+              for b in model.alphabet)
+        for a in model.alphabet)
+
+
+def _old_word_admissible(model, word):
+    tbl = _old_sym_target_map(model)
+    if not word or any(sym not in tbl for sym in word):
+        return False
+    return all((a, tbl[b]) in model._by_sym_domain
+               for a, b in zip(word, word[1:]))
+
+
+def _old_enumerate_words(model, n):
+    tbl = _old_sym_target_map(model)
+    words = list(model.alphabet)
+    for _ in range(n - 1):
+        words = [w + s for w in words for s in model.alphabet
+                 if (w[-1], tbl[s]) in model._by_sym_domain]
+    return words
+
+
+def _old_fixed_word_count(model, n):
+    mat = _old_transfer_matrix(model)
+    k = len(mat)
+    power = mat
+    for _ in range(n - 1):
+        power = tuple(tuple(sum(power[i][m] * mat[m][j] for m in range(k))
+                            for j in range(k)) for i in range(k))
+    return sum(power[i][i] for i in range(k))
+
+
+@PROPS
+@given(model=models(_ANY_FORBIDDEN), n=st.integers(1, 5),
+       words=st.lists(st.text("0123", max_size=5), max_size=10))
+def test_transitions_match_dict_construction(model, n, words):
+    mat = O.transfer_matrix(model)
+    assert mat == _old_transfer_matrix(model)
+    assert all(type(v) is int for row in mat for v in row)
+    assert model.enumerate_words(n) == _old_enumerate_words(model, n)
+    for w in words + model.enumerate_words(n):
+        assert model.word_admissible(w) == _old_word_admissible(model, w)
+    for m in (n, 3 * n, 40):
+        got = O.fixed_word_count(model, m)
+        assert type(got) is int and got == _old_fixed_word_count(model, m)
+
+
+def _old_walk_word(model, word, x, roof_sum):
+    scalar = np.isscalar(x)
+    xv = np.atleast_1d(np.asarray(x, dtype=float))
+    dom = model.interval_of(float(xv.flat[0]))
+    total = np.zeros_like(xv)
+    cur = xv
+    for sym in reversed(word):
+        br = model.branch(sym, dom)
+        cur = br(cur)
+        dom = br.target
+        total = total + np.asarray(model.roof(cur))
+    out = total if roof_sum else cur
+    return float(out[0]) if scalar else out
+
+
+def _outcome(fn, *args):
+    try:
+        return "value", _bits(fn(*args))
+    except ModelError as exc:
+        return "error", str(exc)
+
+
+@PROPS
+@given(model=models(_ANY_FORBIDDEN), data=point_lists, n=st.integers(0, 4),
+       pick=st.integers(0, 10 ** 6))
+def test_word_walk_matches_scalar_loop(model, data, n, pick):
+    words = model.enumerate_words(n) if n else [""]
+    word = words[pick % len(words)] + ("9" if pick % 7 == 0 else "")
+    xs = np.concatenate([_points(data, model), _seam_points(model)])
+    for x in [xs] + xs.tolist():
+        dom = model.interval_of(float(np.atleast_1d(x)[0]))
+        for roof_sum, fast in ((False, model.apply_word),
+                               (True, model.roof_sum_on_word)):
+            ref = _outcome(_old_walk_word, model, word, x, roof_sum)
+            assert _outcome(fast, word, x) == ref
+            assert _outcome(fast, word, x, dom) == ref
+
+
+def test_temporal_distance_looks_up_the_domain_once(monkeypatch):
+    model = build_model(ModelConfig("markov3", roof=(2.0, 0.1, 0.3, -0.2),
+                                    grid_size=64, forbidden=("2>1",)))
+    x, w1, w2 = 1.3, "0120", "2200"
+    zs = x + np.arange(16) / 64
+
+    t1z, t2z, t1x, t2x = (_old_walk_word(model, w, p, True)
+                          for p in (zs, x) for w in (w1, w2))
+    ref = (t1z - t1x) - (t2z - t2x)
+    calls = []
+    lookup = type(model).interval_index
+    monkeypatch.setattr(type(model), "interval_index",
+                        lambda self, y: calls.append(y) or lookup(self, y))
+    got = S.temporal_distance(model, x, w1, w2, zs)
+    assert len(calls) == 1
+    assert _bits(got) == _bits(ref)
+
+
+def test_pressure_takes_only_a_callable_weight():
+    model = build_model(ModelConfig("doubling", grid_size=64))
+    with pytest.raises(ModelError, match="unsupported weight type"):
+        T.pressure(model, np.zeros((1, 65)))
+    assert T.pressure(model, lambda x: 0.0 * x) == T.pressure(model)
