@@ -24,14 +24,12 @@ def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--samples", type=int, default=200_000)
     ap.add_argument("--seed", type=int, default=0)
-    ap.add_argument("--threads", type=int, default=1)
     args = ap.parse_args()
 
     sin_model = doubling_model(roof=(2.0, 0.0, 0.5, 0.0))
     t_grid = tuple(np.linspace(0.0, 2.0, 11))
     rep = orbits.correlation_decay(sin_model, sine, sine, t_grid,
-                                   args.samples, seed=args.seed,
-                                   threads=args.threads)
+                                   args.samples, seed=args.seed)
     print("sine roof, observable sin(2 pi x):")
     for t, c, s in zip(rep.t_grid, rep.corr, rep.stderr):
         print(f"  t={t:4.1f}  corr={c:+.5f} +- {s:.5f}")
@@ -44,7 +42,7 @@ def main() -> None:
     obs = (sec, fib)
     t_int = tuple(float(t) for t in range(1, 9))
     rep2 = orbits.correlation_decay(flat, obs, obs, t_int, args.samples,
-                                    seed=args.seed, threads=args.threads)
+                                    seed=args.seed)
     print("unit roof, observable (1 + sin/2) cos(2 pi u):")
     for t, c, s in zip(rep2.t_grid, rep2.corr, rep2.stderr):
         print(f"  t={t:4.1f}  corr={c:+.5f} +- {s:.5f}")

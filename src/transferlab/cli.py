@@ -334,30 +334,23 @@ def _cmd_pressure(model: MarkovModel, cfg: ExperimentConfig):
     return summary, OK
 
 
-def _decay_b_list(cfg: ExperimentConfig) -> tuple[float, ...]:
-    if cfg.b is not None:
-        return (cfg.b,)
-    raw = cfg.extra("B_LIST")
-    return _parse_float_list("B_LIST", raw) if raw else DEFAULT_B_LIST
+def _sweep(cfg: ExperimentConfig, single: float | None, name: str,
+           default: tuple[float, ...]) -> tuple[float, ...]:
+    """The flag's single value, else the list extra `name`, else default."""
+    if single is not None:
+        return (single,)
+    raw = cfg.extra(name)
+    return _parse_float_list(name, raw) if raw else default
 
 
 def _cmd_decay(model: MarkovModel, cfg: ExperimentConfig):
-    b_list = _decay_b_list(cfg)
-    # the tilt's eigendata, which every b of the sweep shares
-    thermo.normalize_potential(model, cfg.a)
-    profile_rows = [rpf.decay_profile(model, cfg.a, (b,)).rows[0]
-                    for b in b_list]
-
-    good = [r for r in profile_rows if not r.flagged and r.l2 > 0]
-    kappa_hat = None
-    if len(good) >= 4:
-        slope, _ = np.polyfit(np.log([r.b for r in good]),
-                              np.log([r.l2 for r in good]), 1)
-        kappa_hat = float(-slope)
-        if abs(kappa_hat) < 1e-9:
-            kappa_hat = 0.0
+    b_list = _sweep(cfg, cfg.b, "B_LIST", DEFAULT_B_LIST)
+    profile = rpf.decay_profile(model, cfg.a, b_list)
+    kappa_hat = profile.kappa_hat
+    if kappa_hat is not None and abs(kappa_hat) < 1e-9:
+        kappa_hat = 0.0
     rows = [(r.b, r.n, r.c0, r.l2, r.seminorm, r.flagged)
-            for r in profile_rows]
+            for r in profile.rows]
     _write_csv(os.path.join(cfg.out_dir, "decay.csv"), cfg.command, model,
                [("a", cfg.a), ("b_list", b_list), ("kappa_hat", kappa_hat)],
                ("b", "n", "c0", "l2", "seminorm", "flagged"), rows)
@@ -367,15 +360,8 @@ def _cmd_decay(model: MarkovModel, cfg: ExperimentConfig):
     return summary, OK
 
 
-def _uni_eps_list(cfg: ExperimentConfig) -> tuple[float, ...]:
-    if cfg.eps is not None:
-        return (cfg.eps,)
-    raw = cfg.extra("EPS_LIST")
-    return _parse_float_list("EPS_LIST", raw) if raw else DEFAULT_EPS_LIST
-
-
 def _cmd_uni_scan(model: MarkovModel, cfg: ExperimentConfig):
-    eps_list = _uni_eps_list(cfg)
+    eps_list = _sweep(cfg, cfg.eps, "EPS_LIST", DEFAULT_EPS_LIST)
     certs = [scales.uni_scan(model, scales.matching_scale(model, eps))
              for eps in eps_list]
 
@@ -471,7 +457,7 @@ def _cmd_correlation(model: MarkovModel, cfg: ExperimentConfig):
     samples, blocks, t_grid = _mc_params(cfg)
     rep = orbits.correlation_decay(
         model, _section_sine, _section_sine, t_grid, samples,
-        seed=cfg.seed, blocks=blocks, threads=cfg.threads)
+        seed=cfg.seed, blocks=blocks)
     rows = [(float(t), float(c), float(s))
             for t, c, s in zip(rep.t_grid, rep.corr, rep.stderr)]
     meta = [("observable", "sin(2*pi*x)"), ("samples", rep.samples),
@@ -534,7 +520,7 @@ def _invariant_checks(model: MarkovModel, cfg: ExperimentConfig):
     quad = orbits.covariance_at_zero(model, _section_sine, _section_sine)
     rep = orbits.correlation_decay(
         model, _section_sine, _section_sine, (0.0,), MC_CHECK_SAMPLES,
-        seed=cfg.seed, blocks=20, threads=cfg.threads)
+        seed=cfg.seed, blocks=20)
     checks.append(("zero_lag_consistency",
                    abs(float(rep.corr[0]) - quad), 5.0 * float(rep.stderr[0])))
 

@@ -12,10 +12,10 @@ flow correlation functions by seeded Monte Carlo on the suspension.
 
 The entropy is the root scipy's bisection returns, found from a third of
 its pressure evaluations: pressure falls at least as fast as tau_min * s,
-so Illinois steps narrow the bracket and only the bisection midpoints
-next to it are evaluated.  Monte Carlo blocks each draw from their own
-seed stream and are then advanced together as one array; both results
-are bit for bit those of the one-at-a-time loops they replace.
+so once brentq has located the root, bisect runs on predicted signs and
+evaluates only the midpoints near it.  Monte Carlo blocks each draw from
+their own seed stream and are then advanced together as one array; both
+results are bit for bit those of the one-at-a-time loops they replace.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import quad
+from scipy.optimize import bisect, brentq
 
 from .markov import MarkovModel, ModelError
 from .thermo import RATIO_TOL, ConvergenceError, gibbs_measure, pressure
@@ -35,13 +36,8 @@ WORD_CAP_DEFAULT = 2 ** 21
 FIXED_POINT_ITERATIONS = 200
 ENTROPY_TOL = 1e-10
 # entropy root: pressure signs are taken from the bracket beyond this
-# distance (derived in _replay_bisect); Illinois steps shrink the bracket
-# below it first
+# distance (derived in _bisect_root), which brentq shrinks below it first
 MARGIN = 1e-9
-ILLINOIS_STEPS = 40
-# scipy.optimize.bisect's defaults, which _replay_bisect reproduces
-BISECT_ITER = 100
-BISECT_RTOL = 4 * np.finfo(float).eps
 # Monte Carlo points advanced at once (whole blocks; at least one block)
 MC_CHUNK_POINTS = 2 ** 17
 
@@ -322,13 +318,8 @@ _entropy_cache: dict = {}
 def entropy(model: MarkovModel, tol: float = ENTROPY_TOL) -> float:
     """Unique s with pressure(-s * roof) = 0: the root that
     scipy.optimize.bisect(pressure, 0, hi, xtol=tol) returns, bit for bit,
-    from about a third of its pressure evaluations.
-
-    Pressure is evaluated once per s.  After the bracket [0, hi] is found,
-    Illinois steps (_illinois) shrink a sign bracket [lo, up] below
-    MARGIN, and _replay_bisect walks scipy's bisection midpoints, taking
-    the sign of each midpoint outside [lo - MARGIN, up + MARGIN] from the
-    bracket and evaluating the few inside it.  MARGIN is derived there.
+    from about a third of its pressure evaluations (see _bisect_root).
+    Pressure is evaluated once per s.
     """
     key = (model.config, tol)
     if key in _entropy_cache:
@@ -355,62 +346,25 @@ def entropy(model: MarkovModel, tol: float = ENTROPY_TOL) -> float:
     # assumes only tau >= tau_0 / 2, so a roof that dips below the
     # validation grid's minimum tau_0 between its samples is covered
     margin = max(MARGIN, 4.0 * RATIO_TOL / model.tau_0)
-    lo, up = _illinois(pr, 0.0, hi, margin)
-    h = _replay_bisect(pr, 0.0, hi, lo, up, tol, margin)
+    h = _bisect_root(pr, hi, tol, margin)
     _entropy_cache[key] = h
     return h
 
 
-def _illinois(f, lo: float, up: float, width: float) -> tuple[float, float]:
-    """Shrink a sign bracket of f (f(lo) > 0 > f(up)) by Illinois steps
-    (regula falsi that halves the stale end's value when the same end
-    moves twice in a row; Dowell and Jarratt, BIT 11, 1971) until it is
-    narrower than width, or ILLINOIS_STEPS steps were taken.
+def _bisect_root(f, hi: float, xtol: float, margin: float) -> float:
+    """bisect(f, 0, hi, xtol=xtol), bit for bit, for a decreasing f with
+    f(0) > 0 > f(hi), evaluating f only near the root.
 
-    Each step is kept width / 2 inside the bracket: once one end sits on
-    the root, the next estimate lands next to it, and the kept distance
-    puts it on the other side, so the bracket closes in one more step.  A
-    step that lands on a zero closes the bracket there; one that lands on
-    a NaN ends the shrinking, and the replay then evaluates more midpoints
-    without changing its result.
-    """
-    flo, fup = f(lo), f(up)
-    side = 0
-    for _ in range(ILLINOIS_STEPS):
-        if up - lo < width:
-            break
-        x = up - fup * (up - lo) / (fup - flo)
-        x = min(max(x, lo + 0.5 * width), up - 0.5 * width)
-        fx = f(x)
-        if fx > 0:
-            lo, flo = x, fx
-            if side == 1:
-                fup *= 0.5
-            side = 1
-        elif fx < 0:
-            up, fup = x, fx
-            if side == -1:
-                flo *= 0.5
-            side = -1
-        else:
-            if fx == 0:
-                lo = up = x
-            break
-    return lo, up
-
-
-def _replay_bisect(f, xa: float, xb: float, lo: float, up: float,
-                   xtol: float, margin: float) -> float:
-    """scipy.optimize.bisect(f, xa, xb, xtol=xtol), step for step, for a
-    decreasing f with f(xa) > 0 > f(xb), given a sign bracket
-    f(lo) >= 0 >= f(up).
-
-    The loop is scipy's: dm halves, xm = xa + dm, xa moves to xm when
-    f(xm) * f(xa) >= 0 (f(xa) of the first xa throughout), and it stops at
-    f(xm) == 0 or |dm| < xtol + rtol * |xm|, after at most BISECT_ITER
-    steps.  Only the sign test needs f(xm), and a midpoint farther than
-    margin outside [lo, up] takes its sign from the bracket end it lies
-    beyond; the rest are evaluated, and each evaluation narrows [lo, up].
+    brentq(f, 0, hi, xtol=margin) returns r, and stops on two evaluated
+    points of opposite sign within w = margin + 4 eps |r| of r (its xtol
+    plus its default rtol).  bisect then runs on sign(s): f(s) at both ends
+    and at every midpoint within margin of [lo, up] = [r - w, r + w], +1
+    left of that and -1 right of it.  scipy's loop reads a midpoint only
+    through the sign of f(xm) * f(xa), with f(xa) the true f(0) > 0, and
+    the test f(xm) == 0, so the midpoints and the root are those of bisect
+    on f itself.  Evaluations need not narrow [lo, up]: bisect's bracket
+    shrinks to each evaluated midpoint, and its later midpoints stay
+    inside it.  An iteration cap of either solver raises ConvergenceError.
 
     Why margin = MARGIN = 1e-9 is safe for the entropy pressure.  Let
     P_N(s) = log lambda(s) be the exact pressure of the grid operator,
@@ -423,48 +377,36 @@ def _replay_bisect(f, xa: float, xb: float, lo: float, up: float,
     [rmin, rmax], rmax / rmin < 1 + RATIO_TOL, and both lambda and the
     returned eigenvalue lie in that range (Collatz-Wielandt), so a
     computed pressure is within RATIO_TOL of P_N (plus rounding near
-    1e-15).  A midpoint xm < lo - margin then has
-    P_N(xm) >= P_N(lo) + tau_min * margin > tau_min * margin - RATIO_TOL,
+    1e-15).  brentq's two points give an evaluated x+ >= lo with
+    f(x+) >= 0 and an evaluated x- <= up with f(x-) <= 0.  A midpoint
+    xm < lo - margin then has
+    P_N(xm) >= P_N(x+) + tau_min * margin > tau_min * margin - RATIO_TOL,
     and a computed pressure above tau_min * margin - 2 * RATIO_TOL > 0 when
     margin > 2 * RATIO_TOL / tau_min; the right side is the mirror image.
     MARGIN = 1e-9 = 1000 * RATIO_TOL meets that for every tau_min >= 2e-3,
     and entropy() widens it to 4 * RATIO_TOL / tau_0 when tau_0 < 4e-3.
     """
-    if xtol <= 0:
-        raise ValueError(f"xtol too small ({xtol:g} <= 0)")
-    fa, fb = f(xa), f(xb)
-    if fa * fb > 0:
-        raise ValueError("f(a) and f(b) must have different signs")
-    if fa == 0:
-        return xa
-    if fb == 0:
-        return xb
-    dm = xb - xa
-    for _ in range(BISECT_ITER):
-        dm *= .5
-        xm = xa + dm
-        if xm < lo - margin:
-            same = True
-        elif xm > up + margin:
-            same = False
-        else:
-            fm = f(xm)
-            if math.isnan(fm):
-                raise ValueError(f"The function value at x={xm} is NaN; "
-                                 "solver cannot continue.")
-            if fm == 0:
-                return xm
-            same = fm * fa >= 0
-            if fm > 0:
-                lo = max(lo, xm)
-            else:
-                up = min(up, xm)
-        if same:
-            xa = xm
-        if abs(dm) < xtol + BISECT_RTOL * abs(xm):
-            return xm
-    raise ConvergenceError(
-        f"bisection did not converge in {BISECT_ITER} steps, value is {xa}")
+    r = _solved(*brentq(f, 0.0, hi, xtol=margin, full_output=True,
+                        disp=False))
+    w = margin + 4 * np.finfo(float).eps * abs(r)
+    lo, up = r - w, r + w
+
+    def sign(s: float) -> float:
+        if 0.0 < s < lo - margin:
+            return 1.0
+        if up + margin < s < hi:
+            return -1.0
+        return f(s)
+
+    return _solved(*bisect(sign, 0.0, hi, xtol=xtol, full_output=True,
+                           disp=False))
+
+
+def _solved(x: float, res) -> float:
+    if not res.converged:
+        raise ConvergenceError(f"{res.method} did not converge in "
+                               f"{res.iterations} steps, value is {x}")
+    return x
 
 
 def li(y: float) -> float:
@@ -673,8 +615,7 @@ def _mc_blocks(model, sec_a, fib_a, sec_b, fib_b, t_sorted, m, children,
 
 
 def correlation_decay(model: MarkovModel, a, b, t_grid, samples: int,
-                      seed: int = 0, blocks: int = 32,
-                      threads: int = 1) -> DecayReport:
+                      seed: int = 0, blocks: int = 32) -> DecayReport:
     """Correlation of two suspension observables along the flow.
 
     Initial points are drawn from the flow-invariant measure; the flow is
@@ -684,8 +625,7 @@ def correlation_decay(model: MarkovModel, a, b, t_grid, samples: int,
     error their spread.  Blocks advance together, at most MC_CHUNK_POINTS
     points at a time (but whole blocks), so memory stays bounded for any
     sample count, and the result depends only on the seed and the block
-    count.  threads is accepted and ignored: the blocks run in one
-    thread.
+    count.
     """
     t = np.asarray(t_grid, dtype=float)
     if t.ndim != 1 or t.size == 0:

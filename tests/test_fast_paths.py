@@ -27,11 +27,13 @@ smoothing reorder their sums, and their tolerances are stated below.
   with the triangle kernel, within 1e-12; constants stay exact.
 * The row Hoelder seminorm against its own dyadic loop (bitwise), and
   column-wise CSV formatting against ``_fmt`` one value at a time.
-* Entropy: ``entropy`` (Illinois steps, then replayed bisection) against
-  ``scipy.optimize.bisect`` on the same pressure, bit for bit, with fewer
-  than 21 pressure evaluations; the replay against scipy on synthetic
-  decreasing pressures whose noise is below the bound the margin is
-  derived from, and a check that noise above it is caught.
+* Entropy: ``entropy`` (brentq locates the root, then scipy's bisect
+  runs on predicted signs) against ``scipy.optimize.bisect`` on the same
+  pressure, bit for bit, with fewer than 21 pressure evaluations;
+  ``_bisect_root`` against scipy on synthetic decreasing pressures whose
+  noise is below the bound the margin is derived from, root and every
+  midpoint, a check that noise above it is caught, and the iteration cap
+  raising ``ConvergenceError``.
 * ``_best_margin`` with pruned phases against the scan of every window
   size for every phase: value and witness, on torus-distance rows with
   constant, zero, rounded (tied) and duplicated rows.
@@ -72,7 +74,7 @@ import struct
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 from scipy.optimize import bisect
 
 from transferlab import cancellation as C
@@ -630,11 +632,11 @@ def test_column_formatting_matches_fmt(data):
 
 
 # ---------------------------------------------------------------------------
-# entropy root: Illinois steps and replayed bisection
+# entropy root: brentq, then scipy's bisect on predicted signs
 
 
 def _reference_entropy(model):
-    """The bracket and scipy bisection that entropy replays."""
+    """The bracket and scipy bisection whose root entropy returns."""
     def pr(s):
         return T.pressure(model, lambda x, _s=s: -_s * np.asarray(model.roof(x)))
 
@@ -684,8 +686,7 @@ def _noisy_pressure(taus, weights, amp, seed):
 
 
 def _replay(f, hi, margin, xtol=O.ENTROPY_TOL):
-    lo, up = O._illinois(f, 0.0, hi, margin)
-    return O._replay_bisect(f, 0.0, hi, lo, up, xtol, margin)
+    return O._bisect_root(f, hi, xtol, margin)
 
 
 finite_systems = st.tuples(
@@ -710,6 +711,64 @@ def test_replay_matches_scipy_bisect_below_noise_bound(system, frac):
         bisect(f, 0.0, hi, xtol=xtol))
 
 
+def _assert_scipys_midpoints(f, hi, xtol):
+    """Every sign decision, not only the root: the points scipy's bisect
+    passes to the sign oracle are the points it passes to f itself."""
+    def recorded(points):
+        def run(g, *args, **kwargs):
+            def seen(s):
+                points.append(s)
+                return g(s)
+            return bisect(seen, *args, **kwargs)
+        return run
+
+    oracle, plain = [], []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(O, "bisect", recorded(oracle))
+        root = _replay(f, hi, O.MARGIN, xtol)
+    assert _bits(root) == _bits(recorded(plain)(f, 0.0, hi, xtol=xtol))
+    assert [_bits(s) for s in oracle] == [_bits(s) for s in plain]
+
+
+@settings(max_examples=100, deadline=None)
+@given(system=finite_systems, frac=st.floats(0.0, 0.49))
+def test_bisect_root_takes_scipys_midpoints(system, frac):
+    taus, weights, seed, xtol = system
+    weights = weights[:len(taus)]
+    assume(sum(weights) > 1.0)
+    f = _noisy_pressure(taus, weights, frac * min(taus) * O.MARGIN, seed)
+    _assert_scipys_midpoints(f, f(0.0) / min(taus) + 1.0, xtol)
+
+
+@settings(max_examples=100, deadline=None)
+@given(root=st.floats(0.1, 3.0), tau=st.floats(0.05, 4.0),
+       frac=st.floats(0.3, 0.49),
+       width=st.one_of(st.floats(0.01, 1.0), st.just(1e9)),
+       xtol=st.sampled_from((1e-10, 1e-13)))
+# sign changes just below brentq's positive end, found by search: a left
+# prediction without the margin takes the wrong sign there
+@example(root=0.602, tau=2.22, frac=0.43, width=0.68, xtol=1e-10)
+@example(root=1.992, tau=1.82, frac=0.49, width=0.72, xtol=1e-10)
+def test_bisect_root_with_worst_noise_below_bound(root, tau, frac, width,
+                                                  xtol):
+    # a line of slope -tau plus a square wave of the largest amplitude the
+    # margin allows, flipping every width * MARGIN (1e9: once, at the
+    # root): a sign change every few bisection steps next to the root
+    amp, width = frac * tau * O.MARGIN, width * O.MARGIN
+
+    def f(s):
+        odd = math.floor((s - root) / width) % 2
+        return tau * (root - s) + (-amp if odd else amp)
+    _assert_scipys_midpoints(f, root + 1.0, xtol)
+
+
+def test_bisect_root_iteration_cap_raises():
+    # brentq finds 1 at once; bisection from 1e300 down to the 4 eps
+    # relative stop needs about 1050 halvings, past scipy's cap of 100
+    with pytest.raises(T.ConvergenceError, match="bisect did not converge"):
+        O._bisect_root(lambda s: 1 - s, 1e300, 5e-324, O.MARGIN)
+
+
 def test_replay_with_too_small_margin_is_caught():
     # noise 50 times the bound flips signs farther than MARGIN from the
     # root, and the comparison with scipy notices
@@ -729,7 +788,7 @@ def test_replay_exact_zero_and_flat_roof():
     f = lambda s: 0.75 - s          # noqa: E731
     assert _replay(f, 2.0, O.MARGIN) == bisect(f, 0.0, 2.0,
                                                xtol=O.ENTROPY_TOL) == 0.75
-    # flat roof: pressure is linear in s, and Illinois lands on the root
+    # flat roof: pressure is linear in s, and brentq lands on the root
     model = build_model(ModelConfig("doubling", (1.7, 0.0, 0.0, 0.0),
                                     (0.0,) * 4, (0.5, 0.0, 0.0, 0.0), 128,
                                     0.5))
