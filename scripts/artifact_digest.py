@@ -18,7 +18,9 @@ directory replaced by a placeholder), and the sha256 of each file the
 query wrote.  Queries that call an rpf function instead of a command
 (build_rpf, operator_gap) are called on the model the worker would
 build, and the sha256 of the bytes of every array and number in the
-result is printed.  Two checkouts give identical output exactly when
+result is printed.  After the queries, ``model-info`` runs on each model
+of the workload, in key order, and is digested like a query, so the
+bytes of ``model.csv`` and ``branches.csv`` are checked too.  Two checkouts give identical output exactly when
 every artifact and every rpf result is bit-identical.
 """
 
@@ -85,21 +87,30 @@ def digest_lines(root: str, workload: str, seed: int):
                 yield f"{q.qid:03d} {q.label}"
                 yield f"{q.qid:03d}   result {_sha(_result_bytes(result))}"
                 continue
-            out = os.path.join(tmp, f"q{q.qid:03d}")
             argv = list(q.argv)
             i = argv.index("--model") + 1
             argv[i] = paths[argv[i]]
-            sink = io.StringIO()
-            with contextlib.redirect_stdout(sink), \
-                    contextlib.redirect_stderr(sink):
-                code = cli.main(argv + ["--out", out])
-            text = sink.getvalue().replace(out, "<run>").replace(tmp, "<tmp>")
-            yield f"{q.qid:03d} {q.label}: exit {code}"
-            yield f"{q.qid:03d}   output {_sha(text.encode())}"
-            names = sorted(os.listdir(out)) if os.path.isdir(out) else []
-            for name in names:
-                with open(os.path.join(out, name), "rb") as fh:
-                    yield f"{q.qid:03d}   {name} {_sha(fh.read())}"
+            yield from _cli_lines(cli, argv, tmp, f"{q.qid:03d}", q.label)
+        for key in sorted(paths):
+            argv = ["model-info", "--model", paths[key]]
+            yield from _cli_lines(cli, argv, tmp, f"info-{key}",
+                                  f"model-info {key}")
+
+
+def _cli_lines(cli, argv, tmp: str, tag: str, label: str):
+    """Run one CLI command into its own directory under tmp; yield its exit
+    code and the sha256 of its output and of each file it wrote."""
+    out = os.path.join(tmp, f"q{tag}")
+    sink = io.StringIO()
+    with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
+        code = cli.main(argv + ["--out", out])
+    text = sink.getvalue().replace(out, "<run>").replace(tmp, "<tmp>")
+    yield f"{tag} {label}: exit {code}"
+    yield f"{tag}   output {_sha(text.encode())}"
+    names = sorted(os.listdir(out)) if os.path.isdir(out) else []
+    for name in names:
+        with open(os.path.join(out, name), "rb") as fh:
+            yield f"{tag}   {name} {_sha(fh.read())}"
 
 
 def main(argv=None) -> int:

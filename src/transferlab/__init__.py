@@ -1,7 +1,6 @@
 """Transfer-operator laboratory for expanding Markov interval maps with roofs."""
 
 from .markov import (
-    Branch,
     CoefFn,
     Interval,
     MarkovModel,
@@ -13,7 +12,6 @@ from .markov import (
 )
 
 __all__ = [
-    "Branch",
     "CoefFn",
     "Interval",
     "MarkovModel",

@@ -140,6 +140,20 @@ def _atom_scale_ranges(model: MarkovModel, scale: ScaleFunction,
     return out
 
 
+def _branch_lists(model: MarkovModel, key: int) -> dict[str, list]:
+    """Inverse branches as (sym, domain, target, slope, offset) rows, listed
+    per interval id in field ``key`` (1: domain, 2: target) in offset order;
+    ties keep (symbol, domain) order."""
+    out: dict[str, list] = {iv.id: [] for iv in model.intervals}
+    for i, k in np.argwhere(~np.isnan(model.branch_slope)).tolist():
+        row = (model.alphabet[i], model.intervals[k].id,
+               model.intervals[model.symbol_target[i]].id,
+               float(model.branch_slope[i, k]),
+               float(model.branch_offset[i, k]))
+        out[row[key]].append(row)
+    return {iid: sorted(rows, key=lambda r: r[4]) for iid, rows in out.items()}
+
+
 def build_partition(model: MarkovModel, scale: ScaleFunction,
                     c1: float = 1.0) -> CylinderPartition:
     """Refine cylinders until each is shorter than c1 over its scale.
@@ -150,11 +164,7 @@ def build_partition(model: MarkovModel, scale: ScaleFunction,
     """
     if c1 <= 0.0:
         raise EngineError("c1 must be positive")
-    by_target: dict[str, list] = {}
-    for b in model.branches:
-        by_target.setdefault(b.target, []).append(b)
-    for lst in by_target.values():
-        lst.sort(key=lambda b: b.offset)
+    by_target = _branch_lists(model, 2)
     done: list[Atom] = []
     # cylinders of one depth: word, inner domain, containing interval, affine (contr, off)
     level = [("", iv.id, iv.id, 1.0, 0.0) for iv in model.intervals]
@@ -181,9 +191,9 @@ def build_partition(model: MarkovModel, scale: ScaleFunction,
                 continue
             if depth >= DEPTH_CAP:
                 raise EngineError("partition refinement did not terminate")
-            for b in by_target[dom]:
-                nxt.append((word + b.sym, b.domain, iid,
-                            contr / b.slope, contr * b.offset + off))
+            for sym, b_dom, _, slope, offset in by_target[dom]:
+                nxt.append((word + sym, b_dom, iid,
+                            contr / slope, contr * offset + off))
         level = nxt
         depth += 1
     done.sort(key=lambda a: a.left)
@@ -220,14 +230,15 @@ def all_words(model: MarkovModel, domain: str, k: int):
     Returns (word, contraction, offset, outer target) tuples; the affine
     data reproduces v_word(x) = contraction * x + offset.
     """
+    by_domain = _branch_lists(model, 1)
     items = [("", 1.0, 0.0, domain)]
     for _ in range(k):
         nxt = []
         for word, contr, off, dom in items:
-            for b in model.fiber_branches(dom):
-                # prepend: b is applied after the current composite
-                nxt.append((b.sym + word, contr / b.slope,
-                            off / b.slope + b.offset, b.target))
+            for sym, _, tgt, slope, offset in by_domain[dom]:
+                # prepend: the branch is applied after the current composite
+                nxt.append((sym + word, contr / slope,
+                            off / slope + offset, tgt))
         items = nxt
     return items
 

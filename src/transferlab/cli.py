@@ -273,10 +273,15 @@ def _echo_config(cfg: ExperimentConfig, source: str) -> None:
 # ---------------------------------------------------------------------------
 
 def _cmd_model_info(model: MarkovModel, cfg: ExperimentConfig):
+    branch_rows = [(model.alphabet[i], model.intervals[k].id,
+                    model.intervals[model.symbol_target[i]].id,
+                    float(model.branch_slope[i, k]),
+                    float(model.branch_offset[i, k]))
+                   for i, k in np.argwhere(~np.isnan(model.branch_slope))]
     info = [
         ("family", model.config.family),
         ("intervals", len(model.intervals)),
-        ("branches", len(model.branches)),
+        ("branches", len(branch_rows)),
         ("alphabet", " ".join(model.alphabet)),
         ("grid_size", model.grid_size),
         ("theta", model.theta),
@@ -291,13 +296,11 @@ def _cmd_model_info(model: MarkovModel, cfg: ExperimentConfig):
     ]
     _write_csv(os.path.join(cfg.out_dir, "model.csv"), cfg.command, model,
                [], ("field", "value"), info)
-    branch_rows = [(br.sym, br.domain, br.target, float(br.slope),
-                    float(br.offset)) for br in model.branches]
     _write_csv(os.path.join(cfg.out_dir, "branches.csv"), cfg.command, model,
                [], ("sym", "domain", "target", "slope", "offset"),
                branch_rows)
     summary = (f"model-info: family={model.config.family} "
-               f"branches={len(model.branches)} "
+               f"branches={len(branch_rows)} "
                f"tau=[{_fmt(model.tau_0)},{_fmt(model.tau_star)}] "
                f"-> {cfg.out_dir}/model.csv")
     return summary, OK
@@ -487,9 +490,11 @@ def _invariant_checks(model: MarkovModel, cfg: ExperimentConfig):
     # sigma after the inverse branch returns the input; skip the right
     # endpoint, which belongs to the neighbouring slice
     worst = 0.0
-    for br in model.branches:
-        ys = model.grid(br.domain)[:-1]
-        worst = max(worst, float(np.max(np.abs(model.forward(br(ys)) - ys))))
+    for i, k in np.argwhere(~np.isnan(model.branch_slope)):
+        ys = model.nodes()[k, :-1]
+        back = model.forward(ys / model.branch_slope[i, k]
+                             + model.branch_offset[i, k])
+        worst = max(worst, float(np.max(np.abs(back - ys))))
     checks.append(("branch_inverse", worst, 1e-9))
 
     h = orbits.entropy(model)

@@ -6,12 +6,12 @@ interval, and three scalar fields on the union: a roof function tau > 0
 (return time), a potential F, and a stable factor mu with values in (0,1).
 The derived per-step determinant is expansion * mu.
 
-Inverse branches are the primary objects.  Each symbol names the interval a
-branch lands in; a word is a string of symbols, applied right to left, and is
-admissible when consecutive transitions are allowed by the adjacency
-structure.  Branch slopes are constant, so all cocycle products over words of
-integer-slope models are exact in double precision, and forward orbits of
-dyadic grid points stay on the grid.
+Each symbol names the interval an inverse branch lands in; a word is a
+string of symbols, applied right to left, and is admissible when consecutive
+transitions are allowed by the adjacency structure.  The slopes of the
+branches are constant, so all cocycle products over words of integer-slope
+models are exact in double precision, and forward orbits of dyadic grid
+points stay on the grid.
 
 Two families are built in:
 
@@ -21,8 +21,9 @@ Two families are built in:
   edge (out-degree 2 rows then have slope 2).
 
 ``build_model`` lays the branch structure out once, as the read-only array
-fields ``lefts`` through ``transitions`` of ``MarkovModel``; the forward map,
-the word walk and the orbit kernels of ``orbits`` read those arrays.
+fields ``lefts`` through ``transitions`` of ``MarkovModel``; these branch
+tables are the model's only branch structure, and every reader walks them.
+One inverse branch stays reachable as ``apply_word(sym, y, domain)``.
 """
 
 from __future__ import annotations
@@ -73,25 +74,6 @@ class Interval:
     @property
     def right(self) -> float:
         return self.left + 1.0
-
-
-@dataclass(frozen=True)
-class Branch:
-    """One inverse-branch instance v: U_domain -> U_target, v(y) = y/slope + offset.
-
-    ``sym`` is the symbol of the target interval slice; several instances may
-    share a symbol (one per admissible domain).  ``slope`` is the forward
-    expansion factor on the image slice, an integer >= 2 for built-ins.
-    """
-
-    sym: str
-    domain: str
-    target: str
-    slope: float
-    offset: float
-
-    def __call__(self, y):
-        return np.asarray(y, dtype=float) / self.slope + self.offset
 
 
 class ModelError(ValueError):
@@ -169,7 +151,6 @@ class ModelConfig:
 class MarkovModel:
     config: ModelConfig
     intervals: tuple[Interval, ...]
-    branches: tuple[Branch, ...]
     alphabet: tuple[str, ...]
     roof: CoefFn
     potential: CoefFn
@@ -199,8 +180,6 @@ class MarkovModel:
     symbol_target: np.ndarray = field(repr=False, compare=False)  # (k,)
     transitions: np.ndarray = field(repr=False, compare=False)    # (k, k)
     # lookup tables
-    _by_sym_domain: dict = field(repr=False, compare=False, default_factory=dict)
-    _by_domain: dict = field(repr=False, compare=False, default_factory=dict)
     _intervals_by_id: dict = field(repr=False, compare=False, default_factory=dict)
 
     # -- geometry --------------------------------------------------------
@@ -236,16 +215,6 @@ class MarkovModel:
         """All sample points, stacked (intervals, grid_size + 1); row k is
         grid(intervals[k].id) bit for bit."""
         return self.lefts[:, None] + np.arange(self.grid_size + 1) / self.grid_size
-
-    def branch(self, sym: str, domain: str) -> Branch:
-        try:
-            return self._by_sym_domain[(sym, domain)]
-        except KeyError:
-            raise ModelError(f"no branch {sym!r} with domain {domain!r}") from None
-
-    def fiber_branches(self, domain: str) -> tuple[Branch, ...]:
-        """All branch instances applicable to points of U_domain."""
-        return self._by_domain[domain]
 
     # -- forward dynamics -------------------------------------------------
 
@@ -404,13 +373,10 @@ def build_model(config: ModelConfig) -> MarkovModel:
             raise ModelError("doubling family has no transition structure to forbid")
         intervals = (Interval("u", 0, 0.0),)
         alphabet = ("0", "1")
-        branches = (
-            Branch("0", "u", "u", 2.0, 0.0),
-            Branch("1", "u", "u", 2.0, 0.5),
-        )
         derived_slopes = (2.0, 2.0)
-        # slice targets of each interval, as interval indices in slice order
-        slices = ((0, 0),)
+        # (symbol, target interval) of each slice of each interval, as
+        # indices in slice order; doubling slices carry their own symbols
+        slices = (((0, 0), (1, 0)),)
     elif config.family == "markov3":
         names = ("0", "1", "2")
         forb = _parse_forbidden(config.forbidden)
@@ -423,21 +389,10 @@ def build_model(config: ModelConfig) -> MarkovModel:
         if any(len(v) == 0 for v in adj.values()):
             raise ModelError("adjacency has a dead row")
         intervals = tuple(Interval(n, i, float(i)) for i, n in enumerate(names))
-        branch_list = []
-        for a in names:
-            outs = adj[a]
-            d = len(outs)
-            la = intervals[names.index(a)].left
-            for j, b in enumerate(outs):
-                lb = intervals[names.index(b)].left
-                # slice j of U_a maps onto U_b with slope d, so the inverse
-                # branch labeled a carries U_b into that slice
-                offset = la + j / d - lb / d
-                branch_list.append(Branch(a, b, a, float(d), offset))
-        # group instances by symbol for stable ordering
-        branches = tuple(sorted(branch_list, key=lambda br: (br.sym, br.domain)))
         derived_slopes = tuple(float(len(adj[a])) for a in names)
-        slices = tuple(tuple(names.index(b) for b in adj[a]) for a in names)
+        # every slice of U_a carries the symbol a
+        slices = tuple(tuple((t, names.index(b)) for b in adj[a])
+                       for t, a in enumerate(names))
         alphabet = names
     else:
         raise ModelError(f"unknown family {config.family!r}")
@@ -459,34 +414,26 @@ def build_model(config: ModelConfig) -> MarkovModel:
     if mu_vals.min() <= 0 or mu_vals.max() >= 1:
         raise ModelError("mu must take values strictly inside (0, 1)")
 
-    slopes_all = np.array([b.slope for b in branches])
-    chi_u = float(np.log(slopes_all.min()))
-    chi_u_bar = float(np.log(slopes_all.max()))
-    chi_s = float(-np.log(mu_vals.max()))
-    chi_s_bar = float(-np.log(mu_vals.min()))
-
-    by_id = {iv.id: iv for iv in intervals}
     lefts = np.array([iv.left for iv in intervals])
     out_degree = np.array([len(t) for t in slices])
-    slice_lefts = np.array([[lefts[i] for i in t] + [np.nan] * (
+    slice_lefts = np.array([[lefts[k] for _, k in t] + [np.nan] * (
         out_degree.max() - len(t)) for t in slices])
     branch_slope, branch_offset = np.full(
         (2, len(alphabet), len(intervals)), np.nan)
-    by_sym_domain = {}
-    by_domain: dict = {iv.id: [] for iv in intervals}
-    for b in branches:
-        # branch instances map U_domain into the slice of U_target labeled sym
-        if b.domain not in by_domain:
-            raise ModelError(f"branch {b} has unknown domain")
-        by_sym_domain[(b.sym, b.domain)] = b
-        by_domain[b.domain].append(b)
-        i, k = alphabet.index(b.sym), by_id[b.domain].index
-        branch_slope[i, k], branch_offset[i, k] = b.slope, b.offset
-    by_domain = {k: tuple(sorted(v, key=lambda br: br.offset)) for k, v in by_domain.items()}
-    if any(len(v) == 0 for v in by_domain.values()):
-        raise ModelError("some interval has an empty preimage fiber")
-    targets = {b.sym: b.target for b in branches}
-    symbol_target = np.array([by_id[targets[a]].index for a in alphabet])
+    symbol_target = np.empty(len(alphabet), dtype=int)
+    for t, row in enumerate(slices):
+        d = len(row)
+        for j, (i, k) in enumerate(row):
+            # slice j of U_t maps onto U_k with slope d, so the inverse
+            # branch labeled i carries U_k into that slice
+            branch_slope[i, k] = d
+            branch_offset[i, k] = intervals[t].left + j / d - intervals[k].left / d
+            symbol_target[i] = t
+    chi_u = float(np.log(np.nanmin(branch_slope)))
+    chi_u_bar = float(np.log(np.nanmax(branch_slope)))
+    chi_s = float(-np.log(mu_vals.max()))
+    chi_s_bar = float(-np.log(mu_vals.min()))
+
     tables = dict(
         lefts=lefts, out_degree=out_degree, slice_lefts=slice_lefts,
         branch_slope=branch_slope, branch_offset=branch_offset,
@@ -498,7 +445,6 @@ def build_model(config: ModelConfig) -> MarkovModel:
     model = MarkovModel(
         config=config,
         intervals=intervals,
-        branches=branches,
         alphabet=alphabet,
         roof=roof,
         potential=potential,
@@ -514,9 +460,7 @@ def build_model(config: ModelConfig) -> MarkovModel:
         tau_0=float(roof_vals.min()),
         tau_star=float(roof_vals.max()),
         **tables,
-        _by_sym_domain=by_sym_domain,
-        _by_domain=by_domain,
-        _intervals_by_id=by_id,
+        _intervals_by_id={iv.id: iv for iv in intervals},
     )
     return model
 

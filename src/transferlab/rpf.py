@@ -51,7 +51,7 @@ def slice_table(model: MarkovModel) -> tuple[tuple[tuple[int, int], ...], ...]:
     n = model.grid_size
     out = []
     for iv in model.intervals:
-        d = len(model.fiber_branches(iv.id))
+        d = int(model.out_degree[iv.index])
         # slices ordered by position: slice j covers [j/d, (j+1)/d) locally
         cuts = [math.ceil(j * n / d) for j in range(d)] + [n]
         ranges = []
@@ -202,20 +202,6 @@ def build_rpf(model: MarkovModel, a: float, b: float,
                       out_factors=((rho, -1),))
     return ComplexRPF(model, a, b, delta1, sm.f_smooth, sm.tau_smooth,
                       value, rho, recipe, sm.width, sm.clamped)
-
-
-def complex_rpf_apply(model: MarkovModel, a: float, b: float,
-                      u: np.ndarray) -> np.ndarray:
-    """One application of L_{a,b} (exact weight recipe, exact phase)."""
-    return transfer_complex(model, a, b)(u)
-
-
-def tilde_rpf_apply(rpf: ComplexRPF, u: np.ndarray) -> np.ndarray:
-    return rpf.tilde_op()(u)
-
-
-def m_apply(rpf: ComplexRPF, u: np.ndarray) -> np.ndarray:
-    return rpf.m_op()(u)
 
 
 # ---------------------------------------------------------------------------

@@ -265,9 +265,12 @@ def extreme_word(model: MarkovModel, domain: str, k: int,
     largest, 'alt' alternates high/low.  Built innermost first.
     """
     syms: list[str] = []
-    dom = domain
+    dom = model.interval(domain).index
     for i in range(k):
-        avail = sorted(b.sym for b in model.fiber_branches(dom))
+        # symbols with a branch on U_dom, sorted as the alphabet is
+        avail = [a for a, slope in zip(model.alphabet,
+                                       model.branch_slope[:, dom])
+                 if not np.isnan(slope)]
         if flavor == "low":
             pick = avail[0]
         elif flavor == "high":
@@ -275,7 +278,7 @@ def extreme_word(model: MarkovModel, domain: str, k: int,
         else:
             pick = avail[-1] if i % 2 == 0 else avail[0]
         syms.append(pick)
-        dom = model.branch(pick, dom).target
+        dom = model.symbol_target[model.alphabet.index(pick)]
     return "".join(reversed(syms))
 
 

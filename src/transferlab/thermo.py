@@ -46,7 +46,6 @@ A_MAX_DEFAULT = 0.05
 
 @dataclass(frozen=True)
 class Stencil:
-    sym: str
     domain_idx: int   # interval row of the operator output (arguments z)
     target_idx: int   # interval row holding the preimages v(z)
     y: np.ndarray     # preimage coordinates, length N+1
@@ -55,16 +54,17 @@ class Stencil:
 
 
 def build_stencils(model: MarkovModel) -> tuple[Stencil, ...]:
+    """One stencil per inverse branch, in (symbol, domain) order."""
     n = model.grid_size
+    nodes = model.nodes()
     out = []
-    for br in model.branches:
-        dom = model.interval(br.domain)
-        tgt = model.interval(br.target)
-        y = br(model.grid(br.domain))
-        local = np.clip((y - tgt.left) * n, 0.0, float(n))
+    for i, k in np.argwhere(~np.isnan(model.branch_slope)).tolist():
+        t = int(model.symbol_target[i])
+        y = nodes[k] / model.branch_slope[i, k] + model.branch_offset[i, k]
+        local = np.clip((y - model.lefts[t]) * n, 0.0, float(n))
         j = np.minimum(local.astype(int), n - 1)
         frac = local - j
-        out.append(Stencil(br.sym, dom.index, tgt.index, y, j, frac))
+        out.append(Stencil(k, t, y, j, frac))
     return tuple(out)
 
 

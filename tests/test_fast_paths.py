@@ -56,12 +56,14 @@ smoothing reorder their sums, and their tolerances are stated below.
   forbidden ``markov3`` transition: ``forward`` and ``slope_at`` (one
   gather each) against the per-interval mask loop over the old forward
   table, with scalar and array points, slice seams, both ends of each
-  interval and the last right end; the arrays against ``_by_sym_domain``
-  and ``fiber_branches``; ``transfer_matrix``, ``word_admissible``,
+  interval and the last right end; the arrays, bitwise, against a copy
+  of the branch-instance list ``build_model`` used to keep, and the
+  stencils, ``all_words`` and ``extreme_word`` against that list;
+  ``transfer_matrix``, ``word_admissible``,
   ``enumerate_words`` and ``fixed_word_count`` against their dict-based
   and tuple-product versions; ``apply_word`` and ``roof_sum_on_word``,
-  with and without a given domain, against the scalar ``branch`` loop,
-  errors included; ``temporal_distance`` with one interval lookup.
+  with and without a given domain, against the scalar loop over that
+  list, errors included; ``temporal_distance`` with one interval lookup.
 
 Models are drawn from both families with random roofs, potentials and
 stable factors; the coefficient ranges keep the roof positive and mu
@@ -71,6 +73,7 @@ inside (0, 1) on the whole leaf, so every draw is a valid model.
 import hashlib
 import math
 import struct
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -188,7 +191,7 @@ def _reference_range(model, scale, iid, left, right):
 def _reference_partition(model, scale, c1):
     """Depth-first refinement, one atom and one probe at a time."""
     by_target = {}
-    for b in model.branches:
+    for b in _old_branches(model):
         by_target.setdefault(b.target, []).append(b)
     for lst in by_target.values():
         lst.sort(key=lambda b: b.offset)
@@ -533,7 +536,7 @@ def test_fused_phase_operator_matches_gather_loop(model, a, b, normalized,
     recipe = _recipe(model, a, normalized)
     u = _complex_field(model, seed)
     op = T.make_operator(model, recipe, phase=b)
-    assert op.matrix is not None and len(op.stencils) == len(model.branches)
+    assert op.matrix is not None and len(op.stencils) == len(_old_branches(model))
     ref = _reference_apply(model, recipe, b, u)
     scale = float(np.max(T.make_operator(model, recipe)(np.abs(u))))
     assert float(np.max(np.abs(op(u) - ref))) <= 1e-13 * scale
@@ -1288,6 +1291,50 @@ def test_interval_of_rejects_nan_and_infinity(family, x):
 # branch structure as model arrays
 
 
+@dataclass(frozen=True)
+class _OldBranch:
+    """One inverse-branch instance v: U_domain -> U_target,
+    v(y) = y/slope + offset, as build_model used to keep them."""
+
+    sym: str
+    domain: str
+    target: str
+    slope: float
+    offset: float
+
+    def __call__(self, y):
+        return np.asarray(y, dtype=float) / self.slope + self.offset
+
+
+def _old_branches(model):
+    """The branch-instance list build_model kept before the arrays, in
+    (symbol, domain) order."""
+    if model.config.family == "doubling":
+        return (_OldBranch("0", "u", "u", 2.0, 0.0),
+                _OldBranch("1", "u", "u", 2.0, 0.5))
+    names = ("0", "1", "2")
+    forb = {tuple(f.split(">")) for f in model.config.forbidden}
+    branch_list = []
+    for a in names:
+        outs = tuple(b for b in names if (a, b) not in forb)
+        d = len(outs)
+        la = model.interval(a).left
+        for j, b in enumerate(outs):
+            lb = model.interval(b).left
+            offset = la + j / d - lb / d
+            branch_list.append(_OldBranch(a, b, a, float(d), offset))
+    return tuple(sorted(branch_list, key=lambda br: (br.sym, br.domain)))
+
+
+def _old_by_sym_domain(model):
+    return {(b.sym, b.domain): b for b in _old_branches(model)}
+
+
+def _old_fiber_branches(model, domain):
+    return tuple(sorted((b for b in _old_branches(model) if b.domain == domain),
+                        key=lambda br: br.offset))
+
+
 def _old_forward_table(model):
     """interval id -> (out-degree, lefts of the slice targets in order), as
     build_model laid it out before the arrays."""
@@ -1366,22 +1413,28 @@ def test_branch_arrays_match_branch_instances(model):
         assert model.out_degree[k] == d
         assert _bits(model.slice_lefts[k, :d]) == _bits(lefts)
         assert np.isnan(model.slice_lefts[k, d:]).all()
+    old = _old_by_sym_domain(model)
+    instances = np.argwhere(~np.isnan(model.branch_slope)).tolist()
+    assert [(model.alphabet[i], model.intervals[k].id)
+            for i, k in instances] == [(b.sym, b.domain)
+                                       for b in _old_branches(model)]
     for i, a in enumerate(model.alphabet):
         targets = set()
         for iv in model.intervals:
-            inst = model._by_sym_domain.get((a, iv.id))
-            assert (inst in model.fiber_branches(iv.id)) == (inst is not None)
+            inst = old.get((a, iv.id))
+            fiber = _old_fiber_branches(model, iv.id)
+            assert (inst in fiber) == (inst is not None)
             if inst is None:
                 assert np.isnan(model.branch_slope[i, iv.index])
                 assert np.isnan(model.branch_offset[i, iv.index])
                 continue
-            assert model.branch_slope[i, iv.index] == inst.slope
-            assert model.branch_offset[i, iv.index] == inst.offset
+            assert _bits(model.branch_slope[i, iv.index]) == _bits(inst.slope)
+            assert _bits(model.branch_offset[i, iv.index]) == _bits(inst.offset)
             targets.add(inst.target)
         assert targets == {model.intervals[model.symbol_target[i]].id}
         assert model.sym_target(a) == targets.pop()
     for iv in model.intervals:
-        fiber = {b.sym for b in model.fiber_branches(iv.id)}
+        fiber = {b.sym for b in _old_fiber_branches(model, iv.id)}
         assert fiber == {a for i, a in enumerate(model.alphabet)
                          if not np.isnan(model.branch_slope[i, iv.index])}
     for arr in (model.lefts, model.out_degree, model.slice_lefts,
@@ -1391,14 +1444,49 @@ def test_branch_arrays_match_branch_instances(model):
             arr[0] = 0
 
 
+def _old_extreme_word(model, domain, k, flavor):
+    syms, dom = [], domain
+    for i in range(k):
+        avail = sorted(b.sym for b in _old_fiber_branches(model, dom))
+        high = flavor == "high" or (flavor == "alt" and i % 2 == 0)
+        syms.append(avail[-1] if high else avail[0])
+        dom = _old_by_sym_domain(model)[(syms[-1], dom)].target
+    return "".join(reversed(syms))
+
+
+@PROPS
+@given(model=models(_ANY_FORBIDDEN), k=st.integers(1, 3))
+def test_branch_table_readers_match_branch_list(model, k):
+    old = _old_branches(model)
+    stencils = T.build_stencils(model)
+    assert len(stencils) == len(old)
+    for sten, b in zip(stencils, old):
+        assert sten.domain_idx == model.interval(b.domain).index
+        assert sten.target_idx == model.interval(b.target).index
+        assert _bits(sten.y) == _bits(b(model.grid(b.domain)))
+    for iv in model.intervals:
+        ref = [("", 1.0, 0.0, iv.id)]
+        for _ in range(k):
+            ref = [(b.sym + w, c / b.slope, o / b.slope + b.offset, b.target)
+                   for w, c, o, dom in ref
+                   for b in _old_fiber_branches(model, dom)]
+        got = C.all_words(model, iv.id, k)
+        assert [(w, t) for w, _, _, t in got] == [(w, t) for w, _, _, t in ref]
+        assert _bits([g[1:3] for g in got]) == _bits([r[1:3] for r in ref])
+        for flavor in ("low", "high", "alt"):
+            assert (S.extreme_word(model, iv.id, k, flavor)
+                    == _old_extreme_word(model, iv.id, k, flavor))
+
+
 def _old_sym_target_map(model):
-    return {b.sym: b.target for b in model.branches}
+    return {b.sym: b.target for b in _old_branches(model)}
 
 
 def _old_transfer_matrix(model):
     tbl = _old_sym_target_map(model)
+    old = _old_by_sym_domain(model)
     return tuple(
-        tuple(1 if (a, tbl[b]) in model._by_sym_domain else 0
+        tuple(1 if (a, tbl[b]) in old else 0
               for b in model.alphabet)
         for a in model.alphabet)
 
@@ -1407,16 +1495,18 @@ def _old_word_admissible(model, word):
     tbl = _old_sym_target_map(model)
     if not word or any(sym not in tbl for sym in word):
         return False
-    return all((a, tbl[b]) in model._by_sym_domain
+    old = _old_by_sym_domain(model)
+    return all((a, tbl[b]) in old
                for a, b in zip(word, word[1:]))
 
 
 def _old_enumerate_words(model, n):
     tbl = _old_sym_target_map(model)
+    old = _old_by_sym_domain(model)
     words = list(model.alphabet)
     for _ in range(n - 1):
         words = [w + s for w in words for s in model.alphabet
-                 if (w[-1], tbl[s]) in model._by_sym_domain]
+                 if (w[-1], tbl[s]) in old]
     return words
 
 
@@ -1451,8 +1541,11 @@ def _old_walk_word(model, word, x, roof_sum):
     dom = model.interval_of(float(xv.flat[0]))
     total = np.zeros_like(xv)
     cur = xv
+    old = _old_by_sym_domain(model)
     for sym in reversed(word):
-        br = model.branch(sym, dom)
+        if (sym, dom) not in old:
+            raise ModelError(f"no branch {sym!r} with domain {dom!r}")
+        br = old[(sym, dom)]
         cur = br(cur)
         dom = br.target
         total = total + np.asarray(model.roof(cur))

@@ -26,6 +26,12 @@ def sin_roof_model(**kw):
     return doubling_model(roof=(2.0, 0.0, 0.5, 0.0), **kw)
 
 
+def branch_instances(m):
+    """(symbol, domain id) of every inverse branch of m."""
+    return [(m.alphabet[i], m.intervals[k].id)
+            for i, k in np.argwhere(~np.isnan(m.branch_slope))]
+
+
 class TestBuild:
     def test_doubling_defaults(self):
         m = doubling_model()
@@ -42,7 +48,7 @@ class TestBuild:
 
     def test_markov3_full_shift_slope(self):
         m = markov3_model()
-        assert len(m.branches) == 9
+        assert len(branch_instances(m)) == 9
         assert m.chi_u == pytest.approx(math.log(3), abs=1e-12)
         # chi_0 is the weaker of unstable and stable rates
         assert m.chi_0 == pytest.approx(min(math.log(3), math.log(2)), abs=1e-12)
@@ -108,17 +114,17 @@ class TestBranches:
 
     def test_branch_images_nest_in_targets(self):
         m = markov3_model(forbidden=("2>2",))
-        for br in m.branches:
-            lo = br(m.interval(br.domain).left)
-            hi = br(m.interval(br.domain).right)
-            tgt = m.interval(br.target)
+        for sym, dom in branch_instances(m):
+            lo = m.apply_word(sym, m.interval(dom).left, dom)
+            hi = m.apply_word(sym, m.interval(dom).right, dom)
+            tgt = m.interval(m.sym_target(sym))
             assert tgt.left - 1e-12 <= lo < hi <= tgt.right + 1e-12
 
     def test_sigma_inverts_branches_on_grid(self):
         m = markov3_model(forbidden=("2>2",))
-        for br in m.branches:
-            xs = m.grid(br.domain)[:-1]
-            back = m.forward(br(xs))
+        for sym, dom in branch_instances(m):
+            xs = m.grid(dom)[:-1]
+            back = m.forward(m.apply_word(sym, xs, dom))
             assert np.max(np.abs(back - xs)) < 1e-10
 
     def test_word_counts(self):
@@ -169,7 +175,7 @@ class TestForward:
         worst = 1.0
         for n in (1, 3, 5):
             for w in m.enumerate_words(n):
-                doms = [d for d in ("0", "1", "2") if (w[-1], d) in m._by_sym_domain]
+                doms = [d for s, d in branch_instances(m) if s == w[-1]]
                 for d in doms:
                     iv = m.interval(d)
                     x, y = sorted(iv.left + rng.random(2))

@@ -68,6 +68,24 @@ def test_affine_roof_first_moment_bound():
     assert float(np.max(diff[0, half + r:2 * half - r])) < 1e-12
 
 
+@pytest.mark.parametrize("forbidden", [None, ()] + [
+    (f"{a}>{b}",) for a in "012" for b in "012"])
+def test_slice_table_follows_forward_slices(forbidden):
+    # one range per forward slice, and sigma affine with slope d inside
+    # each range (the right end of the interval belongs to the next one)
+    for n in (64, 256):
+        m = (doubling_model(grid_size=n) if forbidden is None
+             else markov3_model(grid_size=n, forbidden=forbidden))
+        for iv, ranges in zip(m.intervals, R.slice_table(m)):
+            d = int(m.out_degree[iv.index])
+            assert len(ranges) == d
+            assert ranges[0][0] == 0 and ranges[-1][1] == n
+            assert all(r[1] + 1 == s[0] for r, s in zip(ranges, ranges[1:]))
+            for lo, hi in ranges:
+                img = m.forward(iv.left + np.arange(lo, min(hi, n - 1) + 1) / n)
+                assert np.allclose(np.diff(img), d / n, rtol=0.0, atol=1e-12)
+
+
 def test_smoothing_stays_in_slice_hull(wavy):
     sys = T.base_system(wavy)
     sm = R.smooth_coefficients(wavy, 128.0)
@@ -94,13 +112,13 @@ def test_smoothing_guards(flat):
 
 
 def test_zero_frequency_is_normalized(wavy):
-    out = R.complex_rpf_apply(wavy, 0.03, 0.0, ones(wavy, complex_=True))
+    out = T.transfer_complex(wavy, 0.03, 0.0)(ones(wavy, complex_=True))
     assert float(np.max(np.abs(out - 1.0))) < 1e-12
 
 
 def test_constant_roof_phase_factors_through(flat):
     for b in (1.7, -12.9):
-        out = R.complex_rpf_apply(flat, 0.0, b, ones(flat, complex_=True))
+        out = T.transfer_complex(flat, 0.0, b)(ones(flat, complex_=True))
         assert float(np.max(np.abs(out - np.exp(1j * b)))) < 1e-12
 
 
@@ -114,17 +132,17 @@ def test_resonant_frequency_no_decay(flat):
 
 def test_m_fixes_one_and_preserves_sign(wavy):
     x = R.build_rpf(wavy, 0.02, 128.0)
-    assert float(np.max(np.abs(R.m_apply(x, ones(wavy)) - 1.0))) < 1e-10
+    assert float(np.max(np.abs(x.m_op()(ones(wavy)) - 1.0))) < 1e-10
     rng = np.random.default_rng(11)
     u = np.abs(rng.standard_normal(ones(wavy).shape))
-    assert np.all(R.m_apply(x, u) >= 0.0)
+    assert np.all(x.m_op()(u) >= 0.0)
 
 
 def test_m_fixes_one_markov3():
     m3 = markov3_model(roof=CoefFn(2.0, 0.0, 0.3), grid_size=512,
                        forbidden=("2>2",))
     x3 = R.build_rpf(m3, 0.0, 256.0)
-    assert float(np.max(np.abs(R.m_apply(x3, ones(m3)) - 1.0))) < 1e-10
+    assert float(np.max(np.abs(x3.m_op()(ones(m3)) - 1.0))) < 1e-10
     assert x3.rho.min() > 1.0 / 3.0
 
 
@@ -133,8 +151,8 @@ def test_tilde_dominated_by_m(wavy):
     rng = np.random.default_rng(5)
     shape = ones(wavy).shape
     u = rng.uniform(-1, 1, shape) + 1j * rng.uniform(-1, 1, shape)
-    lt = R.tilde_rpf_apply(x, u)
-    mu = R.m_apply(x, np.abs(u))
+    lt = x.tilde_op()(u)
+    mu = x.m_op()(np.abs(u))
     assert np.all(np.abs(lt) <= mu + 1e-12)
 
 

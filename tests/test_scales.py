@@ -169,9 +169,8 @@ def test_temporal_distance_scalar_recomputation(sin_roof):
     def roof_sum(word, y):
         total, dom, cur = 0.0, sin_roof.interval_of(y), y
         for sym in reversed(word):
-            br = sin_roof.branch(sym, dom)
-            cur = br(cur)
-            dom = br.target
+            cur = sin_roof.apply_word(sym, cur, dom)
+            dom = sin_roof.sym_target(sym)
             total += float(sin_roof.roof(cur))
         return total
 
