@@ -17,6 +17,10 @@ are only placed where the dichotomy certifies room, so with kappa5 below
 is verified against the explicit two-term sum before the bump is kept.
 A model whose oscillation certificate is zero (constant or affine roof)
 makes the engine refuse cancellation and run with P identically one.
+
+The partition is one record array with a row per atom and the columns
+left, right, depth, lam_lo, iid (interval index), j_lo, j_hi and word,
+sorted by left end; each interval's atoms form one contiguous run.
 """
 
 from __future__ import annotations
@@ -26,13 +30,12 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.ndimage import minimum_filter1d
 
 from .gridfun import GridFunction, norm_theta_b
 from .markov import MarkovModel, ModelError
 from .rpf import ComplexRPF, build_rpf, slice_holder_norm
-from .scales import (ScaleFunction, UniCertificate, matching_scale,
-                     recurrence_rate, uni_scan)
+from .scales import (ScaleFunction, UniCertificate, _torus_dist,
+                     matching_scale, recurrence_rate, uni_scan)
 from .thermo import base_system, grid_orbit
 
 KAPPA5_DEFAULT = 0.05
@@ -54,90 +57,63 @@ class EngineError(ModelError):
 # scale-adapted cylinder partitions
 
 
-@dataclass(frozen=True)
-class Atom:
-    """One cylinder of the partition: v_word(U_domain) inside U_iid."""
-
-    word: str
-    domain: str          # innermost domain of the word
-    iid: str             # interval containing the atom
-    left: float
-    right: float
-    contr: float         # |v_word'|
-    depth: int
-    rep: float           # grid point of smallest scale value in the atom
-    lam_lo: float
-    lam_hi: float
-    j_lo: int            # inclusive grid-node range inside U_iid
-    j_hi: int
-
-    @property
-    def length(self) -> float:
-        return self.right - self.left
+# One row per atom, the cylinder v_word(U_domain) inside interval iid: its
+# ends, depth, the smallest scale value read on it, the interval index, the
+# inclusive grid-node range j_lo..j_hi inside U_iid, and the word.
+ATOM_DTYPE = np.dtype([("left", float), ("right", float), ("depth", int),
+                       ("lam_lo", float), ("iid", int), ("j_lo", int),
+                       ("j_hi", int), ("word", object)])
 
 
 @dataclass(frozen=True)
 class CylinderPartition:
+    """The atoms as one record array of ATOM_DTYPE columns, sorted by left.
+
+    The intervals are disjoint and sorted, so the atoms of interval k are
+    the contiguous run atoms[starts[k]:starts[k + 1]].
+    """
+
     model: MarkovModel
     scale: ScaleFunction
     c1: float
-    atoms: tuple[Atom, ...]
-    by_interval: dict = field(repr=False, compare=False)
+    atoms: np.recarray
+    starts: np.ndarray = field(repr=False, compare=False)
     condition_margin: float = 0.0     # max length * inf(scale) / c1, <= 1
     half_scale: float = 0.0           # min length * inf(scale) over atoms
-    # interval index -> (atom ids, their left ends), both sorted by left
-    _lefts: dict = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "_lefts", {
-            self.model.interval(iid).index: (
-                np.asarray(ids, dtype=int),
-                np.array([self.atoms[i].left for i in ids]))
-            for iid, ids in self.by_interval.items()})
 
     def locate(self, x):
         """Index of the atom containing x (right-continuous at seams);
         vectorized over x."""
-        scalar = np.isscalar(x)
-        xv = np.atleast_1d(np.asarray(x, dtype=float))
-        rows = self.model.interval_index(xv)
-        out = np.empty(xv.shape, dtype=int)
-        for r in np.unique(rows):
-            ids, lefts = self._lefts[int(r)]
-            sel = rows == r
-            k = np.searchsorted(lefts, xv[sel], side="right") - 1
-            out[sel] = ids[np.clip(k, 0, len(ids) - 1)]
-        return int(out[0]) if scalar else out
+        rows = self.model.interval_index(x)
+        k = np.searchsorted(self.atoms.left, x, side="right") - 1
+        out = np.clip(k, self.starts[rows], self.starts[rows + 1] - 1)
+        return int(out) if np.isscalar(x) else out
 
 
 def _atom_scale_ranges(model: MarkovModel, scale: ScaleFunction,
-                       iids: list, lefts: np.ndarray, rights: np.ndarray):
-    """Per atom: (min, max, argmin point, j_lo, j_hi) of the scale value.
+                       iids: np.ndarray, lefts: np.ndarray,
+                       rights: np.ndarray):
+    """Per atom in interval iids: (lam_lo, j_lo, j_hi), the smallest scale
+    value read on the atom and its inclusive grid-node range.
 
     The scale is read at each atom's left, middle and right end in one
-    value_at call, and at the grid nodes inside the atom.
+    value_at call, and at the grid nodes inside the atom, whose minima
+    come from one reduceat over the concatenated node ranges.
     """
     n = model.grid_size
-    ivs = [model.interval(iid) for iid in iids]
-    iv_lefts = model.lefts[[iv.index for iv in ivs]]
-    j_los = np.maximum(np.ceil((lefts - iv_lefts) * n - 1e-9), 0).astype(int)
-    j_his = np.minimum(np.floor((rights - iv_lefts) * n + 1e-9), n).astype(int)
+    iv_lefts = model.lefts[iids]
+    j_lo = np.maximum(np.ceil((lefts - iv_lefts) * n - 1e-9), 0).astype(int)
+    j_hi = np.minimum(np.floor((rights - iv_lefts) * n + 1e-9), n).astype(int)
     probes = np.stack([lefts, 0.5 * (lefts + rights), rights - 1e-12])
-    probe_vals = scale.value_at(probes)
-    out = []
-    for i, iv in enumerate(ivs):
-        pts = [float(p) for p in probes[:, i]]
-        vals = [float(v) for v in probe_vals[:, i]]
-        j_lo, j_hi = int(j_los[i]), int(j_his[i])
-        if j_hi >= j_lo:
-            row = scale.values[iv.index, j_lo:j_hi + 1]
-            k = int(np.argmin(row))
-            pts.append(iv.left + (j_lo + k) / n)
-            vals.append(float(row[k]))
-            vals.append(float(row.max()))
-        rep = pts[int(np.argmin(vals[:len(pts)]))]
-        out.append((min(vals), max(vals), rep, j_lo, j_hi))
-    return out
+    lam_lo = scale.value_at(probes).min(axis=0)
+    has = np.flatnonzero(j_hi >= j_lo)
+    size = j_hi[has] - j_lo[has] + 1
+    seg = np.cumsum(size) - size
+    nodes = (np.repeat(iids[has] * (n + 1) + j_lo[has] - seg, size)
+             + np.arange(size.sum()))
+    lam_lo[has] = np.minimum(lam_lo[has], np.minimum.reduceat(
+        scale.values.ravel()[nodes], seg))
+    return lam_lo, j_lo, j_hi
 
 
 def _branch_lists(model: MarkovModel, key: int) -> dict[str, list]:
@@ -160,66 +136,74 @@ def build_partition(model: MarkovModel, scale: ScaleFunction,
 
     Splitting stops as soon as length <= c1 / inf(atom scale); the scale
     must resolve below whole intervals or the request is rejected.  The
-    refinement runs level by level, so each level reads the scale once.
+    refinement runs level by level on arrays, so each level reads the
+    scale once; a split cylinder's children follow the offset order of
+    the branches into its inner domain.
     """
     if c1 <= 0.0:
         raise EngineError("c1 must be positive")
     by_target = _branch_lists(model, 2)
-    done: list[Atom] = []
-    # cylinders of one depth: word, inner domain, containing interval, affine (contr, off)
-    level = [("", iv.id, iv.id, 1.0, 0.0) for iv in model.intervals]
-    depth = 0
-    while level:
-        contrs = np.array([c[3] for c in level])
-        offs = np.array([c[4] for c in level])
-        doms = [model.interval(c[1]) for c in level]
-        lefts = contrs * np.array([iv.left for iv in doms]) + offs
-        rights = contrs * np.array([iv.right for iv in doms]) + offs
-        ranges = _atom_scale_ranges(model, scale, [c[2] for c in level],
-                                    lefts, rights)
-        nxt = []
-        cylinders = zip(level, lefts.tolist(), rights.tolist(), ranges)
-        for (word, dom, iid, contr, off), left, right, rng in cylinders:
-            lo, hi, rep, j_lo, j_hi = rng
-            if (right - left) * lo <= c1:
-                if depth == 0:
-                    raise EngineError(
-                        "scale too coarse: a whole interval already satisfies "
-                        "the refinement condition")
-                done.append(Atom(word, dom, iid, left, right, contr, depth,
-                                 rep, lo, hi, j_lo, j_hi))
-                continue
-            if depth >= DEPTH_CAP:
-                raise EngineError("partition refinement did not terminate")
-            for sym, b_dom, _, slope, offset in by_target[dom]:
-                nxt.append((word + sym, b_dom, iid,
-                            contr / slope, contr * offset + off))
-        level = nxt
-        depth += 1
-    done.sort(key=lambda a: a.left)
-    by_interval: dict[str, list[int]] = {}
-    for i, a in enumerate(done):
-        by_interval.setdefault(a.iid, []).append(i)
+    rows = [r for iv in model.intervals for r in by_target[iv.id]]
+    fan = np.array([len(by_target[iv.id]) for iv in model.intervals])
+    first = np.cumsum(fan) - fan       # each target's first branch row
+    b_sym = np.array([r[0] for r in rows], dtype=object)
+    b_dom = np.array([model.interval(r[1]).index for r in rows])
+    b_slope = np.array([r[3] for r in rows])
+    b_off = np.array([r[4] for r in rows])
+    # cylinders of one depth: word, inner domain, containing interval and
+    # the affine map contr * x + off
+    m = len(model.intervals)
+    word = np.full(m, "", dtype=object)
+    dom, iid = np.arange(m), np.arange(m)
+    contr, off = np.ones(m), np.zeros(m)
+    done = []
+    for depth in range(DEPTH_CAP + 1):
+        lefts = contr * model.lefts[dom] + off
+        rights = contr * (model.lefts[dom] + 1.0) + off
+        lam_lo, j_lo, j_hi = _atom_scale_ranges(model, scale, iid,
+                                                lefts, rights)
+        stop = (rights - lefts) * lam_lo <= c1
+        if depth == 0 and stop.any():
+            raise EngineError("scale too coarse: a whole interval already "
+                              "satisfies the refinement condition")
+        done.append((lefts[stop], rights[stop], np.full(stop.sum(), depth),
+                     lam_lo[stop], iid[stop], j_lo[stop], j_hi[stop],
+                     word[stop]))
+        split = np.flatnonzero(~stop)
+        if split.size == 0:
+            break
+        if depth == DEPTH_CAP:
+            raise EngineError("partition refinement did not terminate")
+        k = fan[dom[split]]
+        parent = np.repeat(split, k)
+        b = np.repeat(first[dom[split]] - (np.cumsum(k) - k), k) \
+            + np.arange(k.sum())
+        word = word[parent] + b_sym[b]
+        dom, iid = b_dom[b], iid[parent]
+        contr, off = (contr[parent] / b_slope[b],
+                      contr[parent] * b_off[b] + off[parent])
+    atoms = np.rec.fromarrays([np.concatenate(c) for c in zip(*done)],
+                              dtype=ATOM_DTYPE)
+    atoms = atoms[np.argsort(atoms.left, kind="stable")]
+    weight = (atoms.right - atoms.left) * atoms.lam_lo
     part = CylinderPartition(
-        model, scale, c1, tuple(done), by_interval,
-        condition_margin=max(a.length * a.lam_lo / c1 for a in done),
-        half_scale=min(a.length * a.lam_lo for a in done))
+        model, scale, c1, atoms, np.searchsorted(atoms.iid, np.arange(m + 1)),
+        condition_margin=float((weight / c1).max()),
+        half_scale=float(weight.min()))
     _verify_partition(part)
     return part
 
 
 def _verify_partition(part: CylinderPartition) -> None:
-    model = part.model
-    for iid, ids in part.by_interval.items():
-        iv = model.interval(iid)
-        edge = iv.left
-        for i in ids:
-            a = part.atoms[i]
-            if abs(a.left - edge) > 1e-9:
-                raise EngineError(f"partition gap at {edge!r} in U_{iid}")
-            edge = a.right
-        if abs(edge - iv.right) > 1e-9:
-            raise EngineError(f"partition does not reach the end of U_{iid}")
+    for iv in part.model.intervals:
+        run = part.atoms[part.starts[iv.index]:part.starts[iv.index + 1]]
+        edges = np.concatenate(([iv.left], run.right))
+        gaps = np.flatnonzero(np.abs(run.left - edges[:-1]) > 1e-9)
+        if gaps.size:
+            raise EngineError(f"partition gap at {float(edges[gaps[0]])!r} "
+                              f"in U_{iv.id}")
+        if abs(edges[-1] - iv.right) > 1e-9:
+            raise EngineError(f"partition does not reach the end of U_{iv.id}")
     if part.condition_margin > 1.0 + 1e-9:
         raise EngineError("refinement condition violated")
 
@@ -250,16 +234,15 @@ def check_refining(model: MarkovModel, part: CylinderPartition,
     Atoms are checked in order, a block of them against all words at once;
     the first failing (atom word, branch word) pair is the witness.
     """
-    lefts = np.array([a.left for a in part.atoms])
-    rights = np.array([a.right for a in part.atoms])
+    lefts, rights = part.atoms.left, part.atoms.right
     for iv in model.intervals:
         items = all_words(model, iv.id, n)
         contr = np.array([w[1] for w in items])[:, None]
         off = np.array([w[2] for w in items])[:, None]
-        ids = part.by_interval.get(iv.id, [])
+        end = part.starts[iv.index + 1]
         block = max(1, REFINE_BLOCK // len(items))
-        for start in range(0, len(ids), block):
-            sel = ids[start:start + block]
+        for start in range(part.starts[iv.index], end, block):
+            sel = slice(start, min(start + block, end))
             lo = contr * lefts[sel] + off
             hi = contr * rights[sel] + off
             holder = part.locate(0.5 * (lo + hi))
@@ -267,16 +250,15 @@ def check_refining(model: MarkovModel, part: CylinderPartition,
             if bad.any():
                 k = int(np.argmax(bad.any(axis=0)))
                 j = int(np.argmax(bad[:, k]))
-                return False, (part.atoms[sel[k]].word, items[j][0])
+                return False, (part.atoms.word[start + k], items[j][0])
     return True, None
 
 
 def choose_n1(model: MarkovModel, part: CylinderPartition,
               cap: int = 12) -> int:
     """Smallest n making the partition refine under n-step preimages."""
-    depths = [a.depth for a in part.atoms]
-    start = max(1, max(depths) - min(depths))
-    for n in range(start, cap + 1):
+    depth = part.atoms.depth
+    for n in range(max(1, int(depth.max() - depth.min())), cap + 1):
         ok, _ = check_refining(model, part, n)
         if ok:
             return n
@@ -507,15 +489,14 @@ def _circular_stats(phases: np.ndarray) -> tuple[float, float]:
     if abs(z) < 1e-12:
         return 0.0, math.pi
     omega = cmath.phase(z)
-    d = np.abs((phases - omega + math.pi) % (2 * math.pi) - math.pi)
-    return omega % (2 * math.pi), float(d.max())
+    return omega % (2 * math.pi), float(_torus_dist(phases - omega).max())
 
 
 def dichotomy_test(model: MarkovModel, rpf: ComplexRPF, u: np.ndarray,
-                   big_h: np.ndarray, atom: Atom, word_item,
+                   big_h: np.ndarray, span: tuple[float, float], word_item,
                    kappa6: float, c9: float = C9_DEFAULT,
                    tables: tuple | None = None) -> Dichotomy:
-    """Classify one backward branch of an atom window.
+    """Classify one backward branch of the atom window span = (left, right).
 
     Small when |u|/H <= 3/4 at every grid node of the branch image
     (including the interpolation fringe); aligned when |u|/H >= 1/c9
@@ -525,10 +506,11 @@ def dichotomy_test(model: MarkovModel, rpf: ComplexRPF, u: np.ndarray,
     len(word)-step _dichotomy_tables; they are built when not given.
     """
     word, contr, off, tgt = word_item
+    left, right = span
     n = model.grid_size
     iv = model.interval(tgt)
-    g_lo = max(0, int(math.floor((contr * atom.left + off - iv.left) * n)))
-    g_hi = min(n, int(math.ceil((contr * atom.right + off - iv.left) * n)))
+    g_lo = max(0, int(math.floor((contr * left + off - iv.left) * n)))
+    g_hi = min(n, int(math.ceil((contr * right + off - iv.left) * n)))
     win = slice(g_lo, g_hi + 1)
     uz = u[iv.index, win]
     ratios = np.abs(uz) / big_h[iv.index, win]
@@ -580,25 +562,24 @@ class Cancellation:
 
 
 def _pair_window(delta_phase: np.ndarray, kappa6: float) -> tuple | None:
-    """Longest s-window keeping the phase difference kappa6/2 off zero."""
+    """Longest s-window keeping the phase difference kappa6/2 off zero.
+
+    The window is the longest run of grid points with distance above
+    kappa6/2; among runs of that length the one with the largest minimum
+    wins, the first on a tie.  None when the run covers at most kappa6 of
+    the points.
+    """
     n = delta_phase.size
-    dist = np.abs((delta_phase + math.pi) % (2 * math.pi) - math.pi)
-    best = None
-    for size in range(n, 0, -1):
-        if size / n <= kappa6:
-            break
-        filt = minimum_filter1d(dist, size=size, mode="nearest")
-        lo = size // 2
-        hi = n - (size - 1 - size // 2)
-        if hi <= lo:
-            continue
-        seg = filt[lo:hi]
-        k = int(np.argmax(seg))
-        if seg[k] > 0.5 * kappa6:
-            start = lo + k - size // 2
-            best = (start / n, (start + size) / n)
-            break
-    return best
+    dist = _torus_dist(delta_phase)
+    clear = np.concatenate(([False], dist > 0.5 * kappa6, [False]))
+    runs = np.flatnonzero(np.diff(clear)).reshape(-1, 2)    # [start, end)
+    lengths = runs[:, 1] - runs[:, 0]
+    if not lengths.size or lengths.max() / n <= kappa6:
+        return None
+    size = int(lengths.max())
+    starts = runs[lengths == size, 0].tolist()
+    start = starts[int(np.argmax([dist[a:a + size].min() for a in starts]))]
+    return start / n, (start + size) / n
 
 
 def build_cancellation(model: MarkovModel, rpf: ComplexRPF,
@@ -624,24 +605,27 @@ def build_cancellation(model: MarkovModel, rpf: ComplexRPF,
     n = model.grid_size
     f_hat = rpf.f_ab_grid
     tables = _dichotomy_tables(model, f_hat, n1)
-    words = {iv.id: all_words(model, iv.id, n1) for iv in model.intervals}
+    words = [all_words(model, iv.id, n1) for iv in model.intervals]
     # the dichotomy and the pair analysis do not depend on kappa5, so they
     # run once; a retry only writes the bumps again with a smaller kappa5
     plans = []       # (atom index, atom, case, branch, s-window, room)
     marked = 0
     for ai in omega_atoms:
         marked += 1
-        atom = part.atoms[ai]
-        ws = words[atom.iid]
-        tests = [dichotomy_test(model, rpf, u, big_h, atom, w, kappa6, c9,
-                                tables) for w in ws]
+        # Python scalars once per atom: numpy record field reads are slow
+        left, right, _, _, iid, j_lo, j_hi, _ = part.atoms[ai].item()
+        atom = (left, right, iid)
+        ws = words[iid]
+        tests = [dichotomy_test(model, rpf, u, big_h, (left, right), w,
+                                kappa6, c9, tables) for w in ws]
         smalls = [(t, w) for t, w in zip(tests, ws) if t.kind == "small"]
         if smalls:
             _, w = min(smalls, key=lambda tw: tw[0].max_ratio)
             plans.append((ai, atom, "small", w, (0.0, 1.0), None))
             continue
         aligned = [(t, w) for t, w in zip(tests, ws) if t.kind == "aligned"]
-        pair = _pair_plan(model, rpf.b, f_hat, atom, aligned, u, big_h,
+        y = model.intervals[iid].left + np.arange(j_lo, j_hi + 1) / n
+        pair = _pair_plan(model, rpf.b, f_hat, y, aligned, u, big_h,
                           kappa6, n1)
         if pair is not None:
             plans.append((ai, atom, "paired") + pair)
@@ -666,12 +650,17 @@ def build_cancellation(model: MarkovModel, rpf: ComplexRPF,
         f"(log-slope ratio {ratio:.3g})")
 
 
-def _place_bump(model, p_vals, core, atom: Atom, word_item, j1, kappa5, n):
-    """Write the cutoff onto one branch image; mark the flat core."""
+def _place_bump(model, p_vals, core, atom, word_item, j1, kappa5, n):
+    """Write the cutoff onto one branch image; mark the flat core.
+
+    atom is (left, right, interval index) of the atom carrying the bump.
+    """
+    left, right, iid = atom
+    length = right - left
     word, contr, off, tgt = word_item
     iv = model.interval(tgt)
-    img_left = contr * atom.left + off
-    img_len = contr * atom.length
+    img_left = contr * left + off
+    img_len = contr * length
     g_lo = int(math.ceil((img_left - iv.left) * n - 1e-9))
     g_hi = int(math.floor((img_left + img_len - iv.left) * n + 1e-9))
     if g_hi < g_lo:
@@ -686,38 +675,34 @@ def _place_bump(model, p_vals, core, atom: Atom, word_item, j1, kappa5, n):
     p_vals[iv.index, js] = np.minimum(p_vals[iv.index, js], local)
     # flat core, read back in the atom chart: sigma^{n1} of the bump core
     c_lo, c_hi = a + 0.25 * width, a + 0.75 * width
-    own = model.interval(atom.iid)
-    a_lo = int(math.ceil((atom.left + c_lo * atom.length - own.left) * n))
-    a_hi = int(math.floor((atom.left + c_hi * atom.length - own.left) * n))
+    own = model.intervals[iid].left
+    a_lo = int(math.ceil((left + c_lo * length - own) * n))
+    a_hi = int(math.floor((left + c_hi * length - own) * n))
     if a_hi >= a_lo:
-        core[own.index, a_lo:a_hi + 1] = True
+        core[iid, a_lo:a_hi + 1] = True
     return True
 
 
-def _pair_plan(model, b, f_hat, atom, aligned, u, big_h, kappa6, n1):
+def _pair_plan(model, b, f_hat, y, aligned, u, big_h, kappa6, n1):
     """(branch, s-window, room) for the paired bump on an atom, or None.
 
-    The two aligned branches with the widest phase gap are compared; the
+    y are the atom's grid nodes.  The two aligned branches with the widest
+    phase gap are compared, the first such pair in (i, j) order; the
     smaller-weight one carries the bump on a window where the phase
     difference stays off zero, and room is the verified relative slack of
     the two-term sum there.
     """
     if len(aligned) < 2:
         return None
-    best, gap = None, 0.0
-    for i in range(len(aligned)):
-        for j in range(i + 1, len(aligned)):
-            g = abs((aligned[i][0].omega - aligned[j][0].omega + math.pi)
-                    % (2 * math.pi) - math.pi)
-            if g > gap:
-                gap, best = g, (aligned[i], aligned[j])
-    if best is None or gap <= 0.5 * kappa6:
+    omegas = np.array([t.omega for t, _ in aligned])
+    i, j = np.triu_indices(len(aligned), 1)
+    gaps = _torus_dist(omegas[i] - omegas[j])
+    k = int(np.argmax(gaps))
+    if gaps[k] <= 0.5 * kappa6:
         return None
-    (t1, w1), (t2, w2) = best
+    (t1, w1), (t2, w2) = aligned[i[k]], aligned[j[k]]
     if t1.weight > t2.weight:       # bump the smaller-weight branch
         (t1, w1), (t2, w2) = (t2, w2), (t1, w1)
-    n = model.grid_size
-    y = model.interval(atom.iid).left + np.arange(atom.j_lo, atom.j_hi + 1) / n
     z1 = w1[1] * y + w1[2]
     z2 = w2[1] * y + w2[2]
     r1 = model.interval(w1[3]).index

@@ -99,6 +99,10 @@ def _ones(model, dtype=float):
     return np.ones((len(model.intervals), model.grid_size + 1), dtype=dtype)
 
 
+def _span(part, i):
+    return part.atoms.left[i], part.atoms.right[i]
+
+
 # ---------------------------------------------------------------------------
 # partitions
 
@@ -107,7 +111,8 @@ def test_partition_dyadic_32(plain, part32):
     atoms = part32.atoms
     assert len(atoms) == 32
     assert all(a.depth == 5 for a in atoms)
-    assert all(abs(a.length - 1 / 32) < 1e-15 for a in atoms)
+    assert all(abs(a.right - a.left - 1 / 32) < 1e-15 for a in atoms)
+    assert part32.starts.tolist() == [0, 32]
     assert part32.condition_margin == pytest.approx(1.0, abs=1e-12)
     assert part32.half_scale == pytest.approx(1.0, abs=1e-12)
     # exact dyadic spans, sorted and touching
@@ -123,8 +128,8 @@ def test_partition_coarsest():
     assert sc.min_value == sc.max_value == 2.0
     part = build_partition(m, sc, 1.0)
     assert len(part.atoms) == 2
-    assert [a.length for a in part.atoms] == [0.5, 0.5]
-    assert [a.word for a in part.atoms] == ["0", "1"]
+    assert (part.atoms.right - part.atoms.left).tolist() == [0.5, 0.5]
+    assert part.atoms.word.tolist() == ["0", "1"]
 
 
 def test_partition_nesting(plain, part32, scale32):
@@ -157,8 +162,16 @@ def test_partition_markov3_margins():
     assert part.condition_margin <= 1.0 + 1e-12
     # the stop rule plus inf-monotonicity bounds the shortfall by the slope
     assert part.half_scale >= 1.0 / 3.0 - 1e-9
-    covered = sum(a.length for a in part.atoms)
+    covered = sum(a.right - a.left for a in part.atoms)
     assert covered == pytest.approx(len(m.intervals), abs=1e-9)
+    # each interval is covered by its own contiguous run of atoms
+    for iv in m.intervals:
+        run = part.atoms[part.starts[iv.index]:part.starts[iv.index + 1]]
+        assert (run.iid == iv.index).all()
+        assert run.left[0] == pytest.approx(iv.left, abs=1e-9)
+        assert run.right[-1] == pytest.approx(iv.right, abs=1e-9)
+        assert float((run.right - run.left).sum()) == pytest.approx(
+            1.0, abs=1e-9)
 
 
 def test_refinement_step(plain, part32):
@@ -253,7 +266,7 @@ def test_cone_image_trials(plain, rpf6, scale32):
 def test_dichotomy_zero_u(plain, rpf6, part32):
     w = all_words(plain, "u", 1)[0]
     t = dichotomy_test(plain, rpf6, _ones(plain, complex) * 0.0,
-                       _ones(plain), part32.atoms[3], w, 0.05)
+                       _ones(plain), _span(part32, 3), w, 0.05)
     assert t.kind == "small"
     assert t.max_ratio == 0.0
     assert t.weight == pytest.approx(0.5, abs=1e-12)
@@ -262,7 +275,8 @@ def test_dichotomy_zero_u(plain, rpf6, part32):
 def test_dichotomy_half(plain, rpf6, part32):
     w = all_words(plain, "u", 1)[1]
     u = 0.5 * np.exp(1j * 1.2) * _ones(plain, complex)
-    t = dichotomy_test(plain, rpf6, u, _ones(plain), part32.atoms[0], w, 0.05)
+    t = dichotomy_test(plain, rpf6, u, _ones(plain), _span(part32, 0), w,
+                       0.05)
     assert t.kind == "small"
     assert t.max_ratio == pytest.approx(0.5, abs=1e-12)
 
@@ -271,7 +285,7 @@ def test_dichotomy_aligned_constant_roof(plain, rpf6, part32):
     # tau = 1: the branch phase b*tau_1 is globally constant
     w = all_words(plain, "u", 1)[0]
     t = dichotomy_test(plain, rpf6, _ones(plain, complex), _ones(plain),
-                       part32.atoms[7], w, 0.05)
+                       _span(part32, 7), w, 0.05)
     assert t.kind == "aligned"
     assert t.spread < 1e-12
     assert t.omega == pytest.approx(6.0 % (2 * math.pi), abs=1e-12)
@@ -285,7 +299,7 @@ def test_dichotomy_indeterminate_sin(sin_model, part32):
     part = build_partition(m, sc, 1.0)
     w = all_words(m, "u", 1)[0]
     t = dichotomy_test(m, rpf, _ones(m, complex), _ones(m),
-                       part.atoms[5], w, 0.05)
+                       _span(part, 5), w, 0.05)
     assert t.kind == "indeterminate"
 
 

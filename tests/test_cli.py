@@ -25,6 +25,15 @@ root was found by replayed bisection and the Monte Carlo blocks were
 advanced together (scipy's bisect called on pressure directly; one block
 at a time, roof values recomputed at every time step), with numpy 2.4.6
 and scipy 1.17.1.
+
+GOLDEN_DOLGOPYAT_SHA256 pins dolgopyat.csv for DOLGOPYAT_MODEL
+(three-symbol family, 0>1 forbidden, sine roof, N=1024) at b=64, a run
+with 4562 atoms, n1 = 3 and a positive kappa4_min, so the cylinder
+partition, the refinement step and the paired and small bumps all feed
+it.  It was made the same way, on the code as it stood while each atom
+was a dataclass instance with two index dicts beside it and paired-bump
+windows came from scipy's minimum_filter1d, with numpy 2.4.6 and scipy
+1.17.1.
 """
 
 import csv
@@ -65,6 +74,15 @@ GOLDEN_SHA256 = {
     "invariants.csv":
         "efb9054d289a1983f3143beb851c36ae9778e18bb5ac1517aafcaede78ff7386",
 }
+
+DOLGOPYAT_MODEL = """family = markov3
+forbidden = 0>1
+roof = 2.0, 0.0, 0.5, 0.0
+grid_size = 1024
+"""
+
+GOLDEN_DOLGOPYAT_SHA256 = \
+    "d5def7c92c7889013b629d4ebabac3933996e471e3546890aa138bc15cb4cd3d"
 
 GOLDEN_MC_SHA256 = {
     "pressure.csv":
@@ -163,6 +181,14 @@ def test_unknown_config_key_rejected(tmp_path):
     path.write_text("family = doubling\nwavelength = 3\n")
     assert cli.main(["pressure", "--model", str(path),
                      "--out", str(tmp_path / "o")]) == 1
+
+
+def test_repeated_forbidden_entry_rejected(tmp_path, capsys):
+    path = tmp_path / "twice.txt"
+    path.write_text("family = markov3\nforbidden = 0>1, 0>1\n")
+    assert cli.main(["model-info", "--model", str(path),
+                     "--out", str(tmp_path / "o")]) == 1
+    assert "'0>1' is listed twice" in capsys.readouterr().err
 
 
 def test_bad_seed_and_threads(tmp_path):
@@ -324,6 +350,17 @@ def test_entropy_and_correlation_match_golden_digests(tmp_path,
     for name, digest in GOLDEN_MC_SHA256.items():
         with open(os.path.join(out, name), "rb") as fh:
             assert hashlib.sha256(fh.read()).hexdigest() == digest, name
+
+
+def test_certificate_matches_golden_digest(tmp_path):
+    model = tmp_path / "golden.txt"
+    model.write_text(DOLGOPYAT_MODEL)
+    out = str(tmp_path / "run")
+    assert cli.main(["dolgopyat", "--model", str(model), "--b", "64",
+                     "--out", out]) == 0
+    with open(os.path.join(out, "dolgopyat.csv"), "rb") as fh:
+        assert hashlib.sha256(fh.read()).hexdigest() == \
+            GOLDEN_DOLGOPYAT_SHA256
 
 
 def test_correlation_determinism(tmp_path, sin_path, monkeypatch):

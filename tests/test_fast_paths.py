@@ -73,11 +73,14 @@ inside (0, 1) on the whole leaf, so every draw is a valid model.
 import hashlib
 import math
 import struct
+from collections import namedtuple
 from dataclasses import dataclass
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
+from scipy.ndimage import minimum_filter1d
 from scipy.optimize import bisect
 
 from transferlab import cancellation as C
@@ -188,6 +191,10 @@ def _reference_range(model, scale, iid, left, right):
     return min(vals), max(vals), rep, j_lo, j_hi
 
 
+_RefAtom = namedtuple("_RefAtom", "word domain iid left right contr depth "
+                                  "rep lam_lo lam_hi j_lo j_hi")
+
+
 def _reference_partition(model, scale, c1):
     """Depth-first refinement, one atom and one probe at a time."""
     by_target = {}
@@ -207,8 +214,8 @@ def _reference_partition(model, scale, c1):
         if (right - left) * lo <= c1:
             if depth == 0:
                 return None
-            done.append(C.Atom(word, dom, iid, left, right, contr, depth,
-                               rep, lo, hi, j_lo, j_hi))
+            done.append(_RefAtom(word, dom, iid, left, right, contr, depth,
+                                 rep, lo, hi, j_lo, j_hi))
             continue
         for b in by_target[dom]:
             stack.append((word + b.sym, b.domain, iid, contr / b.slope,
@@ -227,7 +234,16 @@ def test_levelwise_partition_matches_depth_first(model, q, c1):
             C.build_partition(model, scale, c1)
         return
     part = C.build_partition(model, scale, c1)
-    assert part.atoms == ref
+    atoms = part.atoms
+    assert len(atoms) == len(ref)
+    for col in ("left", "right", "lam_lo"):
+        assert _bits(atoms[col]) == _bits([getattr(a, col) for a in ref]), col
+    for col in ("depth", "j_lo", "j_hi", "word"):
+        assert atoms[col].tolist() == [getattr(a, col) for a in ref], col
+    assert [model.intervals[k].id for k in atoms.iid] == [a.iid for a in ref]
+    # interval k owns the contiguous run atoms[starts[k]:starts[k + 1]]
+    runs = np.repeat(np.arange(len(model.intervals)), np.diff(part.starts))
+    assert part.starts[0] == 0 and np.array_equal(atoms.iid, runs)
 
 
 # ---------------------------------------------------------------------------
@@ -297,8 +313,9 @@ def test_orbit_weight_window_across_seam():
 
 
 def _linear_locate(part, x):
-    ids = part.by_interval[part.model.interval_of(x)]
-    below = [i for i in ids if part.atoms[i].left <= x]
+    k = int(part.model.interval_index(x))
+    ids = range(part.starts[k], part.starts[k + 1])
+    below = [i for i in ids if part.atoms.left[i] <= x]
     return below[-1] if below else ids[0]
 
 
@@ -311,13 +328,91 @@ def test_locate_matches_linear_scan(model, q, pts, take):
     except C.EngineError:
         return
     xs = list(_points(pts, model))
-    xs += [part.atoms[t % len(part.atoms)].left for t in take]
+    xs += [part.atoms.left[t % len(part.atoms)] for t in take]
     xs.append(float(len(model.intervals)))        # right end of the leaf
     found = part.locate(np.array(xs))
     for x, k in zip(xs, found):
         assert k == _linear_locate(part, x) == part.locate(float(x))
     with pytest.raises(ModelError):
         part.locate(-0.5)
+
+
+def _per_atom_refining(model, part, n):
+    """check_refining as one atom and one word at a time."""
+    for a in part.atoms:
+        for word, contr, off, _ in C.all_words(model, model.intervals[a.iid].id,
+                                               n):
+            lo = contr * a.left + off
+            hi = contr * a.right + off
+            holder = part.atoms[part.locate(0.5 * (lo + hi))]
+            if lo < holder.left - 1e-9 or hi > holder.right + 1e-9:
+                return False, (a.word, word)
+    return True, None
+
+
+@PROPS
+@given(model=models(_ANY_FORBIDDEN), q=st.integers(2, 5),
+       n=st.integers(1, 2), block=st.sampled_from((C.REFINE_BLOCK, 5)))
+def test_check_refining_witness_matches_per_atom_loop(model, q, n, block):
+    try:
+        part = C.build_partition(model, S.matching_scale(model, 2.0 ** -q))
+    except C.EngineError:
+        return
+    with mock.patch.object(C, "REFINE_BLOCK", block):
+        assert C.check_refining(model, part, n) == _per_atom_refining(
+            model, part, n)
+
+
+# ---------------------------------------------------------------------------
+# paired-bump windows and torus distances
+
+
+def _reference_pair_window(delta_phase, kappa6):
+    """The scan over window sizes, one running minimum per size."""
+    n = delta_phase.size
+    dist = np.abs((delta_phase + math.pi) % (2 * math.pi) - math.pi)
+    for size in range(n, 0, -1):
+        if size / n <= kappa6:
+            break
+        filt = minimum_filter1d(dist, size=size, mode="nearest")
+        lo = size // 2
+        hi = n - (size - 1 - size // 2)
+        if hi <= lo:
+            continue
+        seg = filt[lo:hi]
+        k = int(np.argmax(seg))
+        if seg[k] > 0.5 * kappa6:
+            start = lo + k - size // 2
+            return start / n, (start + size) / n
+    return None
+
+
+@settings(max_examples=300, deadline=None)
+@given(phases=st.lists(st.sampled_from((0.0, 0.01, 0.03, 0.5, 1.0, 2.5,
+                                         -0.02, -3.0, 3.2, 6.3)) |
+                       st.floats(-10.0, 10.0), min_size=1, max_size=60),
+       kappa6=st.sampled_from((0.01, 0.05, 0.099, 0.2, 0.5)))
+def test_pair_window_matches_window_scan(phases, kappa6):
+    delta = np.array(phases)
+    got = C._pair_window(delta, kappa6)
+    assert got == _reference_pair_window(delta, kappa6)
+    if got is not None:
+        assert all(type(e) is float for e in got)
+
+
+@given(a=st.floats(-50.0, 50.0), b=st.floats(-50.0, 50.0),
+       xs=st.lists(st.floats(-50.0, 50.0), min_size=1, max_size=20))
+def test_torus_dist_matches_hand_copies(a, b, xs):
+    # the scalar phase gap of _pair_plan and the array sites of
+    # _circular_stats and _pair_window, as they were written by hand
+    gap = abs((a - b + math.pi) % (2 * math.pi) - math.pi)
+    assert _bits(S._torus_dist(np.array([a]) - np.array([b]))) == _bits([gap])
+    assert _bits(S._torus_dist(a - b)) == _bits(gap)
+    x = np.array(xs)
+    assert _bits(S._torus_dist(x - a)) == _bits(
+        np.abs((x - a + math.pi) % (2 * math.pi) - math.pi))
+    assert _bits(S._torus_dist(x)) == _bits(
+        np.abs((x + math.pi) % (2 * math.pi) - math.pi))
 
 
 # ---------------------------------------------------------------------------

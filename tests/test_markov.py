@@ -65,6 +65,11 @@ class TestBuild:
         with pytest.raises(ModelError):
             build_model(ModelConfig("markov3", forbidden=("0>1", "1>2")))
 
+    def test_rejects_repeated_forbidden_entry(self):
+        for entries in (("0>1", "0>1"), ("0>0", " 0 > 0 ")):
+            with pytest.raises(ModelError, match="listed twice"):
+                build_model(ModelConfig("markov3", forbidden=entries))
+
     def test_declared_slopes_checked(self):
         with pytest.raises(ModelError):
             build_model(ModelConfig("doubling", slopes=(3.0, 3.0)))
