@@ -422,7 +422,7 @@ def _cmd_orbits(model: MarkovModel, cfg: ExperimentConfig):
     report = orbits.prime_orbit_report(model, n_max, t_grid)
     _write_csv(os.path.join(cfg.out_dir, "orbit_table.csv"), cfg.command,
                model, [("n_max", n_max)], ("word", "n", "period"),
-               [(o.word, o.n, o.period) for o in report.orbits])
+               report.orbits.tolist())
     count_rows = [
         (float(t), int(pi), float(li), float(pi - li), bool(comp))
         for t, pi, li, comp in zip(report.t_grid, report.pi,
@@ -510,12 +510,12 @@ def _invariant_checks(model: MarkovModel, cfg: ExperimentConfig):
     checks.append(("necklace_vs_trace", float(trace_gap), 0.0))
 
     enum = orbits.enumerate_periodic_orbits(model, 6)
-    words_by_n = [[o.word for o in enum if o.n == n] for n in range(1, 7)]
-    enum_gap = max(abs(len(words_by_n[i]) - neck[i]) for i in range(6))
+    enum_gap = np.abs(np.bincount(enum.n, minlength=7)[1:] - neck[:6]).max()
     checks.append(("necklace_vs_enumeration", float(enum_gap), 0.0))
 
     worst_ret = 0.0
-    for n, words in enumerate(words_by_n, start=1):
+    for n in range(1, 7):
+        words = enum.word[enum.n == n].tolist()
         if words:
             x = orbits.cyclic_fixed_points(model, words)
             back = model.orbit(x, n + 1)[-1]

@@ -10,6 +10,9 @@ word length, counts them independently through the symbol transfer matrix
 -s*roof, compares the orbit count pi(T) against li(e^{hT}), and estimates
 flow correlation functions by seeded Monte Carlo on the suspension.
 
+The orbit set is one record array, a row per primitive orbit with columns
+word, n and period (see enumerate_periodic_orbits).
+
 The entropy is the root scipy's bisection returns, found from a third of
 its pressure evaluations: pressure falls at least as fast as tau_min * s,
 so once brentq has located the root, bisect runs on predicted signs and
@@ -105,17 +108,6 @@ def necklace_counts(model: MarkovModel, n_max: int) -> tuple[int, ...]:
 # orbit enumeration
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class PeriodicOrbit:
-    """Primitive closed orbit: lexicographically least rotation of its
-    coding word, word length, and flow period (roof summed along the
-    section orbit)."""
-
-    word: str
-    n: int
-    period: float
-
-
 def _extend_words(words: np.ndarray, trans: np.ndarray) -> np.ndarray:
     """Admissible words one symbol longer, as rows of alphabet indices:
     every row followed by each symbol its last symbol may precede, grouped
@@ -152,14 +144,14 @@ def _canonical_codes(codes: np.ndarray, n: int, base: int):
     return canon
 
 
-def _decode_words(codes: np.ndarray, n: int, alphabet) -> list[str]:
+def _decode_words(codes: np.ndarray, n: int, alphabet) -> np.ndarray:
     """Words of length n from their codes, most significant digit first:
     digits, then one alphabet byte per digit, read n bytes at a time."""
     base = len(alphabet)
     powers = base ** np.arange(n - 1, -1, -1, dtype=np.int64)
     digits = codes[:, None] // powers % base
     letters = np.frombuffer("".join(alphabet).encode("ascii"), dtype=np.uint8)
-    return letters[digits].view(f"S{n}").ravel().astype(f"U{n}").tolist()
+    return letters[digits].view(f"S{n}").ravel().astype(f"U{n}")
 
 
 def _word_rows(model: MarkovModel, words) -> np.ndarray:
@@ -269,19 +261,23 @@ def orbit_fixed_point(model: MarkovModel, word: str) -> float:
 
 
 def enumerate_periodic_orbits(model: MarkovModel, n_max: int,
-                              cap: int = WORD_CAP_DEFAULT) -> list[PeriodicOrbit]:
-    """All primitive closed orbits of word length <= n_max.
+                              cap: int = WORD_CAP_DEFAULT) -> np.recarray:
+    """All primitive closed orbits of word length <= n_max, one row each.
 
-    One representative per rotation class; the flow period is obtained by
-    summing the roof at the fixed points of all rotations of the word,
-    which are exactly the points of the section orbit.
+    The table has three columns: `word`, the lexicographically least
+    rotation of the coding word (str, U{n_max}); `n`, its length (int64);
+    and `period`, the flow period (float64), obtained by summing the roof
+    at the fixed points of all rotations of the word, which are exactly
+    the points of the section orbit.  Rows are ordered by length, then by
+    word code; len(table) is the number of primitive orbits.
     """
     base = len(model.alphabet)
     if n_max >= 1 and base ** n_max > cap:
         raise ModelError(
             f"alphabet^{n_max} exceeds the enumeration cap {cap}")
     trans = np.array(transfer_matrix(model), dtype=bool)
-    orbits: list[PeriodicOrbit] = []
+    dtype = [("word", f"U{n_max}"), ("n", np.int64), ("period", float)]
+    blocks = [np.empty(0, dtype)]
     # one byte per symbol: the rows of the longest words are the memory
     # peak of an orbit census
     words = np.arange(base, dtype=np.min_scalar_type(base - 1))[:, None]
@@ -301,11 +297,10 @@ def enumerate_periodic_orbits(model: MarkovModel, n_max: int,
         # a primitive class has n distinct rotations; fewer means the word
         # is a power of a shorter one already listed
         prim = counts == n
-        orbits.extend(
-            PeriodicOrbit(word, n, period) for word, period in zip(
-                _decode_words(uniq[prim], n, model.alphabet),
-                periods[prim].tolist()))
-    return orbits
+        blocks.append(np.rec.fromarrays(
+            [_decode_words(uniq[prim], n, model.alphabet),
+             np.full(np.count_nonzero(prim), n), periods[prim]], dtype=dtype))
+    return np.concatenate(blocks).view(np.recarray)
 
 
 # ---------------------------------------------------------------------------
@@ -420,7 +415,8 @@ def li(y: float) -> float:
 
 @dataclass(frozen=True)
 class CountingReport:
-    """pi(T) against li(e^{hT}) on a grid of periods."""
+    """pi(T) against li(e^{hT}) on a grid of periods, with the orbit
+    table (enumerate_periodic_orbits) whose periods were counted."""
 
     t_grid: np.ndarray
     pi: np.ndarray
@@ -429,7 +425,7 @@ class CountingReport:
     h: float
     complete: np.ndarray         # rows with T inside the enumeration window
     n_max: int
-    orbits: list[PeriodicOrbit]  # the enumeration the counts come from
+    orbits: np.recarray          # the enumeration the counts come from
 
     @property
     def diff(self) -> np.ndarray:
@@ -449,7 +445,7 @@ def prime_orbit_report(model: MarkovModel, n_max: int,
     if t.ndim != 1 or t.size == 0:
         raise ModelError("t_grid must be a nonempty 1-d array")
     orbits = enumerate_periodic_orbits(model, n_max)
-    periods = np.sort(np.array([o.period for o in orbits]))
+    periods = np.sort(orbits.period)
     h = entropy(model)
     pi = np.searchsorted(periods, t, side="right").astype(np.int64)
     li_vals = np.array([li(math.exp(h * ti)) for ti in t])

@@ -62,11 +62,6 @@ class ScaleFunction:
     values: np.ndarray
     kappa_lower: float
 
-    def theta_at(self, x):
-        """Stopping index at arbitrary leaf coordinates (recomputed)."""
-        t, _ = _stopping_cocycle(self.model, x, self.eps)
-        return int(t[0]) if np.isscalar(x) else t
-
     def value_at(self, x):
         """Expansion value at arbitrary leaf coordinates (recomputed)."""
         _, v = _stopping_cocycle(self.model, x, self.eps)

@@ -46,6 +46,7 @@ import sys
 import numpy as np
 import pytest
 
+import transferlab
 from transferlab import cli, orbits
 from transferlab.markov import ModelConfig, build_model
 
@@ -380,10 +381,14 @@ def test_correlation_determinism(tmp_path, sin_path, monkeypatch):
 
 def test_module_entry_subprocess(tmp_path):
     out = str(tmp_path / "run")
+    # the child imports the package this process imported, however pytest
+    # put it on sys.path
+    src = os.path.dirname(os.path.dirname(transferlab.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "transferlab.cli", "model-info",
          "--out", out],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path))
     assert proc.returncode == 0
     assert proc.stdout.startswith("model-info:")
     assert os.path.exists(os.path.join(out, "model.csv"))

@@ -5,8 +5,9 @@ package runs the same arithmetic on whole arrays, in the same order, the
 comparison is exact (``==``); the fused phase operator and the prefix-sum
 smoothing reorder their sums, and their tolerances are stated below.
 
-* Stopping cocycle: ``value_at`` and ``theta_at`` against a one-point
-  loop of mu, slope and forward at random off-grid points.
+* Stopping cocycle: ``value_at`` and the stopping index of
+  ``_stopping_cocycle`` against a one-point loop of mu, slope and forward
+  at random off-grid points.
 * Cylinder partition: the level-wise ``build_partition`` against a
   depth-first refinement that reads the scale one probe at a time.
 * Grid orbit sums: the n-step weight and roof tables against per-node
@@ -17,8 +18,12 @@ smoothing reorder their sums, and their tolerances are stated below.
   against FIXED_POINT_ITERATIONS scalar ``apply_word`` rounds; the
   early-exit affine iteration against the same number of full steps; the
   array word decode against ``divmod``; words grown one symbol at a time
-  against a rebuild from length 1; the orbits a counting report carries
-  against a fresh enumeration.  Fixed points compare by their bits.
+  against a rebuild from length 1; the orbit table's words against the
+  least rotations of all primitive cyclic words from ``itertools.product``,
+  on both families and every single forbidden transition, its length
+  counts against the necklace counts; the orbits a counting report
+  carries against a fresh enumeration.  Fixed points compare by their
+  bits.
 * Operators: a real ``make_operator`` against the per-stencil gather loop
   (bitwise); a fused phase operator against the same loop within a
   relative 1e-13 of the modulus operator's sup, since the fused matrix
@@ -71,6 +76,7 @@ inside (0, 1) on the whole leaf, so every draw is a valid model.
 """
 
 import hashlib
+import itertools
 import math
 import struct
 from collections import namedtuple
@@ -149,12 +155,12 @@ def test_value_and_theta_match_one_point_loop(model, q, pts):
     scale = S.matching_scale(model, eps)
     xs = _points(pts, model)
     vals = scale.value_at(xs)
-    thetas = scale.theta_at(xs)
+    thetas, _ = S._stopping_cocycle(model, xs, eps)
     for x, v, t in zip(xs, vals, thetas):
         ref_t, ref_v = _reference_stop(model, x, eps)
         assert t == ref_t and v == ref_v
         assert scale.value_at(float(x)) == ref_v
-        assert scale.theta_at(float(x)) == ref_t
+        assert S._stopping_cocycle(model, float(x), eps)[0][0] == ref_t
 
 
 @PROPS
@@ -552,7 +558,9 @@ def test_array_decode_matches_divmod(alphabet, n, data):
     codes = data.draw(st.lists(st.integers(0, len(alphabet) ** n - 1),
                                max_size=30))
     got = O._decode_words(np.array(codes, dtype=np.int64), n, alphabet)
-    assert got == [_reference_decode(c, n, alphabet) for c in codes]
+    assert got.dtype == np.dtype(f"U{n}")
+    assert np.array_equal(got, [_reference_decode(c, n, alphabet)
+                                for c in codes])
 
 
 def _reference_words(trans, n):
@@ -581,11 +589,46 @@ def test_grown_words_match_rebuild(model, n_max):
         assert np.array_equal(words, _reference_words(trans, n))
 
 
+def _reference_orbit_words(model, n_max):
+    """Least rotation of every primitive, cyclically admissible word, by
+    length and then by code, from all words of each length."""
+    out = []
+    for n in range(1, n_max + 1):
+        least = set()
+        for letters in itertools.product(model.alphabet, repeat=n):
+            w = "".join(letters)
+            rots = {w[i:] + w[:i] for i in range(n)}
+            if len(rots) == n and model.word_admissible(w + w[0]):
+                least.add(min(rots))
+        out += sorted(least, key=lambda w: [model.alphabet.index(c)
+                                            for c in w])
+    return out
+
+
+@pytest.mark.parametrize("forbidden", _ANY_FORBIDDEN,
+                         ids=lambda f: f[0] if f else "none")
+@settings(max_examples=15, deadline=None)
+@given(n_max=st.integers(1, 6), data=st.data())
+def test_orbit_table_matches_brute_force(forbidden, n_max, data):
+    model = data.draw(models((forbidden,)))
+    table = O.enumerate_periodic_orbits(model, n_max)
+    assert isinstance(table, np.recarray)
+    assert table.dtype == np.dtype([("word", f"U{n_max}"), ("n", np.int64),
+                                    ("period", np.float64)])
+    assert table.word.tolist() == _reference_orbit_words(model, n_max)
+    neck = O.necklace_counts(model, n_max)
+    assert tuple(np.bincount(table.n, minlength=n_max + 1)[1:]) == neck
+    assert len(table) == sum(neck)
+    for row in table.tolist():
+        assert tuple(map(type, row)) == (str, int, float)
+
+
 @settings(max_examples=10, deadline=None)
 @given(model=models(_ANY_FORBIDDEN), n_max=st.integers(1, 7))
 def test_report_orbits_equal_enumeration(model, n_max):
     report = O.prime_orbit_report(model, n_max, [2 * n_max * model.tau_star])
-    assert report.orbits == O.enumerate_periodic_orbits(model, n_max)
+    assert np.array_equal(report.orbits,
+                          O.enumerate_periodic_orbits(model, n_max))
     assert report.pi[0] == len(report.orbits)
 
 

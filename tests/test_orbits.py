@@ -30,7 +30,6 @@ from scipy.integrate import quad
 from transferlab.markov import ModelError, doubling_model, markov3_model
 from transferlab.orbits import (
     CountingReport,
-    PeriodicOrbit,
     correlation_decay,
     covariance_at_zero,
     enumerate_periodic_orbits,
