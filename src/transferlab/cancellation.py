@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .gridfun import GridFunction, norm_theta_b
+from .gridfun import norm_theta_b
 from .markov import MarkovModel, ModelError
 from .rpf import ComplexRPF, build_rpf, slice_holder_norm
 from .scales import (ScaleFunction, UniCertificate, _torus_dist,
@@ -277,10 +277,6 @@ class ConeElement:
     scale: ScaleFunction
     ratio: float     # max |h'/h| / scale value over the grid
 
-    @property
-    def margin(self) -> float:
-        return 1.0 - self.ratio
-
 
 def cone_ratio(model: MarkovModel, scale: ScaleFunction,
                values: np.ndarray) -> float:
@@ -397,11 +393,6 @@ def zeta_bump(s, kappa5: float):
     down = (s > 0.75) & (s < 0.875)
     out[down] = 1.0 - kappa5 * (0.875 - s[down]) / 0.125
     return out
-
-
-def bump_c1_norm(kappa5: float, window: float = 1.0) -> float:
-    """sup |1 - zeta| plus sup |zeta'| for the bump squeezed to a window."""
-    return kappa5 + 8.0 * kappa5 / window
 
 
 # ---------------------------------------------------------------------------
@@ -911,7 +902,7 @@ def run_l2_iteration(model: MarkovModel, a: float, b: float,
     u = np.asarray(u0, dtype=complex)
     for _ in range(burn):
         u = tilde(u)
-    h0 = norm_theta_b(GridFunction(model, np.abs(u) + 0j), b)
+    h0 = norm_theta_b(model, np.abs(u), b)
     if h0 == 0.0:
         h0 = 1.0    # u identically zero: any constant majorant works
     state = MajorantState(

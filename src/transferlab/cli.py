@@ -137,11 +137,15 @@ def _env_overrides(environ) -> dict:
     return found
 
 
-def _coerce(name: str, raw: str, kind):
+def _coerce(name: str, raw, kind):
+    """kind(raw) for a flag, mirror or list entry; floats must be finite."""
     try:
-        return kind(raw)
+        val = kind(raw)
     except ValueError:
         raise UsageError(f"bad value {raw!r} for {name}") from None
+    if kind is float and not math.isfinite(val):
+        raise UsageError(f"{name} must be a finite number, got {raw}")
+    return val
 
 
 def resolve(args, environ) -> ExperimentConfig:
@@ -153,9 +157,9 @@ def resolve(args, environ) -> ExperimentConfig:
     merged = {}
     for env_name, dest in _ENV_FLAGS.items():
         val = getattr(args, dest)
-        if val is None and env_name in env:
-            val = _coerce(dest, env[env_name], kinds[dest])
-        merged[dest] = val
+        if val is None:
+            val = env.get(env_name)
+        merged[dest] = None if val is None else _coerce(dest, val, kinds[dest])
     extras = tuple((k, env[k]) for k in _ENV_EXTRAS if k in env)
 
     seed = merged["seed"] if merged["seed"] is not None else 0

@@ -1,10 +1,10 @@
 """Grid functions on model intervals and the norms used by the operator theory.
 
 Functions are sampled on the per-interval uniform grids (grid_size cells,
-endpoints included) and stored as one stacked array of shape
-(n_intervals, grid_size + 1).  The Hoelder seminorm estimator restricts to
-pairs at dyadic separations, which keeps it O(N log N) and monotone under
-dyadic grid refinement.
+endpoints included) and passed as one plain stacked array of shape
+(n_intervals, grid_size + 1), with the model that gives the grids.  The
+Hoelder seminorm estimator restricts to pairs at dyadic separations, which
+keeps it O(N log N) and monotone under dyadic grid refinement.
 """
 
 from __future__ import annotations
@@ -16,70 +16,8 @@ import numpy as np
 from .markov import MarkovModel, ModelError
 
 
-@dataclass
-class GridFunction:
-    """Samples of a scalar (real or complex) function on all interval grids."""
-
-    model: MarkovModel
-    values: np.ndarray  # shape (n_intervals, grid_size + 1)
-
-    def __post_init__(self):
-        k = len(self.model.intervals)
-        n = self.model.grid_size + 1
-        self.values = np.asarray(self.values)
-        if self.values.shape != (k, n):
-            raise ModelError(f"expected shape {(k, n)}, got {self.values.shape}")
-
-    # construction ---------------------------------------------------------
-
-    @staticmethod
-    def from_callable(model: MarkovModel, fn) -> "GridFunction":
-        rows = [np.asarray(fn(model.grid(iv.id))) for iv in model.intervals]
-        return GridFunction(model, np.stack(rows))
-
-    @staticmethod
-    def constant(model: MarkovModel, c) -> "GridFunction":
-        shape = (len(model.intervals), model.grid_size + 1)
-        return GridFunction(model, np.full(shape, c))
-
-    def copy(self) -> "GridFunction":
-        return GridFunction(self.model, self.values.copy())
-
-    def row(self, iid: str) -> np.ndarray:
-        return self.values[self.model.interval(iid).index]
-
-    # pointwise algebra ----------------------------------------------------
-
-    def _coerce(self, other):
-        if isinstance(other, GridFunction):
-            return other.values
-        return other
-
-    def __add__(self, other):
-        return GridFunction(self.model, self.values + self._coerce(other))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return GridFunction(self.model, self.values - self._coerce(other))
-
-    def __mul__(self, other):
-        return GridFunction(self.model, self.values * self._coerce(other))
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        return GridFunction(self.model, self.values / self._coerce(other))
-
-    def __abs__(self):
-        return GridFunction(self.model, np.abs(self.values))
-
-    def conj(self):
-        return GridFunction(self.model, np.conj(self.values))
-
-
-def c0_norm(u: GridFunction) -> float:
-    return float(np.max(np.abs(u.values)))
+def c0_norm(values: np.ndarray) -> float:
+    return float(np.max(np.abs(values)))
 
 
 def _lag_seminorm(values: np.ndarray, lags, n: int, theta: float) -> float:
@@ -102,27 +40,30 @@ def _halving_lags(m: int) -> list[int]:
     return [m >> j for j in range(m.bit_length())]
 
 
-def holder_seminorm(u: GridFunction, theta: float | None = None) -> float:
+def holder_seminorm(model: MarkovModel, values: np.ndarray,
+                    theta: float | None = None) -> float:
     """sup |u(x)-u(y)| / |x-y|^theta over dyadic-separation pairs per interval."""
-    theta = u.model.theta if theta is None else theta
-    n = u.model.grid_size
-    return _lag_seminorm(u.values, _halving_lags(n), n, theta)
+    theta = model.theta if theta is None else theta
+    n = model.grid_size
+    return _lag_seminorm(values, _halving_lags(n), n, theta)
 
 
-def norm_theta_b(u: GridFunction, b: float, theta: float | None = None) -> float:
+def norm_theta_b(model: MarkovModel, values: np.ndarray, b: float,
+                 theta: float | None = None) -> float:
     """max(C0 norm, |b|^{-1} theta-seminorm); b-weighted Hoelder norm."""
     if b == 0:
         raise ModelError("norm_theta_b requires b != 0")
-    return max(c0_norm(u), holder_seminorm(u, theta) / abs(b))
+    return max(c0_norm(values), holder_seminorm(model, values, theta) / abs(b))
 
 
-def oscillation(u: GridFunction, iid: str, a: float, b: float) -> float:
+def oscillation(model: MarkovModel, values: np.ndarray, iid: str,
+                a: float, b: float) -> float:
     """max - min of (real) u over the sample points inside [a, b] of U_iid."""
-    xs = u.model.grid(iid)
+    xs = model.grid(iid)
     mask = (xs >= a - 1e-12) & (xs <= b + 1e-12)
     if not mask.any():
         raise ModelError("oscillation window contains no sample points")
-    vals = u.row(iid)[mask]
+    vals = values[model.interval(iid).index][mask]
     if np.iscomplexobj(vals):
         raise ModelError("oscillation is defined for real grid functions")
     return float(vals.max() - vals.min())
@@ -217,14 +158,14 @@ def minimax_poly(xs: np.ndarray, ys: np.ndarray, degree: int,
     )
 
 
-def poly_distance(u: GridFunction, degree: int, iid: str,
+def poly_distance(model: MarkovModel, values: np.ndarray, degree: int, iid: str,
                   a: float | None = None, b: float | None = None) -> PolyDistanceReport:
     """Minimax distance of real u to polynomials of degree <= K on a window."""
-    xs = u.model.grid(iid)
-    ys = u.row(iid)
+    iv = model.interval(iid)
+    xs = model.grid(iid)
+    ys = values[iv.index]
     if np.iscomplexobj(ys):
         raise ModelError("poly_distance is defined for real grid functions")
-    iv = u.model.interval(iid)
     a = iv.left if a is None else a
     b = iv.right if b is None else b
     mask = (xs >= a - 1e-12) & (xs <= b + 1e-12)
@@ -232,7 +173,7 @@ def poly_distance(u: GridFunction, degree: int, iid: str,
 
 
 # ---------------------------------------------------------------------------
-# quadrature against measure weights
+# measure weights
 # ---------------------------------------------------------------------------
 
 def check_weights(model: MarkovModel, weights: np.ndarray, tol: float = 1e-8) -> np.ndarray:
@@ -248,35 +189,13 @@ def check_weights(model: MarkovModel, weights: np.ndarray, tol: float = 1e-8) ->
     return weights
 
 
-def integrate(u: GridFunction, weights: np.ndarray):
-    """sum of u against normalized sample weights."""
-    w = check_weights(u.model, weights)
-    return complex(np.sum(u.values * w)) if np.iscomplexobj(u.values) \
-        else float(np.sum(u.values * w))
-
-
-def l2_norm(u: GridFunction, weights: np.ndarray) -> float:
-    w = check_weights(u.model, weights)
-    return float(np.sqrt(np.sum(np.abs(u.values) ** 2 * w)))
-
-
-def lebesgue_weights(model: MarkovModel) -> np.ndarray:
-    """Trapezoid weights, uniform across intervals; sums to exactly 1."""
-    k, n = len(model.intervals), model.grid_size
-    w = np.full((k, n + 1), 1.0, dtype=float)
-    w[:, 0] = 0.5
-    w[:, -1] = 0.5
-    return w / (k * n)
-
-
 def interval_mass(model: MarkovModel, weights: np.ndarray, iid: str,
                   a: float, b: float) -> float:
     """Measure of [a, b] inside U_iid; boundary samples count half,
     straddled cells pro-rate linearly."""
-    w = np.asarray(weights, dtype=float)[model.interval(iid).index]
-    xs = model.grid(iid)
-    n = model.grid_size
     iv = model.interval(iid)
+    w = np.asarray(weights, dtype=float)[iv.index]
+    n = model.grid_size
     a = max(a, iv.left)
     b = min(b, iv.right)
     if b <= a:

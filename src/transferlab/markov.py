@@ -80,6 +80,15 @@ class ModelError(ValueError):
     pass
 
 
+def _read(key: str, text: str, kind=float):
+    """kind(text) for a config value, naming the key when it fails."""
+    try:
+        return kind(text)
+    except ValueError:
+        raise ModelError(f"{key}: cannot read {text.strip()!r} "
+                         f"as {kind.__name__}") from None
+
+
 _CONFIG_KEYS = ("family", "slopes", "forbidden", "roof", "potential", "mu",
                 "grid_size", "theta")
 
@@ -130,20 +139,21 @@ class ModelConfig:
             raise ModelError("missing key 'family'")
         kwargs: dict = {"family": fields.pop("family")}
         if "slopes" in fields:
-            kwargs["slopes"] = tuple(float(v) for v in fields.pop("slopes").split(","))
+            kwargs["slopes"] = tuple(_read("slopes", v)
+                                     for v in fields.pop("slopes").split(","))
         if "forbidden" in fields:
             kwargs["forbidden"] = tuple(
                 v.strip() for v in fields.pop("forbidden").split(",") if v.strip())
         for key in ("roof", "potential", "mu"):
             if key in fields:
-                vals = tuple(float(v) for v in fields.pop(key).split(","))
+                vals = tuple(_read(key, v) for v in fields.pop(key).split(","))
                 if len(vals) != 4:
                     raise ModelError(f"{key}: expected 4 coefficients, got {len(vals)}")
                 kwargs[key] = vals
         if "grid_size" in fields:
-            kwargs["grid_size"] = int(fields.pop("grid_size"))
+            kwargs["grid_size"] = _read("grid_size", fields.pop("grid_size"), int)
         if "theta" in fields:
-            kwargs["theta"] = float(fields.pop("theta"))
+            kwargs["theta"] = _read("theta", fields.pop("theta"))
         return ModelConfig(**kwargs)
 
 
@@ -257,25 +267,11 @@ class MarkovModel:
 
     # -- words ------------------------------------------------------------
 
-    def sym_target(self, sym: str) -> str:
-        return self.intervals[self.symbol_target[self.alphabet.index(sym)]].id
-
     def word_admissible(self, word: str) -> bool:
         if not word or not set(word) <= set(self.alphabet):
             return False
         idx = [self.alphabet.index(sym) for sym in word]
         return all(self.transitions[a, b] for a, b in zip(idx, idx[1:]))
-
-    def enumerate_words(self, n: int) -> list[str]:
-        """All admissible branch words of length n, lexicographic order."""
-        if n < 1:
-            raise ModelError("word length must be >= 1")
-        words = list(self.alphabet)
-        for _ in range(n - 1):
-            # w extends on the right by the symbols that may follow w[-1]
-            words = [w + s for w in words for s, ok in zip(self.alphabet,
-                     self.transitions[self.alphabet.index(w[-1])]) if ok]
-        return words
 
     def _word_walk(self, word: str, x: np.ndarray, domain: str | None):
         """v_{word[i:]}(x) for i = len(word) - 1 down to 0: the branch
@@ -314,10 +310,6 @@ class MarkovModel:
         vals = np.asarray(step(pts.ravel())).reshape(pts.shape) if n else pts
         out = fold(vals, axis=0)
         return float(out[0]) if np.isscalar(x) else out
-
-    def expansion_cocycle(self, x, n: int):
-        """Lambda_n(x) = product of |sigma'| along the n-step forward orbit."""
-        return self._orbit_fold(x, n, self.slope_at, np.prod)
 
     def stable_cocycle(self, x, n: int):
         """Product of mu along the n-step forward orbit (in (0,1) per step)."""
@@ -358,14 +350,18 @@ def _parse_forbidden(entries: tuple[str, ...]) -> set[tuple[str, str]]:
 def build_model(config: ModelConfig) -> MarkovModel:
     """Construct and validate a model from its configuration.
 
-    Raises ModelError when the roof is not positive, mu leaves (0,1), the
-    adjacency loses transitivity, grid_size is not a power of two, or the
-    declared slopes disagree with the family.
+    Raises ModelError when a roof, potential or mu coefficient is not
+    finite, the roof is not positive, mu leaves (0,1), the adjacency loses
+    transitivity, grid_size is not a power of two, or the declared slopes
+    disagree with the family.
     """
     if config.grid_size < 64 or config.grid_size & (config.grid_size - 1):
         raise ModelError("grid_size must be a power of two, at least 64")
     if not 0.0 < config.theta <= 1.0:
         raise ModelError("theta must lie in (0, 1]")
+    for key in ("roof", "potential", "mu"):
+        if not np.isfinite(getattr(config, key)).all():
+            raise ModelError(f"{key} coefficients must be finite")
 
     roof = CoefFn(*config.roof)
     potential = CoefFn(*config.potential)

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .gridfun import _halving_lags, _lag_seminorm
+from .gridfun import _halving_lags, _lag_seminorm, holder_seminorm
 from .markov import MarkovModel, ModelError
 from .thermo import (WeightRecipe, base_system, gibbs_measure,
                      leading_eigendata, make_operator, power_iteration,
@@ -299,13 +299,6 @@ class DecayProfile:
     intercept: float | None
 
 
-def _holder_seminorm_rows(model: MarkovModel, u: np.ndarray,
-                          theta: float) -> float:
-    """Largest dyadic Hoelder seminorm over the whole interval rows."""
-    n = model.grid_size
-    return _lag_seminorm(u, _halving_lags(n), n, theta)
-
-
 def decay_profile(model: MarkovModel, a: float, b_list=(64.0, 128.0, 256.0, 512.0),
                   n_rule=default_n_rule, u: np.ndarray | None = None) -> DecayProfile:
     """Iterate L_{a,b} n(b) times and record norms; fit the L2 norm against
@@ -324,7 +317,7 @@ def decay_profile(model: MarkovModel, a: float, b_list=(64.0, 128.0, 256.0, 512.
         flagged = not bool(np.all(np.isfinite(mod)))
         c0 = float(mod.max()) if not flagged else float("nan")
         l2 = float(math.sqrt(np.sum(nu * mod ** 2))) if not flagged else float("nan")
-        sem = _holder_seminorm_rows(model, v, model.theta) if not flagged else float("nan")
+        sem = holder_seminorm(model, v) if not flagged else float("nan")
         rows.append(DecayRow(float(b), n, c0, l2, sem, flagged))
     good = [r for r in rows if not r.flagged and r.l2 > 0]
     if len(good) >= 4:
@@ -356,13 +349,13 @@ def lasota_yorke_report(model: MarkovModel, a: float, b: float,
     xs = np.linspace(0.0, 1.0, model.grid_size + 1)
     u = (np.stack([np.sin(2 * np.pi * xs + iv.index) for iv in model.intervals])
          + 0.3 * rng.standard_normal(shape) * xs * (1 - xs)).astype(complex)
-    sem0 = _holder_seminorm_rows(model, u, model.theta)
+    sem0 = holder_seminorm(model, u)
     c00 = float(np.max(np.abs(u)))
     rate = math.exp(-model.theta * model.chi_0)
     rows = []
     v = u
     for n in range(n_max + 1):
-        rows.append((n, _holder_seminorm_rows(model, v, model.theta),
+        rows.append((n, holder_seminorm(model, v),
                      float(np.max(np.abs(v)))))
         v = op(v)
     design = np.array([[rate ** n * sem0, c00] for n, _, _ in rows])

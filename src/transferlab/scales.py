@@ -67,17 +67,9 @@ class ScaleFunction:
         _, v = _stopping_cocycle(self.model, x, self.eps)
         return float(v[0]) if np.isscalar(x) else v
 
-    def rows(self, iid: str) -> tuple[np.ndarray, np.ndarray]:
-        idx = self.model.interval(iid).index
-        return self.steps[idx], self.values[idx]
-
     @property
     def min_value(self) -> float:
         return float(self.values.min())
-
-    @property
-    def max_value(self) -> float:
-        return float(self.values.max())
 
 
 def _stopping_cocycle(model: MarkovModel, x, eps: float):
@@ -593,11 +585,6 @@ class RecurrenceReport:
     m: int
     trials: int
     rows: tuple   # (kappa, bad fraction, exp(-m kappa), within bound)
-
-    def best_kappa(self) -> float:
-        """Largest tested kappa whose empirical bad mass beats the bound."""
-        good = [k for (k, bad, bound, ok) in self.rows if ok]
-        return max(good) if good else 0.0
 
 
 def recurrence_rate(model: MarkovModel, omega_mask: np.ndarray,

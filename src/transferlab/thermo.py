@@ -528,18 +528,3 @@ def doubling_constant(model: MarkovModel, weights: np.ndarray,
                 if big > 0:
                     worst = min(worst, small / big)
     return worst
-
-
-def induce_potential(model: MarkovModel, flow_fn, subsamples: int = 16) -> np.ndarray:
-    """Pull a flow-space potential to the section: x -> integral of
-    flow_fn(x, t) over t in [0, roof(x)], trapezoid rule per fiber."""
-    out = np.zeros((len(model.intervals), model.grid_size + 1))
-    for iv in model.intervals:
-        xs = model.grid(iv.id)
-        tau = np.asarray(model.roof(xs))
-        ts = np.linspace(0.0, 1.0, subsamples + 1)
-        vals = np.stack([np.asarray(flow_fn(xs, t * tau)) for t in ts])
-        wts = np.full(subsamples + 1, 1.0 / subsamples)
-        wts[0] = wts[-1] = 0.5 / subsamples
-        out[iv.index] = tau * np.einsum("s,sn->n", wts, vals)
-    return out

@@ -192,6 +192,44 @@ def test_repeated_forbidden_entry_rejected(tmp_path, capsys):
     assert "'0>1' is listed twice" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, env, config", [
+    (["decay", "--b", "nan"], {}, None),
+    (["decay", "--b", "inf"], {}, None),
+    (["dolgopyat", "--b", "nan"], {}, None),
+    (["decay"], {"B": "nan"}, None),
+    (["decay"], {"B_LIST": "64, nan"}, None),
+    (["correlation"], {"T_GRID": "1, nan"}, None),
+    (["model-info"], {}, "roof = 1, x, 0, 0\n"),
+    (["model-info"], {}, "grid_size = 1e3\n"),
+    (["model-info"], {}, "roof = nan, 0, 0, 0\n"),
+    (["correlation"], {}, "roof = nan, 0, 0, 0\n"),
+], ids=["decay-b-nan", "decay-b-inf", "dolgopyat-b-nan", "env-b-nan",
+        "b-list-nan", "t-grid-nan", "config-roof-text", "config-grid-float",
+        "config-roof-nan", "correlation-roof-nan"])
+def test_malformed_number_is_one_line_usage_error(tmp_path, monkeypatch,
+                                                  capsys, argv, env, config):
+    # each of these once ended in a traceback or in exit 0
+    for name, val in env.items():
+        monkeypatch.setenv(f"TRANSFERLAB_{name}", val)
+    if config is not None:
+        path = tmp_path / "model.txt"
+        path.write_text("family = doubling\n" + config)
+        argv = argv + ["--model", str(path)]
+    assert cli.main(argv + ["--grid", "64", "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("transferlab: error:"), err
+
+
+@pytest.mark.parametrize("argv", [["decay", "--a", "nan"],
+                                  ["uni-scan", "--eps", "nan"]])
+def test_non_finite_flag_rejected_before_the_run(tmp_path, capsys, argv):
+    # decay --a nan once ran the whole power-iteration cap first
+    out = tmp_path / "o"
+    assert cli.main(argv + ["--grid", "64", "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("transferlab: error:")
+    assert not out.exists()
+
+
 def test_bad_seed_and_threads(tmp_path):
     out = str(tmp_path / "o")
     assert cli.main(["pressure", "--seed", "-1", "--out", out]) == 1

@@ -65,8 +65,8 @@ smoothing reorder their sums, and their tolerances are stated below.
   of the branch-instance list ``build_model`` used to keep, and the
   stencils, ``all_words`` and ``extreme_word`` against that list;
   ``transfer_matrix``, ``word_admissible``,
-  ``enumerate_words`` and ``fixed_word_count`` against their dict-based
-  and tuple-product versions; ``apply_word`` and ``roof_sum_on_word``,
+  the words ``word_admissible`` lets through and ``fixed_word_count``
+  against their dict-based and tuple-product versions; ``apply_word`` and ``roof_sum_on_word``,
   with and without a given domain, against the scalar loop over that
   list, errors included; ``temporal_distance`` with one interval lookup.
 
@@ -95,7 +95,7 @@ from transferlab import orbits as O
 from transferlab import rpf as R
 from transferlab import scales as S
 from transferlab import thermo as T
-from transferlab.gridfun import GridFunction, holder_seminorm
+from transferlab.gridfun import holder_seminorm
 from transferlab.markov import ModelConfig, ModelError, build_model
 
 PROPS = settings(max_examples=25, deadline=None)
@@ -233,7 +233,7 @@ def _reference_partition(model, scale, c1):
 @given(model=models(), q=st.integers(1, 5), c1=st.sampled_from((0.5, 1.0)))
 def test_levelwise_partition_matches_depth_first(model, q, c1):
     scale = S.matching_scale(model, 2.0 ** -q)
-    assume(scale.max_value <= 300.0)     # keeps the reference loop short
+    assume(scale.values.max() <= 300.0)  # keeps the reference loop short
     ref = _reference_partition(model, scale, c1)
     if ref is None:
         with pytest.raises(C.EngineError, match="too coarse"):
@@ -465,13 +465,20 @@ def _bits(x):
     return np.asarray(x, dtype=float).view(np.uint64).tolist()
 
 
+def _admissible_words(model, n):
+    """Every word of length n that word_admissible accepts, in order."""
+    words = map("".join, itertools.product(model.alphabet, repeat=n))
+    return [w for w in words if model.word_admissible(w)]
+
+
 def _cyclic_words(model, n):
-    return [w for w in model.enumerate_words(n)
+    return [w for w in _admissible_words(model, n)
             if model.word_admissible(w + w[0])]
 
 
 def _reference_fixed_point(model, word):
-    y = model.interval(model.sym_target(word[0])).left + 0.5
+    target = model.symbol_target[model.alphabet.index(word[0])]
+    y = model.intervals[target].left + 0.5
     for _ in range(O.FIXED_POINT_ITERATIONS):
         y = model.apply_word(word, y)
     return y
@@ -749,7 +756,7 @@ def test_row_seminorm_matches_dyadic_loop(model, seed, freq, noise):
     # smooth rows put the worst quotient at long lags, noisy ones at lag 1
     u = np.exp(2j * np.pi * freq * xs) + noise * _complex_field(model, seed)
     for field in (u, u.real.copy()):
-        assert (R._holder_seminorm_rows(model, field, model.theta)
+        assert (holder_seminorm(model, field)
                 == _reference_row_seminorm(model, field, model.theta))
 
 
@@ -1113,10 +1120,10 @@ def test_block_monte_carlo_matches_block_loop(model, t_grid, samples, blocks,
 # one copy of each numerical primitive, against the loops it replaced
 
 
-def _old_holder_seminorm(u, theta):
-    n = u.model.grid_size
+def _old_holder_seminorm(model, values, theta):
+    n = model.grid_size
     best = 0.0
-    for row in u.values:
+    for row in values:
         lag = n
         while lag >= 1:
             h = lag / n
@@ -1186,11 +1193,10 @@ def test_lag_seminorm_matches_grid_and_row_loops(model, seed, kind, theta,
     if smooth:
         # smooth rows put the worst quotient at long lags
         u = u * 1e-3 + np.sin(np.pi * model.nodes())
-    gf = GridFunction(model, u)
     th = model.theta if theta is None else theta
-    assert _bits(holder_seminorm(gf, theta)) == _bits(
-        _old_holder_seminorm(gf, th))
-    assert _bits(R._holder_seminorm_rows(model, u, th)) == _bits(
+    assert _bits(holder_seminorm(model, u, theta)) == _bits(
+        _old_holder_seminorm(model, u, th))
+    assert _bits(holder_seminorm(model, u, th)) == _bits(
         _reference_row_seminorm(model, u, th))
 
 
@@ -1242,7 +1248,8 @@ def _old_folds(model, fn, x, n):
 def test_orbit_fold_matches_per_method_folds(model, pts, n, scalar):
     x = _points(pts, model)
     x = float(x[0]) if scalar else x
-    got = (model.expansion_cocycle(x, n), model.stable_cocycle(x, n),
+    got = (model._orbit_fold(x, n, model.slope_at, np.prod),
+           model.stable_cocycle(x, n),
            model.det_cocycle(x, n), model.birkhoff_sum(model.roof, x, n))
     for g, ref in zip(got, _old_folds(model, model.roof, x, n)):
         assert type(g) is type(ref)
@@ -1570,7 +1577,6 @@ def test_branch_arrays_match_branch_instances(model):
             assert _bits(model.branch_offset[i, iv.index]) == _bits(inst.offset)
             targets.add(inst.target)
         assert targets == {model.intervals[model.symbol_target[i]].id}
-        assert model.sym_target(a) == targets.pop()
     for iv in model.intervals:
         fiber = {b.sym for b in _old_fiber_branches(model, iv.id)}
         assert fiber == {a for i, a in enumerate(model.alphabet)
@@ -1665,8 +1671,8 @@ def test_transitions_match_dict_construction(model, n, words):
     mat = O.transfer_matrix(model)
     assert mat == _old_transfer_matrix(model)
     assert all(type(v) is int for row in mat for v in row)
-    assert model.enumerate_words(n) == _old_enumerate_words(model, n)
-    for w in words + model.enumerate_words(n):
+    assert _admissible_words(model, n) == _old_enumerate_words(model, n)
+    for w in words + _admissible_words(model, n):
         assert model.word_admissible(w) == _old_word_admissible(model, w)
     for m in (n, 3 * n, 40):
         got = O.fixed_word_count(model, m)
@@ -1702,7 +1708,7 @@ def _outcome(fn, *args):
 @given(model=models(_ANY_FORBIDDEN), data=point_lists, n=st.integers(0, 4),
        pick=st.integers(0, 10 ** 6))
 def test_word_walk_matches_scalar_loop(model, data, n, pick):
-    words = model.enumerate_words(n) if n else [""]
+    words = _admissible_words(model, n) if n else [""]
     word = words[pick % len(words)] + ("9" if pick % 7 == 0 else "")
     xs = np.concatenate([_points(data, model), _seam_points(model)])
     for x in [xs] + xs.tolist():

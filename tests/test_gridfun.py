@@ -1,4 +1,4 @@
-"""Norms, minimax distance, quadrature.
+"""Norms, minimax distance, measure weights.
 
 Frozen expected values, derived independently first:
   * identity on [0,1], theta = 1/2: the dyadic-pair estimator attains
@@ -11,6 +11,8 @@ Frozen expected values, derived independently first:
     continuum extrema -1, 0, 1 are grid points, so the discrete and
     continuum problems agree); |s| with degree 0 -> midrange error 1/2.
   * oscillation of cos(2 pi x) over [0, 1/2] = 2.
+  * trapezoid weights: each of k unit intervals carries mass 1/k, and the
+    dyadic half-ball mass ratio is exactly 1/2.
 """
 
 import numpy as np
@@ -18,15 +20,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from transferlab import doubling_model, markov3_model
+from transferlab import ModelError, doubling_model, markov3_model
 from transferlab.gridfun import (
-    GridFunction,
     c0_norm,
+    check_weights,
     holder_seminorm,
-    integrate,
     interval_mass,
-    l2_norm,
-    lebesgue_weights,
     minimax_poly,
     norm_theta_b,
     oscillation,
@@ -36,6 +35,19 @@ from transferlab.gridfun import (
 TWO_PI = 2 * np.pi
 
 
+def sample(model, fn):
+    """fn on every interval grid, stacked as (intervals, grid_size + 1)."""
+    return np.stack([fn(model.grid(iv.id)) for iv in model.intervals])
+
+
+def lebesgue_weights(model):
+    """Trapezoid weights, uniform across intervals, summing to 1."""
+    k, n = len(model.intervals), model.grid_size
+    w = np.ones((k, n + 1))
+    w[:, [0, -1]] = 0.5
+    return w / (k * n)
+
+
 @pytest.fixture(scope="module")
 def model():
     return doubling_model(grid_size=4096)
@@ -43,44 +55,48 @@ def model():
 
 class TestSeminorm:
     def test_identity_theta_half(self, model):
-        u = GridFunction.from_callable(model, lambda x: x)
-        assert holder_seminorm(u, 0.5) == pytest.approx(1.0, abs=1e-12)
+        u = sample(model, lambda x: x)
+        assert holder_seminorm(model, u, 0.5) == pytest.approx(1.0, abs=1e-12)
 
     def test_sine_lipschitz(self, model):
-        u = GridFunction.from_callable(model, lambda x: np.sin(TWO_PI * x))
-        assert holder_seminorm(u, 1.0) == pytest.approx(TWO_PI, abs=1e-5)
+        u = sample(model, lambda x: np.sin(TWO_PI * x))
+        assert holder_seminorm(model, u, 1.0) == pytest.approx(TWO_PI, abs=1e-5)
 
     def test_constant_has_zero_seminorm(self, model):
-        u = GridFunction.constant(model, 3.7)
-        assert holder_seminorm(u) == 0.0
+        u = np.full((1, model.grid_size + 1), 3.7)
+        assert holder_seminorm(model, u) == 0.0
 
     def test_norm_theta_b(self, model):
-        u = GridFunction.from_callable(model, lambda x: np.sin(TWO_PI * x))
-        assert norm_theta_b(u, 100.0, theta=1.0) == pytest.approx(1.0, abs=1e-9)
-        assert norm_theta_b(u, 1.0, theta=1.0) == pytest.approx(TWO_PI, abs=1e-4)
+        u = sample(model, lambda x: np.sin(TWO_PI * x))
+        assert norm_theta_b(model, u, 100.0, theta=1.0) == pytest.approx(1.0, abs=1e-9)
+        assert norm_theta_b(model, u, 1.0, theta=1.0) == pytest.approx(TWO_PI, abs=1e-4)
+        assert norm_theta_b(model, u + 0j, 1.0, theta=1.0) == norm_theta_b(
+            model, u, 1.0, theta=1.0)
+        with pytest.raises(ModelError):
+            norm_theta_b(model, u, 0.0)
 
     def test_estimator_monotone_under_refinement(self):
         # the dyadic pairs of the coarse grid embed into the fine grid
         coarse = doubling_model(grid_size=256)
         fine = doubling_model(grid_size=512)
         fn = lambda x: np.sin(TWO_PI * x) + 0.3 * np.cos(2 * TWO_PI * x)
-        sc = holder_seminorm(GridFunction.from_callable(coarse, fn), 0.5)
-        sf = holder_seminorm(GridFunction.from_callable(fine, fn), 0.5)
+        sc = holder_seminorm(coarse, sample(coarse, fn), 0.5)
+        sf = holder_seminorm(fine, sample(fine, fn), 0.5)
         assert sc <= sf + 1e-12
 
     @given(st.floats(-4, 4), st.floats(-4, 4))
     @settings(max_examples=25, deadline=None)
     def test_triangle_inequality(self, a, b):
         m = doubling_model(grid_size=128)
-        u = GridFunction.from_callable(m, lambda x: a * np.sin(TWO_PI * x))
-        v = GridFunction.from_callable(m, lambda x: b * x * (1 - x))
-        lhs = holder_seminorm(u + v)
-        assert lhs <= holder_seminorm(u) + holder_seminorm(v) + 1e-10
+        u = sample(m, lambda x: a * np.sin(TWO_PI * x))
+        v = sample(m, lambda x: b * x * (1 - x))
+        lhs = holder_seminorm(m, u + v)
+        assert lhs <= holder_seminorm(m, u) + holder_seminorm(m, v) + 1e-10
 
     def test_oscillation(self, model):
-        u = GridFunction.from_callable(model, lambda x: np.cos(TWO_PI * x))
-        assert oscillation(u, "u", 0.0, 0.5) == pytest.approx(2.0, abs=1e-12)
-        assert oscillation(u, "u", 0.0, 1.0) <= 2 * c0_norm(u) + 1e-15
+        u = sample(model, lambda x: np.cos(TWO_PI * x))
+        assert oscillation(model, u, "u", 0.0, 0.5) == pytest.approx(2.0, abs=1e-12)
+        assert oscillation(model, u, "u", 0.0, 1.0) <= 2 * c0_norm(u) + 1e-15
 
 
 class TestMinimax:
@@ -114,9 +130,9 @@ class TestMinimax:
         assert errs[4] < errs[0] / 5
 
     def test_grid_function_window(self, model):
-        u = GridFunction.from_callable(model, lambda x: (2 * x - 1) ** 2)
+        u = sample(model, lambda x: (2 * x - 1) ** 2)
         # on [0,1] the function is s^2 in s = 2x-1; degree-1 error is 1/2
-        rep = poly_distance(u, 1, "u")
+        rep = poly_distance(model, u, 1, "u")
         assert rep.error == pytest.approx(0.5, abs=1e-6)
 
     def test_too_few_points_rejected(self):
@@ -127,27 +143,20 @@ class TestMinimax:
 
 class TestQuadrature:
     def test_lebesgue_normalized(self, model):
-        w = lebesgue_weights(model)
+        w = check_weights(model, lebesgue_weights(model))
         assert w.sum() == pytest.approx(1.0, abs=1e-14)
-        one = GridFunction.constant(model, 1.0)
-        assert integrate(one, w) == pytest.approx(1.0, abs=1e-14)
+        assert interval_mass(model, w, "u", 0.0, 1.0) == pytest.approx(1.0, abs=1e-14)
 
     def test_periodic_sine_integrates_to_zero(self, model):
         w = lebesgue_weights(model)
-        u = GridFunction.from_callable(model, lambda x: np.sin(TWO_PI * x))
-        assert integrate(u, w) == pytest.approx(0.0, abs=1e-13)
-
-    def test_l2_cauchy_schwarz(self, model):
-        w = lebesgue_weights(model)
-        u = GridFunction.from_callable(model, lambda x: np.sin(TWO_PI * x))
-        v = GridFunction.from_callable(model, lambda x: x)
-        assert abs(integrate(u * v, w)) <= l2_norm(u, w) * l2_norm(v, w) + 1e-12
+        u = sample(model, lambda x: np.sin(TWO_PI * x))
+        assert float(np.sum(u * w)) == pytest.approx(0.0, abs=1e-13)
 
     def test_unnormalized_weights_rejected(self, model):
-        w = lebesgue_weights(model) * 2
-        one = GridFunction.constant(model, 1.0)
-        with pytest.raises(Exception):
-            integrate(one, w)
+        w = lebesgue_weights(model)
+        for bad in (w * 2, -w, w[:, :-1]):
+            with pytest.raises(ModelError):
+                check_weights(model, bad)
 
     def test_interval_mass_proportional_for_lebesgue(self):
         m = markov3_model(grid_size=512)

@@ -12,6 +12,7 @@ frozen here:
   * roof 2 + 0.5 sin(2 pi x): extrema 1.5 and 2.5.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -24,6 +25,17 @@ from transferlab import ModelConfig, ModelError, build_model, doubling_model, ma
 
 def sin_roof_model(**kw):
     return doubling_model(roof=(2.0, 0.0, 0.5, 0.0), **kw)
+
+
+def admissible_words(m, n):
+    """Every word of length n that word_admissible accepts, lexicographic."""
+    words = map("".join, itertools.product(m.alphabet, repeat=n))
+    return [w for w in words if m.word_admissible(w)]
+
+
+def expansion(m, x, n):
+    """Lambda_n(x): product of |sigma'| along the n-step forward orbit."""
+    return m._orbit_fold(x, n, m.slope_at, np.prod)
 
 
 def branch_instances(m):
@@ -64,6 +76,18 @@ class TestBuild:
             build_model(ModelConfig("doubling", theta=0.0))
         with pytest.raises(ModelError):
             build_model(ModelConfig("markov3", forbidden=("0>1", "1>2")))
+        nan, inf = float("nan"), float("inf")
+        for key, coeffs in (("roof", (nan, 0.0, 0.0, 0.0)),
+                            ("roof", (2.0, 0.0, inf, 0.0)),
+                            ("potential", (0.0, 0.0, 0.0, -inf)),
+                            ("mu", (0.5, nan, 0.0, 0.0))):
+            with pytest.raises(ModelError, match=f"{key} coefficients must be finite"):
+                doubling_model(**{key: coeffs})
+        for line in ("roof = 1, x, 0, 0", "grid_size = 1e3", "theta = half",
+                     "slopes = 2, two"):
+            key = line.partition(" ")[0]
+            with pytest.raises(ModelError, match=f"^{key}: cannot read"):
+                ModelConfig.from_text(f"family = doubling\n{line}\n")
 
     def test_rejects_repeated_forbidden_entry(self):
         for entries in (("0>1", "0>1"), ("0>0", " 0 > 0 ")):
@@ -122,7 +146,7 @@ class TestBranches:
         for sym, dom in branch_instances(m):
             lo = m.apply_word(sym, m.interval(dom).left, dom)
             hi = m.apply_word(sym, m.interval(dom).right, dom)
-            tgt = m.interval(m.sym_target(sym))
+            tgt = m.intervals[m.symbol_target[m.alphabet.index(sym)]]
             assert tgt.left - 1e-12 <= lo < hi <= tgt.right + 1e-12
 
     def test_sigma_inverts_branches_on_grid(self):
@@ -133,9 +157,9 @@ class TestBranches:
             assert np.max(np.abs(back - xs)) < 1e-10
 
     def test_word_counts(self):
-        assert len(doubling_model().enumerate_words(3)) == 8
-        assert len(markov3_model(forbidden=("2>2",)).enumerate_words(2)) == 8
-        assert len(markov3_model().enumerate_words(1)) == 3
+        assert len(admissible_words(doubling_model(), 3)) == 8
+        assert len(admissible_words(markov3_model(forbidden=("2>2",)), 2)) == 8
+        assert len(admissible_words(markov3_model(), 1)) == 3
 
     def test_word_count_matches_transition_matrix_power(self):
         # independent route: adjacency matrix count of admissible sequences
@@ -146,7 +170,7 @@ class TestBranches:
             # number of admissible words of length n = sum over paths with
             # n-1 allowed steps
             expect = int(np.ones(3) @ np.linalg.matrix_power(adj, n - 1) @ np.ones(3))
-            assert len(m.enumerate_words(n)) == expect
+            assert len(admissible_words(m, n)) == expect
 
     def test_inadmissible_word_rejected(self):
         m = markov3_model(forbidden=("2>2",))
@@ -179,7 +203,7 @@ class TestForward:
         rng = np.random.default_rng(7)
         worst = 1.0
         for n in (1, 3, 5):
-            for w in m.enumerate_words(n):
+            for w in admissible_words(m, n):
                 doms = [d for s, d in branch_instances(m) if s == w[-1]]
                 for d in doms:
                     iv = m.interval(d)
@@ -197,9 +221,9 @@ class TestForward:
 class TestCocycles:
     def test_expansion_values(self):
         m = doubling_model()
-        assert m.expansion_cocycle(0.1, 5) == 32.0
+        assert expansion(m, 0.1, 5) == 32.0
         m3 = markov3_model()
-        assert m3.expansion_cocycle(0.7, 4) == 81.0
+        assert expansion(m3, 0.7, 4) == 81.0
 
     def test_birkhoff_affine_roof(self):
         m = doubling_model(roof=(2.0, 1.0, 0.0, 0.0))
@@ -212,11 +236,11 @@ class TestCocycles:
         # because per-step factors are small integers
         m = markov3_model(forbidden=("0>0",), grid_size=1024)
         x = 1.0 + j / 1024
-        lhs = m.expansion_cocycle(x, n + k)
+        lhs = expansion(m, x, n + k)
         xn = x
         for _ in range(n):
             xn = m.forward(xn)
-        rhs = m.expansion_cocycle(x, n) * m.expansion_cocycle(xn, k)
+        rhs = expansion(m, x, n) * expansion(m, xn, k)
         assert lhs == rhs
 
     def test_det_step_doubling_third(self):
@@ -241,7 +265,7 @@ class TestRoofSeminormOnWords:
         maxima = []
         for n in range(1, 11):
             worst = 0.0
-            for w in m.enumerate_words(n)[:32]:
+            for w in admissible_words(m, n)[:32]:
                 vals = m.roof_sum_on_word(w, xs)
                 diffs = np.abs(np.diff(vals))
                 seps = np.diff(xs)

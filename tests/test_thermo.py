@@ -26,11 +26,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from transferlab import doubling_model, markov3_model
-from transferlab.gridfun import lebesgue_weights
 from transferlab.markov import CoefFn, ModelError
 from transferlab import thermo as T
 
 SIN = CoefFn(0.0, 0.0, 0.2)  # 0.2 sin(2 pi x)
+
+
+def lebesgue_weights(model):
+    """Trapezoid weights, uniform across intervals, summing to 1."""
+    k, n = len(model.intervals), model.grid_size
+    w = np.ones((k, n + 1))
+    w[:, [0, -1]] = 0.5
+    return w / (k * n)
 
 
 @pytest.fixture(scope="module")
@@ -222,22 +229,6 @@ def test_equilibrium_doubling_ratio_positive(sin_model):
     ratio = T.doubling_constant(sin_model, T.gibbs_measure(sin_model))
     assert 0.3 < ratio <= 0.5 + 1e-12
 
-
-def test_induced_potential_quadrature():
-    m = doubling_model(roof=CoefFn(2.0, 1.0), grid_size=128)
-    xs = m.grid("u")
-    tau = 2.0 + xs
-    flat = T.induce_potential(m, lambda x, t: np.ones_like(x * t))
-    assert float(np.max(np.abs(flat[0] - tau))) < 1e-13
-    lin = T.induce_potential(m, lambda x, t: t)
-    assert float(np.max(np.abs(lin[0] - tau ** 2 / 2))) < 1e-13
-    # smooth integrand: trapezoid error shrinks like the square of the step
-    coarse = T.induce_potential(m, lambda x, t: np.cos(t), subsamples=8)
-    fine = T.induce_potential(m, lambda x, t: np.cos(t), subsamples=16)
-    exact = np.sin(tau)
-    err_c = float(np.max(np.abs(coarse[0] - exact)))
-    err_f = float(np.max(np.abs(fine[0] - exact)))
-    assert err_f < err_c / 3.0
 
 
 def test_complex_weight_modulus_dominated(sin_model):
