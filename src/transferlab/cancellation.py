@@ -45,6 +45,7 @@ ALIGN_SPREAD = 0.01          # phase spread allowed for alignment: kappa6/100
 DEPTH_CAP = 40
 SHRINK_RETRIES = 8           # kappa5 shrinks before a cutoff is given up
 REFINE_BLOCK = 1 << 18       # branch images per block in check_refining
+CHUNK_POINTS = 1 << 16       # window points per dichotomy or bump batch
 DOMINATION_TOL = 1e-12
 CONE_TOL = 1e-4     # headroom for the central-difference curvature bias
 
@@ -90,6 +91,25 @@ class CylinderPartition:
         return int(out) if np.isscalar(x) else out
 
 
+def _ranges(lo, size):
+    """The integer ranges lo[i], ..., lo[i] + size[i] - 1 concatenated, and
+    the start of each range in the result."""
+    seg = np.cumsum(size) - size
+    return np.repeat(lo - seg, size) + np.arange(np.sum(size)), seg
+
+
+def _chunks(points):
+    """Slices of consecutive rows holding at most CHUNK_POINTS points
+    together; a row above the bound makes a slice of its own."""
+    ends = np.cumsum(points)
+    start = 0
+    while start < len(ends):
+        bound = (ends[start - 1] if start else 0) + CHUNK_POINTS
+        stop = max(start + 1, int(np.searchsorted(ends, bound, "right")))
+        yield slice(start, stop)
+        start = stop
+
+
 def _atom_scale_ranges(model: MarkovModel, scale: ScaleFunction,
                        iids: np.ndarray, lefts: np.ndarray,
                        rights: np.ndarray):
@@ -107,10 +127,8 @@ def _atom_scale_ranges(model: MarkovModel, scale: ScaleFunction,
     probes = np.stack([lefts, 0.5 * (lefts + rights), rights - 1e-12])
     lam_lo = scale.value_at(probes).min(axis=0)
     has = np.flatnonzero(j_hi >= j_lo)
-    size = j_hi[has] - j_lo[has] + 1
-    seg = np.cumsum(size) - size
-    nodes = (np.repeat(iids[has] * (n + 1) + j_lo[has] - seg, size)
-             + np.arange(size.sum()))
+    nodes, seg = _ranges(iids[has] * (n + 1) + j_lo[has],
+                         j_hi[has] - j_lo[has] + 1)
     lam_lo[has] = np.minimum(lam_lo[has], np.minimum.reduceat(
         scale.values.ravel()[nodes], seg))
     return lam_lo, j_lo, j_hi
@@ -176,8 +194,7 @@ def build_partition(model: MarkovModel, scale: ScaleFunction,
             raise EngineError("partition refinement did not terminate")
         k = fan[dom[split]]
         parent = np.repeat(split, k)
-        b = np.repeat(first[dom[split]] - (np.cumsum(k) - k), k) \
-            + np.arange(k.sum())
+        b, _ = _ranges(first[dom[split]], k)
         word = word[parent] + b_sym[b]
         dom, iid = b_dom[b], iid[parent]
         contr, off = (contr[parent] / b_slope[b],
@@ -378,20 +395,22 @@ def choose_n4(model: MarkovModel, rpf: ComplexRPF, scale: ScaleFunction,
 # cutoff bumps
 
 
-def zeta_bump(s, kappa5: float):
+def zeta_bump(s, kappa5):
     """Trapezoid cutoff on [0, 1]: one near the edges, 1 - kappa5 inside.
 
     Equal to 1 on [0, 1/8] and [7/8, 1], equal to 1 - kappa5 on
-    [1/4, 3/4], linear on the two ramps; |zeta'| <= 8 kappa5.
+    [1/4, 3/4], linear on the two ramps; |zeta'| <= 8 kappa5.  kappa5 is
+    one depth for all of s or one per point.
     """
     s = np.asarray(s, dtype=float)
+    kappa5 = np.broadcast_to(kappa5, s.shape)
     out = np.ones_like(s)
     mid = (s >= 0.25) & (s <= 0.75)
-    out[mid] = 1.0 - kappa5
+    out[mid] = 1.0 - kappa5[mid]
     up = (s > 0.125) & (s < 0.25)
-    out[up] = 1.0 - kappa5 * (s[up] - 0.125) / 0.125
+    out[up] = 1.0 - kappa5[up] * (s[up] - 0.125) / 0.125
     down = (s > 0.75) & (s < 0.875)
-    out[down] = 1.0 - kappa5 * (0.875 - s[down]) / 0.125
+    out[down] = 1.0 - kappa5[down] * (0.875 - s[down]) / 0.125
     return out
 
 
@@ -399,15 +418,15 @@ def zeta_bump(s, kappa5: float):
 # dichotomy
 
 
-@dataclass(frozen=True)
-class Dichotomy:
-    kind: str                 # "small" | "aligned" | "indeterminate"
-    word: str
-    max_ratio: float
-    min_ratio: float
-    omega: float | None       # aligned phase representative
-    spread: float             # worst torus distance to omega
-    weight: float             # mean normalized branch weight on the window
+SMALL, ALIGNED, INDETERMINATE = 0, 1, 2      # dichotomy kind codes
+
+# One row per (span, branch) pair: the kind code, the largest and least
+# load |u|/H on the branch image, the aligned phase representative (NaN
+# where no phase was taken), the worst torus distance to it, and the mean
+# normalized branch weight on the window.
+DICHOTOMY_DTYPE = np.dtype([("kind", np.int8), ("max_ratio", float),
+                            ("min_ratio", float), ("omega", float),
+                            ("spread", float), ("weight", float)])
 
 
 def _interp_rows(model: MarkovModel, values: np.ndarray, rows, pts):
@@ -474,69 +493,105 @@ def _dichotomy_tables(model: MarkovModel, f_hat: np.ndarray,
     return np.exp(log_w), tau_n
 
 
-def _circular_stats(phases: np.ndarray) -> tuple[float, float]:
-    """(mean direction, max torus distance to it)."""
-    z = np.exp(1j * phases).mean()
-    if abs(z) < 1e-12:
-        return 0.0, math.pi
-    omega = cmath.phase(z)
-    return omega % (2 * math.pi), float(_torus_dist(phases - omega).max())
+def _window_means(values: np.ndarray, seg: np.ndarray,
+                  size: np.ndarray) -> np.ndarray:
+    """Mean of each window values[seg[i]:seg[i] + size[i]].
+
+    Windows of one length are stacked into a (k, length) array whose row
+    means keep numpy's pairwise summation, so each mean equals the
+    window's own 1-d .mean() bit for bit; a flat np.add.reduceat sums in
+    another order.
+    """
+    out = np.empty(len(seg), dtype=values.dtype)
+    for length in np.unique(size).tolist():
+        rows = np.flatnonzero(size == length)
+        out[rows] = values[seg[rows, None] + np.arange(length)].mean(axis=1)
+    return out
 
 
 def dichotomy_test(model: MarkovModel, rpf: ComplexRPF, u: np.ndarray,
-                   big_h: np.ndarray, span: tuple[float, float], word_item,
+                   big_h: np.ndarray, left, right, contr, off, tgt, n1: int,
                    kappa6: float, c9: float = C9_DEFAULT,
-                   tables: tuple | None = None) -> Dichotomy:
-    """Classify one backward branch of the atom window span = (left, right).
+                   tables: tuple | None = None) -> np.recarray:
+    """Classify a batch of (span, branch) pairs; one DICHOTOMY_DTYPE row
+    per pair.
 
-    Small when |u|/H <= 3/4 at every grid node of the branch image
-    (including the interpolation fringe); aligned when |u|/H >= 1/c9
-    everywhere and the summand phase stays within kappa6/100 of one
-    direction; indeterminate otherwise, and treated as aligned with no
-    usable phase, so no cancellation is claimed on it.  tables are the
-    len(word)-step _dichotomy_tables; they are built when not given.
+    Pair i is the n1-step backward branch x -> contr[i] x + off[i] into
+    the interval of index tgt[i], read on the atom span [left[i],
+    right[i]]; the five columns broadcast against each other.  Small when
+    |u|/H <= 3/4 at every grid node of the branch image (including the
+    interpolation fringe); aligned when |u|/H >= 1/c9 everywhere and the
+    summand phase stays within kappa6/100 of one direction; indeterminate
+    otherwise, and treated as aligned with no usable phase, so no
+    cancellation is claimed on it.
+
+    Every window is gathered into one flat array.  The load maxima and
+    minima are np.maximum.reduceat and np.minimum.reduceat over it, exact
+    in any order.  The weight mean and the circular mean of exp(i phase),
+    taken only where the load stays at least 1/c9, are row means of
+    equal-length windows stacked as (k, L) arrays (_window_means): these
+    keep numpy's pairwise summation, so they equal each window's own
+    .mean() bit for bit, where a flat np.add.reduceat would not, and the
+    weight decides which branch of a pair carries a bump.  The mean
+    direction and its modulus come from cmath.phase and abs of Python
+    complex values (libm's atan2 and hypot), which numpy's SIMD arctan2
+    and complex absolute do not match in every last bit.  tables are the
+    n1-step _dichotomy_tables; they are built when not given.  Memory is
+    linear in the window points; build_cancellation passes batches of at
+    most CHUNK_POINTS of them.
     """
-    word, contr, off, tgt = word_item
-    left, right = span
     n = model.grid_size
-    iv = model.interval(tgt)
-    g_lo = max(0, int(math.floor((contr * left + off - iv.left) * n)))
-    g_hi = min(n, int(math.ceil((contr * right + off - iv.left) * n)))
-    win = slice(g_lo, g_hi + 1)
-    uz = u[iv.index, win]
-    ratios = np.abs(uz) / big_h[iv.index, win]
-    max_ratio = float(ratios.max())
-    min_ratio = float(ratios.min())
+    left, right, contr, off, tgt = (np.ravel(c) for c in np.broadcast_arrays(
+        left, right, contr, off, tgt))
+    iv_left = model.lefts[tgt]
+    g_lo = np.maximum(np.floor((contr * left + off - iv_left) * n), 0)
+    g_hi = np.minimum(np.ceil((contr * right + off - iv_left) * n), n)
+    size = (g_hi - g_lo).astype(int) + 1
+    flat, seg = _ranges(tgt * (n + 1) + g_lo.astype(int), size)
+    uz = u.reshape(-1)[flat]
+    ratios = np.abs(uz) / big_h.reshape(-1)[flat]
+    max_ratio = np.maximum.reduceat(ratios, seg)
+    min_ratio = np.minimum.reduceat(ratios, seg)
     if tables is None:
-        tables = _dichotomy_tables(model, rpf.f_ab_grid, len(word))
+        tables = _dichotomy_tables(model, rpf.f_ab_grid, n1)
     weights, roof_sums = tables
-    w_mean = float(weights[iv.index, win].mean())
-    if max_ratio <= SMALL_FACTOR:
-        return Dichotomy("small", word, max_ratio, min_ratio, None,
-                         0.0, w_mean)
-    if min_ratio >= 1.0 / c9:
-        phases = rpf.b * roof_sums[iv.index, win] + np.angle(uz)
-        omega, spread = _circular_stats(phases)
-        if spread <= ALIGN_SPREAD * kappa6:
-            return Dichotomy("aligned", word, max_ratio, min_ratio,
-                             omega, spread, w_mean)
-        return Dichotomy("indeterminate", word, max_ratio, min_ratio,
-                         omega, spread, w_mean)
-    return Dichotomy("indeterminate", word, max_ratio, min_ratio, None,
-                     math.pi, w_mean)
+    small = max_ratio <= SMALL_FACTOR
+    # circular statistics of the summand phases where the load allows
+    circ = np.flatnonzero(~small & (min_ratio >= 1.0 / c9))
+    pos, cseg = _ranges(seg[circ], size[circ])
+    phases = rpf.b * roof_sums.reshape(-1)[flat[pos]] + np.angle(uz[pos])
+    z = _window_means(np.exp(1j * phases), cseg, size[circ]).tolist()
+    mean_dir = np.fromiter(map(cmath.phase, z), float, len(z))
+    worst = np.maximum.reduceat(
+        _torus_dist(phases - np.repeat(mean_dir, size[circ])), cseg)
+    no_dir = np.fromiter(map(abs, z), float, len(z)) < 1e-12
+    omega = np.full(len(size), np.nan)
+    omega[circ] = np.where(no_dir, 0.0, mean_dir % (2 * math.pi))
+    spread = np.where(small, 0.0, math.pi)
+    spread[circ] = np.where(no_dir, math.pi, worst)
+    kind = np.where(small, SMALL, INDETERMINATE)
+    kind[circ[spread[circ] <= ALIGN_SPREAD * kappa6]] = ALIGNED
+    return np.rec.fromarrays(
+        [kind, max_ratio, min_ratio, omega, spread,
+         _window_means(weights.reshape(-1)[flat], seg, size)],
+        dtype=DICHOTOMY_DTYPE)
 
 
 # ---------------------------------------------------------------------------
 # cutoff construction
 
 
-@dataclass(frozen=True)
-class BumpRecord:
-    atom_index: int
-    case: str                 # "small" | "paired"
-    word: str
-    window: tuple[float, float]   # s-range carrying the bump (atom chart)
-    kappa5: float
+# One row per placed bump: the atom, the case ("small" | "paired"), the
+# branch word, the s-window [lo, hi] of the atom chart carrying the bump,
+# and the bump's kappa5.
+BUMP_DTYPE = np.dtype([("atom_index", int), ("case", object),
+                       ("word", object), ("lo", float), ("hi", float),
+                       ("kappa5", float)])
+# One row per planned bump, fixed before kappa5 is: the atom, its branch
+# as a row of the n1-step word table, the s-window [lo, hi], and for a
+# paired bump the verified room of the two-term sum.
+PLAN_DTYPE = np.dtype([("atom", int), ("row", int), ("lo", float),
+                       ("hi", float), ("room", float), ("paired", bool)])
 
 
 @dataclass(frozen=True)
@@ -544,7 +599,7 @@ class Cancellation:
     p_values: np.ndarray
     core_mask: np.ndarray          # grid nodes of the flat bump cores
     bumped_atoms: frozenset
-    records: tuple[BumpRecord, ...]
+    records: np.recarray           # BUMP_DTYPE rows in marked-atom order
     kappa5: float
     kappa6: float
     skipped: int                   # atoms with no certified option
@@ -573,6 +628,16 @@ def _pair_window(delta_phase: np.ndarray, kappa6: float) -> tuple | None:
     return start / n, (start + size) / n
 
 
+def _word_table(model: MarkovModel, n1: int):
+    """all_words of every interval as columns, intervals in index order:
+    (word, contraction, offset, target index, first row per interval)."""
+    per = [all_words(model, iv.id, n1) for iv in model.intervals]
+    word, contr, off, tgt = zip(*(w for ws in per for w in ws))
+    return (np.array(word, dtype=object), np.array(contr), np.array(off),
+            np.array([model.interval(t).index for t in tgt]),
+            np.cumsum([0] + [len(ws) for ws in per]))
+
+
 def build_cancellation(model: MarkovModel, rpf: ComplexRPF,
                        part: CylinderPartition, u: np.ndarray,
                        big_h: np.ndarray, omega_atoms, n1: int,
@@ -588,6 +653,14 @@ def build_cancellation(model: MarkovModel, rpf: ComplexRPF,
     on the window, shrinking kappa5 locally when needed.  Atoms with no
     certified option keep P = 1.  A cutoff that leaves the cone is rebuilt
     with a smaller kappa5, at most SHRINK_RETRIES times.
+
+    The marked atoms are taken in their iteration order, in chunks of at
+    most CHUNK_POINTS window points (bounded per atom before any window is
+    gathered), so memory stays bounded for any partition.  One
+    dichotomy_test call classifies every (atom, n1-step branch) pair of a
+    chunk.  An atom with a small branch bumps the one of least max_ratio,
+    the first on a tie; otherwise its aligned branches, in word order, go
+    to _pair_plan.  _place_bumps then writes the bumps, again in chunks.
     """
     if kappa6 <= 0.0:
         raise EngineError("no cancellation available: oscillation margin is zero")
@@ -596,43 +669,66 @@ def build_cancellation(model: MarkovModel, rpf: ComplexRPF,
     n = model.grid_size
     f_hat = rpf.f_ab_grid
     tables = _dichotomy_tables(model, f_hat, n1)
-    words = [all_words(model, iv.id, n1) for iv in model.intervals]
+    word, w_contr, w_off, w_tgt, first = _word_table(model, n1)
+    fan = np.diff(first)
+    atoms = part.atoms
+    marked = np.fromiter(omega_atoms, dtype=int)
+    # a branch image of an atom holds at most contr * length * n + 3 nodes
+    reach = np.add.reduceat(w_contr, first[:-1])[atoms.iid[marked]]
+    points = ((atoms.right[marked] - atoms.left[marked]) * n * reach
+              + 3 * fan[atoms.iid[marked]])
     # the dichotomy and the pair analysis do not depend on kappa5, so they
     # run once; a retry only writes the bumps again with a smaller kappa5
-    plans = []       # (atom index, atom, case, branch, s-window, room)
-    marked = 0
-    for ai in omega_atoms:
-        marked += 1
-        # Python scalars once per atom: numpy record field reads are slow
-        left, right, _, _, iid, j_lo, j_hi, _ = part.atoms[ai].item()
-        atom = (left, right, iid)
-        ws = words[iid]
-        tests = [dichotomy_test(model, rpf, u, big_h, (left, right), w,
-                                kappa6, c9, tables) for w in ws]
-        smalls = [(t, w) for t, w in zip(tests, ws) if t.kind == "small"]
-        if smalls:
-            _, w = min(smalls, key=lambda tw: tw[0].max_ratio)
-            plans.append((ai, atom, "small", w, (0.0, 1.0), None))
-            continue
-        aligned = [(t, w) for t, w in zip(tests, ws) if t.kind == "aligned"]
-        y = model.intervals[iid].left + np.arange(j_lo, j_hi + 1) / n
-        pair = _pair_plan(model, rpf.b, f_hat, y, aligned, u, big_h,
-                          kappa6, n1)
-        if pair is not None:
-            plans.append((ai, atom, "paired") + pair)
+    plans = [np.recarray(0, PLAN_DTYPE)]
+    for chunk in _chunks(points):
+        ai = marked[chunk]
+        iid = atoms.iid[ai]
+        rows, start = _ranges(first[iid], fan[iid])
+        owner = np.repeat(np.arange(len(ai)), fan[iid])
+        res = dichotomy_test(model, rpf, u, big_h, atoms.left[ai][owner],
+                             atoms.right[ai][owner], w_contr[rows],
+                             w_off[rows], w_tgt[rows], n1, kappa6, c9,
+                             tables)
+        ratio = np.where(res.kind == SMALL, res.max_ratio, np.inf)
+        best = np.minimum.reduceat(ratio, start)
+        hits = np.flatnonzero((ratio == best[owner]) & (res.kind == SMALL))
+        small, pick = np.unique(owner[hits], return_index=True)
+        plan = np.zeros(len(ai), PLAN_DTYPE).view(np.recarray)
+        plan.atom, plan.row, plan.hi = ai, -1, 1.0
+        plan.row[small] = rows[hits[pick]]
+        aligned = np.flatnonzero((res.kind == ALIGNED)
+                                 & (plan.row[owner] < 0))
+        for g in np.split(aligned, np.flatnonzero(np.diff(owner[aligned])) + 1):
+            if len(g) < 2:
+                continue
+            k, r = owner[g[0]], rows[g]
+            y = model.intervals[iid[k]].left + np.arange(
+                atoms.j_lo[ai[k]], atoms.j_hi[ai[k]] + 1) / n
+            pair = _pair_plan(model, rpf.b, f_hat, y, res.omega[g],
+                              res.weight[g], w_contr[r], w_off[r], w_tgt[r],
+                              u, big_h, kappa6, n1)
+            if pair is not None:
+                plan[k] = (ai[k], r[pair[0]]) + pair[1] + (pair[2], True)
+        plans.append(plan[plan.row >= 0])
+    plans = np.concatenate(plans).view(np.recarray)
+    case = np.array(["small", "paired"], dtype=object)[plans.paired * 1]
     for retries in range(SHRINK_RETRIES + 1):
+        # fmin: a NaN room leaves kappa5 as Python's min does
+        kap = np.where(plans.paired,
+                       np.fmin(np.fmin(kappa5, 0.5 * plans.room), 0.2499),
+                       kappa5)
         p_vals = np.ones_like(big_h)
         core = np.zeros(big_h.shape, dtype=bool)
-        records = []
-        for ai, atom, case, w, window, room in plans:
-            kap = kappa5 if room is None else min(kappa5, 0.5 * room, 0.2499)
-            if _place_bump(model, p_vals, core, atom, w, window, kap, n):
-                records.append(BumpRecord(ai, case, w[0], window, kap))
-        bumped = frozenset(r.atom_index for r in records)
+        placed = _place_bumps(model, p_vals, core, atoms, w_contr, w_off,
+                              w_tgt, plans, kap)
+        records = np.rec.fromarrays(
+            [c[placed] for c in (plans.atom, case, word[plans.row],
+                                 plans.lo, plans.hi, kap)], dtype=BUMP_DTYPE)
+        bumped = frozenset(records.atom_index.tolist())
         ratio = cone_ratio(model, part.scale, p_vals)
         if ratio <= 1.0:
-            return Cancellation(p_vals, core, bumped, tuple(records), kappa5,
-                                kappa6, marked - len(bumped),
+            return Cancellation(p_vals, core, bumped, records, kappa5,
+                                kappa6, len(marked) - len(bumped),
                                 ratio, retries)
         # the cutoff slope scales linearly in kappa5 near one
         kappa5 = kappa5 / (ratio * 1.05)
@@ -641,63 +737,80 @@ def build_cancellation(model: MarkovModel, rpf: ComplexRPF,
         f"(log-slope ratio {ratio:.3g})")
 
 
-def _place_bump(model, p_vals, core, atom, word_item, j1, kappa5, n):
-    """Write the cutoff onto one branch image; mark the flat core.
+def _place_bumps(model, p_vals, core, atoms, contr, off, tgt, plans,
+                 kappa5) -> np.ndarray:
+    """Write the cutoffs of all plans onto their branch images; mark the
+    flat cores.  Returns the mask of the plans placed.
 
-    atom is (left, right, interval index) of the atom carrying the bump.
+    Plan i bumps the image of atom plans.atom[i] under word-table row
+    plans.row[i], x -> contr x + off into interval tgt, on the s-window
+    [lo, hi] of the atom chart, with depth kappa5[i].  A bump whose image
+    holds no grid node is not placed.  Plans go CHUNK_POINTS image nodes
+    at a time; p_vals takes the pointwise minimum through np.minimum.at,
+    exact for overlapping windows, and the core nodes are set by flat
+    index ranges.
     """
-    left, right, iid = atom
-    length = right - left
-    word, contr, off, tgt = word_item
-    iv = model.interval(tgt)
-    img_left = contr * left + off
-    img_len = contr * length
-    g_lo = int(math.ceil((img_left - iv.left) * n - 1e-9))
-    g_hi = int(math.floor((img_left + img_len - iv.left) * n + 1e-9))
-    if g_hi < g_lo:
-        return False
-    js = np.arange(g_lo, g_hi + 1)
-    s = ((iv.left + js / n) - img_left) / img_len
-    a, b = j1
-    width = b - a
-    inside = (s >= a) & (s <= b)
-    local = np.ones_like(s)
-    local[inside] = zeta_bump((s[inside] - a) / width, kappa5)
-    p_vals[iv.index, js] = np.minimum(p_vals[iv.index, js], local)
-    # flat core, read back in the atom chart: sigma^{n1} of the bump core
-    c_lo, c_hi = a + 0.25 * width, a + 0.75 * width
-    own = model.intervals[iid].left
-    a_lo = int(math.ceil((left + c_lo * length - own) * n))
-    a_hi = int(math.floor((left + c_hi * length - own) * n))
-    if a_hi >= a_lo:
-        core[iid, a_lo:a_hi + 1] = True
-    return True
+    n = model.grid_size
+    placed = np.zeros(len(plans), dtype=bool)
+    # an image holds at most contr * length * n + 3 grid nodes
+    bound = (contr[plans.row] * n
+             * (atoms.right[plans.atom] - atoms.left[plans.atom]) + 3)
+    for chunk in _chunks(bound):
+        plan, kap = plans[chunk], kappa5[chunk]
+        left, right = atoms.left[plan.atom], atoms.right[plan.atom]
+        iid = atoms.iid[plan.atom]
+        length = right - left
+        img_left = contr[plan.row] * left + off[plan.row]
+        img_len = contr[plan.row] * length
+        row = tgt[plan.row]
+        iv_left = model.lefts[row]
+        g_lo = np.ceil((img_left - iv_left) * n - 1e-9).astype(int)
+        g_hi = np.floor((img_left + img_len - iv_left) * n + 1e-9).astype(int)
+        placed[chunk] = g_hi >= g_lo
+        ok = np.flatnonzero(placed[chunk])
+        js, _ = _ranges(g_lo[ok], g_hi[ok] - g_lo[ok] + 1)
+        owner = np.repeat(ok, g_hi[ok] - g_lo[ok] + 1)
+        s = ((iv_left[owner] + js / n) - img_left[owner]) / img_len[owner]
+        lo, width = plan.lo, plan.hi - plan.lo
+        inside = (s >= lo[owner]) & (s <= plan.hi[owner])
+        local = np.ones_like(s)
+        o = owner[inside]
+        local[inside] = zeta_bump((s[inside] - lo[o]) / width[o], kap[o])
+        np.minimum.at(p_vals.reshape(-1), row[owner] * (n + 1) + js, local)
+        # flat core, read back in the atom chart: sigma^{n1} of the bump core
+        own = model.lefts[iid]
+        a_lo = np.ceil((left + (lo + 0.25 * width) * length - own) * n)
+        a_hi = np.minimum(np.floor(
+            (left + (lo + 0.75 * width) * length - own) * n), n)
+        has = ok[a_hi[ok] >= a_lo[ok]]
+        nodes, _ = _ranges(iid[has] * (n + 1) + a_lo[has].astype(int),
+                           (a_hi[has] - a_lo[has]).astype(int) + 1)
+        core.reshape(-1)[nodes] = True
+    return placed
 
 
-def _pair_plan(model, b, f_hat, y, aligned, u, big_h, kappa6, n1):
-    """(branch, s-window, room) for the paired bump on an atom, or None.
+def _pair_plan(model, b, f_hat, y, omegas, weights, contr, off, tgt, u,
+               big_h, kappa6, n1):
+    """(k, s-window, room) for the paired bump on an atom, or None.
 
-    y are the atom's grid nodes.  The two aligned branches with the widest
-    phase gap are compared, the first such pair in (i, j) order; the
-    smaller-weight one carries the bump on a window where the phase
-    difference stays off zero, and room is the verified relative slack of
-    the two-term sum there.
+    y are the atom's grid nodes; row k of omegas, weights, contr, off and
+    tgt belongs to the k-th aligned branch in word order.  The two aligned
+    branches with the widest phase gap are compared, the first such pair
+    in (i, j) order; the smaller-weight one, k, carries the bump on a
+    window where the phase difference stays off zero, and room is the
+    verified relative slack of the two-term sum there.
     """
-    if len(aligned) < 2:
-        return None
-    omegas = np.array([t.omega for t, _ in aligned])
-    i, j = np.triu_indices(len(aligned), 1)
+    i, j = np.triu_indices(len(omegas), 1)
     gaps = _torus_dist(omegas[i] - omegas[j])
     k = int(np.argmax(gaps))
     if gaps[k] <= 0.5 * kappa6:
         return None
-    (t1, w1), (t2, w2) = aligned[i[k]], aligned[j[k]]
-    if t1.weight > t2.weight:       # bump the smaller-weight branch
-        (t1, w1), (t2, w2) = (t2, w2), (t1, w1)
-    z1 = w1[1] * y + w1[2]
-    z2 = w2[1] * y + w2[2]
-    r1 = model.interval(w1[3]).index
-    r2 = model.interval(w2[3]).index
+    k1, k2 = int(i[k]), int(j[k])
+    if weights[k1] > weights[k2]:       # bump the smaller-weight branch
+        k1, k2 = k2, k1
+    z1 = contr[k1] * y + off[k1]
+    z2 = contr[k2] * y + off[k2]
+    r1, r2 = tgt[k1], tgt[k2]
     ph1 = b * np.asarray(model.birkhoff_sum(model.roof, z1, n1)) \
         + np.angle(_interp_rows(model, u, r1, z1))
     ph2 = b * np.asarray(model.birkhoff_sum(model.roof, z2, n1)) \
@@ -709,16 +822,16 @@ def _pair_plan(model, b, f_hat, y, aligned, u, big_h, kappa6, n1):
     lo = int(round(j1[0] * (len(y) - 1)))
     hi = max(lo + 1, int(round(j1[1] * (len(y) - 1))))
     sel = slice(lo, hi + 1)
-    g1 = _orbit_weight(model, f_hat, z1[sel], n1, w1[3]) * np.abs(
-        _interp_rows(model, big_h, r1, z1[sel]))
-    g2 = _orbit_weight(model, f_hat, z2[sel], n1, w2[3]) * np.abs(
-        _interp_rows(model, big_h, r2, z2[sel]))
+    g1 = _orbit_weight(model, f_hat, z1[sel], n1, model.intervals[r1].id) \
+        * np.abs(_interp_rows(model, big_h, r1, z1[sel]))
+    g2 = _orbit_weight(model, f_hat, z2[sel], n1, model.intervals[r2].id) \
+        * np.abs(_interp_rows(model, big_h, r2, z2[sel]))
     two = np.abs(g1 * np.exp(1j * ph1[sel]) + g2 * np.exp(1j * ph2[sel]))
     room = (g1 + g2 - two) / np.maximum(g1, 1e-300)
     allowed = float(room.min())
     if allowed < 1e-4:
         return None
-    return w1, j1, allowed
+    return k1, j1, allowed
 
 
 # ---------------------------------------------------------------------------
@@ -921,7 +1034,8 @@ def run_l2_iteration(model: MarkovModel, a: float, b: float,
     for n in range(steps):
         if refused:
             canc = Cancellation(ones, np.zeros(ones.shape, dtype=bool),
-                                frozenset(), (), 0.0, 0.0,
+                                frozenset(), np.recarray(0, BUMP_DTYPE),
+                                0.0, 0.0,
                                 len(part.atoms), 0.0)
         else:
             canc = build_cancellation(model, rpf, part, state.u,
@@ -933,7 +1047,7 @@ def run_l2_iteration(model: MarkovModel, a: float, b: float,
             raise EngineError(
                 f"square comparison violated by {cs.max_violation:.3e}")
         state = majorant_step(model, rpf, state, canc, n1)
-        if canc.records:
+        if len(canc.records):
             kappa4_min = min(kappa4_min, cs.kappa4)
         sem = slice_holder_norm(model, np.abs(state.u), model.theta)[1]
         holder_ratio = max(holder_ratio,
@@ -943,7 +1057,7 @@ def run_l2_iteration(model: MarkovModel, a: float, b: float,
             l2(state.big_h.values),
             len(state.omega_atoms) / len(part.atoms),
             len(canc.records), cs.kappa4, cs.max_violation))
-        if canc.records:
+        if len(canc.records):
             kappa5_eff = min(kappa5_eff, canc.kappa5)
             core_union |= canc.core_mask
         # cancellation may only keep iterating above the majorant floor

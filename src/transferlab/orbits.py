@@ -626,8 +626,8 @@ def correlation_decay(model: MarkovModel, a, b, t_grid, samples: int,
     t = np.asarray(t_grid, dtype=float)
     if t.ndim != 1 or t.size == 0:
         raise ModelError("t_grid must be a nonempty 1-d array")
-    if (t < 0).any():
-        raise ModelError("correlation times must be nonnegative")
+    if not (np.isfinite(t) & (t >= 0)).all():
+        raise ModelError("correlation times must be finite and nonnegative")
     if samples < blocks:
         raise ModelError(f"need at least {blocks} samples (one per block)")
     order = np.argsort(t, kind="stable")

@@ -265,11 +265,20 @@ def test_cone_image_trials(plain, rpf6, scale32):
 # dichotomy
 
 
+def _dichotomy(model, rpf, u, big_h, span, w, kappa6):
+    """The table row of one (span, branch) pair, w an all_words item."""
+    _, contr, off, tgt = w
+    res = dichotomy_test(model, rpf, u, big_h, *span, contr, off,
+                         model.interval(tgt).index, 1, kappa6)
+    assert res.dtype == cancellation.DICHOTOMY_DTYPE and len(res) == 1
+    return res[0]
+
+
 def test_dichotomy_zero_u(plain, rpf6, part32):
     w = all_words(plain, "u", 1)[0]
-    t = dichotomy_test(plain, rpf6, _ones(plain, complex) * 0.0,
-                       _ones(plain), _span(part32, 3), w, 0.05)
-    assert t.kind == "small"
+    t = _dichotomy(plain, rpf6, _ones(plain, complex) * 0.0,
+                   _ones(plain), _span(part32, 3), w, 0.05)
+    assert t.kind == cancellation.SMALL
     assert t.max_ratio == 0.0
     assert t.weight == pytest.approx(0.5, abs=1e-12)
 
@@ -277,18 +286,17 @@ def test_dichotomy_zero_u(plain, rpf6, part32):
 def test_dichotomy_half(plain, rpf6, part32):
     w = all_words(plain, "u", 1)[1]
     u = 0.5 * np.exp(1j * 1.2) * _ones(plain, complex)
-    t = dichotomy_test(plain, rpf6, u, _ones(plain), _span(part32, 0), w,
-                       0.05)
-    assert t.kind == "small"
+    t = _dichotomy(plain, rpf6, u, _ones(plain), _span(part32, 0), w, 0.05)
+    assert t.kind == cancellation.SMALL
     assert t.max_ratio == pytest.approx(0.5, abs=1e-12)
 
 
 def test_dichotomy_aligned_constant_roof(plain, rpf6, part32):
     # tau = 1: the branch phase b*tau_1 is globally constant
     w = all_words(plain, "u", 1)[0]
-    t = dichotomy_test(plain, rpf6, _ones(plain, complex), _ones(plain),
-                       _span(part32, 7), w, 0.05)
-    assert t.kind == "aligned"
+    t = _dichotomy(plain, rpf6, _ones(plain, complex), _ones(plain),
+                   _span(part32, 7), w, 0.05)
+    assert t.kind == cancellation.ALIGNED
     assert t.spread < 1e-12
     assert t.omega == pytest.approx(6.0 % (2 * math.pi), abs=1e-12)
 
@@ -300,9 +308,9 @@ def test_dichotomy_indeterminate_sin(sin_model, part32):
     sc = matching_scale(m, 0.04)
     part = build_partition(m, sc, 1.0)
     w = all_words(m, "u", 1)[0]
-    t = dichotomy_test(m, rpf, _ones(m, complex), _ones(m),
-                       _span(part, 5), w, 0.05)
-    assert t.kind == "indeterminate"
+    t = _dichotomy(m, rpf, _ones(m, complex), _ones(m), _span(part, 5), w,
+                   0.05)
+    assert t.kind == cancellation.INDETERMINATE
 
 
 # ---------------------------------------------------------------------------
@@ -395,8 +403,7 @@ def test_paired_case(sin_model):
     assert canc.skipped <= 2
     assert float(canc.p_values.min()) == 1.0 - 0.05
     for r in paired:
-        a, b = r.window
-        assert b - a > 0.09          # |J1| beats kappa6
+        assert r.hi - r.lo > 0.09    # |J1| beats kappa6
         assert 0.0 < r.kappa5 <= 0.05 + 1e-15
 
 

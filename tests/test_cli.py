@@ -34,6 +34,15 @@ it.  It was made the same way, on the code as it stood while each atom
 was a dataclass instance with two index dicts beside it and paired-bump
 windows came from scipy's minimum_filter1d, with numpy 2.4.6 and scipy
 1.17.1.
+
+GOLDEN_DOUBLING_DOLGOPYAT_SHA256 pins dolgopyat.csv for
+DOUBLING_DOLGOPYAT_MODEL (doubling family, sine roof 2 + 0.5 sin 2 pi x,
+N=1024) at b=64: 128 atoms, n1 = 1, 118 small bumps and 10 skipped
+atoms per step, truncated at step 2.  It was made by running `dolgopyat
+--b 64` on the code as it stood while build_cancellation called
+dichotomy_test once per (atom, branch) pair and _place_bump once per
+bump, with numpy 2.4.6 and scipy 1.17.1, and hashing the file with
+sha256sum.
 """
 
 import csv
@@ -84,6 +93,14 @@ grid_size = 1024
 
 GOLDEN_DOLGOPYAT_SHA256 = \
     "d5def7c92c7889013b629d4ebabac3933996e471e3546890aa138bc15cb4cd3d"
+
+DOUBLING_DOLGOPYAT_MODEL = """family = doubling
+roof = 2.0, 0.0, 0.5, 0.0
+grid_size = 1024
+"""
+
+GOLDEN_DOUBLING_DOLGOPYAT_SHA256 = \
+    "0cf177f81a0d79cef9f8a490e65457005eb64621a50d72c02b15b8ccdcc701af"
 
 GOLDEN_MC_SHA256 = {
     "pressure.csv":
@@ -391,15 +408,25 @@ def test_entropy_and_correlation_match_golden_digests(tmp_path,
             assert hashlib.sha256(fh.read()).hexdigest() == digest, name
 
 
-def test_certificate_matches_golden_digest(tmp_path):
+def _certificate_digest(tmp_path, text):
+    """sha256 of dolgopyat.csv for the model text at b=64."""
     model = tmp_path / "golden.txt"
-    model.write_text(DOLGOPYAT_MODEL)
+    model.write_text(text)
     out = str(tmp_path / "run")
     assert cli.main(["dolgopyat", "--model", str(model), "--b", "64",
                      "--out", out]) == 0
     with open(os.path.join(out, "dolgopyat.csv"), "rb") as fh:
-        assert hashlib.sha256(fh.read()).hexdigest() == \
-            GOLDEN_DOLGOPYAT_SHA256
+        return hashlib.sha256(fh.read()).hexdigest()
+
+
+def test_certificate_matches_golden_digest(tmp_path):
+    assert _certificate_digest(tmp_path, DOLGOPYAT_MODEL) == \
+        GOLDEN_DOLGOPYAT_SHA256
+
+
+def test_doubling_certificate_matches_golden_digest(tmp_path):
+    assert _certificate_digest(tmp_path, DOUBLING_DOLGOPYAT_MODEL) == \
+        GOLDEN_DOUBLING_DOLGOPYAT_SHA256
 
 
 def test_correlation_determinism(tmp_path, sin_path, monkeypatch):

@@ -69,6 +69,16 @@ smoothing reorder their sums, and their tolerances are stated below.
   against their dict-based and tuple-product versions; ``apply_word`` and ``roof_sum_on_word``,
   with and without a given domain, against the scalar loop over that
   list, errors included; ``temporal_distance`` with one interval lookup.
+* Batched cancellation, bit for bit, against copies of the per-pair and
+  per-atom loops it replaced: ``dichotomy_test`` on random spans of both
+  families (a whole interval each time, so windows of 8 and more points
+  take numpy's pairwise sums) with loads on both sides of 3/4 and 1/c9
+  and phase noise on both sides of the alignment threshold;
+  ``_place_bumps`` against one ``_place_bump`` call per bump, with
+  repeated atoms and small chunks; and ``build_cancellation`` against the
+  whole old loop (p_values, core_mask, records, retries, kappa5) on both
+  families, with small and paired bumps, overlapping windows, a kappa5
+  shrink and small chunks.
 
 Models are drawn from both families with random roofs, potentials and
 stable factors; the coefficient ranges keep the roof positive and mu
@@ -77,6 +87,7 @@ inside (0, 1) on the whole leaf, so every draw is a valid model.
 
 import hashlib
 import itertools
+import cmath
 import math
 import struct
 from collections import namedtuple
@@ -410,7 +421,7 @@ def test_pair_window_matches_window_scan(phases, kappa6):
        xs=st.lists(st.floats(-50.0, 50.0), min_size=1, max_size=20))
 def test_torus_dist_matches_hand_copies(a, b, xs):
     # the scalar phase gap of _pair_plan and the array sites of
-    # _circular_stats and _pair_window, as they were written by hand
+    # the circular statistics and _pair_window, as written by hand
     gap = abs((a - b + math.pi) % (2 * math.pi) - math.pi)
     assert _bits(S._torus_dist(np.array([a]) - np.array([b]))) == _bits([gap])
     assert _bits(S._torus_dist(a - b)) == _bits(gap)
@@ -1743,3 +1754,327 @@ def test_pressure_takes_only_a_callable_weight():
     with pytest.raises(ModelError, match="unsupported weight type"):
         T.pressure(model, np.zeros((1, 65)))
     assert T.pressure(model, lambda x: 0.0 * x) == T.pressure(model)
+
+
+# ---------------------------------------------------------------------------
+# batched dichotomy and bump placement
+
+_OldDichotomy = namedtuple("_OldDichotomy", "kind word max_ratio min_ratio "
+                                            "omega spread weight")
+_KIND_NAMES = {C.SMALL: "small", C.ALIGNED: "aligned",
+               C.INDETERMINATE: "indeterminate"}
+
+
+def _old_circular_stats(phases):
+    z = np.exp(1j * phases).mean()
+    if abs(z) < 1e-12:
+        return 0.0, math.pi
+    omega = cmath.phase(z)
+    return omega % (2 * math.pi), float(S._torus_dist(phases - omega).max())
+
+
+def _old_dichotomy_test(model, rpf, u, big_h, span, word_item, kappa6, c9,
+                        tables):
+    """One (span, branch) pair per call, as dichotomy_test was written."""
+    word, contr, off, tgt = word_item
+    left, right = span
+    n = model.grid_size
+    iv = model.interval(tgt)
+    g_lo = max(0, int(math.floor((contr * left + off - iv.left) * n)))
+    g_hi = min(n, int(math.ceil((contr * right + off - iv.left) * n)))
+    win = slice(g_lo, g_hi + 1)
+    uz = u[iv.index, win]
+    ratios = np.abs(uz) / big_h[iv.index, win]
+    max_ratio = float(ratios.max())
+    min_ratio = float(ratios.min())
+    weights, roof_sums = tables
+    w_mean = float(weights[iv.index, win].mean())
+    if max_ratio <= C.SMALL_FACTOR:
+        return _OldDichotomy("small", word, max_ratio, min_ratio, None,
+                             0.0, w_mean)
+    if min_ratio >= 1.0 / c9:
+        phases = rpf.b * roof_sums[iv.index, win] + np.angle(uz)
+        omega, spread = _old_circular_stats(phases)
+        if spread <= C.ALIGN_SPREAD * kappa6:
+            return _OldDichotomy("aligned", word, max_ratio, min_ratio,
+                                 omega, spread, w_mean)
+        return _OldDichotomy("indeterminate", word, max_ratio, min_ratio,
+                             omega, spread, w_mean)
+    return _OldDichotomy("indeterminate", word, max_ratio, min_ratio, None,
+                         math.pi, w_mean)
+
+
+def _old_pair_plan(model, b, f_hat, y, aligned, u, big_h, kappa6, n1):
+    """_pair_plan as it took a list of (dichotomy, word item) pairs."""
+    if len(aligned) < 2:
+        return None
+    omegas = np.array([t.omega for t, _ in aligned])
+    i, j = np.triu_indices(len(aligned), 1)
+    gaps = S._torus_dist(omegas[i] - omegas[j])
+    k = int(np.argmax(gaps))
+    if gaps[k] <= 0.5 * kappa6:
+        return None
+    (t1, w1), (t2, w2) = aligned[i[k]], aligned[j[k]]
+    if t1.weight > t2.weight:
+        (t1, w1), (t2, w2) = (t2, w2), (t1, w1)
+    z1 = w1[1] * y + w1[2]
+    z2 = w2[1] * y + w2[2]
+    r1 = model.interval(w1[3]).index
+    r2 = model.interval(w2[3]).index
+    ph1 = b * np.asarray(model.birkhoff_sum(model.roof, z1, n1)) \
+        + np.angle(C._interp_rows(model, u, r1, z1))
+    ph2 = b * np.asarray(model.birkhoff_sum(model.roof, z2, n1)) \
+        + np.angle(C._interp_rows(model, u, r2, z2))
+    j1 = C._pair_window(ph1 - ph2, kappa6)
+    if j1 is None:
+        return None
+    lo = int(round(j1[0] * (len(y) - 1)))
+    hi = max(lo + 1, int(round(j1[1] * (len(y) - 1))))
+    sel = slice(lo, hi + 1)
+    g1 = C._orbit_weight(model, f_hat, z1[sel], n1, w1[3]) * np.abs(
+        C._interp_rows(model, big_h, r1, z1[sel]))
+    g2 = C._orbit_weight(model, f_hat, z2[sel], n1, w2[3]) * np.abs(
+        C._interp_rows(model, big_h, r2, z2[sel]))
+    two = np.abs(g1 * np.exp(1j * ph1[sel]) + g2 * np.exp(1j * ph2[sel]))
+    room = (g1 + g2 - two) / np.maximum(g1, 1e-300)
+    allowed = float(room.min())
+    if allowed < 1e-4:
+        return None
+    return w1, j1, allowed
+
+
+def _old_place_bump(model, p_vals, core, atom, word_item, j1, kappa5, n,
+                    written):
+    """One bump per call, as _place_bump wrote it; the flat indices it
+    writes are appended to written."""
+    left, right, iid = atom
+    length = right - left
+    word, contr, off, tgt = word_item
+    iv = model.interval(tgt)
+    img_left = contr * left + off
+    img_len = contr * length
+    g_lo = int(math.ceil((img_left - iv.left) * n - 1e-9))
+    g_hi = int(math.floor((img_left + img_len - iv.left) * n + 1e-9))
+    if g_hi < g_lo:
+        return False
+    js = np.arange(g_lo, g_hi + 1)
+    s = ((iv.left + js / n) - img_left) / img_len
+    a, b = j1
+    width = b - a
+    inside = (s >= a) & (s <= b)
+    local = np.ones_like(s)
+    local[inside] = C.zeta_bump((s[inside] - a) / width, kappa5)
+    p_vals[iv.index, js] = np.minimum(p_vals[iv.index, js], local)
+    written.extend((iv.index * (n + 1) + js).tolist())
+    c_lo, c_hi = a + 0.25 * width, a + 0.75 * width
+    own = model.intervals[iid].left
+    a_lo = int(math.ceil((left + c_lo * length - own) * n))
+    a_hi = int(math.floor((left + c_hi * length - own) * n))
+    if a_hi >= a_lo:
+        core[iid, a_lo:a_hi + 1] = True
+    return True
+
+
+def _old_build_cancellation(model, rpf, part, u, big_h, omega_atoms, n1,
+                            kappa5, kappa6, c9=C.C9_DEFAULT):
+    """The per-atom, per-branch loop build_cancellation ran: (p_values,
+    core_mask, records, retries, kappa5, skipped, written nodes)."""
+    n = model.grid_size
+    f_hat = rpf.f_ab_grid
+    tables = C._dichotomy_tables(model, f_hat, n1)
+    words = [C.all_words(model, iv.id, n1) for iv in model.intervals]
+    plans = []
+    marked = 0
+    for ai in omega_atoms:
+        marked += 1
+        left, right, _, _, iid, j_lo, j_hi, _ = part.atoms[ai].item()
+        atom = (left, right, iid)
+        ws = words[iid]
+        tests = [_old_dichotomy_test(model, rpf, u, big_h, (left, right), w,
+                                     kappa6, c9, tables) for w in ws]
+        smalls = [(t, w) for t, w in zip(tests, ws) if t.kind == "small"]
+        if smalls:
+            _, w = min(smalls, key=lambda tw: tw[0].max_ratio)
+            plans.append((ai, atom, "small", w, (0.0, 1.0), None))
+            continue
+        aligned = [(t, w) for t, w in zip(tests, ws) if t.kind == "aligned"]
+        y = model.intervals[iid].left + np.arange(j_lo, j_hi + 1) / n
+        pair = _old_pair_plan(model, rpf.b, f_hat, y, aligned, u, big_h,
+                              kappa6, n1)
+        if pair is not None:
+            plans.append((ai, atom, "paired") + pair)
+    for retries in range(C.SHRINK_RETRIES + 1):
+        p_vals = np.ones_like(big_h)
+        core = np.zeros(big_h.shape, dtype=bool)
+        records, written = [], []
+        for ai, atom, case, w, window, room in plans:
+            kap = kappa5 if room is None else min(kappa5, 0.5 * room, 0.2499)
+            if _old_place_bump(model, p_vals, core, atom, w, window, kap, n,
+                               written):
+                records.append((ai, case, w[0], window, kap))
+        ratio = C.cone_ratio(model, part.scale, p_vals)
+        if ratio <= 1.0:
+            skipped = marked - len({r[0] for r in records})
+            return p_vals, core, records, retries, kappa5, skipped, written
+        kappa5 = kappa5 / (ratio * 1.05)
+    raise AssertionError("cutoff never fit the cone")
+
+
+def _dichotomy_field(model, rpf, n1, seed, level, jitter, noise):
+    """(u, H): |u|/H = level up to a relative jitter; the summand phase
+    b tau_n1 + arg u is one random direction plus Gaussian noise."""
+    rng = np.random.default_rng(seed)
+    shape = (len(model.intervals), model.grid_size + 1)
+    big_h = np.exp(0.3 * rng.normal(size=shape))
+    ratio = level * (1.0 + jitter * rng.uniform(-1.0, 1.0, shape))
+    _, roof_sums = C._dichotomy_tables(model, rpf.f_ab_grid, n1)
+    phase = (rng.uniform(0.0, 2 * math.pi) - rpf.b * roof_sums
+             + noise * rng.normal(size=shape))
+    return big_h * ratio * np.exp(1j * phase), big_h
+
+
+def _row_bits(row):
+    """A table row or an old dichotomy as (kind, float bits), NaN omega
+    read as no omega."""
+    if isinstance(row, _OldDichotomy):
+        kind, omega = row.kind, row.omega
+    else:
+        kind = _KIND_NAMES[int(row.kind)]
+        omega = None if math.isnan(row.omega) else float(row.omega)
+    return (kind, _bits(row.max_ratio), _bits(row.min_ratio),
+            None if omega is None else _bits(omega), _bits(row.spread),
+            _bits(row.weight))
+
+
+@PROPS
+@given(model=models(), n1=st.integers(1, 2), b=st.floats(2.5, 300.0),
+       seed=st.integers(0, 2 ** 16),
+       level=st.sampled_from((0.0, 0.2, 0.25, 0.5, 0.74, 0.75, 0.76, 1.0,
+                              1.5)),
+       jitter=st.sampled_from((0.0, 1e-3, 0.3)),
+       noise=st.sampled_from((0.0, 1e-4, 4e-4, 1e-3, 1.0)),
+       kappa6=st.sampled_from((0.01, 0.05, 0.099)),
+       c9=st.sampled_from((C.C9_DEFAULT, 1.3)), given_tables=st.booleans(),
+       spans=st.lists(st.tuples(st.integers(0, 2), st.floats(0.0, 0.999),
+                                st.floats(0.001, 1.0)), max_size=8))
+def test_batched_dichotomy_matches_per_pair_loop(model, n1, b, seed, level,
+                                                 jitter, noise, kappa6, c9,
+                                                 given_tables, spans):
+    rpf = R.build_rpf(model, 0.0, b)
+    u, big_h = _dichotomy_field(model, rpf, n1, seed, level, jitter, noise)
+    tables = C._dichotomy_tables(model, rpf.f_ab_grid, n1)
+    # a whole interval first: windows of grid_size / 3**n1 points and more
+    cols, old = [], []
+    for i, a, frac in [(0, 0.0, 1.0)] + spans:
+        iv = model.intervals[i % len(model.intervals)]
+        span = (iv.left + a, iv.left + a + (1.0 - a) * frac)
+        for w in C.all_words(model, iv.id, n1):
+            cols.append(span + (w[1], w[2], model.interval(w[3]).index))
+            old.append(_old_dichotomy_test(model, rpf, u, big_h, span, w,
+                                           kappa6, c9, tables))
+    left, right, contr, off, tgt = map(np.array, zip(*cols))
+    res = C.dichotomy_test(model, rpf, u, big_h, left, right, contr, off,
+                           tgt, n1, kappa6, c9,
+                           tables if given_tables else None)
+    assert len(res) == len(old)
+    assert [_row_bits(r) for r in res] == [_row_bits(t) for t in old]
+
+
+@PROPS
+@given(model=models(), q=st.integers(2, 4), n1=st.integers(1, 2),
+       seed=st.integers(0, 2 ** 16), count=st.integers(1, 40),
+       chunk=st.sampled_from((C.CHUNK_POINTS, 5)))
+def test_batched_bumps_match_one_bump_loop(model, q, n1, seed, count, chunk):
+    try:
+        part = C.build_partition(model, S.matching_scale(model, 2.0 ** -q))
+    except C.EngineError:
+        assume(False)
+    rng = np.random.default_rng(seed)
+    n = model.grid_size
+    word, contr, off, tgt, first = C._word_table(model, n1)
+    # atoms repeat and neighbours share image nodes: windows overlap
+    ai = rng.integers(0, len(part.atoms), count)
+    iid = part.atoms.iid[ai]
+    rows = first[iid] + rng.integers(0, np.diff(first)[iid])
+    whole = rng.random(count) < 0.5
+    lo = np.where(whole, 0.0, rng.uniform(0.0, 0.6, count))
+    hi = np.where(whole, 1.0, lo + rng.uniform(0.01, 0.4, count))
+    kap = rng.uniform(0.001, 0.2499, count)
+    shape = (len(model.intervals), n + 1)
+    p_old, core_old = np.ones(shape), np.zeros(shape, dtype=bool)
+    placed_old = [
+        _old_place_bump(model, p_old, core_old,
+                        (part.atoms.left[a], part.atoms.right[a],
+                         int(part.atoms.iid[a])),
+                        (word[r], contr[r], off[r],
+                         model.intervals[tgt[r]].id),
+                        (float(lo[k]), float(hi[k])), float(kap[k]), n, [])
+        for k, (a, r) in enumerate(zip(ai.tolist(), rows.tolist()))]
+    p_new, core_new = np.ones(shape), np.zeros(shape, dtype=bool)
+    plans = np.rec.fromarrays([ai, rows, lo, hi, np.zeros(count), ~whole],
+                              dtype=C.PLAN_DTYPE)
+    with mock.patch.object(C, "CHUNK_POINTS", chunk):
+        placed = C._place_bumps(model, p_new, core_new, part.atoms, contr,
+                                off, tgt, plans, kap)
+    assert placed.tolist() == placed_old
+    assert _bits(p_new) == _bits(p_old)
+    assert np.array_equal(core_new, core_old)
+
+
+def _crafted_field(model, rpf, n1):
+    """u whose branches align, with a phase step of 0.8 at the middle of
+    each interval and on all of the second one (paired bumps) and a
+    quarter of each interval at half modulus (small bumps); H a gentle
+    positive wave."""
+    _, tau_n = C._dichotomy_tables(model, rpf.f_ab_grid, n1)
+    s = np.arange(model.grid_size + 1) / model.grid_size
+    u = np.exp(-1j * rpf.b * tau_n)
+    u[:, s >= 0.5] *= np.exp(0.8j)
+    u[1:2] *= np.exp(0.8j)
+    u[:, (s >= 0.2) & (s < 0.45)] *= 0.5
+    big_h = np.ones(u.shape) + 0.05 * np.cos(2 * math.pi * s)
+    return u, big_h
+
+
+@pytest.mark.parametrize("chunk", (C.CHUNK_POINTS, 7))
+@pytest.mark.parametrize("kappa5", (0.05, 0.2))
+@pytest.mark.parametrize("family", ("doubling", "markov3"))
+def test_build_cancellation_matches_per_atom_loop(family, kappa5, chunk):
+    model = build_model(ModelConfig(family, roof=(2.0, 0.0, 0.5, 0.0),
+                                    grid_size=1024))
+    rpf = R.build_rpf(model, 0.0, 6.0)
+    # coarse enough that kappa5 = 0.2 leaves the cone on both families
+    eps = 0.04 if family == "doubling" else 0.08
+    part = C.build_partition(model, S.matching_scale(model, eps))
+    n1 = C.choose_n1(model, part)
+    u, big_h = _crafted_field(model, rpf, n1)
+    marked = frozenset(range(len(part.atoms))) - {1, 5}
+    p_old, core_old, rec_old, retries, kap, skipped, written = \
+        _old_build_cancellation(model, rpf, part, u, big_h, marked, n1,
+                                kappa5, 0.09)
+    with mock.patch.object(C, "CHUNK_POINTS", chunk), \
+            mock.patch.object(C, "dichotomy_test",
+                              wraps=C.dichotomy_test) as batches:
+        canc = C.build_cancellation(model, rpf, part, u, big_h, marked, n1,
+                                    kappa5, 0.09)
+    # one batch at the default bound; one per atom when no two atoms fit
+    assert batches.call_count == (1 if chunk == C.CHUNK_POINTS
+                                  else len(marked))
+    assert _bits(canc.p_values) == _bits(p_old)
+    assert np.array_equal(canc.core_mask, core_old)
+    assert [(int(r.atom_index), str(r.case), r.word,
+             (float(r.lo), float(r.hi)), _bits(r.kappa5))
+            for r in canc.records] == [r[:4] + (_bits(r[4]),)
+                                       for r in rec_old]
+    assert canc.retries == retries
+    assert _bits(canc.kappa5) == _bits(kap)
+    assert canc.skipped == skipped
+    assert canc.bumped_atoms == frozenset(r[0] for r in rec_old)
+    # the fixture reaches every case the placement has to get right
+    cases = {r[1] for r in rec_old}
+    assert cases == {"small", "paired"}
+    # dyadic images of neighbouring atoms share their end nodes; triadic
+    # ones miss the power-of-two grid (repeated atoms in
+    # test_batched_bumps_match_one_bump_loop overlap on both families)
+    assert (len(written) > len(set(written))) == (family == "doubling")
+    assert (retries >= 1) == (kappa5 == 0.2)         # a kappa5 shrink

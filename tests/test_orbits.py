@@ -326,3 +326,11 @@ def test_correlation_rejects_bad_grid(sin_model):
     with pytest.raises(ModelError, match="samples"):
         correlation_decay(sin_model, sec_sin, sec_sin,
                           np.array([0.0]), 8)
+
+
+@pytest.mark.parametrize("bad", (math.nan, math.inf, -math.inf))
+def test_correlation_rejects_non_finite_times(sin_model, bad):
+    # inf never ends the roof unwinding; NaN used to return a number
+    with pytest.raises(ModelError, match="finite"):
+        correlation_decay(sin_model, sec_sin, sec_sin,
+                          np.array([1.0, bad]), 10 ** 4)
