@@ -34,8 +34,8 @@ import numpy as np
 from .gridfun import norm_theta_b
 from .markov import MarkovModel, ModelError
 from .rpf import ComplexRPF, build_rpf, slice_holder_norm
-from .scales import (ScaleFunction, UniCertificate, _torus_dist,
-                     matching_scale, recurrence_rate, uni_scan)
+from .scales import (ScaleFunction, _torus_dist, matching_scale,
+                     recurrence_rate, uni_scan)
 from .thermo import base_system, grid_orbit
 
 KAPPA5_DEFAULT = 0.05
@@ -43,6 +43,7 @@ C9_DEFAULT = 4.0
 SMALL_FACTOR = 0.75          # load threshold of the branch dichotomy
 ALIGN_SPREAD = 0.01          # phase spread allowed for alignment: kappa6/100
 DEPTH_CAP = 40
+STEP_CAP = 12                # largest step count choose_n1 and choose_n4 try
 SHRINK_RETRIES = 8           # kappa5 shrinks before a cutoff is given up
 REFINE_BLOCK = 1 << 18       # branch images per block in check_refining
 CHUNK_POINTS = 1 << 16       # window points per dichotomy or bump batch
@@ -271,15 +272,14 @@ def check_refining(model: MarkovModel, part: CylinderPartition,
     return True, None
 
 
-def choose_n1(model: MarkovModel, part: CylinderPartition,
-              cap: int = 12) -> int:
+def choose_n1(model: MarkovModel, part: CylinderPartition) -> int:
     """Smallest n making the partition refine under n-step preimages."""
     depth = part.atoms.depth
-    for n in range(max(1, int(depth.max() - depth.min())), cap + 1):
+    for n in range(max(1, int(depth.max() - depth.min())), STEP_CAP + 1):
         ok, _ = check_refining(model, part, n)
         if ok:
             return n
-    raise EngineError(f"no refining step length up to {cap}")
+    raise EngineError(f"no refining step length up to {STEP_CAP}")
 
 
 # ---------------------------------------------------------------------------
@@ -363,7 +363,7 @@ class ConeImageReport:
 
 def cone_image_trials(model: MarkovModel, rpf: ComplexRPF,
                       scale: ScaleFunction, m: int, trials: int = 100,
-                      seed: int = 0, fill: float = 0.9) -> ConeImageReport:
+                      seed: int = 0) -> ConeImageReport:
     """Push products of random cone pairs through M^m; collect margins.
 
     The product of two cone elements can leave the cone (log-slopes add);
@@ -373,8 +373,8 @@ def cone_image_trials(model: MarkovModel, rpf: ComplexRPF,
     pos = rpf.m_op()
     margins = []
     for _ in range(trials):
-        h = random_cone_element(model, scale, rng, fill)
-        psi = random_cone_element(model, scale, rng, fill)
+        h = random_cone_element(model, scale, rng, 0.9)
+        psi = random_cone_element(model, scale, rng, 0.9)
         cur = h * psi
         for _ in range(m):
             cur = pos(cur)
@@ -383,12 +383,12 @@ def cone_image_trials(model: MarkovModel, rpf: ComplexRPF,
 
 
 def choose_n4(model: MarkovModel, rpf: ComplexRPF, scale: ScaleFunction,
-              trials: int = 16, seed: int = 0, cap: int = 12) -> int:
+              trials: int = 16) -> int:
     """Smallest step count after which random cone products land inside."""
-    for m in range(1, cap + 1):
-        if cone_image_trials(model, rpf, scale, m, trials, seed).ok:
+    for m in range(1, STEP_CAP + 1):
+        if cone_image_trials(model, rpf, scale, m, trials).ok:
             return m
-    raise EngineError(f"cone images still outside after {cap} steps")
+    raise EngineError(f"cone images still outside after {STEP_CAP} steps")
 
 
 # ---------------------------------------------------------------------------
@@ -642,8 +642,7 @@ def build_cancellation(model: MarkovModel, rpf: ComplexRPF,
                        part: CylinderPartition, u: np.ndarray,
                        big_h: np.ndarray, omega_atoms, n1: int,
                        kappa5: float = KAPPA5_DEFAULT,
-                       kappa6: float = 0.05,
-                       c9: float = C9_DEFAULT) -> Cancellation:
+                       kappa6: float = 0.05) -> Cancellation:
     """Place one verified cutoff bump per marked atom where possible.
 
     Requires a positive oscillation margin; kappa6 at or below zero means
@@ -687,8 +686,8 @@ def build_cancellation(model: MarkovModel, rpf: ComplexRPF,
         owner = np.repeat(np.arange(len(ai)), fan[iid])
         res = dichotomy_test(model, rpf, u, big_h, atoms.left[ai][owner],
                              atoms.right[ai][owner], w_contr[rows],
-                             w_off[rows], w_tgt[rows], n1, kappa6, c9,
-                             tables)
+                             w_off[rows], w_tgt[rows], n1, kappa6,
+                             C9_DEFAULT, tables)
         ratio = np.where(res.kind == SMALL, res.max_ratio, np.inf)
         best = np.minimum.reduceat(ratio, start)
         hits = np.flatnonzero((ratio == best[owner]) & (res.kind == SMALL))
@@ -924,19 +923,6 @@ def cauchy_schwarz_check(model: MarkovModel, rpf: ComplexRPF,
 
 
 @dataclass(frozen=True)
-class EngineParams:
-    kappa5: float = KAPPA5_DEFAULT
-    c9: float = C9_DEFAULT
-    c8: float = 4.0
-    c1: float = 1.0
-    eta1: float = 0.5
-    eps: float | None = None          # default: dyadic 1/|b|
-    n1: int | None = None
-    steps: int | None = None          # default: floor(ln |b|)
-    delta1: float | None = None
-
-
-@dataclass(frozen=True)
 class StepRow:
     n: int
     c0_u: float
@@ -980,9 +966,7 @@ def _dyadic_eps(b: float) -> float:
 
 def run_l2_iteration(model: MarkovModel, a: float, b: float,
                      u0: np.ndarray | None = None,
-                     params: EngineParams = EngineParams(),
-                     scale: ScaleFunction | None = None,
-                     uni: UniCertificate | None = None) -> IterationCertificate:
+                     eps: float | None = None) -> IterationCertificate:
     """Burn in, then iterate the majorant recursion and certify decay.
 
     The oscillation certificate gates cancellation: a zero margin makes
@@ -990,17 +974,18 @@ def run_l2_iteration(model: MarkovModel, a: float, b: float,
     the honest outcome for constant and affine roofs.  Each step re-runs
     the domination, cone, and Cauchy-Schwarz checks; rows record the
     norms, the marked-atom fraction, and the measured contraction.
+
+    The paper's constants are fixed: burn-in floor(c8 ln|b|) with c8 = 4,
+    the majorant floor (n+1) eps^(eta1/2) with eta1 = 1/2, and C1 = 1;
+    eps defaults to the dyadic 1/|b|.
     """
-    delta1 = params.delta1
-    rpf = build_rpf(model, a, b) if delta1 is None else build_rpf(
-        model, a, b, delta1=delta1)
-    eps = params.eps if params.eps is not None else _dyadic_eps(b)
-    if scale is None:
-        scale = matching_scale(model, eps)
-    if uni is None:
-        uni = uni_scan(model, scale)
-    part = build_partition(model, scale, params.c1)
-    n1 = params.n1 if params.n1 is not None else choose_n1(model, part)
+    rpf = build_rpf(model, a, b)
+    if eps is None:
+        eps = _dyadic_eps(b)
+    scale = matching_scale(model, eps)
+    uni = uni_scan(model, scale)
+    part = build_partition(model, scale)
+    n1 = choose_n1(model, part)
     kappa6 = min(uni.kappa_hat, 0.099)
     refused = kappa6 <= 0.0
     nu = base_system(model).nu
@@ -1011,7 +996,7 @@ def run_l2_iteration(model: MarkovModel, a: float, b: float,
     if u0 is None:
         u0 = np.ones((len(model.intervals), model.grid_size + 1), dtype=complex)
     tilde = rpf.tilde_op()
-    burn = int(math.floor(params.c8 * math.log(abs(b))))
+    burn = int(math.floor(4.0 * math.log(abs(b))))
     u = np.asarray(u0, dtype=complex)
     for _ in range(burn):
         u = tilde(u)
@@ -1021,8 +1006,7 @@ def run_l2_iteration(model: MarkovModel, a: float, b: float,
     state = MajorantState(
         0, u, cone_element(model, scale, np.full_like(np.abs(u), h0)),
         None, frozenset(range(len(part.atoms))), h0)
-    steps = params.steps if params.steps is not None else max(
-        4, int(math.floor(math.log(abs(b)))))
+    steps = max(4, int(math.floor(math.log(abs(b)))))
     rows = [StepRow(0, float(np.abs(u).max()), l2(u),
                     l2(state.big_h.values), 1.0, 0, 0.0, 0.0)]
     kappa4_min = math.inf
@@ -1040,7 +1024,7 @@ def run_l2_iteration(model: MarkovModel, a: float, b: float,
         else:
             canc = build_cancellation(model, rpf, part, state.u,
                                       state.big_h.values, state.omega_atoms,
-                                      n1, params.kappa5, kappa6, params.c9)
+                                      n1, KAPPA5_DEFAULT, kappa6)
         cs = cauchy_schwarz_check(model, rpf, canc.p_values,
                                   state.big_h.values, canc.core_mask, n1)
         if not cs.ok:
@@ -1051,7 +1035,7 @@ def run_l2_iteration(model: MarkovModel, a: float, b: float,
             kappa4_min = min(kappa4_min, cs.kappa4)
         sem = slice_holder_norm(model, np.abs(state.u), model.theta)[1]
         holder_ratio = max(holder_ratio,
-                           sem / ((state.n + 1) * eps ** params.eta1 * h0))
+                           sem / ((state.n + 1) * eps ** 0.5 * h0))
         rows.append(StepRow(
             state.n, float(np.abs(state.u).max()), l2(state.u),
             l2(state.big_h.values),
@@ -1061,7 +1045,7 @@ def run_l2_iteration(model: MarkovModel, a: float, b: float,
             kappa5_eff = min(kappa5_eff, canc.kappa5)
             core_union |= canc.core_mask
         # cancellation may only keep iterating above the majorant floor
-        floor = (state.n + 1) * eps ** (0.5 * params.eta1) * h0
+        floor = (state.n + 1) * eps ** 0.25 * h0
         if not refused and float(state.big_h.values.min()) < floor:
             truncated_at = state.n
             break

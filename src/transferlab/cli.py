@@ -25,7 +25,7 @@ from itertools import islice
 import numpy as np
 
 from . import cancellation, orbits, rpf, scales, thermo
-from .cancellation import EngineError, EngineParams
+from .cancellation import EngineError
 from .markov import MarkovModel, ModelConfig, ModelError, build_model
 from .thermo import ConvergenceError
 
@@ -385,8 +385,7 @@ def _cmd_uni_scan(model: MarkovModel, cfg: ExperimentConfig):
 
 def _cmd_dolgopyat(model: MarkovModel, cfg: ExperimentConfig):
     b = cfg.b if cfg.b is not None else DEFAULT_DOLGOPYAT_B
-    params = EngineParams() if cfg.eps is None else EngineParams(eps=cfg.eps)
-    cert = cancellation.run_l2_iteration(model, cfg.a, b, params=params)
+    cert = cancellation.run_l2_iteration(model, cfg.a, b, eps=cfg.eps)
     rows = [(r.n, r.c0_u, r.l2_u, r.l2_h, r.omega_fraction, r.bumps,
              r.kappa4, r.cs_violation) for r in cert.rows]
     meta = [("a", cert.a), ("b", cert.b), ("eps", cert.eps),
@@ -452,6 +451,12 @@ def _mc_params(cfg: ExperimentConfig):
     blocks = _coerce("BLOCKS", raw_b, int) if raw_b else DEFAULT_BLOCKS
     if samples < blocks or blocks < 2:
         raise UsageError("need samples >= blocks >= 2")
+    # one block's points, and the seed streams of all blocks, are held at
+    # once; both stay within the Monte Carlo chunk
+    chunk = orbits.MC_CHUNK_POINTS
+    if samples // blocks > chunk or blocks > chunk:
+        raise UsageError(f"need samples // blocks <= {chunk} and "
+                         f"blocks <= {chunk}")
     raw_t = cfg.extra("T_GRID")
     if raw_t:
         t_grid = _parse_float_list("T_GRID", raw_t)

@@ -83,8 +83,8 @@ class PolyDistanceReport:
     equioscillation_gap: float    # max|r| - |levelled h| at convergence
 
 
-def minimax_poly(xs: np.ndarray, ys: np.ndarray, degree: int,
-                 tol: float = 1e-12, max_iter: int = 200) -> PolyDistanceReport:
+def minimax_poly(xs: np.ndarray, ys: np.ndarray,
+                 degree: int) -> PolyDistanceReport:
     """Best uniform polynomial approximation on a finite point set.
 
     Single-point exchange on the discrete set; returns the levelled reference
@@ -110,7 +110,7 @@ def minimax_poly(xs: np.ndarray, ys: np.ndarray, degree: int,
 
     coeffs = np.zeros(degree + 1)
     h = 0.0
-    for _ in range(max_iter):
+    for _ in range(200):
         # solve p(x_i) + (-1)^i h = y_i on the reference
         vand = np.vander(xs[ref], degree + 1, increasing=True)
         signs = (-1.0) ** np.arange(m)
@@ -119,7 +119,7 @@ def minimax_poly(xs: np.ndarray, ys: np.ndarray, degree: int,
         coeffs, h = sol[:-1], sol[-1]
         resid = ys - np.polynomial.polynomial.polyval(xs, coeffs)
         worst = int(np.argmax(np.abs(resid)))
-        if np.abs(resid[worst]) - abs(h) <= tol * scale:
+        if np.abs(resid[worst]) - abs(h) <= 1e-12 * scale:
             break
         # exchange: insert the worst point, keep alternation
         pos = int(np.searchsorted(ref, worst))
@@ -158,25 +158,20 @@ def minimax_poly(xs: np.ndarray, ys: np.ndarray, degree: int,
     )
 
 
-def poly_distance(model: MarkovModel, values: np.ndarray, degree: int, iid: str,
-                  a: float | None = None, b: float | None = None) -> PolyDistanceReport:
-    """Minimax distance of real u to polynomials of degree <= K on a window."""
-    iv = model.interval(iid)
-    xs = model.grid(iid)
-    ys = values[iv.index]
+def poly_distance(model: MarkovModel, values: np.ndarray, degree: int,
+                  iid: str) -> PolyDistanceReport:
+    """Minimax distance of real u to polynomials of degree <= K on U_iid."""
+    ys = values[model.interval(iid).index]
     if np.iscomplexobj(ys):
         raise ModelError("poly_distance is defined for real grid functions")
-    a = iv.left if a is None else a
-    b = iv.right if b is None else b
-    mask = (xs >= a - 1e-12) & (xs <= b + 1e-12)
-    return minimax_poly(xs[mask], ys[mask], degree)
+    return minimax_poly(model.grid(iid), ys, degree)
 
 
 # ---------------------------------------------------------------------------
 # measure weights
 # ---------------------------------------------------------------------------
 
-def check_weights(model: MarkovModel, weights: np.ndarray, tol: float = 1e-8) -> np.ndarray:
+def check_weights(model: MarkovModel, weights: np.ndarray) -> np.ndarray:
     weights = np.asarray(weights, dtype=float)
     shape = (len(model.intervals), model.grid_size + 1)
     if weights.shape != shape:
@@ -184,7 +179,7 @@ def check_weights(model: MarkovModel, weights: np.ndarray, tol: float = 1e-8) ->
     if weights.min() < -1e-14:
         raise ModelError("weights must be nonnegative")
     total = float(weights.sum())
-    if abs(total - 1.0) > tol:
+    if abs(total - 1.0) > 1e-8:
         raise ModelError(f"weights must sum to 1, got {total!r}")
     return weights
 

@@ -24,6 +24,7 @@ results are bit for bit those of the one-at-a-time loops they replace.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,6 +44,8 @@ ENTROPY_TOL = 1e-10
 MARGIN = 1e-9
 # Monte Carlo points advanced at once (whole blocks; at least one block)
 MC_CHUNK_POINTS = 2 ** 17
+FIBER_ORDER = 64             # midpoint nodes per fiber in flow_average
+LOG_FLOAT_MAX = math.log(sys.float_info.max)   # largest h*T for li(e^(hT))
 
 
 # ---------------------------------------------------------------------------
@@ -260,8 +263,7 @@ def orbit_fixed_point(model: MarkovModel, word: str) -> float:
     return float(cyclic_fixed_points(model, [word])[0])
 
 
-def enumerate_periodic_orbits(model: MarkovModel, n_max: int,
-                              cap: int = WORD_CAP_DEFAULT) -> np.recarray:
+def enumerate_periodic_orbits(model: MarkovModel, n_max: int) -> np.recarray:
     """All primitive closed orbits of word length <= n_max, one row each.
 
     The table has three columns: `word`, the lexicographically least
@@ -269,12 +271,13 @@ def enumerate_periodic_orbits(model: MarkovModel, n_max: int,
     and `period`, the flow period (float64), obtained by summing the roof
     at the fixed points of all rotations of the word, which are exactly
     the points of the section orbit.  Rows are ordered by length, then by
-    word code; len(table) is the number of primitive orbits.
+    word code; len(table) is the number of primitive orbits.  Raises
+    ModelError when alphabet^n_max exceeds WORD_CAP_DEFAULT.
     """
     base = len(model.alphabet)
-    if n_max >= 1 and base ** n_max > cap:
-        raise ModelError(
-            f"alphabet^{n_max} exceeds the enumeration cap {cap}")
+    if n_max >= 1 and base ** n_max > WORD_CAP_DEFAULT:
+        raise ModelError(f"alphabet^{n_max} exceeds the enumeration cap "
+                         f"{WORD_CAP_DEFAULT}")
     trans = np.array(transfer_matrix(model), dtype=bool)
     dtype = [("word", f"U{n_max}"), ("n", np.int64), ("period", float)]
     blocks = [np.empty(0, dtype)]
@@ -447,6 +450,11 @@ def prime_orbit_report(model: MarkovModel, n_max: int,
     orbits = enumerate_periodic_orbits(model, n_max)
     periods = np.sort(orbits.period)
     h = entropy(model)
+    big = np.flatnonzero(h * t > LOG_FLOAT_MAX)
+    if big.size:
+        ti = float(t[big[0]])
+        raise ModelError(f"T = {ti!r} is too long: h*T = {h * ti:.6g} "
+                         f"exceeds {LOG_FLOAT_MAX:.6g}, so e^(hT) overflows")
     pi = np.searchsorted(periods, t, side="right").astype(np.int64)
     li_vals = np.array([li(math.exp(h * ti)) for ti in t])
     complete = t <= n_max * model.tau_0 + 1e-12
@@ -482,7 +490,7 @@ def _eval_observable(sec, fib, x, u):
     return vals
 
 
-def flow_average(model: MarkovModel, obs, fiber_order: int = 64) -> float:
+def flow_average(model: MarkovModel, obs) -> float:
     """Integral of the observable against the flow-invariant measure:
     section weights times the fiber average, normalized by the mean roof."""
     sec, fib = _as_observable(obs)
@@ -499,15 +507,14 @@ def flow_average(model: MarkovModel, obs, fiber_order: int = 64) -> float:
             fiber = tau
         else:
             # midpoint rule along each fiber [0, tau(x))
-            mids = (np.arange(fiber_order) + 0.5) / fiber_order
+            mids = (np.arange(FIBER_ORDER) + 0.5) / FIBER_ORDER
             uu = tau[:, None] * mids[None, :]
             fiber = np.asarray(fib(uu), dtype=float).mean(axis=1) * tau
         total += float(np.sum(w * base * fiber))
     return total / tau_bar
 
 
-def covariance_at_zero(model: MarkovModel, a, b,
-                       fiber_order: int = 64) -> float:
+def covariance_at_zero(model: MarkovModel, a, b) -> float:
     """E[A B] - E[A] E[B] for same-point observables, by quadrature."""
     sa, fa = _as_observable(a)
     sb, fb = _as_observable(b)
@@ -526,9 +533,8 @@ def covariance_at_zero(model: MarkovModel, a, b,
                 out = out * np.asarray(fb(u), dtype=float)
             return out
 
-    mean_ab = flow_average(model, (sec_ab, fib_ab), fiber_order)
-    return mean_ab - flow_average(model, a, fiber_order) * \
-        flow_average(model, b, fiber_order)
+    mean_ab = flow_average(model, (sec_ab, fib_ab))
+    return mean_ab - flow_average(model, a) * flow_average(model, b)
 
 
 def _section_sampler(model: MarkovModel):
@@ -619,9 +625,11 @@ def correlation_decay(model: MarkovModel, a, b, t_grid, samples: int,
     from its own child of the seed, is centred by its own mean, and gives
     one covariance per time; the estimate is the mean over blocks and the
     error their spread.  Blocks advance together, at most MC_CHUNK_POINTS
-    points at a time (but whole blocks), so memory stays bounded for any
-    sample count, and the result depends only on the seed and the block
-    count.
+    points at a time but always whole blocks, so memory grows with the
+    block size samples // blocks once that exceeds MC_CHUNK_POINTS, and
+    the seed streams take memory in proportion to the block count (the
+    CLI bounds both by MC_CHUNK_POINTS).  The result depends only on the
+    seed and the block count.
     """
     t = np.asarray(t_grid, dtype=float)
     if t.ndim != 1 or t.size == 0:

@@ -216,11 +216,10 @@ class SmoothingReport:
     theta_half: float
 
 
-def smoothing_report(model: MarkovModel, b_list,
-                     delta1: float = DELTA1_DEFAULT) -> SmoothingReport:
+def smoothing_report(model: MarkovModel, b_list) -> SmoothingReport:
     """Measured constants for the smoothing bounds: differences in the
     half-exponent Hoelder norm against |b|^(-delta1 theta / 4), C1 norms
-    against |b|^delta1."""
+    against |b|^delta1, with delta1 = DELTA1_DEFAULT."""
     sys = base_system(model)
     tau = model.roof(model.nodes())
     th = model.theta / 2.0
@@ -228,7 +227,7 @@ def smoothing_report(model: MarkovModel, b_list,
     c_diff = 0.0
     c_c1 = 0.0
     for b in b_list:
-        sm = smooth_coefficients(model, b, delta1)
+        sm = smooth_coefficients(model, b)
         df = sys.fhat_grid - sm.f_smooth
         dt = tau - sm.tau_smooth
         c0f, semf = slice_holder_norm(model, df, th)
@@ -238,21 +237,21 @@ def smoothing_report(model: MarkovModel, b_list,
         c1f = slice_c1_norm(model, sm.f_smooth)
         c1t = slice_c1_norm(model, sm.tau_smooth)
         rows.append((float(b), sm.width, diff_f, diff_tau, c1f, c1t))
-        scale = abs(b) ** (-delta1 * model.theta / 4.0)
+        scale = abs(b) ** (-DELTA1_DEFAULT * model.theta / 4.0)
         c_diff = max(c_diff, diff_f / scale, diff_tau / scale)
-        c_c1 = max(c_c1, c1f / abs(b) ** delta1, c1t / abs(b) ** delta1)
+        growth = abs(b) ** DELTA1_DEFAULT
+        c_c1 = max(c_c1, c1f / growth, c1t / growth)
     return SmoothingReport(rows, c_diff, c_c1, th)
 
 
 def operator_gap(model: MarkovModel, a: float, b: float,
-                 delta1: float = DELTA1_DEFAULT, trials: int = 8,
-                 seed: int = 0) -> float:
+                 trials: int = 8) -> float:
     """Measured sup-norm gap between L_{a,b} and tilde L_{a,b} on random
-    unit-sup test functions."""
-    rpf = build_rpf(model, a, b, delta1)
+    unit-sup test functions (seed 0)."""
+    rpf = build_rpf(model, a, b)
     exact = transfer_complex(model, a, b)
     tilde = rpf.tilde_op()
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     shape = (len(model.intervals), model.grid_size + 1)
     worst = 0.0
     for _ in range(trials):
@@ -300,12 +299,12 @@ class DecayProfile:
 
 
 def decay_profile(model: MarkovModel, a: float, b_list=(64.0, 128.0, 256.0, 512.0),
-                  n_rule=default_n_rule, u: np.ndarray | None = None) -> DecayProfile:
-    """Iterate L_{a,b} n(b) times and record norms; fit the L2 norm against
-    |b| by least squares on logs."""
+                  n_rule=default_n_rule) -> DecayProfile:
+    """Iterate L_{a,b} n(b) times on the constant 1 and record norms; fit
+    the L2 norm against |b| by least squares on logs."""
     nu = gibbs_measure(model)
     shape = (len(model.intervals), model.grid_size + 1)
-    base = np.ones(shape, dtype=complex) if u is None else np.asarray(u, dtype=complex)
+    base = np.ones(shape, dtype=complex)
     rows = []
     for b in b_list:
         op = transfer_complex(model, a, float(b))
@@ -337,14 +336,13 @@ class ShadowBound:
 
 
 def lasota_yorke_report(model: MarkovModel, a: float, b: float,
-                        n_max: int = 12, delta1: float = DELTA1_DEFAULT,
-                        seed: int = 1) -> ShadowBound:
+                        n_max: int = 12) -> ShadowBound:
     """Fit sem(L~^n u) <= A e^(-n theta chi_0) sem(u) + B c0(u) over
-    n = 0..n_max for a random Hoelder test function; the reported pair is
-    inflated so the inequality holds on every measured row."""
-    rpf = build_rpf(model, a, b, delta1)
+    n = 0..n_max for a random Hoelder test function (seed 1); the reported
+    pair is inflated so the inequality holds on every measured row."""
+    rpf = build_rpf(model, a, b)
     op = rpf.tilde_op()
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(1)
     shape = (len(model.intervals), model.grid_size + 1)
     xs = np.linspace(0.0, 1.0, model.grid_size + 1)
     u = (np.stack([np.sin(2 * np.pi * xs + iv.index) for iv in model.intervals])

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,6 +34,8 @@ from .thermo import base_system, grid_orbit
 EPS_MAX = 0.5
 THETA_CAP = 4096          # stopping-index iterations before giving up
 HORIZON_CAP = 10000
+UNI_S_POINTS = 256        # profile samples per chart window in uni_scan
+TAME_KAPPA = 0.5          # pair-size exponent of the check_tame budget
 
 TWO_PI = 2.0 * math.pi
 
@@ -323,21 +325,20 @@ def _profile_theta_norm(vals: np.ndarray, theta: float) -> float:
 
 
 def check_tame(model: MarkovModel, scale: ScaleFunction,
-               samples: int = 6, s_points: int = 128,
-               kappa: float = 0.5) -> TameReport:
+               samples: int = 6) -> TameReport:
     """Hoelder budget of normalized contrast profiles vs pair size.
 
     The approximant is the profile itself, so the approximation defect is
     exactly zero and the content of the report is the measured constant
-    c = max ||psi||_theta / offset**kappa over sampled points and pair
-    depths.  Locally constant roofs give c = 0.
+    c = max ||psi||_theta / offset**TAME_KAPPA over sampled points and
+    pair depths.  Locally constant roofs give c = 0.
     """
     rows = []
     worst = 0.0
     pts = _sample_points(model, samples)
     thetas, values = _stopping_cocycle(model, [x for x, _ in pts], scale.eps)
     for (x, iid), k, lam in zip(pts, thetas.tolist(), values.tolist()):
-        s = np.arange(s_points) / s_points
+        s = np.arange(128) / 128
         iv = model.interval(iid)
         side = 1.0 if x + 1.0 / lam <= iv.right else -1.0
         zs = x + side * s / lam
@@ -350,10 +351,10 @@ def check_tame(model: MarkovModel, scale: ScaleFunction,
             psi = temporal_distance(model, x, lo, w2, zs) / scale.eps
             nrm = _profile_theta_norm(psi, model.theta)
             off = pair_offset(model, x, lo, w2)
-            ratio = nrm / off ** kappa
+            ratio = nrm / off ** TAME_KAPPA
             rows.append((x, j, off, nrm, ratio))
             worst = max(worst, ratio)
-    return TameReport(kappa, worst, 0.0, tuple(rows))
+    return TameReport(TAME_KAPPA, worst, 0.0, tuple(rows))
 
 
 def _sample_points(model: MarkovModel, samples: int) -> list[tuple[float, str]]:
@@ -465,30 +466,29 @@ def _best_margin(dist: np.ndarray, n_windows: int) -> tuple[float, dict]:
 
 def uni_scan(model: MarkovModel, scale: ScaleFunction,
              omega_mask: np.ndarray | None = None,
-             c1: float = 2.0, samples: int = 12, s_points: int = 256,
-             omega_points: int = 64, n_windows: int = 32,
-             pairs: int = 2, x_list=None) -> UniCertificate:
+             omega_points: int = 64, x_list=None) -> UniCertificate:
     """Measure the oscillation margin of normalized contrast profiles.
 
-    For each sampled base point the profile of each word pair is read on a
-    unit chart window on either admissible side, and the margin against a
-    reference phase grid is the largest kappa such that every phase admits
-    a subwindow of length >= kappa staying >= kappa away from it.  The
-    certificate takes the best pair and side per point and the worst point
-    overall.  kappa_hat == 0 is a failure report, not an exception.
+    For each base point (x_list, or 12 sampled ones) the profile of each
+    word pair is read on a unit chart window on either admissible side,
+    and the margin against a reference phase grid is the largest kappa
+    such that every phase admits a subwindow of length >= kappa staying
+    >= kappa away from it.  The certificate takes the best pair and side
+    per point and the worst point overall.  kappa_hat == 0 is a failure
+    report, not an exception.
     """
     if x_list is not None:
         pts = [(float(x), model.interval_of(float(x))) for x in x_list]
     else:
-        pts = _sample_points(model, samples)
+        pts = _sample_points(model, 12)
     omegas = TWO_PI * np.arange(omega_points) / omega_points
-    s = np.arange(s_points) / s_points
+    s = np.arange(UNI_S_POINTS) / UNI_S_POINTS
     thetas, values = _stopping_cocycle(model, [x for x, _ in pts], scale.eps)
     wits = []
     skipped = 0
     for (x, iid), k, lam in zip(pts, thetas.tolist(), values.tolist()):
         if omega_mask is not None and not _near_marked(
-                model, x, iid, lam, c1, omega_mask):
+                model, x, iid, lam, 2.0, omega_mask):
             skipped += 1
             continue
         iv = model.interval(iid)
@@ -502,18 +502,19 @@ def uni_scan(model: MarkovModel, scale: ScaleFunction,
             continue
         best_x = -1.0
         wit = None
-        for w1, w2 in word_pairs(model, iid, k, pairs):
+        for w1, w2 in word_pairs(model, iid, k):
             for side in sides:
                 zs = x + side * s / lam
                 psi = temporal_distance(model, x, w1, w2, zs) / scale.eps
                 dist = _torus_dist(psi[None, :] - omegas[:, None])
-                margin, d = _best_margin(dist, n_windows)
+                margin, d = _best_margin(dist, 32)
                 if margin > best_x or wit is None:
                     best_x = margin
                     wit = UniWitness(
                         x, int(k), float(lam), margin, (w1, w2), side,
                         float(omegas[d["omega_idx"]]), d["frac"],
-                        (d["lo"] / s_points, d["hi"] / s_points), d["dist"])
+                        (d["lo"] / UNI_S_POINTS, d["hi"] / UNI_S_POINTS),
+                        d["dist"])
         wits.append(wit)
     if not wits:
         raise ScaleError("no sample point met the window condition")

@@ -127,10 +127,9 @@ class WeightRecipe:
     factors: tuple = ()           # (array, power) pairs, interpolated at y
     out_factors: tuple = ()       # (array, power) pairs, evaluated at z
 
-    def plus(self, *, closed=(), grids=(), const=0.0,
+    def plus(self, *, closed=(), const=0.0,
              factors=(), out_factors=()) -> "WeightRecipe":
-        return WeightRecipe(self.closed + tuple(closed),
-                            self.grids + tuple(grids),
+        return WeightRecipe(self.closed + tuple(closed), self.grids,
                             self.const + const,
                             self.factors + tuple(factors),
                             self.out_factors + tuple(out_factors))
@@ -299,7 +298,6 @@ class EigenData:
     a: float
     value: float               # leading eigenvalue E_a
     rho: np.ndarray            # right eigenfunction, positive
-    weights: np.ndarray | None # left eigen-weights (sum 1), when computed
     residual: float            # sup |L rho - E rho| / sup rho
     iterations: int
 
@@ -308,17 +306,16 @@ class ConvergenceError(RuntimeError):
     pass
 
 
-def power_iteration(op: TransferOperator, tol: float = RATIO_TOL,
-                    cap: int = POWER_CAP) -> tuple[float, np.ndarray, int]:
+def power_iteration(op: TransferOperator) -> tuple[float, np.ndarray, int]:
     """Leading (simple, positive) eigen-pair by projective iteration.
 
     Stops when the pointwise ratio field L u / u has relative oscillation
-    below tol; the projective metric contracts geometrically for the
+    below RATIO_TOL; the projective metric contracts geometrically for the
     positive weights used here.
     """
     u = np.ones((len(op.model.intervals), op.model.grid_size + 1))
     its = 0
-    for its in range(1, cap + 1):
+    for its in range(1, POWER_CAP + 1):
         v = op(u)
         if np.iscomplexobj(v):
             raise ModelError("power iteration needs a positive operator")
@@ -327,28 +324,27 @@ def power_iteration(op: TransferOperator, tol: float = RATIO_TOL,
         if rmin <= 0:
             raise ConvergenceError("operator lost positivity")
         u = v / rmax
-        if (rmax - rmin) / rmin < tol:
+        if (rmax - rmin) / rmin < RATIO_TOL:
             break
     else:
-        raise ConvergenceError(f"no convergence after {cap} iterations")
+        raise ConvergenceError(f"no convergence after {POWER_CAP} iterations")
     v = op(u)
     value = float(v.sum() / u.sum())
     return value, u / u.max(), its
 
 
-def adjoint_weights(op: TransferOperator, value: float,
-                    tol: float = ADJOINT_TOL, cap: int = POWER_CAP) -> np.ndarray:
+def adjoint_weights(op: TransferOperator, value: float) -> np.ndarray:
     """Fixed point of the adjoint action scaled by the eigenvalue; sums to 1."""
     shape = (len(op.model.intervals), op.model.grid_size + 1)
     w = np.full(shape, 1.0 / (shape[0] * shape[1]))
-    for _ in range(cap):
+    for _ in range(POWER_CAP):
         nxt = op.adjoint(w) / value
         nxt /= nxt.sum()
         delta = float(np.abs(nxt - w).sum())
         w = nxt
-        if delta < tol:
+        if delta < ADJOINT_TOL:
             return w
-    raise ConvergenceError(f"adjoint iteration stalled above tol={tol}")
+    raise ConvergenceError(f"adjoint iteration stalled above tol={ADJOINT_TOL}")
 
 
 # ---------------------------------------------------------------------------
@@ -406,8 +402,7 @@ def gibbs_measure(model: MarkovModel) -> np.ndarray:
 
 
 def leading_eigendata(model: MarkovModel, a: float,
-                      a_max: float = A_MAX_DEFAULT,
-                      with_weights: bool = False) -> EigenData:
+                      a_max: float = A_MAX_DEFAULT) -> EigenData:
     """Eigendata of the operator weighted by f-hat + a tau."""
     if abs(a) > a_max:
         raise ModelError(f"|a| = {abs(a)} exceeds a_max = {a_max}")
@@ -419,18 +414,16 @@ def leading_eigendata(model: MarkovModel, a: float,
     scale = float(np.sum(rho * sys.nu))
     rho = rho / scale
     resid = float(np.max(np.abs(op(rho) - value * rho)) / np.max(rho))
-    weights = adjoint_weights(op, value) if with_weights else None
-    return EigenData(a, value, rho, weights, resid, its)
+    return EigenData(a, value, rho, resid, its)
 
 
-def normalize_potential(model: MarkovModel, a: float,
-                        a_max: float = A_MAX_DEFAULT) -> NormalizedPotential:
+def normalize_potential(model: MarkovModel, a: float) -> NormalizedPotential:
     """f^(a): the a-tilted potential normalized so its operator fixes 1."""
     key = (model.config, "norm", a)
     if key in _system_cache:
         return _system_cache[key]
     sys = base_system(model)
-    eig = leading_eigendata(model, a, a_max)
+    eig = leading_eigendata(model, a)
     recipe = sys.fhat.plus(
         closed=((lambda x, _a=a: _a * np.asarray(model.roof(x))),) if a else (),
         const=-math.log(eig.value),
@@ -514,14 +507,13 @@ def is_non_expanding(model: MarkovModel) -> tuple[bool, float]:
     return total <= 1e-10, total
 
 
-def doubling_constant(model: MarkovModel, weights: np.ndarray,
-                      radii=(1 / 8, 1 / 16, 1 / 32), samples: int = 64) -> float:
+def doubling_constant(model: MarkovModel, weights: np.ndarray) -> float:
     """min over interior balls of mass(B(x, r/2)) / mass(B(x, r))."""
     check_weights(model, weights)
     worst = 1.0
     for iv in model.intervals:
-        for r in radii:
-            centers = np.linspace(iv.left + r, iv.right - r, samples)
+        for r in (1 / 8, 1 / 16, 1 / 32):
+            centers = np.linspace(iv.left + r, iv.right - r, 64)
             for x in centers:
                 big = interval_mass(model, weights, iv.id, x - r, x + r)
                 small = interval_mass(model, weights, iv.id, x - r / 2, x + r / 2)

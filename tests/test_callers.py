@@ -11,6 +11,12 @@ not every unused method.
 The ledger names the functions that stay without such a caller: the
 paper-lemma checks, which the tests exercise as statements of the
 paper, and the minimax tools of ``gridfun``.
+
+Each defaulted parameter of those functions must also be passed, by
+keyword or by position, by some call under ``src/``, ``scripts/``,
+``perfbench/`` or ``tests/``, matched by function name; a value nothing
+sets is a constant.  A second ledger names the parameters kept without
+such a call, each with its reason.
 """
 
 import ast
@@ -92,3 +98,103 @@ def test_ledger_names_exist():
         layer = os.path.splitext(os.path.basename(path))[0]
         defined |= {f"{layer}.{n}" for n, _, _ in _public_defs(_parse(path))}
     assert LEDGER <= defined, sorted(LEDGER - defined)
+
+
+DEFAULT_LEDGER = {
+    "markov.doubling_model.theta": "mirrors the ModelConfig field",
+    "markov.markov3_model.potential": "mirrors the ModelConfig field",
+    "markov.markov3_model.mu": "mirrors the ModelConfig field",
+    "markov.markov3_model.theta": "mirrors the ModelConfig field",
+    "orbits.entropy.tol": "the benchmark's cache probe keys on (config, tol)",
+}
+BENCH_DIR = "perfbench"
+
+
+def _defaulted(tree):
+    """(function name, parameter, call position, first line, last line)
+    of every defaulted parameter of a public module function or method.
+    A method's call position skips self, as called on an instance; a
+    keyword-only parameter has none."""
+    for node in tree.body:
+        in_class = isinstance(node, ast.ClassDef)
+        for fn in node.body if in_class else [node]:
+            if (not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    or fn.name.startswith("_")):
+                continue
+            static = any(isinstance(d, ast.Name) and d.id == "staticmethod"
+                         for d in fn.decorator_list)
+            shift = 1 if in_class and not static else 0
+            args = fn.args
+            plain = args.posonlyargs + args.args
+            first = len(plain) - len(args.defaults)
+            for pos in range(first, len(plain)):
+                yield (fn.name, plain[pos].arg, pos - shift, fn.lineno,
+                       fn.end_lineno)
+            for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+                if default is not None:
+                    yield fn.name, arg.arg, None, fn.lineno, fn.end_lineno
+
+
+def _call_name(node):
+    if isinstance(node.func, ast.Name):
+        return node.func.id
+    if isinstance(node.func, ast.Attribute):
+        return node.func.attr
+    return None
+
+
+def _passes(tree, bench):
+    """(function name, keyword or position, line) of every argument that
+    a call passes; positions from a starred argument on and ``**`` keywords
+    count as none.  In the benchmark, the keys of a query's ``kwargs`` dict
+    are keywords of the function its ``call`` names."""
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        name = _call_name(node)
+        if name is None:
+            continue
+        for pos, arg in enumerate(node.args):
+            if isinstance(arg, ast.Starred):
+                break
+            yield name, pos, node.lineno
+        kws = {kw.arg: kw.value for kw in node.keywords if kw.arg}
+        for kw in kws:
+            yield name, kw, node.lineno
+        target = kws.get("call")
+        if (bench and isinstance(target, ast.Constant)
+                and isinstance(kws.get("kwargs"), ast.Dict)):
+            for key in kws["kwargs"].keys:
+                if isinstance(key, ast.Constant):
+                    yield target.value, key.value, node.lineno
+
+
+def test_every_defaulted_parameter_is_passed():
+    passed = {}
+    for top in CALLER_DIRS + ("tests",):
+        for path in _python_files(os.path.join(ROOT, top)):
+            real = os.path.realpath(path)
+            for name, what, line in _passes(_parse(path), top == BENCH_DIR):
+                passed.setdefault((name, what), []).append((real, line))
+    unset = []
+    for path in _python_files(PACKAGE):
+        layer = os.path.splitext(os.path.basename(path))[0]
+        real = os.path.realpath(path)
+        for name, param, pos, first, last in _defaulted(_parse(path)):
+            sites = passed.get((name, param), []) + (
+                passed.get((name, pos), []) if pos is not None else [])
+            outside = [s for s in sites
+                       if not (s[0] == real and first <= s[1] <= last)]
+            key = f"{layer}.{name}.{param}"
+            if not outside and key not in DEFAULT_LEDGER:
+                unset.append(key)
+    assert not unset, f"defaulted parameters that no call passes: {unset}"
+
+
+def test_default_ledger_names_exist():
+    defined = set()
+    for path in _python_files(PACKAGE):
+        layer = os.path.splitext(os.path.basename(path))[0]
+        defined |= {f"{layer}.{n}.{p}"
+                    for n, p, *_ in _defaulted(_parse(path))}
+    assert set(DEFAULT_LEDGER) <= defined, sorted(set(DEFAULT_LEDGER) - defined)

@@ -40,7 +40,6 @@ from transferlab.cancellation import (
     SHRINK_RETRIES,
     Cancellation,
     EngineError,
-    EngineParams,
     MajorantState,
     all_words,
     build_cancellation,
@@ -546,7 +545,7 @@ def test_run_zero_input(sin_model):
 
 def test_run_markov3():
     m = markov3_model(roof=SINROOF, grid_size=GRID)
-    cert = run_l2_iteration(m, 0.0, 48.0, params=EngineParams(eps=2.0 ** -4))
+    cert = run_l2_iteration(m, 0.0, 48.0, eps=2.0 ** -4)
     assert not cert.refused
     assert cert.kappa4_min > 0.0
     l2u = [r.l2_u for r in cert.rows]

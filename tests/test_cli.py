@@ -209,6 +209,9 @@ def test_repeated_forbidden_entry_rejected(tmp_path, capsys):
     assert "'0>1' is listed twice" in capsys.readouterr().err
 
 
+MC_CHUNK = orbits.MC_CHUNK_POINTS
+
+
 @pytest.mark.parametrize("argv, env, config", [
     (["decay", "--b", "nan"], {}, None),
     (["decay", "--b", "inf"], {}, None),
@@ -220,9 +223,17 @@ def test_repeated_forbidden_entry_rejected(tmp_path, capsys):
     (["model-info"], {}, "grid_size = 1e3\n"),
     (["model-info"], {}, "roof = nan, 0, 0, 0\n"),
     (["correlation"], {}, "roof = nan, 0, 0, 0\n"),
+    # a block is held whole, and so are the seed streams of all blocks
+    (["correlation"], {"SAMPLES": str(2 * (MC_CHUNK + 1)), "BLOCKS": "2"},
+     None),
+    (["correlation"], {"SAMPLES": str(MC_CHUNK + 1),
+                       "BLOCKS": str(MC_CHUNK + 1)}, None),
+    # h*T = 2000 log 2 exceeds log(float max), so e^(hT) overflows
+    (["orbits"], {"N_MAX": "4", "T_GRID": "1, 2000"}, None),
 ], ids=["decay-b-nan", "decay-b-inf", "dolgopyat-b-nan", "env-b-nan",
         "b-list-nan", "t-grid-nan", "config-roof-text", "config-grid-float",
-        "config-roof-nan", "correlation-roof-nan"])
+        "config-roof-nan", "correlation-roof-nan", "mc-block-size",
+        "mc-block-count", "orbit-period-overflow"])
 def test_malformed_number_is_one_line_usage_error(tmp_path, monkeypatch,
                                                   capsys, argv, env, config):
     # each of these once ended in a traceback or in exit 0
@@ -235,6 +246,14 @@ def test_malformed_number_is_one_line_usage_error(tmp_path, monkeypatch,
     assert cli.main(argv + ["--grid", "64", "--out", str(tmp_path / "o")]) == 1
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and err.startswith("transferlab: error:"), err
+
+
+def test_monte_carlo_largest_block_accepted(tmp_path, monkeypatch):
+    monkeypatch.setenv("TRANSFERLAB_SAMPLES", str(2 * MC_CHUNK))
+    monkeypatch.setenv("TRANSFERLAB_BLOCKS", "2")
+    monkeypatch.setenv("TRANSFERLAB_T_GRID", "0, 0.5")
+    assert cli.main(["correlation", "--grid", "64",
+                     "--out", str(tmp_path / "o")]) == 0
 
 
 @pytest.mark.parametrize("argv", [["decay", "--a", "nan"],

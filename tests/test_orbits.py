@@ -237,6 +237,12 @@ def test_report_matches_recount(plain):
     assert (np.diff(rep.pi) >= 0).all()
 
 
+def test_report_names_first_overflowing_period(plain):
+    # h*T > log(float max) once raised OverflowError inside li(e^(hT))
+    with pytest.raises(ModelError, match=r"T = 2000\.0 "):
+        prime_orbit_report(plain, 4, np.array([1.0, 2000.0, 3000.0]))
+
+
 def test_report_fit(plain):
     rep = prime_orbit_report(plain, 18, np.array([12.0, 14.0, 16.0, 18.0]))
     assert rep.pi.tolist() == [747, 2538, 8800, 31042]
