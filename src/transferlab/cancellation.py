@@ -77,7 +77,6 @@ class CylinderPartition:
 
     model: MarkovModel
     scale: ScaleFunction
-    c1: float
     atoms: np.recarray
     starts: np.ndarray = field(repr=False, compare=False)
     condition_margin: float = 0.0     # max length * inf(scale) / c1, <= 1
@@ -135,18 +134,20 @@ def _atom_scale_ranges(model: MarkovModel, scale: ScaleFunction,
     return lam_lo, j_lo, j_hi
 
 
-def _branch_lists(model: MarkovModel, key: int) -> dict[str, list]:
-    """Inverse branches as (sym, domain, target, slope, offset) rows, listed
-    per interval id in field ``key`` (1: domain, 2: target) in offset order;
-    ties keep (symbol, domain) order."""
-    out: dict[str, list] = {iv.id: [] for iv in model.intervals}
-    for i, k in np.argwhere(~np.isnan(model.branch_slope)).tolist():
-        row = (model.alphabet[i], model.intervals[k].id,
-               model.intervals[model.symbol_target[i]].id,
-               float(model.branch_slope[i, k]),
-               float(model.branch_offset[i, k]))
-        out[row[key]].append(row)
-    return {iid: sorted(rows, key=lambda r: r[4]) for iid, rows in out.items()}
+def _branches_by(model: MarkovModel, side: str):
+    """Inverse branches as columns (symbol, far interval, slope, offset),
+    grouped by the index of their interval on side ("domain" or "target")
+    and in offset order inside a group, ties in (symbol, domain) order;
+    far is the interval index at the other end.  Also returns the first
+    row of each group and one past the last."""
+    sym, dom = np.nonzero(~np.isnan(model.branch_slope))
+    tgt = model.symbol_target[sym]
+    near, far = (dom, tgt) if side == "domain" else (tgt, dom)
+    off = model.branch_offset[sym, dom]
+    order = np.lexsort((off, near))
+    first = np.searchsorted(near[order], np.arange(len(model.intervals) + 1))
+    return (np.array(model.alphabet, dtype=object)[sym[order]], far[order],
+            model.branch_slope[sym, dom][order], off[order], first)
 
 
 def build_partition(model: MarkovModel, scale: ScaleFunction,
@@ -161,14 +162,8 @@ def build_partition(model: MarkovModel, scale: ScaleFunction,
     """
     if c1 <= 0.0:
         raise EngineError("c1 must be positive")
-    by_target = _branch_lists(model, 2)
-    rows = [r for iv in model.intervals for r in by_target[iv.id]]
-    fan = np.array([len(by_target[iv.id]) for iv in model.intervals])
-    first = np.cumsum(fan) - fan       # each target's first branch row
-    b_sym = np.array([r[0] for r in rows], dtype=object)
-    b_dom = np.array([model.interval(r[1]).index for r in rows])
-    b_slope = np.array([r[3] for r in rows])
-    b_off = np.array([r[4] for r in rows])
+    b_sym, b_dom, b_slope, b_off, first = _branches_by(model, "target")
+    fan = np.diff(first)
     # cylinders of one depth: word, inner domain, containing interval and
     # the affine map contr * x + off
     m = len(model.intervals)
@@ -205,7 +200,7 @@ def build_partition(model: MarkovModel, scale: ScaleFunction,
     atoms = atoms[np.argsort(atoms.left, kind="stable")]
     weight = (atoms.right - atoms.left) * atoms.lam_lo
     part = CylinderPartition(
-        model, scale, c1, atoms, np.searchsorted(atoms.iid, np.arange(m + 1)),
+        model, scale, atoms, np.searchsorted(atoms.iid, np.arange(m + 1)),
         condition_margin=float((weight / c1).max()),
         half_scale=float(weight.min()))
     _verify_partition(part)
@@ -226,40 +221,49 @@ def _verify_partition(part: CylinderPartition) -> None:
         raise EngineError("refinement condition violated")
 
 
-def all_words(model: MarkovModel, domain: str, k: int):
-    """All admissible length-k words applicable on U_domain.
+def all_words(model: MarkovModel, k: int):
+    """All admissible length-k words applicable on each interval, as
+    columns (word, contraction, offset, target, first).
 
-    Returns (word, contraction, offset, outer target) tuples; the affine
-    data reproduces v_word(x) = contraction * x + offset.
+    Row r reproduces v_word(x) = contraction[r] * x + offset[r], mapping
+    the interval the word is applied on into the interval of index
+    target[r]; the rows of interval i are first[i]:first[i + 1], intervals
+    in index order.  The table grows level by level: each row is followed
+    by one child per branch whose domain is the row's target, in offset
+    order, and the branch is prepended (applied after the composite).
     """
-    by_domain = _branch_lists(model, 1)
-    items = [("", 1.0, 0.0, domain)]
+    sym, b_tgt, slope, b_off, b_first = _branches_by(model, "domain")
+    fan = np.diff(b_first)
+    m = len(model.intervals)
+    word = np.full(m, "", dtype=object)
+    contr, off = np.ones(m), np.zeros(m)
+    tgt = home = np.arange(m)
     for _ in range(k):
-        nxt = []
-        for word, contr, off, dom in items:
-            for sym, _, tgt, slope, offset in by_domain[dom]:
-                # prepend: the branch is applied after the current composite
-                nxt.append((sym + word, contr / slope,
-                            off / slope + offset, tgt))
-        items = nxt
-    return items
+        parent = np.repeat(np.arange(len(tgt)), fan[tgt])
+        b, _ = _ranges(b_first[tgt], fan[tgt])
+        word = sym[b] + word[parent]
+        contr, off = (contr[parent] / slope[b],
+                      off[parent] / slope[b] + b_off[b])
+        tgt, home = b_tgt[b], home[parent]
+    return word, contr, off, tgt, np.searchsorted(home, np.arange(m + 1))
 
 
 def check_refining(model: MarkovModel, part: CylinderPartition,
                    n: int) -> tuple[bool, tuple | None]:
     """Does every n-step backward branch map each atom inside one atom?
 
-    Atoms are checked in order, a block of them against all words at once;
-    the first failing (atom word, branch word) pair is the witness.
+    Atoms are checked in order, a block of them against all words of their
+    interval (a slice of the all_words table) at once; the first failing
+    (atom word, branch word) pair is the witness.
     """
     lefts, rights = part.atoms.left, part.atoms.right
-    for iv in model.intervals:
-        items = all_words(model, iv.id, n)
-        contr = np.array([w[1] for w in items])[:, None]
-        off = np.array([w[2] for w in items])[:, None]
-        end = part.starts[iv.index + 1]
-        block = max(1, REFINE_BLOCK // len(items))
-        for start in range(part.starts[iv.index], end, block):
+    words, w_contr, w_off, _, first = all_words(model, n)
+    for i in range(len(model.intervals)):
+        rows = slice(first[i], first[i + 1])
+        word, contr, off = words[rows], w_contr[rows, None], w_off[rows, None]
+        end = part.starts[i + 1]
+        block = max(1, REFINE_BLOCK // len(word))
+        for start in range(part.starts[i], end, block):
             sel = slice(start, min(start + block, end))
             lo = contr * lefts[sel] + off
             hi = contr * rights[sel] + off
@@ -268,7 +272,7 @@ def check_refining(model: MarkovModel, part: CylinderPartition,
             if bad.any():
                 k = int(np.argmax(bad.any(axis=0)))
                 j = int(np.argmax(bad[:, k]))
-                return False, (part.atoms.word[start + k], items[j][0])
+                return False, (part.atoms.word[start + k], word[j])
     return True, None
 
 
@@ -292,7 +296,6 @@ class ConeElement:
 
     values: np.ndarray
     scale: ScaleFunction
-    ratio: float     # max |h'/h| / scale value over the grid
 
 
 def cone_ratio(model: MarkovModel, scale: ScaleFunction,
@@ -329,7 +332,7 @@ def cone_element(model: MarkovModel, scale: ScaleFunction,
     ratio = cone_ratio(model, scale, values)
     if ratio > 1.0 + CONE_TOL:
         raise EngineError(f"cone condition violated: log-slope ratio {ratio:.3g}")
-    return ConeElement(values, scale, ratio)
+    return ConeElement(values, scale)
 
 
 def random_cone_element(model: MarkovModel, scale: ScaleFunction,
@@ -351,7 +354,6 @@ def random_cone_element(model: MarkovModel, scale: ScaleFunction,
 
 @dataclass(frozen=True)
 class ConeImageReport:
-    m: int
     trials: int
     min_margin: float
     margins: tuple[float, ...]
@@ -379,7 +381,7 @@ def cone_image_trials(model: MarkovModel, rpf: ComplexRPF,
         for _ in range(m):
             cur = pos(cur)
         margins.append(cone_membership(model, scale, cur)[1])
-    return ConeImageReport(m, trials, float(min(margins)), tuple(margins))
+    return ConeImageReport(trials, float(min(margins)), tuple(margins))
 
 
 def choose_n4(model: MarkovModel, rpf: ComplexRPF, scale: ScaleFunction,
@@ -460,13 +462,12 @@ def _orbit_weight(model: MarkovModel, f_hat: np.ndarray, z: np.ndarray,
     row of its own interval, so orbits that split at a slice seam keep
     their true weights.
     """
+    pts = model.orbit(z, n)
+    rows = model.interval_index(pts)
+    rows[:1] = model.interval(iid).index
     total = np.zeros(np.shape(z))
-    cur = np.asarray(z, dtype=float)
-    rows = model.interval(iid).index
-    for _ in range(n):
-        total += _interp_rows(model, f_hat, rows, cur)
-        cur = model.forward(cur)
-        rows = model.interval_index(cur)
+    for cur, r in zip(pts, rows):
+        total += _interp_rows(model, f_hat, r, cur)
     return np.exp(total)
 
 
@@ -628,16 +629,6 @@ def _pair_window(delta_phase: np.ndarray, kappa6: float) -> tuple | None:
     return start / n, (start + size) / n
 
 
-def _word_table(model: MarkovModel, n1: int):
-    """all_words of every interval as columns, intervals in index order:
-    (word, contraction, offset, target index, first row per interval)."""
-    per = [all_words(model, iv.id, n1) for iv in model.intervals]
-    word, contr, off, tgt = zip(*(w for ws in per for w in ws))
-    return (np.array(word, dtype=object), np.array(contr), np.array(off),
-            np.array([model.interval(t).index for t in tgt]),
-            np.cumsum([0] + [len(ws) for ws in per]))
-
-
 def build_cancellation(model: MarkovModel, rpf: ComplexRPF,
                        part: CylinderPartition, u: np.ndarray,
                        big_h: np.ndarray, omega_atoms, n1: int,
@@ -668,7 +659,7 @@ def build_cancellation(model: MarkovModel, rpf: ComplexRPF,
     n = model.grid_size
     f_hat = rpf.f_ab_grid
     tables = _dichotomy_tables(model, f_hat, n1)
-    word, w_contr, w_off, w_tgt, first = _word_table(model, n1)
+    word, w_contr, w_off, w_tgt, first = all_words(model, n1)
     fan = np.diff(first)
     atoms = part.atoms
     marked = np.fromiter(omega_atoms, dtype=int)
@@ -842,29 +833,37 @@ class MajorantState:
     n: int
     u: np.ndarray
     big_h: ConeElement
-    p_vals: np.ndarray | None
     omega_atoms: frozenset
     h0: float                       # the constant initial majorant
 
 
 def majorant_step(model: MarkovModel, rpf: ComplexRPF,
                   state: MajorantState, canc: Cancellation,
-                  n1: int) -> MajorantState:
+                  n1: int) -> tuple[MajorantState, CauchySchwarzReport]:
     """One block step: u through the oscillatory operator, H through the
     positive one with the cutoff multiplied in first.
 
-    Pointwise domination |u| <= H afterwards is mandatory; a violation
-    raises with the witness node.  The new majorant must stay in the cone
-    and below the initial constant.
+    Each array is pushed once: u by the oscillatory operator, and P H,
+    P^2 and H^2 by the positive one, each n1 times; M^n1(P H) is the new
+    majorant and all three feed cauchy_schwarz_check.  The checks run in
+    order and each failure raises: the square comparison, pointwise
+    domination |u| <= H (with the witness node), the initial constant as
+    a bound, and the cone.  Returns the next state and the square
+    comparison report.
     """
     tilde = rpf.tilde_op()
     pos = rpf.m_op()
     u = state.u
     for _ in range(n1):
         u = tilde(u)
-    h_vals = canc.p_values * state.big_h.values
+    p, h = canc.p_values, state.big_h.values
+    h_vals, p2, h2 = p * h, p * p, h * h
     for _ in range(n1):
-        h_vals = pos(h_vals)
+        h_vals, p2, h2 = pos(h_vals), pos(p2), pos(h2)
+    cs = cauchy_schwarz_check(h_vals, p2, h2, canc.core_mask)
+    if not cs.ok:
+        raise EngineError(
+            f"square comparison violated by {cs.max_violation:.3e}")
     bad = np.abs(u) > h_vals * (1.0 + DOMINATION_TOL) + 1e-15 * state.h0
     if bad.any():
         r, c = np.argwhere(bad)[0]
@@ -876,46 +875,35 @@ def majorant_step(model: MarkovModel, rpf: ComplexRPF,
         raise EngineError("majorant exceeded its initial constant")
     next_h = cone_element(model, state.big_h.scale, h_vals)
     omega_next = canc.bumped_atoms if canc.bumped_atoms else state.omega_atoms
-    return MajorantState(state.n + 1, u, next_h, canc.p_values,
-                         omega_next, state.h0)
+    return MajorantState(state.n + 1, u, next_h, omega_next, state.h0), cs
 
 
 @dataclass(frozen=True)
 class CauchySchwarzReport:
     max_violation: float     # of (M(PH))^2 <= MP^2 * MH^2, relative
     kappa4: float            # worst contraction factor on the bump cores
-    core_nodes: int
 
     @property
     def ok(self) -> bool:
         return self.max_violation <= 1e-12
 
 
-def cauchy_schwarz_check(model: MarkovModel, rpf: ComplexRPF,
-                         p_vals: np.ndarray, h_vals: np.ndarray,
-                         core_mask: np.ndarray, n1: int) -> CauchySchwarzReport:
+def cauchy_schwarz_check(ph: np.ndarray, p2: np.ndarray, h2: np.ndarray,
+                         core_mask: np.ndarray) -> CauchySchwarzReport:
     """Pointwise square comparison of the cutoff step.
 
-    (M^n1 (P H))^2 <= M^n1(P^2) M^n1(H^2) everywhere; kappa4 is the worst
-    value of 1 - M^n1(P^2) over the flat bump cores, the factor the square
-    comparison then guarantees against M^n1(H^2).
+    ph, p2 and h2 are M^n1 (P H), M^n1(P^2) and M^n1(H^2), as majorant_step
+    pushes them.  The comparison is (M^n1 (P H))^2 <= M^n1(P^2) M^n1(H^2)
+    everywhere; kappa4 is the worst value of 1 - M^n1(P^2) over the flat
+    bump cores, the factor the square comparison then guarantees against
+    M^n1(H^2).
     """
-    pos = rpf.m_op()
-    a = p_vals * h_vals
-    b2 = p_vals * p_vals
-    c2 = h_vals * h_vals
-    for _ in range(n1):
-        a, b2, c2 = pos(a), pos(b2), pos(c2)
-    lhs = a * a
-    rhs = b2 * c2
+    lhs = ph * ph
+    rhs = p2 * h2
     scale = np.maximum(rhs, 1e-300)
     violation = float(((lhs - rhs) / scale).max())
-    if core_mask.any():
-        kappa4 = float((1.0 - b2[core_mask]).min())
-        nodes = int(core_mask.sum())
-    else:
-        kappa4, nodes = 0.0, 0
-    return CauchySchwarzReport(violation, kappa4, nodes)
+    kappa4 = float((1.0 - p2[core_mask]).min()) if core_mask.any() else 0.0
+    return CauchySchwarzReport(violation, kappa4)
 
 
 # ---------------------------------------------------------------------------
@@ -1005,7 +993,7 @@ def run_l2_iteration(model: MarkovModel, a: float, b: float,
         h0 = 1.0    # u identically zero: any constant majorant works
     state = MajorantState(
         0, u, cone_element(model, scale, np.full_like(np.abs(u), h0)),
-        None, frozenset(range(len(part.atoms))), h0)
+        frozenset(range(len(part.atoms))), h0)
     steps = max(4, int(math.floor(math.log(abs(b)))))
     rows = [StepRow(0, float(np.abs(u).max()), l2(u),
                     l2(state.big_h.values), 1.0, 0, 0.0, 0.0)]
@@ -1014,23 +1002,17 @@ def run_l2_iteration(model: MarkovModel, a: float, b: float,
     holder_ratio = 0.0
     truncated_at = None
     core_union = np.zeros(state.big_h.values.shape, dtype=bool)
-    ones = np.ones_like(state.big_h.values)
+    if refused:
+        ones = np.ones_like(state.big_h.values)
+        canc = Cancellation(ones, np.zeros(ones.shape, dtype=bool),
+                            frozenset(), np.recarray(0, BUMP_DTYPE), 0.0, 0.0,
+                            len(part.atoms), 0.0)
     for n in range(steps):
-        if refused:
-            canc = Cancellation(ones, np.zeros(ones.shape, dtype=bool),
-                                frozenset(), np.recarray(0, BUMP_DTYPE),
-                                0.0, 0.0,
-                                len(part.atoms), 0.0)
-        else:
+        if not refused:
             canc = build_cancellation(model, rpf, part, state.u,
                                       state.big_h.values, state.omega_atoms,
                                       n1, KAPPA5_DEFAULT, kappa6)
-        cs = cauchy_schwarz_check(model, rpf, canc.p_values,
-                                  state.big_h.values, canc.core_mask, n1)
-        if not cs.ok:
-            raise EngineError(
-                f"square comparison violated by {cs.max_violation:.3e}")
-        state = majorant_step(model, rpf, state, canc, n1)
+        state, cs = majorant_step(model, rpf, state, canc, n1)
         if len(canc.records):
             kappa4_min = min(kappa4_min, cs.kappa4)
         sem = slice_holder_norm(model, np.abs(state.u), model.theta)[1]

@@ -68,7 +68,6 @@ class ExperimentConfig:
     model_path: str | None
     out_dir: str
     seed: int
-    threads: int
     a: float
     b: float | None
     eps: float | None
@@ -165,17 +164,13 @@ def resolve(args, environ) -> ExperimentConfig:
     seed = merged["seed"] if merged["seed"] is not None else 0
     if not 0 <= seed < 2 ** 64:
         raise UsageError("seed must fit in an unsigned 64-bit integer")
-    threads = merged["threads"] if merged["threads"] is not None else 1
-    if threads < 1:
+    if merged["threads"] is not None and merged["threads"] < 1:
         raise UsageError("threads must be at least 1")
-    if merged["grid"] is not None and merged["grid"] < 8:
-        raise UsageError("grid must be at least 8")
     return ExperimentConfig(
         command=args.command,
         model_path=merged["model"],
         out_dir=merged["out"] if merged["out"] is not None else "out",
         seed=seed,
-        threads=threads,
         a=merged["a"] if merged["a"] is not None else 0.0,
         b=merged["b"],
         eps=merged["eps"],

@@ -75,7 +75,6 @@ def oscillation(model: MarkovModel, values: np.ndarray, iid: str,
 
 @dataclass
 class PolyDistanceReport:
-    degree: int
     error: float
     coeffs: np.ndarray            # ascending powers
     reference: np.ndarray         # K+2 equioscillation abscissae
@@ -149,7 +148,6 @@ def minimax_poly(xs: np.ndarray, ys: np.ndarray,
     resid = ys - np.polynomial.polynomial.polyval(xs, coeffs)
     err = float(np.max(np.abs(resid)))
     return PolyDistanceReport(
-        degree=degree,
         error=err,
         coeffs=coeffs,
         reference=xs[ref],

@@ -44,6 +44,10 @@ ENTROPY_TOL = 1e-10
 MARGIN = 1e-9
 # Monte Carlo points advanced at once (whole blocks; at least one block)
 MC_CHUNK_POINTS = 2 ** 17
+# largest T / tau_0 a correlation accepts: advancing to T unwinds up to
+# that many roof crossings, one Python round each (the CLI default of
+# 100,000 samples on a unit roof took about 8 s to T = 1000 on a 2-vCPU VM)
+MC_MAX_CROSSINGS = 10 ** 3
 FIBER_ORDER = 64             # midpoint nodes per fiber in flow_average
 LOG_FLOAT_MAX = math.log(sys.float_info.max)   # largest h*T for li(e^(hT))
 
@@ -576,7 +580,6 @@ class DecayReport:
     rate: float | None           # decay exponent; None when undefined
     rate_err: float | None
     r_squared: float | None
-    used: np.ndarray             # rows entering the fit
     samples: int
     blocks: int
     seed: int
@@ -628,14 +631,21 @@ def correlation_decay(model: MarkovModel, a, b, t_grid, samples: int,
     points at a time but always whole blocks, so memory grows with the
     block size samples // blocks once that exceeds MC_CHUNK_POINTS, and
     the seed streams take memory in proportion to the block count (the
-    CLI bounds both by MC_CHUNK_POINTS).  The result depends only on the
-    seed and the block count.
+    CLI bounds both by MC_CHUNK_POINTS).  Times above MC_MAX_CROSSINGS
+    times the least roof value are rejected, since time grows with the
+    roof crossings unwound.  The result depends only on the seed and the
+    block count.
     """
     t = np.asarray(t_grid, dtype=float)
     if t.ndim != 1 or t.size == 0:
         raise ModelError("t_grid must be a nonempty 1-d array")
     if not (np.isfinite(t) & (t >= 0)).all():
         raise ModelError("correlation times must be finite and nonnegative")
+    if t.max() / model.tau_0 > MC_MAX_CROSSINGS:
+        raise ModelError(
+            f"correlation time T = {float(t.max())!r} exceeds "
+            f"{MC_MAX_CROSSINGS * model.tau_0!r} ({MC_MAX_CROSSINGS} times "
+            f"the least roof value)")
     if samples < blocks:
         raise ModelError(f"need at least {blocks} samples (one per block)")
     order = np.argsort(t, kind="stable")
@@ -667,5 +677,5 @@ def correlation_decay(model: MarkovModel, a, b, t_grid, samples: int,
         resid = logs - np.polyval(coef, t[used])
         ss_tot = float(np.sum((logs - logs.mean()) ** 2))
         r2 = 1.0 - float(np.sum(resid ** 2)) / ss_tot if ss_tot > 0 else 0.0
-    return DecayReport(t, corr, stderr, rate, rate_err, r2, used,
-                       m * blocks, blocks, seed)
+    return DecayReport(t, corr, stderr, rate, rate_err, r2, m * blocks,
+                       blocks, seed)

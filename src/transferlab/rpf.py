@@ -128,7 +128,6 @@ def smooth_grid(model: MarkovModel, values: np.ndarray,
 @dataclass
 class SmoothedPair:
     b: float
-    delta1: float
     width: float              # kernel half-width actually used
     clamped: bool             # width hit the grid-spacing floor
     f_smooth: np.ndarray      # smoothed normalized weight samples
@@ -148,7 +147,7 @@ def smooth_coefficients(model: MarkovModel, b: float,
         width = h
     sys = base_system(model)
     tau = model.roof(model.nodes())
-    return SmoothedPair(b, delta1, width, clamped,
+    return SmoothedPair(b, width, clamped,
                         smooth_grid(model, sys.fhat_grid, width),
                         smooth_grid(model, tau, width))
 
@@ -213,7 +212,6 @@ class SmoothingReport:
     rows: list          # (b, width, diff_f, diff_tau, c1_f, c1_tau)
     c_diff: float       # fitted constant for the difference bound
     c_c1: float         # fitted constant for the C1 growth bound
-    theta_half: float
 
 
 def smoothing_report(model: MarkovModel, b_list) -> SmoothingReport:
@@ -241,7 +239,7 @@ def smoothing_report(model: MarkovModel, b_list) -> SmoothingReport:
         c_diff = max(c_diff, diff_f / scale, diff_tau / scale)
         growth = abs(b) ** DELTA1_DEFAULT
         c_c1 = max(c_c1, c1f / growth, c1t / growth)
-    return SmoothingReport(rows, c_diff, c_c1, th)
+    return SmoothingReport(rows, c_diff, c_c1)
 
 
 def operator_gap(model: MarkovModel, a: float, b: float,

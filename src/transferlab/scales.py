@@ -211,38 +211,35 @@ def check_adapted(model: MarkovModel, scale: ScaleFunction,
 # temporal distance
 
 
-def _check_word(model: MarkovModel, word: str, domain: str) -> None:
-    try:
-        model.apply_word(word, model.interval(domain).left, domain)
-    except ModelError:
-        raise ModelError(
-            f"word {word!r} not applicable at interval {domain!r}") from None
-
-
 def temporal_distance(model: MarkovModel, x, w1: str, w2: str, z):
     """Second difference of roof sums along two branch words.
 
     (tau_k(v_w1 z) - tau_k(v_w1 x)) - (tau_k(v_w2 z) - tau_k(v_w2 x)) for
     words of equal length applicable at the interval of x; z must live in
-    the same interval.  Affine roofs on equal-slope families cancel to
-    zero; the value is antisymmetric in (w1, w2) and in (x, z).
+    the same interval.  Each word is walked once, over the points z with
+    x appended, and the x sums are read from the last column.  Affine
+    roofs on equal-slope families cancel to zero; the value is
+    antisymmetric in (w1, w2) and in (x, z).
     """
     if len(w1) != len(w2):
         raise ModelError("temporal distance needs words of equal length")
     if not w1 or w1 == w2:
         raise ModelError("temporal distance needs two distinct nonempty words")
     dom = model.interval_of(float(x))
-    _check_word(model, w1, dom)
-    _check_word(model, w2, dom)
     zv = np.atleast_1d(np.asarray(z, dtype=float))
+    pts = np.append(zv, float(x))
+    sums = []
+    for w in (w1, w2):
+        try:
+            sums.append(model.roof_sum_on_word(w, pts, dom))
+        except ModelError:
+            raise ModelError(
+                f"word {w!r} not applicable at interval {dom!r}") from None
     iv = model.interval(dom)
     if (zv < iv.left - 1e-12).any() or (zv > iv.right + 1e-12).any():
         raise ModelError("probe points must stay in the interval of x")
-    t1z = model.roof_sum_on_word(w1, zv, dom)
-    t2z = model.roof_sum_on_word(w2, zv, dom)
-    t1x = model.roof_sum_on_word(w1, float(x), dom)
-    t2x = model.roof_sum_on_word(w2, float(x), dom)
-    out = (t1z - t1x) - (t2z - t2x)
+    t1, t2 = sums
+    out = ((t1[:-1] - t1[-1]) - (t2[:-1] - t2[-1])).reshape(zv.shape)
     return float(out[0]) if np.isscalar(z) else out
 
 
@@ -307,7 +304,6 @@ def pair_offset(model: MarkovModel, x: float, w1: str, w2: str) -> float:
 
 @dataclass(frozen=True)
 class TameReport:
-    kappa: float
     c_measured: float
     defect: float
     rows: tuple   # (x, prefix_len, offset, theta-norm, ratio)
@@ -354,7 +350,7 @@ def check_tame(model: MarkovModel, scale: ScaleFunction,
             ratio = nrm / off ** TAME_KAPPA
             rows.append((x, j, off, nrm, ratio))
             worst = max(worst, ratio)
-    return TameReport(TAME_KAPPA, worst, 0.0, tuple(rows))
+    return TameReport(worst, 0.0, tuple(rows))
 
 
 def _sample_points(model: MarkovModel, samples: int) -> list[tuple[float, str]]:
@@ -376,12 +372,10 @@ def _sample_points(model: MarkovModel, samples: int) -> list[tuple[float, str]]:
 
 @dataclass(frozen=True)
 class UniWitness:
-    x: float
     theta: int
     value: float
     kappa_x: float
     pair: tuple[str, str]
-    side: int
     omega: float
     window_frac: float
     window: tuple[float, float]
@@ -394,7 +388,6 @@ class UniCertificate:
     kappa_hat: float
     witnesses: tuple[UniWitness, ...]
     skipped: int
-    notes: str = ""
 
     @property
     def ok(self) -> bool:
@@ -511,7 +504,7 @@ def uni_scan(model: MarkovModel, scale: ScaleFunction,
                 if margin > best_x or wit is None:
                     best_x = margin
                     wit = UniWitness(
-                        x, int(k), float(lam), margin, (w1, w2), side,
+                        int(k), float(lam), margin, (w1, w2),
                         float(omegas[d["omega_idx"]]), d["frac"],
                         (d["lo"] / UNI_S_POINTS, d["hi"] / UNI_S_POINTS),
                         d["dist"])
@@ -540,8 +533,6 @@ def _near_marked(model, x, iid, lam, c1, mask) -> bool:
 @dataclass(frozen=True)
 class UniformSetReport:
     n: int
-    kappa: float
-    horizon: int
     mask: np.ndarray
     fraction: float
     nu_mass: float
@@ -577,13 +568,12 @@ def uniform_set(model: MarkovModel, n: int, kappa: float, horizon: int,
         ok &= (cum < i * kappa) | ~active
     nu = base_system(model).nu
     frac = float(ok.mean())
-    return UniformSetReport(n, kappa, horizon, ok, frac, float(nu[ok].sum()))
+    return UniformSetReport(n, ok, frac, float(nu[ok].sum()))
 
 
 @dataclass(frozen=True)
 class RecurrenceReport:
     n1: int
-    m: int
     trials: int
     rows: tuple   # (kappa, bad fraction, exp(-m kappa), within bound)
 
@@ -616,4 +606,4 @@ def recurrence_rate(model: MarkovModel, omega_mask: np.ndarray,
         bad = float((counts < kap * m).mean())
         bound = math.exp(-m * kap)
         rows.append((float(kap), bad, bound, bad < bound))
-    return RecurrenceReport(n1, m, trials, tuple(rows))
+    return RecurrenceReport(n1, trials, tuple(rows))

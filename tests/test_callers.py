@@ -17,6 +17,10 @@ keyword or by position, by some call under ``src/``, ``scripts/``,
 ``perfbench/`` or ``tests/``, matched by function name; a value nothing
 sets is a constant.  A second ledger names the parameters kept without
 such a call, each with its reason.
+
+Each field of a package dataclass must be read as an attribute by some
+file under those four directories, again matched by name; a third ledger
+names the fields kept without such a read.
 """
 
 import ast
@@ -198,3 +202,51 @@ def test_default_ledger_names_exist():
         defined |= {f"{layer}.{n}.{p}"
                     for n, p, *_ in _defaulted(_parse(path))}
     assert set(DEFAULT_LEDGER) <= defined, sorted(set(DEFAULT_LEDGER) - defined)
+
+
+FIELD_DIRS = CALLER_DIRS + ("tests",)
+FIELD_LEDGER = {
+    "rpf.ComplexRPF.delta1": "scripts/artifact_digest.py digests every "
+                             "field of a build_rpf result",
+}
+
+
+def _dataclass_fields(tree):
+    """(class name, field name) of every annotated field of a module-level
+    dataclass."""
+    for node in tree.body:
+        if not isinstance(node, ast.ClassDef):
+            continue
+        names = {(d.func if isinstance(d, ast.Call) else d)
+                 for d in node.decorator_list}
+        if not any(isinstance(d, ast.Name) and d.id == "dataclass"
+                   for d in names):
+            continue
+        for stmt in node.body:
+            if (isinstance(stmt, ast.AnnAssign)
+                    and isinstance(stmt.target, ast.Name)):
+                yield node.name, stmt.target.id
+
+
+def _package_fields():
+    for path in _python_files(PACKAGE):
+        layer = os.path.splitext(os.path.basename(path))[0]
+        for cls, name in _dataclass_fields(_parse(path)):
+            yield f"{layer}.{cls}.{name}", name
+
+
+def test_every_dataclass_field_is_read():
+    reads = set()
+    for top in FIELD_DIRS:
+        for path in _python_files(os.path.join(ROOT, top)):
+            reads |= {node.attr for node in ast.walk(_parse(path))
+                      if isinstance(node, ast.Attribute)
+                      and isinstance(node.ctx, ast.Load)}
+    unread = [key for key, name in _package_fields()
+              if name not in reads and key not in FIELD_LEDGER]
+    assert not unread, f"dataclass fields nothing reads: {unread}"
+
+
+def test_field_ledger_names_exist():
+    defined = {key for key, _ in _package_fields()}
+    assert set(FIELD_LEDGER) <= defined, sorted(set(FIELD_LEDGER) - defined)

@@ -180,16 +180,18 @@ def test_refinement_step(plain, part32):
 
 
 def test_all_words_affine(plain):
-    items = {w: (c, o) for w, c, o, _ in all_words(plain, "u", 2)}
+    word, contr, off, tgt, first = all_words(plain, 2)
+    assert first.tolist() == [0, 4] and tgt.tolist() == [0] * 4
+    items = dict(zip(word, zip(contr.tolist(), off.tolist())))
     assert items == {"00": (0.25, 0.0), "01": (0.25, 0.25),
                      "10": (0.25, 0.5), "11": (0.25, 0.75)}
 
 
 def test_all_words_adjacency():
     m = markov3_model(grid_size=256)
-    words = [w for w, _, _, _ in all_words(m, "0", 3)]
-    assert words
-    for w in words:
+    word, _, _, _, first = all_words(m, 3)
+    assert (np.diff(first) > 0).all() and first[-1] == len(word)
+    for w in word:
         assert m.word_admissible(w)
 
 
@@ -265,36 +267,34 @@ def test_cone_image_trials(plain, rpf6, scale32):
 
 
 def _dichotomy(model, rpf, u, big_h, span, w, kappa6):
-    """The table row of one (span, branch) pair, w an all_words item."""
-    _, contr, off, tgt = w
-    res = dichotomy_test(model, rpf, u, big_h, *span, contr, off,
-                         model.interval(tgt).index, 1, kappa6)
+    """The table row of one (span, branch) pair, w a row of the one-step
+    all_words table."""
+    _, contr, off, tgt, _ = all_words(model, 1)
+    res = dichotomy_test(model, rpf, u, big_h, *span, contr[w], off[w],
+                         tgt[w], 1, kappa6)
     assert res.dtype == cancellation.DICHOTOMY_DTYPE and len(res) == 1
     return res[0]
 
 
 def test_dichotomy_zero_u(plain, rpf6, part32):
-    w = all_words(plain, "u", 1)[0]
     t = _dichotomy(plain, rpf6, _ones(plain, complex) * 0.0,
-                   _ones(plain), _span(part32, 3), w, 0.05)
+                   _ones(plain), _span(part32, 3), 0, 0.05)
     assert t.kind == cancellation.SMALL
     assert t.max_ratio == 0.0
     assert t.weight == pytest.approx(0.5, abs=1e-12)
 
 
 def test_dichotomy_half(plain, rpf6, part32):
-    w = all_words(plain, "u", 1)[1]
     u = 0.5 * np.exp(1j * 1.2) * _ones(plain, complex)
-    t = _dichotomy(plain, rpf6, u, _ones(plain), _span(part32, 0), w, 0.05)
+    t = _dichotomy(plain, rpf6, u, _ones(plain), _span(part32, 0), 1, 0.05)
     assert t.kind == cancellation.SMALL
     assert t.max_ratio == pytest.approx(0.5, abs=1e-12)
 
 
 def test_dichotomy_aligned_constant_roof(plain, rpf6, part32):
     # tau = 1: the branch phase b*tau_1 is globally constant
-    w = all_words(plain, "u", 1)[0]
     t = _dichotomy(plain, rpf6, _ones(plain, complex), _ones(plain),
-                   _span(part32, 7), w, 0.05)
+                   _span(part32, 7), 0, 0.05)
     assert t.kind == cancellation.ALIGNED
     assert t.spread < 1e-12
     assert t.omega == pytest.approx(6.0 % (2 * math.pi), abs=1e-12)
@@ -306,8 +306,7 @@ def test_dichotomy_indeterminate_sin(sin_model, part32):
     rpf = build_rpf(m, 0.0, 6.0)
     sc = matching_scale(m, 0.04)
     part = build_partition(m, sc, 1.0)
-    w = all_words(m, "u", 1)[0]
-    t = _dichotomy(m, rpf, _ones(m, complex), _ones(m), _span(part, 5), w,
+    t = _dichotomy(m, rpf, _ones(m, complex), _ones(m), _span(part, 5), 0,
                    0.05)
     assert t.kind == cancellation.INDETERMINATE
 
@@ -328,7 +327,8 @@ def test_small_case_bumps(plain, rpf6, part32, scale32):
     assert float(canc.p_values.min()) == 1.0 - 0.05
     assert float(canc.p_values.max()) == 1.0
     assert canc.cone_ratio_p <= 1.0
-    words = {(w, c, o) for w, c, o, _ in all_words(plain, "u", 1)}
+    word, contr, off, _, _ = all_words(plain, 1)
+    words = set(zip(word, contr.tolist(), off.tolist()))
     support = np.zeros(GRID + 1, dtype=bool)
     for r in canc.records:
         assert r.case == "small"
@@ -413,11 +413,11 @@ def test_paired_case(sin_model):
 def test_majorant_p1_constant(plain, rpf6, scale32, part32):
     ones = _ones(plain)
     state = MajorantState(0, 0.3 * ones.astype(complex),
-                          cone_element(plain, scale32, ones), None,
+                          cone_element(plain, scale32, ones),
                           frozenset(range(32)), 1.0)
     ident = Cancellation(ones, np.zeros(ones.shape, bool), frozenset(),
                          (), 0.0, 0.05, 32, 0.0)
-    nxt = majorant_step(plain, rpf6, state, ident, 1)
+    nxt, _ = majorant_step(plain, rpf6, state, ident, 1)
     # M1 = 1: a constant majorant stays that constant
     np.testing.assert_allclose(nxt.big_h.values, 1.0, atol=1e-12)
     assert nxt.n == 1
@@ -431,11 +431,11 @@ def test_majorant_two_branch_core(plain, rpf6, scale32):
     P = np.clip(0.9 + 0.1 * (xs - 0.49) / 0.02, 0.9, 1.0)[None, :]
     ones = _ones(plain)
     state = MajorantState(0, np.zeros((1, GRID + 1), complex),
-                          cone_element(plain, scale32, ones), None,
-                          frozenset(), 1.0)
+                          cone_element(plain, scale32, ones), frozenset(),
+                          1.0)
     canc = Cancellation(P, np.zeros(P.shape, bool), frozenset([0]), (),
                         0.1, 0.05, 0, 0.0)
-    nxt = majorant_step(plain, rpf6, state, canc, 1)
+    nxt, _ = majorant_step(plain, rpf6, state, canc, 1)
     sel = (xs > 0.05) & (xs < 0.45)
     np.testing.assert_allclose(nxt.big_h.values[0, sel], 1 - 0.05, atol=1e-12)
     assert nxt.big_h.values.max() <= 1.0 + 1e-12
@@ -444,18 +444,27 @@ def test_majorant_two_branch_core(plain, rpf6, scale32):
 def test_majorant_domination_oracle(plain, rpf6, scale32):
     ones = _ones(plain)
     state = MajorantState(0, 2.0 * ones.astype(complex),
-                          cone_element(plain, scale32, ones), None,
-                          frozenset(), 1.0)
+                          cone_element(plain, scale32, ones), frozenset(),
+                          1.0)
     ident = Cancellation(ones, np.zeros(ones.shape, bool), frozenset(),
                          (), 0.0, 0.05, 0, 0.0)
     with pytest.raises(EngineError, match="domination"):
         majorant_step(plain, rpf6, state, ident, 1)
 
 
+def _square_check(rpf, p, h, core, n1):
+    """cauchy_schwarz_check on P H, P^2 and H^2 pushed n1 times by M."""
+    pos = rpf.m_op()
+    pushed = (p * h, p * p, h * h)
+    for _ in range(n1):
+        pushed = tuple(pos(a) for a in pushed)
+    return cauchy_schwarz_check(*pushed, core)
+
+
 def test_cs_equality_p1(plain, rpf6):
     ones = _ones(plain)
     core = np.zeros(ones.shape, bool); core[0, 100:-100] = True
-    rep = cauchy_schwarz_check(plain, rpf6, ones, ones, core, 1)
+    rep = _square_check(rpf6, ones, ones, core, 1)
     assert rep.ok
     assert abs(rep.max_violation) <= 1e-12
     assert rep.kappa4 == pytest.approx(0.0, abs=1e-12)
@@ -467,7 +476,7 @@ def test_cs_two_branch_kappa4(plain, rpf6):
     P = np.ones((1, GRID + 1)); P[0, xs < 0.5] = 1 - kap
     core = np.zeros(P.shape, bool)
     core[0, (xs > 0.05) & (xs < 0.45)] = True
-    rep = cauchy_schwarz_check(plain, rpf6, P, _ones(plain), core, 1)
+    rep = _square_check(rpf6, P, _ones(plain), core, 1)
     assert rep.ok
     assert rep.kappa4 == pytest.approx(1 - ((1 - kap) ** 2 + 1) / 2,
                                        abs=1e-12)
@@ -478,7 +487,7 @@ def test_cs_random_p(plain, rpf6):
     P = rng.uniform(0.9, 1.0, (1, GRID + 1))
     H = np.exp(rng.uniform(-1.0, 1.0, (1, GRID + 1)))
     core = np.ones(P.shape, bool)
-    rep = cauchy_schwarz_check(plain, rpf6, P, H, core, 2)
+    rep = _square_check(rpf6, P, H, core, 2)
     assert rep.ok
 
 

@@ -51,6 +51,7 @@ import io
 import os
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -246,6 +247,26 @@ def test_malformed_number_is_one_line_usage_error(tmp_path, monkeypatch,
     assert cli.main(argv + ["--grid", "64", "--out", str(tmp_path / "o")]) == 1
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and err.startswith("transferlab: error:"), err
+
+
+def test_correlation_horizon_is_usage_error(tmp_path, monkeypatch, capsys):
+    # the roof is unwound one crossing per round, so T = 1e9 ran for hours
+    monkeypatch.setenv("TRANSFERLAB_T_GRID", "1, 1e9")
+    tic = time.monotonic()
+    assert cli.main(["correlation", "--grid", "64",
+                     "--out", str(tmp_path / "o")]) == 1
+    assert time.monotonic() - tic < 2.0
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "T = 1000000000.0 exceeds" in err, err
+
+
+@pytest.mark.parametrize("grid", ("4", "0", "-8", "100"))
+def test_grid_flag_follows_the_model_rule(tmp_path, capsys, grid):
+    assert cli.main(["model-info", f"--grid={grid}",
+                     "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("transferlab: error:")
+    assert "power of two, at least 64" in err, err
 
 
 def test_monte_carlo_largest_block_accepted(tmp_path, monkeypatch):

@@ -79,6 +79,16 @@ smoothing reorder their sums, and their tolerances are stated below.
   whole old loop (p_values, core_mask, records, retries, kappa5) on both
   families, with small and paired bumps, overlapping windows, a kappa5
   shrink and small chunks.
+* Walks done once, bit for bit against copies of the paths they
+  replaced: ``temporal_distance`` (two word walks) against check walks
+  plus four walks, errors included, on both families with seam points
+  and inapplicable words; one ``majorant_step`` (P H, P^2 and H^2 pushed
+  once, 3 n1 applications of M) against the square comparison followed
+  by the old step (4 n1), with a refused step, a failing square
+  comparison and a failing domination; the ``all_words`` columns against
+  the tuple builder for k <= 8 on doubling and every single forbidden
+  ``markov3`` transition, and ``check_refining`` against its tuple-list
+  loop, witnesses included.
 
 Models are drawn from both families with random roofs, potentials and
 stable factors; the coefficient ranges keep the roof positive and mu
@@ -91,7 +101,7 @@ import cmath
 import math
 import struct
 from collections import namedtuple
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from unittest import mock
 
 import numpy as np
@@ -354,11 +364,31 @@ def test_locate_matches_linear_scan(model, q, pts, take):
         part.locate(-0.5)
 
 
+def _old_all_words(model, domain, k):
+    """all_words as a tuple list per domain: (word, contraction, offset,
+    target id) of each length-k word on U_domain, grown one symbol at a
+    time from the branches of each domain in offset order."""
+    by_domain = {iv.id: [] for iv in model.intervals}
+    for i, d in np.argwhere(~np.isnan(model.branch_slope)).tolist():
+        by_domain[model.intervals[d].id].append(
+            (model.alphabet[i], model.intervals[model.symbol_target[i]].id,
+             float(model.branch_slope[i, d]),
+             float(model.branch_offset[i, d])))
+    by_domain = {iid: sorted(rows, key=lambda r: r[3])
+                 for iid, rows in by_domain.items()}
+    items = [("", 1.0, 0.0, domain)]
+    for _ in range(k):
+        items = [(sym + word, contr / slope, off / slope + offset, tgt)
+                 for word, contr, off, dom in items
+                 for sym, tgt, slope, offset in by_domain[dom]]
+    return items
+
+
 def _per_atom_refining(model, part, n):
     """check_refining as one atom and one word at a time."""
     for a in part.atoms:
-        for word, contr, off, _ in C.all_words(model, model.intervals[a.iid].id,
-                                               n):
+        for word, contr, off, _ in _old_all_words(
+                model, model.intervals[a.iid].id, n):
             lo = contr * a.left + off
             hi = contr * a.right + off
             holder = part.atoms[part.locate(0.5 * (lo + hi))]
@@ -1619,15 +1649,18 @@ def test_branch_table_readers_match_branch_list(model, k):
         assert sten.domain_idx == model.interval(b.domain).index
         assert sten.target_idx == model.interval(b.target).index
         assert _bits(sten.y) == _bits(b(model.grid(b.domain)))
+    word, contr, off, tgt, first = C.all_words(model, k)
     for iv in model.intervals:
         ref = [("", 1.0, 0.0, iv.id)]
         for _ in range(k):
             ref = [(b.sym + w, c / b.slope, o / b.slope + b.offset, b.target)
                    for w, c, o, dom in ref
                    for b in _old_fiber_branches(model, dom)]
-        got = C.all_words(model, iv.id, k)
-        assert [(w, t) for w, _, _, t in got] == [(w, t) for w, _, _, t in ref]
-        assert _bits([g[1:3] for g in got]) == _bits([r[1:3] for r in ref])
+        rows = slice(first[iv.index], first[iv.index + 1])
+        assert (list(zip(word[rows], tgt[rows].tolist()))
+                == [(w, model.interval(t).index) for w, _, _, t in ref])
+        assert (_bits(np.stack([contr[rows], off[rows]], axis=1))
+                == _bits([r[1:3] for r in ref]))
         for flavor in ("low", "high", "alt"):
             assert (S.extreme_word(model, iv.id, k, flavor)
                     == _old_extreme_word(model, iv.id, k, flavor))
@@ -1882,7 +1915,7 @@ def _old_build_cancellation(model, rpf, part, u, big_h, omega_atoms, n1,
     n = model.grid_size
     f_hat = rpf.f_ab_grid
     tables = C._dichotomy_tables(model, f_hat, n1)
-    words = [C.all_words(model, iv.id, n1) for iv in model.intervals]
+    words = [_old_all_words(model, iv.id, n1) for iv in model.intervals]
     plans = []
     marked = 0
     for ai in omega_atoms:
@@ -1968,7 +2001,7 @@ def test_batched_dichotomy_matches_per_pair_loop(model, n1, b, seed, level,
     for i, a, frac in [(0, 0.0, 1.0)] + spans:
         iv = model.intervals[i % len(model.intervals)]
         span = (iv.left + a, iv.left + a + (1.0 - a) * frac)
-        for w in C.all_words(model, iv.id, n1):
+        for w in _old_all_words(model, iv.id, n1):
             cols.append(span + (w[1], w[2], model.interval(w[3]).index))
             old.append(_old_dichotomy_test(model, rpf, u, big_h, span, w,
                                            kappa6, c9, tables))
@@ -1991,7 +2024,7 @@ def test_batched_bumps_match_one_bump_loop(model, q, n1, seed, count, chunk):
         assume(False)
     rng = np.random.default_rng(seed)
     n = model.grid_size
-    word, contr, off, tgt, first = C._word_table(model, n1)
+    word, contr, off, tgt, first = C.all_words(model, n1)
     # atoms repeat and neighbours share image nodes: windows overlap
     ai = rng.integers(0, len(part.atoms), count)
     iid = part.atoms.iid[ai]
@@ -2078,3 +2111,258 @@ def test_build_cancellation_matches_per_atom_loop(family, kappa5, chunk):
     # test_batched_bumps_match_one_bump_loop overlap on both families)
     assert (len(written) > len(set(written))) == (family == "doubling")
     assert (retries >= 1) == (kappa5 == 0.2)         # a kappa5 shrink
+
+
+# ---------------------------------------------------------------------------
+# walks done once: temporal distances, the certificate step, the word table
+
+
+def _old_temporal_distance(model, x, w1, w2, z):
+    """temporal_distance as six walks: a check walk of each word from the
+    left end of the interval of x, then each word over z and over x."""
+    if len(w1) != len(w2):
+        raise ModelError("temporal distance needs words of equal length")
+    if not w1 or w1 == w2:
+        raise ModelError("temporal distance needs two distinct nonempty words")
+    dom = model.interval_of(float(x))
+    for w in (w1, w2):
+        try:
+            model.apply_word(w, model.interval(dom).left, dom)
+        except ModelError:
+            raise ModelError(
+                f"word {w!r} not applicable at interval {dom!r}") from None
+    zv = np.atleast_1d(np.asarray(z, dtype=float))
+    iv = model.interval(dom)
+    if (zv < iv.left - 1e-12).any() or (zv > iv.right + 1e-12).any():
+        raise ModelError("probe points must stay in the interval of x")
+    t1z = model.roof_sum_on_word(w1, zv, dom)
+    t2z = model.roof_sum_on_word(w2, zv, dom)
+    t1x = model.roof_sum_on_word(w1, float(x), dom)
+    t2x = model.roof_sum_on_word(w2, float(x), dom)
+    out = (t1z - t1x) - (t2z - t2x)
+    return float(out[0]) if np.isscalar(z) else out
+
+
+def _applies(model, word, domain):
+    try:
+        model.apply_word(word, model.interval(domain).left, domain)
+    except ModelError:
+        return False
+    return True
+
+
+@PROPS
+@given(model=models(_ANY_FORBIDDEN), data=point_lists, n=st.integers(1, 4),
+       pick=st.tuples(*[st.integers(0, 10 ** 6)] * 3), scalar=st.booleans(),
+       variant=st.integers(0, 9))
+@example(model=build_model(ModelConfig("markov3", roof=(2.0, 0.1, 0.3, 0.2),
+                                       grid_size=64, forbidden=("2>2",))),
+         data=[(2, 0.5)], n=2, pick=(1, 7, 3), scalar=False, variant=0)
+def test_temporal_distance_walks_each_word_once(model, data, n, pick,
+                                                scalar, variant):
+    xs = np.concatenate([_points(data, model), _seam_points(model)])
+    x = float(xs[pick[0] % len(xs)])
+    iv = model.interval(model.interval_of(x))
+    zs = [p for p in xs if iv.left <= p <= iv.right]
+    words = list(map("".join, itertools.product(model.alphabet, repeat=n)))
+    ok = [w for w in words if _applies(model, w, iv.id)]
+    bad = [w for w in words if w not in ok] + [words[0][:-1] + "9"]
+    i = pick[1] % len(ok)
+    w1 = ok[i]
+    w2 = ok[(i + 1 + pick[2] % (len(ok) - 1)) % len(ok)]
+    # variants 0-5 are valid; 6-9 each break one requirement
+    if variant == 6:
+        zs.append(iv.right + 1e-9)         # a probe outside the interval
+    elif variant == 7:
+        w2 = bad[pick[2] % len(bad)]       # not applicable at iv
+    elif variant == 8:
+        w2 = w1
+    elif variant == 9:
+        w1 += w1[-1]
+    z = zs[pick[1] % len(zs)] if scalar else np.array(zs)
+    walk = type(model)._word_walk
+    with mock.patch.object(type(model), "_word_walk", autospec=True,
+                           side_effect=walk) as walks:
+        got = _outcome(S.temporal_distance, model, x, w1, w2, z)
+    assert got == _outcome(_old_temporal_distance, model, x, w1, w2, z)
+    if got[0] == "value":
+        assert walks.call_count == 2
+
+
+class _CountedOp:
+    """An operator that counts its applications."""
+
+    def __init__(self, op):
+        self.op, self.calls = op, 0
+
+    def __call__(self, values):
+        self.calls += 1
+        return self.op(values)
+
+
+def _old_majorant_step(model, rpf, state, canc, n1):
+    """majorant_step with its own push of P H: (u, H, marked atoms) of the
+    next state."""
+    tilde = rpf.tilde_op()
+    pos = rpf.m_op()
+    u = state.u
+    for _ in range(n1):
+        u = tilde(u)
+    h_vals = canc.p_values * state.big_h.values
+    for _ in range(n1):
+        h_vals = pos(h_vals)
+    bad = np.abs(u) > h_vals * (1.0 + C.DOMINATION_TOL) + 1e-15 * state.h0
+    if bad.any():
+        r, c = np.argwhere(bad)[0]
+        raise C.EngineError(
+            "majorant domination failed at interval "
+            f"{model.intervals[r].id!r} node {c}: |u|={abs(u[r, c]):.6e} "
+            f"H={h_vals[r, c]:.6e}")
+    if h_vals.max() > state.h0 * (1.0 + 1e-9):
+        raise C.EngineError("majorant exceeded its initial constant")
+    C.cone_element(model, state.big_h.scale, h_vals)
+    omega = canc.bumped_atoms if canc.bumped_atoms else state.omega_atoms
+    return u, h_vals, omega
+
+
+def _old_cauchy_schwarz_check(rpf, p_vals, h_vals, core_mask, n1):
+    """cauchy_schwarz_check with its own pushes: (violation, kappa4)."""
+    pos = rpf.m_op()
+    a, b2, c2 = p_vals * h_vals, p_vals * p_vals, h_vals * h_vals
+    for _ in range(n1):
+        a, b2, c2 = pos(a), pos(b2), pos(c2)
+    lhs, rhs = a * a, b2 * c2
+    violation = float(((lhs - rhs) / np.maximum(rhs, 1e-300)).max())
+    kappa4 = float((1.0 - b2[core_mask]).min()) if core_mask.any() else 0.0
+    return violation, kappa4
+
+
+def _old_certificate_step(model, rpf, state, canc, n1):
+    """One step of run_l2_iteration as the square comparison followed by
+    majorant_step."""
+    violation, kappa4 = _old_cauchy_schwarz_check(
+        rpf, canc.p_values, state.big_h.values, canc.core_mask, n1)
+    if not violation <= 1e-12:
+        raise C.EngineError(f"square comparison violated by {violation:.3e}")
+    return _old_majorant_step(model, rpf, state, canc, n1) + (violation,
+                                                              kappa4)
+
+
+def _new_certificate_step(model, rpf, state, canc, n1):
+    nxt, cs = C.majorant_step(model, rpf, state, canc, n1)
+    return (nxt.u, nxt.big_h.values, nxt.omega_atoms, cs.max_violation,
+            cs.kappa4)
+
+
+def _step_bits(step):
+    u, h_vals, omega, violation, kappa4 = step
+    return (_bits(u.real), _bits(u.imag), _bits(h_vals), sorted(omega),
+            _bits(violation), _bits(kappa4))
+
+
+def _outcome_of(step, *args):
+    try:
+        return "value", _step_bits(step(*args))
+    except C.EngineError as exc:
+        return "error", str(exc)
+
+
+@pytest.mark.parametrize("case", ("bumps", "refused", "signed", "domination"))
+@pytest.mark.parametrize("n1", (1, 2))
+@pytest.mark.parametrize("family", ("doubling", "markov3"))
+def test_certificate_step_pushes_each_array_once(family, n1, case):
+    model = build_model(ModelConfig(family, roof=(2.0, 0.0, 0.5, 0.0),
+                                    grid_size=256))
+    rpf = R.build_rpf(model, 0.0, 6.0)
+    scale = S.matching_scale(model, 0.04 if family == "doubling" else 0.08)
+    part = C.build_partition(model, scale)
+    u, big_h = _crafted_field(model, rpf, n1)
+    marked = frozenset(range(len(part.atoms)))
+    if case in ("bumps", "signed"):
+        canc = C.build_cancellation(model, rpf, part, u, big_h, marked, n1,
+                                    0.05, 0.09)
+        assert len(canc.records) and canc.core_mask.any()
+    else:
+        ones = np.ones_like(big_h)
+        canc = C.Cancellation(ones, np.zeros(ones.shape, dtype=bool),
+                              frozenset(), np.recarray(0, C.BUMP_DTYPE),
+                              0.0, 0.0, len(part.atoms), 0.0)
+    level = 3.0 if case == "domination" else 0.5
+    state = C.MajorantState(0, level * u, C.ConeElement(big_h, scale),
+                            marked, 2.0)
+    pos = rpf.m_op()
+    if case == "signed":
+        # not a positive operator, so the square comparison fails
+        def signed(values):
+            out = pos(values)
+            return out - 0.99 * np.roll(out, 7, axis=-1)
+    else:
+        signed = pos
+    outcomes, calls = [], []
+    for step in (_old_certificate_step, _new_certificate_step):
+        rpf._m_op = _CountedOp(signed)
+        outcomes.append(_outcome_of(step, model, rpf, state, canc, n1))
+        calls.append(rpf._m_op.calls)
+    assert outcomes[0] == outcomes[1]
+    error = {"signed": "square comparison violated",
+             "domination": "majorant domination failed"}.get(case)
+    if error is None:
+        assert outcomes[1][0] == "value" and calls[0] == 4 * n1
+    else:
+        assert outcomes[1][0] == "error" and outcomes[1][1].startswith(error)
+    assert calls[1] == 3 * n1
+
+
+@pytest.mark.parametrize("config", [ModelConfig("doubling", grid_size=64)] + [
+    ModelConfig("markov3", grid_size=64, forbidden=f) for f in _ANY_FORBIDDEN])
+def test_all_words_columns_match_tuple_builder(config):
+    model = build_model(config)
+    for k in range(9):
+        word, contr, off, tgt, first = C.all_words(model, k)
+        refs = [_old_all_words(model, iv.id, k) for iv in model.intervals]
+        assert first.tolist() == np.cumsum([0] + list(map(len, refs))).tolist()
+        ref = [r for rs in refs for r in rs]
+        assert word.tolist() == [r[0] for r in ref]
+        assert _bits(contr) == _bits([r[1] for r in ref])
+        assert _bits(off) == _bits([r[2] for r in ref])
+        assert tgt.tolist() == [model.interval(r[3]).index for r in ref]
+
+
+def _old_check_refining(model, part, n):
+    """check_refining with a tuple list of words per interval."""
+    lefts, rights = part.atoms.left, part.atoms.right
+    for iv in model.intervals:
+        items = _old_all_words(model, iv.id, n)
+        contr = np.array([w[1] for w in items])[:, None]
+        off = np.array([w[2] for w in items])[:, None]
+        end = part.starts[iv.index + 1]
+        block = max(1, C.REFINE_BLOCK // len(items))
+        for start in range(part.starts[iv.index], end, block):
+            sel = slice(start, min(start + block, end))
+            lo = contr * lefts[sel] + off
+            hi = contr * rights[sel] + off
+            holder = part.locate(0.5 * (lo + hi))
+            bad = (lo < lefts[holder] - 1e-9) | (hi > rights[holder] + 1e-9)
+            if bad.any():
+                k = int(np.argmax(bad.any(axis=0)))
+                j = int(np.argmax(bad[:, k]))
+                return False, (part.atoms.word[start + k], items[j][0])
+    return True, None
+
+
+@pytest.mark.parametrize("block", (C.REFINE_BLOCK, 1024))
+def test_check_refining_witness_matches_tuple_lists(block):
+    witnesses = 0
+    for forbidden in (None,) + _ANY_FORBIDDEN:
+        config = (ModelConfig("doubling", grid_size=256) if forbidden is None
+                  else ModelConfig("markov3", grid_size=256,
+                                   forbidden=forbidden))
+        model = build_model(replace(config, roof=(2.0, 0.0, 0.5, 0.0)))
+        part = C.build_partition(model, S.matching_scale(model, 2.0 ** -6))
+        with mock.patch.object(C, "REFINE_BLOCK", block):
+            for n in range(1, 4):
+                got = C.check_refining(model, part, n)
+                assert got == _old_check_refining(model, part, n)
+                witnesses += not got[0]
+    # several forbidden transitions need two or three steps to refine
+    assert witnesses >= 8

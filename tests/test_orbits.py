@@ -29,6 +29,7 @@ from scipy.integrate import quad
 
 from transferlab.markov import ModelError, doubling_model, markov3_model
 from transferlab.orbits import (
+    MC_MAX_CROSSINGS,
     CountingReport,
     correlation_decay,
     covariance_at_zero,
@@ -332,6 +333,29 @@ def test_correlation_rejects_bad_grid(sin_model):
     with pytest.raises(ModelError, match="samples"):
         correlation_decay(sin_model, sec_sin, sec_sin,
                           np.array([0.0]), 8)
+
+
+def test_correlation_horizon_is_bounded(sin_model):
+    # each roof crossing is one Python round; T = 1e9 on a unit roof once
+    # ran for hours
+    bound = MC_MAX_CROSSINGS * sin_model.tau_0
+    with pytest.raises(ModelError, match="exceeds"):
+        correlation_decay(sin_model, sec_sin, sec_sin,
+                          np.array([1.0, 1.001 * bound]), 64, blocks=2)
+    rep = correlation_decay(sin_model, sec_sin, sec_sin, np.array([bound]),
+                            64, blocks=2)
+    assert rep.t_grid.tolist() == [bound]
+
+
+@pytest.mark.parametrize("roof", [
+    (1.5, 0.0, -0.6, -0.3),         # the lowest roof a census model draws
+    (2.0, 0.05, 0.4, -0.2),         # the golden Monte Carlo model
+])
+def test_correlation_default_grid_accepted(roof):
+    model = markov3_model(roof=roof, grid_size=256, forbidden=("0>1",))
+    rep = correlation_decay(model, sec_sin, sec_sin, np.linspace(0.0, 2.0, 11),
+                            64, blocks=2)
+    assert rep.corr.shape == (11,)
 
 
 @pytest.mark.parametrize("bad", (math.nan, math.inf, -math.inf))

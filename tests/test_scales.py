@@ -213,7 +213,8 @@ def test_extreme_words_respect_adjacency():
         alt = S.extreme_word(mm, dom, 6, "alt")
         for w in (lo, hi, alt):
             assert len(w) == 6
-            S._check_word(mm, w, dom)
+            # apply_word raises on a word not applicable at dom
+            mm.apply_word(w, mm.interval(dom).left, dom)
         assert "22" not in hi and "22" not in alt
         assert lo != hi
 
