@@ -318,7 +318,7 @@ _entropy_cache: dict = {}
 
 
 def entropy(model: MarkovModel, tol: float = ENTROPY_TOL) -> float:
-    """Unique s with pressure(-s * roof) = 0: the root that
+    """Unique s with P(-s tau) = pressure(model, s) = 0: the root that
     scipy.optimize.bisect(pressure, 0, hi, xtol=tol) returns, bit for bit,
     from about a third of its pressure evaluations (see _bisect_root).
     Pressure is evaluated once per s.
@@ -326,13 +326,11 @@ def entropy(model: MarkovModel, tol: float = ENTROPY_TOL) -> float:
     key = (model.config, tol)
     if key in _entropy_cache:
         return _entropy_cache[key]
-    roof = model.roof
     memo: dict = {}
 
     def pr(s: float) -> float:
         if s not in memo:
-            memo[s] = pressure(
-                model, lambda x, _s=s: -_s * np.asarray(roof(x)))
+            memo[s] = pressure(model, s)
         return memo[s]
 
     p0 = pr(0.0)

@@ -197,8 +197,7 @@ def build_rpf(model: MarkovModel, a: float, b: float,
     rho = rho / float(np.sum(rho * nu))
     if rho.min() <= 1.0 / 3.0:
         raise ModelError("smoothed eigenfunction dips below 1/3")
-    recipe = raw.plus(const=-math.log(value), factors=((rho, 1),),
-                      out_factors=((rho, -1),))
+    recipe = raw.plus(const=-math.log(value), rho=rho)
     return ComplexRPF(model, a, b, delta1, sm.f_smooth, sm.tau_smooth,
                       value, rho, recipe, sm.width, sm.clamped)
 
@@ -300,6 +299,8 @@ def decay_profile(model: MarkovModel, a: float, b_list=(64.0, 128.0, 256.0, 512.
                   n_rule=default_n_rule) -> DecayProfile:
     """Iterate L_{a,b} n(b) times on the constant 1 and record norms; fit
     the L2 norm against |b| by least squares on logs."""
+    if any(float(b) == 0.0 for b in b_list):
+        raise ModelError("b must be nonzero")
     nu = gibbs_measure(model)
     shape = (len(model.intervals), model.grid_size + 1)
     base = np.ones(shape, dtype=complex)

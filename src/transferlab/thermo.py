@@ -5,12 +5,13 @@ The operator with weight w acts on grid functions by
     (L_w u)(z) = sum over inverse branches v of  exp(w(v z)) u(v z),
 
 with u read off by linear interpolation at the branch preimages.  Weights are
-*recipes*, not bare samples: a closed-form part evaluated exactly at the
-preimages, grid parts interpolated there, a constant, and an optional part
-evaluated at the output point z itself.  Normalized potentials keep their
-log-eigenfunction corrections in recipe form, so identities like L 1 = 1 and
-the unit fiber sums hold to the eigensolver residual rather than to
-interpolation accuracy.
+*recipes*, not bare samples: the model potential (a flag) plus a multiple of
+the roof (a tilt), both read exactly at the preimages, grid parts
+interpolated there, a constant, and eigenfunction ratios rho(v z) / rho(z).
+Each branch stencil samples the roof and the potential once per model.
+Normalized potentials keep their eigenfunction corrections in recipe form,
+so identities like L 1 = 1 and the unit fiber sums hold to the eigensolver
+residual rather than to interpolation accuracy.
 
 Eigendata comes from power iteration with a projective (ratio-oscillation)
 stopping rule; left eigen-weights from iterating the adjoint push-forward of
@@ -51,10 +52,13 @@ class Stencil:
     y: np.ndarray     # preimage coordinates, length N+1
     j: np.ndarray     # lower sample index of y in the target row
     frac: np.ndarray  # interpolation fraction in [0, 1)
+    roof: np.ndarray  # the roof at y
+    potential: np.ndarray  # the model potential at y
 
 
 def build_stencils(model: MarkovModel) -> tuple[Stencil, ...]:
-    """One stencil per inverse branch, in (symbol, domain) order."""
+    """One stencil per inverse branch, in (symbol, domain) order, with the
+    roof and the potential sampled at its preimages."""
     n = model.grid_size
     nodes = model.nodes()
     out = []
@@ -64,7 +68,8 @@ def build_stencils(model: MarkovModel) -> tuple[Stencil, ...]:
         local = np.clip((y - model.lefts[t]) * n, 0.0, float(n))
         j = np.minimum(local.astype(int), n - 1)
         frac = local - j
-        out.append(Stencil(k, t, y, j, frac))
+        out.append(Stencil(k, t, y, j, frac, model.roof(y),
+                           model.potential(y)))
     return tuple(out)
 
 
@@ -111,46 +116,48 @@ def grid_orbit(model: MarkovModel, n: int, start=None):
 
 @dataclass(frozen=True)
 class WeightRecipe:
-    """weight = exp(closed parts at y + grid parts at y + const)
-    * prod(factor parts at y) * prod(out_factor parts at z).
+    """weight = exp(const + potential + tilt * tau + grid parts) at y
+    * prod(rho(y) / rho(z) for rho in rhos).
 
-    Factor parts are positive grid arrays interpolated in linear space and
-    raised to an integer power.  Eigenfunction corrections ride here: the
-    correction then cancels against the eigensolver's own interpolation
-    sample-for-sample, so normalized fiber sums inherit the solver residual
-    instead of an interpolation bias.
+    The potential (when flagged) and the roof are the stencil's exact
+    samples at y.  Grid parts are stacked log arrays (K, N+1); each rho is
+    a positive eigenfunction, interpolated in linear space at y and read
+    on the grid at z.  The eigenfunction correction then cancels against
+    the eigensolver's own interpolation sample-for-sample, so normalized
+    fiber sums inherit the solver residual instead of an interpolation
+    bias.
     """
 
-    closed: tuple = ()            # callables on leaf coordinates
-    grids: tuple = ()             # stacked log arrays (K, N+1), interp at y
+    potential: bool = False
+    tilt: float = 0.0
+    grids: tuple = ()
     const: float = 0.0
-    factors: tuple = ()           # (array, power) pairs, interpolated at y
-    out_factors: tuple = ()       # (array, power) pairs, evaluated at z
+    rhos: tuple = ()
 
-    def plus(self, *, closed=(), const=0.0,
-             factors=(), out_factors=()) -> "WeightRecipe":
-        return WeightRecipe(self.closed + tuple(closed), self.grids,
-                            self.const + const,
-                            self.factors + tuple(factors),
-                            self.out_factors + tuple(out_factors))
+    def plus(self, *, tilt=0.0, const=0.0, rho=None) -> "WeightRecipe":
+        rhos = self.rhos if rho is None else self.rhos + (rho,)
+        return WeightRecipe(self.potential, self.tilt + tilt, self.grids,
+                            self.const + const, rhos)
 
     def coef_at_stencil(self, st: Stencil) -> np.ndarray:
         acc = np.full(st.y.shape, self.const)
-        for fn in self.closed:
-            acc = acc + np.asarray(fn(st.y))
+        if self.potential:
+            acc = acc + st.potential
+        if self.tilt:
+            acc = acc + self.tilt * st.roof
         for g in self.grids:
             acc = acc + gather(np.asarray(g), st)
         coef = np.exp(acc)
-        for g, p in self.factors:
-            coef = coef * gather(np.asarray(g), st) ** p
+        for rho in self.rhos:
+            coef = coef * gather(rho, st)
         return coef
 
     def out_factor(self, shape) -> np.ndarray | None:
-        if not self.out_factors:
+        if not self.rhos:
             return None
         fac = np.ones(shape)
-        for g, p in self.out_factors:
-            fac = fac * np.asarray(g) ** p
+        for rho in self.rhos:
+            fac = fac * (1.0 / rho)
         return fac
 
     def sample(self, model: MarkovModel) -> np.ndarray:
@@ -159,17 +166,18 @@ class WeightRecipe:
         smoothing."""
         xs = model.nodes()
         vals = np.full(xs.shape, self.const, dtype=float)
-        for fn in self.closed:
-            vals = vals + np.asarray(fn(xs))
+        if self.potential:
+            vals = vals + model.potential(xs)
+        if self.tilt:
+            vals = vals + self.tilt * model.roof(xs)
         for g in self.grids:
             vals = vals + np.asarray(g)
-        for g, p in self.factors:
-            vals = vals + p * np.log(np.asarray(g))
-        if self.out_factors:
+        if self.rhos:
             rows, cols = forward_index(model)
             extra = np.zeros_like(vals)
-            for g, p in self.out_factors:
-                extra = extra + p * np.log(np.asarray(g))
+            for rho in self.rhos:
+                vals = vals + np.log(rho)
+                extra = extra - np.log(rho)
             vals = vals + extra[rows, cols]
         return vals
 
@@ -237,7 +245,7 @@ def make_operator(model: MarkovModel, recipe: WeightRecipe,
         amp = recipe.coef_at_stencil(st)
         if out_factor is not None:
             amp *= out_factor[st.domain_idx]
-        arg = phase * np.asarray(model.roof(st.y))
+        arg = phase * st.roof
         cos, sin = np.cos(arg), np.sin(arg)
         cell = data[start:start + 2 * d * shape[1]].reshape(shape[1], d, 2)
         for side, w in ((0, amp * (1.0 - st.frac)), (1, amp * st.frac)):
@@ -381,11 +389,10 @@ def base_system(model: MarkovModel) -> BaseSystem:
     key = model.config
     if key in _system_cache:
         return _system_cache[key]
-    raw = WeightRecipe(closed=(model.potential,))
+    raw = WeightRecipe(potential=True)
     op0 = make_operator(model, raw)
     value, rho, its = power_iteration(op0)
-    fhat = raw.plus(const=-math.log(value), factors=((rho, 1),),
-                    out_factors=((rho, -1),))
+    fhat = raw.plus(const=-math.log(value), rho=rho)
     m_op = make_operator(model, fhat)
     ones = np.ones_like(rho)
     fiber_defect = float(np.max(np.abs(m_op(ones) - 1.0)))
@@ -407,9 +414,7 @@ def leading_eigendata(model: MarkovModel, a: float,
     if abs(a) > a_max:
         raise ModelError(f"|a| = {abs(a)} exceeds a_max = {a_max}")
     sys = base_system(model)
-    recipe = sys.fhat.plus(closed=((lambda x, _a=a: _a * np.asarray(model.roof(x))),)) \
-        if a != 0.0 else sys.fhat
-    op = make_operator(model, recipe)
+    op = make_operator(model, sys.fhat.plus(tilt=a))
     value, rho, its = power_iteration(op)
     scale = float(np.sum(rho * sys.nu))
     rho = rho / scale
@@ -424,12 +429,7 @@ def normalize_potential(model: MarkovModel, a: float) -> NormalizedPotential:
         return _system_cache[key]
     sys = base_system(model)
     eig = leading_eigendata(model, a)
-    recipe = sys.fhat.plus(
-        closed=((lambda x, _a=a: _a * np.asarray(model.roof(x))),) if a else (),
-        const=-math.log(eig.value),
-        factors=((eig.rho, 1),),
-        out_factors=((eig.rho, -1),),
-    )
+    recipe = sys.fhat.plus(tilt=a, const=-math.log(eig.value), rho=eig.rho)
     out = NormalizedPotential(a, eig.value, eig.rho, recipe, eig.residual)
     _system_cache[key] = out
     return out
@@ -445,16 +445,13 @@ def transfer_complex(model: MarkovModel, a: float, b: float) -> TransferOperator
     return make_operator(model, normalize_potential(model, a).recipe, phase=b)
 
 
-def pressure(model: MarkovModel, weight=None) -> float:
-    """Topological pressure of the given raw weight, a callable on leaf
-    coordinates (default: the model potential): log of the leading
-    eigenvalue.  Raises ModelError for any other weight."""
-    if weight is None:
+def pressure(model: MarkovModel, s=None) -> float:
+    """P(-s tau): log of the leading eigenvalue of the operator weighted by
+    -s times the roof alone.  Without s, the pressure of the model
+    potential."""
+    if s is None:
         return float(math.log(base_system(model).value))
-    if not callable(weight):
-        raise ModelError(f"unsupported weight type {type(weight)!r}")
-    recipe = WeightRecipe(closed=(weight,))
-    value, _, _ = power_iteration(make_operator(model, recipe))
+    value, _, _ = power_iteration(make_operator(model, WeightRecipe(tilt=-s)))
     return float(math.log(value))
 
 

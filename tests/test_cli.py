@@ -287,6 +287,38 @@ def test_non_finite_flag_rejected_before_the_run(tmp_path, capsys, argv):
     assert not out.exists()
 
 
+# edge inputs at a small grid: each ends with an exit code, not a traceback;
+# the error line, where one is given, is the whole of stderr
+NONZERO_B = "transferlab: error: b must be nonzero\n"
+EDGE_INPUTS = (
+    (["decay", "--b", "0"], {}, NONZERO_B),
+    (["decay"], {"B_LIST": "64,0"}, NONZERO_B),
+    (["decay", "--b", "1e300"], {}, None),
+    (["decay", "--a", "0.2"], {}, None),
+    (["dolgopyat", "--b", "1"], {}, None),
+    (["dolgopyat", "--b", "2.5"], {}, None),
+    (["dolgopyat", "--b", "-256"], {}, None),
+    (["dolgopyat", "--a", "50"], {}, None),
+    (["dolgopyat", "--eps", "0.5", "--b", "8"], {}, None),
+    (["uni-scan", "--eps", "1e-300"], {}, None),
+)
+
+
+@pytest.mark.parametrize(
+    "argv, env, error", EDGE_INPUTS,
+    ids=[" ".join(argv + [f"{k}={v}" for k, v in env.items()])
+         for argv, env, _ in EDGE_INPUTS])
+def test_edge_inputs_end_with_an_exit_code(tmp_path, monkeypatch, capsys,
+                                           argv, env, error):
+    for name, val in env.items():
+        monkeypatch.setenv(f"TRANSFERLAB_{name}", val)
+    code = cli.main(argv + ["--grid", "64", "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert code in (0, 1, 2) and "Traceback" not in err
+    if error is not None:
+        assert (code, err) == (1, error)
+
+
 def test_bad_seed_and_threads(tmp_path):
     out = str(tmp_path / "o")
     assert cli.main(["pressure", "--seed", "-1", "--out", out]) == 1

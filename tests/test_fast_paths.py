@@ -69,6 +69,15 @@ smoothing reorder their sums, and their tolerances are stated below.
   against their dict-based and tuple-product versions; ``apply_word`` and ``roof_sum_on_word``,
   with and without a given domain, against the scalar loop over that
   list, errors included; ``temporal_distance`` with one interval lookup.
+* Weight recipes as data, bit for bit, against a copy of the closure
+  recipes (callables, (array, power) factors) and the ``make_operator``
+  they fed: stencil coefficients, out factors, grid samples and applied
+  operators, with and without a phase, of the ``base_system``,
+  ``normalize_potential``, ``build_rpf`` and pressure recipes, each
+  rebuilt with its eigendata on the closure path; ``entropy``'s
+  reference pressure stays on that path too.  After one warm-up
+  operator, new (a, b) operators evaluate neither the roof nor the
+  potential.
 * Batched cancellation, bit for bit, against copies of the per-pair and
   per-atom loops it replaced: ``dichotomy_test`` on random spans of both
   families (a whole interval each time, so windows of 8 and more points
@@ -109,6 +118,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 from scipy.ndimage import minimum_filter1d
 from scipy.optimize import bisect
+from scipy.sparse import csr_array
 
 from transferlab import cancellation as C
 from transferlab import cli
@@ -117,7 +127,7 @@ from transferlab import rpf as R
 from transferlab import scales as S
 from transferlab import thermo as T
 from transferlab.gridfun import holder_seminorm
-from transferlab.markov import ModelConfig, ModelError, build_model
+from transferlab.markov import CoefFn, ModelConfig, ModelError, build_model
 
 PROPS = settings(max_examples=25, deadline=None)
 
@@ -704,7 +714,7 @@ def _reference_apply(model, recipe, phase, u):
 def _recipe(model, a, normalized):
     if normalized:
         return T.normalize_potential(model, a).recipe
-    return T.WeightRecipe(closed=(model.potential,))
+    return T.WeightRecipe(potential=True)
 
 
 def _complex_field(model, seed):
@@ -742,6 +752,200 @@ def test_real_operator_matches_gather_loop_bitwise(model, a, normalized, seed):
     for field in (u, u.real.copy()):
         got, ref = op(field), _reference_apply(model, recipe, 0.0, field)
         assert got.dtype == ref.dtype and np.array_equal(got, ref)
+
+
+# ---------------------------------------------------------------------------
+# weight recipes as data, against the closure recipes they replaced
+
+
+@dataclass(frozen=True)
+class _ClosureRecipe:
+    """The recipe as it was: closed-form callables on leaf coordinates, and
+    eigenfunctions as (array, power) factor pairs read at y and at z."""
+
+    closed: tuple = ()
+    grids: tuple = ()
+    const: float = 0.0
+    factors: tuple = ()
+    out_factors: tuple = ()
+
+    def plus(self, *, closed=(), const=0.0, factors=(), out_factors=()):
+        return _ClosureRecipe(self.closed + tuple(closed), self.grids,
+                              self.const + const,
+                              self.factors + tuple(factors),
+                              self.out_factors + tuple(out_factors))
+
+    def coef_at_stencil(self, stc):
+        acc = np.full(stc.y.shape, self.const)
+        for fn in self.closed:
+            acc = acc + np.asarray(fn(stc.y))
+        for g in self.grids:
+            acc = acc + T.gather(np.asarray(g), stc)
+        coef = np.exp(acc)
+        for g, p in self.factors:
+            coef = coef * T.gather(np.asarray(g), stc) ** p
+        return coef
+
+    def out_factor(self, shape):
+        if not self.out_factors:
+            return None
+        fac = np.ones(shape)
+        for g, p in self.out_factors:
+            fac = fac * np.asarray(g) ** p
+        return fac
+
+    def sample(self, model):
+        xs = model.nodes()
+        vals = np.full(xs.shape, self.const, dtype=float)
+        for fn in self.closed:
+            vals = vals + np.asarray(fn(xs))
+        for g in self.grids:
+            vals = vals + np.asarray(g)
+        for g, p in self.factors:
+            vals = vals + p * np.log(np.asarray(g))
+        if self.out_factors:
+            rows, cols = T.forward_index(model)
+            extra = np.zeros_like(vals)
+            for g, p in self.out_factors:
+                extra = extra + p * np.log(np.asarray(g))
+            vals = vals + extra[rows, cols]
+        return vals
+
+
+def _closure_operator(model, recipe, phase):
+    """make_operator as it was, evaluating the roof again for the phase."""
+    stencils = T._stencils_of(model)
+    shape = (len(model.intervals), model.grid_size + 1)
+    out_factor = recipe.out_factor(shape)
+    if phase == 0.0:
+        coefs = tuple(recipe.coef_at_stencil(stc) for stc in stencils)
+        return T.TransferOperator(model, stencils, coefs, out_factor)
+    indptr, indices, slots = T._fused_pattern(model)
+    data = np.empty(indices.size, dtype=complex)
+    for stc, (start, d, slot) in zip(stencils, slots):
+        amp = recipe.coef_at_stencil(stc)
+        if out_factor is not None:
+            amp *= out_factor[stc.domain_idx]
+        arg = phase * np.asarray(model.roof(stc.y))
+        cos, sin = np.cos(arg), np.sin(arg)
+        cell = data[start:start + 2 * d * shape[1]].reshape(shape[1], d, 2)
+        for side, w in ((0, amp * (1.0 - stc.frac)), (1, amp * stc.frac)):
+            np.multiply(w, cos, out=cell[:, slot, side].real)
+            np.multiply(w, sin, out=cell[:, slot, side].imag)
+    size = shape[0] * shape[1]
+    matrix = csr_array((data, indices, indptr), shape=(size, size))
+    return T.TransferOperator(model, stencils, (), None, matrix)
+
+
+def _roof_tilt(model, a):
+    return lambda x, _a=a: _a * np.asarray(model.roof(x))
+
+
+def _closure_pressure_weight(model, s):
+    return _ClosureRecipe(closed=(lambda x, _s=s: -_s * np.asarray(
+        model.roof(x)),))
+
+
+def _closure_pressure(model, s):
+    """pressure(model, s) as the closure path computed it."""
+    weight = _closure_pressure_weight(model, s)
+    value, _, _ = T.power_iteration(_closure_operator(model, weight, 0.0))
+    return math.log(value)
+
+
+def _closure_normalized(model, raw):
+    """(value, rho, recipe) of the closure path's normalization of raw,
+    rho at unit integral against the Gibbs weights."""
+    value, rho, _ = T.power_iteration(_closure_operator(model, raw, 0.0))
+    rho = rho / float(np.sum(rho * T.gibbs_measure(model)))
+    recipe = raw.plus(const=-math.log(value), factors=((rho, 1),),
+                      out_factors=((rho, -1),))
+    return value, rho, recipe
+
+
+def _recipe_pairs(model, a, b, s):
+    """(name, data recipe, closure recipe) for the base_system,
+    normalize_potential, build_rpf and pressure recipes, the closure side
+    rebuilt by the closure path, whose eigendata must agree bit for bit."""
+    sys = T.base_system(model)
+    raw = _ClosureRecipe(closed=(model.potential,))
+    value, rho, _ = T.power_iteration(_closure_operator(model, raw, 0.0))
+    assert _bits(value) == _bits(sys.value)
+    assert _bits(rho) == _bits(sys.rho)
+    fhat = raw.plus(const=-math.log(value), factors=((rho, 1),),
+                    out_factors=((rho, -1),))
+    nu = T.adjoint_weights(_closure_operator(model, fhat, 0.0), 1.0)
+    assert _bits(nu) == _bits(sys.nu)
+    pairs = [("base", sys.fhat, fhat)]
+
+    norm = T.normalize_potential(model, a)
+    tilted = fhat.plus(closed=(_roof_tilt(model, a),)) if a != 0.0 else fhat
+    value, rho, _ = _closure_normalized(model, tilted)
+    assert _bits(value) == _bits(norm.value)
+    assert _bits(rho) == _bits(norm.rho)
+    pairs.append(("normalized", norm.recipe, fhat.plus(
+        closed=(_roof_tilt(model, a),) if a else (),
+        const=-math.log(value), factors=((rho, 1),),
+        out_factors=((rho, -1),))))
+
+    try:
+        rpf = R.build_rpf(model, a, b)
+    except ModelError:
+        pass
+    else:
+        smoothed = _ClosureRecipe(grids=(rpf.f_smooth + a * rpf.tau_smooth,))
+        value, rho, recipe = _closure_normalized(model, smoothed)
+        assert _bits(value) == _bits(rpf.value)
+        assert _bits(rho) == _bits(rpf.rho)
+        pairs.append(("smoothed", rpf.recipe, recipe))
+
+    weight = _closure_pressure_weight(model, s)
+    assert _bits(T.pressure(model, s)) == _bits(_closure_pressure(model, s))
+    pairs.append(("pressure", T.WeightRecipe(tilt=-s), weight))
+    return pairs
+
+
+@settings(max_examples=12, deadline=None)
+@given(model=models(), a=st.floats(-0.04, 0.04),
+       b=st.floats(2.0, 4096.0) | st.floats(-4096.0, -2.0),
+       s=st.floats(0.0, 2.0), phase_on=st.booleans(),
+       seed=st.integers(0, 2 ** 16))
+@example(model=build_model(ModelConfig("markov3", (2.0, 0.1, 0.3, 0.0),
+                                       (0.1, 0.0, 0.2, 0.0), grid_size=64)),
+         a=0.03, b=64.0, s=0.0, phase_on=True, seed=0)
+def test_data_recipes_match_closure_recipes_bitwise(model, a, b, s, phase_on,
+                                                    seed):
+    shape = (len(model.intervals), model.grid_size + 1)
+    u = _complex_field(model, seed)
+    phase = b if phase_on else 0.0
+    for name, new, old in _recipe_pairs(model, a, b, s):
+        assert not any(map(callable, vars(new).values())), name
+        for stc in T._stencils_of(model):
+            assert (_bits(new.coef_at_stencil(stc))
+                    == _bits(old.coef_at_stencil(stc))), name
+        got, ref = new.out_factor(shape), old.out_factor(shape)
+        assert (got is None) == (ref is None), name
+        assert got is None or _bits(got) == _bits(ref), name
+        assert _bits(new.sample(model)) == _bits(old.sample(model)), name
+        op, ref_op = (T.make_operator(model, new, phase),
+                      _closure_operator(model, old, phase))
+        for field in (u, u.real.copy()):
+            got, ref = op(field), ref_op(field)
+            assert got.dtype == ref.dtype, name
+            assert (_bits(got.view(float)) == _bits(ref.view(float))), name
+
+
+def test_roof_and_potential_sampled_once_per_model(monkeypatch):
+    model = build_model(ModelConfig("doubling", (2.0, 0.0, 0.5, 0.0),
+                                    (0.0, 0.0, 0.2, 0.0), grid_size=256))
+    T.transfer_complex(model, 0.0, 64.0)
+    calls = []
+    coef_call = CoefFn.__call__
+    monkeypatch.setattr(CoefFn, "__call__",
+                        lambda self, x: calls.append(x) or coef_call(self, x))
+    for k in range(1, 11):
+        T.transfer_complex(model, 0.004 * k - 0.02, 64.0 + 37.0 * k)
+    assert len(calls) == 0
 
 
 def _reference_smooth(model, values, width):
@@ -827,7 +1031,7 @@ def test_column_formatting_matches_fmt(data):
 def _reference_entropy(model):
     """The bracket and scipy bisection whose root entropy returns."""
     def pr(s):
-        return T.pressure(model, lambda x, _s=s: -_s * np.asarray(model.roof(x)))
+        return _closure_pressure(model, s)
 
     p0 = pr(0.0)
     hi = p0 / model.tau_0 + 1.0
@@ -1782,11 +1986,11 @@ def test_temporal_distance_looks_up_the_domain_once(monkeypatch):
     assert _bits(got) == _bits(ref)
 
 
-def test_pressure_takes_only_a_callable_weight():
-    model = build_model(ModelConfig("doubling", grid_size=64))
-    with pytest.raises(ModelError, match="unsupported weight type"):
-        T.pressure(model, np.zeros((1, 65)))
-    assert T.pressure(model, lambda x: 0.0 * x) == T.pressure(model)
+def test_pressure_at_zero_counts_branches():
+    # P(-0 tau) is the log of the number of inverse branches at each point
+    for family, count in (("doubling", 2), ("markov3", 3)):
+        model = build_model(ModelConfig(family, grid_size=64))
+        assert T.pressure(model, 0.0) == math.log(count)
 
 
 # ---------------------------------------------------------------------------

@@ -78,7 +78,7 @@ def test_invariance_defect_flat_and_weighted(plain, sin_model):
 def test_pressure_values(plain):
     assert abs(T.pressure(plain) - math.log(2)) < 1e-12
     s = 0.37
-    got = T.pressure(plain, lambda x: -s * np.asarray(plain.roof(x)))
+    got = T.pressure(plain, s)
     assert abs(got - (math.log(2) - s)) < 1e-12
 
 
@@ -120,7 +120,7 @@ def test_markov3_forbidden_eigenvalue_closed_form():
 def test_power_iteration_matches_dense_eigensolver():
     m = doubling_model(potential=SIN, grid_size=256)
     sys = T.base_system(m)
-    op = T.make_operator(m, T.WeightRecipe(closed=(m.potential,)))
+    op = T.make_operator(m, T.WeightRecipe(potential=True))
     k = m.grid_size + 1
     dense = np.zeros((k, k))
     for i in range(k):
