@@ -37,12 +37,13 @@ COMMANDS = ("model-info", "gibbs", "pressure", "decay", "uni-scan",
             "dolgopyat", "orbits", "correlation", "invariants")
 
 ENV_PREFIX = "TRANSFERLAB_"
-# mirrors of command-line flags
-_ENV_FLAGS = {"MODEL": "model", "OUT": "out", "SEED": "seed",
-              "THREADS": "threads", "A": "a", "B": "b", "EPS": "eps",
-              "THETA": "theta", "GRID": "grid"}
-# extras with no flag of their own
-_ENV_EXTRAS = ("B_LIST", "EPS_LIST", "N_MAX", "T_GRID", "SAMPLES", "BLOCKS")
+# every input by its environment name, TRANSFERLAB_<NAME>, with its kind (a
+# tuple is a comma list of floats); the first nine mirror the flag of the
+# lower-cased name, and the list/size extras after them have no flag
+_INPUTS = {"MODEL": str, "OUT": str, "SEED": int, "THREADS": int,
+           "A": float, "B": float, "EPS": float, "THETA": float, "GRID": int,
+           "B_LIST": tuple, "EPS_LIST": tuple, "N_MAX": int, "T_GRID": tuple,
+           "SAMPLES": int, "BLOCKS": int}
 
 DEFAULT_B_LIST = (64.0, 128.0, 256.0, 512.0)
 DEFAULT_EPS_LIST = tuple(2.0 ** -q for q in range(6, 13))
@@ -62,7 +63,8 @@ class UsageError(ValueError):
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """One resolved invocation: command, model source, and overrides."""
+    """One resolved invocation: command, model source and overrides, each
+    typed and checked by resolve."""
 
     command: str
     model_path: str | None
@@ -73,13 +75,12 @@ class ExperimentConfig:
     eps: float | None
     theta: float | None
     grid: int | None
-    extras: tuple[tuple[str, str], ...] = ()
-
-    def extra(self, name: str) -> str | None:
-        for key, val in self.extras:
-            if key == name:
-                return val
-        return None
+    b_list: tuple[float, ...]         # decay's sweep; (b,) under --b
+    eps_list: tuple[float, ...]       # uni-scan's; (eps,) under --eps
+    n_max: int
+    t_grid: tuple[float, ...] | None  # None: the command's own grid
+    samples: int
+    blocks: int
 
 
 # ---------------------------------------------------------------------------
@@ -130,14 +131,21 @@ def _env_overrides(environ) -> dict:
         if not key.startswith(ENV_PREFIX):
             continue
         name = key[len(ENV_PREFIX):]
-        if name not in _ENV_FLAGS and name not in _ENV_EXTRAS:
+        if name not in _INPUTS:
             raise UsageError(f"unknown environment override {key}")
         found[name] = environ[key]
     return found
 
 
 def _coerce(name: str, raw, kind):
-    """kind(raw) for a flag, mirror or list entry; floats must be finite."""
+    """kind(raw) for a flag, mirror or extra; a tuple is a nonempty comma
+    list of floats, and every float must be finite."""
+    if kind is tuple:
+        vals = tuple(_coerce(name, v.strip(), float)
+                     for v in raw.split(",") if v.strip())
+        if not vals:
+            raise UsageError(f"{name} must list at least one number")
+        return vals
     try:
         val = kind(raw)
     except ValueError:
@@ -147,37 +155,53 @@ def _coerce(name: str, raw, kind):
     return val
 
 
-def resolve(args, environ) -> ExperimentConfig:
-    """Merge flags over environment overrides over defaults."""
-    env = _env_overrides(environ)
-    kinds = {"model": str, "out": str, "seed": int, "threads": int,
-             "a": float, "b": float, "eps": float, "theta": float,
-             "grid": int}
-    merged = {}
-    for env_name, dest in _ENV_FLAGS.items():
-        val = getattr(args, dest)
-        if val is None:
-            val = env.get(env_name)
-        merged[dest] = None if val is None else _coerce(dest, val, kinds[dest])
-    extras = tuple((k, env[k]) for k in _ENV_EXTRAS if k in env)
+_DEFAULTS = {"out": "out", "seed": 0, "a": 0.0, "b_list": DEFAULT_B_LIST,
+             "eps_list": DEFAULT_EPS_LIST, "n_max": DEFAULT_N_MAX,
+             "samples": DEFAULT_SAMPLES, "blocks": DEFAULT_BLOCKS}
 
-    seed = merged["seed"] if merged["seed"] is not None else 0
-    if not 0 <= seed < 2 ** 64:
+
+def resolve(args, environ) -> ExperimentConfig:
+    """Merge flags over environment overrides over defaults, and run every
+    check that needs no model, so that a bad input writes nothing.  An
+    extra left empty is unset."""
+    env = _env_overrides(environ)
+    got = {}
+    for name, kind in _INPUTS.items():
+        key = name.lower()
+        extra = not hasattr(args, key)      # no flag of its own
+        raw = getattr(args, key, None)
+        if raw is None:
+            raw = env.get(name)
+        if raw is None or (extra and raw == ""):
+            got[key] = _DEFAULTS.get(key)
+        else:
+            got[key] = _coerce(name if extra else key, raw, kind)
+
+    if not 0 <= got["seed"] < 2 ** 64:
         raise UsageError("seed must fit in an unsigned 64-bit integer")
-    if merged["threads"] is not None and merged["threads"] < 1:
+    threads = got.pop("threads")
+    if threads is not None and threads < 1:
         raise UsageError("threads must be at least 1")
-    return ExperimentConfig(
-        command=args.command,
-        model_path=merged["model"],
-        out_dir=merged["out"] if merged["out"] is not None else "out",
-        seed=seed,
-        a=merged["a"] if merged["a"] is not None else 0.0,
-        b=merged["b"],
-        eps=merged["eps"],
-        theta=merged["theta"],
-        grid=merged["grid"],
-        extras=extras,
-    )
+    if got["n_max"] < 1:
+        raise UsageError("N_MAX must be at least 1")
+    if got["t_grid"] is not None and min(got["t_grid"]) < 0.0:
+        raise UsageError("T_GRID entries must be at least 0, got "
+                         f"{min(got['t_grid'])!r}")
+    # correlation holds one block's points, and the seed streams of all
+    # blocks, at once; both stay within the Monte Carlo chunk
+    samples, blocks = got["samples"], got["blocks"]
+    if samples < blocks or blocks < 2:
+        raise UsageError("need samples >= blocks >= 2")
+    chunk = orbits.MC_CHUNK_POINTS
+    if samples // blocks > chunk or blocks > chunk:
+        raise UsageError(f"need samples // blocks <= {chunk} and "
+                         f"blocks <= {chunk}")
+    if got["b"] is not None:
+        got["b_list"] = (got["b"],)
+    if got["eps"] is not None:
+        got["eps_list"] = (got["eps"],)
+    return ExperimentConfig(command=args.command, model_path=got.pop("model"),
+                            out_dir=got.pop("out"), **got)
 
 
 def _load_model(cfg: ExperimentConfig) -> tuple[MarkovModel, str]:
@@ -197,14 +221,6 @@ def _load_model(cfg: ExperimentConfig) -> tuple[MarkovModel, str]:
     if cfg.theta is not None:
         config = replace(config, theta=cfg.theta)
     return build_model(config), source
-
-
-def _parse_float_list(name: str, raw: str) -> tuple[float, ...]:
-    vals = tuple(_coerce(name, v.strip(), float)
-                 for v in raw.split(",") if v.strip())
-    if not vals:
-        raise UsageError(f"{name} must list at least one number")
-    return vals
 
 
 # ---------------------------------------------------------------------------
@@ -335,25 +351,16 @@ def _cmd_pressure(model: MarkovModel, cfg: ExperimentConfig):
     return summary, OK
 
 
-def _sweep(cfg: ExperimentConfig, single: float | None, name: str,
-           default: tuple[float, ...]) -> tuple[float, ...]:
-    """The flag's single value, else the list extra `name`, else default."""
-    if single is not None:
-        return (single,)
-    raw = cfg.extra(name)
-    return _parse_float_list(name, raw) if raw else default
-
-
 def _cmd_decay(model: MarkovModel, cfg: ExperimentConfig):
-    b_list = _sweep(cfg, cfg.b, "B_LIST", DEFAULT_B_LIST)
-    profile = rpf.decay_profile(model, cfg.a, b_list)
+    profile = rpf.decay_profile(model, cfg.a, cfg.b_list)
     kappa_hat = profile.kappa_hat
     if kappa_hat is not None and abs(kappa_hat) < 1e-9:
         kappa_hat = 0.0
     rows = [(r.b, r.n, r.c0, r.l2, r.seminorm, r.flagged)
             for r in profile.rows]
     _write_csv(os.path.join(cfg.out_dir, "decay.csv"), cfg.command, model,
-               [("a", cfg.a), ("b_list", b_list), ("kappa_hat", kappa_hat)],
+               [("a", cfg.a), ("b_list", cfg.b_list),
+                ("kappa_hat", kappa_hat)],
                ("b", "n", "c0", "l2", "seminorm", "flagged"), rows)
     shown = _fmt(kappa_hat) if kappa_hat is not None else "none (needs 4 b values)"
     summary = (f"decay: kappa_hat={shown} rows={len(rows)} "
@@ -362,14 +369,13 @@ def _cmd_decay(model: MarkovModel, cfg: ExperimentConfig):
 
 
 def _cmd_uni_scan(model: MarkovModel, cfg: ExperimentConfig):
-    eps_list = _sweep(cfg, cfg.eps, "EPS_LIST", DEFAULT_EPS_LIST)
     certs = [scales.uni_scan(model, scales.matching_scale(model, eps))
-             for eps in eps_list]
+             for eps in cfg.eps_list]
 
     rows = [(c.eps, c.kappa_hat, len(c.witnesses), c.skipped, c.ok)
             for c in certs]
     _write_csv(os.path.join(cfg.out_dir, "uni_scan.csv"), cfg.command, model,
-               [("eps_list", eps_list)],
+               [("eps_list", cfg.eps_list)],
                ("eps", "kappa_hat", "witnesses", "skipped", "ok"), rows)
     kappas = [c.kappa_hat for c in certs]
     summary = (f"uni-scan: kappa_hat=[{_fmt(min(kappas))},{_fmt(max(kappas))}] "
@@ -401,21 +407,10 @@ def _cmd_dolgopyat(model: MarkovModel, cfg: ExperimentConfig):
     return summary, OK
 
 
-def _orbit_params(model: MarkovModel, cfg: ExperimentConfig):
-    raw_n = cfg.extra("N_MAX")
-    n_max = _coerce("N_MAX", raw_n, int) if raw_n else DEFAULT_N_MAX
-    if n_max < 1:
-        raise UsageError("N_MAX must be at least 1")
-    raw_t = cfg.extra("T_GRID")
-    if raw_t:
-        t_grid = _parse_float_list("T_GRID", raw_t)
-    else:
-        t_grid = tuple(j * model.tau_0 for j in range(1, n_max + 1))
-    return n_max, t_grid
-
-
 def _cmd_orbits(model: MarkovModel, cfg: ExperimentConfig):
-    n_max, t_grid = _orbit_params(model, cfg)
+    n_max, t_grid = cfg.n_max, cfg.t_grid
+    if t_grid is None:
+        t_grid = tuple(j * model.tau_0 for j in range(1, n_max + 1))
     report = orbits.prime_orbit_report(model, n_max, t_grid)
     _write_csv(os.path.join(cfg.out_dir, "orbit_table.csv"), cfg.command,
                model, [("n_max", n_max)], ("word", "n", "period"),
@@ -438,32 +433,13 @@ def _section_sine(x):
     return np.sin(2.0 * np.pi * np.asarray(x))
 
 
-def _mc_params(cfg: ExperimentConfig):
-    raw_s = cfg.extra("SAMPLES")
-    samples = _coerce("SAMPLES", raw_s, int) if raw_s else DEFAULT_SAMPLES
-    raw_b = cfg.extra("BLOCKS")
-    blocks = _coerce("BLOCKS", raw_b, int) if raw_b else DEFAULT_BLOCKS
-    if samples < blocks or blocks < 2:
-        raise UsageError("need samples >= blocks >= 2")
-    # one block's points, and the seed streams of all blocks, are held at
-    # once; both stay within the Monte Carlo chunk
-    chunk = orbits.MC_CHUNK_POINTS
-    if samples // blocks > chunk or blocks > chunk:
-        raise UsageError(f"need samples // blocks <= {chunk} and "
-                         f"blocks <= {chunk}")
-    raw_t = cfg.extra("T_GRID")
-    if raw_t:
-        t_grid = _parse_float_list("T_GRID", raw_t)
-    else:
-        t_grid = tuple(np.linspace(0.0, 2.0, 11))
-    return samples, blocks, t_grid
-
-
 def _cmd_correlation(model: MarkovModel, cfg: ExperimentConfig):
-    samples, blocks, t_grid = _mc_params(cfg)
+    t_grid = cfg.t_grid
+    if t_grid is None:
+        t_grid = tuple(np.linspace(0.0, 2.0, 11))
     rep = orbits.correlation_decay(
-        model, _section_sine, _section_sine, t_grid, samples,
-        seed=cfg.seed, blocks=blocks)
+        model, _section_sine, _section_sine, t_grid, cfg.samples,
+        seed=cfg.seed, blocks=cfg.blocks)
     rows = [(float(t), float(c), float(s))
             for t, c, s in zip(rep.t_grid, rep.corr, rep.stderr)]
     meta = [("observable", "sin(2*pi*x)"), ("samples", rep.samples),

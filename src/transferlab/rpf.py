@@ -32,7 +32,7 @@ import numpy as np
 
 from .gridfun import _halving_lags, _lag_seminorm, holder_seminorm
 from .markov import MarkovModel, ModelError
-from .thermo import (WeightRecipe, base_system, gibbs_measure,
+from .thermo import (A_MAX_DEFAULT, WeightRecipe, base_system, gibbs_measure,
                      leading_eigendata, make_operator, power_iteration,
                      transfer_complex)
 
@@ -189,6 +189,8 @@ class ComplexRPF:
 
 def build_rpf(model: MarkovModel, a: float, b: float,
               delta1: float = DELTA1_DEFAULT) -> ComplexRPF:
+    if abs(a) > A_MAX_DEFAULT:
+        raise ModelError(f"|a| = {abs(a)} exceeds a_max = {A_MAX_DEFAULT}")
     sm = smooth_coefficients(model, b, delta1)
     raw = WeightRecipe(grids=(sm.f_smooth + a * sm.tau_smooth,))
     op = make_operator(model, raw)

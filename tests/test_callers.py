@@ -21,6 +21,12 @@ such a call, each with its reason.
 Each field of a package dataclass must be read as an attribute by some
 file under those four directories, again matched by name; a third ledger
 names the fields kept without such a read.
+
+Each module-level function or class in ``tests/`` must be reached by a
+test: named by it, requested by it as a fixture, or reached through
+other module-level statements that a test reaches.  Tests, ``Test*``
+classes and autouse fixtures are where the search starts.  So a frozen
+reference stays tied to a live comparison.
 """
 
 import ast
@@ -250,3 +256,65 @@ def test_every_dataclass_field_is_read():
 def test_field_ledger_names_exist():
     defined = {key for key, _ in _package_fields()}
     assert set(FIELD_LEDGER) <= defined, sorted(set(FIELD_LEDGER) - defined)
+
+
+TEST_DIR = os.path.join(ROOT, "tests")
+
+
+def _is_root(node):
+    """A test, a Test* class or an autouse fixture: pytest runs these."""
+    if isinstance(node, ast.ClassDef):
+        return node.name.startswith("Test")
+    if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        return False
+    autouse = any(isinstance(d, ast.Call) and any(
+        kw.arg == "autouse" and getattr(kw.value, "value", False)
+        for kw in d.keywords) for d in node.decorator_list)
+    return node.name.startswith("test") or autouse
+
+
+def _unreached_helpers(tree):
+    """Module-level functions and classes of a test module that no test
+    reaches, through names, fixture parameters or strings, directly or by
+    way of other module-level statements."""
+    binders, todo = {}, []
+    for stmt in tree.body:
+        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            names = [stmt.name]
+        else:
+            names = [n.id for n in ast.walk(stmt) if isinstance(n, ast.Name)
+                     and isinstance(n.ctx, ast.Store)]
+        for name in names:
+            binders.setdefault(name, []).append(stmt)
+        # a statement that binds nothing runs for its effect at import
+        if _is_root(stmt) or not names:
+            todo.append(stmt)
+    seen = set(map(id, todo))
+    while todo:
+        for node in ast.walk(todo.pop()):
+            if isinstance(node, ast.Name):
+                name = node.id
+            elif isinstance(node, ast.arg):
+                name = node.arg
+            elif isinstance(node, ast.Constant) and isinstance(node.value,
+                                                               str):
+                name = node.value
+            else:
+                continue
+            for stmt in binders.get(name, ()):
+                if id(stmt) not in seen:
+                    seen.add(id(stmt))
+                    todo.append(stmt)
+    return [stmt.name for stmt in tree.body
+            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.ClassDef))
+            and not _is_root(stmt) and id(stmt) not in seen]
+
+
+def test_every_test_helper_is_reached_by_a_test():
+    # a frozen reference that no test reaches compares nothing
+    orphans = [f"{os.path.basename(path)}::{name}"
+               for path in _python_files(TEST_DIR)
+               for name in _unreached_helpers(_parse(path))]
+    assert not orphans, f"test helpers no test reaches: {orphans}"

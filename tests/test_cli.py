@@ -45,16 +45,20 @@ bump, with numpy 2.4.6 and scipy 1.17.1, and hashing the file with
 sha256sum.
 """
 
+import contextlib
 import csv
 import hashlib
 import io
 import os
 import subprocess
 import sys
+import tempfile
 import time
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import transferlab
 from transferlab import cli, orbits
@@ -287,6 +291,95 @@ def test_non_finite_flag_rejected_before_the_run(tmp_path, capsys, argv):
     assert not out.exists()
 
 
+# each malformed extra with the commands that read it; model-info reads none
+MALFORMED_EXTRAS = (
+    ({"N_MAX": "abc"}, ("orbits",)),
+    ({"N_MAX": "0"}, ("orbits",)),
+    ({"BLOCKS": "1"}, ("correlation",)),
+    ({"SAMPLES": str(2 * (MC_CHUNK + 1)), "BLOCKS": "2"}, ("correlation",)),
+    ({"B_LIST": "64,x"}, ("decay",)),
+    ({"EPS_LIST": "nan"}, ("uni-scan",)),
+    ({"T_GRID": "1,nan"}, ("orbits", "correlation")),
+    ({"T_GRID": "-5,1"}, ("orbits", "correlation")),
+)
+
+
+@pytest.mark.parametrize(
+    "env, command",
+    [(env, cmd) for env, readers in MALFORMED_EXTRAS
+     for cmd in readers + ("model-info",)],
+    ids=[" ".join([cmd] + [f"{k}={v}" for k, v in env.items()])
+         for env, readers in MALFORMED_EXTRAS
+         for cmd in readers + ("model-info",)])
+def test_malformed_extra_writes_nothing(tmp_path, monkeypatch, capsys,
+                                       env, command):
+    # a bad extra stops every command before anything is written
+    for name, val in env.items():
+        monkeypatch.setenv(f"TRANSFERLAB_{name}", val)
+    out = tmp_path / "o"
+    assert cli.main([command, "--grid", "64", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("transferlab: error:"), err
+    assert not out.exists()
+
+
+def _malformed(env):
+    """The rules for the extras, written out: an empty value is unset; a
+    list holds at least one finite number and T_GRID none below 0; N_MAX
+    is at least 1; and SAMPLES and BLOCKS, set or default, need
+    SAMPLES >= BLOCKS >= 2 with SAMPLES // BLOCKS and BLOCKS at most the
+    Monte Carlo chunk."""
+    vals = {"N_MAX": cli.DEFAULT_N_MAX, "SAMPLES": cli.DEFAULT_SAMPLES,
+            "BLOCKS": cli.DEFAULT_BLOCKS, "T_GRID": [0.0]}
+    for name, text in env.items():
+        if text == "":
+            continue
+        try:
+            if name in ("N_MAX", "SAMPLES", "BLOCKS"):
+                vals[name] = int(text)
+            else:
+                vals[name] = [float(t) for t in text.split(",") if t.strip()]
+        except ValueError:
+            return True
+        if vals[name] == [] or not np.all(np.isfinite(vals[name])):
+            return True
+    samples, blocks = vals["SAMPLES"], vals["BLOCKS"]
+    return (vals["N_MAX"] < 1 or min(vals["T_GRID"]) < 0
+            or not 2 <= blocks <= min(samples, MC_CHUNK)
+            or samples // blocks > MC_CHUNK)
+
+
+_number_text = st.one_of(
+    st.integers(-3, 4 * MC_CHUNK).map(str),
+    st.floats().map(repr),
+    st.sampled_from(["nan", "-inf", "1e999", "0", "-0.0", "-0.5", "1", "2",
+                     " 7 ", "abc"]),
+    st.text(alphabet="0123456789.,-+einf x", max_size=6))
+_extra_text = st.one_of(
+    st.just(""), _number_text,
+    st.lists(_number_text, min_size=1, max_size=4).map(",".join))
+
+
+@settings(max_examples=150, deadline=None)
+@given(env=st.dictionaries(
+    st.sampled_from(("B_LIST", "EPS_LIST", "N_MAX", "T_GRID", "SAMPLES",
+                     "BLOCKS")), _extra_text, max_size=3))
+def test_extras_are_checked_before_anything_is_written(env):
+    environ = {f"TRANSFERLAB_{k}": v for k, v in env.items()}
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, \
+            mock.patch.dict(os.environ, environ), \
+            contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(err):
+        out = os.path.join(tmp, "o")
+        code = cli.main(["model-info", "--grid", "64", "--out", out])
+        wrote = os.path.exists(out)
+    if _malformed(env):
+        assert (code, wrote, err.getvalue().count("\n")) == (1, False, 1)
+    else:
+        assert (code, err.getvalue()) == (0, "")
+
+
 # edge inputs at a small grid: each ends with an exit code, not a traceback;
 # the error line, where one is given, is the whole of stderr
 NONZERO_B = "transferlab: error: b must be nonzero\n"
@@ -298,7 +391,10 @@ EDGE_INPUTS = (
     (["dolgopyat", "--b", "1"], {}, None),
     (["dolgopyat", "--b", "2.5"], {}, None),
     (["dolgopyat", "--b", "-256"], {}, None),
-    (["dolgopyat", "--a", "50"], {}, None),
+    (["dolgopyat", "--a", "50"], {},
+     "transferlab: error: |a| = 50.0 exceeds a_max = 0.05\n"),
+    (["dolgopyat", "--a", "400"], {},
+     "transferlab: error: |a| = 400.0 exceeds a_max = 0.05\n"),
     (["dolgopyat", "--eps", "0.5", "--b", "8"], {}, None),
     (["uni-scan", "--eps", "1e-300"], {}, None),
 )

@@ -96,8 +96,9 @@ smoothing reorder their sums, and their tolerances are stated below.
   by the old step (4 n1), with a refused step, a failing square
   comparison and a failing domination; the ``all_words`` columns against
   the tuple builder for k <= 8 on doubling and every single forbidden
-  ``markov3`` transition, and ``check_refining`` against its tuple-list
-  loop, witnesses included.
+  ``markov3`` transition, and ``check_refining`` (blocks of atoms, any
+  block size) against every (atom, word) pair of an interval at once,
+  words from the tuple builder, witnesses included.
 
 Models are drawn from both families with random roofs, potentials and
 stable factors; the coefficient ranges keep the roof positive and mu
@@ -395,15 +396,23 @@ def _old_all_words(model, domain, k):
 
 
 def _per_atom_refining(model, part, n):
-    """check_refining as one atom and one word at a time."""
-    for a in part.atoms:
-        for word, contr, off, _ in _old_all_words(
-                model, model.intervals[a.iid].id, n):
-            lo = contr * a.left + off
-            hi = contr * a.right + off
-            holder = part.atoms[part.locate(0.5 * (lo + hi))]
-            if lo < holder.left - 1e-9 or hi > holder.right + 1e-9:
-                return False, (a.word, word)
+    """check_refining without blocks: each interval's words listed once,
+    all its (atom, word) pairs mapped at once, and the witness the first
+    failing pair taken atom by atom, and word by word within an atom."""
+    lefts, rights = part.atoms.left, part.atoms.right
+    for iv in model.intervals:
+        items = _old_all_words(model, iv.id, n)
+        contr = np.array([w[1] for w in items])
+        off = np.array([w[2] for w in items])
+        atoms = slice(part.starts[iv.index], part.starts[iv.index + 1])
+        lo = contr * lefts[atoms, None] + off          # (atoms, words)
+        hi = contr * rights[atoms, None] + off
+        holder = part.locate(0.5 * (lo + hi))
+        bad = (lo < lefts[holder] - 1e-9) | (hi > rights[holder] + 1e-9)
+        first = np.flatnonzero(bad)
+        if first.size:
+            k, j = divmod(int(first[0]), len(items))
+            return False, (part.atoms.word[atoms.start + k], items[j][0])
     return True, None
 
 
@@ -2532,28 +2541,6 @@ def test_all_words_columns_match_tuple_builder(config):
         assert tgt.tolist() == [model.interval(r[3]).index for r in ref]
 
 
-def _old_check_refining(model, part, n):
-    """check_refining with a tuple list of words per interval."""
-    lefts, rights = part.atoms.left, part.atoms.right
-    for iv in model.intervals:
-        items = _old_all_words(model, iv.id, n)
-        contr = np.array([w[1] for w in items])[:, None]
-        off = np.array([w[2] for w in items])[:, None]
-        end = part.starts[iv.index + 1]
-        block = max(1, C.REFINE_BLOCK // len(items))
-        for start in range(part.starts[iv.index], end, block):
-            sel = slice(start, min(start + block, end))
-            lo = contr * lefts[sel] + off
-            hi = contr * rights[sel] + off
-            holder = part.locate(0.5 * (lo + hi))
-            bad = (lo < lefts[holder] - 1e-9) | (hi > rights[holder] + 1e-9)
-            if bad.any():
-                k = int(np.argmax(bad.any(axis=0)))
-                j = int(np.argmax(bad[:, k]))
-                return False, (part.atoms.word[start + k], items[j][0])
-    return True, None
-
-
 @pytest.mark.parametrize("block", (C.REFINE_BLOCK, 1024))
 def test_check_refining_witness_matches_tuple_lists(block):
     witnesses = 0
@@ -2566,7 +2553,7 @@ def test_check_refining_witness_matches_tuple_lists(block):
         with mock.patch.object(C, "REFINE_BLOCK", block):
             for n in range(1, 4):
                 got = C.check_refining(model, part, n)
-                assert got == _old_check_refining(model, part, n)
+                assert got == _per_atom_refining(model, part, n)
                 witnesses += not got[0]
     # several forbidden transitions need two or three steps to refine
     assert witnesses >= 8
