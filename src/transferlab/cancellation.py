@@ -79,7 +79,7 @@ class CylinderPartition:
     scale: ScaleFunction
     atoms: np.recarray
     starts: np.ndarray = field(repr=False, compare=False)
-    condition_margin: float = 0.0     # max length * inf(scale) / c1, <= 1
+    condition_margin: float = 0.0     # max length * inf(scale), <= 1
     half_scale: float = 0.0           # min length * inf(scale) over atoms
 
     def locate(self, x):
@@ -150,18 +150,16 @@ def _branches_by(model: MarkovModel, side: str):
             model.branch_slope[sym, dom][order], off[order], first)
 
 
-def build_partition(model: MarkovModel, scale: ScaleFunction,
-                    c1: float = 1.0) -> CylinderPartition:
-    """Refine cylinders until each is shorter than c1 over its scale.
+def build_partition(model: MarkovModel,
+                    scale: ScaleFunction) -> CylinderPartition:
+    """Refine cylinders until each is shorter than one over its scale.
 
-    Splitting stops as soon as length <= c1 / inf(atom scale); the scale
-    must resolve below whole intervals or the request is rejected.  The
-    refinement runs level by level on arrays, so each level reads the
+    Splitting stops as soon as length <= 1 / inf(atom scale) (C1 = 1); a
+    scale value is a product of slopes >= 2, so no whole interval stops.
+    The refinement runs level by level on arrays, so each level reads the
     scale once; a split cylinder's children follow the offset order of
     the branches into its inner domain.
     """
-    if c1 <= 0.0:
-        raise EngineError("c1 must be positive")
     b_sym, b_dom, b_slope, b_off, first = _branches_by(model, "target")
     fan = np.diff(first)
     # cylinders of one depth: word, inner domain, containing interval and
@@ -176,10 +174,7 @@ def build_partition(model: MarkovModel, scale: ScaleFunction,
         rights = contr * (model.lefts[dom] + 1.0) + off
         lam_lo, j_lo, j_hi = _atom_scale_ranges(model, scale, iid,
                                                 lefts, rights)
-        stop = (rights - lefts) * lam_lo <= c1
-        if depth == 0 and stop.any():
-            raise EngineError("scale too coarse: a whole interval already "
-                              "satisfies the refinement condition")
+        stop = (rights - lefts) * lam_lo <= 1.0
         done.append((lefts[stop], rights[stop], np.full(stop.sum(), depth),
                      lam_lo[stop], iid[stop], j_lo[stop], j_hi[stop],
                      word[stop]))
@@ -201,7 +196,7 @@ def build_partition(model: MarkovModel, scale: ScaleFunction,
     weight = (atoms.right - atoms.left) * atoms.lam_lo
     part = CylinderPartition(
         model, scale, atoms, np.searchsorted(atoms.iid, np.arange(m + 1)),
-        condition_margin=float((weight / c1).max()),
+        condition_margin=float(weight.max()),
         half_scale=float(weight.min()))
     _verify_partition(part)
     return part
@@ -336,13 +331,12 @@ def cone_element(model: MarkovModel, scale: ScaleFunction,
 
 
 def random_cone_element(model: MarkovModel, scale: ScaleFunction,
-                        rng: np.random.Generator,
-                        fill: float = 0.5) -> np.ndarray:
-    """Positive function with rescaled log-slope about fill times the bound."""
+                        rng: np.random.Generator) -> np.ndarray:
+    """Positive function with rescaled log-slope about 0.9 times the bound."""
     h = 1.0 / model.grid_size
     out = np.empty((len(model.intervals), model.grid_size + 1))
     for iv in model.intervals:
-        cap = fill * scale.values[iv.index] * h
+        cap = 0.9 * scale.values[iv.index] * h
         steps = rng.uniform(-1.0, 1.0, model.grid_size) * cap[:-1]
         # repeated edge increments keep the one-sided stencils on budget
         steps[0] = steps[1]
@@ -375,8 +369,8 @@ def cone_image_trials(model: MarkovModel, rpf: ComplexRPF,
     pos = rpf.m_op()
     margins = []
     for _ in range(trials):
-        h = random_cone_element(model, scale, rng, 0.9)
-        psi = random_cone_element(model, scale, rng, 0.9)
+        h = random_cone_element(model, scale, rng)
+        psi = random_cone_element(model, scale, rng)
         cur = h * psi
         for _ in range(m):
             cur = pos(cur)
@@ -511,25 +505,24 @@ def _window_means(values: np.ndarray, seg: np.ndarray,
 
 
 def dichotomy_test(model: MarkovModel, rpf: ComplexRPF, u: np.ndarray,
-                   big_h: np.ndarray, left, right, contr, off, tgt, n1: int,
-                   kappa6: float, c9: float = C9_DEFAULT,
-                   tables: tuple | None = None) -> np.recarray:
+                   big_h: np.ndarray, left, right, contr, off, tgt,
+                   kappa6: float, tables: tuple) -> np.recarray:
     """Classify a batch of (span, branch) pairs; one DICHOTOMY_DTYPE row
     per pair.
 
-    Pair i is the n1-step backward branch x -> contr[i] x + off[i] into
+    Pair i is an n1-step backward branch x -> contr[i] x + off[i] into
     the interval of index tgt[i], read on the atom span [left[i],
     right[i]]; the five columns broadcast against each other.  Small when
     |u|/H <= 3/4 at every grid node of the branch image (including the
-    interpolation fringe); aligned when |u|/H >= 1/c9 everywhere and the
-    summand phase stays within kappa6/100 of one direction; indeterminate
-    otherwise, and treated as aligned with no usable phase, so no
-    cancellation is claimed on it.
+    interpolation fringe); aligned when |u|/H >= 1/C9_DEFAULT everywhere
+    and the summand phase stays within kappa6/100 of one direction;
+    indeterminate otherwise, and treated as aligned with no usable phase,
+    so no cancellation is claimed on it.
 
     Every window is gathered into one flat array.  The load maxima and
     minima are np.maximum.reduceat and np.minimum.reduceat over it, exact
     in any order.  The weight mean and the circular mean of exp(i phase),
-    taken only where the load stays at least 1/c9, are row means of
+    taken only where the load stays at least 1/C9_DEFAULT, are row means of
     equal-length windows stacked as (k, L) arrays (_window_means): these
     keep numpy's pairwise summation, so they equal each window's own
     .mean() bit for bit, where a flat np.add.reduceat would not, and the
@@ -537,9 +530,8 @@ def dichotomy_test(model: MarkovModel, rpf: ComplexRPF, u: np.ndarray,
     direction and its modulus come from cmath.phase and abs of Python
     complex values (libm's atan2 and hypot), which numpy's SIMD arctan2
     and complex absolute do not match in every last bit.  tables are the
-    n1-step _dichotomy_tables; they are built when not given.  Memory is
-    linear in the window points; build_cancellation passes batches of at
-    most CHUNK_POINTS of them.
+    n1-step _dichotomy_tables.  Memory is linear in the window points;
+    build_cancellation passes batches of at most CHUNK_POINTS of them.
     """
     n = model.grid_size
     left, right, contr, off, tgt = (np.ravel(c) for c in np.broadcast_arrays(
@@ -553,12 +545,10 @@ def dichotomy_test(model: MarkovModel, rpf: ComplexRPF, u: np.ndarray,
     ratios = np.abs(uz) / big_h.reshape(-1)[flat]
     max_ratio = np.maximum.reduceat(ratios, seg)
     min_ratio = np.minimum.reduceat(ratios, seg)
-    if tables is None:
-        tables = _dichotomy_tables(model, rpf.f_ab_grid, n1)
     weights, roof_sums = tables
     small = max_ratio <= SMALL_FACTOR
     # circular statistics of the summand phases where the load allows
-    circ = np.flatnonzero(~small & (min_ratio >= 1.0 / c9))
+    circ = np.flatnonzero(~small & (min_ratio >= 1.0 / C9_DEFAULT))
     pos, cseg = _ranges(seg[circ], size[circ])
     phases = rpf.b * roof_sums.reshape(-1)[flat[pos]] + np.angle(uz[pos])
     z = _window_means(np.exp(1j * phases), cseg, size[circ]).tolist()
@@ -677,8 +667,7 @@ def build_cancellation(model: MarkovModel, rpf: ComplexRPF,
         owner = np.repeat(np.arange(len(ai)), fan[iid])
         res = dichotomy_test(model, rpf, u, big_h, atoms.left[ai][owner],
                              atoms.right[ai][owner], w_contr[rows],
-                             w_off[rows], w_tgt[rows], n1, kappa6,
-                             C9_DEFAULT, tables)
+                             w_off[rows], w_tgt[rows], kappa6, tables)
         ratio = np.where(res.kind == SMALL, res.max_ratio, np.inf)
         best = np.minimum.reduceat(ratio, start)
         hits = np.flatnonzero((ratio == best[owner]) & (res.kind == SMALL))
@@ -953,7 +942,6 @@ def _dyadic_eps(b: float) -> float:
 
 
 def run_l2_iteration(model: MarkovModel, a: float, b: float,
-                     u0: np.ndarray | None = None,
                      eps: float | None = None) -> IterationCertificate:
     """Burn in, then iterate the majorant recursion and certify decay.
 
@@ -963,9 +951,9 @@ def run_l2_iteration(model: MarkovModel, a: float, b: float,
     the domination, cone, and Cauchy-Schwarz checks; rows record the
     norms, the marked-atom fraction, and the measured contraction.
 
-    The paper's constants are fixed: burn-in floor(c8 ln|b|) with c8 = 4,
-    the majorant floor (n+1) eps^(eta1/2) with eta1 = 1/2, and C1 = 1;
-    eps defaults to the dyadic 1/|b|.
+    The paper's constants are fixed: the start u0 = 1, burn-in
+    floor(c8 ln|b|) with c8 = 4, the majorant floor (n+1) eps^(eta1/2)
+    with eta1 = 1/2, and C1 = 1; eps defaults to the dyadic 1/|b|.
     """
     rpf = build_rpf(model, a, b)
     if eps is None:
@@ -981,11 +969,9 @@ def run_l2_iteration(model: MarkovModel, a: float, b: float,
     def l2(vals):
         return float(np.sqrt((nu * np.abs(vals) ** 2).sum()))
 
-    if u0 is None:
-        u0 = np.ones((len(model.intervals), model.grid_size + 1), dtype=complex)
     tilde = rpf.tilde_op()
     burn = int(math.floor(4.0 * math.log(abs(b))))
-    u = np.asarray(u0, dtype=complex)
+    u = np.ones((len(model.intervals), model.grid_size + 1), dtype=complex)
     for _ in range(burn):
         u = tilde(u)
     h0 = norm_theta_b(model, np.abs(u), b)
@@ -1043,8 +1029,7 @@ def run_l2_iteration(model: MarkovModel, a: float, b: float,
         kappa_fit = float(-np.polyfit(xs, ys, 1)[0])
     visits = None
     if core_union.any():
-        rec = recurrence_rate(model, core_union, n1, max(2, len(rows) - 1),
-                              trials=1024, seed=0)
+        rec = recurrence_rate(model, core_union, n1, max(2, len(rows) - 1))
         visits = tuple(rec.rows)
     return IterationCertificate(
         a, b, eps, n1, burn, uni.kappa_hat, kappa6, kappa5_eff,

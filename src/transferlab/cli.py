@@ -133,7 +133,8 @@ def _env_overrides(environ) -> dict:
         name = key[len(ENV_PREFIX):]
         if name not in _INPUTS:
             raise UsageError(f"unknown environment override {key}")
-        found[name] = environ[key]
+        if environ[key] != "":          # an empty value is unset
+            found[name] = environ[key]
     return found
 
 
@@ -162,8 +163,7 @@ _DEFAULTS = {"out": "out", "seed": 0, "a": 0.0, "b_list": DEFAULT_B_LIST,
 
 def resolve(args, environ) -> ExperimentConfig:
     """Merge flags over environment overrides over defaults, and run every
-    check that needs no model, so that a bad input writes nothing.  An
-    extra left empty is unset."""
+    check that needs no model, so that a bad input writes nothing."""
     env = _env_overrides(environ)
     got = {}
     for name, kind in _INPUTS.items():
@@ -172,11 +172,12 @@ def resolve(args, environ) -> ExperimentConfig:
         raw = getattr(args, key, None)
         if raw is None:
             raw = env.get(name)
-        if raw is None or (extra and raw == ""):
+        if raw is None:
             got[key] = _DEFAULTS.get(key)
         else:
             got[key] = _coerce(name if extra else key, raw, kind)
 
+    thermo._check_tilt(got["a"])
     if not 0 <= got["seed"] < 2 ** 64:
         raise UsageError("seed must fit in an unsigned 64-bit integer")
     threads = got.pop("threads")

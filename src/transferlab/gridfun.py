@@ -40,20 +40,17 @@ def _halving_lags(m: int) -> list[int]:
     return [m >> j for j in range(m.bit_length())]
 
 
-def holder_seminorm(model: MarkovModel, values: np.ndarray,
-                    theta: float | None = None) -> float:
-    """sup |u(x)-u(y)| / |x-y|^theta over dyadic-separation pairs per interval."""
-    theta = model.theta if theta is None else theta
+def holder_seminorm(model: MarkovModel, values: np.ndarray) -> float:
+    """sup |u(x)-u(y)|/|x-y|^theta over dyadic pairs; theta = model.theta."""
     n = model.grid_size
-    return _lag_seminorm(values, _halving_lags(n), n, theta)
+    return _lag_seminorm(values, _halving_lags(n), n, model.theta)
 
 
-def norm_theta_b(model: MarkovModel, values: np.ndarray, b: float,
-                 theta: float | None = None) -> float:
+def norm_theta_b(model: MarkovModel, values: np.ndarray, b: float) -> float:
     """max(C0 norm, |b|^{-1} theta-seminorm); b-weighted Hoelder norm."""
     if b == 0:
         raise ModelError("norm_theta_b requires b != 0")
-    return max(c0_norm(values), holder_seminorm(model, values, theta) / abs(b))
+    return max(c0_norm(values), holder_seminorm(model, values) / abs(b))
 
 
 def oscillation(model: MarkovModel, values: np.ndarray, iid: str,

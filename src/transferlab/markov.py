@@ -23,7 +23,7 @@ Two families are built in:
 ``build_model`` lays the branch structure out once, as the read-only array
 fields ``lefts`` through ``transitions`` of ``MarkovModel``; these branch
 tables are the model's only branch structure, and every reader walks them.
-One inverse branch stays reachable as ``apply_word(sym, y, domain)``.
+One inverse branch stays reachable as ``apply_word(sym, y)``.
 """
 
 from __future__ import annotations
@@ -288,16 +288,16 @@ class MarkovModel:
             k = self.symbol_target[i]
             yield x
 
-    def apply_word(self, word: str, x, domain: str | None = None):
+    def apply_word(self, word: str, x):
         """v_word(x): compose branch instances right to left.
 
         Requires the word to be admissible and the final transition
-        word[-1] -> U_domain to be allowed; domain defaults to the
-        interval of x (of its first point, for an array).
+        word[-1] -> U_domain to be allowed, U_domain the interval of x (of
+        its first point, for an array).
         """
         scalar = np.isscalar(x)
         cur = np.atleast_1d(np.asarray(x, dtype=float))
-        for cur in self._word_walk(word, cur, domain):
+        for cur in self._word_walk(word, cur, None):
             pass
         return float(cur[0]) if scalar else cur
 

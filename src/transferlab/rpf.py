@@ -32,7 +32,7 @@ import numpy as np
 
 from .gridfun import _halving_lags, _lag_seminorm, holder_seminorm
 from .markov import MarkovModel, ModelError
-from .thermo import (A_MAX_DEFAULT, WeightRecipe, base_system, gibbs_measure,
+from .thermo import (WeightRecipe, _check_tilt, base_system, gibbs_measure,
                      leading_eigendata, make_operator, power_iteration,
                      transfer_complex)
 
@@ -189,8 +189,7 @@ class ComplexRPF:
 
 def build_rpf(model: MarkovModel, a: float, b: float,
               delta1: float = DELTA1_DEFAULT) -> ComplexRPF:
-    if abs(a) > A_MAX_DEFAULT:
-        raise ModelError(f"|a| = {abs(a)} exceeds a_max = {A_MAX_DEFAULT}")
+    _check_tilt(a)
     sm = smooth_coefficients(model, b, delta1)
     raw = WeightRecipe(grids=(sm.f_smooth + a * sm.tau_smooth,))
     op = make_operator(model, raw)
@@ -243,17 +242,16 @@ def smoothing_report(model: MarkovModel, b_list) -> SmoothingReport:
     return SmoothingReport(rows, c_diff, c_c1)
 
 
-def operator_gap(model: MarkovModel, a: float, b: float,
-                 trials: int = 8) -> float:
-    """Measured sup-norm gap between L_{a,b} and tilde L_{a,b} on random
-    unit-sup test functions (seed 0)."""
+def operator_gap(model: MarkovModel, a: float, b: float) -> float:
+    """Measured sup-norm gap between L_{a,b} and tilde L_{a,b} on eight
+    random unit-sup test functions (seed 0)."""
     rpf = build_rpf(model, a, b)
     exact = transfer_complex(model, a, b)
     tilde = rpf.tilde_op()
     rng = np.random.default_rng(0)
     shape = (len(model.intervals), model.grid_size + 1)
     worst = 0.0
-    for _ in range(trials):
+    for _ in range(8):
         u = rng.uniform(-1.0, 1.0, shape) + 1j * rng.uniform(-1.0, 1.0, shape)
         u /= np.max(np.abs(u))
         worst = max(worst, float(np.max(np.abs(exact(u) - tilde(u)))))
@@ -297,10 +295,10 @@ class DecayProfile:
     intercept: float | None
 
 
-def decay_profile(model: MarkovModel, a: float, b_list=(64.0, 128.0, 256.0, 512.0),
-                  n_rule=default_n_rule) -> DecayProfile:
-    """Iterate L_{a,b} n(b) times on the constant 1 and record norms; fit
-    the L2 norm against |b| by least squares on logs."""
+def decay_profile(model: MarkovModel, a: float,
+                  b_list=(64.0, 128.0, 256.0, 512.0)) -> DecayProfile:
+    """Iterate L_{a,b} default_n_rule(b) times on the constant 1 and record
+    norms; fit the L2 norm against |b| by least squares on logs."""
     if any(float(b) == 0.0 for b in b_list):
         raise ModelError("b must be nonzero")
     nu = gibbs_measure(model)
@@ -310,7 +308,7 @@ def decay_profile(model: MarkovModel, a: float, b_list=(64.0, 128.0, 256.0, 512.
     for b in b_list:
         op = transfer_complex(model, a, float(b))
         v = base.copy()
-        n = int(n_rule(float(b)))
+        n = default_n_rule(float(b))
         for _ in range(n):
             v = op(v)
         mod = np.abs(v)

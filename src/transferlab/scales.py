@@ -35,7 +35,10 @@ EPS_MAX = 0.5
 THETA_CAP = 4096          # stopping-index iterations before giving up
 HORIZON_CAP = 10000
 UNI_S_POINTS = 256        # profile samples per chart window in uni_scan
+UNI_PHASES = 64           # reference phases of the uni_scan margin
 TAME_KAPPA = 0.5          # pair-size exponent of the check_tame budget
+RECURRENCE_TRIALS = 1024  # Gibbs-drawn orbits of recurrence_rate
+RECURRENCE_KAPPAS = (0.05, 0.1, 0.2, 0.3, 0.5)   # visit rates it tests
 
 TWO_PI = 2.0 * math.pi
 
@@ -268,17 +271,15 @@ def extreme_word(model: MarkovModel, domain: str, k: int,
     return "".join(reversed(syms))
 
 
-def word_pairs(model: MarkovModel, domain: str, k: int,
-               pairs: int = 2) -> list[tuple[str, str]]:
-    """Distinct equal-length word pairs used as contrast probes."""
+def word_pairs(model: MarkovModel, domain: str,
+               k: int) -> list[tuple[str, str]]:
+    """Distinct equal-length word pairs used as contrast probes: the low
+    word against the high one, and against the alternating one when that
+    differs from both."""
     lo = extreme_word(model, domain, k, "low")
     hi = extreme_word(model, domain, k, "high")
-    out = [(lo, hi)]
-    if pairs >= 2:
-        alt = extreme_word(model, domain, k, "alt")
-        if alt not in (lo, hi):
-            out.append((lo, alt))
-    return out
+    alt = extreme_word(model, domain, k, "alt")
+    return [(lo, hi)] + ([(lo, alt)] if alt not in (lo, hi) else [])
 
 
 def pair_offset(model: MarkovModel, x: float, w1: str, w2: str) -> float:
@@ -305,7 +306,6 @@ def pair_offset(model: MarkovModel, x: float, w1: str, w2: str) -> float:
 @dataclass(frozen=True)
 class TameReport:
     c_measured: float
-    defect: float
     rows: tuple   # (x, prefix_len, offset, theta-norm, ratio)
 
     @property
@@ -324,8 +324,8 @@ def check_tame(model: MarkovModel, scale: ScaleFunction,
                samples: int = 6) -> TameReport:
     """Hoelder budget of normalized contrast profiles vs pair size.
 
-    The approximant is the profile itself, so the approximation defect is
-    exactly zero and the content of the report is the measured constant
+    The approximant is the profile itself, so there is no approximation
+    defect and the content of the report is the measured constant
     c = max ||psi||_theta / offset**TAME_KAPPA over sampled points and
     pair depths.  Locally constant roofs give c = 0.
     """
@@ -350,7 +350,7 @@ def check_tame(model: MarkovModel, scale: ScaleFunction,
             ratio = nrm / off ** TAME_KAPPA
             rows.append((x, j, off, nrm, ratio))
             worst = max(worst, ratio)
-    return TameReport(worst, 0.0, tuple(rows))
+    return TameReport(worst, tuple(rows))
 
 
 def _sample_points(model: MarkovModel, samples: int) -> list[tuple[float, str]]:
@@ -457,33 +457,24 @@ def _best_margin(dist: np.ndarray, n_windows: int) -> tuple[float, dict]:
         "hi": lo + int(w_size[i]), "dist": float(w_dist[i])}
 
 
-def uni_scan(model: MarkovModel, scale: ScaleFunction,
-             omega_mask: np.ndarray | None = None,
-             omega_points: int = 64, x_list=None) -> UniCertificate:
+def uni_scan(model: MarkovModel, scale: ScaleFunction) -> UniCertificate:
     """Measure the oscillation margin of normalized contrast profiles.
 
-    For each base point (x_list, or 12 sampled ones) the profile of each
-    word pair is read on a unit chart window on either admissible side,
-    and the margin against a reference phase grid is the largest kappa
+    For each of 12 sampled base points the profile of each word pair is
+    read on a unit chart window on either admissible side, and the margin
+    against a grid of UNI_PHASES reference phases is the largest kappa
     such that every phase admits a subwindow of length >= kappa staying
     >= kappa away from it.  The certificate takes the best pair and side
     per point and the worst point overall.  kappa_hat == 0 is a failure
     report, not an exception.
     """
-    if x_list is not None:
-        pts = [(float(x), model.interval_of(float(x))) for x in x_list]
-    else:
-        pts = _sample_points(model, 12)
-    omegas = TWO_PI * np.arange(omega_points) / omega_points
+    pts = _sample_points(model, 12)
+    omegas = TWO_PI * np.arange(UNI_PHASES) / UNI_PHASES
     s = np.arange(UNI_S_POINTS) / UNI_S_POINTS
     thetas, values = _stopping_cocycle(model, [x for x, _ in pts], scale.eps)
     wits = []
     skipped = 0
     for (x, iid), k, lam in zip(pts, thetas.tolist(), values.tolist()):
-        if omega_mask is not None and not _near_marked(
-                model, x, iid, lam, 2.0, omega_mask):
-            skipped += 1
-            continue
         iv = model.interval(iid)
         sides = []
         if x + 1.0 / lam <= iv.right + 1e-12:
@@ -513,17 +504,6 @@ def uni_scan(model: MarkovModel, scale: ScaleFunction,
         raise ScaleError("no sample point met the window condition")
     kappa_hat = min(w.kappa_x for w in wits)
     return UniCertificate(scale.eps, float(kappa_hat), tuple(wits), skipped)
-
-
-def _near_marked(model, x, iid, lam, c1, mask) -> bool:
-    """Is any marked grid node within c1 / lam of x (same interval)?  lam
-    is the scale value at x."""
-    n = model.grid_size
-    iv = model.interval(iid)
-    j = int(round((x - iv.left) * n))
-    r = int(math.ceil(c1 / lam * n))
-    lo, hi = max(0, j - r), min(n, j + r)
-    return bool(mask[iv.index, lo:hi + 1].any())
 
 
 # ---------------------------------------------------------------------------
@@ -579,13 +559,13 @@ class RecurrenceReport:
 
 
 def recurrence_rate(model: MarkovModel, omega_mask: np.ndarray,
-                    n1: int, m: int, trials: int = 2048, seed: int = 0,
-                    kappas=(0.05, 0.1, 0.2, 0.3, 0.5)) -> RecurrenceReport:
+                    n1: int, m: int) -> RecurrenceReport:
     """Empirical visit statistics of the marked set along n1-step hops.
 
-    Start points are drawn from the Gibbs weights; a trial is bad for a
-    given kappa when fewer than kappa * m of its m hops land in the marked
-    set.  Bad fractions are compared with exp(-m * kappa).
+    RECURRENCE_TRIALS start points are drawn from the Gibbs weights (seed
+    0); a trial is bad for a kappa of RECURRENCE_KAPPAS when fewer than
+    kappa * m of its m hops land in the marked set.  Bad fractions are
+    compared with exp(-m * kappa).
     """
     if n1 < 1 or m < 1:
         raise ScaleError("need n1 >= 1 and m >= 1")
@@ -593,17 +573,17 @@ def recurrence_rate(model: MarkovModel, omega_mask: np.ndarray,
         raise ScaleError(f"orbit length capped at {HORIZON_CAP}")
     nu = base_system(model).nu
     p = nu.ravel() / nu.sum()
-    rng = np.random.default_rng(seed)
-    flat = rng.choice(p.size, size=trials, p=p)
+    rng = np.random.default_rng(0)
+    flat = rng.choice(p.size, size=RECURRENCE_TRIALS, p=p)
     npts = model.grid_size + 1
-    counts = np.zeros(trials, dtype=int)
+    counts = np.zeros(RECURRENCE_TRIALS, dtype=int)
     start = (flat // npts, flat % npts)
     for i, (r, c) in enumerate(grid_orbit(model, n1 * m + 1, start)):
         if i and i % n1 == 0:
             counts += omega_mask[r, c]
     rows = []
-    for kap in kappas:
+    for kap in RECURRENCE_KAPPAS:
         bad = float((counts < kap * m).mean())
         bound = math.exp(-m * kap)
         rows.append((float(kap), bad, bound, bad < bound))
-    return RecurrenceReport(n1, trials, tuple(rows))
+    return RecurrenceReport(n1, RECURRENCE_TRIALS, tuple(rows))

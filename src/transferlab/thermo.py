@@ -408,11 +408,15 @@ def gibbs_measure(model: MarkovModel) -> np.ndarray:
     return base_system(model).nu
 
 
-def leading_eigendata(model: MarkovModel, a: float,
-                      a_max: float = A_MAX_DEFAULT) -> EigenData:
+def _check_tilt(a: float) -> None:
+    """Reject a tilt |a| above A_MAX_DEFAULT."""
+    if abs(a) > A_MAX_DEFAULT:
+        raise ModelError(f"|a| = {abs(a)} exceeds a_max = {A_MAX_DEFAULT}")
+
+
+def leading_eigendata(model: MarkovModel, a: float) -> EigenData:
     """Eigendata of the operator weighted by f-hat + a tau."""
-    if abs(a) > a_max:
-        raise ModelError(f"|a| = {abs(a)} exceeds a_max = {a_max}")
+    _check_tilt(a)
     sys = base_system(model)
     op = make_operator(model, sys.fhat.plus(tilt=a))
     value, rho, its = power_iteration(op)

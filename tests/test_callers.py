@@ -13,10 +13,13 @@ paper-lemma checks, which the tests exercise as statements of the
 paper, and the minimax tools of ``gridfun``.
 
 Each defaulted parameter of those functions must also be passed, by
-keyword or by position, by some call under ``src/``, ``scripts/``,
-``perfbench/`` or ``tests/``, matched by function name; a value nothing
-sets is a constant.  A second ledger names the parameters kept without
-such a call, each with its reason.
+keyword or by position, by some call under ``src/``, ``scripts/`` or
+``perfbench/``, matched by function name, and those calls must not all
+pass one and the same literal or UPPER_CASE constant: a value that
+nothing sets, or that production always sets alike, is a constant.
+Calls from ``tests/`` count only for the ledger's paper-lemma checks,
+whose callers the tests are by design.  A second ledger names the
+parameters kept without such calls, each with its reason.
 
 Each field of a package dataclass must be read as an attribute by some
 file under those four directories, again matched by name; a third ledger
@@ -111,10 +114,18 @@ def test_ledger_names_exist():
 
 
 DEFAULT_LEDGER = {
+    "cancellation.build_cancellation.kappa5":
+        "tests reach the SHRINK_RETRIES loop only through it",
+    "cancellation.cone_image_trials.seed": "criterion 06 states its seed",
+    "markov.doubling_model.potential": "mirrors the ModelConfig field",
+    "markov.doubling_model.mu": "mirrors the ModelConfig field",
     "markov.doubling_model.theta": "mirrors the ModelConfig field",
+    "markov.markov3_model.roof": "mirrors the ModelConfig field",
     "markov.markov3_model.potential": "mirrors the ModelConfig field",
     "markov.markov3_model.mu": "mirrors the ModelConfig field",
+    "markov.markov3_model.grid_size": "mirrors the ModelConfig field",
     "markov.markov3_model.theta": "mirrors the ModelConfig field",
+    "markov.markov3_model.forbidden": "mirrors the ModelConfig field",
     "orbits.entropy.tol": "the benchmark's cache probe keys on (config, tol)",
 }
 BENCH_DIR = "perfbench"
@@ -153,11 +164,28 @@ def _call_name(node):
     return None
 
 
+def _value(node):
+    """A literal or an UPPER_CASE constant as a hashable key; None for
+    any other expression."""
+    if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
+        inner = _value(node.operand)
+        return None if inner is None else ("-", inner)
+    if isinstance(node, (ast.Tuple, ast.List)):
+        items = tuple(_value(e) for e in node.elts)
+        return None if None in items else items
+    if isinstance(node, ast.Constant):
+        return repr(node.value)
+    name = (node.id if isinstance(node, ast.Name)
+            else node.attr if isinstance(node, ast.Attribute) else "")
+    return name if name.isupper() else None
+
+
 def _passes(tree, bench):
-    """(function name, keyword or position, line) of every argument that
-    a call passes; positions from a starred argument on and ``**`` keywords
-    count as none.  In the benchmark, the keys of a query's ``kwargs`` dict
-    are keywords of the function its ``call`` names."""
+    """(function name, keyword or position, value, line) of every argument
+    that a call passes, the value as _value gives it; positions from a
+    starred argument on and ``**`` keywords count as none.  In the
+    benchmark, the keys of a query's ``kwargs`` dict are keywords of the
+    function its ``call`` names."""
     for node in ast.walk(tree):
         if not isinstance(node, ast.Call):
             continue
@@ -167,38 +195,60 @@ def _passes(tree, bench):
         for pos, arg in enumerate(node.args):
             if isinstance(arg, ast.Starred):
                 break
-            yield name, pos, node.lineno
+            yield name, pos, _value(arg), node.lineno
         kws = {kw.arg: kw.value for kw in node.keywords if kw.arg}
-        for kw in kws:
-            yield name, kw, node.lineno
+        for kw, value in kws.items():
+            yield name, kw, _value(value), node.lineno
         target = kws.get("call")
         if (bench and isinstance(target, ast.Constant)
                 and isinstance(kws.get("kwargs"), ast.Dict)):
-            for key in kws["kwargs"].keys:
+            for key, value in zip(kws["kwargs"].keys, kws["kwargs"].values):
                 if isinstance(key, ast.Constant):
-                    yield target.value, key.value, node.lineno
+                    yield target.value, key.value, _value(value), node.lineno
+
+
+def _call_sites(dirs):
+    """(function name, keyword or position) -> [(file, line, value)]."""
+    sites = {}
+    for top in dirs:
+        for path in _python_files(os.path.join(ROOT, top)):
+            real = os.path.realpath(path)
+            for name, what, value, line in _passes(_parse(path),
+                                                   top == BENCH_DIR):
+                sites.setdefault((name, what), []).append((real, line, value))
+    return sites
 
 
 def test_every_defaulted_parameter_is_passed():
-    passed = {}
-    for top in CALLER_DIRS + ("tests",):
-        for path in _python_files(os.path.join(ROOT, top)):
-            real = os.path.realpath(path)
-            for name, what, line in _passes(_parse(path), top == BENCH_DIR):
-                passed.setdefault((name, what), []).append((real, line))
-    unset = []
+    # an option that only tests set, or that production always sets to
+    # one constant, is itself a constant; tests call the paper-lemma
+    # checks by design, so their calls count for those functions alone
+    production = _call_sites(CALLER_DIRS)
+    from_tests = _call_sites(("tests",))
+    unset, fixed = [], []
     for path in _python_files(PACKAGE):
         layer = os.path.splitext(os.path.basename(path))[0]
         real = os.path.realpath(path)
         for name, param, pos, first, last in _defaulted(_parse(path)):
-            sites = passed.get((name, param), []) + (
-                passed.get((name, pos), []) if pos is not None else [])
-            outside = [s for s in sites
-                       if not (s[0] == real and first <= s[1] <= last)]
             key = f"{layer}.{name}.{param}"
-            if not outside and key not in DEFAULT_LEDGER:
+            if key in DEFAULT_LEDGER:
+                continue
+
+            def sites(table):
+                whats = (param,) if pos is None else (param, pos)
+                return [s for what in whats
+                        for s in table.get((name, what), ())
+                        if not (s[0] == real and first <= s[1] <= last)]
+
+            values = {s[2] for s in sites(production)}
+            if f"{layer}.{name}" in LEDGER and sites(from_tests):
+                continue
+            if not values:
                 unset.append(key)
+            elif len(values) == 1 and None not in values:
+                fixed.append(key)
     assert not unset, f"defaulted parameters that no call passes: {unset}"
+    assert not fixed, f"defaulted parameters always passed one value: {fixed}"
 
 
 def test_default_ledger_names_exist():

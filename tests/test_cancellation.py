@@ -75,7 +75,7 @@ def scale32(plain):
 
 @pytest.fixture(scope="session")
 def part32(plain, scale32):
-    return build_partition(plain, scale32, 1.0)
+    return build_partition(plain, scale32)
 
 
 @pytest.fixture(scope="session")
@@ -124,28 +124,19 @@ def test_partition_coarsest():
     m = doubling_model(mu=(1 / 3, 0, 0, 0), grid_size=256)
     sc = matching_scale(m, 0.4)
     assert sc.min_value == sc.values.max() == 2.0
-    part = build_partition(m, sc, 1.0)
+    part = build_partition(m, sc)
     assert len(part.atoms) == 2
     assert (part.atoms.right - part.atoms.left).tolist() == [0.5, 0.5]
     assert part.atoms.word.tolist() == ["0", "1"]
 
 
 def test_partition_nesting(plain, part32, scale32):
-    finer = build_partition(plain, matching_scale(plain, 0.02), 1.0)
+    finer = build_partition(plain, matching_scale(plain, 0.02))
     assert len(finer.atoms) == 64
     for a in finer.atoms:
         holder = part32.atoms[part32.locate(a.left + 1e-12)]
         assert holder.left <= a.left + 1e-12
         assert a.right <= holder.right + 1e-12
-
-
-def test_partition_rejects_whole_interval():
-    m = doubling_model(mu=(1 / 3, 0, 0, 0), grid_size=256)
-    sc = matching_scale(m, 0.4)          # scale 2; a whole interval passes
-    with pytest.raises(EngineError):
-        build_partition(m, sc, 2.0)
-    with pytest.raises(EngineError):
-        build_partition(m, sc, -1.0)
 
 
 def test_partition_locate(plain, part32):
@@ -156,7 +147,7 @@ def test_partition_locate(plain, part32):
 
 def test_partition_markov3_margins():
     m = markov3_model(grid_size=1024)
-    part = build_partition(m, matching_scale(m, 2.0 ** -4), 1.0)
+    part = build_partition(m, matching_scale(m, 2.0 ** -4))
     assert part.condition_margin <= 1.0 + 1e-12
     # the stop rule plus inf-monotonicity bounds the shortfall by the slope
     assert part.half_scale >= 1.0 / 3.0 - 1e-9
@@ -249,7 +240,7 @@ def test_cone_rejects_steep(plain, scale32):
 def test_cone_random_elements(plain, scale32):
     rng = np.random.default_rng(5)
     for _ in range(5):
-        h = random_cone_element(plain, scale32, rng, fill=0.9)
+        h = random_cone_element(plain, scale32, rng)
         member, margin = cone_membership(plain, scale32, h)
         assert member and margin > 0.0
 
@@ -270,8 +261,9 @@ def _dichotomy(model, rpf, u, big_h, span, w, kappa6):
     """The table row of one (span, branch) pair, w a row of the one-step
     all_words table."""
     _, contr, off, tgt, _ = all_words(model, 1)
+    tables = cancellation._dichotomy_tables(model, rpf.f_ab_grid, 1)
     res = dichotomy_test(model, rpf, u, big_h, *span, contr[w], off[w],
-                         tgt[w], 1, kappa6)
+                         tgt[w], kappa6, tables)
     assert res.dtype == cancellation.DICHOTOMY_DTYPE and len(res) == 1
     return res[0]
 
@@ -305,7 +297,7 @@ def test_dichotomy_indeterminate_sin(sin_model, part32):
     m = sin_model
     rpf = build_rpf(m, 0.0, 6.0)
     sc = matching_scale(m, 0.04)
-    part = build_partition(m, sc, 1.0)
+    part = build_partition(m, sc)
     t = _dichotomy(m, rpf, _ones(m, complex), _ones(m), _span(part, 5), 0,
                    0.05)
     assert t.kind == cancellation.INDETERMINATE
@@ -390,7 +382,7 @@ def test_paired_case(sin_model):
     # craft u so both branches align at distinct phases: gap 0.8 > kappa6/2
     m = sin_model
     rpf = build_rpf(m, 0.0, 6.0)
-    part = build_partition(m, matching_scale(m, 0.04), 1.0)
+    part = build_partition(m, matching_scale(m, 0.04))
     xs = np.arange(GRID + 1) / GRID
     tau1 = np.asarray(m.roof(xs))[None, :]
     u = np.exp(-1j * rpf.b * tau1).astype(complex)
@@ -543,13 +535,6 @@ def test_run_resonance_refusal():
     for r in cert.rows:
         assert r.l2_u == pytest.approx(1.0, abs=1e-10)
         assert r.bumps == 0
-
-
-def test_run_zero_input(sin_model):
-    u0 = np.zeros((1, GRID + 1), dtype=complex)
-    cert = run_l2_iteration(sin_model, 0.0, 64.0, u0=u0)
-    assert all(r.l2_u == 0.0 and r.c0_u == 0.0 for r in cert.rows)
-    assert cert.kappa_fit is None
 
 
 def test_run_markov3():

@@ -363,9 +363,13 @@ _extra_text = st.one_of(
 @settings(max_examples=150, deadline=None)
 @given(env=st.dictionaries(
     st.sampled_from(("B_LIST", "EPS_LIST", "N_MAX", "T_GRID", "SAMPLES",
-                     "BLOCKS")), _extra_text, max_size=3))
-def test_extras_are_checked_before_anything_is_written(env):
-    environ = {f"TRANSFERLAB_{k}": v for k, v in env.items()}
+                     "BLOCKS")), _extra_text, max_size=3),
+       mirrors=st.dictionaries(
+    st.sampled_from(("MODEL", "OUT", "SEED", "THREADS", "A", "B", "EPS",
+                     "THETA", "GRID")), st.just(""), max_size=3))
+def test_extras_are_checked_before_anything_is_written(env, mirrors):
+    # an empty flag mirror is unset, as an empty extra is
+    environ = {f"TRANSFERLAB_{k}": v for k, v in {**env, **mirrors}.items()}
     err = io.StringIO()
     with tempfile.TemporaryDirectory() as tmp, \
             mock.patch.dict(os.environ, environ), \
@@ -381,38 +385,46 @@ def test_extras_are_checked_before_anything_is_written(env):
 
 
 # edge inputs at a small grid: each ends with an exit code, not a traceback;
-# the error line, where one is given, is the whole of stderr
+# the error line, where one is given, is the whole of stderr, and a row
+# marked False leaves no output directory
 NONZERO_B = "transferlab: error: b must be nonzero\n"
+
+
+def _tilt_error(a):
+    return f"transferlab: error: |a| = {a} exceeds a_max = 0.05\n"
+
+
 EDGE_INPUTS = (
-    (["decay", "--b", "0"], {}, NONZERO_B),
-    (["decay"], {"B_LIST": "64,0"}, NONZERO_B),
-    (["decay", "--b", "1e300"], {}, None),
-    (["decay", "--a", "0.2"], {}, None),
-    (["dolgopyat", "--b", "1"], {}, None),
-    (["dolgopyat", "--b", "2.5"], {}, None),
-    (["dolgopyat", "--b", "-256"], {}, None),
-    (["dolgopyat", "--a", "50"], {},
-     "transferlab: error: |a| = 50.0 exceeds a_max = 0.05\n"),
-    (["dolgopyat", "--a", "400"], {},
-     "transferlab: error: |a| = 400.0 exceeds a_max = 0.05\n"),
-    (["dolgopyat", "--eps", "0.5", "--b", "8"], {}, None),
-    (["uni-scan", "--eps", "1e-300"], {}, None),
+    (["decay", "--b", "0"], {}, NONZERO_B, None),
+    (["decay"], {"B_LIST": "64,0"}, NONZERO_B, None),
+    (["decay", "--b", "1e300"], {}, None, None),
+    (["decay", "--a", "0.2"], {}, _tilt_error(0.2), False),
+    (["dolgopyat", "--b", "1"], {}, None, None),
+    (["dolgopyat", "--b", "2.5"], {}, None, None),
+    (["dolgopyat", "--b", "-256"], {}, None, None),
+    (["dolgopyat", "--a", "50"], {}, _tilt_error(50.0), False),
+    (["dolgopyat", "--a", "400"], {}, _tilt_error(400.0), False),
+    (["dolgopyat", "--eps", "0.5", "--b", "8"], {}, None, None),
+    (["uni-scan", "--eps", "1e-300"], {}, None, None),
 )
 
 
 @pytest.mark.parametrize(
-    "argv, env, error", EDGE_INPUTS,
+    "argv, env, error, wrote", EDGE_INPUTS,
     ids=[" ".join(argv + [f"{k}={v}" for k, v in env.items()])
-         for argv, env, _ in EDGE_INPUTS])
+         for argv, env, *_ in EDGE_INPUTS])
 def test_edge_inputs_end_with_an_exit_code(tmp_path, monkeypatch, capsys,
-                                           argv, env, error):
+                                           argv, env, error, wrote):
     for name, val in env.items():
         monkeypatch.setenv(f"TRANSFERLAB_{name}", val)
-    code = cli.main(argv + ["--grid", "64", "--out", str(tmp_path / "o")])
+    out = tmp_path / "o"
+    code = cli.main(argv + ["--grid", "64", "--out", str(out)])
     err = capsys.readouterr().err
     assert code in (0, 1, 2) and "Traceback" not in err
     if error is not None:
         assert (code, err) == (1, error)
+    if wrote is not None:
+        assert out.exists() == wrote
 
 
 def test_bad_seed_and_threads(tmp_path):

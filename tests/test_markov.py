@@ -144,8 +144,9 @@ class TestBranches:
     def test_branch_images_nest_in_targets(self):
         m = markov3_model(forbidden=("2>2",))
         for sym, dom in branch_instances(m):
-            lo = m.apply_word(sym, m.interval(dom).left, dom)
-            hi = m.apply_word(sym, m.interval(dom).right, dom)
+            # an array is walked from the interval of its first point
+            lo, hi = m.apply_word(sym, np.array([m.interval(dom).left,
+                                                 m.interval(dom).right]))
             tgt = m.intervals[m.symbol_target[m.alphabet.index(sym)]]
             assert tgt.left - 1e-12 <= lo < hi <= tgt.right + 1e-12
 
@@ -153,7 +154,7 @@ class TestBranches:
         m = markov3_model(forbidden=("2>2",))
         for sym, dom in branch_instances(m):
             xs = m.grid(dom)[:-1]
-            back = m.forward(m.apply_word(sym, xs, dom))
+            back = m.forward(m.apply_word(sym, xs))
             assert np.max(np.abs(back - xs)) < 1e-10
 
     def test_word_counts(self):

@@ -167,11 +167,9 @@ def test_temporal_distance_antisymmetry(sin_roof):
 def test_temporal_distance_scalar_recomputation(sin_roof):
     # independent route: walk the branches one symbol at a time
     def roof_sum(word, y):
-        total, dom, cur = 0.0, sin_roof.interval_of(y), y
+        total, cur = 0.0, y
         for sym in reversed(word):
-            cur = sin_roof.apply_word(sym, cur, dom)
-            dom = sin_roof.intervals[
-                sin_roof.symbol_target[sin_roof.alphabet.index(sym)]].id
+            cur = sin_roof.apply_word(sym, cur)
             total += float(sin_roof.roof(cur))
         return total
 
@@ -214,13 +212,13 @@ def test_extreme_words_respect_adjacency():
         for w in (lo, hi, alt):
             assert len(w) == 6
             # apply_word raises on a word not applicable at dom
-            mm.apply_word(w, mm.interval(dom).left, dom)
+            mm.apply_word(w, mm.interval(dom).left)
         assert "22" not in hi and "22" not in alt
         assert lo != hi
 
 
 def test_word_pairs_distinct(plain):
-    pairs = S.word_pairs(plain, "u", 5, pairs=2)
+    pairs = S.word_pairs(plain, "u", 5)
     assert len(pairs) == 2
     for w1, w2 in pairs:
         assert w1 != w2 and len(w1) == len(w2) == 5
@@ -238,7 +236,6 @@ def test_pair_offset_prefix_scaling(plain):
 
 def test_tame_report_sin_roof(sin_roof, sin_scale):
     rep = S.check_tame(sin_roof, sin_scale, samples=4)
-    assert rep.defect == 0.0
     assert 0.0 < rep.c_measured < 500.0
     for x, j, off, nrm, ratio in rep.rows:
         assert 0.0 < off <= 1.0
@@ -285,25 +282,6 @@ def test_uni_scan_roof_shift_invariance(sin_roof, sin_scale):
     c1 = S.uni_scan(sin_roof, sin_scale)
     c2 = S.uni_scan(shifted, S.matching_scale(shifted, 2.0 ** -8))
     assert c2.kappa_hat == pytest.approx(c1.kappa_hat, abs=1e-9)
-
-
-def test_uni_scan_phase_refinement_monotone(sin_roof, sin_scale):
-    c64 = S.uni_scan(sin_roof, sin_scale, omega_points=64)
-    c128 = S.uni_scan(sin_roof, sin_scale, omega_points=128)
-    assert c128.kappa_hat <= c64.kappa_hat + 1e-12
-    assert c128.kappa_hat >= 0.5 * c64.kappa_hat
-
-
-def test_uni_scan_mask_and_explicit_points(sin_roof, sin_scale):
-    full = np.ones_like(sin_scale.steps, dtype=bool)
-    assert (S.uni_scan(sin_roof, sin_scale, omega_mask=full).kappa_hat
-            == S.uni_scan(sin_roof, sin_scale).kappa_hat)
-    far = np.zeros_like(full)
-    far[0, 0] = True
-    with pytest.raises(ModelError):
-        S.uni_scan(sin_roof, sin_scale, omega_mask=far)
-    cx = S.uni_scan(sin_roof, sin_scale, x_list=[0.3, 0.55])
-    assert len(cx.witnesses) == 2 and cx.ok
 
 
 def test_uni_scan_markov3():
@@ -370,7 +348,7 @@ def _best_kappa(rep):
 
 def test_recurrence_full_mask_never_bad(third):
     full = np.ones((1, third.grid_size + 1), dtype=bool)
-    rep = S.recurrence_rate(third, full, n1=2, m=16, trials=256)
+    rep = S.recurrence_rate(third, full, n1=2, m=16)
     for kappa, bad, bound, ok in rep.rows:
         assert bad == 0.0 and ok
         assert bound == pytest.approx(math.exp(-16 * kappa), abs=1e-15)
@@ -380,9 +358,9 @@ def test_recurrence_full_mask_never_bad(third):
 def test_recurrence_half_mask_statistics(sin_roof):
     mask = np.zeros((1, sin_roof.grid_size + 1), dtype=bool)
     mask[0, : sin_roof.grid_size // 2 + 1] = True
-    rep = S.recurrence_rate(sin_roof, mask, n1=3, m=24, trials=1024, seed=7)
-    again = S.recurrence_rate(sin_roof, mask, n1=3, m=24, trials=1024, seed=7)
-    assert rep.rows == again.rows          # deterministic by seed
+    rep = S.recurrence_rate(sin_roof, mask, n1=3, m=24)
+    again = S.recurrence_rate(sin_roof, mask, n1=3, m=24)
+    assert rep.rows == again.rows          # deterministic
     by_kappa = {k: bad for k, bad, _, _ in rep.rows}
     assert by_kappa[0.05] <= 0.01          # half-space is visited constantly
     assert all(0.0 <= bad <= 1.0 for _, bad, _, _ in rep.rows)

@@ -100,7 +100,6 @@ def test_constant_roof_tilt_is_exponential(plain):
 def test_tilt_range_guard(plain):
     with pytest.raises(ModelError):
         T.leading_eigendata(plain, 0.2)
-    T.leading_eigendata(plain, 0.2, a_max=0.25)  # explicit widening allowed
 
 
 def test_markov3_forbidden_eigenvalue_closed_form():
