@@ -34,7 +34,7 @@ def main() -> None:
         scale = scales.matching_scale(model, 2.0 ** -q)
         cert = scales.uni_scan(model, scale)
         print(f"  eps=2^-{q:<2d} kappa_hat={cert.kappa_hat:.6f} "
-              f"witnesses={len(cert.witnesses)} skipped={cert.skipped}")
+              f"witnesses={len(cert.witnesses)}")
 
     run = cancellation.run_l2_iteration(model, 0.0, args.b)
     print(f"majorant iteration at b={args.b}: n1={run.n1} "

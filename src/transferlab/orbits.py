@@ -28,8 +28,6 @@ import sys
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.optimize import bisect, brentq
 
 from .markov import MarkovModel, ModelError
 from .thermo import RATIO_TOL, ConvergenceError, gibbs_measure, pressure
@@ -386,6 +384,9 @@ def _bisect_root(f, hi: float, xtol: float, margin: float) -> float:
     MARGIN = 1e-9 = 1000 * RATIO_TOL meets that for every tau_min >= 2e-3,
     and entropy() widens it to 4 * RATIO_TOL / tau_0 when tau_0 < 4e-3.
     """
+    # imported here so that commands with no entropy never load it
+    from scipy.optimize import bisect, brentq
+
     r = _solved(*brentq(f, 0.0, hi, xtol=margin, full_output=True,
                         disp=False))
     w = margin + 4 * np.finfo(float).eps * abs(r)
@@ -413,6 +414,8 @@ def li(y: float) -> float:
     """Offset logarithmic integral int_2^y du/log u; zero at or below 2."""
     if y <= 2.0:
         return 0.0
+    from scipy.integrate import quad    # here: only orbit counting needs it
+
     val, _ = quad(lambda t: math.exp(t) / t, math.log(2.0), math.log(y),
                   limit=200)
     return float(val)

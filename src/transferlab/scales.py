@@ -387,7 +387,6 @@ class UniCertificate:
     eps: float
     kappa_hat: float
     witnesses: tuple[UniWitness, ...]
-    skipped: int
 
     @property
     def ok(self) -> bool:
@@ -457,6 +456,18 @@ def _best_margin(dist: np.ndarray, n_windows: int) -> tuple[float, dict]:
         "hi": lo + int(w_size[i]), "dist": float(w_dist[i])}
 
 
+def _chart_sides(iv, x: float, lam: float) -> list[int]:
+    """Sides (+1 right, -1 left) on which the chart window of length 1/lam
+    at x stays in iv.  Never empty: iv has unit length and lam, a product
+    of slopes >= 2, is at least 2."""
+    sides = []
+    if x + 1.0 / lam <= iv.right + 1e-12:
+        sides.append(1)
+    if x - 1.0 / lam >= iv.left - 1e-12:
+        sides.append(-1)
+    return sides
+
+
 def uni_scan(model: MarkovModel, scale: ScaleFunction) -> UniCertificate:
     """Measure the oscillation margin of normalized contrast profiles.
 
@@ -473,17 +484,8 @@ def uni_scan(model: MarkovModel, scale: ScaleFunction) -> UniCertificate:
     s = np.arange(UNI_S_POINTS) / UNI_S_POINTS
     thetas, values = _stopping_cocycle(model, [x for x, _ in pts], scale.eps)
     wits = []
-    skipped = 0
     for (x, iid), k, lam in zip(pts, thetas.tolist(), values.tolist()):
-        iv = model.interval(iid)
-        sides = []
-        if x + 1.0 / lam <= iv.right + 1e-12:
-            sides.append(1)
-        if x - 1.0 / lam >= iv.left - 1e-12:
-            sides.append(-1)
-        if not sides:
-            skipped += 1
-            continue
+        sides = _chart_sides(model.interval(iid), x, lam)
         best_x = -1.0
         wit = None
         for w1, w2 in word_pairs(model, iid, k):
@@ -500,10 +502,8 @@ def uni_scan(model: MarkovModel, scale: ScaleFunction) -> UniCertificate:
                         (d["lo"] / UNI_S_POINTS, d["hi"] / UNI_S_POINTS),
                         d["dist"])
         wits.append(wit)
-    if not wits:
-        raise ScaleError("no sample point met the window condition")
     kappa_hat = min(w.kappa_x for w in wits)
-    return UniCertificate(scale.eps, float(kappa_hat), tuple(wits), skipped)
+    return UniCertificate(scale.eps, float(kappa_hat), tuple(wits))
 
 
 # ---------------------------------------------------------------------------

@@ -624,16 +624,61 @@ def test_correlation_determinism(tmp_path, sin_path, monkeypatch):
     assert b1 != b3
 
 
-def test_module_entry_subprocess(tmp_path):
-    out = str(tmp_path / "run")
-    # the child imports the package this process imported, however pytest
-    # put it on sys.path
+def _child_env():
+    """Environment in which a child imports the package this process
+    imported, however pytest put it on sys.path."""
     src = os.path.dirname(os.path.dirname(transferlab.__file__))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return dict(os.environ, PYTHONPATH=path)
+
+
+def test_module_entry_subprocess(tmp_path):
+    out = str(tmp_path / "run")
     proc = subprocess.run(
         [sys.executable, "-m", "transferlab.cli", "model-info",
          "--out", out],
-        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path))
+        capture_output=True, text=True, env=_child_env())
     assert proc.returncode == 0
     assert proc.stdout.startswith("model-info:")
     assert os.path.exists(os.path.join(out, "model.csv"))
+
+
+# Run in a fresh interpreter: prints, after the imports and after each
+# command, its exit code and which of scipy's solver modules are loaded.
+_STARTUP_CHILD = """
+import sys
+from transferlab import (cancellation, cli, gridfun, markov, orbits, rpf,
+                         scales, thermo)
+
+def solvers():
+    return ",".join(m for m in ("scipy.integrate", "scipy.optimize")
+                    if m in sys.modules)
+
+print("import", 0, solvers(), sep="|")
+for i, argv in enumerate(sys.argv[2:]):
+    code = cli.main(argv.split() + ["--grid", "64",
+                                    "--out", f"{sys.argv[1]}/{i}"])
+    print(argv, code, solvers(), sep="|")
+"""
+
+
+def test_startup_loads_scipy_solvers_only_for_entropy_and_li(tmp_path):
+    """scipy.optimize (the entropy root) and scipy.integrate (li) load on
+    first use, not at import, so commands that never reach them skip
+    their start-up cost."""
+    commands = ["model-info", "decay --b 64", "uni-scan --eps 0.25",
+                "pressure", "orbits"]
+    proc = subprocess.run(
+        [sys.executable, "-c", _STARTUP_CHILD, str(tmp_path)] + commands,
+        capture_output=True, text=True, env=_child_env())
+    assert proc.returncode == 0, proc.stderr
+    report = [line.split("|") for line in proc.stdout.splitlines()
+              if line.count("|") == 2]
+    assert report == [
+        ["import", "0", ""],
+        ["model-info", "0", ""],
+        ["decay --b 64", "0", ""],
+        ["uni-scan --eps 0.25", "0", ""],
+        ["pressure", "0", "scipy.optimize"],
+        ["orbits", "0", "scipy.integrate,scipy.optimize"],
+    ]

@@ -117,6 +117,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
+import scipy.optimize
 from hypothesis import assume, example, given, settings, strategies as st
 from scipy.ndimage import minimum_filter1d
 from scipy.optimize import bisect
@@ -1124,7 +1125,8 @@ def _assert_scipys_midpoints(f, hi, xtol):
 
     oracle, plain = [], []
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(O, "bisect", recorded(oracle))
+        # _bisect_root imports bisect from scipy.optimize at each call
+        mp.setattr(scipy.optimize, "bisect", recorded(oracle))
         root = _replay(f, hi, O.MARGIN, xtol)
     assert _bits(root) == _bits(recorded(plain)(f, 0.0, hi, xtol=xtol))
     assert [_bits(s) for s in oracle] == [_bits(s) for s in plain]

@@ -294,6 +294,34 @@ def test_uni_scan_markov3():
         assert "22" not in w.pair[0] and "22" not in w.pair[1]
 
 
+# every markov3 transition structure the model accepts: the full shift and
+# each single forbidden transition
+_FORBIDDEN = ((),) + tuple((f"{a}>{b}",) for a in "012" for b in "012")
+
+
+@settings(max_examples=40, deadline=None)
+@given(family=st.sampled_from(("doubling", "markov3")),
+       forbidden=st.sampled_from(_FORBIDDEN),
+       mu=st.floats(0.2, 0.8), wave=st.floats(-0.1, 0.1),
+       grid=st.sampled_from((64, 256, 1024)),
+       eps=st.floats(1e-300, S.EPS_MAX))
+def test_uni_scan_every_sample_point_has_a_side(family, forbidden, mu, wave,
+                                                grid, eps):
+    """uni_scan reads every sample point: its chart window fits on one
+    side at least, at any eps matching_scale accepts."""
+    mu = CoefFn(mu, 0.0, wave, 0.0)
+    if family == "doubling":
+        model = doubling_model(roof=SINROOF, mu=mu, grid_size=grid)
+    else:
+        model = markov3_model(roof=SINROOF, mu=mu, grid_size=grid,
+                              forbidden=forbidden)
+    pts = S._sample_points(model, 12)
+    with np.errstate(over="ignore"):    # values overflow to inf near 1e-300
+        _, values = S._stopping_cocycle(model, [x for x, _ in pts], eps)
+    for (x, iid), lam in zip(pts, values.tolist()):
+        assert S._chart_sides(model.interval(iid), x, lam)
+
+
 # -- uniform sets -------------------------------------------------------------
 
 def test_uniform_set_constant_det_passes(third):
