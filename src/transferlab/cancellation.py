@@ -19,8 +19,8 @@ A model whose oscillation certificate is zero (constant or affine roof)
 makes the engine refuse cancellation and run with P identically one.
 
 The partition is one record array with a row per atom and the columns
-left, right, depth, lam_lo, iid (interval index), j_lo, j_hi and word,
-sorted by left end; each interval's atoms form one contiguous run.
+left, right, depth, lam_lo, iid (interval index), j_lo, j_hi and word (a
+symbol row), sorted by left end; each interval's atoms form one run.
 """
 
 from __future__ import annotations
@@ -32,7 +32,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .gridfun import norm_theta_b
-from .markov import MarkovModel, ModelError
+from .markov import (NO_SYMBOL, MarkovModel, ModelError, _decode_words,
+                     _grow_words)
 from .rpf import ComplexRPF, build_rpf, slice_holder_norm
 from .scales import (ScaleFunction, _torus_dist, matching_scale,
                      recurrence_rate, uni_scan)
@@ -61,10 +62,11 @@ class EngineError(ModelError):
 
 # One row per atom, the cylinder v_word(U_domain) inside interval iid: its
 # ends, depth, the smallest scale value read on it, the interval index, the
-# inclusive grid-node range j_lo..j_hi inside U_iid, and the word.
+# inclusive grid-node range j_lo..j_hi inside U_iid, and the word as a
+# symbol row of DEPTH_CAP bytes, NO_SYMBOL past the depth.
 ATOM_DTYPE = np.dtype([("left", float), ("right", float), ("depth", int),
                        ("lam_lo", float), ("iid", int), ("j_lo", int),
-                       ("j_hi", int), ("word", object)])
+                       ("j_hi", int), ("word", np.uint8, (DEPTH_CAP,))])
 
 
 @dataclass(frozen=True)
@@ -134,22 +136,6 @@ def _atom_scale_ranges(model: MarkovModel, scale: ScaleFunction,
     return lam_lo, j_lo, j_hi
 
 
-def _branches_by(model: MarkovModel, side: str):
-    """Inverse branches as columns (symbol, far interval, slope, offset),
-    grouped by the index of their interval on side ("domain" or "target")
-    and in offset order inside a group, ties in (symbol, domain) order;
-    far is the interval index at the other end.  Also returns the first
-    row of each group and one past the last."""
-    sym, dom = np.nonzero(~np.isnan(model.branch_slope))
-    tgt = model.symbol_target[sym]
-    near, far = (dom, tgt) if side == "domain" else (tgt, dom)
-    off = model.branch_offset[sym, dom]
-    order = np.lexsort((off, near))
-    first = np.searchsorted(near[order], np.arange(len(model.intervals) + 1))
-    return (np.array(model.alphabet, dtype=object)[sym[order]], far[order],
-            model.branch_slope[sym, dom][order], off[order], first)
-
-
 def build_partition(model: MarkovModel,
                     scale: ScaleFunction) -> CylinderPartition:
     """Refine cylinders until each is shorter than one over its scale.
@@ -160,12 +146,10 @@ def build_partition(model: MarkovModel,
     scale once; a split cylinder's children follow the offset order of
     the branches into its inner domain.
     """
-    b_sym, b_dom, b_slope, b_off, first = _branches_by(model, "target")
-    fan = np.diff(first)
     # cylinders of one depth: word, inner domain, containing interval and
     # the affine map contr * x + off
     m = len(model.intervals)
-    word = np.full(m, "", dtype=object)
+    word = np.empty((m, 0), np.uint8)
     dom, iid = np.arange(m), np.arange(m)
     contr, off = np.ones(m), np.zeros(m)
     done = []
@@ -177,19 +161,18 @@ def build_partition(model: MarkovModel,
         stop = (rights - lefts) * lam_lo <= 1.0
         done.append((lefts[stop], rights[stop], np.full(stop.sum(), depth),
                      lam_lo[stop], iid[stop], j_lo[stop], j_hi[stop],
-                     word[stop]))
+                     np.pad(word[stop], ((0, 0), (0, DEPTH_CAP - depth)),
+                            constant_values=NO_SYMBOL)))
         split = np.flatnonzero(~stop)
         if split.size == 0:
             break
         if depth == DEPTH_CAP:
             raise EngineError("partition refinement did not terminate")
-        k = fan[dom[split]]
-        parent = np.repeat(split, k)
-        b, _ = _ranges(first[dom[split]], k)
-        word = word[parent] + b_sym[b]
-        dom, iid = b_dom[b], iid[parent]
-        contr, off = (contr[parent] / b_slope[b],
-                      contr[parent] * b_off[b] + off[parent])
+        word, dom, parent, slope, b_off = _grow_words(
+            model, "target", word[split], dom[split])
+        parent = split[parent]
+        iid = iid[parent]
+        contr, off = contr[parent] / slope, contr[parent] * b_off + off[parent]
     atoms = np.rec.fromarrays([np.concatenate(c) for c in zip(*done)],
                               dtype=ATOM_DTYPE)
     atoms = atoms[np.argsort(atoms.left, kind="stable")]
@@ -218,7 +201,7 @@ def _verify_partition(part: CylinderPartition) -> None:
 
 def all_words(model: MarkovModel, k: int):
     """All admissible length-k words applicable on each interval, as
-    columns (word, contraction, offset, target, first).
+    columns (word, contraction, offset, target, first), words as rows.
 
     Row r reproduces v_word(x) = contraction[r] * x + offset[r], mapping
     the interval the word is applied on into the interval of index
@@ -227,19 +210,15 @@ def all_words(model: MarkovModel, k: int):
     by one child per branch whose domain is the row's target, in offset
     order, and the branch is prepended (applied after the composite).
     """
-    sym, b_tgt, slope, b_off, b_first = _branches_by(model, "domain")
-    fan = np.diff(b_first)
     m = len(model.intervals)
-    word = np.full(m, "", dtype=object)
+    word = np.empty((m, 0), np.uint8)
     contr, off = np.ones(m), np.zeros(m)
     tgt = home = np.arange(m)
     for _ in range(k):
-        parent = np.repeat(np.arange(len(tgt)), fan[tgt])
-        b, _ = _ranges(b_first[tgt], fan[tgt])
-        word = sym[b] + word[parent]
-        contr, off = (contr[parent] / slope[b],
-                      off[parent] / slope[b] + b_off[b])
-        tgt, home = b_tgt[b], home[parent]
+        word, tgt, parent, slope, b_off = _grow_words(model, "domain", word,
+                                                      tgt)
+        contr, off = contr[parent] / slope, off[parent] / slope + b_off
+        home = home[parent]
     return word, contr, off, tgt, np.searchsorted(home, np.arange(m + 1))
 
 
@@ -267,7 +246,9 @@ def check_refining(model: MarkovModel, part: CylinderPartition,
             if bad.any():
                 k = int(np.argmax(bad.any(axis=0)))
                 j = int(np.argmax(bad[:, k]))
-                return False, (part.atoms.word[start + k], word[j])
+                return False, tuple(
+                    str(_decode_words(w[None], model.alphabet)[0])
+                    for w in (part.atoms.word[start + k], word[j]))
     return True, None
 
 
@@ -701,8 +682,9 @@ def build_cancellation(model: MarkovModel, rpf: ComplexRPF,
         placed = _place_bumps(model, p_vals, core, atoms, w_contr, w_off,
                               w_tgt, plans, kap)
         records = np.rec.fromarrays(
-            [c[placed] for c in (plans.atom, case, word[plans.row],
-                                 plans.lo, plans.hi, kap)], dtype=BUMP_DTYPE)
+            [c[placed] for c in (plans.atom, case, _decode_words(
+                word[plans.row], model.alphabet), plans.lo, plans.hi, kap)],
+            dtype=BUMP_DTYPE)
         bumped = frozenset(records.atom_index.tolist())
         ratio = cone_ratio(model, part.scale, p_vals)
         if ratio <= 1.0:

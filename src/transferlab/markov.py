@@ -7,11 +7,15 @@ interval, and three scalar fields on the union: a roof function tau > 0
 The derived per-step determinant is expansion * mu.
 
 Each symbol names the interval an inverse branch lands in; a word is a
-string of symbols, applied right to left, and is admissible when consecutive
-transitions are allowed by the adjacency structure.  The slopes of the
-branches are constant, so all cocycle products over words of integer-slope
-models are exact in double precision, and forward orbits of dyadic grid
-points stay on the grid.
+uint8 row of symbols, applied right to left, and is admissible when
+consecutive transitions are allowed by the adjacency structure.  One
+grower, ``_grow_words``, makes every word set; its callers compose
+(contraction, offset) outer branch first for partition cylinders, inner
+branch first for the n-step word table and cyclic words.  Words become
+strings (``_decode_words``) only in orbit tables, bump records,
+refinement witnesses and UNI words.  Branch slopes are constant, so all
+cocycle products over words of integer-slope models are exact in double
+precision, and forward orbits of dyadic grid points stay on the grid.
 
 Two families are built in:
 
@@ -37,6 +41,7 @@ TWO_PI = 2.0 * math.pi
 
 # Dense sampling used for field extrema and positivity validation.
 _VALIDATION_SAMPLES = 1 << 14
+NO_SYMBOL = 255     # pads the row of a shorter word; decodes to nothing
 
 
 @dataclass(frozen=True)
@@ -332,6 +337,44 @@ class MarkovModel:
         for cur in self._word_walk(word, xv, domain):
             total = total + np.asarray(self.roof(cur))
         return float(total[0]) if scalar else total
+
+
+def _grow_words(model: MarkovModel, side: str, words: np.ndarray,
+                near: np.ndarray):
+    """Admissible words one symbol longer: the children of each uint8
+    symbol row, one per branch whose interval on side ("domain" or
+    "target") is the row's near interval, in offset order, ties in
+    (symbol, domain) order; a domain-side branch is prepended (applied
+    after the word), a target-side one appended.  Returns the child rows
+    and, per child, its near interval, parent row, branch slope and offset.
+    """
+    sym, dom = np.nonzero(~np.isnan(model.branch_slope))
+    slope, offset = model.branch_slope[sym, dom], model.branch_offset[sym, dom]
+    tgt = model.symbol_target[sym]
+    by, far = (dom, tgt) if side == "domain" else (tgt, dom)
+    order = np.lexsort((offset, by))
+    # kids[i, r]: branch of rank r in interval i's group, NO_SYMBOL past it
+    kids = np.full((len(model.intervals), len(order)), NO_SYMBOL, np.uint8)
+    kids[by[order], np.arange(len(order)) - np.searchsorted(
+        by[order], by[order])] = order
+    fan = (kids != NO_SYMBOL).sum(axis=1)[near]
+    kids = kids[near]
+    b = kids[kids != NO_SYMBOL]
+    new, old = sym.astype(np.uint8)[b, None], np.repeat(words, fan, axis=0)
+    out = np.concatenate((new, old) if side == "domain" else (old, new), 1)
+    parent = np.repeat(np.arange(len(near)), fan)
+    return out, far[b], parent, slope[b], offset[b]
+
+
+def _decode_words(rows: np.ndarray, alphabet) -> np.ndarray:
+    """Symbol rows as str, first symbol first: one alphabet byte per
+    symbol, read a row at a time; NO_SYMBOL padding decodes to nothing."""
+    n = rows.shape[1]
+    if n == 0:
+        return np.zeros(len(rows), "U1")
+    text = "".join(alphabet).encode("ascii")
+    letters = np.frombuffer(text.ljust(256, b"\0"), dtype=np.uint8)
+    return letters[rows].view(f"S{n}").ravel().astype(f"U{n}")
 
 
 def _parse_forbidden(entries: tuple[str, ...]) -> set[tuple[str, str]]:

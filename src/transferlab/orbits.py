@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .markov import MarkovModel, ModelError
+from .markov import MarkovModel, ModelError, _decode_words, _grow_words
 from .thermo import RATIO_TOL, ConvergenceError, gibbs_measure, pressure
 
 WORD_CAP_DEFAULT = 2 ** 21
@@ -113,50 +113,19 @@ def necklace_counts(model: MarkovModel, n_max: int) -> tuple[int, ...]:
 # orbit enumeration
 # ---------------------------------------------------------------------------
 
-def _extend_words(words: np.ndarray, trans: np.ndarray) -> np.ndarray:
-    """Admissible words one symbol longer, as rows of alphabet indices:
-    every row followed by each symbol its last symbol may precede, grouped
-    by the appended symbol."""
-    parts = []
-    for j in range(trans.shape[0]):
-        block = words[trans[words[:, -1], j]]
-        if block.shape[0]:
-            col = np.full((block.shape[0], 1), j, dtype=words.dtype)
-            parts.append(np.hstack([block, col]))
-    if not parts:
-        return np.empty((0, words.shape[1] + 1), dtype=words.dtype)
-    return np.vstack(parts)
-
-
-def _word_codes(words: np.ndarray, base: int) -> np.ndarray:
-    """Each row read as a base-`base` integer, first symbol most
-    significant; one column at a time, so the compact rows are never
-    widened whole."""
+def _least_rotations(words: np.ndarray, n: int, base: int):
+    """Code of each length-n row's least rotation, and whether the row is
+    it; a code reads a row in base `base`, first symbol most significant,
+    a column at a time, so the compact rows are never widened whole."""
     codes = np.zeros(words.shape[0], dtype=np.int64)
-    for i in range(words.shape[1]):
+    for i in range(n):
         codes = codes * base + words[:, i]
-    return codes
-
-
-def _canonical_codes(codes: np.ndarray, n: int, base: int):
-    """Minimal rotation of each word code plus the rotation multiplicity
-    structure (canonical code per word)."""
     canon = codes.copy()
     for k in range(1, n):
         split = base ** (n - k)
         rot = (codes % split) * (base ** k) + codes // split
         np.minimum(canon, rot, out=canon)
-    return canon
-
-
-def _decode_words(codes: np.ndarray, n: int, alphabet) -> np.ndarray:
-    """Words of length n from their codes, most significant digit first:
-    digits, then one alphabet byte per digit, read n bytes at a time."""
-    base = len(alphabet)
-    powers = base ** np.arange(n - 1, -1, -1, dtype=np.int64)
-    digits = codes[:, None] // powers % base
-    letters = np.frombuffer("".join(alphabet).encode("ascii"), dtype=np.uint8)
-    return letters[digits].view(f"S{n}").ravel().astype(f"U{n}")
+    return canon, canon == codes
 
 
 def _word_rows(model: MarkovModel, words) -> np.ndarray:
@@ -260,7 +229,7 @@ def cyclic_fixed_points(model: MarkovModel, words) -> np.ndarray:
 
 def orbit_fixed_point(model: MarkovModel, word: str) -> float:
     """Fixed point of one cyclic word (see cyclic_fixed_points)."""
-    if not model.word_admissible(word + word[0]):
+    if not model.word_admissible(word + word[:1]):
         raise ModelError(f"word {word!r} is not cyclically admissible")
     return float(cyclic_fixed_points(model, [word])[0])
 
@@ -274,36 +243,43 @@ def enumerate_periodic_orbits(model: MarkovModel, n_max: int) -> np.recarray:
     at the fixed points of all rotations of the word, which are exactly
     the points of the section orbit.  Rows are ordered by length, then by
     word code; len(table) is the number of primitive orbits.  Raises
-    ModelError when alphabet^n_max exceeds WORD_CAP_DEFAULT.
+    ModelError when n_max < 0 or alphabet^n_max exceeds WORD_CAP_DEFAULT.
+    Words grow on the domain side, so a level lists them last symbol most
+    significant, the order in which each class sums its periods.
     """
     base = len(model.alphabet)
+    if n_max < 0:
+        raise ModelError(f"n_max must be >= 0, got {n_max}")
     if n_max >= 1 and base ** n_max > WORD_CAP_DEFAULT:
         raise ModelError(f"alphabet^{n_max} exceeds the enumeration cap "
                          f"{WORD_CAP_DEFAULT}")
-    trans = np.array(transfer_matrix(model), dtype=bool)
     dtype = [("word", f"U{n_max}"), ("n", np.int64), ("period", float)]
     blocks = [np.empty(0, dtype)]
     # one byte per symbol: the rows of the longest words are the memory
     # peak of an orbit census
-    words = np.arange(base, dtype=np.min_scalar_type(base - 1))[:, None]
+    words = np.arange(base, dtype=np.uint8)[:, None]
     for n in range(1, n_max + 1):
         if n > 1:
-            words = _extend_words(words, trans)
-        cyclic = words[trans[words[:, -1], words[:, 0]]]
+            words = _grow_words(model, "domain", words,
+                                model.symbol_target[words[:, 0]])[0]
+        cyclic = words[model.transitions[words[:, -1], words[:, 0]] > 0]
         if cyclic.size == 0:
             continue
         contr, off, lefts = _cyclic_affine(model, cyclic)
         y = _settle(_affine_step, lefts + 0.5, contr, off)
         tau = np.asarray(model.roof(y), dtype=float)
-        canon = _canonical_codes(_word_codes(cyclic, base), n, base)
+        canon, least = _least_rotations(cyclic, n, base)
         uniq, inverse, counts = np.unique(canon, return_inverse=True,
                                           return_counts=True)
         periods = np.bincount(inverse, weights=tau, minlength=uniq.size)
+        # a class holds its least rotation once: the rows in class order
+        rows = np.empty((uniq.size, n), np.uint8)
+        rows[inverse[least]] = cyclic[least]
         # a primitive class has n distinct rotations; fewer means the word
         # is a power of a shorter one already listed
         prim = counts == n
         blocks.append(np.rec.fromarrays(
-            [_decode_words(uniq[prim], n, model.alphabet),
+            [_decode_words(rows[prim], model.alphabet),
              np.full(np.count_nonzero(prim), n), periods[prim]], dtype=dtype))
     return np.concatenate(blocks).view(np.recarray)
 

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gridfun import _lag_seminorm
-from .markov import MarkovModel, ModelError
+from .markov import MarkovModel, ModelError, _decode_words, _grow_words
 from .thermo import base_system, grid_orbit
 
 EPS_MAX = 0.5
@@ -251,24 +251,21 @@ def extreme_word(model: MarkovModel, domain: str, k: int,
     """Length-k admissible word at U_domain by greedy symbol choice.
 
     flavor 'low' always takes the smallest available symbol, 'high' the
-    largest, 'alt' alternates high/low.  Built innermost first.
+    largest, 'alt' alternates high/low.  Built innermost first from the
+    one-symbol words of each interval, its domain group in offset order,
+    which is alphabet order: the first child is the low pick.
     """
-    syms: list[str] = []
-    dom = model.interval(domain).index
+    m = len(model.intervals)
+    sym, tgt, group = _grow_words(model, "domain", np.empty((m, 0), np.uint8),
+                                  np.arange(m))[:3]
+    first = np.searchsorted(group, np.arange(m + 1)).tolist()
+    sym, tgt = sym[:, 0].tolist(), tgt.tolist()
+    word, dom = np.empty((1, k), np.uint8), model.interval(domain).index
     for i in range(k):
-        # symbols with a branch on U_dom, sorted as the alphabet is
-        avail = [a for a, slope in zip(model.alphabet,
-                                       model.branch_slope[:, dom])
-                 if not np.isnan(slope)]
-        if flavor == "low":
-            pick = avail[0]
-        elif flavor == "high":
-            pick = avail[-1]
-        else:
-            pick = avail[-1] if i % 2 == 0 else avail[0]
-        syms.append(pick)
-        dom = model.symbol_target[model.alphabet.index(pick)]
-    return "".join(reversed(syms))
+        high = flavor == "high" or (flavor != "low" and i % 2 == 0)
+        b = first[dom + 1] - 1 if high else first[dom]
+        word[0, k - 1 - i], dom = sym[b], tgt[b]
+    return str(_decode_words(word, model.alphabet)[0])
 
 
 def word_pairs(model: MarkovModel, domain: str,
@@ -336,7 +333,7 @@ def check_tame(model: MarkovModel, scale: ScaleFunction,
     for (x, iid), k, lam in zip(pts, thetas.tolist(), values.tolist()):
         s = np.arange(128) / 128
         iv = model.interval(iid)
-        side = 1.0 if x + 1.0 / lam <= iv.right else -1.0
+        side = _chart_sides(iv, x, lam)[0]
         zs = x + side * s / lam
         lo = extreme_word(model, iid, k, "low")
         hi = extreme_word(model, iid, k, "high")

@@ -32,7 +32,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from transferlab.markov import doubling_model, markov3_model
+from transferlab.markov import _decode_words, doubling_model, markov3_model
 from transferlab.rpf import build_rpf
 from transferlab.scales import matching_scale
 from transferlab import cancellation
@@ -101,6 +101,11 @@ def _span(part, i):
     return part.atoms.left[i], part.atoms.right[i]
 
 
+def _words(model, rows):
+    """Symbol rows (an atom or word-table column) as a list of str."""
+    return _decode_words(rows, model.alphabet).tolist()
+
+
 # ---------------------------------------------------------------------------
 # partitions
 
@@ -117,7 +122,8 @@ def test_partition_dyadic_32(plain, part32):
     for i, a in enumerate(atoms):
         assert a.left == i / 32
         assert a.right == (i + 1) / 32
-        assert len(a.word) == 5
+    # the outermost branch picks the first binary digit of the left end
+    assert _words(plain, atoms.word) == [f"{i:05b}" for i in range(32)]
 
 
 def test_partition_coarsest():
@@ -127,7 +133,7 @@ def test_partition_coarsest():
     part = build_partition(m, sc)
     assert len(part.atoms) == 2
     assert (part.atoms.right - part.atoms.left).tolist() == [0.5, 0.5]
-    assert part.atoms.word.tolist() == ["0", "1"]
+    assert _words(m, part.atoms.word) == ["0", "1"]
 
 
 def test_partition_nesting(plain, part32, scale32):
@@ -173,7 +179,7 @@ def test_refinement_step(plain, part32):
 def test_all_words_affine(plain):
     word, contr, off, tgt, first = all_words(plain, 2)
     assert first.tolist() == [0, 4] and tgt.tolist() == [0] * 4
-    items = dict(zip(word, zip(contr.tolist(), off.tolist())))
+    items = dict(zip(_words(plain, word), zip(contr.tolist(), off.tolist())))
     assert items == {"00": (0.25, 0.0), "01": (0.25, 0.25),
                      "10": (0.25, 0.5), "11": (0.25, 0.75)}
 
@@ -182,7 +188,7 @@ def test_all_words_adjacency():
     m = markov3_model(grid_size=256)
     word, _, _, _, first = all_words(m, 3)
     assert (np.diff(first) > 0).all() and first[-1] == len(word)
-    for w in word:
+    for w in _words(m, word):
         assert m.word_admissible(w)
 
 
@@ -320,7 +326,7 @@ def test_small_case_bumps(plain, rpf6, part32, scale32):
     assert float(canc.p_values.max()) == 1.0
     assert canc.cone_ratio_p <= 1.0
     word, contr, off, _, _ = all_words(plain, 1)
-    words = set(zip(word, contr.tolist(), off.tolist()))
+    words = set(zip(_words(plain, word), contr.tolist(), off.tolist()))
     support = np.zeros(GRID + 1, dtype=bool)
     for r in canc.records:
         assert r.case == "small"

@@ -9,7 +9,8 @@ smoothing reorder their sums, and their tolerances are stated below.
   ``_stopping_cocycle`` against a one-point loop of mu, slope and forward
   at random off-grid points.
 * Cylinder partition: the level-wise ``build_partition`` against a
-  depth-first refinement that reads the scale one probe at a time.
+  depth-first refinement that reads the scale one probe at a time, on
+  every single forbidden ``markov3`` transition, atom words included.
 * Grid orbit sums: the n-step weight and roof tables against per-node
   forward walks, the interpolating ``_orbit_weight`` and ``birkhoff_sum``.
 * ``locate`` against a linear scan of the atoms.
@@ -17,8 +18,12 @@ smoothing reorder their sums, and their tolerances are stated below.
 * Periodic orbits: ``cyclic_fixed_points`` and ``orbit_fixed_point``
   against FIXED_POINT_ITERATIONS scalar ``apply_word`` rounds; the
   early-exit affine iteration against the same number of full steps; the
-  array word decode against ``divmod``; words grown one symbol at a time
-  against a rebuild from length 1; the orbit table's words against the
+  shared word decoder against ``divmod``, rows of different depths
+  included; the shared word grower, on both sides and both families with
+  every forbidden transition, against the rebuild from length 1 (the
+  orbit census's row order), the ``all_words`` tuple builder and a
+  depth-first cylinder expansion, with near and far intervals and the
+  composed columns bit for bit; the orbit table's words against the
   least rotations of all primitive cyclic words from ``itertools.product``,
   on both families and every single forbidden transition, its length
   counts against the necklace counts; the orbits a counting report
@@ -125,6 +130,7 @@ from scipy.sparse import csr_array
 
 from transferlab import cancellation as C
 from transferlab import cli
+from transferlab import markov as M
 from transferlab import orbits as O
 from transferlab import rpf as R
 from transferlab import scales as S
@@ -263,7 +269,7 @@ def _reference_partition(model, scale):
 
 
 @PROPS
-@given(model=models(), q=st.integers(1, 5))
+@given(model=models(_ANY_FORBIDDEN), q=st.integers(1, 5))
 def test_levelwise_partition_matches_depth_first(model, q):
     scale = S.matching_scale(model, 2.0 ** -q)
     assume(scale.values.max() <= 300.0)  # keeps the reference loop short
@@ -273,8 +279,14 @@ def test_levelwise_partition_matches_depth_first(model, q):
     assert len(atoms) == len(ref)
     for col in ("left", "right", "lam_lo"):
         assert _bits(atoms[col]) == _bits([getattr(a, col) for a in ref]), col
-    for col in ("depth", "j_lo", "j_hi", "word"):
+    for col in ("depth", "j_lo", "j_hi"):
         assert atoms[col].tolist() == [getattr(a, col) for a in ref], col
+    assert (M._decode_words(atoms.word, model.alphabet).tolist()
+            == [a.word for a in ref])
+    # each word row holds symbols up to the atom's depth, padding after
+    for row, d in zip(atoms.word, atoms.depth):
+        assert (row[:d] < len(model.alphabet)).all()
+        assert (row[d:] == M.NO_SYMBOL).all()
     assert [model.intervals[k].id for k in atoms.iid] == [a.iid for a in ref]
     # interval k owns the contiguous run atoms[starts[k]:starts[k + 1]]
     runs = np.repeat(np.arange(len(model.intervals)), np.diff(part.starts))
@@ -411,7 +423,9 @@ def _per_atom_refining(model, part, n):
         first = np.flatnonzero(bad)
         if first.size:
             k, j = divmod(int(first[0]), len(items))
-            return False, (part.atoms.word[atoms.start + k], items[j][0])
+            atom_word = M._decode_words(part.atoms.word[[atoms.start + k]],
+                                        model.alphabet)[0]
+            return False, (atom_word, items[j][0])
     return True, None
 
 
@@ -623,10 +637,20 @@ def _reference_decode(code, n, alphabet):
 def test_array_decode_matches_divmod(alphabet, n, data):
     codes = data.draw(st.lists(st.integers(0, len(alphabet) ** n - 1),
                                max_size=30))
-    got = O._decode_words(np.array(codes, dtype=np.int64), n, alphabet)
+    # digit rows of the codes, most significant first
+    rows = np.array([[int(d) for d in np.base_repr(c, len(alphabet)).zfill(n)]
+                     for c in codes], dtype=np.uint8).reshape(-1, n)
+    got = M._decode_words(rows, alphabet)
+    ref = [_reference_decode(c, n, alphabet) for c in codes]
     assert got.dtype == np.dtype(f"U{n}")
-    assert np.array_equal(got, [_reference_decode(c, n, alphabet)
-                                for c in codes])
+    assert np.array_equal(got, ref)
+    # rows of different depths in one column, as atoms hold them
+    depths = data.draw(st.lists(st.integers(0, n), min_size=len(codes),
+                                max_size=len(codes)))
+    for row, d in zip(rows, depths):
+        row[d:] = M.NO_SYMBOL
+    assert (M._decode_words(rows, alphabet).tolist()
+            == [w[:d] for w, d in zip(ref, depths)])
 
 
 def _reference_words(trans, n):
@@ -644,15 +668,78 @@ def _reference_words(trans, n):
     return rows
 
 
+def _reference_cylinders(model, k):
+    """(word, inner domain, interval, contraction, offset) of the depth-k
+    cylinders of each interval, expanded depth first as in
+    _reference_partition, with no stopping rule."""
+    by_target = {}
+    for b in _old_branches(model):
+        by_target.setdefault(b.target, []).append(b)
+    for lst in by_target.values():
+        lst.sort(key=lambda b: b.offset)
+    out = []
+
+    def expand(word, dom, iid, contr, off):
+        if len(word) == k:
+            out.append((word, dom, iid, contr, off))
+            return
+        for b in by_target[dom]:
+            expand(word + b.sym, b.domain, iid, contr / b.slope,
+                   contr * b.offset + off)
+
+    for iv in model.intervals:
+        expand("", iv.id, iv.id, 1.0, 0.0)
+    return out
+
+
 @PROPS
 @given(model=models(_ANY_FORBIDDEN), n_max=st.integers(1, 7))
 def test_grown_words_match_rebuild(model, n_max):
+    """The shared grower, every row grown at each level, against the
+    frozen builders: on the domain side from the one-symbol words (the
+    orbit census) against the rebuild from length 1, rows in its order;
+    from the intervals (the word table) against _old_all_words, and on
+    the target side (partition cylinders) against the depth-first
+    expansion, each with near and far intervals and the composed columns,
+    inner branch first and outer branch first."""
     trans = np.array(O.transfer_matrix(model), dtype=bool)
-    words = np.arange(trans.shape[0], dtype=np.uint8)[:, None]
+    ids = [iv.id for iv in model.intervals]
+    m = len(ids)
+    cyc = np.arange(trans.shape[0], dtype=np.uint8)[:, None]
+    dom_rows = tgt_rows = np.empty((m, 0), np.uint8)
+    dom_near, dom_far = np.arange(m), np.arange(m)
+    tgt_near, tgt_far = np.arange(m), np.arange(m)
+    dom_cols = tgt_cols = (np.ones(m), np.zeros(m))
     for n in range(1, n_max + 1):
         if n > 1:
-            words = O._extend_words(words, trans)
-        assert np.array_equal(words, _reference_words(trans, n))
+            cyc = M._grow_words(model, "domain", cyc,
+                                model.symbol_target[cyc[:, 0]])[0]
+        assert cyc.dtype == np.uint8
+        assert np.array_equal(cyc, _reference_words(trans, n))
+
+        dom_rows, dom_near, p, slope, b_off = M._grow_words(
+            model, "domain", dom_rows, dom_near)
+        (c, o), dom_far = dom_cols, dom_far[p]
+        dom_cols = (c[p] / slope, o[p] / slope + b_off)
+        ref = [(iv, r) for iv in ids for r in _old_all_words(model, iv, n)]
+        assert (M._decode_words(dom_rows, model.alphabet).tolist()
+                == [r[0] for _, r in ref])
+        assert [ids[k] for k in dom_near] == [r[3] for _, r in ref]
+        assert [ids[k] for k in dom_far] == [iv for iv, _ in ref]
+        assert _bits(np.stack(dom_cols, axis=1)) == _bits(
+            [r[1:3] for _, r in ref])
+
+        tgt_rows, tgt_near, p, slope, b_off = M._grow_words(
+            model, "target", tgt_rows, tgt_near)
+        (c, o), tgt_far = tgt_cols, tgt_far[p]
+        tgt_cols = (c[p] / slope, c[p] * b_off + o[p])
+        ref = _reference_cylinders(model, n)
+        assert (M._decode_words(tgt_rows, model.alphabet).tolist()
+                == [r[0] for r in ref])
+        assert [ids[k] for k in tgt_near] == [r[1] for r in ref]
+        assert [ids[k] for k in tgt_far] == [r[2] for r in ref]
+        assert _bits(np.stack(tgt_cols, axis=1)) == _bits(
+            [r[3:] for r in ref])
 
 
 def _reference_orbit_words(model, n_max):
@@ -1862,7 +1949,8 @@ def test_branch_table_readers_match_branch_list(model, k):
                    for w, c, o, dom in ref
                    for b in _old_fiber_branches(model, dom)]
         rows = slice(first[iv.index], first[iv.index + 1])
-        assert (list(zip(word[rows], tgt[rows].tolist()))
+        assert (list(zip(M._decode_words(word[rows], model.alphabet),
+                         tgt[rows].tolist()))
                 == [(w, model.interval(t).index) for w, _, _, t in ref])
         assert (_bits(np.stack([contr[rows], off[rows]], axis=1))
                 == _bits([r[1:3] for r in ref]))
@@ -2524,7 +2612,8 @@ def test_all_words_columns_match_tuple_builder(config):
         refs = [_old_all_words(model, iv.id, k) for iv in model.intervals]
         assert first.tolist() == np.cumsum([0] + list(map(len, refs))).tolist()
         ref = [r for rs in refs for r in rs]
-        assert word.tolist() == [r[0] for r in ref]
+        assert (M._decode_words(word, model.alphabet).tolist()
+                == [r[0] for r in ref])
         assert _bits(contr) == _bits([r[1] for r in ref])
         assert _bits(off) == _bits([r[2] for r in ref])
         assert tgt.tolist() == [model.interval(r[3]).index for r in ref]

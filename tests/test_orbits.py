@@ -147,6 +147,9 @@ def test_enumeration_cap():
         enumerate_periodic_orbits(model, 14)
     with pytest.raises(ModelError, match="cap"):
         enumerate_periodic_orbits(doubling_model(), 22)
+    with pytest.raises(ModelError, match=">= 0"):
+        enumerate_periodic_orbits(model, -1)
+    assert len(enumerate_periodic_orbits(model, 0)) == 0
 
 
 def test_fixed_point_values(plain):
@@ -160,6 +163,8 @@ def test_fixed_point_rejects_noncyclic():
     model = markov3_model(forbidden=("0>2",))
     with pytest.raises(ModelError, match="cyclically"):
         orbit_fixed_point(model, "20")   # wrap transition 0 -> 2 forbidden
+    with pytest.raises(ModelError, match="cyclically"):
+        orbit_fixed_point(model, "")
 
 
 @settings(max_examples=60, deadline=None)

@@ -320,6 +320,12 @@ def test_uni_scan_every_sample_point_has_a_side(family, forbidden, mu, wave,
         _, values = S._stopping_cocycle(model, [x for x, _ in pts], eps)
     for (x, iid), lam in zip(pts, values.tolist()):
         assert S._chart_sides(model.interval(iid), x, lam)
+    # a window that overshoots the right end by less than the tolerance
+    # still fits there: uni_scan and check_tame both take the right side
+    iv = model.intervals[-1]
+    x = iv.right - 0.25 + 5e-13
+    assert iv.right < x + 0.25 <= iv.right + 1e-12
+    assert S._chart_sides(iv, x, 4.0) == [1, -1]
 
 
 # -- uniform sets -------------------------------------------------------------
