@@ -11,11 +11,15 @@ uint8 row of symbols, applied right to left, and is admissible when
 consecutive transitions are allowed by the adjacency structure.  One
 grower, ``_grow_words``, makes every word set; its callers compose
 (contraction, offset) outer branch first for partition cylinders, inner
-branch first for the n-step word table and cyclic words.  Words become
-strings (``_decode_words``) only in orbit tables, bump records,
-refinement witnesses and UNI words.  Branch slopes are constant, so all
-cocycle products over words of integer-slope models are exact in double
-precision, and forward orbits of dyadic grid points stay on the grid.
+branch first for the n-step word table and cyclic words.  One walk,
+``_walk_words``, applies the branches of rows to points: ``apply_word``,
+``roof_sum_on_word`` and cyclic fixed points use it.  Strings become
+rows (``_encode_words``) only where those and ``word_admissible`` take
+them, and rows become strings (``_decode_words``) only in orbit tables,
+bump records, refinement witnesses and UNI words.  Branch slopes are
+constant, so all cocycle products over words of integer-slope models
+are exact in double precision, and forward orbits of dyadic grid points
+stay on the grid.
 
 Two families are built in:
 
@@ -27,7 +31,6 @@ Two families are built in:
 ``build_model`` lays the branch structure out once, as the read-only array
 fields ``lefts`` through ``transitions`` of ``MarkovModel``; these branch
 tables are the model's only branch structure, and every reader walks them.
-One inverse branch stays reachable as ``apply_word(sym, y)``.
 """
 
 from __future__ import annotations
@@ -273,25 +276,9 @@ class MarkovModel:
     # -- words ------------------------------------------------------------
 
     def word_admissible(self, word: str) -> bool:
-        if not word or not set(word) <= set(self.alphabet):
-            return False
-        idx = [self.alphabet.index(sym) for sym in word]
-        return all(self.transitions[a, b] for a, b in zip(idx, idx[1:]))
-
-    def _word_walk(self, word: str, x: np.ndarray, domain: str | None):
-        """v_{word[i:]}(x) for i = len(word) - 1 down to 0: the branch
-        instances of word applied right to left, starting on U_domain
-        (default: the interval of the first point of x)."""
-        k = (int(self.interval_index(x.flat[0])) if domain is None
-             else self.interval(domain).index)
-        for sym in reversed(word):
-            i = self.alphabet.index(sym) if sym in self.alphabet else None
-            if i is None or np.isnan(self.branch_slope[i, k]):
-                raise ModelError(f"no branch {sym!r} with domain "
-                                 f"{self.intervals[k].id!r}")
-            x = x / self.branch_slope[i, k] + self.branch_offset[i, k]
-            k = self.symbol_target[i]
-            yield x
+        row = _encode_words(self, [word])[0]
+        return bool(row.size and (row != NO_SYMBOL).all()
+                    and self.transitions[row[:-1], row[1:]].all())
 
     def apply_word(self, word: str, x):
         """v_word(x): compose branch instances right to left.
@@ -302,7 +289,8 @@ class MarkovModel:
         """
         scalar = np.isscalar(x)
         cur = np.atleast_1d(np.asarray(x, dtype=float))
-        for cur in self._word_walk(word, cur, None):
+        for cur in _walk_words(self, _encode_words(self, [word]), cur,
+                               self.interval_index(cur[:1]), [word]):
             pass
         return float(cur[0]) if scalar else cur
 
@@ -330,13 +318,39 @@ class MarkovModel:
 
     def roof_sum_on_word(self, word: str, x, domain: str | None = None):
         """tau_n(v_word(x)): Birkhoff roof sum along the branch preimage,
-        walked from U_domain as in apply_word."""
+        walked as in apply_word, from U_domain if given."""
         scalar = np.isscalar(x)
         xv = np.atleast_1d(np.asarray(x, dtype=float))
+        dom = (self.interval_index(xv[:1]) if domain is None
+               else np.array([self.interval(domain).index]))
         total = np.zeros_like(xv)
-        for cur in self._word_walk(word, xv, domain):
+        for cur in _walk_words(self, _encode_words(self, [word]), xv, dom,
+                               [word]):
             total = total + np.asarray(self.roof(cur))
         return float(total[0]) if scalar else total
+
+
+def _walk_words(model: MarkovModel, rows: np.ndarray, y: np.ndarray,
+                dom: np.ndarray, words):
+    """Yield y after each symbol of the uint8 rows, right to left:
+    y / branch_slope[sym, dom] + branch_offset[sym, dom], dom starting at
+    the given indices (one per row) and then the symbol's target.  One
+    point of y per row, or one row for all of y.  Before the first step,
+    the first missing branch the walk would meet (NO_SYMBOL has none)
+    raises ModelError naming its character in words, the rows' strings.
+    """
+    sym = np.minimum(rows, len(model.alphabet) - 1)  # bad marks NO_SYMBOL
+    doms = np.concatenate((model.symbol_target[sym[:, 1:]], dom[:, None]), 1)
+    s = model.branch_slope[sym, doms]
+    bad = np.isnan(s) | (rows == NO_SYMBOL)
+    if np.count_nonzero(bad):
+        i = int(np.flatnonzero(bad.any(axis=0))[-1])  # walked first
+        r = int(np.flatnonzero(bad[:, i])[0])
+        raise ModelError(f"no branch {words[r][i]!r} with domain "
+                         f"{model.intervals[doms[r, i]].id!r}")
+    for s_i, off_i in zip(s.T[::-1], model.branch_offset[sym, doms].T[::-1]):
+        y = y / s_i + off_i
+        yield y
 
 
 def _grow_words(model: MarkovModel, side: str, words: np.ndarray,
@@ -375,6 +389,17 @@ def _decode_words(rows: np.ndarray, alphabet) -> np.ndarray:
     text = "".join(alphabet).encode("ascii")
     letters = np.frombuffer(text.ljust(256, b"\0"), dtype=np.uint8)
     return letters[rows].view(f"S{n}").ravel().astype(f"U{n}")
+
+
+def _encode_words(model: MarkovModel, words) -> np.ndarray:
+    """Equal-length str words as uint8 symbol rows, first symbol first:
+    the inverse of _decode_words on unpadded rows.  A character outside
+    the alphabet encodes to NO_SYMBOL."""
+    if len({len(w) for w in words}) > 1:
+        raise ModelError("words must be of one length")
+    index = {a: i for i, a in enumerate(model.alphabet)}
+    return np.array([[index.get(c, NO_SYMBOL) for c in w] for w in words],
+                    np.uint8).reshape(len(words), len(words[0]) if words else 0)
 
 
 def _parse_forbidden(entries: tuple[str, ...]) -> set[tuple[str, str]]:

@@ -29,7 +29,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .markov import MarkovModel, ModelError, _decode_words, _grow_words
+from .markov import (NO_SYMBOL, MarkovModel, ModelError, _decode_words,
+                     _encode_words, _grow_words, _walk_words)
 from .thermo import RATIO_TOL, ConvergenceError, gibbs_measure, pressure
 
 WORD_CAP_DEFAULT = 2 ** 21
@@ -128,18 +129,6 @@ def _least_rotations(words: np.ndarray, n: int, base: int):
     return canon, canon == codes
 
 
-def _word_rows(model: MarkovModel, words) -> np.ndarray:
-    """Equal-length words as rows of alphabet indices."""
-    index = {a: i for i, a in enumerate(model.alphabet)}
-    if not words or any(len(w) != len(words[0]) for w in words):
-        raise ModelError("words must be nonempty and of one length")
-    try:
-        return np.array([[index[c] for c in w] for w in words],
-                        dtype=np.int64)
-    except KeyError as exc:
-        raise ModelError(f"unknown symbol {exc.args[0]!r}") from None
-
-
 def _settle(step, y: np.ndarray, *cols) -> np.ndarray:
     """FIXED_POINT_ITERATIONS rounds of y <- step(y, *cols), elementwise.
 
@@ -198,33 +187,22 @@ def _cyclic_affine(model: MarkovModel, words: np.ndarray):
 def cyclic_fixed_points(model: MarkovModel, words) -> np.ndarray:
     """Fixed points of equal-length cyclic words by contraction iteration.
 
-    Each round does what apply_word does, on all words at once: find the
-    domain interval of the current point (model.interval_index), then
-    apply the branch instances y / slope + offset right to left.  A point
-    on a slice seam therefore takes the same domain, and raises the same
-    error, as it would there.  The result equals FIXED_POINT_ITERATIONS
-    apply_word rounds bit for bit.
+    Each round walks all words at once as apply_word walks one, from the
+    domain interval of the current point (model.interval_index): a point
+    on a slice seam raises the same error as there, and the result equals
+    FIXED_POINT_ITERATIONS apply_word rounds bit for bit.
     """
-    rows = _word_rows(model, words)
-    target = model.symbol_target
-    m = len(model.intervals)
-    slope, offset = model.branch_slope.ravel(), model.branch_offset.ravel()
+    rows = _encode_words(model, words)
+    if not rows.size or (rows == NO_SYMBOL).any():
+        raise ModelError("cyclic words must be nonempty, over the alphabet")
 
-    def apply_words(y, rows):
-        dom = model.interval_index(y)
-        for i in range(rows.shape[1] - 1, -1, -1):
-            pair = rows[:, i] * m + dom
-            s = slope.take(pair)
-            if np.isnan(s).any():
-                bad = int(np.flatnonzero(np.isnan(s))[0])
-                raise ModelError(
-                    f"no branch {model.alphabet[rows[bad, i]]!r} with domain "
-                    f"{model.intervals[dom[bad]].id!r}")
-            y = y / s + offset.take(pair)
-            dom = target.take(rows[:, i])
+    def apply_words(y, rows, words):
+        for y in _walk_words(model, rows, y, model.interval_index(y), words):
+            pass
         return y
 
-    return _settle(apply_words, model.lefts[target[rows[:, 0]]] + 0.5, rows)
+    return _settle(apply_words, model.lefts[model.symbol_target[rows[:, 0]]]
+                   + 0.5, rows, np.asarray(words))
 
 
 def orbit_fixed_point(model: MarkovModel, word: str) -> float:
@@ -255,8 +233,7 @@ def enumerate_periodic_orbits(model: MarkovModel, n_max: int) -> np.recarray:
                          f"{WORD_CAP_DEFAULT}")
     dtype = [("word", f"U{n_max}"), ("n", np.int64), ("period", float)]
     blocks = [np.empty(0, dtype)]
-    # one byte per symbol: the rows of the longest words are the memory
-    # peak of an orbit census
+    # one byte per symbol; a census peaks in the last level's _settle
     words = np.arange(base, dtype=np.uint8)[:, None]
     for n in range(1, n_max + 1):
         if n > 1:

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gridfun import _lag_seminorm
-from .markov import MarkovModel, ModelError, _decode_words, _grow_words
+from .markov import MarkovModel, ModelError, _decode_words
 from .thermo import base_system, grid_orbit
 
 EPS_MAX = 0.5
@@ -251,20 +251,17 @@ def extreme_word(model: MarkovModel, domain: str, k: int,
     """Length-k admissible word at U_domain by greedy symbol choice.
 
     flavor 'low' always takes the smallest available symbol, 'high' the
-    largest, 'alt' alternates high/low.  Built innermost first from the
-    one-symbol words of each interval, its domain group in offset order,
-    which is alphabet order: the first child is the low pick.
+    largest, 'alt' alternates high/low.  Built innermost first; the
+    symbols available at a domain are those with a branch_slope there.
     """
-    m = len(model.intervals)
-    sym, tgt, group = _grow_words(model, "domain", np.empty((m, 0), np.uint8),
-                                  np.arange(m))[:3]
-    first = np.searchsorted(group, np.arange(m + 1)).tolist()
-    sym, tgt = sym[:, 0].tolist(), tgt.tolist()
+    has = ~np.isnan(model.branch_slope)
+    low = has.argmax(axis=0).tolist()
+    high = (len(has) - 1 - has[::-1].argmax(axis=0)).tolist()
     word, dom = np.empty((1, k), np.uint8), model.interval(domain).index
     for i in range(k):
-        high = flavor == "high" or (flavor != "low" and i % 2 == 0)
-        b = first[dom + 1] - 1 if high else first[dom]
-        word[0, k - 1 - i], dom = sym[b], tgt[b]
+        sym = (high if flavor == "high" or (flavor != "low" and i % 2 == 0)
+               else low)[dom]
+        word[0, k - 1 - i], dom = sym, model.symbol_target[sym]
     return str(_decode_words(word, model.alphabet)[0])
 
 

@@ -19,16 +19,16 @@ smoothing reorder their sums, and their tolerances are stated below.
   against FIXED_POINT_ITERATIONS scalar ``apply_word`` rounds; the
   early-exit affine iteration against the same number of full steps; the
   shared word decoder against ``divmod``, rows of different depths
-  included; the shared word grower, on both sides and both families with
-  every forbidden transition, against the rebuild from length 1 (the
-  orbit census's row order), the ``all_words`` tuple builder and a
-  depth-first cylinder expansion, with near and far intervals and the
-  composed columns bit for bit; the orbit table's words against the
-  least rotations of all primitive cyclic words from ``itertools.product``,
-  on both families and every single forbidden transition, its length
-  counts against the necklace counts; the orbits a counting report
-  carries against a fresh enumeration.  Fixed points compare by their
-  bits.
+  included, and the encoder as its inverse; the shared word grower, on
+  both sides and both families with every forbidden transition, against
+  the rebuild from length 1 (the orbit census's row order), the
+  ``all_words`` tuple builder and a depth-first cylinder expansion, with
+  near and far intervals and the composed columns bit for bit; the orbit
+  table's words against the least rotations of all primitive cyclic
+  words from ``itertools.product``, on both families and every single
+  forbidden transition, its length counts against the necklace counts;
+  the orbits a counting report carries against a fresh enumeration.
+  Fixed points compare by their bits.
 * Operators: a real ``make_operator`` against the per-stencil gather loop
   (bitwise); a fused phase operator against the same loop within a
   relative 1e-13 of the modulus operator's sup, since the fused matrix
@@ -72,9 +72,10 @@ smoothing reorder their sums, and their tolerances are stated below.
   ``transfer_matrix``, ``word_admissible``,
   the words ``word_admissible`` lets through and ``fixed_word_count``
   against their dict-based and tuple-product versions; ``apply_word``,
-  and ``roof_sum_on_word`` with and without a given domain, against the
-  scalar loop over that list, errors included; ``temporal_distance``
-  with one interval lookup.
+  ``roof_sum_on_word`` with and without a given domain, and the shared
+  walk over a batch of rows, one point each, against the scalar loop
+  over that list, errors included; ``temporal_distance`` with one
+  interval lookup and one walk per word.
 * Weight recipes as data, bit for bit, against a copy of the closure
   recipes (callables, (array, power) factors) and the ``make_operator``
   they fed: stencil coefficients, out factors, grid samples and applied
@@ -594,12 +595,14 @@ def test_fixed_point_kernel_on_slice_seams():
     assert O.orbit_fixed_point(end, "21") == 3.0
     with pytest.raises(ModelError, match="one length"):
         O.cyclic_fixed_points(end, ["21", "112"])
+    with pytest.raises(ModelError, match="nonempty"):
+        O.cyclic_fixed_points(end, [""])
 
 
 @PROPS
 @given(model=models(_ANY_FORBIDDEN), n=st.integers(1, 6))
 def test_settled_affine_iteration_matches_full_loop(model, n):
-    rows = O._word_rows(model, _cyclic_words(model, n))
+    rows = M._encode_words(model, _cyclic_words(model, n))
     contr, off, lefts = O._cyclic_affine(model, rows)
     ref = lefts + 0.5
     for _ in range(O.FIXED_POINT_ITERATIONS):
@@ -644,6 +647,13 @@ def test_array_decode_matches_divmod(alphabet, n, data):
     ref = [_reference_decode(c, n, alphabet) for c in codes]
     assert got.dtype == np.dtype(f"U{n}")
     assert np.array_equal(got, ref)
+    # encoding inverts decoding; a character outside the alphabet encodes
+    # to NO_SYMBOL
+    model = build_model(ModelConfig("doubling" if len(alphabet) == 2
+                                    else "markov3"))
+    assert M._encode_words(model, ref).tolist() == rows.tolist()
+    assert (M._encode_words(model, ["9" + alphabet[-1]]).tolist()
+            == [[M.NO_SYMBOL, len(alphabet) - 1]])
     # rows of different depths in one column, as atoms hold them
     depths = data.draw(st.lists(st.integers(0, n), min_size=len(codes),
                                 max_size=len(codes)))
@@ -2034,6 +2044,15 @@ def _old_walk_word(model, word, x, roof_sum):
     return float(out[0]) if scalar else out
 
 
+def _walk_rows(model, words, ys, roof_sum):
+    """The shared walk over the rows of words, one point of ys each."""
+    total, cur = np.zeros_like(ys), ys
+    for cur in M._walk_words(model, M._encode_words(model, words), ys,
+                             model.interval_index(ys), words):
+        total = total + np.asarray(model.roof(cur))
+    return total if roof_sum else cur
+
+
 def _outcome(fn, *args):
     try:
         return "value", _bits(fn(*args))
@@ -2044,6 +2063,14 @@ def _outcome(fn, *args):
 @PROPS
 @given(model=models(_ANY_FORBIDDEN), data=point_lists, n=st.integers(0, 4),
        pick=st.integers(0, 10 ** 6))
+# 0>0 failures in both positions of some rows and a "9" in another;
+# rows 0 and 1 failing with different errors in one position
+@example(model=build_model(ModelConfig("markov3", roof=(2.0, 0.0, 0.0, 0.0),
+                                       grid_size=64, forbidden=("0>0",))),
+         data=[(0, 0.0)], n=2, pick=0)
+@example(model=build_model(ModelConfig("markov3", roof=(2.0, 0.0, 0.0, 0.0),
+                                       grid_size=64, forbidden=("0>0",))),
+         data=[(0, 0.0)], n=1, pick=7)
 def test_word_walk_matches_scalar_loop(model, data, n, pick):
     words = _admissible_words(model, n) if n else [""]
     word = words[pick % len(words)] + ("9" if pick % 7 == 0 else "")
@@ -2056,6 +2083,28 @@ def test_word_walk_matches_scalar_loop(model, data, n, pick):
             assert _outcome(fast, word, x) == ref
             if roof_sum:
                 assert _outcome(fast, word, x, dom) == ref
+    # every word of length n, admissible or not, as one batch of rows, one
+    # point per row, sometimes with a "9" inside one row: the batch raises
+    # the error the walk meets first (the rightmost failing position, then
+    # the first row), and the rows that walk alone give the same bits
+    batch = list(map("".join, itertools.product(model.alphabet, repeat=n)))
+    if n and pick % 7 == 0:
+        w, j = batch[pick % len(batch)], pick % n
+        batch[pick % len(batch)] = w[:j] + "9" + w[j + 1:]
+    ys = xs[np.arange(len(batch)) % len(xs)]
+    # a word fails at position j when walking its suffix from j fails
+    fails = [max((j for j in range(n) if _outcome(
+        _old_walk_word, model, w[j:], y, False)[0] == "error"), default=-1)
+        for w, y in zip(batch, ys.tolist())]
+    ok = [i for i, f in enumerate(fails) if f < 0]
+    for roof_sum in (False, True):
+        ref = [_outcome(_old_walk_word, model, w, y, roof_sum)
+               for w, y in zip(batch, ys.tolist())]
+        got = _outcome(_walk_rows, model, batch, ys, roof_sum)
+        assert got == (ref[fails.index(max(fails))] if max(fails) >= 0
+                       else ("value", [bits for _, bits in ref]))
+        assert (_outcome(_walk_rows, model, [batch[i] for i in ok], ys[ok],
+                         roof_sum) == ("value", [ref[i][1] for i in ok]))
 
 
 def test_temporal_distance_looks_up_the_domain_once(monkeypatch):
@@ -2470,9 +2519,8 @@ def test_temporal_distance_walks_each_word_once(model, data, n, pick,
     elif variant == 9:
         w1 += w1[-1]
     z = zs[pick[1] % len(zs)] if scalar else np.array(zs)
-    walk = type(model)._word_walk
-    with mock.patch.object(type(model), "_word_walk", autospec=True,
-                           side_effect=walk) as walks:
+    with mock.patch.object(M, "_walk_words",
+                           side_effect=M._walk_words) as walks:
         got = _outcome(S.temporal_distance, model, x, w1, w2, z)
     assert got == _outcome(_old_temporal_distance, model, x, w1, w2, z)
     if got[0] == "value":
