@@ -12,11 +12,13 @@ consecutive transitions are allowed by the adjacency structure.  One
 grower, ``_grow_words``, makes every word set; its callers compose
 (contraction, offset) outer branch first for partition cylinders, inner
 branch first for the n-step word table and cyclic words.  One walk,
-``_walk_words``, applies the branches of rows to points: ``apply_word``,
-``roof_sum_on_word`` and cyclic fixed points use it.  Strings become
-rows (``_encode_words``) only where those and ``word_admissible`` take
-them, and rows become strings (``_decode_words``) only in orbit tables,
-bump records, refinement witnesses and UNI words.  Branch slopes are
+``_walk_words``, applies the branches of rows to points: ``apply_word``
+and cyclic fixed points use it, and ``_roof_sums`` adds the roof along
+it for ``roof_sum_on_word`` and the UNI contrast tables.  Strings become
+rows (``_encode_words``) only where those, ``_roof_sums`` and
+``word_admissible`` take them, and rows become strings
+(``_decode_words``) only in orbit tables, bump records, refinement
+witnesses and UNI words.  Branch slopes are
 constant, so all cocycle products over words of integer-slope models
 are exact in double precision, and forward orbits of dyadic grid points
 stay on the grid.
@@ -323,21 +325,30 @@ class MarkovModel:
         xv = np.atleast_1d(np.asarray(x, dtype=float))
         dom = (self.interval_index(xv[:1]) if domain is None
                else np.array([self.interval(domain).index]))
-        total = np.zeros_like(xv)
-        for cur in _walk_words(self, _encode_words(self, [word]), xv, dom,
-                               [word]):
-            total = total + np.asarray(self.roof(cur))
+        total = _roof_sums(self, [word], xv, dom)
         return float(total[0]) if scalar else total
+
+
+def _roof_sums(model: MarkovModel, words, y: np.ndarray,
+               dom: np.ndarray) -> np.ndarray:
+    """tau_n(v_w(y)) for the equal-length str words w, walked as in
+    _walk_words from the domain indices dom, one per word."""
+    total = np.zeros_like(y)
+    for cur in _walk_words(model, _encode_words(model, words), y, dom, words):
+        total += model.roof(cur)
+    return total
 
 
 def _walk_words(model: MarkovModel, rows: np.ndarray, y: np.ndarray,
                 dom: np.ndarray, words):
     """Yield y after each symbol of the uint8 rows, right to left:
     y / branch_slope[sym, dom] + branch_offset[sym, dom], dom starting at
-    the given indices (one per row) and then the symbol's target.  One
-    point of y per row, or one row for all of y.  Before the first step,
-    the first missing branch the walk would meet (NO_SYMBOL has none)
-    raises ModelError naming its character in words, the rows' strings.
+    the given indices (one per row) and then the symbol's target.  y holds
+    one point per row, one row of points for a single row, or a row of
+    points per row (rows x points; each step's slope and offset broadcast
+    over the trailing point axis).  Before the first step, the first
+    missing branch the walk would meet (NO_SYMBOL has none) raises
+    ModelError naming its character in words, the rows' strings.
     """
     sym = np.minimum(rows, len(model.alphabet) - 1)  # bad marks NO_SYMBOL
     doms = np.concatenate((model.symbol_target[sym[:, 1:]], dom[:, None]), 1)
@@ -348,7 +359,10 @@ def _walk_words(model: MarkovModel, rows: np.ndarray, y: np.ndarray,
         r = int(np.flatnonzero(bad[:, i])[0])
         raise ModelError(f"no branch {words[r][i]!r} with domain "
                          f"{model.intervals[doms[r, i]].id!r}")
-    for s_i, off_i in zip(s.T[::-1], model.branch_offset[sym, doms].T[::-1]):
+    s, off = s.T[::-1], model.branch_offset[sym, doms].T[::-1]
+    if np.ndim(y) == 2:
+        s, off = s[..., None], off[..., None]
+    for s_i, off_i in zip(s, off):
         y = y / s_i + off_i
         yield y
 

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gridfun import _lag_seminorm
-from .markov import MarkovModel, ModelError, _decode_words
+from .markov import MarkovModel, ModelError, _decode_words, _roof_sums
 from .thermo import base_system, grid_orbit
 
 EPS_MAX = 0.5
@@ -214,35 +214,50 @@ def check_adapted(model: MarkovModel, scale: ScaleFunction,
 # temporal distance
 
 
+def _relative_sums(model: MarkovModel, words, x: np.ndarray,
+                   z: np.ndarray) -> np.ndarray:
+    """tau_k(v_w z) - tau_k(v_w x) for each of the equal-length words w,
+    row r at the point x[r] over the probe row z[r].  All rows are walked
+    as one table, x appended to each probe row, and the x sums are read
+    from the last column; a temporal distance is the difference of two
+    rows.  Raises ModelError naming the first word, in order, that does
+    not apply at the interval of its x, and then for a probe outside it.
+    """
+    dom = model.interval_index(x)
+    try:
+        t = _roof_sums(model, words, np.concatenate((z, x[:, None]), 1), dom)
+    except ModelError:
+        for w, xr in zip(words, x.tolist()):   # name the first that fails
+            iid = model.interval_of(xr)
+            try:
+                model.roof_sum_on_word(w, xr, iid)
+            except ModelError:
+                raise ModelError(f"word {w!r} not applicable at interval "
+                                 f"{iid!r}") from None
+        raise
+    left = model.lefts[dom][:, None]
+    if (z < left - 1e-12).any() or (z > left + 1.0 + 1e-12).any():
+        raise ModelError("probe points must stay in the interval of x")
+    return t[:, :-1] - t[:, -1:]
+
+
 def temporal_distance(model: MarkovModel, x, w1: str, w2: str, z):
     """Second difference of roof sums along two branch words.
 
     (tau_k(v_w1 z) - tau_k(v_w1 x)) - (tau_k(v_w2 z) - tau_k(v_w2 x)) for
     words of equal length applicable at the interval of x; z must live in
-    the same interval.  Each word is walked once, over the points z with
-    x appended, and the x sums are read from the last column.  Affine
-    roofs on equal-slope families cancel to zero; the value is
-    antisymmetric in (w1, w2) and in (x, z).
+    the same interval.  Both words are walked as one two-row table (see
+    _relative_sums).  Affine roofs on equal-slope families cancel to
+    zero; the value is antisymmetric in (w1, w2) and in (x, z).
     """
     if len(w1) != len(w2):
         raise ModelError("temporal distance needs words of equal length")
     if not w1 or w1 == w2:
         raise ModelError("temporal distance needs two distinct nonempty words")
-    dom = model.interval_of(float(x))
     zv = np.atleast_1d(np.asarray(z, dtype=float))
-    pts = np.append(zv, float(x))
-    sums = []
-    for w in (w1, w2):
-        try:
-            sums.append(model.roof_sum_on_word(w, pts, dom))
-        except ModelError:
-            raise ModelError(
-                f"word {w!r} not applicable at interval {dom!r}") from None
-    iv = model.interval(dom)
-    if (zv < iv.left - 1e-12).any() or (zv > iv.right + 1e-12).any():
-        raise ModelError("probe points must stay in the interval of x")
-    t1, t2 = sums
-    out = ((t1[:-1] - t1[-1]) - (t2[:-1] - t2[-1])).reshape(zv.shape)
+    rel = _relative_sums(model, [w1, w2], np.full(2, float(x)),
+                         np.broadcast_to(zv.ravel(), (2, zv.size)))
+    out = (rel[0] - rel[1]).reshape(zv.shape)
     return float(out[0]) if np.isscalar(z) else out
 
 
@@ -334,11 +349,12 @@ def check_tame(model: MarkovModel, scale: ScaleFunction,
         zs = x + side * s / lam
         lo = extreme_word(model, iid, k, "low")
         hi = extreme_word(model, iid, k, "high")
-        for j in range(k):
-            w2 = lo[:j] + hi[j:]
-            if w2 == lo:
-                continue
-            psi = temporal_distance(model, x, lo, w2, zs) / scale.eps
+        # the low word and every mixed word lo[:j] + hi[j:] as one table
+        js = [j for j in range(k) if hi[j:] != lo[j:]]
+        words = [lo] + [lo[:j] + hi[j:] for j in js]
+        rel = _relative_sums(model, words, np.full(len(words), x),
+                             np.broadcast_to(zs, (len(words), zs.size)))
+        for j, w2, psi in zip(js, words[1:], (rel[0] - rel[1:]) / scale.eps):
             nrm = _profile_theta_norm(psi, model.theta)
             off = pair_offset(model, x, lo, w2)
             ratio = nrm / off ** TAME_KAPPA
@@ -388,7 +404,15 @@ class UniCertificate:
 
 
 def _torus_dist(a: np.ndarray) -> np.ndarray:
-    return np.abs((a + math.pi) % TWO_PI - math.pi)
+    """|a| on the circle of length 2 pi: |(a + pi) % 2 pi - pi| bit for
+    bit, with numpy's remainder rule (fmod, then + 2 pi where negative)
+    written out so that no quotient is computed."""
+    r = np.fmod(a + math.pi, TWO_PI)
+    if not np.ndim(r):
+        return np.abs((r + TWO_PI if r < 0 else r) - math.pi)
+    np.add(r, TWO_PI, out=r, where=r < 0)
+    r -= math.pi
+    return np.abs(r, out=r)
 
 
 def _best_margin(dist: np.ndarray, n_windows: int) -> tuple[float, dict]:
@@ -470,32 +494,39 @@ def uni_scan(model: MarkovModel, scale: ScaleFunction) -> UniCertificate:
     against a grid of UNI_PHASES reference phases is the largest kappa
     such that every phase admits a subwindow of length >= kappa staying
     >= kappa away from it.  The certificate takes the best pair and side
-    per point and the worst point overall.  kappa_hat == 0 is a failure
-    report, not an exception.
+    per point (the first on ties) and the worst point overall.  The
+    profiles of all points with one stopping index are walked as one
+    table of word rows (see _relative_sums); the margin is then read one
+    profile at a time.  kappa_hat == 0 is a failure report, not an
+    exception.
     """
     pts = _sample_points(model, 12)
     omegas = TWO_PI * np.arange(UNI_PHASES) / UNI_PHASES
     s = np.arange(UNI_S_POINTS) / UNI_S_POINTS
     thetas, values = _stopping_cocycle(model, [x for x, _ in pts], scale.eps)
-    wits = []
-    for (x, iid), k, lam in zip(pts, thetas.tolist(), values.tolist()):
-        sides = _chart_sides(model.interval(iid), x, lam)
-        best_x = -1.0
-        wit = None
-        for w1, w2 in word_pairs(model, iid, k):
-            for side in sides:
-                zs = x + side * s / lam
-                psi = temporal_distance(model, x, w1, w2, zs) / scale.eps
-                dist = _torus_dist(psi[None, :] - omegas[:, None])
-                margin, d = _best_margin(dist, 32)
-                if margin > best_x or wit is None:
-                    best_x = margin
-                    wit = UniWitness(
-                        int(k), float(lam), margin, (w1, w2),
-                        float(omegas[d["omega_idx"]]), d["frac"],
-                        (d["lo"] / UNI_S_POINTS, d["hi"] / UNI_S_POINTS),
-                        d["dist"])
-        wits.append(wit)
+    ks, lams = thetas.tolist(), values.tolist()
+    # one profile per (point, pair, side), in that order
+    point, pairs, zs = zip(*[
+        (i, pair, x + side * s / lams[i]) for i, (x, iid) in enumerate(pts)
+        for pair in word_pairs(model, iid, ks[i])
+        for side in _chart_sides(model.interval(iid), x, lams[i])])
+    point, zs = np.array(point), np.array(zs)
+    xs = np.array([x for x, _ in pts])
+    psi = np.empty_like(zs)
+    for k in np.unique(thetas):
+        sel = np.flatnonzero(thetas[point] == k)
+        rows = np.repeat(sel, 2)                  # w1 and w2 of each profile
+        rel = _relative_sums(model, [w for j in sel for w in pairs[j]],
+                             xs[point[rows]], zs[rows])
+        psi[sel] = (rel[0::2] - rel[1::2]) / scale.eps
+    wits = [None] * len(pts)
+    for i, pair, p in zip(point.tolist(), pairs, psi):
+        margin, d = _best_margin(_torus_dist(p[None, :] - omegas[:, None]), 32)
+        if wits[i] is None or margin > wits[i].kappa_x:
+            wits[i] = UniWitness(
+                ks[i], lams[i], margin, pair, float(omegas[d["omega_idx"]]),
+                d["frac"], (d["lo"] / UNI_S_POINTS, d["hi"] / UNI_S_POINTS),
+                d["dist"])
     kappa_hat = min(w.kappa_x for w in wits)
     return UniCertificate(scale.eps, float(kappa_hat), tuple(wits))
 

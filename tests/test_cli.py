@@ -43,6 +43,12 @@ atoms per step, truncated at step 2.  It was made by running `dolgopyat
 dichotomy_test once per (atom, branch) pair and _place_bump once per
 bump, with numpy 2.4.6 and scipy 1.17.1, and hashing the file with
 sha256sum.
+
+GOLDEN_UNI_SCAN_SHA256 pins uni_scan.csv of `uni-scan` over the default
+eps sweep (2^-6 ... 2^-12) on SIN_MODEL.  It was made the same way, on
+the code as it stood while uni_scan computed one temporal distance per
+(point, pair, side) profile, each walking its two words separately, and
+took torus distances with numpy's %, with numpy 2.4.6.
 """
 
 import contextlib
@@ -106,6 +112,9 @@ grid_size = 1024
 
 GOLDEN_DOUBLING_DOLGOPYAT_SHA256 = \
     "0cf177f81a0d79cef9f8a490e65457005eb64621a50d72c02b15b8ccdcc701af"
+
+GOLDEN_UNI_SCAN_SHA256 = \
+    "9c3b40f8c5953fac9e985eb302a59e6d2de87e5135cb48672ef9318e9ab9ab50"
 
 GOLDEN_MC_SHA256 = {
     "pressure.csv":
@@ -533,6 +542,13 @@ def test_uni_scan_single_eps(tmp_path, sin_path):
     assert len(rows) == 1
     assert float(rows[0][1]) > 0.0
     assert rows[0][4] == "true"
+
+
+def test_uni_scan_matches_golden_digest(tmp_path, sin_path):
+    out = str(tmp_path / "run")
+    assert cli.main(["uni-scan", "--model", sin_path, "--out", out]) == 0
+    with open(os.path.join(out, "uni_scan.csv"), "rb") as fh:
+        assert hashlib.sha256(fh.read()).hexdigest() == GOLDEN_UNI_SCAN_SHA256
 
 
 def test_dolgopyat_certificate_rows(tmp_path, sin_path):

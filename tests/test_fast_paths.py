@@ -48,6 +48,17 @@ smoothing reorder their sums, and their tolerances are stated below.
   size for every phase: value and witness, on torus-distance rows with
   constant, zero, rounded (tied) and duplicated rows.
 * ``uni_scan`` and ``check_tame`` run the stopping cocycle once each.
+* Contrast profiles as one table, against copies of the loops they
+  replaced: ``uni_scan`` (one word walk per stopping index) against one
+  frozen ``temporal_distance`` and %-form torus distance per (point,
+  pair, side) profile, the whole certificate with ``==``, on both
+  families and every single forbidden transition, with q in 4..12,
+  affine roofs (margin 0, tied witnesses) and a point with one side;
+  ``check_tame`` (one walk per point) against one temporal distance per
+  mixed prefix, rows and c_measured bit for bit, errors included;
+  ``_torus_dist`` against the % form on signed zeros, multiples of pi,
+  subnormals, +-1e300, infinities and NaN, scalar, 0-d and (64, 256),
+  bits and types.
 * Monte Carlo: ``correlation_decay`` (blocks advanced together, roof
   values carried, any chunk size) against the per-block loop and roof
   recomputation it replaced, bit for bit, with repeated, unsorted and
@@ -75,7 +86,7 @@ smoothing reorder their sums, and their tolerances are stated below.
   ``roof_sum_on_word`` with and without a given domain, and the shared
   walk over a batch of rows, one point each, against the scalar loop
   over that list, errors included; ``temporal_distance`` with one
-  interval lookup and one walk per word.
+  interval lookup.
 * Weight recipes as data, bit for bit, against a copy of the closure
   recipes (callables, (array, power) factors) and the ``make_operator``
   they fed: stencil coefficients, out factors, grid samples and applied
@@ -96,10 +107,11 @@ smoothing reorder their sums, and their tolerances are stated below.
   families, with small and paired bumps, overlapping windows, a kappa5
   shrink and small chunks.
 * Walks done once, bit for bit against copies of the paths they
-  replaced: ``temporal_distance`` (two word walks) against check walks
+  replaced: ``temporal_distance`` (one two-row walk) against check walks
   plus four walks, errors included, on both families with seam points
-  and inapplicable words; one ``majorant_step`` (P H, P^2 and H^2 pushed
-  once, 3 n1 applications of M) against the square comparison followed
+  and inapplicable words (the first of two is named); one
+  ``majorant_step`` (P H, P^2 and H^2 pushed once, 3 n1 applications of
+  M) against the square comparison followed
   by the old step (4 n1), with a refused step, a failing square
   comparison and a failing domination; the ``all_words`` columns against
   the tuple builder for k <= 8 on doubling and every single forbidden
@@ -493,6 +505,34 @@ def test_torus_dist_matches_hand_copies(a, b, xs):
         np.abs((x - a + math.pi) % (2 * math.pi) - math.pi))
     assert _bits(S._torus_dist(x)) == _bits(
         np.abs((x + math.pi) % (2 * math.pi) - math.pi))
+
+
+_TORUS_EDGES = ([0.0, -0.0, math.pi, -math.pi, 2 * math.pi, -2 * math.pi,
+                 5e-324, -5e-324, 1e-310, -1e-310, 1e300, -1e300,
+                 math.inf, -math.inf, math.nan]
+                + [j * math.pi for j in range(-9, 10)]
+                + [j * 2 * math.pi for j in (-1e6, 1e6, 2 ** 40)]
+                + [np.nextafter(v, d) for v in (math.pi, 2 * math.pi)
+                   for d in (0.0, 10.0)])
+
+
+def test_torus_dist_edge_values():
+    # the remainder-free form against numpy's and Python's % on signed
+    # zeros, multiples of pi, subnormals, huge values, infinities and NaN:
+    # bits and types, scalar, 0-d and (64, 256) inputs
+    def ref(a):
+        return np.abs((a + math.pi) % (2 * math.pi) - math.pi)
+
+    rng = np.random.default_rng(0)
+    table = rng.choice(np.array(_TORUS_EDGES), size=(64, 256))
+    table[0, :len(_TORUS_EDGES)] = _TORUS_EDGES
+    with np.errstate(invalid="ignore"):
+        for a in ([float(v) for v in _TORUS_EDGES]
+                  + [np.float64(v) for v in _TORUS_EDGES]
+                  + [np.array(v) for v in _TORUS_EDGES] + [table]):
+            got, want = S._torus_dist(a), ref(a)
+            assert type(got) is type(want)
+            assert _bits(got) == _bits(want), a
 
 
 # ---------------------------------------------------------------------------
@@ -2493,10 +2533,13 @@ def _applies(model, word, domain):
 @PROPS
 @given(model=models(_ANY_FORBIDDEN), data=point_lists, n=st.integers(1, 4),
        pick=st.tuples(*[st.integers(0, 10 ** 6)] * 3), scalar=st.booleans(),
-       variant=st.integers(0, 9))
+       variant=st.integers(0, 10))
 @example(model=build_model(ModelConfig("markov3", roof=(2.0, 0.1, 0.3, 0.2),
                                        grid_size=64, forbidden=("2>2",))),
          data=[(2, 0.5)], n=2, pick=(1, 7, 3), scalar=False, variant=0)
+@example(model=build_model(ModelConfig("markov3", roof=(2.0, 0.1, 0.3, 0.2),
+                                       grid_size=64, forbidden=("2>2",))),
+         data=[(2, 0.5)], n=2, pick=(1, 7, 3), scalar=False, variant=10)
 def test_temporal_distance_walks_each_word_once(model, data, n, pick,
                                                 scalar, variant):
     xs = np.concatenate([_points(data, model), _seam_points(model)])
@@ -2509,7 +2552,8 @@ def test_temporal_distance_walks_each_word_once(model, data, n, pick,
     i = pick[1] % len(ok)
     w1 = ok[i]
     w2 = ok[(i + 1 + pick[2] % (len(ok) - 1)) % len(ok)]
-    # variants 0-5 are valid; 6-9 each break one requirement
+    # variants 0-5 are valid; 6-9 each break one requirement, and 10 makes
+    # both words inapplicable (the error names w1)
     if variant == 6:
         zs.append(iv.right + 1e-9)         # a probe outside the interval
     elif variant == 7:
@@ -2518,13 +2562,139 @@ def test_temporal_distance_walks_each_word_once(model, data, n, pick,
         w2 = w1
     elif variant == 9:
         w1 += w1[-1]
+    elif variant == 10:
+        w1, w2 = (bad[(pick[2] + d) % len(bad)] for d in (0, 1))
     z = zs[pick[1] % len(zs)] if scalar else np.array(zs)
     with mock.patch.object(M, "_walk_words",
                            side_effect=M._walk_words) as walks:
         got = _outcome(S.temporal_distance, model, x, w1, w2, z)
     assert got == _outcome(_old_temporal_distance, model, x, w1, w2, z)
     if got[0] == "value":
-        assert walks.call_count == 2
+        assert walks.call_count == 1        # w1 and w2 as one 2-row table
+
+
+# ---------------------------------------------------------------------------
+# contrast profiles as one table: the UNI scan and the tameness check
+
+
+def _old_uni_scan(model, scale):
+    """uni_scan as one temporal distance, %-form torus distance and margin
+    per (point, pair, side) profile."""
+    pts = S._sample_points(model, 12)
+    omegas = S.TWO_PI * np.arange(S.UNI_PHASES) / S.UNI_PHASES
+    s = np.arange(S.UNI_S_POINTS) / S.UNI_S_POINTS
+    thetas, values = S._stopping_cocycle(model, [x for x, _ in pts],
+                                         scale.eps)
+    wits = []
+    for (x, iid), k, lam in zip(pts, thetas.tolist(), values.tolist()):
+        sides = S._chart_sides(model.interval(iid), x, lam)
+        best_x, wit = -1.0, None
+        for w1, w2 in S.word_pairs(model, iid, k):
+            for side in sides:
+                zs = x + side * s / lam
+                psi = _old_temporal_distance(model, x, w1, w2, zs) / scale.eps
+                a = psi[None, :] - omegas[:, None]
+                dist = np.abs((a + math.pi) % (2 * math.pi) - math.pi)
+                margin, d = S._best_margin(dist, 32)
+                if margin > best_x or wit is None:
+                    best_x = margin
+                    wit = S.UniWitness(
+                        int(k), float(lam), margin, (w1, w2),
+                        float(omegas[d["omega_idx"]]), d["frac"],
+                        (d["lo"] / S.UNI_S_POINTS, d["hi"] / S.UNI_S_POINTS),
+                        d["dist"])
+        wits.append(wit)
+    kappa_hat = min(w.kappa_x for w in wits)
+    return S.UniCertificate(scale.eps, float(kappa_hat), tuple(wits))
+
+
+def _old_check_tame(model, scale, samples):
+    """check_tame as one temporal distance per mixed prefix."""
+    rows = []
+    worst = 0.0
+    pts = S._sample_points(model, samples)
+    thetas, values = S._stopping_cocycle(model, [x for x, _ in pts],
+                                         scale.eps)
+    for (x, iid), k, lam in zip(pts, thetas.tolist(), values.tolist()):
+        s = np.arange(128) / 128
+        iv = model.interval(iid)
+        side = S._chart_sides(iv, x, lam)[0]
+        zs = x + side * s / lam
+        lo = S.extreme_word(model, iid, k, "low")
+        hi = S.extreme_word(model, iid, k, "high")
+        for j in range(k):
+            w2 = lo[:j] + hi[j:]
+            if w2 == lo:
+                continue
+            psi = _old_temporal_distance(model, x, lo, w2, zs) / scale.eps
+            nrm = S._profile_theta_norm(psi, model.theta)
+            off = S.pair_offset(model, x, lo, w2)
+            ratio = nrm / off ** S.TAME_KAPPA
+            rows.append((x, j, off, nrm, ratio))
+            worst = max(worst, ratio)
+    return S.TameReport(worst, tuple(rows))
+
+
+def _affine(model):
+    """The model with the sine and cosine terms of its roof dropped."""
+    return build_model(replace(model.config,
+                               roof=model.config.roof[:2] + (0.0, 0.0)))
+
+
+# at eps = 2^-5 the sample points stop after 3 or 4 steps, and the last
+# one has a chart window on one side only
+_ONE_SIDED = build_model(ModelConfig("doubling", (2.0, 0.1, 0.3, 0.0),
+                                     mu=(0.3, 0.0, 0.05, 0.0), grid_size=64))
+
+
+def test_one_sided_fixture_reaches_its_cases():
+    scale = S.matching_scale(_ONE_SIDED, 2.0 ** -5)
+    pts = S._sample_points(_ONE_SIDED, 12)
+    ks, lams = S._stopping_cocycle(_ONE_SIDED, [x for x, _ in pts],
+                                   scale.eps)
+    assert set(ks.tolist()) == {3, 4}
+    sides = [S._chart_sides(_ONE_SIDED.interval(iid), x, lam)
+             for (x, iid), lam in zip(pts, lams.tolist())]
+    assert [len(s) for s in sides] == [2] * 11 + [1]
+
+
+@PROPS
+@given(model=models(_ANY_FORBIDDEN), q=st.integers(4, 12),
+       affine=st.booleans())
+@example(model=_ONE_SIDED, q=5, affine=False)
+@example(model=_ONE_SIDED, q=5, affine=True)
+def test_uni_scan_matches_per_profile_loop(model, q, affine):
+    # affine roofs give margin 0 on every profile: the witness is then the
+    # first pair and first side of each point, as in the loop
+    if affine:
+        model = _affine(model)
+    scale = S.matching_scale(model, 2.0 ** -q)
+    got, ref = S.uni_scan(model, scale), _old_uni_scan(model, scale)
+    assert got == ref and _bits(got.kappa_hat) == _bits(ref.kappa_hat)
+
+
+def _tame_outcome(fn, *args):
+    try:
+        rep = fn(*args)
+    except ModelError as exc:
+        return "error", str(exc)
+    return "value", _bits(rep.c_measured), [_bits(r) for r in rep.rows]
+
+
+@PROPS
+@given(model=models(_ANY_FORBIDDEN), q=st.integers(4, 12),
+       samples=st.integers(1, 8), affine=st.booleans())
+# 0>2 makes the mixed word 0222... inadmissible at interval 0: both raise
+@example(model=build_model(ModelConfig("markov3", (2.0, 0.0, 0.5, 0.0),
+                                       grid_size=64, forbidden=("0>2",))),
+         q=6, samples=6, affine=False)
+@example(model=_ONE_SIDED, q=5, samples=6, affine=False)
+def test_check_tame_matches_per_prefix_loop(model, q, samples, affine):
+    if affine:
+        model = _affine(model)
+    scale = S.matching_scale(model, 2.0 ** -q)
+    assert (_tame_outcome(S.check_tame, model, scale, samples)
+            == _tame_outcome(_old_check_tame, model, scale, samples))
 
 
 class _CountedOp:
