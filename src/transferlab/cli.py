@@ -20,7 +20,6 @@ import math
 import os
 import sys
 from dataclasses import dataclass, replace
-from itertools import islice
 
 import numpy as np
 
@@ -52,8 +51,10 @@ DEFAULT_SAMPLES = 100_000
 DEFAULT_BLOCKS = 32
 DEFAULT_DOLGOPYAT_B = 256.0
 MC_CHECK_SAMPLES = 20_000
-# rows _write_csv formats together; 4096-row blocks raised the peak RSS of a
-# census pass by about 4 MB, 32-row blocks left it as row-by-row writing did
+# rows _write_csv formats at a time: each slice bounds the memory held by
+# formatted strings.  Formatting whole columns raised the peak RSS of a
+# census pass from 175.0-176.6 to 182.3-185.0 MB (three runs each), and
+# 4096-row blocks raised it by about 4 MB
 CSV_BLOCK_ROWS = 32
 
 
@@ -241,8 +242,11 @@ def _fmt(v) -> str:
 
 
 def _fmt_column(col) -> list:
-    """``_fmt`` over one column; a column of one plain type (float, int or
-    str) is formatted in a single pass."""
+    """``_fmt`` over one column, a list, tuple or numpy array (whose values
+    format as the Python scalars of ``tolist``); a column of one plain type
+    (float, int or str) is formatted in a single pass."""
+    if isinstance(col, np.ndarray):
+        col = col.tolist()
     kinds = set(map(type, col))
     if kinds == {float}:
         return list(map(float.__repr__, col))
@@ -257,13 +261,15 @@ def model_hash(model: MarkovModel) -> str:
     return hashlib.sha256(model.config.to_text().encode("utf-8")).hexdigest()
 
 
-def _write_csv(path: str, command: str, model: MarkovModel, params,
-               header, rows) -> None:
-    """CSV with `#` metadata lines: command, model hash, config, params.
-    Rows are tuples of one length, formatted a column at a time in blocks
-    of CSV_BLOCK_ROWS rows."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write(f"# transferlab {command}\n")
+def _write_csv(cfg: ExperimentConfig, model: MarkovModel, name: str,
+               params, columns: dict) -> None:
+    """<out>/<name> as CSV with `#` metadata lines: command, model hash,
+    config, params.  columns maps each header name to its values, one
+    sequence of the table's length per column; each slice of
+    CSV_BLOCK_ROWS rows is formatted a column at a time."""
+    with open(os.path.join(cfg.out_dir, name), "w", newline="",
+              encoding="utf-8") as fh:
+        fh.write(f"# transferlab {cfg.command}\n")
         fh.write(f"# model_sha256 = {model_hash(model)}\n")
         for line in model.config.to_text().strip().splitlines():
             fh.write(f"# config {line}\n")
@@ -271,11 +277,11 @@ def _write_csv(path: str, command: str, model: MarkovModel, params,
             pairs = " ".join(f"{k}={_fmt(v)}" for k, v in params)
             fh.write(f"# params {pairs}\n")
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        it = iter(rows)
-        while block := list(islice(it, CSV_BLOCK_ROWS)):
-            cols = [_fmt_column(col) for col in zip(*block)]
-            writer.writerows(zip(*cols))
+        writer.writerow(columns)
+        cols = list(columns.values())
+        for i in range(0, len(cols[0]), CSV_BLOCK_ROWS):
+            writer.writerows(zip(*(_fmt_column(c[i:i + CSV_BLOCK_ROWS])
+                                   for c in cols)))
 
 
 def _echo_config(cfg: ExperimentConfig, source: str) -> None:
@@ -289,15 +295,12 @@ def _echo_config(cfg: ExperimentConfig, source: str) -> None:
 # ---------------------------------------------------------------------------
 
 def _cmd_model_info(model: MarkovModel, cfg: ExperimentConfig):
-    branch_rows = [(model.alphabet[i], model.intervals[k].id,
-                    model.intervals[model.symbol_target[i]].id,
-                    float(model.branch_slope[i, k]),
-                    float(model.branch_offset[i, k]))
-                   for i, k in np.argwhere(~np.isnan(model.branch_slope))]
+    sym, dom = np.nonzero(~np.isnan(model.branch_slope))
+    ids = np.array([iv.id for iv in model.intervals])
     info = [
         ("family", model.config.family),
         ("intervals", len(model.intervals)),
-        ("branches", len(branch_rows)),
+        ("branches", len(sym)),
         ("alphabet", " ".join(model.alphabet)),
         ("grid_size", model.grid_size),
         ("theta", model.theta),
@@ -310,13 +313,15 @@ def _cmd_model_info(model: MarkovModel, cfg: ExperimentConfig):
         ("chi_0", model.chi_0),
         ("chi_star", model.chi_star),
     ]
-    _write_csv(os.path.join(cfg.out_dir, "model.csv"), cfg.command, model,
-               [], ("field", "value"), info)
-    _write_csv(os.path.join(cfg.out_dir, "branches.csv"), cfg.command, model,
-               [], ("sym", "domain", "target", "slope", "offset"),
-               branch_rows)
+    _write_csv(cfg, model, "model.csv", [],
+               dict(zip(("field", "value"), zip(*info))))
+    _write_csv(cfg, model, "branches.csv", [],
+               {"sym": np.array(model.alphabet)[sym], "domain": ids[dom],
+                "target": ids[model.symbol_target[sym]],
+                "slope": model.branch_slope[sym, dom],
+                "offset": model.branch_offset[sym, dom]})
     summary = (f"model-info: family={model.config.family} "
-               f"branches={len(branch_rows)} "
+               f"branches={len(sym)} "
                f"tau=[{_fmt(model.tau_0)},{_fmt(model.tau_star)}] "
                f"-> {cfg.out_dir}/model.csv")
     return summary, OK
@@ -325,15 +330,12 @@ def _cmd_model_info(model: MarkovModel, cfg: ExperimentConfig):
 def _cmd_gibbs(model: MarkovModel, cfg: ExperimentConfig):
     sys_data = thermo.base_system(model)
     nu = sys_data.nu
-    rows = []
-    for iv in model.intervals:
-        xs = model.grid(iv.id)
-        for x, w in zip(xs, nu[iv.index]):
-            rows.append((iv.id, float(x), float(w)))
     total = float(nu.sum())
-    _write_csv(os.path.join(cfg.out_dir, "gibbs.csv"), cfg.command, model,
+    _write_csv(cfg, model, "gibbs.csv",
                [("total", total), ("fiber_defect", sys_data.fiber_defect)],
-               ("interval", "x", "weight"), rows)
+               {"interval": np.repeat([iv.id for iv in model.intervals],
+                                      model.grid_size + 1),
+                "x": model.nodes().ravel(), "weight": nu.ravel()})
     summary = (f"gibbs: total={_fmt(total)} "
                f"fiber_defect={_fmt(sys_data.fiber_defect)} "
                f"-> {cfg.out_dir}/gibbs.csv")
@@ -344,9 +346,9 @@ def _cmd_pressure(model: MarkovModel, cfg: ExperimentConfig):
     p = thermo.pressure(model)
     h = orbits.entropy(model)
     residual = thermo.pressure(model, h)
-    rows = [("pressure", p), ("entropy", h), ("entropy_residual", residual)]
-    _write_csv(os.path.join(cfg.out_dir, "pressure.csv"), cfg.command, model,
-               [], ("quantity", "value"), rows)
+    _write_csv(cfg, model, "pressure.csv", [],
+               {"quantity": ("pressure", "entropy", "entropy_residual"),
+                "value": (p, h, residual)})
     summary = (f"pressure: pressure={_fmt(p)} entropy={_fmt(h)} "
                f"-> {cfg.out_dir}/pressure.csv")
     return summary, OK
@@ -357,14 +359,13 @@ def _cmd_decay(model: MarkovModel, cfg: ExperimentConfig):
     kappa_hat = profile.kappa_hat
     if kappa_hat is not None and abs(kappa_hat) < 1e-9:
         kappa_hat = 0.0
-    rows = [(r.b, r.n, r.c0, r.l2, r.seminorm, r.flagged)
-            for r in profile.rows]
-    _write_csv(os.path.join(cfg.out_dir, "decay.csv"), cfg.command, model,
+    _write_csv(cfg, model, "decay.csv",
                [("a", cfg.a), ("b_list", cfg.b_list),
                 ("kappa_hat", kappa_hat)],
-               ("b", "n", "c0", "l2", "seminorm", "flagged"), rows)
+               {f: [getattr(r, f) for r in profile.rows]
+                for f in ("b", "n", "c0", "l2", "seminorm", "flagged")})
     shown = _fmt(kappa_hat) if kappa_hat is not None else "none (needs 4 b values)"
-    summary = (f"decay: kappa_hat={shown} rows={len(rows)} "
+    summary = (f"decay: kappa_hat={shown} rows={len(profile.rows)} "
                f"-> {cfg.out_dir}/decay.csv")
     return summary, OK
 
@@ -372,13 +373,12 @@ def _cmd_decay(model: MarkovModel, cfg: ExperimentConfig):
 def _cmd_uni_scan(model: MarkovModel, cfg: ExperimentConfig):
     certs = [scales.uni_scan(model, scales.matching_scale(model, eps))
              for eps in cfg.eps_list]
-
-    # every sample point has a side (see uni_scan), so none is skipped
-    rows = [(c.eps, c.kappa_hat, len(c.witnesses), 0, c.ok) for c in certs]
-    _write_csv(os.path.join(cfg.out_dir, "uni_scan.csv"), cfg.command, model,
-               [("eps_list", cfg.eps_list)],
-               ("eps", "kappa_hat", "witnesses", "skipped", "ok"), rows)
     kappas = [c.kappa_hat for c in certs]
+    # every sample point has a side (see uni_scan), so none is skipped
+    _write_csv(cfg, model, "uni_scan.csv", [("eps_list", cfg.eps_list)],
+               {"eps": [c.eps for c in certs], "kappa_hat": kappas,
+                "witnesses": [len(c.witnesses) for c in certs],
+                "skipped": [0] * len(certs), "ok": [c.ok for c in certs]})
     summary = (f"uni-scan: kappa_hat=[{_fmt(min(kappas))},{_fmt(max(kappas))}] "
                f"eps_points={len(certs)} -> {cfg.out_dir}/uni_scan.csv")
     return summary, OK
@@ -387,8 +387,6 @@ def _cmd_uni_scan(model: MarkovModel, cfg: ExperimentConfig):
 def _cmd_dolgopyat(model: MarkovModel, cfg: ExperimentConfig):
     b = cfg.b if cfg.b is not None else DEFAULT_DOLGOPYAT_B
     cert = cancellation.run_l2_iteration(model, cfg.a, b, eps=cfg.eps)
-    rows = [(r.n, r.c0_u, r.l2_u, r.l2_h, r.omega_fraction, r.bumps,
-             r.kappa4, r.cs_violation) for r in cert.rows]
     meta = [("a", cert.a), ("b", cert.b), ("eps", cert.eps),
             ("n1", cert.n1), ("burn_in", cert.burn_in),
             ("kappa_uni", cert.kappa_uni), ("kappa6", cert.kappa6),
@@ -396,10 +394,10 @@ def _cmd_dolgopyat(model: MarkovModel, cfg: ExperimentConfig):
             ("final_l2", cert.final_l2), ("kappa_fit", cert.kappa_fit),
             ("refused", cert.refused), ("holder_ratio", cert.holder_ratio),
             ("atoms", cert.atoms), ("truncated_at", cert.truncated_at)]
-    _write_csv(os.path.join(cfg.out_dir, "dolgopyat.csv"), cfg.command,
-               model, meta,
-               ("n", "c0_u", "l2_u", "l2_h", "omega_fraction", "bumps",
-                "kappa4", "cs_violation"), rows)
+    _write_csv(cfg, model, "dolgopyat.csv", meta,
+               {f: [getattr(r, f) for r in cert.rows]
+                for f in ("n", "c0_u", "l2_u", "l2_h", "omega_fraction",
+                          "bumps", "kappa4", "cs_violation")})
     summary = (f"dolgopyat: b={_fmt(cert.b)} refused={_fmt(cert.refused)} "
                f"contracted={_fmt(cert.contracted)} "
                f"kappa_fit={_fmt(cert.kappa_fit)} "
@@ -413,18 +411,16 @@ def _cmd_orbits(model: MarkovModel, cfg: ExperimentConfig):
     if t_grid is None:
         t_grid = tuple(j * model.tau_0 for j in range(1, n_max + 1))
     report = orbits.prime_orbit_report(model, n_max, t_grid)
-    _write_csv(os.path.join(cfg.out_dir, "orbit_table.csv"), cfg.command,
-               model, [("n_max", n_max)], ("word", "n", "period"),
-               report.orbits.tolist())
-    count_rows = [
-        (float(t), int(pi), float(li), float(pi - li), bool(comp))
-        for t, pi, li, comp in zip(report.t_grid, report.pi,
-                                   report.li_values, report.complete)]
-    _write_csv(os.path.join(cfg.out_dir, "counting.csv"), cfg.command, model,
+    table = report.orbits
+    _write_csv(cfg, model, "orbit_table.csv", [("n_max", n_max)],
+               {"word": table.word, "n": table.n, "period": table.period})
+    _write_csv(cfg, model, "counting.csv",
                [("n_max", n_max), ("entropy", report.h),
                 ("c_hat", report.c_hat)],
-               ("t", "pi", "li", "diff", "complete"), count_rows)
-    summary = (f"orbits: primitives={len(report.orbits)} n_max={n_max} "
+               {"t": report.t_grid, "pi": report.pi, "li": report.li_values,
+                "diff": report.pi - report.li_values,
+                "complete": report.complete})
+    summary = (f"orbits: primitives={len(table)} n_max={n_max} "
                f"entropy={_fmt(report.h)} c_hat={_fmt(report.c_hat)} "
                f"-> {cfg.out_dir}/counting.csv")
     return summary, OK
@@ -441,14 +437,12 @@ def _cmd_correlation(model: MarkovModel, cfg: ExperimentConfig):
     rep = orbits.correlation_decay(
         model, _section_sine, _section_sine, t_grid, cfg.samples,
         seed=cfg.seed, blocks=cfg.blocks)
-    rows = [(float(t), float(c), float(s))
-            for t, c, s in zip(rep.t_grid, rep.corr, rep.stderr)]
     meta = [("observable", "sin(2*pi*x)"), ("samples", rep.samples),
             ("blocks", rep.blocks), ("seed", rep.seed),
             ("rate", rep.rate), ("rate_err", rep.rate_err),
             ("r_squared", rep.r_squared)]
-    _write_csv(os.path.join(cfg.out_dir, "correlation.csv"), cfg.command,
-               model, meta, ("t", "corr", "stderr"), rows)
+    _write_csv(cfg, model, "correlation.csv", meta,
+               {"t": rep.t_grid, "corr": rep.corr, "stderr": rep.stderr})
     summary = (f"correlation: rate={_fmt(rep.rate)} "
                f"rate_err={_fmt(rep.rate_err)} r2={_fmt(rep.r_squared)} "
                f"samples={rep.samples} -> {cfg.out_dir}/correlation.csv")
@@ -521,18 +515,17 @@ def _invariant_checks(model: MarkovModel, cfg: ExperimentConfig):
 
 
 def _cmd_invariants(model: MarkovModel, cfg: ExperimentConfig):
-    checks = _invariant_checks(model, cfg)
-    rows = [(name, value, bound, "pass" if value <= bound else "fail")
-            for name, value, bound in checks]
-    _write_csv(os.path.join(cfg.out_dir, "invariants.csv"), cfg.command,
-               model, [("seed", cfg.seed)],
-               ("check", "value", "bound", "status"), rows)
-    failed = [r[0] for r in rows if r[3] == "fail"]
+    names, values, bounds = zip(*_invariant_checks(model, cfg))
+    status = ["pass" if v <= b else "fail" for v, b in zip(values, bounds)]
+    _write_csv(cfg, model, "invariants.csv", [("seed", cfg.seed)],
+               {"check": names, "value": values, "bound": bounds,
+                "status": status})
+    failed = [n for n, s in zip(names, status) if s == "fail"]
     if failed:
-        summary = (f"invariants: {len(failed)} of {len(rows)} failed "
+        summary = (f"invariants: {len(failed)} of {len(names)} failed "
                    f"({', '.join(failed)}) -> {cfg.out_dir}/invariants.csv")
         return summary, VIOLATION
-    summary = (f"invariants: {len(rows)}/{len(rows)} pass "
+    summary = (f"invariants: {len(names)}/{len(names)} pass "
                f"-> {cfg.out_dir}/invariants.csv")
     return summary, OK
 

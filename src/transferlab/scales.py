@@ -349,8 +349,10 @@ def check_tame(model: MarkovModel, scale: ScaleFunction,
         zs = x + side * s / lam
         lo = extreme_word(model, iid, k, "low")
         hi = extreme_word(model, iid, k, "high")
-        # the low word and every mixed word lo[:j] + hi[j:] as one table
-        js = [j for j in range(k) if hi[j:] != lo[j:]]
+        # the low word and every mixed word lo[:j] + hi[j:] as one table;
+        # a mixed word whose junction lo[j-1] -> hi[j] is forbidden is skipped
+        js = [j for j in range(k) if hi[j:] != lo[j:]
+              and (j == 0 or model.word_admissible(lo[j - 1] + hi[j]))]
         words = [lo] + [lo[:j] + hi[j:] for j in js]
         rel = _relative_sums(model, words, np.full(len(words), x),
                              np.broadcast_to(zs, (len(words), zs.size)))

@@ -49,6 +49,13 @@ eps sweep (2^-6 ... 2^-12) on SIN_MODEL.  It was made the same way, on
 the code as it stood while uni_scan computed one temporal distance per
 (point, pair, side) profile, each walking its two words separately, and
 took torus distances with numpy's %, with numpy 2.4.6.
+
+GOLDEN_TABLE_SHA256 pins gibbs.csv (`gibbs`), model.csv and branches.csv
+(`model-info`) for GOLDEN_MODEL, and GOLDEN_DECAY_SHA256 pins decay.csv
+of `decay --b 64` on SIN_MODEL.  They were made the same way, on the code as it stood while
+every command passed _write_csv row tuples (the gibbs rows built in a
+per-node loop) and _write_csv transposed them in blocks of
+CSV_BLOCK_ROWS rows, with numpy 2.4.6 and scipy 1.17.1.
 """
 
 import contextlib
@@ -115,6 +122,18 @@ GOLDEN_DOUBLING_DOLGOPYAT_SHA256 = \
 
 GOLDEN_UNI_SCAN_SHA256 = \
     "9c3b40f8c5953fac9e985eb302a59e6d2de87e5135cb48672ef9318e9ab9ab50"
+
+GOLDEN_TABLE_SHA256 = {
+    "gibbs.csv":
+        "b20e51dc3bb5f4d8683e33388aefc77b4a09545e9854c2849a64a40f5de77aaa",
+    "model.csv":
+        "87473a0fd9b551f29cac9c1ab7c8c0c6b510d1f9223014d1909e900011aa3b0e",
+    "branches.csv":
+        "e0074c08a407b467340f13d9a54f4277b6710328044b5df751ecce07e3a314f2",
+}
+
+GOLDEN_DECAY_SHA256 = \
+    "7943187ea7e0c17a020c00226a7d09bb719e8443e2a53f53160cec3505975540"
 
 GOLDEN_MC_SHA256 = {
     "pressure.csv":
@@ -602,6 +621,21 @@ def test_entropy_and_correlation_match_golden_digests(tmp_path,
     for name, digest in GOLDEN_MC_SHA256.items():
         with open(os.path.join(out, name), "rb") as fh:
             assert hashlib.sha256(fh.read()).hexdigest() == digest, name
+
+
+def test_tables_match_golden_digests(tmp_path, sin_path):
+    model = tmp_path / "golden.txt"
+    model.write_text(GOLDEN_MODEL)
+    out = str(tmp_path / "run")
+    assert cli.main(["gibbs", "--model", str(model), "--out", out]) == 0
+    assert cli.main(["model-info", "--model", str(model), "--out", out]) == 0
+    for name, digest in GOLDEN_TABLE_SHA256.items():
+        with open(os.path.join(out, name), "rb") as fh:
+            assert hashlib.sha256(fh.read()).hexdigest() == digest, name
+    assert cli.main(["decay", "--model", sin_path, "--b", "64",
+                     "--out", out]) == 0
+    with open(os.path.join(out, "decay.csv"), "rb") as fh:
+        assert hashlib.sha256(fh.read()).hexdigest() == GOLDEN_DECAY_SHA256
 
 
 def _certificate_digest(tmp_path, text):

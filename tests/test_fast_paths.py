@@ -36,7 +36,11 @@ smoothing reorder their sums, and their tolerances are stated below.
 * ``smooth_grid`` (two prefix-sum box passes) against ``np.convolve``
   with the triangle kernel, within 1e-12; constants stay exact.
 * The row Hoelder seminorm against its own dyadic loop (bitwise), and
-  column-wise CSV formatting against ``_fmt`` one value at a time.
+  column-wise CSV formatting against ``_fmt`` one value at a time, numpy
+  columns included; the column writer against a copy of the row-block
+  writer it replaced, byte for byte, on tables of 0 rows, 1 row and
+  lengths across a CSV_BLOCK_ROWS boundary, with every ``_fmt`` kind and
+  float64, int64, bool and str numpy columns.
 * Entropy: ``entropy`` (brentq locates the root, then scipy's bisect
   runs on predicted signs) against ``scipy.optimize.bisect`` on the same
   pressure, bit for bit, with fewer than 21 pressure evaluations;
@@ -55,7 +59,9 @@ smoothing reorder their sums, and their tolerances are stated below.
   families and every single forbidden transition, with q in 4..12,
   affine roofs (margin 0, tied witnesses) and a point with one side;
   ``check_tame`` (one walk per point) against one temporal distance per
-  mixed prefix, rows and c_measured bit for bit, errors included;
+  mixed prefix, rows and c_measured bit for bit, errors included, and on
+  ``0>2`` (whose mixed words can join 0 to 2) against that loop over the
+  mixed words that apply;
   ``_torus_dist`` against the % form on signed zeros, multiples of pi,
   subnormals, +-1e300, infinities and NaN, scalar, 0-d and (64, 256),
   bits and types.
@@ -124,11 +130,14 @@ stable factors; the coefficient ranges keep the roof positive and mu
 inside (0, 1) on the whole leaf, so every draw is a valid model.
 """
 
+import csv
 import hashlib
 import itertools
 import cmath
 import math
+import os
 import struct
+import tempfile
 from collections import namedtuple
 from dataclasses import dataclass, replace
 from unittest import mock
@@ -137,6 +146,7 @@ import numpy as np
 import pytest
 import scipy.optimize
 from hypothesis import assume, example, given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 from scipy.ndimage import minimum_filter1d
 from scipy.optimize import bisect
 from scipy.sparse import csr_array
@@ -1154,7 +1164,18 @@ _CSV_KINDS = (
     st.floats(), st.integers(-10 ** 6, 10 ** 6), st.booleans(), st.none(),
     st.text(alphabet="ab,\"", max_size=4),
     st.lists(st.floats(allow_nan=False), max_size=3),
+    st.tuples(st.floats(), st.integers(-9, 9)),
     st.floats(-1e3, 1e3).map(np.float64))
+
+
+def _array_column(n):
+    """A numpy column of n values: float64 (NaN, infinities and -0.0
+    included), int64, bool or str ('U') with commas and quotes."""
+    return st.one_of(
+        hnp.arrays(np.float64, n, elements=st.floats()),
+        hnp.arrays(np.int64, n),
+        hnp.arrays(np.bool_, n),
+        hnp.arrays("U4", n, elements=st.text(alphabet="ab,\"", max_size=4)))
 
 
 @settings(max_examples=80, deadline=None)
@@ -1167,6 +1188,70 @@ def test_column_formatting_matches_fmt(data):
     col = tuple(data.draw(st.lists(st.one_of(kinds), min_size=1,
                                    max_size=20)))
     assert cli._fmt_column(col) == [cli._fmt(v) for v in col]
+    # a numpy column formats as the Python scalars its rows were built from
+    arr = data.draw(_array_column(data.draw(st.integers(0, 20))))
+    assert cli._fmt_column(arr) == [cli._fmt(v) for v in arr.tolist()]
+    assert cli._fmt_column(arr[1::2]) == [cli._fmt(v)
+                                          for v in arr[1::2].tolist()]
+
+
+def _old_write_csv(path, command, model, params, header, rows):
+    """_write_csv as it stood while commands passed row tuples: rows
+    formatted a column at a time in blocks of CSV_BLOCK_ROWS."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        fh.write(f"# transferlab {command}\n")
+        fh.write(f"# model_sha256 = {cli.model_hash(model)}\n")
+        for line in model.config.to_text().strip().splitlines():
+            fh.write(f"# config {line}\n")
+        if params:
+            pairs = " ".join(f"{k}={cli._fmt(v)}" for k, v in params)
+            fh.write(f"# params {pairs}\n")
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        it = iter(rows)
+        while block := list(itertools.islice(it, cli.CSV_BLOCK_ROWS)):
+            cols = [cli._fmt_column(col) for col in zip(*block)]
+            writer.writerows(zip(*cols))
+
+
+_CSV_MODEL = build_model(ModelConfig())
+_EDGE_FLOATS = np.array([math.nan, math.inf, -math.inf, -0.0, 0.0, 1e-310])
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_column_writer_matches_row_block_writer(data):
+    block = cli.CSV_BLOCK_ROWS
+    n = data.draw(st.one_of(st.sampled_from((0, 1, block, block + 1)),
+                            st.integers(0, 3 * block)))
+    names = data.draw(st.lists(st.sampled_from(("a", "b,c", 'd"e', "f g")),
+                               min_size=1, max_size=4, unique=True))
+    columns = {}
+    for name in names:
+        if data.draw(st.booleans()):
+            kinds = data.draw(st.lists(st.sampled_from(_CSV_KINDS),
+                                       min_size=1, max_size=2))
+            columns[name] = data.draw(st.lists(st.one_of(kinds), min_size=n,
+                                               max_size=n))
+        else:
+            columns[name] = data.draw(_array_column(n))
+    if n >= len(_EDGE_FLOATS) and data.draw(st.booleans()):
+        columns[names[0]] = np.resize(_EDGE_FLOATS, n)
+    params = data.draw(st.lists(st.tuples(st.sampled_from(("p", "q")),
+                                          st.one_of(_CSV_KINDS)), max_size=2))
+    # the rows a command built from the same columns: Python scalars
+    rows = list(zip(*(c.tolist() if isinstance(c, np.ndarray) else c
+                      for c in columns.values())))
+    with tempfile.TemporaryDirectory() as d:
+        cfg = cli.resolve(cli._build_parser().parse_args(
+            ["gibbs", "--out", d]), {})
+        cli._write_csv(cfg, _CSV_MODEL, "new.csv", params, columns)
+        _old_write_csv(os.path.join(d, "old.csv"), "gibbs", _CSV_MODEL,
+                       params, names, rows)
+        with open(os.path.join(d, "new.csv"), "rb") as fh:
+            got = fh.read()
+        with open(os.path.join(d, "old.csv"), "rb") as fh:
+            assert got == fh.read()
 
 
 # ---------------------------------------------------------------------------
@@ -2608,8 +2693,10 @@ def _old_uni_scan(model, scale):
     return S.UniCertificate(scale.eps, float(kappa_hat), tuple(wits))
 
 
-def _old_check_tame(model, scale, samples):
-    """check_tame as one temporal distance per mixed prefix."""
+def _old_check_tame(model, scale, samples, admissible_only=False):
+    """check_tame as one temporal distance per mixed prefix; with
+    admissible_only, a mixed word that does not apply at the interval of
+    x is skipped (the frozen loop raises on it)."""
     rows = []
     worst = 0.0
     pts = S._sample_points(model, samples)
@@ -2626,6 +2713,11 @@ def _old_check_tame(model, scale, samples):
             w2 = lo[:j] + hi[j:]
             if w2 == lo:
                 continue
+            if admissible_only:
+                try:
+                    model.apply_word(w2, iv.left)
+                except ModelError:
+                    continue
             psi = _old_temporal_distance(model, x, lo, w2, zs) / scale.eps
             nrm = S._profile_theta_norm(psi, model.theta)
             off = S.pair_offset(model, x, lo, w2)
@@ -2681,20 +2773,36 @@ def _tame_outcome(fn, *args):
     return "value", _bits(rep.c_measured), [_bits(r) for r in rep.rows]
 
 
+# 0>2 is the one single forbidden transition that puts a forbidden
+# junction lo[j-1] -> hi[j] into the mixed words (0 -> 2): the frozen loop
+# raises there, and check_tame skips those words
+_ZERO_TWO = build_model(ModelConfig("markov3", (2.0, 0.0, 0.5, 0.0),
+                                    grid_size=64, forbidden=("0>2",)))
+
+
 @PROPS
 @given(model=models(_ANY_FORBIDDEN), q=st.integers(4, 12),
        samples=st.integers(1, 8), affine=st.booleans())
-# 0>2 makes the mixed word 0222... inadmissible at interval 0: both raise
-@example(model=build_model(ModelConfig("markov3", (2.0, 0.0, 0.5, 0.0),
-                                       grid_size=64, forbidden=("0>2",))),
-         q=6, samples=6, affine=False)
 @example(model=_ONE_SIDED, q=5, samples=6, affine=False)
 def test_check_tame_matches_per_prefix_loop(model, q, samples, affine):
     if affine:
         model = _affine(model)
     scale = S.matching_scale(model, 2.0 ** -q)
     assert (_tame_outcome(S.check_tame, model, scale, samples)
-            == _tame_outcome(_old_check_tame, model, scale, samples))
+            == _tame_outcome(_old_check_tame, model, scale, samples,
+                             model.config.forbidden == ("0>2",)))
+
+
+@pytest.mark.parametrize("q", [4, 6, 9, 12])
+@pytest.mark.parametrize("affine", [False, True])
+def test_check_tame_skips_forbidden_junctions(q, affine):
+    model = _affine(_ZERO_TWO) if affine else _ZERO_TWO
+    scale = S.matching_scale(model, 2.0 ** -q)
+    with pytest.raises(ModelError, match="not applicable at interval"):
+        _old_check_tame(model, scale, 6)
+    got = _tame_outcome(S.check_tame, model, scale, 6)
+    assert got == _tame_outcome(_old_check_tame, model, scale, 6, True)
+    assert got[0] == "value" and got[2]
 
 
 class _CountedOp:
