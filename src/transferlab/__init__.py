@@ -2,7 +2,6 @@
 
 from .markov import (
     CoefFn,
-    Interval,
     MarkovModel,
     ModelConfig,
     ModelError,
@@ -13,7 +12,6 @@ from .markov import (
 
 __all__ = [
     "CoefFn",
-    "Interval",
     "MarkovModel",
     "ModelConfig",
     "ModelError",

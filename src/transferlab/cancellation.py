@@ -186,15 +186,16 @@ def build_partition(model: MarkovModel,
 
 
 def _verify_partition(part: CylinderPartition) -> None:
-    for iv in part.model.intervals:
-        run = part.atoms[part.starts[iv.index]:part.starts[iv.index + 1]]
-        edges = np.concatenate(([iv.left], run.right))
+    ids = part.model.intervals
+    for k, left in enumerate(part.model.lefts.tolist()):
+        run = part.atoms[part.starts[k]:part.starts[k + 1]]
+        edges = np.concatenate(([left], run.right))
         gaps = np.flatnonzero(np.abs(run.left - edges[:-1]) > 1e-9)
         if gaps.size:
             raise EngineError(f"partition gap at {float(edges[gaps[0]])!r} "
-                              f"in U_{iv.id}")
-        if abs(edges[-1] - iv.right) > 1e-9:
-            raise EngineError(f"partition does not reach the end of U_{iv.id}")
+                              f"in U_{ids[k]}")
+        if abs(edges[-1] - (left + 1.0)) > 1e-9:
+            raise EngineError(f"partition does not reach the end of U_{ids[k]}")
     if part.condition_margin > 1.0 + 1e-9:
         raise EngineError("refinement condition violated")
 
@@ -284,14 +285,13 @@ def cone_ratio(model: MarkovModel, scale: ScaleFunction,
         raise EngineError("cone membership needs a positive function")
     h = 1.0 / model.grid_size
     worst = 0.0
-    for iv in model.intervals:
-        row = values[iv.index]
+    for row, lam in zip(values, scale.values):
         d = np.empty_like(row)
         d[1:-1] = (row[2:] - row[:-2]) / (2 * h)
         # second-order one-sided ends, same accuracy as the interior
         d[0] = (-3 * row[0] + 4 * row[1] - row[2]) / (2 * h)
         d[-1] = (3 * row[-1] - 4 * row[-2] + row[-3]) / (2 * h)
-        ratio = np.abs(d) / (row * scale.values[iv.index])
+        ratio = np.abs(d) / (row * lam)
         worst = max(worst, float(ratio.max()))
     return worst
 
@@ -316,14 +316,14 @@ def random_cone_element(model: MarkovModel, scale: ScaleFunction,
     """Positive function with rescaled log-slope about 0.9 times the bound."""
     h = 1.0 / model.grid_size
     out = np.empty((len(model.intervals), model.grid_size + 1))
-    for iv in model.intervals:
-        cap = 0.9 * scale.values[iv.index] * h
+    for k, lam in enumerate(scale.values):
+        cap = 0.9 * lam * h
         steps = rng.uniform(-1.0, 1.0, model.grid_size) * cap[:-1]
         # repeated edge increments keep the one-sided stencils on budget
         steps[0] = steps[1]
         steps[-1] = steps[-2]
         logh = np.concatenate([[0.0], np.cumsum(steps)])
-        out[iv.index] = np.exp(logh - logh.max())
+        out[k] = np.exp(logh - logh.max())
     return out
 
 
@@ -417,7 +417,7 @@ def _interp_rows(model: MarkovModel, values: np.ndarray, rows, pts):
     out = np.empty(pts.shape, dtype=values.dtype)
     for r in np.unique(rows):
         sel = rows == r
-        loc = pts[sel] - model.intervals[r].left
+        loc = pts[sel] - model.lefts[r]
         row = values[r]
         if np.iscomplexobj(row):
             out[sel] = (np.interp(loc, xs, row.real)
@@ -428,18 +428,18 @@ def _interp_rows(model: MarkovModel, values: np.ndarray, rows, pts):
 
 
 def _orbit_weight(model: MarkovModel, f_hat: np.ndarray, z: np.ndarray,
-                  n: int, iid: str) -> np.ndarray:
+                  n: int, r0: int) -> np.ndarray:
     """exp of the normalized log-weight summed along the n-step orbit of z.
 
     f_hat is the fully normalized per-step sample (eigenvalue constant and
     eigenfunction telescope included), so the sum is the n-step weight.
-    The points z start in U_iid; every later orbit point is read on the
-    row of its own interval, so orbits that split at a slice seam keep
-    their true weights.
+    The points z start in the interval of index r0; every later orbit
+    point is read on the row of its own interval, so orbits that split at
+    a slice seam keep their true weights.
     """
     pts = model.orbit(z, n)
     rows = model.interval_index(pts)
-    rows[:1] = model.interval(iid).index
+    rows[:1] = r0
     total = np.zeros(np.shape(z))
     for cur, r in zip(pts, rows):
         total += _interp_rows(model, f_hat, r, cur)
@@ -662,7 +662,7 @@ def build_cancellation(model: MarkovModel, rpf: ComplexRPF,
             if len(g) < 2:
                 continue
             k, r = owner[g[0]], rows[g]
-            y = model.intervals[iid[k]].left + np.arange(
+            y = model.lefts[iid[k]] + np.arange(
                 atoms.j_lo[ai[k]], atoms.j_hi[ai[k]] + 1) / n
             pair = _pair_plan(model, rpf.b, f_hat, y, res.omega[g],
                               res.weight[g], w_contr[r], w_off[r], w_tgt[r],
@@ -783,9 +783,9 @@ def _pair_plan(model, b, f_hat, y, omegas, weights, contr, off, tgt, u,
     lo = int(round(j1[0] * (len(y) - 1)))
     hi = max(lo + 1, int(round(j1[1] * (len(y) - 1))))
     sel = slice(lo, hi + 1)
-    g1 = _orbit_weight(model, f_hat, z1[sel], n1, model.intervals[r1].id) \
+    g1 = _orbit_weight(model, f_hat, z1[sel], n1, r1) \
         * np.abs(_interp_rows(model, big_h, r1, z1[sel]))
-    g2 = _orbit_weight(model, f_hat, z2[sel], n1, model.intervals[r2].id) \
+    g2 = _orbit_weight(model, f_hat, z2[sel], n1, r2) \
         * np.abs(_interp_rows(model, big_h, r2, z2[sel]))
     two = np.abs(g1 * np.exp(1j * ph1[sel]) + g2 * np.exp(1j * ph2[sel]))
     room = (g1 + g2 - two) / np.maximum(g1, 1e-300)
@@ -840,7 +840,7 @@ def majorant_step(model: MarkovModel, rpf: ComplexRPF,
         r, c = np.argwhere(bad)[0]
         raise EngineError(
             "majorant domination failed at interval "
-            f"{model.intervals[r].id!r} node {c}: |u|={abs(u[r, c]):.6e} "
+            f"{model.intervals[r]!r} node {c}: |u|={abs(u[r, c]):.6e} "
             f"H={h_vals[r, c]:.6e}")
     if h_vals.max() > state.h0 * (1.0 + 1e-9):
         raise EngineError("majorant exceeded its initial constant")

@@ -296,7 +296,7 @@ def _echo_config(cfg: ExperimentConfig, source: str) -> None:
 
 def _cmd_model_info(model: MarkovModel, cfg: ExperimentConfig):
     sym, dom = np.nonzero(~np.isnan(model.branch_slope))
-    ids = np.array([iv.id for iv in model.intervals])
+    ids = np.array(model.intervals)
     info = [
         ("family", model.config.family),
         ("intervals", len(model.intervals)),
@@ -333,8 +333,7 @@ def _cmd_gibbs(model: MarkovModel, cfg: ExperimentConfig):
     total = float(nu.sum())
     _write_csv(cfg, model, "gibbs.csv",
                [("total", total), ("fiber_defect", sys_data.fiber_defect)],
-               {"interval": np.repeat([iv.id for iv in model.intervals],
-                                      model.grid_size + 1),
+               {"interval": np.repeat(model.intervals, model.grid_size + 1),
                 "x": model.nodes().ravel(), "weight": nu.ravel()})
     summary = (f"gibbs: total={_fmt(total)} "
                f"fiber_defect={_fmt(sys_data.fiber_defect)} "

@@ -53,14 +53,15 @@ def norm_theta_b(model: MarkovModel, values: np.ndarray, b: float) -> float:
     return max(c0_norm(values), holder_seminorm(model, values) / abs(b))
 
 
-def oscillation(model: MarkovModel, values: np.ndarray, iid: str,
+def oscillation(model: MarkovModel, values: np.ndarray, r: int,
                 a: float, b: float) -> float:
-    """max - min of (real) u over the sample points inside [a, b] of U_iid."""
-    xs = model.grid(iid)
+    """max - min of (real) u over the sample points inside [a, b] of the
+    interval of index r."""
+    xs = model.nodes()[r]
     mask = (xs >= a - 1e-12) & (xs <= b + 1e-12)
     if not mask.any():
         raise ModelError("oscillation window contains no sample points")
-    vals = values[model.interval(iid).index][mask]
+    vals = values[r][mask]
     if np.iscomplexobj(vals):
         raise ModelError("oscillation is defined for real grid functions")
     return float(vals.max() - vals.min())
@@ -154,12 +155,13 @@ def minimax_poly(xs: np.ndarray, ys: np.ndarray,
 
 
 def poly_distance(model: MarkovModel, values: np.ndarray, degree: int,
-                  iid: str) -> PolyDistanceReport:
-    """Minimax distance of real u to polynomials of degree <= K on U_iid."""
-    ys = values[model.interval(iid).index]
+                  r: int) -> PolyDistanceReport:
+    """Minimax distance of real u to polynomials of degree <= K on the
+    interval of index r."""
+    ys = values[r]
     if np.iscomplexobj(ys):
         raise ModelError("poly_distance is defined for real grid functions")
-    return minimax_poly(model.grid(iid), ys, degree)
+    return minimax_poly(model.nodes()[r], ys, degree)
 
 
 # ---------------------------------------------------------------------------
@@ -179,15 +181,15 @@ def check_weights(model: MarkovModel, weights: np.ndarray) -> np.ndarray:
     return weights
 
 
-def interval_mass(model: MarkovModel, weights: np.ndarray, iid: str,
+def interval_mass(model: MarkovModel, weights: np.ndarray, r: int,
                   a: float, b: float) -> float:
-    """Measure of [a, b] inside U_iid; boundary samples count half,
-    straddled cells pro-rate linearly."""
-    iv = model.interval(iid)
-    w = np.asarray(weights, dtype=float)[iv.index]
+    """Measure of [a, b] inside the interval of index r; boundary samples
+    count half, straddled cells pro-rate linearly."""
+    w = np.asarray(weights, dtype=float)[r]
     n = model.grid_size
-    a = max(a, iv.left)
-    b = min(b, iv.right)
+    left = float(model.lefts[r])
+    a = max(a, left)
+    b = min(b, left + 1.0)
     if b <= a:
         return 0.0
     # each cell j (samples j..j+1) carries half of each endpoint weight;
@@ -203,6 +205,6 @@ def interval_mass(model: MarkovModel, weights: np.ndarray, iid: str,
         j = min(int(t), n - 1)
         return float(prefix[j] + (t - j) * cell_mass[j])
 
-    lo = (a - iv.left) * n
-    hi = (b - iv.left) * n
+    lo = (a - left) * n
+    hi = (b - left) * n
     return cum(hi) - cum(lo)

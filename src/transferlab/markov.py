@@ -6,6 +6,14 @@ interval, and three scalar fields on the union: a roof function tau > 0
 (return time), a potential F, and a stable factor mu with values in (0,1).
 The derived per-step determinant is expansion * mu.
 
+An interval is an index k into ``lefts``: U_k is [lefts[k], lefts[k] + 1),
+row k of ``nodes()`` holds its grid, and every package function that
+names an interval takes k.  The ids in ``intervals`` (``intervals[k]``
+names U_k) appear only in CSV columns and messages.  A coordinate on a
+seam between two intervals belongs to the interval on its right, and the
+right end of the last interval belongs to that interval
+(``interval_index``).
+
 Each symbol names the interval an inverse branch lands in; a word is a
 uint8 row of symbols, applied right to left, and is admissible when
 consecutive transitions are allowed by the adjacency structure.  One
@@ -71,19 +79,6 @@ class CoefFn:
 
     def coeffs(self) -> tuple[float, float, float, float]:
         return (self.const, self.linear, self.sin, self.cos)
-
-
-@dataclass(frozen=True)
-class Interval:
-    """One component of the phase space, [left, left+1) in leaf coordinate."""
-
-    id: str
-    index: int
-    left: float
-
-    @property
-    def right(self) -> float:
-        return self.left + 1.0
 
 
 class ModelError(ValueError):
@@ -170,7 +165,7 @@ class ModelConfig:
 @dataclass(frozen=True)
 class MarkovModel:
     config: ModelConfig
-    intervals: tuple[Interval, ...]
+    intervals: tuple[str, ...]      # interval ids; position is the index
     alphabet: tuple[str, ...]
     roof: CoefFn
     potential: CoefFn
@@ -199,17 +194,8 @@ class MarkovModel:
     branch_offset: np.ndarray = field(repr=False, compare=False)  # (k, m)
     symbol_target: np.ndarray = field(repr=False, compare=False)  # (k,)
     transitions: np.ndarray = field(repr=False, compare=False)    # (k, k)
-    # lookup tables
-    _intervals_by_id: dict = field(repr=False, compare=False, default_factory=dict)
 
     # -- geometry --------------------------------------------------------
-
-    def interval(self, iid: str) -> Interval:
-        return self._intervals_by_id[iid]
-
-    def interval_of(self, x) -> str:
-        """Interval containing leaf coordinate x: interval_index of one point."""
-        return self.intervals[int(self.interval_index(x))].id
 
     def interval_index(self, x) -> np.ndarray:
         """Interval indices of leaf coordinates (right endpoints excluded,
@@ -226,14 +212,9 @@ class MarkovModel:
             raise ModelError(f"coordinate {bad!r} outside the phase space")
         return np.minimum(np.floor(x).astype(int), last)
 
-    def grid(self, iid: str) -> np.ndarray:
-        """Sample points of U_iid: grid_size cells, both endpoints included."""
-        iv = self.interval(iid)
-        return iv.left + np.arange(self.grid_size + 1) / self.grid_size
-
     def nodes(self) -> np.ndarray:
-        """All sample points, stacked (intervals, grid_size + 1); row k is
-        grid(intervals[k].id) bit for bit."""
+        """All sample points, stacked (intervals, grid_size + 1): row k
+        holds the grid_size cells of U_k, both endpoints included."""
         return self.lefts[:, None] + np.arange(self.grid_size + 1) / self.grid_size
 
     # -- forward dynamics -------------------------------------------------
@@ -318,13 +299,13 @@ class MarkovModel:
         """sum_{i<n} fn(sigma^i x) for a callable fn on leaf coordinates."""
         return self._orbit_fold(x, n, fn, np.sum)
 
-    def roof_sum_on_word(self, word: str, x, domain: str | None = None):
+    def roof_sum_on_word(self, word: str, x, domain: int | None = None):
         """tau_n(v_word(x)): Birkhoff roof sum along the branch preimage,
-        walked as in apply_word, from U_domain if given."""
+        walked as in apply_word, from the interval index domain if given."""
         scalar = np.isscalar(x)
         xv = np.atleast_1d(np.asarray(x, dtype=float))
         dom = (self.interval_index(xv[:1]) if domain is None
-               else np.array([self.interval(domain).index]))
+               else np.array([domain]))
         total = _roof_sums(self, [word], xv, dom)
         return float(total[0]) if scalar else total
 
@@ -358,7 +339,7 @@ def _walk_words(model: MarkovModel, rows: np.ndarray, y: np.ndarray,
         i = int(np.flatnonzero(bad.any(axis=0))[-1])  # walked first
         r = int(np.flatnonzero(bad[:, i])[0])
         raise ModelError(f"no branch {words[r][i]!r} with domain "
-                         f"{model.intervals[doms[r, i]].id!r}")
+                         f"{model.intervals[doms[r, i]]!r}")
     s, off = s.T[::-1], model.branch_offset[sym, doms].T[::-1]
     if np.ndim(y) == 2:
         s, off = s[..., None], off[..., None]
@@ -452,7 +433,7 @@ def build_model(config: ModelConfig) -> MarkovModel:
     if config.family == "doubling":
         if config.forbidden:
             raise ModelError("doubling family has no transition structure to forbid")
-        intervals = (Interval("u", 0, 0.0),)
+        intervals = ("u",)
         alphabet = ("0", "1")
         derived_slopes = (2.0, 2.0)
         # (symbol, target interval) of each slice of each interval, as
@@ -467,7 +448,7 @@ def build_model(config: ModelConfig) -> MarkovModel:
         if len(forb) > 1:
             raise ModelError("markov3 supports at most one forbidden transition")
         adj = {a: tuple(b for b in names if (a, b) not in forb) for a in names}
-        intervals = tuple(Interval(n, i, float(i)) for i, n in enumerate(names))
+        intervals = names
         derived_slopes = tuple(float(len(adj[a])) for a in names)
         # every slice of U_a carries the symbol a
         slices = tuple(tuple((t, names.index(b)) for b in adj[a])
@@ -481,11 +462,11 @@ def build_model(config: ModelConfig) -> MarkovModel:
             f"declared slopes {config.slopes} disagree with derived {derived_slopes}")
     config = replace(config, slopes=derived_slopes)
 
+    # unit intervals side by side: U_k is [k, k + 1)
+    lefts = np.arange(len(intervals), dtype=float)
     # validate fields on a dense grid
-    xs = np.concatenate([
-        iv.left + np.arange(_VALIDATION_SAMPLES + 1) / _VALIDATION_SAMPLES
-        for iv in intervals
-    ])
+    xs = (lefts[:, None] + np.arange(_VALIDATION_SAMPLES + 1)
+          / _VALIDATION_SAMPLES).ravel()
     roof_vals = np.asarray(roof(xs))
     if roof_vals.min() <= 0:
         raise ModelError("roof function must be strictly positive")
@@ -493,7 +474,6 @@ def build_model(config: ModelConfig) -> MarkovModel:
     if mu_vals.min() <= 0 or mu_vals.max() >= 1:
         raise ModelError("mu must take values strictly inside (0, 1)")
 
-    lefts = np.array([iv.left for iv in intervals])
     out_degree = np.array([len(t) for t in slices])
     slice_lefts = np.array([[lefts[k] for _, k in t] + [np.nan] * (
         out_degree.max() - len(t)) for t in slices])
@@ -506,7 +486,7 @@ def build_model(config: ModelConfig) -> MarkovModel:
             # slice j of U_t maps onto U_k with slope d, so the inverse
             # branch labeled i carries U_k into that slice
             branch_slope[i, k] = d
-            branch_offset[i, k] = intervals[t].left + j / d - intervals[k].left / d
+            branch_offset[i, k] = lefts[t] + j / d - lefts[k] / d
             symbol_target[i] = t
     chi_u = float(np.log(np.nanmin(branch_slope)))
     chi_u_bar = float(np.log(np.nanmax(branch_slope)))
@@ -539,7 +519,6 @@ def build_model(config: ModelConfig) -> MarkovModel:
         tau_0=float(roof_vals.min()),
         tau_star=float(roof_vals.max()),
         **tables,
-        _intervals_by_id={iv.id: iv for iv in intervals},
     )
     return model
 

@@ -455,9 +455,7 @@ def flow_average(model: MarkovModel, obs) -> float:
     nu = gibbs_measure(model)
     total = 0.0
     tau_bar = 0.0
-    for iv in model.intervals:
-        xs = model.grid(iv.id)
-        w = nu[iv.index]
+    for xs, w in zip(model.nodes(), nu):
         tau = np.asarray(model.roof(xs), dtype=float)
         tau_bar += float(np.sum(w * tau))
         base = np.asarray(sec(xs), dtype=float)

@@ -50,8 +50,7 @@ def slice_table(model: MarkovModel) -> tuple[tuple[tuple[int, int], ...], ...]:
     the right endpoint."""
     n = model.grid_size
     out = []
-    for iv in model.intervals:
-        d = int(model.out_degree[iv.index])
+    for d in model.out_degree.tolist():
         # slices ordered by position: slice j covers [j/d, (j+1)/d) locally
         cuts = [math.ceil(j * n / d) for j in range(d)] + [n]
         ranges = []
@@ -67,10 +66,10 @@ def _slice_seminorm(model: MarkovModel, values: np.ndarray, theta: float,
     """Largest lag seminorm over the forward-branch slices; lags_of(m)
     gives the lags of a slice of m + 1 samples."""
     sem = 0.0
-    for iv, ranges in zip(model.intervals, slice_table(model)):
+    for k, ranges in enumerate(slice_table(model)):
         for lo, hi in ranges:
             if hi > lo:
-                sem = max(sem, _lag_seminorm(values[iv.index, lo:hi + 1],
+                sem = max(sem, _lag_seminorm(values[k, lo:hi + 1],
                                              lags_of(hi - lo),
                                              model.grid_size, theta))
     return sem
@@ -112,16 +111,16 @@ def smooth_grid(model: MarkovModel, values: np.ndarray,
     radius = max(1, round(width * n))
     box = radius + 1
     out = values.copy()
-    for iv, ranges in zip(model.intervals, slice_table(model)):
+    for k, ranges in enumerate(slice_table(model)):
         for lo, hi in ranges:
-            seg = values[iv.index, lo:hi + 1]
+            seg = values[k, lo:hi + 1]
             if len(seg) < 2:
                 continue
             run = np.pad(seg - seg[0], radius, mode="reflect")
             for _ in range(2):
                 acc = np.concatenate(([0.0], np.cumsum(run)))
                 run = acc[box:] - acc[:-box]
-            out[iv.index, lo:hi + 1] = seg[0] + run / (box * box)
+            out[k, lo:hi + 1] = seg[0] + run / (box * box)
     return out
 
 
@@ -344,7 +343,8 @@ def lasota_yorke_report(model: MarkovModel, a: float, b: float,
     rng = np.random.default_rng(1)
     shape = (len(model.intervals), model.grid_size + 1)
     xs = np.linspace(0.0, 1.0, model.grid_size + 1)
-    u = (np.stack([np.sin(2 * np.pi * xs + iv.index) for iv in model.intervals])
+    u = (np.stack([np.sin(2 * np.pi * xs + k)
+                   for k in range(len(model.intervals))])
          + 0.3 * rng.standard_normal(shape) * xs * (1 - xs)).astype(complex)
     sem0 = holder_seminorm(model, u)
     c00 = float(np.max(np.abs(u)))

@@ -56,7 +56,7 @@ class ScaleFunction:
     """Stopping index and expansion value of a model at resolution eps.
 
     steps[r, j] is the first k >= 1 with stable_cocycle(x, k) < eps at the
-    grid node x = grid(interval r)[j]; values[r, j] is the unstable
+    grid node x = nodes()[r, j]; values[r, j] is the unstable
     expansion over those k steps.  kappa_lower is the measured exponent in
     values > eps**(-kappa_lower), taken as a min over the grid.
     """
@@ -227,13 +227,13 @@ def _relative_sums(model: MarkovModel, words, x: np.ndarray,
     try:
         t = _roof_sums(model, words, np.concatenate((z, x[:, None]), 1), dom)
     except ModelError:
-        for w, xr in zip(words, x.tolist()):   # name the first that fails
-            iid = model.interval_of(xr)
+        # name the first word that fails
+        for w, xr, k in zip(words, x.tolist(), dom.tolist()):
             try:
-                model.roof_sum_on_word(w, xr, iid)
+                model.roof_sum_on_word(w, xr, k)
             except ModelError:
                 raise ModelError(f"word {w!r} not applicable at interval "
-                                 f"{iid!r}") from None
+                                 f"{model.intervals[k]!r}") from None
         raise
     left = model.lefts[dom][:, None]
     if (z < left - 1e-12).any() or (z > left + 1.0 + 1e-12).any():
@@ -261,9 +261,10 @@ def temporal_distance(model: MarkovModel, x, w1: str, w2: str, z):
     return float(out[0]) if np.isscalar(z) else out
 
 
-def extreme_word(model: MarkovModel, domain: str, k: int,
+def extreme_word(model: MarkovModel, domain: int, k: int,
                  flavor: str = "low") -> str:
-    """Length-k admissible word at U_domain by greedy symbol choice.
+    """Length-k admissible word at the interval of index domain by greedy
+    symbol choice.
 
     flavor 'low' always takes the smallest available symbol, 'high' the
     largest, 'alt' alternates high/low.  Built innermost first; the
@@ -272,7 +273,7 @@ def extreme_word(model: MarkovModel, domain: str, k: int,
     has = ~np.isnan(model.branch_slope)
     low = has.argmax(axis=0).tolist()
     high = (len(has) - 1 - has[::-1].argmax(axis=0)).tolist()
-    word, dom = np.empty((1, k), np.uint8), model.interval(domain).index
+    word, dom = np.empty((1, k), np.uint8), domain
     for i in range(k):
         sym = (high if flavor == "high" or (flavor != "low" and i % 2 == 0)
                else low)[dom]
@@ -280,7 +281,7 @@ def extreme_word(model: MarkovModel, domain: str, k: int,
     return str(_decode_words(word, model.alphabet)[0])
 
 
-def word_pairs(model: MarkovModel, domain: str,
+def word_pairs(model: MarkovModel, domain: int,
                k: int) -> list[tuple[str, str]]:
     """Distinct equal-length word pairs used as contrast probes: the low
     word against the high one, and against the alternating one when that
@@ -342,13 +343,12 @@ def check_tame(model: MarkovModel, scale: ScaleFunction,
     worst = 0.0
     pts = _sample_points(model, samples)
     thetas, values = _stopping_cocycle(model, [x for x, _ in pts], scale.eps)
-    for (x, iid), k, lam in zip(pts, thetas.tolist(), values.tolist()):
+    for (x, r), k, lam in zip(pts, thetas.tolist(), values.tolist()):
         s = np.arange(128) / 128
-        iv = model.interval(iid)
-        side = _chart_sides(iv, x, lam)[0]
+        side = _chart_sides(model, r, x, lam)[0]
         zs = x + side * s / lam
-        lo = extreme_word(model, iid, k, "low")
-        hi = extreme_word(model, iid, k, "high")
+        lo = extreme_word(model, r, k, "low")
+        hi = extreme_word(model, r, k, "high")
         # the low word and every mixed word lo[:j] + hi[j:] as one table;
         # a mixed word whose junction lo[j-1] -> hi[j] is forbidden is skipped
         js = [j for j in range(k) if hi[j:] != lo[j:]
@@ -365,16 +365,16 @@ def check_tame(model: MarkovModel, scale: ScaleFunction,
     return TameReport(worst, tuple(rows))
 
 
-def _sample_points(model: MarkovModel, samples: int) -> list[tuple[float, str]]:
-    """Deterministic spread of interior grid nodes across intervals."""
+def _sample_points(model: MarkovModel, samples: int) -> list[tuple[float, int]]:
+    """Deterministic spread of interior grid nodes across intervals, each
+    with its interval index."""
     n = model.grid_size
-    ivs = model.intervals
     out = []
     for t in range(samples):
-        iv = ivs[t % len(ivs)]
+        r = t % len(model.intervals)
         j = (n * (2 * t + 3)) // (2 * samples + 4)
         j = min(max(j, 1), n - 1)
-        out.append((float(iv.left + j / n), iv.id))
+        out.append((float(model.lefts[r] + j / n), r))
     return out
 
 
@@ -476,14 +476,16 @@ def _best_margin(dist: np.ndarray, n_windows: int) -> tuple[float, dict]:
         "hi": lo + int(w_size[i]), "dist": float(w_dist[i])}
 
 
-def _chart_sides(iv, x: float, lam: float) -> list[int]:
+def _chart_sides(model: MarkovModel, r: int, x: float,
+                 lam: float) -> list[int]:
     """Sides (+1 right, -1 left) on which the chart window of length 1/lam
-    at x stays in iv.  Never empty: iv has unit length and lam, a product
-    of slopes >= 2, is at least 2."""
+    at x stays in the interval of index r.  Never empty: the interval has
+    unit length and lam, a product of slopes >= 2, is at least 2."""
+    left = float(model.lefts[r])
     sides = []
-    if x + 1.0 / lam <= iv.right + 1e-12:
+    if x + 1.0 / lam <= left + 1.0 + 1e-12:
         sides.append(1)
-    if x - 1.0 / lam >= iv.left - 1e-12:
+    if x - 1.0 / lam >= left - 1e-12:
         sides.append(-1)
     return sides
 
@@ -509,9 +511,9 @@ def uni_scan(model: MarkovModel, scale: ScaleFunction) -> UniCertificate:
     ks, lams = thetas.tolist(), values.tolist()
     # one profile per (point, pair, side), in that order
     point, pairs, zs = zip(*[
-        (i, pair, x + side * s / lams[i]) for i, (x, iid) in enumerate(pts)
-        for pair in word_pairs(model, iid, ks[i])
-        for side in _chart_sides(model.interval(iid), x, lams[i])])
+        (i, pair, x + side * s / lams[i]) for i, (x, r) in enumerate(pts)
+        for pair in word_pairs(model, r, ks[i])
+        for side in _chart_sides(model, r, x, lams[i])])
     point, zs = np.array(point), np.array(zs)
     xs = np.array([x for x, _ in pts])
     psi = np.empty_like(zs)

@@ -469,9 +469,7 @@ def invariance_defect(model: MarkovModel, fn) -> float:
     nu = gibbs_measure(model)
     direct = 0.0
     pushed = 0.0
-    for iv in model.intervals:
-        xs = model.grid(iv.id)
-        w = nu[iv.index]
+    for xs, w in zip(model.nodes(), nu):
         direct += float(np.sum(w * np.asarray(fn(xs))))
         pushed += float(np.sum(w * np.asarray(fn(model.forward(xs)))))
     return abs(pushed - direct)
@@ -483,10 +481,9 @@ def fractional_moment(model: MarkovModel, gamma0: float, n: int) -> float:
         raise ModelError("gamma0 must lie in (0, 1]")
     nu = gibbs_measure(model)
     total = 0.0
-    for iv in model.intervals:
-        xs = model.grid(iv.id)
+    for xs, w in zip(model.nodes(), nu):
         dets = model.det_cocycle(xs, n)
-        total += float(np.sum(nu[iv.index] * dets ** gamma0))
+        total += float(np.sum(w * dets ** gamma0))
     return total
 
 
@@ -502,9 +499,8 @@ def is_non_expanding(model: MarkovModel) -> tuple[bool, float]:
     """Whether integral log det <= 0 under the Gibbs weights."""
     nu = gibbs_measure(model)
     total = 0.0
-    for iv in model.intervals:
-        xs = model.grid(iv.id)
-        total += float(np.sum(nu[iv.index] * np.log(model.det_step(xs))))
+    for xs, w in zip(model.nodes(), nu):
+        total += float(np.sum(w * np.log(model.det_step(xs))))
     return total <= 1e-10, total
 
 
@@ -512,12 +508,12 @@ def doubling_constant(model: MarkovModel, weights: np.ndarray) -> float:
     """min over interior balls of mass(B(x, r/2)) / mass(B(x, r))."""
     check_weights(model, weights)
     worst = 1.0
-    for iv in model.intervals:
+    for k, left in enumerate(model.lefts.tolist()):
         for r in (1 / 8, 1 / 16, 1 / 32):
-            centers = np.linspace(iv.left + r, iv.right - r, 64)
+            centers = np.linspace(left + r, left + 1.0 - r, 64)
             for x in centers:
-                big = interval_mass(model, weights, iv.id, x - r, x + r)
-                small = interval_mass(model, weights, iv.id, x - r / 2, x + r / 2)
+                big = interval_mass(model, weights, k, x - r, x + r)
+                small = interval_mass(model, weights, k, x - r / 2, x + r / 2)
                 if big > 0:
                     worst = min(worst, small / big)
     return worst

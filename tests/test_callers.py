@@ -3,14 +3,17 @@
 Each public function or method defined in ``src/transferlab`` must be
 referenced outside its own ``def`` by some file under ``src/``,
 ``scripts/`` or ``perfbench/``: as a name, as an attribute, or as a
-string naming it (the benchmark calls functions and wraps them by name).
-The match is by name alone, so a reference to an unrelated attribute of
-the same name also counts; the guard catches code that nothing reaches,
-not every unused method.
+string naming it (the benchmark workloads call functions by name).
+Strings in ``perfbench/tracer.py`` do not count: the tracer wraps the
+functions it names to time them, and calls none of them itself.  The
+match is by name alone, so a reference to an unrelated attribute of the
+same name also counts; the guard catches code that nothing reaches, not
+every unused method.
 
 The ledger names the functions that stay without such a caller: the
 paper-lemma checks, which the tests exercise as statements of the
-paper, and the minimax tools of ``gridfun``.
+paper, the minimax tools of ``gridfun``, and two functions the tests
+state properties of (each with its reason below).
 
 Each defaulted parameter of those functions must also be passed, by
 keyword or by position, by some call under ``src/``, ``scripts/`` or
@@ -48,7 +51,13 @@ LEDGER = frozenset({
     "thermo.doubling_constant", "thermo.invariance_defect",
     "cancellation.choose_n4",
     "gridfun.oscillation", "gridfun.poly_distance",
+    # the paper's temporal distance: the tests state its antisymmetry and
+    # its exact cancellation on affine roofs
+    "scales.temporal_distance",
+    # the fixed point of one cyclic word, with its wrap-transition check
+    "orbits.orbit_fixed_point",
 })
+TRACER = os.path.join(ROOT, "perfbench", "tracer.py")
 
 
 def _python_files(top):
@@ -74,14 +83,16 @@ def _public_defs(tree):
                 yield fn.name, fn.lineno, fn.end_lineno
 
 
-def _references(tree):
-    """(name, line) of every name, attribute and dotted string tail."""
+def _references(tree, strings):
+    """(name, line) of every name and attribute, and with strings, of
+    every dotted string tail."""
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
             yield node.id, node.lineno
         elif isinstance(node, ast.Attribute):
             yield node.attr, node.lineno
-        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+        elif (strings and isinstance(node, ast.Constant)
+              and isinstance(node.value, str)):
             tail = node.value.rpartition(".")[2]
             if tail.isidentifier():
                 yield tail, node.lineno
@@ -91,8 +102,10 @@ def test_every_public_function_has_a_caller():
     refs = {}
     for top in CALLER_DIRS:
         for path in _python_files(os.path.join(ROOT, top)):
-            for name, line in _references(_parse(path)):
-                refs.setdefault(name, []).append((os.path.realpath(path), line))
+            real = os.path.realpath(path)
+            strings = real != os.path.realpath(TRACER)
+            for name, line in _references(_parse(path), strings):
+                refs.setdefault(name, []).append((real, line))
     orphans = []
     for path in _python_files(PACKAGE):
         layer = os.path.splitext(os.path.basename(path))[0]

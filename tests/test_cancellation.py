@@ -160,11 +160,11 @@ def test_partition_markov3_margins():
     covered = sum(a.right - a.left for a in part.atoms)
     assert covered == pytest.approx(len(m.intervals), abs=1e-9)
     # each interval is covered by its own contiguous run of atoms
-    for iv in m.intervals:
-        run = part.atoms[part.starts[iv.index]:part.starts[iv.index + 1]]
-        assert (run.iid == iv.index).all()
-        assert run.left[0] == pytest.approx(iv.left, abs=1e-9)
-        assert run.right[-1] == pytest.approx(iv.right, abs=1e-9)
+    for k, left in enumerate(m.lefts.tolist()):
+        run = part.atoms[part.starts[k]:part.starts[k + 1]]
+        assert (run.iid == k).all()
+        assert run.left[0] == pytest.approx(left, abs=1e-9)
+        assert run.right[-1] == pytest.approx(left + 1.0, abs=1e-9)
         assert float((run.right - run.left).sum()) == pytest.approx(
             1.0, abs=1e-9)
 

@@ -77,8 +77,10 @@ smoothing reorder their sums, and their tolerances are stated below.
   cocycle and Birkhoff-sum folds (scalar and array x, n = 0); the grid
   walk against the walks of ``check_stable``, ``check_adapted``,
   ``uniform_set`` and ``recurrence_rate``; stacked node sampling against
-  per-row stacks; ``interval_of`` against its old scalar rule, with NaN
-  and infinities raising ``ModelError``.
+  per-row stacks; ``interval_index`` of one point against the old
+  scalar interval rule, with NaN and infinities raising ``ModelError``;
+  the interval ids, ``lefts`` and ``nodes()`` as one layout, each grid
+  row indexing back to its own interval.
 * Branch structure as model arrays, bit for bit, on every single
   forbidden ``markov3`` transition: ``forward`` and ``slope_at`` (one
   gather each) against the per-interval mask loop over the old forward
@@ -187,7 +189,7 @@ def models(draw, forbidden_choices=_FORBIDDEN):
 
 def _points(draw_list, model):
     """Leaf coordinates from (interval, fraction) pairs."""
-    return np.array([model.intervals[i % len(model.intervals)].left + f
+    return np.array([model.lefts[i % len(model.intervals)] + f
                      for i, f in draw_list])
 
 
@@ -231,29 +233,28 @@ def test_value_and_theta_match_one_point_loop(model, q, pts):
 def test_matching_scale_grid_matches_one_point_loop(model, q):
     eps = 2.0 ** -q
     scale = S.matching_scale(model, eps)
-    for iv in model.intervals:
-        g = model.grid(iv.id)
+    for r, g in enumerate(model.nodes()):
         for j in (0, 1, model.grid_size // 3, model.grid_size):
             ref_t, ref_v = _reference_stop(model, g[j], eps)
-            assert scale.steps[iv.index, j] == ref_t
-            assert scale.values[iv.index, j] == ref_v
+            assert scale.steps[r, j] == ref_t
+            assert scale.values[r, j] == ref_v
 
 
 # ---------------------------------------------------------------------------
 # cylinder partition
 
 
-def _reference_range(model, scale, iid, left, right):
+def _reference_range(model, scale, r, left, right):
     n = model.grid_size
-    iv = model.interval(iid)
-    j_lo = max(int(math.ceil((left - iv.left) * n - 1e-9)), 0)
-    j_hi = min(int(math.floor((right - iv.left) * n + 1e-9)), n)
+    own = float(model.lefts[r])
+    j_lo = max(int(math.ceil((left - own) * n - 1e-9)), 0)
+    j_hi = min(int(math.floor((right - own) * n + 1e-9)), n)
     pts = [left, 0.5 * (left + right), right - 1e-12]
     vals = [scale.value_at(p) for p in pts]
     if j_hi >= j_lo:
-        row = scale.values[iv.index, j_lo:j_hi + 1]
+        row = scale.values[r, j_lo:j_hi + 1]
         k = int(np.argmin(row))
-        pts.append(iv.left + (j_lo + k) / n)
+        pts.append(own + (j_lo + k) / n)
         vals.append(float(row[k]))
         vals.append(float(row.max()))
     rep = pts[int(np.argmin(vals[:len(pts)]))]
@@ -272,14 +273,14 @@ def _reference_partition(model, scale):
     for lst in by_target.values():
         lst.sort(key=lambda b: b.offset)
     done = []
-    stack = [("", iv.id, iv.id, 1.0, 0.0, 0) for iv in model.intervals]
+    stack = [("", iid, iid, 1.0, 0.0, 0) for iid in model.intervals]
     while stack:
         word, dom, iid, contr, off, depth = stack.pop()
-        d_iv = model.interval(dom)
-        left = contr * d_iv.left + off
-        right = contr * d_iv.right + off
-        lo, hi, rep, j_lo, j_hi = _reference_range(model, scale, iid,
-                                                   left, right)
+        d_left = float(model.lefts[model.intervals.index(dom)])
+        left = contr * d_left + off
+        right = contr * (d_left + 1.0) + off
+        lo, hi, rep, j_lo, j_hi = _reference_range(
+            model, scale, model.intervals.index(iid), left, right)
         if (right - left) * lo <= 1.0:
             assert depth > 0, "a whole interval met the condition"
             done.append(_RefAtom(word, dom, iid, left, right, contr, depth,
@@ -310,7 +311,7 @@ def test_levelwise_partition_matches_depth_first(model, q):
     for row, d in zip(atoms.word, atoms.depth):
         assert (row[:d] < len(model.alphabet)).all()
         assert (row[d:] == M.NO_SYMBOL).all()
-    assert [model.intervals[k].id for k in atoms.iid] == [a.iid for a in ref]
+    assert [model.intervals[k] for k in atoms.iid] == [a.iid for a in ref]
     # interval k owns the contiguous run atoms[starts[k]:starts[k + 1]]
     runs = np.repeat(np.arange(len(model.intervals)), np.diff(part.starts))
     assert part.starts[0] == 0 and np.array_equal(atoms.iid, runs)
@@ -323,15 +324,14 @@ def test_levelwise_partition_matches_depth_first(model, q):
 def _per_node_walk(model, samples, n):
     """Walk every grid node forward one point at a time."""
     out = np.zeros(samples.shape)
-    for iv in model.intervals:
-        for j, x in enumerate(model.grid(iv.id)):
-            r, c, cur = iv.index, j, float(x)
+    for k, g in enumerate(model.nodes()):
+        for j, x in enumerate(g):
+            r, c, cur = k, j, float(x)
             for _ in range(n):
-                out[iv.index, j] += samples[r, c]
+                out[k, j] += samples[r, c]
                 cur = model.forward(cur)
                 r = model.interval_index(cur)
-                c = int(round((cur - model.intervals[r].left)
-                              * model.grid_size))
+                c = int(round((cur - model.lefts[r]) * model.grid_size))
     return out
 
 
@@ -343,11 +343,9 @@ def test_grid_orbit_sum_matches_per_node_walk(model, n, seed):
     table = C._grid_orbit_sum(model, f, n)
     assert np.array_equal(table, _per_node_walk(model, f, n))
     weights, roof_sums = C._dichotomy_tables(model, f, n)
-    for iv in model.intervals:
-        g = model.grid(iv.id)
-        assert np.array_equal(weights[iv.index],
-                              C._orbit_weight(model, f, g, n, iv.id))
-        assert np.array_equal(roof_sums[iv.index],
+    for r, g in enumerate(model.nodes()):
+        assert np.array_equal(weights[r], C._orbit_weight(model, f, g, n, r))
+        assert np.array_equal(roof_sums[r],
                               model.birkhoff_sum(model.roof, g, n))
 
 
@@ -360,8 +358,8 @@ def test_orbit_weight_window_across_seam():
     f = rng.normal(size=(3, model.grid_size + 1)) + np.arange(3)[:, None]
     z = np.linspace(0.40, 0.60, 41)
     assert len(set(model.interval_index(model.forward(z)))) == 2
-    w = C._orbit_weight(model, f, z, 3, "0")
-    alone = np.array([C._orbit_weight(model, f, z[i:i + 1], 3, "0")[0]
+    w = C._orbit_weight(model, f, z, 3, 0)
+    alone = np.array([C._orbit_weight(model, f, z[i:i + 1], 3, 0)[0]
                       for i in range(z.size)])
     assert np.array_equal(w, alone)
     # reading every orbit point on the row of the first point, as a walk
@@ -370,7 +368,7 @@ def test_orbit_weight_window_across_seam():
     total, cur = np.zeros(z.size), z.copy()
     for _ in range(3):
         r = model.interval_index(cur[0])
-        total += np.interp(cur - model.intervals[r].left, xs, f[r])
+        total += np.interp(cur - model.lefts[r], xs, f[r])
         cur = model.forward(cur)
     first_row = np.exp(total)
     past = z >= 0.5
@@ -413,10 +411,10 @@ def _old_all_words(model, domain, k):
     """all_words as a tuple list per domain: (word, contraction, offset,
     target id) of each length-k word on U_domain, grown one symbol at a
     time from the branches of each domain in offset order."""
-    by_domain = {iv.id: [] for iv in model.intervals}
+    by_domain = {iid: [] for iid in model.intervals}
     for i, d in np.argwhere(~np.isnan(model.branch_slope)).tolist():
-        by_domain[model.intervals[d].id].append(
-            (model.alphabet[i], model.intervals[model.symbol_target[i]].id,
+        by_domain[model.intervals[d]].append(
+            (model.alphabet[i], model.intervals[model.symbol_target[i]],
              float(model.branch_slope[i, d]),
              float(model.branch_offset[i, d])))
     by_domain = {iid: sorted(rows, key=lambda r: r[3])
@@ -434,11 +432,11 @@ def _per_atom_refining(model, part, n):
     all its (atom, word) pairs mapped at once, and the witness the first
     failing pair taken atom by atom, and word by word within an atom."""
     lefts, rights = part.atoms.left, part.atoms.right
-    for iv in model.intervals:
-        items = _old_all_words(model, iv.id, n)
+    for k, iid in enumerate(model.intervals):
+        items = _old_all_words(model, iid, n)
         contr = np.array([w[1] for w in items])
         off = np.array([w[2] for w in items])
-        atoms = slice(part.starts[iv.index], part.starts[iv.index + 1])
+        atoms = slice(part.starts[k], part.starts[k + 1])
         lo = contr * lefts[atoms, None] + off          # (atoms, words)
         hi = contr * rights[atoms, None] + off
         holder = part.locate(0.5 * (lo + hi))
@@ -602,7 +600,7 @@ def _cyclic_words(model, n):
 
 def _reference_fixed_point(model, word):
     target = model.symbol_target[model.alphabet.index(word[0])]
-    y = model.intervals[target].left + 0.5
+    y = model.lefts[target] + 0.5
     for _ in range(O.FIXED_POINT_ITERATIONS):
         y = model.apply_word(word, y)
     return y
@@ -747,8 +745,8 @@ def _reference_cylinders(model, k):
             expand(word + b.sym, b.domain, iid, contr / b.slope,
                    contr * b.offset + off)
 
-    for iv in model.intervals:
-        expand("", iv.id, iv.id, 1.0, 0.0)
+    for iid in model.intervals:
+        expand("", iid, iid, 1.0, 0.0)
     return out
 
 
@@ -763,7 +761,7 @@ def test_grown_words_match_rebuild(model, n_max):
     expansion, each with near and far intervals and the composed columns,
     inner branch first and outer branch first."""
     trans = np.array(O.transfer_matrix(model), dtype=bool)
-    ids = [iv.id for iv in model.intervals]
+    ids = model.intervals
     m = len(ids)
     cyc = np.arange(trans.shape[0], dtype=np.uint8)[:, None]
     dom_rows = tgt_rows = np.empty((m, 0), np.uint8)
@@ -781,11 +779,11 @@ def test_grown_words_match_rebuild(model, n_max):
             model, "domain", dom_rows, dom_near)
         (c, o), dom_far = dom_cols, dom_far[p]
         dom_cols = (c[p] / slope, o[p] / slope + b_off)
-        ref = [(iv, r) for iv in ids for r in _old_all_words(model, iv, n)]
+        ref = [(i, r) for i in ids for r in _old_all_words(model, i, n)]
         assert (M._decode_words(dom_rows, model.alphabet).tolist()
                 == [r[0] for _, r in ref])
         assert [ids[k] for k in dom_near] == [r[3] for _, r in ref]
-        assert [ids[k] for k in dom_far] == [iv for iv, _ in ref]
+        assert [ids[k] for k in dom_far] == [i for i, _ in ref]
         assert _bits(np.stack(dom_cols, axis=1)) == _bits(
             [r[1:3] for _, r in ref])
 
@@ -1111,13 +1109,13 @@ def _reference_smooth(model, values, width):
     kern = (radius + 1 - np.abs(i)).astype(float)
     kern /= kern.sum()
     out = values.copy()
-    for iv, ranges in zip(model.intervals, R.slice_table(model)):
+    for k, ranges in enumerate(R.slice_table(model)):
         for lo, hi in ranges:
-            seg = values[iv.index, lo:hi + 1]
+            seg = values[k, lo:hi + 1]
             if len(seg) < 2:
                 continue
             pad = np.pad(seg, radius, mode="reflect")
-            out[iv.index, lo:hi + 1] = np.convolve(pad, kern, mode="valid")
+            out[k, lo:hi + 1] = np.convolve(pad, kern, mode="valid")
     return out
 
 
@@ -1138,8 +1136,7 @@ def test_prefix_sum_smoothing_matches_convolution(model, width, seed, level):
 def _reference_row_seminorm(model, u, theta):
     h = 1.0 / model.grid_size
     worst = 0.0
-    for iv in model.intervals:
-        row = u[iv.index]
+    for row in u:
         lag = model.grid_size
         while lag >= 1:
             gap = float(np.max(np.abs(row[lag:] - row[:-lag])))
@@ -1617,10 +1614,10 @@ def _old_slice_norms(model, values, theta):
     h = 1.0 / model.grid_size
     c0 = float(np.max(np.abs(values)))
     sem = slope = 0.0
-    for iv, ranges in zip(model.intervals, R.slice_table(model)):
+    for k, ranges in enumerate(R.slice_table(model)):
         for lo, hi in ranges:
             if hi > lo:
-                seg = values[iv.index, lo:hi + 1]
+                seg = values[k, lo:hi + 1]
                 sem = max(sem, _old_range_seminorm(seg, h, theta))
                 slope = max(slope, float(np.max(np.abs(np.diff(seg)))) / h)
     return (c0, sem), c0 + slope
@@ -1735,8 +1732,9 @@ def _old_walk(model):
 
 
 def _old_stacked(model, fn):
-    return np.stack([np.asarray(fn(model.grid(iv.id)), dtype=float)
-                     for iv in model.intervals])
+    n = model.grid_size
+    return np.stack([np.asarray(fn(left + np.arange(n + 1) / n), dtype=float)
+                     for left in model.lefts.tolist()])
 
 
 def _old_check_stable(model, scale, m_max):
@@ -1864,13 +1862,16 @@ def test_stacked_node_sampling_matches_per_row_stack(model):
 
 
 def _old_interval_of(model, x):
+    """The interval id of one point by the scalar rule: floor(x), except
+    that the right end of the last interval belongs to it."""
     idx = int(math.floor(x))
-    if not 0 <= idx < len(model.intervals):
-        if x == model.intervals[-1].right:
-            idx = len(model.intervals) - 1
+    last = len(model.intervals) - 1
+    if not 0 <= idx <= last:
+        if x == model.lefts[last] + 1.0:
+            idx = last
         else:
             raise ModelError(f"coordinate {x!r} outside the phase space")
-    return model.intervals[idx].id
+    return model.intervals[idx]
 
 
 @PROPS
@@ -1880,24 +1881,40 @@ def _old_interval_of(model, x):
                                               3.0, np.nextafter(1.0, 0.0)))),
                    min_size=1, max_size=10))
 def test_interval_of_is_interval_index_of_one_point(model, xs):
+    """The interval of a point, read as model.intervals[interval_index(x)],
+    follows the scalar rule, and one point indexes as a batch of them."""
     for x in xs:
         try:
             ref = _old_interval_of(model, x)
         except ModelError:
             with pytest.raises(ModelError, match="outside the phase space"):
-                model.interval_of(x)
+                model.interval_index(x)
             continue
-        assert model.interval_of(x) == ref
-        assert model.intervals[int(model.interval_index(x))].id == ref
+        k = model.interval_index(x)
+        assert k.shape == () and model.intervals[int(k)] == ref
+        assert model.interval_index(np.array([x, x])).tolist() == [int(k)] * 2
 
 
 @pytest.mark.parametrize("family", ("doubling", "markov3"))
 @pytest.mark.parametrize("x", (math.nan, math.inf, -math.inf))
 def test_interval_of_rejects_nan_and_infinity(family, x):
     model = build_model(ModelConfig(family, grid_size=64))
-    for call in (model.interval_of, model.interval_index):
+    for pts in (x, [0.5, x], np.full((2, 2), x)):
         with pytest.raises(ModelError, match="outside the phase space"):
-            call(x)
+            model.interval_index(pts)
+
+
+@PROPS
+@given(model=models(_ANY_FORBIDDEN))
+def test_interval_layout_agrees_with_itself(model):
+    """Ids, lefts and the node grid list the same intervals in one order,
+    and each grid row indexes back to its own interval."""
+    nodes = model.nodes()
+    assert len(model.intervals) == len(model.lefts) == nodes.shape[0]
+    assert model.intervals == (("u",) if model.config.family == "doubling"
+                               else ("0", "1", "2"))
+    for k, row in enumerate(nodes):
+        assert (model.interval_index(row[:-1]) == k).all()
 
 
 # ---------------------------------------------------------------------------
@@ -1931,9 +1948,9 @@ def _old_branches(model):
     for a in names:
         outs = tuple(b for b in names if (a, b) not in forb)
         d = len(outs)
-        la = model.interval(a).left
+        la = float(model.lefts[names.index(a)])
         for j, b in enumerate(outs):
-            lb = model.interval(b).left
+            lb = float(model.lefts[names.index(b)])
             offset = la + j / d - lb / d
             branch_list.append(_OldBranch(a, b, a, float(d), offset))
     return tuple(sorted(branch_list, key=lambda br: (br.sym, br.domain)))
@@ -1958,7 +1975,7 @@ def _old_forward_table(model):
     table = {}
     for a in names:
         outs = tuple(b for b in names if (a, b) not in forb)
-        table[a] = (len(outs), np.array([model.interval(b).left
+        table[a] = (len(outs), np.array([model.lefts[names.index(b)]
                                          for b in outs]))
     return table
 
@@ -1970,12 +1987,12 @@ def _old_forward(model, x):
     out = np.empty_like(x)
     idx = np.floor(x).astype(int)
     idx = np.clip(idx, 0, len(model.intervals) - 1)
-    for k, iv in enumerate(model.intervals):
+    for k, iid in enumerate(model.intervals):
         mask = idx == k
         if not mask.any():
             continue
-        d, target_lefts = table[iv.id]
-        s = d * (x[mask] - iv.left)
+        d, target_lefts = table[iid]
+        s = d * (x[mask] - float(model.lefts[k]))
         j = np.clip(np.floor(s).astype(int), 0, d - 1)
         out[mask] = target_lefts[j] + (s - j)
     return float(out[0]) if scalar else out
@@ -1987,22 +2004,22 @@ def _old_slope_at(model, x):
     x = np.atleast_1d(np.asarray(x, dtype=float))
     out = np.empty_like(x)
     idx = np.clip(np.floor(x).astype(int), 0, len(model.intervals) - 1)
-    for k, iv in enumerate(model.intervals):
+    for k, iid in enumerate(model.intervals):
         mask = idx == k
         if mask.any():
-            out[mask] = table[iv.id][0]
+            out[mask] = table[iid][0]
     return float(out[0]) if scalar else out
 
 
 def _seam_points(model):
     """Slice seams, both ends of every interval and the last right end."""
     pts = []
-    for iv in model.intervals:
-        d = _old_forward_table(model)[iv.id][0]
-        pts += [iv.left + j / d for j in range(d)]
-        pts += [np.nextafter(iv.left + j / d, -np.inf) for j in range(1, d)]
-        pts += [np.nextafter(iv.right, 0.0)]
-    return pts + [model.intervals[-1].right]
+    for iid, left in zip(model.intervals, model.lefts.tolist()):
+        d = _old_forward_table(model)[iid][0]
+        pts += [left + j / d for j in range(d)]
+        pts += [np.nextafter(left + j / d, -np.inf) for j in range(1, d)]
+        pts += [np.nextafter(left + 1.0, 0.0)]
+    return pts + [left + 1.0]
 
 
 @PROPS
@@ -2021,34 +2038,34 @@ def test_forward_and_slope_gather_match_mask_loop(model, data):
 @PROPS
 @given(model=models(_ANY_FORBIDDEN))
 def test_branch_arrays_match_branch_instances(model):
-    assert model.lefts.tolist() == [iv.left for iv in model.intervals]
+    assert model.lefts.tolist() == list(range(len(model.intervals)))
     for k, (d, lefts) in enumerate(_old_forward_table(model).values()):
         assert model.out_degree[k] == d
         assert _bits(model.slice_lefts[k, :d]) == _bits(lefts)
         assert np.isnan(model.slice_lefts[k, d:]).all()
     old = _old_by_sym_domain(model)
     instances = np.argwhere(~np.isnan(model.branch_slope)).tolist()
-    assert [(model.alphabet[i], model.intervals[k].id)
+    assert [(model.alphabet[i], model.intervals[k])
             for i, k in instances] == [(b.sym, b.domain)
                                        for b in _old_branches(model)]
     for i, a in enumerate(model.alphabet):
         targets = set()
-        for iv in model.intervals:
-            inst = old.get((a, iv.id))
-            fiber = _old_fiber_branches(model, iv.id)
+        for k, iid in enumerate(model.intervals):
+            inst = old.get((a, iid))
+            fiber = _old_fiber_branches(model, iid)
             assert (inst in fiber) == (inst is not None)
             if inst is None:
-                assert np.isnan(model.branch_slope[i, iv.index])
-                assert np.isnan(model.branch_offset[i, iv.index])
+                assert np.isnan(model.branch_slope[i, k])
+                assert np.isnan(model.branch_offset[i, k])
                 continue
-            assert _bits(model.branch_slope[i, iv.index]) == _bits(inst.slope)
-            assert _bits(model.branch_offset[i, iv.index]) == _bits(inst.offset)
+            assert _bits(model.branch_slope[i, k]) == _bits(inst.slope)
+            assert _bits(model.branch_offset[i, k]) == _bits(inst.offset)
             targets.add(inst.target)
-        assert targets == {model.intervals[model.symbol_target[i]].id}
-    for iv in model.intervals:
-        fiber = {b.sym for b in _old_fiber_branches(model, iv.id)}
+        assert targets == {model.intervals[model.symbol_target[i]]}
+    for k, iid in enumerate(model.intervals):
+        fiber = {b.sym for b in _old_fiber_branches(model, iid)}
         assert fiber == {a for i, a in enumerate(model.alphabet)
-                         if not np.isnan(model.branch_slope[i, iv.index])}
+                         if not np.isnan(model.branch_slope[i, k])}
     for arr in (model.lefts, model.out_degree, model.slice_lefts,
                 model.branch_slope, model.branch_offset, model.symbol_target,
                 model.transitions):
@@ -2073,25 +2090,25 @@ def test_branch_table_readers_match_branch_list(model, k):
     stencils = T.build_stencils(model)
     assert len(stencils) == len(old)
     for sten, b in zip(stencils, old):
-        assert sten.domain_idx == model.interval(b.domain).index
-        assert sten.target_idx == model.interval(b.target).index
-        assert _bits(sten.y) == _bits(b(model.grid(b.domain)))
+        assert sten.domain_idx == model.intervals.index(b.domain)
+        assert sten.target_idx == model.intervals.index(b.target)
+        assert _bits(sten.y) == _bits(b(model.nodes()[sten.domain_idx]))
     word, contr, off, tgt, first = C.all_words(model, k)
-    for iv in model.intervals:
-        ref = [("", 1.0, 0.0, iv.id)]
+    for idx, iid in enumerate(model.intervals):
+        ref = [("", 1.0, 0.0, iid)]
         for _ in range(k):
             ref = [(b.sym + w, c / b.slope, o / b.slope + b.offset, b.target)
                    for w, c, o, dom in ref
                    for b in _old_fiber_branches(model, dom)]
-        rows = slice(first[iv.index], first[iv.index + 1])
+        rows = slice(first[idx], first[idx + 1])
         assert (list(zip(M._decode_words(word[rows], model.alphabet),
                          tgt[rows].tolist()))
-                == [(w, model.interval(t).index) for w, _, _, t in ref])
+                == [(w, model.intervals.index(t)) for w, _, _, t in ref])
         assert (_bits(np.stack([contr[rows], off[rows]], axis=1))
                 == _bits([r[1:3] for r in ref]))
         for flavor in ("low", "high", "alt"):
-            assert (S.extreme_word(model, iv.id, k, flavor)
-                    == _old_extreme_word(model, iv.id, k, flavor))
+            assert (S.extreme_word(model, idx, k, flavor)
+                    == _old_extreme_word(model, iid, k, flavor))
 
 
 def _old_sym_target_map(model):
@@ -2154,7 +2171,7 @@ def test_transitions_match_dict_construction(model, n, words):
 def _old_walk_word(model, word, x, roof_sum):
     scalar = np.isscalar(x)
     xv = np.atleast_1d(np.asarray(x, dtype=float))
-    dom = model.interval_of(float(xv.flat[0]))
+    dom = model.intervals[int(model.interval_index(xv.flat[0]))]
     total = np.zeros_like(xv)
     cur = xv
     old = _old_by_sym_domain(model)
@@ -2201,7 +2218,7 @@ def test_word_walk_matches_scalar_loop(model, data, n, pick):
     word = words[pick % len(words)] + ("9" if pick % 7 == 0 else "")
     xs = np.concatenate([_points(data, model), _seam_points(model)])
     for x in [xs] + xs.tolist():
-        dom = model.interval_of(float(np.atleast_1d(x)[0]))
+        dom = int(model.interval_index(np.atleast_1d(x)[0]))
         for roof_sum, fast in ((False, model.apply_word),
                                (True, model.roof_sum_on_word)):
             ref = _outcome(_old_walk_word, model, word, x, roof_sum)
@@ -2279,21 +2296,22 @@ def _old_dichotomy_test(model, rpf, u, big_h, span, word_item, kappa6, tables):
     word, contr, off, tgt = word_item
     left, right = span
     n = model.grid_size
-    iv = model.interval(tgt)
-    g_lo = max(0, int(math.floor((contr * left + off - iv.left) * n)))
-    g_hi = min(n, int(math.ceil((contr * right + off - iv.left) * n)))
+    r = model.intervals.index(tgt)
+    t_left = float(model.lefts[r])
+    g_lo = max(0, int(math.floor((contr * left + off - t_left) * n)))
+    g_hi = min(n, int(math.ceil((contr * right + off - t_left) * n)))
     win = slice(g_lo, g_hi + 1)
-    uz = u[iv.index, win]
-    ratios = np.abs(uz) / big_h[iv.index, win]
+    uz = u[r, win]
+    ratios = np.abs(uz) / big_h[r, win]
     max_ratio = float(ratios.max())
     min_ratio = float(ratios.min())
     weights, roof_sums = tables
-    w_mean = float(weights[iv.index, win].mean())
+    w_mean = float(weights[r, win].mean())
     if max_ratio <= C.SMALL_FACTOR:
         return _OldDichotomy("small", word, max_ratio, min_ratio, None,
                              0.0, w_mean)
     if min_ratio >= 1.0 / C.C9_DEFAULT:
-        phases = rpf.b * roof_sums[iv.index, win] + np.angle(uz)
+        phases = rpf.b * roof_sums[r, win] + np.angle(uz)
         omega, spread = _old_circular_stats(phases)
         if spread <= C.ALIGN_SPREAD * kappa6:
             return _OldDichotomy("aligned", word, max_ratio, min_ratio,
@@ -2319,8 +2337,8 @@ def _old_pair_plan(model, b, f_hat, y, aligned, u, big_h, kappa6, n1):
         (t1, w1), (t2, w2) = (t2, w2), (t1, w1)
     z1 = w1[1] * y + w1[2]
     z2 = w2[1] * y + w2[2]
-    r1 = model.interval(w1[3]).index
-    r2 = model.interval(w2[3]).index
+    r1 = model.intervals.index(w1[3])
+    r2 = model.intervals.index(w2[3])
     ph1 = b * np.asarray(model.birkhoff_sum(model.roof, z1, n1)) \
         + np.angle(C._interp_rows(model, u, r1, z1))
     ph2 = b * np.asarray(model.birkhoff_sum(model.roof, z2, n1)) \
@@ -2331,9 +2349,9 @@ def _old_pair_plan(model, b, f_hat, y, aligned, u, big_h, kappa6, n1):
     lo = int(round(j1[0] * (len(y) - 1)))
     hi = max(lo + 1, int(round(j1[1] * (len(y) - 1))))
     sel = slice(lo, hi + 1)
-    g1 = C._orbit_weight(model, f_hat, z1[sel], n1, w1[3]) * np.abs(
+    g1 = C._orbit_weight(model, f_hat, z1[sel], n1, r1) * np.abs(
         C._interp_rows(model, big_h, r1, z1[sel]))
-    g2 = C._orbit_weight(model, f_hat, z2[sel], n1, w2[3]) * np.abs(
+    g2 = C._orbit_weight(model, f_hat, z2[sel], n1, r2) * np.abs(
         C._interp_rows(model, big_h, r2, z2[sel]))
     two = np.abs(g1 * np.exp(1j * ph1[sel]) + g2 * np.exp(1j * ph2[sel]))
     room = (g1 + g2 - two) / np.maximum(g1, 1e-300)
@@ -2350,24 +2368,25 @@ def _old_place_bump(model, p_vals, core, atom, word_item, j1, kappa5, n,
     left, right, iid = atom
     length = right - left
     word, contr, off, tgt = word_item
-    iv = model.interval(tgt)
+    r = model.intervals.index(tgt)
+    t_left = float(model.lefts[r])
     img_left = contr * left + off
     img_len = contr * length
-    g_lo = int(math.ceil((img_left - iv.left) * n - 1e-9))
-    g_hi = int(math.floor((img_left + img_len - iv.left) * n + 1e-9))
+    g_lo = int(math.ceil((img_left - t_left) * n - 1e-9))
+    g_hi = int(math.floor((img_left + img_len - t_left) * n + 1e-9))
     if g_hi < g_lo:
         return False
     js = np.arange(g_lo, g_hi + 1)
-    s = ((iv.left + js / n) - img_left) / img_len
+    s = ((t_left + js / n) - img_left) / img_len
     a, b = j1
     width = b - a
     inside = (s >= a) & (s <= b)
     local = np.ones_like(s)
     local[inside] = C.zeta_bump((s[inside] - a) / width, kappa5)
-    p_vals[iv.index, js] = np.minimum(p_vals[iv.index, js], local)
-    written.extend((iv.index * (n + 1) + js).tolist())
+    p_vals[r, js] = np.minimum(p_vals[r, js], local)
+    written.extend((r * (n + 1) + js).tolist())
     c_lo, c_hi = a + 0.25 * width, a + 0.75 * width
-    own = model.intervals[iid].left
+    own = float(model.lefts[iid])
     a_lo = int(math.ceil((left + c_lo * length - own) * n))
     a_hi = int(math.floor((left + c_hi * length - own) * n))
     if a_hi >= a_lo:
@@ -2382,7 +2401,7 @@ def _old_build_cancellation(model, rpf, part, u, big_h, omega_atoms, n1,
     n = model.grid_size
     f_hat = rpf.f_ab_grid
     tables = C._dichotomy_tables(model, f_hat, n1)
-    words = [_old_all_words(model, iv.id, n1) for iv in model.intervals]
+    words = [_old_all_words(model, iid, n1) for iid in model.intervals]
     plans = []
     marked = 0
     for ai in omega_atoms:
@@ -2398,7 +2417,7 @@ def _old_build_cancellation(model, rpf, part, u, big_h, omega_atoms, n1,
             plans.append((ai, atom, "small", w, (0.0, 1.0), None))
             continue
         aligned = [(t, w) for t, w in zip(tests, ws) if t.kind == "aligned"]
-        y = model.intervals[iid].left + np.arange(j_lo, j_hi + 1) / n
+        y = model.lefts[iid] + np.arange(j_lo, j_hi + 1) / n
         pair = _old_pair_plan(model, rpf.b, f_hat, y, aligned, u, big_h,
                               kappa6, n1)
         if pair is not None:
@@ -2464,10 +2483,11 @@ def test_batched_dichotomy_matches_per_pair_loop(model, n1, b, seed, level,
     # a whole interval first: windows of grid_size / 3**n1 points and more
     cols, old = [], []
     for i, a, frac in [(0, 0.0, 1.0)] + spans:
-        iv = model.intervals[i % len(model.intervals)]
-        span = (iv.left + a, iv.left + a + (1.0 - a) * frac)
-        for w in _old_all_words(model, iv.id, n1):
-            cols.append(span + (w[1], w[2], model.interval(w[3]).index))
+        r = i % len(model.intervals)
+        t0 = float(model.lefts[r])
+        span = (t0 + a, t0 + a + (1.0 - a) * frac)
+        for w in _old_all_words(model, model.intervals[r], n1):
+            cols.append(span + (w[1], w[2], model.intervals.index(w[3])))
             old.append(_old_dichotomy_test(model, rpf, u, big_h, span, w,
                                            kappa6, tables))
     left, right, contr, off, tgt = map(np.array, zip(*cols))
@@ -2504,7 +2524,7 @@ def test_batched_bumps_match_one_bump_loop(model, q, n1, seed, count, chunk):
                         (part.atoms.left[a], part.atoms.right[a],
                          int(part.atoms.iid[a])),
                         (word[r], contr[r], off[r],
-                         model.intervals[tgt[r]].id),
+                         model.intervals[tgt[r]]),
                         (float(lo[k]), float(hi[k])), float(kap[k]), n, [])
         for k, (a, r) in enumerate(zip(ai.tolist(), rows.tolist()))]
     p_new, core_new = np.ones(shape), np.zeros(shape, dtype=bool)
@@ -2588,16 +2608,16 @@ def _old_temporal_distance(model, x, w1, w2, z):
         raise ModelError("temporal distance needs words of equal length")
     if not w1 or w1 == w2:
         raise ModelError("temporal distance needs two distinct nonempty words")
-    dom = model.interval_of(float(x))
+    dom = int(model.interval_index(float(x)))
+    left = float(model.lefts[dom])
     for w in (w1, w2):
         try:
-            model.apply_word(w, model.interval(dom).left)
+            model.apply_word(w, left)
         except ModelError:
-            raise ModelError(
-                f"word {w!r} not applicable at interval {dom!r}") from None
+            raise ModelError(f"word {w!r} not applicable at interval "
+                             f"{model.intervals[dom]!r}") from None
     zv = np.atleast_1d(np.asarray(z, dtype=float))
-    iv = model.interval(dom)
-    if (zv < iv.left - 1e-12).any() or (zv > iv.right + 1e-12).any():
+    if (zv < left - 1e-12).any() or (zv > left + 1.0 + 1e-12).any():
         raise ModelError("probe points must stay in the interval of x")
     t1z = model.roof_sum_on_word(w1, zv, dom)
     t2z = model.roof_sum_on_word(w2, zv, dom)
@@ -2609,7 +2629,7 @@ def _old_temporal_distance(model, x, w1, w2, z):
 
 def _applies(model, word, domain):
     try:
-        model.apply_word(word, model.interval(domain).left)
+        model.apply_word(word, float(model.lefts[domain]))
     except ModelError:
         return False
     return True
@@ -2629,10 +2649,11 @@ def test_temporal_distance_walks_each_word_once(model, data, n, pick,
                                                 scalar, variant):
     xs = np.concatenate([_points(data, model), _seam_points(model)])
     x = float(xs[pick[0] % len(xs)])
-    iv = model.interval(model.interval_of(x))
-    zs = [p for p in xs if iv.left <= p <= iv.right]
+    dom = int(model.interval_index(x))
+    left, right = float(model.lefts[dom]), float(model.lefts[dom]) + 1.0
+    zs = [p for p in xs if left <= p <= right]
     words = list(map("".join, itertools.product(model.alphabet, repeat=n)))
-    ok = [w for w in words if _applies(model, w, iv.id)]
+    ok = [w for w in words if _applies(model, w, dom)]
     bad = [w for w in words if w not in ok] + [words[0][:-1] + "9"]
     i = pick[1] % len(ok)
     w1 = ok[i]
@@ -2640,9 +2661,9 @@ def test_temporal_distance_walks_each_word_once(model, data, n, pick,
     # variants 0-5 are valid; 6-9 each break one requirement, and 10 makes
     # both words inapplicable (the error names w1)
     if variant == 6:
-        zs.append(iv.right + 1e-9)         # a probe outside the interval
+        zs.append(right + 1e-9)            # a probe outside the interval
     elif variant == 7:
-        w2 = bad[pick[2] % len(bad)]       # not applicable at iv
+        w2 = bad[pick[2] % len(bad)]       # not applicable at dom
     elif variant == 8:
         w2 = w1
     elif variant == 9:
@@ -2671,10 +2692,10 @@ def _old_uni_scan(model, scale):
     thetas, values = S._stopping_cocycle(model, [x for x, _ in pts],
                                          scale.eps)
     wits = []
-    for (x, iid), k, lam in zip(pts, thetas.tolist(), values.tolist()):
-        sides = S._chart_sides(model.interval(iid), x, lam)
+    for (x, r), k, lam in zip(pts, thetas.tolist(), values.tolist()):
+        sides = S._chart_sides(model, r, x, lam)
         best_x, wit = -1.0, None
-        for w1, w2 in S.word_pairs(model, iid, k):
+        for w1, w2 in S.word_pairs(model, r, k):
             for side in sides:
                 zs = x + side * s / lam
                 psi = _old_temporal_distance(model, x, w1, w2, zs) / scale.eps
@@ -2702,20 +2723,19 @@ def _old_check_tame(model, scale, samples, admissible_only=False):
     pts = S._sample_points(model, samples)
     thetas, values = S._stopping_cocycle(model, [x for x, _ in pts],
                                          scale.eps)
-    for (x, iid), k, lam in zip(pts, thetas.tolist(), values.tolist()):
+    for (x, r), k, lam in zip(pts, thetas.tolist(), values.tolist()):
         s = np.arange(128) / 128
-        iv = model.interval(iid)
-        side = S._chart_sides(iv, x, lam)[0]
+        side = S._chart_sides(model, r, x, lam)[0]
         zs = x + side * s / lam
-        lo = S.extreme_word(model, iid, k, "low")
-        hi = S.extreme_word(model, iid, k, "high")
+        lo = S.extreme_word(model, r, k, "low")
+        hi = S.extreme_word(model, r, k, "high")
         for j in range(k):
             w2 = lo[:j] + hi[j:]
             if w2 == lo:
                 continue
             if admissible_only:
                 try:
-                    model.apply_word(w2, iv.left)
+                    model.apply_word(w2, float(model.lefts[r]))
                 except ModelError:
                     continue
             psi = _old_temporal_distance(model, x, lo, w2, zs) / scale.eps
@@ -2745,8 +2765,8 @@ def test_one_sided_fixture_reaches_its_cases():
     ks, lams = S._stopping_cocycle(_ONE_SIDED, [x for x, _ in pts],
                                    scale.eps)
     assert set(ks.tolist()) == {3, 4}
-    sides = [S._chart_sides(_ONE_SIDED.interval(iid), x, lam)
-             for (x, iid), lam in zip(pts, lams.tolist())]
+    sides = [S._chart_sides(_ONE_SIDED, r, x, lam)
+             for (x, r), lam in zip(pts, lams.tolist())]
     assert [len(s) for s in sides] == [2] * 11 + [1]
 
 
@@ -2832,7 +2852,7 @@ def _old_majorant_step(model, rpf, state, canc, n1):
         r, c = np.argwhere(bad)[0]
         raise C.EngineError(
             "majorant domination failed at interval "
-            f"{model.intervals[r].id!r} node {c}: |u|={abs(u[r, c]):.6e} "
+            f"{model.intervals[r]!r} node {c}: |u|={abs(u[r, c]):.6e} "
             f"H={h_vals[r, c]:.6e}")
     if h_vals.max() > state.h0 * (1.0 + 1e-9):
         raise C.EngineError("majorant exceeded its initial constant")
@@ -2935,14 +2955,14 @@ def test_all_words_columns_match_tuple_builder(config):
     model = build_model(config)
     for k in range(9):
         word, contr, off, tgt, first = C.all_words(model, k)
-        refs = [_old_all_words(model, iv.id, k) for iv in model.intervals]
+        refs = [_old_all_words(model, iid, k) for iid in model.intervals]
         assert first.tolist() == np.cumsum([0] + list(map(len, refs))).tolist()
         ref = [r for rs in refs for r in rs]
         assert (M._decode_words(word, model.alphabet).tolist()
                 == [r[0] for r in ref])
         assert _bits(contr) == _bits([r[1] for r in ref])
         assert _bits(off) == _bits([r[2] for r in ref])
-        assert tgt.tolist() == [model.interval(r[3]).index for r in ref]
+        assert tgt.tolist() == [model.intervals.index(r[3]) for r in ref]
 
 
 @pytest.mark.parametrize("block", (C.REFINE_BLOCK, 1024))

@@ -37,7 +37,7 @@ TWO_PI = 2 * np.pi
 
 def sample(model, fn):
     """fn on every interval grid, stacked as (intervals, grid_size + 1)."""
-    return np.stack([fn(model.grid(iv.id)) for iv in model.intervals])
+    return np.stack([fn(xs) for xs in model.nodes()])
 
 
 def lebesgue_weights(model):
@@ -101,8 +101,8 @@ class TestSeminorm:
 
     def test_oscillation(self, model):
         u = sample(model, lambda x: np.cos(TWO_PI * x))
-        assert oscillation(model, u, "u", 0.0, 0.5) == pytest.approx(2.0, abs=1e-12)
-        assert oscillation(model, u, "u", 0.0, 1.0) <= 2 * c0_norm(u) + 1e-15
+        assert oscillation(model, u, 0, 0.0, 0.5) == pytest.approx(2.0, abs=1e-12)
+        assert oscillation(model, u, 0, 0.0, 1.0) <= 2 * c0_norm(u) + 1e-15
 
 
 class TestMinimax:
@@ -138,7 +138,7 @@ class TestMinimax:
     def test_grid_function_window(self, model):
         u = sample(model, lambda x: (2 * x - 1) ** 2)
         # on [0,1] the function is s^2 in s = 2x-1; degree-1 error is 1/2
-        rep = poly_distance(model, u, 1, "u")
+        rep = poly_distance(model, u, 1, 0)
         assert rep.error == pytest.approx(0.5, abs=1e-6)
 
     def test_too_few_points_rejected(self):
@@ -151,7 +151,7 @@ class TestQuadrature:
     def test_lebesgue_normalized(self, model):
         w = check_weights(model, lebesgue_weights(model))
         assert w.sum() == pytest.approx(1.0, abs=1e-14)
-        assert interval_mass(model, w, "u", 0.0, 1.0) == pytest.approx(1.0, abs=1e-14)
+        assert interval_mass(model, w, 0, 0.0, 1.0) == pytest.approx(1.0, abs=1e-14)
 
     def test_periodic_sine_integrates_to_zero(self, model):
         w = lebesgue_weights(model)
@@ -168,15 +168,15 @@ class TestQuadrature:
         m = markov3_model(grid_size=512)
         w = lebesgue_weights(m)
         # each of the three unit intervals carries mass exactly 1/3
-        assert interval_mass(m, w, "1", 1.0, 2.0) == pytest.approx(1 / 3, abs=1e-14)
-        got = interval_mass(m, w, "0", 0.25, 0.5)
+        assert interval_mass(m, w, 1, 1.0, 2.0) == pytest.approx(1 / 3, abs=1e-14)
+        got = interval_mass(m, w, 0, 0.25, 0.5)
         assert got == pytest.approx(0.25 / 3, abs=1e-14)
         # dyadic half-ball ratio is exactly one half
-        full = interval_mass(m, w, "0", 0.25, 0.75)
-        half = interval_mass(m, w, "0", 0.375, 0.625)
+        full = interval_mass(m, w, 0, 0.25, 0.75)
+        half = interval_mass(m, w, 0, 0.375, 0.625)
         assert half / full == pytest.approx(0.5, abs=1e-14)
 
     def test_interval_mass_prorates_offgrid(self):
         m = doubling_model(grid_size=64)
         w = lebesgue_weights(m)
-        assert interval_mass(m, w, "u", 0.0, 1 / 3) == pytest.approx(1 / 3, abs=1e-12)
+        assert interval_mass(m, w, 0, 0.0, 1 / 3) == pytest.approx(1 / 3, abs=1e-12)

@@ -39,15 +39,15 @@ def expansion(m, x, n):
 
 
 def branch_instances(m):
-    """(symbol, domain id) of every inverse branch of m."""
-    return [(m.alphabet[i], m.intervals[k].id)
-            for i, k in np.argwhere(~np.isnan(m.branch_slope))]
+    """(symbol, domain index) of every inverse branch of m."""
+    return [(m.alphabet[i], k)
+            for i, k in np.argwhere(~np.isnan(m.branch_slope)).tolist()]
 
 
 class TestBuild:
     def test_doubling_defaults(self):
         m = doubling_model()
-        assert [iv.id for iv in m.intervals] == ["u"]
+        assert m.intervals == ("u",)
         assert m.alphabet == ("0", "1")
         # mu = 1/2 matches the slope, so all four rates coincide
         assert m.chi_0 == pytest.approx(math.log(2), abs=1e-12)
@@ -145,15 +145,14 @@ class TestBranches:
         m = markov3_model(forbidden=("2>2",))
         for sym, dom in branch_instances(m):
             # an array is walked from the interval of its first point
-            lo, hi = m.apply_word(sym, np.array([m.interval(dom).left,
-                                                 m.interval(dom).right]))
-            tgt = m.intervals[m.symbol_target[m.alphabet.index(sym)]]
-            assert tgt.left - 1e-12 <= lo < hi <= tgt.right + 1e-12
+            lo, hi = m.apply_word(sym, m.lefts[dom] + np.array([0.0, 1.0]))
+            tgt = m.lefts[m.symbol_target[m.alphabet.index(sym)]]
+            assert tgt - 1e-12 <= lo < hi <= tgt + 1.0 + 1e-12
 
     def test_sigma_inverts_branches_on_grid(self):
         m = markov3_model(forbidden=("2>2",))
         for sym, dom in branch_instances(m):
-            xs = m.grid(dom)[:-1]
+            xs = m.nodes()[dom, :-1]
             back = m.forward(m.apply_word(sym, xs))
             assert np.max(np.abs(back - xs)) < 1e-10
 
@@ -183,8 +182,7 @@ class TestBranches:
 class TestForward:
     def test_grid_orbits_stay_on_grid(self):
         for m in (doubling_model(grid_size=256), markov3_model(grid_size=256, forbidden=("1>0",))):
-            for iv in m.intervals:
-                xs = m.grid(iv.id)[:-1]
+            for xs in m.nodes()[:, :-1]:
                 pts = xs.copy()
                 for _ in range(12):
                     pts = m.forward(pts)
@@ -207,8 +205,7 @@ class TestForward:
             for w in admissible_words(m, n):
                 doms = [d for s, d in branch_instances(m) if s == w[-1]]
                 for d in doms:
-                    iv = m.interval(d)
-                    x, y = sorted(iv.left + rng.random(2))
+                    x, y = sorted(m.lefts[d] + rng.random(2))
                     vx = m.apply_word(w, x)
                     vy = m.apply_word(w, y)
                     ratio = abs(vx - vy) / (y - x)
@@ -250,7 +247,7 @@ class TestCocycles:
 
     def test_mu_cocycle_in_expected_band(self):
         m = doubling_model(mu=(0.4, 0.0, 0.0, 0.1))
-        xs = m.grid("u")[:-1]
+        xs = m.nodes()[0, :-1]
         for n in (1, 4):
             vals = m.stable_cocycle(xs, n)
             assert np.all(vals > math.exp(-n * m.chi_s_bar) * (1 - 1e-12))
@@ -262,7 +259,7 @@ class TestRoofSeminormOnWords:
         # theta-seminorm of tau_n(v_word(.)) stays bounded as n grows; the
         # per-depth maxima are reported and must plateau
         m = sin_roof_model(grid_size=512)
-        xs = m.grid("u")
+        xs = m.nodes()[0]
         maxima = []
         for n in range(1, 11):
             worst = 0.0

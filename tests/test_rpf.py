@@ -58,7 +58,7 @@ def test_constants_smooth_to_themselves(flat):
 def test_affine_roof_first_moment_bound():
     m = doubling_model(roof=CoefFn(2.0, 1.0), grid_size=512)
     sm = R.smooth_coefficients(m, 4096.0, delta1=0.8)
-    tau = np.array([2.0 + m.grid("u")])
+    tau = 2.0 + m.nodes()
     diff = np.abs(tau - sm.tau_smooth)
     assert float(diff.max()) <= sm.width + 1e-12  # Lipschitz constant 1
     # symmetric kernel fixes affine data away from the slice ends
@@ -76,23 +76,23 @@ def test_slice_table_follows_forward_slices(forbidden):
     for n in (64, 256):
         m = (doubling_model(grid_size=n) if forbidden is None
              else markov3_model(grid_size=n, forbidden=forbidden))
-        for iv, ranges in zip(m.intervals, R.slice_table(m)):
-            d = int(m.out_degree[iv.index])
+        for k, ranges in enumerate(R.slice_table(m)):
+            d = int(m.out_degree[k])
             assert len(ranges) == d
             assert ranges[0][0] == 0 and ranges[-1][1] == n
             assert all(r[1] + 1 == s[0] for r, s in zip(ranges, ranges[1:]))
             for lo, hi in ranges:
-                img = m.forward(iv.left + np.arange(lo, min(hi, n - 1) + 1) / n)
+                img = m.forward(m.nodes()[k, lo:min(hi, n - 1) + 1])
                 assert np.allclose(np.diff(img), d / n, rtol=0.0, atol=1e-12)
 
 
 def test_smoothing_stays_in_slice_hull(wavy):
     sys = T.base_system(wavy)
     sm = R.smooth_coefficients(wavy, 128.0)
-    for iv, ranges in zip(wavy.intervals, R.slice_table(wavy)):
+    for k, ranges in enumerate(R.slice_table(wavy)):
         for lo, hi in ranges:
-            seg = sys.fhat_grid[iv.index, lo:hi + 1]
-            out = sm.f_smooth[iv.index, lo:hi + 1]
+            seg = sys.fhat_grid[k, lo:hi + 1]
+            out = sm.f_smooth[k, lo:hi + 1]
             assert out.min() >= seg.min() - 1e-12
             assert out.max() <= seg.max() + 1e-12
 

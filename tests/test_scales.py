@@ -90,7 +90,7 @@ def test_scale_halving_monotone(eps):
 
 
 def test_scale_pointwise_matches_grid(sin_roof, sin_scale):
-    g = sin_roof.grid("u")
+    g = sin_roof.nodes()[0]
     for j in (0, 17, 100, 511, 512):
         steps, _ = S._stopping_cocycle(sin_roof, g[j], sin_scale.eps)
         assert steps[0] == sin_scale.steps[0, j]
@@ -147,7 +147,7 @@ def test_adapted_variable_scale():
 
 def test_temporal_distance_affine_exact_zero():
     model = doubling_model(roof=(2.0, 0.25, 0.0, 0.0), grid_size=256)
-    z = model.grid("u")
+    z = model.nodes()[0]
     d = S.temporal_distance(model, 0.25, "0000", "1111", z)
     assert np.abs(d).max() == 0.0
     d2 = S.temporal_distance(model, 0.5, "0101", "1010", 0.875)
@@ -205,20 +205,20 @@ def test_temporal_distance_guards(sin_roof):
 
 def test_extreme_words_respect_adjacency():
     mm = markov3_model(grid_size=128, forbidden=("2>2",))
-    for dom in ("0", "1", "2"):
+    for dom in range(3):
         lo = S.extreme_word(mm, dom, 6, "low")
         hi = S.extreme_word(mm, dom, 6, "high")
         alt = S.extreme_word(mm, dom, 6, "alt")
         for w in (lo, hi, alt):
             assert len(w) == 6
             # apply_word raises on a word not applicable at dom
-            mm.apply_word(w, mm.interval(dom).left)
+            mm.apply_word(w, float(mm.lefts[dom]))
         assert "22" not in hi and "22" not in alt
         assert lo != hi
 
 
 def test_word_pairs_distinct(plain):
-    pairs = S.word_pairs(plain, "u", 5)
+    pairs = S.word_pairs(plain, 0, 5)
     assert len(pairs) == 2
     for w1, w2 in pairs:
         assert w1 != w2 and len(w1) == len(w2) == 5
@@ -318,14 +318,15 @@ def test_uni_scan_every_sample_point_has_a_side(family, forbidden, mu, wave,
     pts = S._sample_points(model, 12)
     with np.errstate(over="ignore"):    # values overflow to inf near 1e-300
         _, values = S._stopping_cocycle(model, [x for x, _ in pts], eps)
-    for (x, iid), lam in zip(pts, values.tolist()):
-        assert S._chart_sides(model.interval(iid), x, lam)
+    for (x, r), lam in zip(pts, values.tolist()):
+        assert S._chart_sides(model, r, x, lam)
     # a window that overshoots the right end by less than the tolerance
     # still fits there: uni_scan and check_tame both take the right side
-    iv = model.intervals[-1]
-    x = iv.right - 0.25 + 5e-13
-    assert iv.right < x + 0.25 <= iv.right + 1e-12
-    assert S._chart_sides(iv, x, 4.0) == [1, -1]
+    last = len(model.intervals) - 1
+    right = float(model.lefts[last]) + 1.0
+    x = right - 0.25 + 5e-13
+    assert right < x + 0.25 <= right + 1e-12
+    assert S._chart_sides(model, last, x, 4.0) == [1, -1]
 
 
 # -- uniform sets -------------------------------------------------------------
