@@ -35,7 +35,7 @@ from .gridfun import norm_theta_b
 from .markov import (NO_SYMBOL, MarkovModel, ModelError, _decode_words,
                      _grow_words)
 from .rpf import ComplexRPF, build_rpf, slice_holder_norm
-from .scales import (ScaleFunction, _torus_dist, matching_scale,
+from .scales import (ScaleFunction, _torus_dist, _window_min, matching_scale,
                      recurrence_rate, uni_scan)
 from .thermo import base_system, grid_orbit
 
@@ -595,8 +595,8 @@ def _pair_window(delta_phase: np.ndarray, kappa6: float) -> tuple | None:
     if not lengths.size or lengths.max() / n <= kappa6:
         return None
     size = int(lengths.max())
-    starts = runs[lengths == size, 0].tolist()
-    start = starts[int(np.argmax([dist[a:a + size].min() for a in starts]))]
+    starts = runs[lengths == size, 0]
+    start = int(starts[np.argmax(_window_min(dist, 1, size)[starts])])
     return start / n, (start + size) / n
 
 

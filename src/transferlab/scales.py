@@ -408,72 +408,113 @@ class UniCertificate:
 def _torus_dist(a: np.ndarray) -> np.ndarray:
     """|a| on the circle of length 2 pi: |(a + pi) % 2 pi - pi| bit for
     bit, with numpy's remainder rule (fmod, then + 2 pi where negative)
-    written out so that no quotient is computed."""
-    r = np.fmod(a + math.pi, TWO_PI)
+    written out so that no quotient is computed.
+
+    fmod(r, 2 pi) returns r itself, exactly, whenever |r| < 2 pi, so only
+    the entries with |r| >= 2 pi go through fmod; a NaN skips it and
+    ends as the same NaN.  The boundary must go to fmod: a = pi gives
+    r == 2 pi, which fmod maps to 0.
+    """
+    r = a + math.pi
     if not np.ndim(r):
+        if abs(r) >= TWO_PI:
+            r = np.fmod(r, TWO_PI)
         return np.abs((r + TWO_PI if r < 0 else r) - math.pi)
+    far = np.abs(r) >= TWO_PI
+    if far.any():
+        r[far] = np.fmod(r[far], TWO_PI)
     np.add(r, TWO_PI, out=r, where=r < 0)
     r -= math.pi
     return np.abs(r, out=r)
 
 
+def _window_min(a: np.ndarray, width: int, size: int) -> np.ndarray:
+    """Minima over every run of size consecutive entries of the last axis.
+
+    a holds the minima over the runs of width <= size (width 1: a itself);
+    each step takes the minimum of two overlapping runs, so NaN spreads as
+    in np.minimum, and on a bool table an entry is True exactly where its
+    whole run is True.
+    """
+    while width < size:
+        step = min(width, size - width)
+        a = np.minimum(a[..., :-step], a[..., step:])
+        width += step
+    return a
+
+
+def _window_size(j: int, n_windows: int, n_s: int) -> int:
+    """Points in a window of length frac = j / n_windows out of n_s."""
+    return max(1, int(round(j / n_windows * n_s)))
+
+
+def _scan_row(d: np.ndarray, n_windows: int) -> tuple:
+    """Margin of one phase row d over the window sizes in turn, with its
+    witness (frac, lo, size, dist): the first size, and the first window
+    of it, that attain the margin.  The scan ends at the first size whose
+    best window margin m is at most the margin so far, or NaN (numpy's
+    argmax picks NaN first): larger sizes keep m or lower it, and a NaN
+    stays in a window of every size, so that row's margin is 0."""
+    best, wit = 0.0, (0.0, 0, 0, 0.0)
+    win, width = d, 1
+    for j in range(1, n_windows + 1):
+        size = _window_size(j, n_windows, d.size)
+        win, width = _window_min(win, width, size), size
+        pos = int(np.argmax(win))
+        m = float(win[pos])
+        if not m > best:
+            break
+        frac = j / n_windows
+        best, wit = min(frac, m), (frac, pos, size, m)
+    return best, wit
+
+
 def _best_margin(dist: np.ndarray, n_windows: int) -> tuple[float, dict]:
     """Largest min(window length, worst-phase window margin) over sizes.
 
-    dist has shape (phases, s points); for each phase the best window of
-    each tested length is found from a running minimum over all windows
-    that fit, then the weakest phase decides.  Returns the margin and
-    witness data for that phase.
+    dist has shape (phases, s points) and holds distances, >= 0 or NaN.
+    For each phase and each tested length frac = j / n_windows the best
+    window is the one with the largest minimum m; the phase's margin is
+    the largest min(frac, m), or 0 if none is positive, and the weakest
+    phase, the first on a tie, decides.  Returns the margin and witness
+    data for that phase.
 
-    A larger window cannot raise a phase's window margin m, so after each
-    size the phase's final best lies in [best, max(best, m)].  A phase
-    drops out once m <= best (settled) or once best exceeds the smallest
-    upper bound of all phases (it cannot be the weakest; the test is
-    strict, so a phase tied for weakest stays); the result equals the
-    scan of every size for every phase.
+    The threshold fact: frac rises with j and m never does, so with k the
+    first j where j / n_windows >= u, a phase's margin is >= u (u > 0)
+    exactly when dist >= u holds on a run of size_k consecutive points;
+    it is > u exactly when dist > u holds on a run of size_k', k' the
+    first j where j / n_windows > u (never when u >= 1).
+
+    The row of least distance sum is scanned exactly, giving u.  Every
+    other row takes one run test: rows before it must pass the strict one
+    and rows after it the non-strict one, which keeps argmin's first-index
+    tie rule.  A row that fails is scanned exactly and may become the
+    weakest.  A NaN in a row lies in a window of every size, so that row's
+    margin is 0; argmin takes the first NaN sum, so no row before the
+    candidate holds a NaN, and u = 0 passes every row after it.
     """
     n_om, n_s = dist.shape
-    best = np.zeros(n_om)
-    upper = np.full(n_om, np.inf)
-    # witness per phase: window fraction, start, size and margin
-    w_frac = np.zeros(n_om)
-    w_lo = np.zeros(n_om, dtype=int)
-    w_size = np.zeros(n_om, dtype=int)
-    w_dist = np.zeros(n_om)
-    live = np.arange(n_om)
-    # win[r, p] = min(dist[live[r], p:p + width]); widths only grow with j
-    win, width = dist, 1
-    for j in range(1, n_windows + 1):
-        if not live.size:
-            break
-        frac = j / n_windows
-        size = max(1, int(round(frac * n_s)))
-        if size > n_s:
+    c = int(np.argmin(dist.sum(axis=1)))
+    scans = {c: _scan_row(dist[c], n_windows)}
+    u = scans[c][0]
+    fracs = np.arange(1, n_windows + 1) / n_windows
+    passed = np.ones(n_om, dtype=bool)
+    for part, above, side in ((slice(0, c), np.greater, "right"),
+                              (slice(c + 1, n_om), np.greater_equal, "left")):
+        if side == "left" and u <= 0.0:
+            continue                          # every margin is >= 0
+        j = int(np.searchsorted(fracs, u, side=side)) + 1
+        if j > n_windows:
+            passed[part] = False
             continue
-        while width < size:
-            step = min(width, size - width)
-            win = np.minimum(win[:, :-step], win[:, step:])
-            width += step
-        pos = np.argmax(win, axis=1)
-        m = win[np.arange(live.size), pos]
-        cand = np.minimum(frac, m)
-        cur = best[live]
-        better = cand > cur
-        idx = live[better]
-        w_frac[idx] = frac
-        w_lo[idx] = pos[better]
-        w_size[idx] = size
-        w_dist[idx] = m[better]
-        cur = np.where(better, cand, cur)
-        best[live] = cur
-        upper[live] = np.maximum(cur, m)
-        keep = ~((m <= cur) | (cur > upper.min()))
-        live, win = live[keep], win[keep]
-    i = int(np.argmin(best))
-    lo = int(w_lo[i])
-    return float(best[i]), {
-        "omega_idx": i, "frac": float(w_frac[i]), "lo": lo,
-        "hi": lo + int(w_size[i]), "dist": float(w_dist[i])}
+        size = _window_size(j, n_windows, n_s)
+        passed[part] = _window_min(above(dist[part], u), 1, size).any(axis=1)
+    for i in np.flatnonzero(~passed).tolist():
+        scans[i] = _scan_row(dist[i], n_windows)
+    i = min(scans, key=lambda i: (scans[i][0], i))
+    margin, (frac, lo, size, m) = scans[i]
+    return margin, {"omega_idx": i, "frac": frac, "lo": lo, "hi": lo + size,
+                    "dist": m}
 
 
 def _chart_sides(model: MarkovModel, r: int, x: float,

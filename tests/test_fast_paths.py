@@ -48,16 +48,18 @@ smoothing reorder their sums, and their tolerances are stated below.
   noise is below the bound the margin is derived from, root and every
   midpoint, a check that noise above it is caught, and the iteration cap
   raising ``ConvergenceError``.
-* ``_best_margin`` with pruned phases against the scan of every window
-  size for every phase: value and witness, on torus-distance rows with
-  constant, zero, rounded (tied) and duplicated rows.
+* ``_best_margin`` (one exact row scan, one run test per other row)
+  against the scan of every window size for every phase: value and
+  witness, on torus-distance rows with constant, zero, rounded (tied)
+  and duplicated rows, NaN or +-inf profile entries and NaN rows.
 * ``uni_scan`` and ``check_tame`` run the stopping cocycle once each.
 * Contrast profiles as one table, against copies of the loops they
   replaced: ``uni_scan`` (one word walk per stopping index) against one
-  frozen ``temporal_distance`` and %-form torus distance per (point,
-  pair, side) profile, the whole certificate with ``==``, on both
-  families and every single forbidden transition, with q in 4..12,
-  affine roofs (margin 0, tied witnesses) and a point with one side;
+  frozen ``temporal_distance``, %-form torus distance and full-scan
+  margin per (point, pair, side) profile, the whole certificate with
+  ``==``, on both families and every single forbidden transition, with
+  q in 4..12, affine roofs (margin 0, tied witnesses) and a point with
+  one side;
   ``check_tame`` (one walk per point) against one temporal distance per
   mixed prefix, rows and c_measured bit for bit, errors included, and on
   ``0>2`` (whose mixed words can join 0 to 2) against that loop over the
@@ -1418,7 +1420,7 @@ def test_replay_exact_zero_and_flat_roof():
 
 
 # ---------------------------------------------------------------------------
-# pruned oscillation margin
+# oscillation margin by run tests
 
 
 def _full_best_margin(dist, n_windows):
@@ -1458,16 +1460,22 @@ def _full_best_margin(dist, n_windows):
 @given(seed=st.integers(0, 2 ** 32), n_s=st.sampled_from((7, 64, 256)),
        n_windows=st.sampled_from((5, 32)), amp=st.floats(0.0, 30.0),
        special=st.sampled_from(("none", "constant", "zero", "tied",
-                                "duplicate")))
+                                "duplicate", "nonfinite", "nan_rows")))
 def test_pruned_best_margin_matches_full_scan(seed, n_s, n_windows, amp,
                                               special):
     # torus distances of a contrast profile from a phase grid, as uni_scan
-    # builds them, with rows made constant, zero or tied on demand
+    # builds them, with rows made constant, zero, tied or NaN on demand; a
+    # NaN or +-inf profile entry makes every row NaN there, and a row with
+    # a NaN has margin 0 and the empty witness in the full scan
     rng = np.random.default_rng(seed)
     s = np.arange(n_s) / n_s
     psi = amp * np.sin(2 * np.pi * (s + rng.uniform())) * rng.uniform(0, 1)
+    if special == "nonfinite":
+        at = rng.choice(n_s, size=min(3, n_s), replace=False)
+        psi[at] = rng.choice([np.nan, np.inf, -np.inf], size=at.size)
     omegas = S.TWO_PI * np.arange(64) / 64
-    dist = S._torus_dist(psi[None, :] - omegas[:, None])
+    with np.errstate(invalid="ignore"):
+        dist = S._torus_dist(psi[None, :] - omegas[:, None])
     rows = rng.choice(64, size=3, replace=False)
     if special == "constant":
         dist[rows] = rng.uniform(0.0, 1.0)
@@ -1477,6 +1485,8 @@ def test_pruned_best_margin_matches_full_scan(seed, n_s, n_windows, amp,
         dist = np.round(dist, 1)
     elif special == "duplicate":
         dist[rows[1:]] = dist[rows[0]]
+    elif special == "nan_rows":
+        dist[rows, rng.integers(0, n_s, size=3)] = np.nan
     got = S._best_margin(dist, n_windows)
     ref = _full_best_margin(dist, n_windows)
     assert _bits(got[0]) == _bits(ref[0]) and got[1] == ref[1]
@@ -2684,8 +2694,8 @@ def test_temporal_distance_walks_each_word_once(model, data, n, pick,
 
 
 def _old_uni_scan(model, scale):
-    """uni_scan as one temporal distance, %-form torus distance and margin
-    per (point, pair, side) profile."""
+    """uni_scan as one temporal distance, %-form torus distance and
+    full-scan margin per (point, pair, side) profile."""
     pts = S._sample_points(model, 12)
     omegas = S.TWO_PI * np.arange(S.UNI_PHASES) / S.UNI_PHASES
     s = np.arange(S.UNI_S_POINTS) / S.UNI_S_POINTS
@@ -2701,7 +2711,7 @@ def _old_uni_scan(model, scale):
                 psi = _old_temporal_distance(model, x, w1, w2, zs) / scale.eps
                 a = psi[None, :] - omegas[:, None]
                 dist = np.abs((a + math.pi) % (2 * math.pi) - math.pi)
-                margin, d = S._best_margin(dist, 32)
+                margin, d = _full_best_margin(dist, 32)
                 if margin > best_x or wit is None:
                     best_x = margin
                     wit = S.UniWitness(
