@@ -463,15 +463,20 @@ def pressure(model: MarkovModel, s=None) -> float:
 # Gibbs-measure diagnostics
 # ---------------------------------------------------------------------------
 
+def _gibbs_integral(model: MarkovModel, fn) -> float:
+    """integral of fn against the Gibbs weights: each interval's weighted
+    node sum as a Python float, added interval by interval in order."""
+    total = 0.0
+    for xs, w in zip(model.nodes(), gibbs_measure(model)):
+        total += float(np.sum(w * np.asarray(fn(xs))))
+    return total
+
+
 def invariance_defect(model: MarkovModel, fn) -> float:
     """|integral fn(sigma x) - integral fn| under the Gibbs weights, with fn
     composed through the exact forward map."""
-    nu = gibbs_measure(model)
-    direct = 0.0
-    pushed = 0.0
-    for xs, w in zip(model.nodes(), nu):
-        direct += float(np.sum(w * np.asarray(fn(xs))))
-        pushed += float(np.sum(w * np.asarray(fn(model.forward(xs)))))
+    direct = _gibbs_integral(model, fn)
+    pushed = _gibbs_integral(model, lambda xs: fn(model.forward(xs)))
     return abs(pushed - direct)
 
 
@@ -479,12 +484,8 @@ def fractional_moment(model: MarkovModel, gamma0: float, n: int) -> float:
     """integral of (det cocycle over n steps)^gamma0 against the Gibbs weights."""
     if not 0.0 < gamma0 <= 1.0:
         raise ModelError("gamma0 must lie in (0, 1]")
-    nu = gibbs_measure(model)
-    total = 0.0
-    for xs, w in zip(model.nodes(), nu):
-        dets = model.det_cocycle(xs, n)
-        total += float(np.sum(w * dets ** gamma0))
-    return total
+    return _gibbs_integral(model,
+                           lambda xs: model.det_cocycle(xs, n) ** gamma0)
 
 
 def moment_submultiplicativity(model: MarkovModel, gamma0: float,
@@ -497,10 +498,7 @@ def moment_submultiplicativity(model: MarkovModel, gamma0: float,
 
 def is_non_expanding(model: MarkovModel) -> tuple[bool, float]:
     """Whether integral log det <= 0 under the Gibbs weights."""
-    nu = gibbs_measure(model)
-    total = 0.0
-    for xs, w in zip(model.nodes(), nu):
-        total += float(np.sum(w * np.log(model.det_step(xs))))
+    total = _gibbs_integral(model, lambda xs: np.log(model.det_step(xs)))
     return total <= 1e-10, total
 
 

@@ -1,6 +1,8 @@
 """Array fast paths against the one-point paths they replace.
 
-Each reference below is a plain loop kept here on purpose.  Where the
+Each reference below is a plain loop or an ``_old_*`` copy of replaced
+code, kept here on purpose: it guards what no golden digest or oracle
+pins (README, "Tests", states when one may be retired).  Where the
 package runs the same arithmetic on whole arrays, in the same order, the
 comparison is exact (``==``); the fused phase operator and the prefix-sum
 smoothing reorder their sums, and their tolerances are stated below.
@@ -37,10 +39,7 @@ smoothing reorder their sums, and their tolerances are stated below.
   with the triangle kernel, within 1e-12; constants stay exact.
 * The row Hoelder seminorm against its own dyadic loop (bitwise), and
   column-wise CSV formatting against ``_fmt`` one value at a time, numpy
-  columns included; the column writer against a copy of the row-block
-  writer it replaced, byte for byte, on tables of 0 rows, 1 row and
-  lengths across a CSV_BLOCK_ROWS boundary, with every ``_fmt`` kind and
-  float64, int64, bool and str numpy columns.
+  columns included.
 * Entropy: ``entropy`` (brentq locates the root, then scipy's bisect
   runs on predicted signs) against ``scipy.optimize.bisect`` on the same
   pressure, bit for bit, with fewer than 21 pressure evaluations;
@@ -73,7 +72,8 @@ smoothing reorder their sums, and their tolerances are stated below.
   zero times and a fibre profile.
 * One copy of each primitive, against copies of the loops it replaced,
   bit for bit, on every single forbidden ``markov3`` transition: the lag
-  seminorm kernel against ``holder_seminorm``'s, the row and slice loops
+  seminorm kernel against the dyadic row loop (any theta, NaN samples
+  included), the slice loops
   (slice lengths that are not powers of two) and the profile loop (any
   length, NaN samples included); the orbit fold against the four
   cocycle and Birkhoff-sum folds (scalar and array x, n = 0); the grid
@@ -84,15 +84,12 @@ smoothing reorder their sums, and their tolerances are stated below.
   the interval ids, ``lefts`` and ``nodes()`` as one layout, each grid
   row indexing back to its own interval.
 * Branch structure as model arrays, bit for bit, on every single
-  forbidden ``markov3`` transition: ``forward`` and ``slope_at`` (one
-  gather each) against the per-interval mask loop over the old forward
-  table, with scalar and array points, slice seams, both ends of each
-  interval and the last right end; the arrays, bitwise, against a copy
-  of the branch-instance list ``build_model`` used to keep, and the
-  stencils, ``all_words`` and ``extreme_word`` against that list;
-  ``transfer_matrix``, ``word_admissible``,
-  the words ``word_admissible`` lets through and ``fixed_word_count``
-  against their dict-based and tuple-product versions; ``apply_word``,
+  forbidden ``markov3`` transition: ``forward`` and ``slope_at`` of one
+  point as Python floats with the bits of that point in a 1-d and a 2-d
+  batch, at slice seams, both ends of each interval and the last right
+  end; the arrays, bitwise, against a copy of the branch-instance list
+  ``build_model`` used to keep, and the stencils and ``all_words``
+  against that list; ``apply_word``,
   ``roof_sum_on_word`` with and without a given domain, and the shared
   walk over a batch of rows, one point each, against the scalar loop
   over that list, errors included; ``temporal_distance`` with one
@@ -120,9 +117,8 @@ smoothing reorder their sums, and their tolerances are stated below.
   replaced: ``temporal_distance`` (one two-row walk) against check walks
   plus four walks, errors included, on both families with seam points
   and inapplicable words (the first of two is named); one
-  ``majorant_step`` (P H, P^2 and H^2 pushed once, 3 n1 applications of
-  M) against the square comparison followed
-  by the old step (4 n1), with a refused step, a failing square
+  ``majorant_step`` pushes P H, P^2 and H^2 once (3 n1 applications of
+  M), with a refused step (the marked atoms stay), a failing square
   comparison and a failing domination; the ``all_words`` columns against
   the tuple builder for k <= 8 on doubling and every single forbidden
   ``markov3`` transition, and ``check_refining`` (blocks of atoms, any
@@ -134,14 +130,11 @@ stable factors; the coefficient ranges keep the roof positive and mu
 inside (0, 1) on the whole leaf, so every draw is a valid model.
 """
 
-import csv
 import hashlib
 import itertools
 import cmath
 import math
-import os
 import struct
-import tempfile
 from collections import namedtuple
 from dataclasses import dataclass, replace
 from unittest import mock
@@ -1194,65 +1187,6 @@ def test_column_formatting_matches_fmt(data):
                                           for v in arr[1::2].tolist()]
 
 
-def _old_write_csv(path, command, model, params, header, rows):
-    """_write_csv as it stood while commands passed row tuples: rows
-    formatted a column at a time in blocks of CSV_BLOCK_ROWS."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write(f"# transferlab {command}\n")
-        fh.write(f"# model_sha256 = {cli.model_hash(model)}\n")
-        for line in model.config.to_text().strip().splitlines():
-            fh.write(f"# config {line}\n")
-        if params:
-            pairs = " ".join(f"{k}={cli._fmt(v)}" for k, v in params)
-            fh.write(f"# params {pairs}\n")
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        it = iter(rows)
-        while block := list(itertools.islice(it, cli.CSV_BLOCK_ROWS)):
-            cols = [cli._fmt_column(col) for col in zip(*block)]
-            writer.writerows(zip(*cols))
-
-
-_CSV_MODEL = build_model(ModelConfig())
-_EDGE_FLOATS = np.array([math.nan, math.inf, -math.inf, -0.0, 0.0, 1e-310])
-
-
-@settings(max_examples=60, deadline=None)
-@given(data=st.data())
-def test_column_writer_matches_row_block_writer(data):
-    block = cli.CSV_BLOCK_ROWS
-    n = data.draw(st.one_of(st.sampled_from((0, 1, block, block + 1)),
-                            st.integers(0, 3 * block)))
-    names = data.draw(st.lists(st.sampled_from(("a", "b,c", 'd"e', "f g")),
-                               min_size=1, max_size=4, unique=True))
-    columns = {}
-    for name in names:
-        if data.draw(st.booleans()):
-            kinds = data.draw(st.lists(st.sampled_from(_CSV_KINDS),
-                                       min_size=1, max_size=2))
-            columns[name] = data.draw(st.lists(st.one_of(kinds), min_size=n,
-                                               max_size=n))
-        else:
-            columns[name] = data.draw(_array_column(n))
-    if n >= len(_EDGE_FLOATS) and data.draw(st.booleans()):
-        columns[names[0]] = np.resize(_EDGE_FLOATS, n)
-    params = data.draw(st.lists(st.tuples(st.sampled_from(("p", "q")),
-                                          st.one_of(_CSV_KINDS)), max_size=2))
-    # the rows a command built from the same columns: Python scalars
-    rows = list(zip(*(c.tolist() if isinstance(c, np.ndarray) else c
-                      for c in columns.values())))
-    with tempfile.TemporaryDirectory() as d:
-        cfg = cli.resolve(cli._build_parser().parse_args(
-            ["gibbs", "--out", d]), {})
-        cli._write_csv(cfg, _CSV_MODEL, "new.csv", params, columns)
-        _old_write_csv(os.path.join(d, "old.csv"), "gibbs", _CSV_MODEL,
-                       params, names, rows)
-        with open(os.path.join(d, "new.csv"), "rb") as fh:
-            got = fh.read()
-        with open(os.path.join(d, "old.csv"), "rb") as fh:
-            assert got == fh.read()
-
-
 # ---------------------------------------------------------------------------
 # entropy root: brentq, then scipy's bisect on predicted signs
 
@@ -1596,19 +1530,6 @@ def test_block_monte_carlo_matches_block_loop(model, t_grid, samples, blocks,
 # one copy of each numerical primitive, against the loops it replaced
 
 
-def _old_holder_seminorm(model, values, theta):
-    n = model.grid_size
-    best = 0.0
-    for row in values:
-        lag = n
-        while lag >= 1:
-            h = lag / n
-            diff = np.max(np.abs(row[lag:] - row[:-lag]))
-            best = max(best, diff / h ** theta)
-            lag //= 2
-    return float(best)
-
-
 def _old_range_seminorm(vals, h, theta):
     worst = 0.0
     lag = len(vals) - 1
@@ -1670,10 +1591,9 @@ def test_lag_seminorm_matches_grid_and_row_loops(model, seed, kind, theta,
         # smooth rows put the worst quotient at long lags
         u = u * 1e-3 + np.sin(np.pi * model.nodes())
     th = model.theta if theta is None else theta
-    got = _bits(holder_seminorm(build_model(replace(model.config, theta=th)),
-                                u))
-    assert got == _bits(_old_holder_seminorm(model, u, th))
-    assert got == _bits(_reference_row_seminorm(model, u, th))
+    at_theta = build_model(replace(model.config, theta=th))
+    assert _bits(holder_seminorm(at_theta, u)) == _bits(
+        _reference_row_seminorm(model, u, th))
 
 
 @PROPS
@@ -1990,37 +1910,6 @@ def _old_forward_table(model):
     return table
 
 
-def _old_forward(model, x):
-    table = _old_forward_table(model)
-    scalar = np.isscalar(x)
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    out = np.empty_like(x)
-    idx = np.floor(x).astype(int)
-    idx = np.clip(idx, 0, len(model.intervals) - 1)
-    for k, iid in enumerate(model.intervals):
-        mask = idx == k
-        if not mask.any():
-            continue
-        d, target_lefts = table[iid]
-        s = d * (x[mask] - float(model.lefts[k]))
-        j = np.clip(np.floor(s).astype(int), 0, d - 1)
-        out[mask] = target_lefts[j] + (s - j)
-    return float(out[0]) if scalar else out
-
-
-def _old_slope_at(model, x):
-    table = _old_forward_table(model)
-    scalar = np.isscalar(x)
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    out = np.empty_like(x)
-    idx = np.clip(np.floor(x).astype(int), 0, len(model.intervals) - 1)
-    for k, iid in enumerate(model.intervals):
-        mask = idx == k
-        if mask.any():
-            out[mask] = table[iid][0]
-    return float(out[0]) if scalar else out
-
-
 def _seam_points(model):
     """Slice seams, both ends of every interval and the last right end."""
     pts = []
@@ -2034,15 +1923,17 @@ def _seam_points(model):
 
 @PROPS
 @given(model=models(_ANY_FORBIDDEN), data=point_lists)
-def test_forward_and_slope_gather_match_mask_loop(model, data):
+def test_forward_and_slope_of_one_point_match_batch(model, data):
+    """forward and slope_at of one point return a Python float with the
+    bits of that point in a 1-d and in a 2-d batch, seams and ends
+    included."""
     xs = np.concatenate([_points(data, model), _seam_points(model)])
-    for fast, old in ((model.forward, _old_forward),
-                      (model.slope_at, _old_slope_at)):
-        assert _bits(fast(xs)) == _bits(old(model, xs))
-        assert _bits(fast(xs.reshape(1, -1))[0]) == _bits(old(model, xs))
-        for x in xs.tolist():
-            got = fast(x)
-            assert type(got) is float and _bits(got) == _bits(old(model, x))
+    for fn in (model.forward, model.slope_at):
+        batch = fn(xs)
+        assert _bits(fn(xs.reshape(1, -1))[0]) == _bits(batch)
+        for x, want in zip(xs.tolist(), batch.tolist()):
+            got = fn(x)
+            assert type(got) is float and _bits(got) == _bits(want)
 
 
 @PROPS
@@ -2083,16 +1974,6 @@ def test_branch_arrays_match_branch_instances(model):
             arr[0] = 0
 
 
-def _old_extreme_word(model, domain, k, flavor):
-    syms, dom = [], domain
-    for i in range(k):
-        avail = sorted(b.sym for b in _old_fiber_branches(model, dom))
-        high = flavor == "high" or (flavor == "alt" and i % 2 == 0)
-        syms.append(avail[-1] if high else avail[0])
-        dom = _old_by_sym_domain(model)[(syms[-1], dom)].target
-    return "".join(reversed(syms))
-
-
 @PROPS
 @given(model=models(_ANY_FORBIDDEN), k=st.integers(1, 3))
 def test_branch_table_readers_match_branch_list(model, k):
@@ -2116,66 +1997,6 @@ def test_branch_table_readers_match_branch_list(model, k):
                 == [(w, model.intervals.index(t)) for w, _, _, t in ref])
         assert (_bits(np.stack([contr[rows], off[rows]], axis=1))
                 == _bits([r[1:3] for r in ref]))
-        for flavor in ("low", "high", "alt"):
-            assert (S.extreme_word(model, idx, k, flavor)
-                    == _old_extreme_word(model, iid, k, flavor))
-
-
-def _old_sym_target_map(model):
-    return {b.sym: b.target for b in _old_branches(model)}
-
-
-def _old_transfer_matrix(model):
-    tbl = _old_sym_target_map(model)
-    old = _old_by_sym_domain(model)
-    return tuple(
-        tuple(1 if (a, tbl[b]) in old else 0
-              for b in model.alphabet)
-        for a in model.alphabet)
-
-
-def _old_word_admissible(model, word):
-    tbl = _old_sym_target_map(model)
-    if not word or any(sym not in tbl for sym in word):
-        return False
-    old = _old_by_sym_domain(model)
-    return all((a, tbl[b]) in old
-               for a, b in zip(word, word[1:]))
-
-
-def _old_enumerate_words(model, n):
-    tbl = _old_sym_target_map(model)
-    old = _old_by_sym_domain(model)
-    words = list(model.alphabet)
-    for _ in range(n - 1):
-        words = [w + s for w in words for s in model.alphabet
-                 if (w[-1], tbl[s]) in old]
-    return words
-
-
-def _old_fixed_word_count(model, n):
-    mat = _old_transfer_matrix(model)
-    k = len(mat)
-    power = mat
-    for _ in range(n - 1):
-        power = tuple(tuple(sum(power[i][m] * mat[m][j] for m in range(k))
-                            for j in range(k)) for i in range(k))
-    return sum(power[i][i] for i in range(k))
-
-
-@PROPS
-@given(model=models(_ANY_FORBIDDEN), n=st.integers(1, 5),
-       words=st.lists(st.text("0123", max_size=5), max_size=10))
-def test_transitions_match_dict_construction(model, n, words):
-    mat = O.transfer_matrix(model)
-    assert mat == _old_transfer_matrix(model)
-    assert all(type(v) is int for row in mat for v in row)
-    assert _admissible_words(model, n) == _old_enumerate_words(model, n)
-    for w in words + _admissible_words(model, n):
-        assert model.word_admissible(w) == _old_word_admissible(model, w)
-    for m in (n, 3 * n, 40):
-        got = O.fixed_word_count(model, m)
-        assert type(got) is int and got == _old_fixed_word_count(model, m)
 
 
 def _old_walk_word(model, word, x, roof_sum):
@@ -2563,16 +2384,31 @@ def _crafted_field(model, rpf, n1):
     return u, big_h
 
 
+@pytest.fixture(scope="module")
+def certificate_setup():
+    """(model, rpf at a = 0 and b = 6, partition) of the sine roof for a
+    family and grid size, each built once; the partition is coarse enough
+    that kappa5 = 0.2 leaves the cone on both families."""
+    built = {}
+
+    def setup(family, grid_size):
+        if (family, grid_size) not in built:
+            model = build_model(ModelConfig(family, roof=(2.0, 0.0, 0.5, 0.0),
+                                            grid_size=grid_size))
+            eps = 0.04 if family == "doubling" else 0.08
+            built[family, grid_size] = (
+                model, R.build_rpf(model, 0.0, 6.0),
+                C.build_partition(model, S.matching_scale(model, eps)))
+        return built[family, grid_size]
+    return setup
+
+
 @pytest.mark.parametrize("chunk", (C.CHUNK_POINTS, 7))
 @pytest.mark.parametrize("kappa5", (0.05, 0.2))
 @pytest.mark.parametrize("family", ("doubling", "markov3"))
-def test_build_cancellation_matches_per_atom_loop(family, kappa5, chunk):
-    model = build_model(ModelConfig(family, roof=(2.0, 0.0, 0.5, 0.0),
-                                    grid_size=1024))
-    rpf = R.build_rpf(model, 0.0, 6.0)
-    # coarse enough that kappa5 = 0.2 leaves the cone on both families
-    eps = 0.04 if family == "doubling" else 0.08
-    part = C.build_partition(model, S.matching_scale(model, eps))
+def test_build_cancellation_matches_per_atom_loop(certificate_setup, family,
+                                                  kappa5, chunk):
+    model, rpf, part = certificate_setup(family, 1024)
     n1 = C.choose_n1(model, part)
     u, big_h = _crafted_field(model, rpf, n1)
     marked = frozenset(range(len(part.atoms))) - {1, 5}
@@ -2846,82 +2682,12 @@ class _CountedOp:
         return self.op(values)
 
 
-def _old_majorant_step(model, rpf, state, canc, n1):
-    """majorant_step with its own push of P H: (u, H, marked atoms) of the
-    next state."""
-    tilde = rpf.tilde_op()
-    pos = rpf.m_op()
-    u = state.u
-    for _ in range(n1):
-        u = tilde(u)
-    h_vals = canc.p_values * state.big_h.values
-    for _ in range(n1):
-        h_vals = pos(h_vals)
-    bad = np.abs(u) > h_vals * (1.0 + C.DOMINATION_TOL) + 1e-15 * state.h0
-    if bad.any():
-        r, c = np.argwhere(bad)[0]
-        raise C.EngineError(
-            "majorant domination failed at interval "
-            f"{model.intervals[r]!r} node {c}: |u|={abs(u[r, c]):.6e} "
-            f"H={h_vals[r, c]:.6e}")
-    if h_vals.max() > state.h0 * (1.0 + 1e-9):
-        raise C.EngineError("majorant exceeded its initial constant")
-    C.cone_element(model, state.big_h.scale, h_vals)
-    omega = canc.bumped_atoms if canc.bumped_atoms else state.omega_atoms
-    return u, h_vals, omega
-
-
-def _old_cauchy_schwarz_check(rpf, p_vals, h_vals, core_mask, n1):
-    """cauchy_schwarz_check with its own pushes: (violation, kappa4)."""
-    pos = rpf.m_op()
-    a, b2, c2 = p_vals * h_vals, p_vals * p_vals, h_vals * h_vals
-    for _ in range(n1):
-        a, b2, c2 = pos(a), pos(b2), pos(c2)
-    lhs, rhs = a * a, b2 * c2
-    violation = float(((lhs - rhs) / np.maximum(rhs, 1e-300)).max())
-    kappa4 = float((1.0 - b2[core_mask]).min()) if core_mask.any() else 0.0
-    return violation, kappa4
-
-
-def _old_certificate_step(model, rpf, state, canc, n1):
-    """One step of run_l2_iteration as the square comparison followed by
-    majorant_step."""
-    violation, kappa4 = _old_cauchy_schwarz_check(
-        rpf, canc.p_values, state.big_h.values, canc.core_mask, n1)
-    if not violation <= 1e-12:
-        raise C.EngineError(f"square comparison violated by {violation:.3e}")
-    return _old_majorant_step(model, rpf, state, canc, n1) + (violation,
-                                                              kappa4)
-
-
-def _new_certificate_step(model, rpf, state, canc, n1):
-    nxt, cs = C.majorant_step(model, rpf, state, canc, n1)
-    return (nxt.u, nxt.big_h.values, nxt.omega_atoms, cs.max_violation,
-            cs.kappa4)
-
-
-def _step_bits(step):
-    u, h_vals, omega, violation, kappa4 = step
-    return (_bits(u.real), _bits(u.imag), _bits(h_vals), sorted(omega),
-            _bits(violation), _bits(kappa4))
-
-
-def _outcome_of(step, *args):
-    try:
-        return "value", _step_bits(step(*args))
-    except C.EngineError as exc:
-        return "error", str(exc)
-
-
 @pytest.mark.parametrize("case", ("bumps", "refused", "signed", "domination"))
 @pytest.mark.parametrize("n1", (1, 2))
 @pytest.mark.parametrize("family", ("doubling", "markov3"))
-def test_certificate_step_pushes_each_array_once(family, n1, case):
-    model = build_model(ModelConfig(family, roof=(2.0, 0.0, 0.5, 0.0),
-                                    grid_size=256))
-    rpf = R.build_rpf(model, 0.0, 6.0)
-    scale = S.matching_scale(model, 0.04 if family == "doubling" else 0.08)
-    part = C.build_partition(model, scale)
+def test_certificate_step_pushes_each_array_once(certificate_setup, monkeypatch,
+                                                family, n1, case):
+    model, rpf, part = certificate_setup(family, 256)
     u, big_h = _crafted_field(model, rpf, n1)
     marked = frozenset(range(len(part.atoms)))
     if case in ("bumps", "signed"):
@@ -2934,7 +2700,7 @@ def test_certificate_step_pushes_each_array_once(family, n1, case):
                               frozenset(), np.recarray(0, C.BUMP_DTYPE),
                               0.0, 0.0, len(part.atoms), 0.0)
     level = 3.0 if case == "domination" else 0.5
-    state = C.MajorantState(0, level * u, C.ConeElement(big_h, scale),
+    state = C.MajorantState(0, level * u, C.ConeElement(big_h, part.scale),
                             marked, 2.0)
     pos = rpf.m_op()
     if case == "signed":
@@ -2944,19 +2710,20 @@ def test_certificate_step_pushes_each_array_once(family, n1, case):
             return out - 0.99 * np.roll(out, 7, axis=-1)
     else:
         signed = pos
-    outcomes, calls = [], []
-    for step in (_old_certificate_step, _new_certificate_step):
-        rpf._m_op = _CountedOp(signed)
-        outcomes.append(_outcome_of(step, model, rpf, state, canc, n1))
-        calls.append(rpf._m_op.calls)
-    assert outcomes[0] == outcomes[1]
+    counted = _CountedOp(signed)
+    monkeypatch.setattr(rpf, "_m_op", counted)
     error = {"signed": "square comparison violated",
              "domination": "majorant domination failed"}.get(case)
     if error is None:
-        assert outcomes[1][0] == "value" and calls[0] == 4 * n1
+        nxt, cs = C.majorant_step(model, rpf, state, canc, n1)
+        assert cs.ok and nxt.n == 1
+        # no bump keeps the marked atoms, and no bump core gives kappa4 0
+        assert nxt.omega_atoms == (canc.bumped_atoms or marked)
+        assert case == "bumps" or cs.kappa4 == 0.0
     else:
-        assert outcomes[1][0] == "error" and outcomes[1][1].startswith(error)
-    assert calls[1] == 3 * n1
+        with pytest.raises(C.EngineError, match=error):
+            C.majorant_step(model, rpf, state, canc, n1)
+    assert counted.calls == 3 * n1
 
 
 @pytest.mark.parametrize("config", [ModelConfig("doubling", grid_size=64)] + [
@@ -2975,15 +2742,26 @@ def test_all_words_columns_match_tuple_builder(config):
         assert tgt.tolist() == [model.intervals.index(r[3]) for r in ref]
 
 
-@pytest.mark.parametrize("block", (C.REFINE_BLOCK, 1024))
-def test_check_refining_witness_matches_tuple_lists(block):
-    witnesses = 0
+@pytest.fixture(scope="module")
+def refining_partitions():
+    """(model, partition at eps = 2^-6) of the sine roof on doubling and on
+    markov3 with each single forbidden transition, built once."""
+    out = []
     for forbidden in (None,) + _ANY_FORBIDDEN:
         config = (ModelConfig("doubling", grid_size=256) if forbidden is None
                   else ModelConfig("markov3", grid_size=256,
                                    forbidden=forbidden))
         model = build_model(replace(config, roof=(2.0, 0.0, 0.5, 0.0)))
-        part = C.build_partition(model, S.matching_scale(model, 2.0 ** -6))
+        out.append((model, C.build_partition(
+            model, S.matching_scale(model, 2.0 ** -6))))
+    return out
+
+
+@pytest.mark.parametrize("block", (C.REFINE_BLOCK, 1024))
+def test_check_refining_witness_matches_tuple_lists(refining_partitions,
+                                                    block):
+    witnesses = 0
+    for model, part in refining_partitions:
         with mock.patch.object(C, "REFINE_BLOCK", block):
             for n in range(1, 4):
                 got = C.check_refining(model, part, n)

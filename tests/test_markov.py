@@ -175,6 +175,9 @@ class TestBranches:
     def test_inadmissible_word_rejected(self):
         m = markov3_model(forbidden=("2>2",))
         assert not m.word_admissible("22")
+        # the empty word and symbols outside the alphabet
+        for w in ("", "3", "03", "30", "0a1"):
+            assert not m.word_admissible(w)
         with pytest.raises(ModelError):
             m.apply_word("22", 2.5)
 

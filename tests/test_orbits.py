@@ -72,8 +72,9 @@ def sec_sin(x):
 
 def test_transfer_matrix_doubling(plain):
     assert transfer_matrix(plain) == ((1, 1), (1, 1))
-    assert [fixed_word_count(plain, n) for n in range(1, 8)] == \
-        [2 ** n for n in range(1, 8)]
+    # exact past the int64 range
+    assert [fixed_word_count(plain, n) for n in (*range(1, 8), 64)] == \
+        [2 ** n for n in (*range(1, 8), 64)]
 
 
 def test_necklace_counts_doubling(plain):
@@ -84,6 +85,7 @@ def test_transfer_matrix_forbidden():
     model = markov3_model(forbidden=("0>2",))
     mat = transfer_matrix(model)
     assert mat == ((1, 1, 0), (1, 1, 1), (1, 1, 1))
+    assert all(type(v) is int for row in mat for v in row)
     assert tuple(fixed_word_count(model, n) for n in range(1, 9)) == \
         TRACES_M3_FORBID
     assert necklace_counts(model, 8) == NECKLACES_M3_FORBID

@@ -16,6 +16,12 @@ Frozen oracle values (computed independently before implementation):
 * constant determinant slope*mu = 2/3 (mu 1/3): the n-step moment with
   exponent g is (2/3)^(g n) for any probability weights.
 * Lebesgue half-ball mass ratio at interior points: exactly 1/2.
+* zero potential: the interval masses (row sums of the equilibrium
+  weights) are the Parry masses u_k v_k / (u . v), u and v the left and
+  right Perron vectors of the symbol transition matrix, summed over the
+  symbols whose cylinder is the interval: 1 on doubling, 1/3 each on full
+  markov3, and singular Parry masses with one forbidden transition.
+  Measured within 3.1e-14 on every case below.
 """
 
 import math
@@ -114,6 +120,35 @@ def test_markov3_forbidden_eigenvalue_closed_form():
     assert sys.fiber_defect < 1e-10
     assert sys.nu.min() > 0.0
     assert abs(sys.nu.sum() - 1.0) < 1e-12
+
+
+def _perron_vector(mat):
+    vals, vecs = np.linalg.eig(mat)
+    return np.abs(vecs[:, np.argmax(vals.real)].real)
+
+
+_PARRY_CASES = {"doubling": ("doubling", ()), "markov3": ("markov3", ()),
+                **{f"markov3-{a}>{b}": ("markov3", (f"{a}>{b}",))
+                   for a in "012" for b in "012"}}
+
+
+@pytest.mark.parametrize("grid", (1024, 8192))
+@pytest.mark.parametrize("family,forbidden", _PARRY_CASES.values(),
+                         ids=_PARRY_CASES.keys())
+def test_zero_potential_interval_masses_are_parry_masses(family, forbidden,
+                                                          grid):
+    model = (doubling_model(grid_size=grid) if family == "doubling" else
+             markov3_model(grid_size=grid, forbidden=forbidden))
+    trans = model.transitions.astype(float)
+    u, v = _perron_vector(trans.T), _perron_vector(trans)
+    parry = np.bincount(model.symbol_target, weights=u * v / (u @ v),
+                        minlength=len(model.intervals))
+    if not forbidden:
+        # Lebesgue: every slope equals the entropy rate
+        assert np.allclose(parry, 1.0 / len(model.intervals), rtol=0,
+                           atol=1e-15)
+    masses = T.gibbs_measure(model).sum(axis=1)
+    assert float(np.max(np.abs(masses - parry))) <= 1e-12
 
 
 def test_power_iteration_matches_dense_eigensolver():
