@@ -22,6 +22,13 @@ result is printed.  After the queries, ``model-info`` runs on each model
 of the workload, in key order, and is digested like a query, so the
 bytes of ``model.csv`` and ``branches.csv`` are checked too.  Two checkouts give identical output exactly when
 every artifact and every rpf result is bit-identical.
+
+With ``--keep <dir>`` the runs go under ``<dir>/<workload>/seed<n>``
+instead of a temporary directory, and each query also leaves
+``q<tag>.stdout`` (the captured text, placeholders in), ``q<tag>.exit``
+and, for an rpf call, ``q<tag>.npz`` with every array and number of the
+result by field name.  The printed lines do not change.  Two kept trees
+are compared field by field with ``scripts/artifact_diff.py``.
 """
 
 from __future__ import annotations
@@ -55,22 +62,38 @@ def _sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def _result_bytes(value) -> bytes:
-    """Bytes of every array and number in an rpf result, in field order;
-    the model and the cached operators are left out."""
+def _result_arrays(value, name: str = "result"):
+    """(name, array) of every array and number in an rpf result, in field
+    order; the model and the cached operators are left out."""
     if dataclasses.is_dataclass(value):
-        return b"".join(_result_bytes(getattr(value, f.name))
-                        for f in dataclasses.fields(value)
-                        if f.name != "model" and not f.name.startswith("_"))
+        for f in dataclasses.fields(value):
+            if f.name != "model" and not f.name.startswith("_"):
+                yield from _result_arrays(getattr(value, f.name),
+                                          f"{name}.{f.name}")
+        return
     if isinstance(value, (tuple, list)):
-        return b"".join(map(_result_bytes, value))
+        for i, item in enumerate(value):
+            yield from _result_arrays(item, f"{name}.{i}")
+        return
     arr = np.asarray(value)
     if arr.dtype == object:
         raise TypeError(f"cannot digest {type(value).__name__}")
-    return arr.tobytes()
+    yield name, arr
 
 
-def digest_lines(root: str, workload: str, seed: int):
+@contextlib.contextmanager
+def _run_dir(keep, workload: str, seed: int):
+    """A temporary directory, or a new ``<keep>/<workload>/seed<n>``."""
+    if keep is None:
+        with tempfile.TemporaryDirectory() as tmp:
+            yield tmp
+        return
+    path = os.path.join(keep, workload, f"seed{seed}")
+    os.makedirs(path)
+    yield path
+
+
+def digest_lines(root: str, workload: str, seed: int, keep=None):
     """Yield one line per query and per artifact."""
     workloads = _load_workloads(root)
     sys.path.insert(0, os.path.join(root, "src"))
@@ -78,33 +101,44 @@ def digest_lines(root: str, workload: str, seed: int):
     from transferlab.markov import ModelConfig, build_model
 
     wl = workloads.generate(workload, seed)
-    with tempfile.TemporaryDirectory() as tmp:
+    with _run_dir(keep, workload, seed) as tmp:
         paths = workloads.write_models(wl, tmp)
         for q in wl.queries:
             if q.call is not None:
                 model = build_model(ModelConfig.from_text(wl.models[q.model]))
                 result = getattr(rpf, q.call)(model, **q.kwargs)
+                arrays = dict(_result_arrays(result))
+                if keep is not None:
+                    np.savez(os.path.join(tmp, f"q{q.qid:03d}.npz"), **arrays)
+                data = b"".join(arr.tobytes() for arr in arrays.values())
                 yield f"{q.qid:03d} {q.label}"
-                yield f"{q.qid:03d}   result {_sha(_result_bytes(result))}"
+                yield f"{q.qid:03d}   result {_sha(data)}"
                 continue
             argv = list(q.argv)
             i = argv.index("--model") + 1
             argv[i] = paths[argv[i]]
-            yield from _cli_lines(cli, argv, tmp, f"{q.qid:03d}", q.label)
+            yield from _cli_lines(cli, argv, tmp, f"{q.qid:03d}", q.label,
+                                  keep is not None)
         for key in sorted(paths):
             argv = ["model-info", "--model", paths[key]]
             yield from _cli_lines(cli, argv, tmp, f"info-{key}",
-                                  f"model-info {key}")
+                                  f"model-info {key}", keep is not None)
 
 
-def _cli_lines(cli, argv, tmp: str, tag: str, label: str):
+def _cli_lines(cli, argv, tmp: str, tag: str, label: str, keep: bool):
     """Run one CLI command into its own directory under tmp; yield its exit
-    code and the sha256 of its output and of each file it wrote."""
+    code and the sha256 of its output and of each file it wrote.  With
+    keep, also write the output and the exit code next to the directory."""
     out = os.path.join(tmp, f"q{tag}")
     sink = io.StringIO()
     with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
         code = cli.main(argv + ["--out", out])
     text = sink.getvalue().replace(out, "<run>").replace(tmp, "<tmp>")
+    if keep:
+        with open(f"{out}.stdout", "w") as fh:
+            fh.write(text)
+        with open(f"{out}.exit", "w") as fh:
+            fh.write(f"{code}\n")
     yield f"{tag} {label}: exit {code}"
     yield f"{tag}   output {_sha(text.encode())}"
     names = sorted(os.listdir(out)) if os.path.isdir(out) else []
@@ -121,12 +155,16 @@ def main(argv=None) -> int:
     ap.add_argument("--root", default=ROOT,
                     help="checkout whose src/ and perfbench/ to use "
                          "(default: this one)")
+    ap.add_argument("--keep", metavar="DIR",
+                    help="keep each query's directory, output and exit "
+                         "code under DIR instead of a temporary directory")
     args = ap.parse_args(argv)
+    keep = None if args.keep is None else os.path.abspath(args.keep)
     for seed in args.seed:
         for workload in args.workload:
             print(f"# {workload} seed {seed}", flush=True)
             for line in digest_lines(os.path.abspath(args.root), workload,
-                                     seed):
+                                     seed, keep):
                 print(line, flush=True)
     return 0
 

@@ -11,10 +11,8 @@ Three operator layers share one set of branch stencils:
   |tilde L u| <= M |u| holds sample-for-sample within the majorant's
   domination tolerance.
 
-The two phase operators are fused: each is one sparse matrix (see
-``thermo.make_operator``), which sums the same terms in another order.
-M_{a,b} and every eigensolve stay on the exact per-stencil gather, whose
-bits the pinned census artifacts depend on.
+Each is one sparse matrix over the model's index pattern (see
+``thermo.make_operator``), as is every operator of an eigensolve.
 
 Smoothing follows the branch structure: the normalized weight jumps where
 the forward map changes branch, so convolution runs per forward-branch

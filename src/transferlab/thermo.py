@@ -17,11 +17,14 @@ Eigendata comes from power iteration with a projective (ratio-oscillation)
 stopping rule; left eigen-weights from iterating the adjoint push-forward of
 weighted point masses on grid cells.
 
-Operators with a phase exp(i b tau) are fused: stencils, interpolation
-weights, coefficients and the output factor fold into one sparse matrix
-over a per-model index pattern, and an application is one product.  Real
-operators (eigensolves, the adjoint, pressure) keep the per-stencil gather,
-whose arithmetic order the pinned census artifacts depend on bit for bit.
+Every operator, real or with a phase exp(i b tau), is fused: stencils,
+interpolation weights, coefficients and the output factor fold into one
+sparse matrix over a per-model index pattern, and an application is one
+product (the adjoint, one product with the transpose).  The arithmetic
+order of an application therefore lives in the pattern alone.  Moving the
+real operators off the per-stencil gather moved some artifact floats by
+rounding (at most 1.4e-14 relative, through eigenvalues, the Gibbs weights
+and the entropy root); no count, word or verdict moved.
 """
 
 from __future__ import annotations
@@ -184,117 +187,96 @@ class WeightRecipe:
 
 @dataclass
 class TransferOperator:
-    """Concrete weighted operator.
+    """Concrete weighted operator: one sparse matrix over the grid samples.
 
-    Real operators hold per-stencil coefficients and apply by gather; an
-    operator with a phase holds one fused CSR matrix instead (``coefs`` is
-    empty and ``out_factor`` is folded in)."""
+    Stencils, interpolation weights, coefficients, the output factor and
+    any phase fold into ``matrix`` (CSR over the per-model index pattern),
+    so an application is ``matrix @ u`` and the adjoint ``matrix.T @ w``,
+    real or complex alike.  The row sums run in the pattern's order, which
+    differs from a per-stencil gather by rounding only."""
 
     model: MarkovModel
     stencils: tuple[Stencil, ...]
-    coefs: tuple[np.ndarray, ...]      # exp(log-weight at y), real
-    out_factor: np.ndarray | None      # out_factor parts at z, real positive
-    matrix: csr_array | None = None    # fused phase operator
+    matrix: csr_array
 
     def __call__(self, values: np.ndarray) -> np.ndarray:
         values = np.asarray(values)
-        if self.matrix is not None:
-            return (self.matrix @ values.reshape(-1)).reshape(values.shape)
-        dtype = np.result_type(values.dtype, *(c.dtype for c in self.coefs))
-        out = np.zeros(values.shape, dtype=dtype)
-        for st, coef in zip(self.stencils, self.coefs):
-            out[st.domain_idx] += coef * gather(values, st)
-        if self.out_factor is not None:
-            out = out * self.out_factor
-        return out
+        return (self.matrix @ values.reshape(-1)).reshape(values.shape)
 
     def adjoint(self, w: np.ndarray) -> np.ndarray:
-        """Push-forward of weighted point masses at grid cells (no transpose
-        materialized): mass at z scatters to the interpolation cells of each
-        of its preimages.  Real operators only."""
-        if self.matrix is not None:
+        """Push-forward of weighted point masses at grid cells: mass at z
+        moves to the interpolation cells of each of its preimages.  Real
+        operators only."""
+        if self.matrix.dtype.kind == "c":
             raise ModelError("the adjoint is defined for real operators only")
         w = np.asarray(w, dtype=float)
-        n = self.model.grid_size
-        out = np.zeros_like(w)
-        src = w if self.out_factor is None else w * self.out_factor
-        for st, coef in zip(self.stencils, self.coefs):
-            mass = src[st.domain_idx] * coef
-            out[st.target_idx] += np.bincount(st.j, mass * (1.0 - st.frac),
-                                              minlength=n + 1)
-            out[st.target_idx] += np.bincount(st.j + 1, mass * st.frac,
-                                              minlength=n + 1)
-        return out
+        return (self.matrix.T @ w.reshape(-1)).reshape(w.shape)
 
 
 def make_operator(model: MarkovModel, recipe: WeightRecipe,
                   phase: float = 0.0) -> TransferOperator:
     """Build L with the recipe's real weight and optional phase exp(i b tau),
-    the roof entering the phase unsmoothed and in closed form.  A phase
-    operator is fused into one matrix; a real one keeps its stencils'
-    coefficients."""
-    stencils = _stencils_of(model)
+    the roof entering the phase unsmoothed and in closed form, as one
+    matrix: real without a phase, complex with one."""
+    stencils, indptr, indices, slots = _operator_pattern(model)
     shape = (len(model.intervals), model.grid_size + 1)
     out_factor = recipe.out_factor(shape)
-    if phase == 0.0:
-        coefs = tuple(recipe.coef_at_stencil(st) for st in stencils)
-        return TransferOperator(model, stencils, coefs, out_factor)
-    indptr, indices, slots = _fused_pattern(model)
-    data = np.empty(indices.size, dtype=complex)
+    data = np.empty(indices.size, dtype=complex if phase else float)
     for st, (start, d, slot) in zip(stencils, slots):
         amp = recipe.coef_at_stencil(st)
         if out_factor is not None:
             amp *= out_factor[st.domain_idx]
+        cell = data[start:start + 2 * d * shape[1]].reshape(shape[1], d, 2)
+        sides = ((0, amp * (1.0 - st.frac)), (1, amp * st.frac))
+        if not phase:
+            for side, w in sides:
+                cell[:, slot, side] = w
+            continue
         arg = phase * st.roof
         cos, sin = np.cos(arg), np.sin(arg)
-        cell = data[start:start + 2 * d * shape[1]].reshape(shape[1], d, 2)
-        for side, w in ((0, amp * (1.0 - st.frac)), (1, amp * st.frac)):
+        for side, w in sides:
             np.multiply(w, cos, out=cell[:, slot, side].real)
             np.multiply(w, sin, out=cell[:, slot, side].imag)
     size = shape[0] * shape[1]
     matrix = csr_array((data, indices, indptr), shape=(size, size))
-    return TransferOperator(model, stencils, (), None, matrix)
+    return TransferOperator(model, stencils, matrix)
 
 
-_stencil_cache: dict = {}     # config -> [stencils, fused pattern or None]
+_stencil_cache: dict = {}     # config -> (stencils, indptr, indices, slots)
 
 
-def _stencils_of(model: MarkovModel) -> tuple[Stencil, ...]:
-    key = model.config
-    if key not in _stencil_cache:
-        _stencil_cache[key] = [build_stencils(model), None]
-    return _stencil_cache[key][0]
-
-
-def _fused_pattern(model: MarkovModel):
-    """(indptr, indices, slots) of the fused operator, int32, per model.
+def _operator_pattern(model: MarkovModel):
+    """(stencils, indptr, indices, slots) of a model's operators, built
+    together on first use and cached by config; the index arrays are int32.
 
     Output sample i of interval k is one matrix row holding the two
     interpolation cells (lower, upper) of each branch with domain k, in
     stencil order.  ``slots[s]`` = (start, d, slot): stencil s fills
     column ``slot`` of the (N+1, d, 2) block at ``start`` of the data."""
-    stencils = _stencils_of(model)
-    entry = _stencil_cache[model.config]
-    if entry[1] is None:
-        n1 = model.grid_size + 1
-        members = [[s for s, st in enumerate(stencils) if st.domain_idx == k]
-                   for k in range(len(model.intervals))]
-        row_len = np.repeat([2 * len(m) for m in members], n1)
-        indptr = np.concatenate(([0], np.cumsum(row_len))).astype(np.int32)
-        indices = np.empty(int(indptr[-1]), dtype=np.int32)
-        slots = [None] * len(stencils)
-        start = 0
-        for mem in members:
-            d = len(mem)
-            cell = indices[start:start + 2 * d * n1].reshape(n1, d, 2)
-            for slot, s in enumerate(mem):
-                st = stencils[s]
-                cell[:, slot, 0] = st.target_idx * n1 + st.j
-                cell[:, slot, 1] = cell[:, slot, 0] + 1
-                slots[s] = (start, d, slot)
-            start += 2 * d * n1
-        entry[1] = (indptr, indices, tuple(slots))
-    return entry[1]
+    key = model.config
+    if key in _stencil_cache:
+        return _stencil_cache[key]
+    stencils = build_stencils(model)
+    n1 = model.grid_size + 1
+    members = [[s for s, st in enumerate(stencils) if st.domain_idx == k]
+               for k in range(len(model.intervals))]
+    row_len = np.repeat([2 * len(m) for m in members], n1)
+    indptr = np.concatenate(([0], np.cumsum(row_len))).astype(np.int32)
+    indices = np.empty(int(indptr[-1]), dtype=np.int32)
+    slots = [None] * len(stencils)
+    start = 0
+    for mem in members:
+        d = len(mem)
+        cell = indices[start:start + 2 * d * n1].reshape(n1, d, 2)
+        for slot, s in enumerate(mem):
+            st = stencils[s]
+            cell[:, slot, 0] = st.target_idx * n1 + st.j
+            cell[:, slot, 1] = cell[:, slot, 0] + 1
+            slots[s] = (start, d, slot)
+        start += 2 * d * n1
+    entry = (stencils, indptr, indices, tuple(slots))
+    _stencil_cache[key] = entry
+    return entry
 
 
 # ---------------------------------------------------------------------------

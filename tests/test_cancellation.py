@@ -404,6 +404,24 @@ def test_paired_case(sin_model):
         assert 0.0 < r.kappa5 <= 0.05 + 1e-15
 
 
+@pytest.mark.parametrize("weights", ([2.0, 1.0], [1.0, 2.0]))
+def test_pair_plan_bumps_the_lighter_branch(weights):
+    # the two one-step branches of the sine-roof doubling map, u = H = 1:
+    # their phase gap 1.5 sin(pi y) clears kappa6/2 on most of the
+    # interval, so a pair plan exists whichever branch is lighter
+    m = doubling_model(roof=SINROOF, grid_size=64)
+    _, contr, off, tgt, first = all_words(m, 1)
+    rows = np.arange(first[0], first[1])
+    ones = np.ones((1, 65))
+    y = np.arange(65) / 64
+    plan = cancellation._pair_plan(
+        m, 1.5, np.zeros_like(ones), y, np.array([0.0, 1.0]),
+        np.array(weights), contr[rows], off[rows], tgt[rows],
+        ones.astype(complex), ones, 0.2, 1)
+    assert plan is not None
+    assert plan[0] == int(np.argmin(weights))
+
+
 # ---------------------------------------------------------------------------
 # majorant recursion and square comparison
 

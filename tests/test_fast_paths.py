@@ -4,8 +4,9 @@ Each reference below is a plain loop or an ``_old_*`` copy of replaced
 code, kept here on purpose: it guards what no golden digest or oracle
 pins (README, "Tests", states when one may be retired).  Where the
 package runs the same arithmetic on whole arrays, in the same order, the
-comparison is exact (``==``); the fused phase operator and the prefix-sum
-smoothing reorder their sums, and their tolerances are stated below.
+comparison is exact (``==``); the fused operators (real, complex and the
+adjoint) and the prefix-sum smoothing reorder their sums, and their
+tolerances are stated below.
 
 * Stopping cocycle: ``value_at`` and the stopping index of
   ``_stopping_cocycle`` against a one-point loop of mu, slope and forward
@@ -31,10 +32,12 @@ smoothing reorder their sums, and their tolerances are stated below.
   forbidden transition, its length counts against the necklace counts;
   the orbits a counting report carries against a fresh enumeration.
   Fixed points compare by their bits.
-* Operators: a real ``make_operator`` against the per-stencil gather loop
-  (bitwise); a fused phase operator against the same loop within a
-  relative 1e-13 of the modulus operator's sup, since the fused matrix
-  sums the same terms in another order.
+* Operators: ``make_operator``, real and with a phase, against the
+  per-stencil gather loop, and the real adjoint against the bincount
+  push-forward, each within a relative 1e-13 of the modulus operator's
+  sup, since the fused matrix sums the same terms in another order;
+  the real matrix also bitwise against the gather loop split into its
+  interpolation cells and summed in row order.
 * ``smooth_grid`` (two prefix-sum box passes) against ``np.convolve``
   with the triangle kernel, within 1e-12; constants stay exact.
 * The row Hoelder seminorm against its own dyadic loop (bitwise), and
@@ -871,6 +874,22 @@ def _complex_field(model, seed):
     return rng.uniform(-1, 1, shape) + 1j * rng.uniform(-1, 1, shape)
 
 
+def _reference_adjoint(model, recipe, w):
+    """The bincount push-forward: mass at z, weighted and out-factored,
+    scatters to the two interpolation cells of each of its preimages."""
+    n = model.grid_size
+    fac = recipe.out_factor(w.shape)
+    src = w if fac is None else w * fac
+    out = np.zeros_like(w)
+    for stc in T.build_stencils(model):
+        mass = src[stc.domain_idx] * recipe.coef_at_stencil(stc)
+        out[stc.target_idx] += np.bincount(stc.j, mass * (1.0 - stc.frac),
+                                           minlength=n + 1)
+        out[stc.target_idx] += np.bincount(stc.j + 1, mass * stc.frac,
+                                           minlength=n + 1)
+    return out
+
+
 @PROPS
 @given(model=models(), a=st.floats(-0.04, 0.04), b=st.floats(-4096.0, 4096.0),
        normalized=st.booleans(), seed=st.integers(0, 2 ** 16))
@@ -879,26 +898,54 @@ def test_fused_phase_operator_matches_gather_loop(model, a, b, normalized,
     assume(b != 0.0)
     recipe = _recipe(model, a, normalized)
     u = _complex_field(model, seed)
-    op = T.make_operator(model, recipe, phase=b)
-    assert op.matrix is not None and len(op.stencils) == len(_old_branches(model))
-    ref = _reference_apply(model, recipe, b, u)
-    scale = float(np.max(T.make_operator(model, recipe)(np.abs(u))))
-    assert float(np.max(np.abs(op(u) - ref))) <= 1e-13 * scale
-    real = u.real.copy()
-    assert float(np.max(np.abs(op(real) - _reference_apply(
-        model, recipe, b, real)))) <= 1e-13 * scale
+    real_op = T.make_operator(model, recipe)
+    scale = float(np.max(real_op(np.abs(u))))
+    for phase in (0.0, b):
+        op = T.make_operator(model, recipe, phase=phase)
+        assert op.matrix.dtype == (complex if phase else float)
+        assert len(op.stencils) == len(_old_branches(model))
+        for field in (u, u.real.copy()):
+            got, ref = op(field), _reference_apply(model, recipe, phase,
+                                                   field)
+            assert got.dtype == ref.dtype
+            assert float(np.max(np.abs(got - ref))) <= 1e-13 * scale
+    w = u.real.copy()
+    adj_scale = float(np.max(real_op.adjoint(np.abs(w))))
+    assert float(np.max(np.abs(real_op.adjoint(w) - _reference_adjoint(
+        model, recipe, w)))) <= 1e-13 * adj_scale
+    with pytest.raises(ModelError, match="real operators only"):
+        op.adjoint(w)
+
+
+def _cell_loop_apply(model, recipe, u):
+    """The gather loop with the out factor taken into each weight and each
+    term split into its two interpolation cells, added to the output row
+    lower cell first, stencil by stencil: the order of a CSR row sum."""
+    shape = (len(model.intervals), model.grid_size + 1)
+    fac = recipe.out_factor(shape)
+    out = np.zeros(shape, dtype=np.result_type(u.dtype, float))
+    for stc in T.build_stencils(model):
+        amp = recipe.coef_at_stencil(stc)
+        if fac is not None:
+            amp = amp * fac[stc.domain_idx]
+        row = u[stc.target_idx]
+        out[stc.domain_idx] += (amp * (1.0 - stc.frac)) * row[stc.j]
+        out[stc.domain_idx] += (amp * stc.frac) * row[stc.j + 1]
+    return out
 
 
 @PROPS
 @given(model=models(), a=st.floats(-0.04, 0.04), normalized=st.booleans(),
        seed=st.integers(0, 2 ** 16))
 def test_real_operator_matches_gather_loop_bitwise(model, a, normalized, seed):
+    """Every weight of the real matrix, its column and its place in the
+    row sum are those of the cell-split gather loop, to the bit."""
     recipe = _recipe(model, a, normalized)
     op = T.make_operator(model, recipe, phase=0)
-    assert op.matrix is None
+    assert op.matrix.dtype == float
     u = _complex_field(model, seed)
     for field in (u, u.real.copy()):
-        got, ref = op(field), _reference_apply(model, recipe, 0.0, field)
+        got, ref = op(field), _cell_loop_apply(model, recipe, field)
         assert got.dtype == ref.dtype and np.array_equal(got, ref)
 
 
@@ -962,27 +1009,28 @@ class _ClosureRecipe:
 
 def _closure_operator(model, recipe, phase):
     """make_operator as it was, evaluating the roof again for the phase."""
-    stencils = T._stencils_of(model)
+    stencils, indptr, indices, slots = T._operator_pattern(model)
     shape = (len(model.intervals), model.grid_size + 1)
     out_factor = recipe.out_factor(shape)
-    if phase == 0.0:
-        coefs = tuple(recipe.coef_at_stencil(stc) for stc in stencils)
-        return T.TransferOperator(model, stencils, coefs, out_factor)
-    indptr, indices, slots = T._fused_pattern(model)
-    data = np.empty(indices.size, dtype=complex)
+    data = np.empty(indices.size, dtype=complex if phase else float)
     for stc, (start, d, slot) in zip(stencils, slots):
         amp = recipe.coef_at_stencil(stc)
         if out_factor is not None:
             amp *= out_factor[stc.domain_idx]
+        cell = data[start:start + 2 * d * shape[1]].reshape(shape[1], d, 2)
+        sides = ((0, amp * (1.0 - stc.frac)), (1, amp * stc.frac))
+        if not phase:
+            for side, w in sides:
+                cell[:, slot, side] = w
+            continue
         arg = phase * np.asarray(model.roof(stc.y))
         cos, sin = np.cos(arg), np.sin(arg)
-        cell = data[start:start + 2 * d * shape[1]].reshape(shape[1], d, 2)
-        for side, w in ((0, amp * (1.0 - stc.frac)), (1, amp * stc.frac)):
+        for side, w in sides:
             np.multiply(w, cos, out=cell[:, slot, side].real)
             np.multiply(w, sin, out=cell[:, slot, side].imag)
     size = shape[0] * shape[1]
     matrix = csr_array((data, indices, indptr), shape=(size, size))
-    return T.TransferOperator(model, stencils, (), None, matrix)
+    return T.TransferOperator(model, stencils, matrix)
 
 
 def _roof_tilt(model, a):
@@ -1068,7 +1116,7 @@ def test_data_recipes_match_closure_recipes_bitwise(model, a, b, s, phase_on,
     phase = b if phase_on else 0.0
     for name, new, old in _recipe_pairs(model, a, b, s):
         assert not any(map(callable, vars(new).values())), name
-        for stc in T._stencils_of(model):
+        for stc in T._operator_pattern(model)[0]:
             assert (_bits(new.coef_at_stencil(stc))
                     == _bits(old.coef_at_stencil(stc))), name
         got, ref = new.out_factor(shape), old.out_factor(shape)

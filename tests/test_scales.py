@@ -345,6 +345,27 @@ def test_uniform_set_supercritical_det_empty():
     assert rep.fraction == 0.0
 
 
+@pytest.mark.parametrize("l0, ratio, horizon, passes", [
+    (0.0, 2.5, 6, True),     # fails at i = 1, 2 = n only, which are skipped
+    (0.2, 5.5, 6, False),    # fails at i = 6 = horizon only, which counts
+    (0.2, 5.5, 5, True),
+])
+def test_uniform_set_horizon_ends(l0, ratio, horizon, passes):
+    # doubling with affine mu: the node 1/2 steps to the fixed point 0, so
+    # its partial sums are L(1/2) + (i - 1) L(0) with L = log det, and the
+    # test sum < i kappa reads A < i B for A = L(1/2) - L(0) and
+    # B = kappa - L(0).  With A = ratio * B it fails exactly for
+    # i <= ratio when B > 0, and exactly for i >= ratio when B < 0.
+    kappa, n = 0.1, 2
+    b = kappa - l0
+    c0 = math.exp(l0) / 2                       # det(0) = 2 c0
+    c1 = math.exp(l0 + ratio * b) - 2 * c0      # det(1/2) = 2 c0 + c1
+    model = doubling_model(mu=CoefFn(c0, c1), grid_size=64)
+    rep = S.uniform_set(model, n=n, kappa=kappa, horizon=horizon)
+    assert bool(rep.mask[0, 32]) is passes
+    assert bool(rep.mask[0, 0]) is (l0 < kappa)     # the fixed point 0
+
+
 @settings(max_examples=15, deadline=None)
 @given(st.floats(min_value=0.01, max_value=0.3), st.floats(min_value=0.0, max_value=0.3),
        st.integers(min_value=1, max_value=4))

@@ -1,7 +1,8 @@
-"""Smoke tests of the runnable experiments in scripts/.
+"""Smoke tests of the runnable experiments in scripts/, and unit tests of
+the artifact comparison on tiny trees.
 
-Each script's main() runs in this process on small arguments; the test
-checks that it returns normally and prints its header line.  The scripts
+Each experiment's main() runs in this process on small arguments; the
+test checks that it returns normally and prints its header line.  The scripts
 are loaded from their files, so scripts/ needs no package of its own.
 """
 
@@ -9,6 +10,7 @@ import importlib.util
 import os
 import sys
 
+import numpy as np
 import pytest
 
 SCRIPTS = os.path.join(os.path.dirname(__file__), os.pardir, "scripts")
@@ -37,3 +39,78 @@ def test_script_main_prints_its_header(script, args, header, monkeypatch,
     monkeypatch.setattr(sys, "argv", [script, *args])
     assert module.main() is None
     assert capsys.readouterr().out.splitlines()[0] == header
+
+
+def _load_script(name):
+    spec = importlib.util.spec_from_file_location(
+        f"_script_{name[:-3]}", os.path.join(SCRIPTS, name))
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _tree(root, files):
+    for rel, text in files.items():
+        path = root / rel
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(text)
+    return str(root)
+
+
+BASE = {
+    "q000/decay.csv": "# params b=64.0 atoms=12\nb,l2\n64.0,0.125\n",
+    "q000.exit": "0\n",
+    "q000.stdout": "decay: kappa_hat=0.5 -> <run>/decay.csv\n",
+}
+
+
+def _diff(tmp_path, changes, drop=()):
+    new = {k: v for k, v in BASE.items() if k not in drop}
+    new.update(changes)
+    diff = _load_script("artifact_diff.py")
+    return diff.main([_tree(tmp_path / "old", BASE),
+                      _tree(tmp_path / "new", new)])
+
+
+def test_artifact_diff_reports_float_moves(tmp_path, capsys):
+    assert _diff(tmp_path, {
+        "q000/decay.csv": "# params b=64.0 atoms=12\nb,l2\n64.0,0.12500000000000003\n",
+        "q000.stdout": "decay: kappa_hat=0.5000000000000001 -> <run>/decay.csv\n",
+    }) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[0] == "q000.stdout: worst 1.110e-16 over 1 moved floats"
+    assert out[1] == "q000/decay.csv: worst 2.776e-17 over 1 moved floats"
+    assert out[-1] == ("3 files, 2 differ, worst float move 1.110e-16, "
+                       "0 non-float differences")
+    assert _diff(tmp_path / "same", {}) == 0
+
+
+@pytest.mark.parametrize("changes, drop", [
+    ({"q000/decay.csv": "# params b=64.0 atoms=13\nb,l2\n64.0,0.125\n"}, ()),
+    ({"q000.exit": "1\n"}, ()),
+    ({"q000.stdout": "decay: kappa_hat=0.5 -> <run>/other.csv\n"}, ()),
+    ({"q000/decay.csv": "# params b=64.0 atoms=12\nb,l2\n64.0,0.125\n\n"}, ()),
+    ({"q001.exit": "0\n"}, ()),
+    ({}, ("q000.exit",)),
+], ids=["int", "exit-code", "word", "line-count", "extra-file",
+        "missing-file"])
+def test_artifact_diff_fails_on_non_float_changes(tmp_path, capsys, changes,
+                                                  drop):
+    assert _diff(tmp_path, changes, drop) == 1
+    assert capsys.readouterr().out.splitlines()[-1].endswith(
+        "1 non-float differences")
+
+
+def test_artifact_diff_compares_saved_results(tmp_path, capsys):
+    diff = _load_script("artifact_diff.py")
+    for name, rho, n in (("old", 1.0, 3), ("new", 1.0 + 2 ** -52, 3),
+                         ("int", 1.0, 4)):
+        (tmp_path / name).mkdir()
+        np.savez(tmp_path / name / "q001.npz", **{
+            "result.rho": np.array([0.5, rho]), "result.n": np.int64(n)})
+    old, new, moved = (str(tmp_path / k) for k in ("old", "new", "int"))
+    assert diff.main([old, new]) == 0
+    assert capsys.readouterr().out.splitlines()[0] == \
+        "q001.npz: worst 2.220e-16 over 1 moved floats"
+    assert diff.main([old, moved]) == 1
+    assert "  result.n: 3 -> 4" in capsys.readouterr().out.splitlines()
