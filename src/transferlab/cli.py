@@ -474,24 +474,28 @@ def _invariant_checks(model: MarkovModel, cfg: ExperimentConfig):
     residual = abs(thermo.pressure(model, h))
     checks.append(("entropy_root_residual", residual, 1e-6))
 
-    neck = orbits.necklace_counts(model, 8)
-    trace_gap = 0
-    for n in range(1, 9):
-        lhs = sum(d * neck[d - 1] for d in range(1, n + 1) if n % d == 0)
-        trace_gap = max(trace_gap, abs(lhs - orbits.fixed_word_count(model, n)))
-    checks.append(("necklace_vs_trace", float(trace_gap), 0.0))
-
     enum = orbits.enumerate_periodic_orbits(model, 6)
-    enum_gap = np.abs(np.bincount(enum.n, minlength=7)[1:] - neck[:6]).max()
-    checks.append(("necklace_vs_enumeration", float(enum_gap), 0.0))
-
-    worst_ret = 0.0
+    worst_period = worst_ret = 0.0
     for n in range(1, 7):
         words = enum.word[enum.n == n].tolist()
-        if words:
-            x = orbits.cyclic_fixed_points(model, words)
-            back = model.orbit(x, n + 1)[-1]
-            worst_ret = max(worst_ret, float(np.max(np.abs(back - x))))
+        if not words:
+            continue
+        # the fixed points of every rotation of each word, each found on
+        # its own; the first rotation is the word itself
+        points = [orbits.cyclic_fixed_points(
+            model, [w[r:] + w[:r] for w in words]) for r in range(n)]
+        period = enum.period[enum.n == n]
+        total = sum(model.roof(x) for x in points)
+        worst_period = max(worst_period,
+                           float(np.max(np.abs(period - total) / period)))
+        x = points[0]
+        back = model.orbit(x, n + 1)[-1]
+        worst_ret = max(worst_ret, float(np.max(np.abs(back - x))))
+    checks.append(("period_vs_rotations", worst_period, 1e-12))
+
+    neck = orbits.necklace_counts(model, 6)
+    enum_gap = np.abs(np.bincount(enum.n, minlength=7)[1:] - neck).max()
+    checks.append(("necklace_vs_enumeration", float(enum_gap), 0.0))
     checks.append(("orbit_return_residual", worst_ret, 1e-10))
 
     quad = orbits.covariance_at_zero(model, _section_sine, _section_sine)

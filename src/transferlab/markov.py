@@ -17,9 +17,11 @@ right end of the last interval belongs to that interval
 Each symbol names the interval an inverse branch lands in; a word is a
 uint8 row of symbols, applied right to left, and is admissible when
 consecutive transitions are allowed by the adjacency structure.  One
-grower, ``_grow_words``, makes every word set; its callers compose
-(contraction, offset) outer branch first for partition cylinders, inner
-branch first for the n-step word table and cyclic words.  One walk,
+grower, ``_grow_words``, makes every set of all admissible words; its
+callers compose (contraction, offset) outer branch first for partition
+cylinders, inner branch first for the n-step word table.  The orbit
+census grows only Lyndon-word prefixes, by its own rule
+(``orbits.enumerate_periodic_orbits``).  One walk,
 ``_walk_words``, applies the branches of rows to points: ``apply_word``
 and cyclic fixed points use it, and ``_roof_sums`` adds the roof along
 it for ``roof_sum_on_word`` and the UNI contrast tables.  Strings become

@@ -11,7 +11,11 @@ word length, counts them independently through the symbol transfer matrix
 flow correlation functions by seeded Monte Carlo on the suspension.
 
 The orbit set is one record array, a row per primitive orbit with columns
-word, n and period (see enumerate_periodic_orbits).
+word, n and period (see enumerate_periodic_orbits).  Each orbit is named
+by its Lyndon word, the least of its rotations; the census grows only
+prefixes of Lyndon words, settles one fixed point per orbit by
+contraction iteration, and reaches the other points of the orbit by one
+inverse branch each, so it never builds the rotations of a word.
 
 The entropy is the root scipy's bisection returns, found from a third of
 its pressure evaluations: pressure falls at least as fast as tau_min * s,
@@ -23,6 +27,7 @@ results are bit for bit those of the one-at-a-time loops they replace.
 
 from __future__ import annotations
 
+import itertools
 import math
 import sys
 from dataclasses import dataclass
@@ -30,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .markov import (NO_SYMBOL, MarkovModel, ModelError, _decode_words,
-                     _encode_words, _grow_words, _walk_words)
+                     _encode_words, _walk_words)
 from .thermo import RATIO_TOL, ConvergenceError, gibbs_measure, pressure
 
 WORD_CAP_DEFAULT = 2 ** 21
@@ -114,21 +119,6 @@ def necklace_counts(model: MarkovModel, n_max: int) -> tuple[int, ...]:
 # orbit enumeration
 # ---------------------------------------------------------------------------
 
-def _least_rotations(words: np.ndarray, n: int, base: int):
-    """Code of each length-n row's least rotation, and whether the row is
-    it; a code reads a row in base `base`, first symbol most significant,
-    a column at a time, so the compact rows are never widened whole."""
-    codes = np.zeros(words.shape[0], dtype=np.int64)
-    for i in range(n):
-        codes = codes * base + words[:, i]
-    canon = codes.copy()
-    for k in range(1, n):
-        split = base ** (n - k)
-        rot = (codes % split) * (base ** k) + codes // split
-        np.minimum(canon, rot, out=canon)
-    return canon, canon == codes
-
-
 def _settle(step, y: np.ndarray, *cols) -> np.ndarray:
     """FIXED_POINT_ITERATIONS rounds of y <- step(y, *cols), elementwise.
 
@@ -160,28 +150,33 @@ def _affine_step(y, contr, off):
     return contr * y + off
 
 
+def _cyclic_steps(model: MarkovModel, words: np.ndarray):
+    """Yield (slope, offset) of the branch instance at each position of
+    the equal-length cyclic uint8 rows, innermost (last position) first:
+    the domain of position i's branch is the target interval of the
+    symbol at position i+1, cyclically."""
+    target = model.symbol_target
+    k = len(model.alphabet)
+    # flat (symbol, next symbol) tables
+    slope, offset = (t[:, target].ravel()
+                     for t in (model.branch_slope, model.branch_offset))
+    n = words.shape[1]
+    for i in range(n - 1, -1, -1):
+        # widened first: the compact rows would wrap at k * k
+        pair = words[:, i].astype(np.intp) * k + words[:, (i + 1) % n]
+        yield slope.take(pair), offset.take(pair)
+
+
 def _cyclic_affine(model: MarkovModel, words: np.ndarray):
     """Composite inverse-branch coefficients (contraction, offset) per
     cyclic word, and the left endpoint of the interval holding its fixed
     point."""
-    target = model.symbol_target
-    k = len(model.alphabet)
-    # flat (symbol, next symbol) tables: the next symbol's target interval
-    # is the domain of the branch instance
-    slope, offset = (t[:, target].ravel()
-                     for t in (model.branch_slope, model.branch_offset))
-    n = words.shape[1]
     contr = np.ones(words.shape[0])
     off = np.zeros(words.shape[0])
-    # innermost branch instance first: position i pairs with the symbol at
-    # position i+1 (cyclically) as its domain
-    for i in range(n - 1, -1, -1):
-        # widened first: the compact rows would wrap at k * k
-        pair = words[:, i].astype(np.intp) * k + words[:, (i + 1) % n]
-        s = slope.take(pair)
+    for s, b_off in _cyclic_steps(model, words):
         contr /= s
-        off = off / s + offset.take(pair)
-    return contr, off, model.lefts[target[words[:, 0]]]
+        off = off / s + b_off
+    return contr, off, model.lefts[model.symbol_target[words[:, 0]]]
 
 
 def cyclic_fixed_points(model: MarkovModel, words) -> np.ndarray:
@@ -217,13 +212,23 @@ def enumerate_periodic_orbits(model: MarkovModel, n_max: int) -> np.recarray:
 
     The table has three columns: `word`, the lexicographically least
     rotation of the coding word (str, U{n_max}); `n`, its length (int64);
-    and `period`, the flow period (float64), obtained by summing the roof
-    at the fixed points of all rotations of the word, which are exactly
-    the points of the section orbit.  Rows are ordered by length, then by
+    and `period`, the flow period (float64), the roof summed over the
+    points of the section orbit.  Rows are ordered by length, then by
     word code; len(table) is the number of primitive orbits.  Raises
     ModelError when n_max < 0 or alphabet^n_max exceeds WORD_CAP_DEFAULT.
-    Words grow on the domain side, so a level lists them last symbol most
-    significant, the order in which each class sums its periods.
+
+    The least rotation of a primitive word is its Lyndon word, and the
+    admissible prefixes of Lyndon words (prenecklaces) grow a symbol at a
+    time in code order (Fredricksen-Kessler-Maiorana; Ruskey-Savage-Wang
+    for the restricted form): a_n may follow a_1..a_{n-1} when
+    a_n >= a_{n-p} and the transition a_{n-1} -> a_n is allowed, p the
+    length of the longest Lyndon prefix, which stays p when a_n == a_{n-p}
+    and becomes n otherwise.  The rows with p == n and an allowed wrap
+    a_n -> a_1 are the level's table words.  Only their fixed points are
+    iterated; the other n - 1 orbit points follow backwards around the
+    cycle, one inverse branch each, from the last symbol to the second.
+    A period sums the roof in that order: the word's fixed point first,
+    then each point as the walk reaches it.
     """
     base = len(model.alphabet)
     if n_max < 0:
@@ -233,31 +238,29 @@ def enumerate_periodic_orbits(model: MarkovModel, n_max: int) -> np.recarray:
                          f"{WORD_CAP_DEFAULT}")
     dtype = [("word", f"U{n_max}"), ("n", np.int64), ("period", float)]
     blocks = [np.empty(0, dtype)]
-    # one byte per symbol; a census peaks in the last level's _settle
-    words = np.arange(base, dtype=np.uint8)[:, None]
+    allowed = model.transitions > 0
+    symbols = np.arange(base, dtype=np.uint8)
+    # one byte per symbol; p is each prenecklace's longest Lyndon prefix
+    words, p = symbols[:, None], np.ones(base, np.intp)
     for n in range(1, n_max + 1):
         if n > 1:
-            words = _grow_words(model, "domain", words,
-                                model.symbol_target[words[:, 0]])[0]
-        cyclic = words[model.transitions[words[:, -1], words[:, 0]] > 0]
-        if cyclic.size == 0:
-            continue
-        contr, off, lefts = _cyclic_affine(model, cyclic)
+            ref = words[np.arange(len(words)), n - 1 - p]
+            parent, sym = np.nonzero((symbols >= ref[:, None])
+                                     & allowed[words[:, -1]])
+            sym = sym.astype(np.uint8)
+            p = np.where(sym == ref[parent], p[parent], n)
+            words = np.concatenate((words[parent], sym[:, None]), axis=1)
+        lyndon = words[(p == n) & allowed[words[:, -1], words[:, 0]]]
+        contr, off, lefts = _cyclic_affine(model, lyndon)
         y = _settle(_affine_step, lefts + 0.5, contr, off)
-        tau = np.asarray(model.roof(y), dtype=float)
-        canon, least = _least_rotations(cyclic, n, base)
-        uniq, inverse, counts = np.unique(canon, return_inverse=True,
-                                          return_counts=True)
-        periods = np.bincount(inverse, weights=tau, minlength=uniq.size)
-        # a class holds its least rotation once: the rows in class order
-        rows = np.empty((uniq.size, n), np.uint8)
-        rows[inverse[least]] = cyclic[least]
-        # a primitive class has n distinct rotations; fewer means the word
-        # is a power of a shorter one already listed
-        prim = counts == n
+        period = np.array(model.roof(y), dtype=float)
+        for s, b_off in itertools.islice(_cyclic_steps(model, lyndon),
+                                         n - 1):
+            y = y / s + b_off
+            period += model.roof(y)
         blocks.append(np.rec.fromarrays(
-            [_decode_words(rows[prim], model.alphabet),
-             np.full(np.count_nonzero(prim), n), periods[prim]], dtype=dtype))
+            [_decode_words(lyndon, model.alphabet), np.full(len(lyndon), n),
+             period], dtype=dtype))
     return np.concatenate(blocks).view(np.recarray)
 
 

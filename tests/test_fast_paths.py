@@ -24,14 +24,17 @@ tolerances are stated below.
   shared word decoder against ``divmod``, rows of different depths
   included, and the encoder as its inverse; the shared word grower, on
   both sides and both families with every forbidden transition, against
-  the rebuild from length 1 (the orbit census's row order), the
-  ``all_words`` tuple builder and a depth-first cylinder expansion, with
-  near and far intervals and the composed columns bit for bit; the orbit
-  table's words against the least rotations of all primitive cyclic
-  words from ``itertools.product``, on both families and every single
-  forbidden transition, its length counts against the necklace counts;
-  the orbits a counting report carries against a fresh enumeration.
-  Fixed points compare by their bits.
+  the rebuild from length 1, the ``all_words`` tuple builder and a
+  depth-first cylinder expansion, with near and far intervals and the
+  composed columns bit for bit; the orbit table's words against the
+  least rotations of all primitive cyclic words from
+  ``itertools.product``, on both families and every single forbidden
+  transition, its length counts against the necklace counts; the table
+  (one fixed point per Lyndon word, the rest of each orbit walked)
+  against every rotation's fixed point settled on its own and summed per
+  class in the order the census used before, words and lengths bit for
+  bit and periods within 16 ulps; the orbits a counting report carries
+  against a fresh enumeration.  Fixed points compare by their bits.
 * Operators: ``make_operator``, real and with a phase, against the
   per-stencil gather loop, and the real adjoint against the bincount
   push-forward, each within a relative 1e-13 of the modulus operator's
@@ -752,8 +755,8 @@ def _reference_cylinders(model, k):
 @given(model=models(_ANY_FORBIDDEN), n_max=st.integers(1, 7))
 def test_grown_words_match_rebuild(model, n_max):
     """The shared grower, every row grown at each level, against the
-    frozen builders: on the domain side from the one-symbol words (the
-    orbit census) against the rebuild from length 1, rows in its order;
+    frozen builders: on the domain side from the one-symbol words
+    against the rebuild from length 1, rows in its order;
     from the intervals (the word table) against _old_all_words, and on
     the target side (partition cylinders) against the depth-first
     expansion, each with near and far intervals and the composed columns,
@@ -830,6 +833,53 @@ def test_orbit_table_matches_brute_force(forbidden, n_max, data):
     assert len(table) == sum(neck)
     for row in table.tolist():
         assert tuple(map(type, row)) == (str, int, float)
+
+
+def _reference_orbit_table(model, n_max):
+    """(words, lengths, periods) from every cyclic word of each length:
+    each row's fixed point settled on its own (_cyclic_affine, _settle)
+    and the roof summed per class with np.bincount over the rows, last
+    symbol most significant, as the census summed its periods before it
+    walked each orbit from one fixed point."""
+    k = len(model.alphabet)
+    trans = model.transitions > 0
+    words, lengths, periods = [], [], []
+    for n in range(1, n_max + 1):
+        rows = np.array(list(itertools.product(range(k), repeat=n)),
+                        np.uint8)[:, ::-1]
+        rows = rows[trans[rows, np.roll(rows, -1, axis=1)].all(axis=1)]
+        if not rows.size:
+            continue
+        contr, off, lefts = O._cyclic_affine(model, rows)
+        tau = model.roof(O._settle(O._affine_step, lefts + 0.5, contr, off))
+        rots = [[tuple(r[i:]) + tuple(r[:i]) for i in range(n)]
+                for r in rows.tolist()]
+        least = sorted({min(rot) for rot in rots if len(set(rot)) == n})
+        index = {w: i for i, w in enumerate(least)}
+        rows_in = [(index[min(rot)], t) for rot, t in zip(rots, tau)
+                   if min(rot) in index]
+        periods += np.bincount([i for i, _ in rows_in],
+                               weights=[t for _, t in rows_in],
+                               minlength=len(least)).tolist()
+        words += ["".join(model.alphabet[a] for a in w) for w in least]
+        lengths += [n] * len(least)
+    return words, lengths, periods
+
+
+@PROPS
+@given(model=models(_ANY_FORBIDDEN), n_max=st.integers(1, 8))
+def test_orbit_walk_matches_per_rotation_fixed_points(model, n_max):
+    """Lyndon words with one settled fixed point each, the rest of the
+    orbit walked, against every rotation settled on its own: words and
+    lengths bit for bit, periods within 16 ulps, since the walk reaches
+    the other orbit points by other roundings and sums them in walk
+    order (5 ulps was the worst over 60 random models)."""
+    table = O.enumerate_periodic_orbits(model, n_max)
+    words, lengths, periods = _reference_orbit_table(model, n_max)
+    assert table.word.tolist() == words
+    assert table.n.tolist() == lengths
+    assert np.all(np.abs(table.period - periods)
+                  <= 16 * np.spacing(np.array(periods)))
 
 
 @settings(max_examples=10, deadline=None)

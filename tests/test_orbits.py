@@ -20,6 +20,7 @@ Frozen oracles used below, each recomputed independently before freezing:
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -152,6 +153,21 @@ def test_enumeration_cap():
     with pytest.raises(ModelError, match=">= 0"):
         enumerate_periodic_orbits(model, -1)
     assert len(enumerate_periodic_orbits(model, 0)) == 0
+
+
+def test_enumeration_memory_stays_near_the_table():
+    # the census keeps one fixed point per orbit and one byte per symbol
+    # of each prenecklace; the table itself is held twice at the end,
+    # once in its length blocks and once joined
+    model = markov3_model()
+    enumerate_periodic_orbits(model, 2)      # warm the imports
+    tracemalloc.start()
+    try:
+        orbs = enumerate_periodic_orbits(model, 12)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * orbs.nbytes
 
 
 def test_fixed_point_values(plain):
