@@ -237,7 +237,9 @@ def enumerate_periodic_orbits(model: MarkovModel, n_max: int) -> np.recarray:
         raise ModelError(f"alphabet^{n_max} exceeds the enumeration cap "
                          f"{WORD_CAP_DEFAULT}")
     dtype = [("word", f"U{n_max}"), ("n", np.int64), ("period", float)]
-    blocks = [np.empty(0, dtype)]
+    counts = necklace_counts(model, n_max)
+    # written level by level into its rows, so it is held once
+    table = np.recarray(sum(counts), dtype)
     allowed = model.transitions > 0
     symbols = np.arange(base, dtype=np.uint8)
     # one byte per symbol; p is each prenecklace's longest Lyndon prefix
@@ -253,15 +255,14 @@ def enumerate_periodic_orbits(model: MarkovModel, n_max: int) -> np.recarray:
         lyndon = words[(p == n) & allowed[words[:, -1], words[:, 0]]]
         contr, off, lefts = _cyclic_affine(model, lyndon)
         y = _settle(_affine_step, lefts + 0.5, contr, off)
-        period = np.array(model.roof(y), dtype=float)
+        rows = table[sum(counts[:n - 1]):sum(counts[:n])]
+        rows.period = model.roof(y)
         for s, b_off in itertools.islice(_cyclic_steps(model, lyndon),
                                          n - 1):
             y = y / s + b_off
-            period += model.roof(y)
-        blocks.append(np.rec.fromarrays(
-            [_decode_words(lyndon, model.alphabet), np.full(len(lyndon), n),
-             period], dtype=dtype))
-    return np.concatenate(blocks).view(np.recarray)
+            rows.period += model.roof(y)
+        rows.word, rows.n = _decode_words(lyndon, model.alphabet), n
+    return table
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,6 @@
 """Complex transfer operators, coefficient smoothing, and decay profiles.
 
-Three operator layers share one set of branch stencils:
+Three operator layers read one stencil table per model (``thermo``):
 
 * L_{a,b}: weight f^(a) in exact recipe form, phase exp(i b tau) with the
   closed-form roof.
@@ -11,7 +11,7 @@ Three operator layers share one set of branch stencils:
   |tilde L u| <= M |u| holds sample-for-sample within the majorant's
   domination tolerance.
 
-Each is one sparse matrix over the model's index pattern (see
+Each is one sparse matrix written from that table's columns (see
 ``thermo.make_operator``), as is every operator of an eigensolve.
 
 Smoothing follows the branch structure: the normalized weight jumps where

@@ -8,7 +8,8 @@ with u read off by linear interpolation at the branch preimages.  Weights are
 *recipes*, not bare samples: the model potential (a flag) plus a multiple of
 the roof (a tilt), both read exactly at the preimages, grid parts
 interpolated there, a constant, and eigenfunction ratios rho(v z) / rho(z).
-Each branch stencil samples the roof and the potential once per model.
+One stencil table per model samples the roof and the potential once at
+every preimage, and recipes are read at all of its entries at once.
 Normalized potentials keep their eigenfunction corrections in recipe form,
 so identities like L 1 = 1 and the unit fiber sums hold to the eigensolver
 residual rather than to interpolation accuracy.
@@ -17,14 +18,11 @@ Eigendata comes from power iteration with a projective (ratio-oscillation)
 stopping rule; left eigen-weights from iterating the adjoint push-forward of
 weighted point masses on grid cells.
 
-Every operator, real or with a phase exp(i b tau), is fused: stencils,
-interpolation weights, coefficients and the output factor fold into one
-sparse matrix over a per-model index pattern, and an application is one
-product (the adjoint, one product with the transpose).  The arithmetic
-order of an application therefore lives in the pattern alone.  Moving the
-real operators off the per-stencil gather moved some artifact floats by
-rounding (at most 1.4e-14 relative, through eigenvalues, the Gibbs weights
-and the entropy root); no count, word or verdict moved.
+Every operator, real or with a phase exp(i b tau), is fused: the weights
+at the table's entries, split over their two interpolation cells, are the
+data of one sparse matrix in the table's entry order, and an application
+is one product (the adjoint, one product with the transpose).  The
+arithmetic order of an application therefore lives in the table alone.
 """
 
 from __future__ import annotations
@@ -42,44 +40,78 @@ RATIO_TOL = 1e-12
 POWER_CAP = 10_000
 ADJOINT_TOL = 1e-14
 A_MAX_DEFAULT = 0.05
+_BLOCK_ROWS = 1 << 13   # samples per operator fill step, a cache-sized block
 
 
 # ---------------------------------------------------------------------------
-# stencils: fixed interpolation data for every branch instance
+# the stencil table: interpolation data of every operator entry
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class Stencil:
-    domain_idx: int   # interval row of the operator output (arguments z)
-    target_idx: int   # interval row holding the preimages v(z)
-    y: np.ndarray     # preimage coordinates, length N+1
-    j: np.ndarray     # lower sample index of y in the target row
-    frac: np.ndarray  # interpolation fraction in [0, 1)
-    roof: np.ndarray  # the roof at y
+class StencilTable:
+    """Interpolation data of a model's operators, one entry per (sample z,
+    inverse branch v) in the CSR order of their matrices: rows (samples) by
+    interval and node, each row's branches in symbol order.  Entry e is
+    matrix entries 2e and 2e + 1, the lower and the upper cell of v z."""
+
+    y: np.ndarray          # preimage v(z)
+    cell: np.ndarray       # flat index of the lower sample of y (intp)
+    frac: np.ndarray       # interpolation fraction in [0, 1)
+    roof: np.ndarray       # the roof at y
     potential: np.ndarray  # the model potential at y
+    indptr: np.ndarray     # CSR row pointers (int32)
+    indices: np.ndarray    # CSR columns: cell, cell + 1 per entry (int32)
+
+    def entries(self, rows: slice) -> tuple[slice, np.ndarray]:
+        """The entries of a range of samples, and how many each has."""
+        start, stop, _ = rows.indices(self.indptr.size - 1)
+        ptr = self.indptr[start:stop + 1] // 2
+        return slice(ptr[0], ptr[-1]), np.diff(ptr)
 
 
-def build_stencils(model: MarkovModel) -> tuple[Stencil, ...]:
-    """One stencil per inverse branch, in (symbol, domain) order, with the
-    roof and the potential sampled at its preimages."""
-    n = model.grid_size
-    nodes = model.nodes()
-    out = []
-    for i, k in np.argwhere(~np.isnan(model.branch_slope)).tolist():
-        t = int(model.symbol_target[i])
-        y = nodes[k] / model.branch_slope[i, k] + model.branch_offset[i, k]
-        local = np.clip((y - model.lefts[t]) * n, 0.0, float(n))
-        j = np.minimum(local.astype(int), n - 1)
-        frac = local - j
-        out.append(Stencil(k, t, y, j, frac, model.roof(y),
-                           model.potential(y)))
-    return tuple(out)
+_stencil_cache: dict = {}     # config -> StencilTable
 
 
-def gather(values: np.ndarray, st: Stencil) -> np.ndarray:
-    """Linear interpolation of stacked grid values at the stencil preimages."""
-    row = values[st.target_idx]
-    return row[st.j] * (1.0 - st.frac) + row[st.j + 1] * st.frac
+def _stencil_table(model: MarkovModel) -> StencilTable:
+    """The model's stencil table, built on first use and cached by config,
+    so the roof and the potential are sampled once per model."""
+    key = model.config
+    if key in _stencil_cache:
+        return _stencil_cache[key]
+    n, n1 = model.grid_size, model.grid_size + 1
+    live = ~np.isnan(model.branch_slope)       # (symbol, interval)
+    degree = live.sum(axis=0)                  # branches per interval
+    y, frac, roof, potential = (np.empty(n1 * degree.sum()) for _ in range(4))
+    cell = np.empty(y.size, np.intp)
+    pair = np.empty((y.size, 2), np.int32)     # the CSR columns by entry
+    start = 0
+    # branch by branch, so no temporary outgrows a grid row
+    for k, xs in enumerate(model.nodes()):
+        for slot, i in enumerate(np.flatnonzero(live[:, k])):
+            at = slice(start + slot, start + n1 * degree[k], degree[k])
+            t = model.symbol_target[i]
+            yb = xs / model.branch_slope[i, k] + model.branch_offset[i, k]
+            local = np.clip((yb - model.lefts[t]) * n, 0.0, float(n))
+            j = np.minimum(local.astype(int), n - 1)
+            y[at], frac[at], cell[at] = yb, local - j, t * n1 + j
+            roof[at], potential[at] = model.roof(yb), model.potential(yb)
+            pair[at, 0], pair[at, 1] = cell[at], cell[at] + 1
+        start += n1 * degree[k]
+    indptr = np.concatenate(([0], np.cumsum(np.repeat(2 * degree, n1))))
+    table = StencilTable(y, cell, frac, roof, potential,
+                         indptr.astype(np.int32), pair.ravel())
+    _stencil_cache[key] = table
+    return table
+
+
+def gather(values: np.ndarray, table: StencilTable,
+           rows: slice = slice(None)) -> np.ndarray:
+    """Linear interpolation of stacked grid values at the preimages of the
+    table's entries, or of those of a range of samples."""
+    flat = np.asarray(values).reshape(-1)
+    block, _ = table.entries(rows)
+    cell, frac = table.cell[block], table.frac[block]
+    return flat[cell] * (1.0 - frac) + flat[cell + 1] * frac
 
 
 def forward_index(model: MarkovModel) -> tuple[np.ndarray, np.ndarray]:
@@ -122,10 +154,10 @@ class WeightRecipe:
     """weight = exp(const + potential + tilt * tau + grid parts) at y
     * prod(rho(y) / rho(z) for rho in rhos).
 
-    The potential (when flagged) and the roof are the stencil's exact
-    samples at y.  Grid parts are stacked log arrays (K, N+1); each rho is
-    a positive eigenfunction, interpolated in linear space at y and read
-    on the grid at z.  The eigenfunction correction then cancels against
+    The potential (when flagged) and the roof are the stencil table's exact
+    samples at y.  Grid parts are stacked log arrays (K, N+1); each rho is a
+    positive eigenfunction, interpolated in linear space at y and read on
+    the grid at z.  The eigenfunction correction then cancels against
     the eigensolver's own interpolation sample-for-sample, so normalized
     fiber sums inherit the solver residual instead of an interpolation
     bias.
@@ -142,26 +174,24 @@ class WeightRecipe:
         return WeightRecipe(self.potential, self.tilt + tilt, self.grids,
                             self.const + const, rhos)
 
-    def coef_at_stencil(self, st: Stencil) -> np.ndarray:
-        acc = np.full(st.y.shape, self.const)
+    def at_entries(self, table: StencilTable, rows: slice) -> np.ndarray:
+        """The weight at the table's entries of a range of samples z,
+        times the output factor prod(1 / rho(z))."""
+        block, counts = table.entries(rows)
+        acc = np.full(counts.sum(), self.const)
         if self.potential:
-            acc = acc + st.potential
+            acc = acc + table.potential[block]
         if self.tilt:
-            acc = acc + self.tilt * st.roof
+            acc = acc + self.tilt * table.roof[block]
         for g in self.grids:
-            acc = acc + gather(np.asarray(g), st)
-        coef = np.exp(acc)
+            acc = acc + gather(g, table, rows)
+        coef, fac = np.exp(acc), 1.0
         for rho in self.rhos:
-            coef = coef * gather(rho, st)
+            coef = coef * gather(rho, table, rows)
+            fac = fac * (1.0 / rho.reshape(-1)[rows])
+        if self.rhos:
+            coef *= np.repeat(fac, counts)
         return coef
-
-    def out_factor(self, shape) -> np.ndarray | None:
-        if not self.rhos:
-            return None
-        fac = np.ones(shape)
-        for rho in self.rhos:
-            fac = fac * (1.0 / rho)
-        return fac
 
     def sample(self, model: MarkovModel) -> np.ndarray:
         """Total log-weight sampled on the grid, with the output parts read
@@ -189,14 +219,14 @@ class WeightRecipe:
 class TransferOperator:
     """Concrete weighted operator: one sparse matrix over the grid samples.
 
-    Stencils, interpolation weights, coefficients, the output factor and
-    any phase fold into ``matrix`` (CSR over the per-model index pattern),
-    so an application is ``matrix @ u`` and the adjoint ``matrix.T @ w``,
-    real or complex alike.  The row sums run in the pattern's order, which
-    differs from a per-stencil gather by rounding only."""
+    Weights, interpolation and any phase fold into ``matrix`` (CSR in the
+    model's stencil table order), so an application is ``matrix @ u`` and
+    the adjoint ``matrix.T @ w``, real or complex alike.  ``stencils`` is
+    the one-tuple (table,), since the benchmark counts an application's
+    interpolation points as the sum of ``y.size`` over ``stencils``."""
 
     model: MarkovModel
-    stencils: tuple[Stencil, ...]
+    stencils: tuple[StencilTable]
     matrix: csr_array
 
     def __call__(self, values: np.ndarray) -> np.ndarray:
@@ -218,65 +248,26 @@ def make_operator(model: MarkovModel, recipe: WeightRecipe,
     """Build L with the recipe's real weight and optional phase exp(i b tau),
     the roof entering the phase unsmoothed and in closed form, as one
     matrix: real without a phase, complex with one."""
-    stencils, indptr, indices, slots = _operator_pattern(model)
-    shape = (len(model.intervals), model.grid_size + 1)
-    out_factor = recipe.out_factor(shape)
-    data = np.empty(indices.size, dtype=complex if phase else float)
-    for st, (start, d, slot) in zip(stencils, slots):
-        amp = recipe.coef_at_stencil(st)
-        if out_factor is not None:
-            amp *= out_factor[st.domain_idx]
-        cell = data[start:start + 2 * d * shape[1]].reshape(shape[1], d, 2)
-        sides = ((0, amp * (1.0 - st.frac)), (1, amp * st.frac))
+    table = _stencil_table(model)
+    data = np.empty(table.indices.size, dtype=complex if phase else float)
+    cells = data.reshape(-1, 2)       # (lower, upper) cell of each entry
+    for start in range(0, table.indptr.size - 1, _BLOCK_ROWS):
+        rows = slice(start, start + _BLOCK_ROWS)
+        amp = recipe.at_entries(table, rows)
+        block, _ = table.entries(rows)
+        frac, cell = table.frac[block], cells[block]
+        sides = (amp * (1.0 - frac), amp * frac)
         if not phase:
-            for side, w in sides:
-                cell[:, slot, side] = w
+            cell[:, 0], cell[:, 1] = sides
             continue
-        arg = phase * st.roof
+        arg = phase * table.roof[block]
         cos, sin = np.cos(arg), np.sin(arg)
-        for side, w in sides:
-            np.multiply(w, cos, out=cell[:, slot, side].real)
-            np.multiply(w, sin, out=cell[:, slot, side].imag)
-    size = shape[0] * shape[1]
-    matrix = csr_array((data, indices, indptr), shape=(size, size))
-    return TransferOperator(model, stencils, matrix)
-
-
-_stencil_cache: dict = {}     # config -> (stencils, indptr, indices, slots)
-
-
-def _operator_pattern(model: MarkovModel):
-    """(stencils, indptr, indices, slots) of a model's operators, built
-    together on first use and cached by config; the index arrays are int32.
-
-    Output sample i of interval k is one matrix row holding the two
-    interpolation cells (lower, upper) of each branch with domain k, in
-    stencil order.  ``slots[s]`` = (start, d, slot): stencil s fills
-    column ``slot`` of the (N+1, d, 2) block at ``start`` of the data."""
-    key = model.config
-    if key in _stencil_cache:
-        return _stencil_cache[key]
-    stencils = build_stencils(model)
-    n1 = model.grid_size + 1
-    members = [[s for s, st in enumerate(stencils) if st.domain_idx == k]
-               for k in range(len(model.intervals))]
-    row_len = np.repeat([2 * len(m) for m in members], n1)
-    indptr = np.concatenate(([0], np.cumsum(row_len))).astype(np.int32)
-    indices = np.empty(int(indptr[-1]), dtype=np.int32)
-    slots = [None] * len(stencils)
-    start = 0
-    for mem in members:
-        d = len(mem)
-        cell = indices[start:start + 2 * d * n1].reshape(n1, d, 2)
-        for slot, s in enumerate(mem):
-            st = stencils[s]
-            cell[:, slot, 0] = st.target_idx * n1 + st.j
-            cell[:, slot, 1] = cell[:, slot, 0] + 1
-            slots[s] = (start, d, slot)
-        start += 2 * d * n1
-    entry = (stencils, indptr, indices, tuple(slots))
-    _stencil_cache[key] = entry
-    return entry
+        for side, w in enumerate(sides):
+            np.multiply(w, cos, out=cell[:, side].real)
+            np.multiply(w, sin, out=cell[:, side].imag)
+    size = len(model.intervals) * (model.grid_size + 1)
+    matrix = csr_array((data, table.indices, table.indptr), shape=(size, size))
+    return TransferOperator(model, (table,), matrix)
 
 
 # ---------------------------------------------------------------------------

@@ -35,12 +35,17 @@ tolerances are stated below.
   class in the order the census used before, words and lengths bit for
   bit and periods within 16 ulps; the orbits a counting report carries
   against a fresh enumeration.  Fixed points compare by their bits.
-* Operators: ``make_operator``, real and with a phase, against the
-  per-stencil gather loop, and the real adjoint against the bincount
-  push-forward, each within a relative 1e-13 of the modulus operator's
-  sup, since the fused matrix sums the same terms in another order;
-  the real matrix also bitwise against the gather loop split into its
-  interpolation cells and summed in row order.
+* Operators: the stencil table (one entry per grid node and branch, in
+  CSR order) against ``_old_*`` copies of the per-branch stencils, their
+  gather and the index pattern with its slot map, every column and
+  index bit for bit; ``make_operator``, real and with a phase, against
+  the per-stencil gather loop over those copies (with the old
+  ``coef_at_stencil`` and ``out_factor`` readers), and the real adjoint
+  against the bincount push-forward, each within a relative 1e-13 of
+  the modulus operator's sup, since the fused matrix sums the same terms
+  in another order; the real matrix also bitwise against the gather
+  loop split into its interpolation cells and summed in row order, and
+  the same bits from fill blocks of any number of samples.
 * ``smooth_grid`` (two prefix-sum box passes) against ``np.convolve``
   with the triangle kernel, within 1e-12; constants stay exact.
 * The row Hoelder seminorm against its own dyadic loop (bitwise), and
@@ -94,16 +99,17 @@ tolerances are stated below.
   point as Python floats with the bits of that point in a 1-d and a 2-d
   batch, at slice seams, both ends of each interval and the last right
   end; the arrays, bitwise, against a copy of the branch-instance list
-  ``build_model`` used to keep, and the stencils and ``all_words``
-  against that list; ``apply_word``,
+  ``build_model`` used to keep, and the per-branch stencils (built from
+  the arrays by the copy the stencil table is checked against) and
+  ``all_words`` against that list; ``apply_word``,
   ``roof_sum_on_word`` with and without a given domain, and the shared
   walk over a batch of rows, one point each, against the scalar loop
   over that list, errors included; ``temporal_distance`` with one
   interval lookup.
 * Weight recipes as data, bit for bit, against a copy of the closure
   recipes (callables, (array, power) factors) and the ``make_operator``
-  they fed: stencil coefficients, out factors, grid samples and applied
-  operators, with and without a phase, of the ``base_system``,
+  they fed: stencil coefficients, out factors, grid samples, matrix data
+  and applied operators, with and without a phase, of the ``base_system``,
   ``normalize_potential``, ``build_rpf`` and pressure recipes, each
   rebuilt with its eigendata on the closure path; ``entropy``'s
   reference pressure stays on that path too.  After one warm-up
@@ -895,20 +901,154 @@ def test_report_orbits_equal_enumeration(model, n_max):
 # operators and smoothing
 
 
+@dataclass(frozen=True)
+class _OldStencil:
+    """One inverse branch's interpolation data, as the package kept it
+    before the stencil table."""
+
+    domain_idx: int   # interval row of the operator output (arguments z)
+    target_idx: int   # interval row holding the preimages v(z)
+    y: np.ndarray     # preimage coordinates, length N+1
+    j: np.ndarray     # lower sample index of y in the target row
+    frac: np.ndarray  # interpolation fraction in [0, 1)
+    roof: np.ndarray  # the roof at y
+    potential: np.ndarray  # the model potential at y
+
+
+def _old_build_stencils(model):
+    """One stencil per inverse branch, in (symbol, domain) order, with the
+    roof and the potential sampled at its preimages."""
+    n = model.grid_size
+    nodes = model.nodes()
+    out = []
+    for i, k in np.argwhere(~np.isnan(model.branch_slope)).tolist():
+        t = int(model.symbol_target[i])
+        y = nodes[k] / model.branch_slope[i, k] + model.branch_offset[i, k]
+        local = np.clip((y - model.lefts[t]) * n, 0.0, float(n))
+        j = np.minimum(local.astype(int), n - 1)
+        frac = local - j
+        out.append(_OldStencil(k, t, y, j, frac, model.roof(y),
+                               model.potential(y)))
+    return tuple(out)
+
+
+def _old_gather(values, st):
+    """Linear interpolation of stacked grid values at the stencil preimages."""
+    row = values[st.target_idx]
+    return row[st.j] * (1.0 - st.frac) + row[st.j + 1] * st.frac
+
+
+def _old_coef_at_stencil(recipe, st):
+    """WeightRecipe.coef_at_stencil as it was: the weight at one stencil,
+    without the out factor."""
+    acc = np.full(st.y.shape, recipe.const)
+    if recipe.potential:
+        acc = acc + st.potential
+    if recipe.tilt:
+        acc = acc + recipe.tilt * st.roof
+    for g in recipe.grids:
+        acc = acc + _old_gather(np.asarray(g), st)
+    coef = np.exp(acc)
+    for rho in recipe.rhos:
+        coef = coef * _old_gather(rho, st)
+    return coef
+
+
+def _old_out_factor(recipe, shape):
+    """WeightRecipe.out_factor as it was: prod(1 / rho) on the grid."""
+    if not recipe.rhos:
+        return None
+    fac = np.ones(shape)
+    for rho in recipe.rhos:
+        fac = fac * (1.0 / rho)
+    return fac
+
+
+def _old_operator_pattern(model):
+    """(stencils, indptr, indices, slots) as the package built them:
+    output sample i of interval k is one matrix row holding the two
+    interpolation cells (lower, upper) of each branch with domain k, in
+    stencil order, and ``slots[s]`` = (start, d, slot) places stencil s
+    in column ``slot`` of the (N+1, d, 2) block at ``start``."""
+    stencils = _old_build_stencils(model)
+    n1 = model.grid_size + 1
+    members = [[s for s, st in enumerate(stencils) if st.domain_idx == k]
+               for k in range(len(model.intervals))]
+    row_len = np.repeat([2 * len(m) for m in members], n1)
+    indptr = np.concatenate(([0], np.cumsum(row_len))).astype(np.int32)
+    indices = np.empty(int(indptr[-1]), dtype=np.int32)
+    slots = [None] * len(stencils)
+    start = 0
+    for mem in members:
+        d = len(mem)
+        cell = indices[start:start + 2 * d * n1].reshape(n1, d, 2)
+        for slot, s in enumerate(mem):
+            st = stencils[s]
+            cell[:, slot, 0] = st.target_idx * n1 + st.j
+            cell[:, slot, 1] = cell[:, slot, 0] + 1
+            slots[s] = (start, d, slot)
+        start += 2 * d * n1
+    return stencils, indptr, indices, tuple(slots)
+
+
+@PROPS
+@given(model=models(_ANY_FORBIDDEN))
+def test_stencil_table_matches_branch_stencils(model):
+    """The stencil table holds the per-branch stencils' columns, bit for
+    bit, at the entries their slots named, and the same index pattern."""
+    table = T._stencil_table(model)
+    stencils, indptr, indices, slots = _old_operator_pattern(model)
+    n1 = model.grid_size + 1
+    assert table.indptr.dtype == table.indices.dtype == np.int32
+    assert table.cell.dtype == np.intp
+    assert np.array_equal(table.indptr, indptr)
+    assert np.array_equal(table.indices, indices)
+    assert table.y.size == len(stencils) * n1 == indices.size // 2
+    for stc, (start, d, slot) in zip(stencils, slots):
+        at = start // 2 + np.arange(n1) * d + slot
+        assert np.array_equal(table.cell[at], stc.target_idx * n1 + stc.j)
+        for name in ("y", "frac", "roof", "potential"):
+            assert _bits(getattr(table, name)[at]) == _bits(
+                getattr(stc, name)), name
+        values = np.random.default_rng(start).uniform(size=(len(
+            model.intervals), n1))
+        assert (_bits(T.gather(values, table)[at])
+                == _bits(_old_gather(values, stc)))
+
+
+@pytest.mark.parametrize("family, forbidden", [
+    ("doubling", ()), ("markov3", ()), ("markov3", ("1>2",))])
+def test_operator_blocks_keep_the_bits(family, forbidden):
+    """make_operator fills the matrix a range of samples at a time; any
+    range length, one sample included, writes the same bits."""
+    model = build_model(ModelConfig(family, (2.0, 0.1, 0.2, 0.1),
+                                    (0.1, 0.0, 0.2, 0.1), grid_size=64,
+                                    forbidden=forbidden))
+    recipe = T.normalize_potential(model, 0.02).recipe.plus(tilt=0.01)
+    for phase in (0.0, 37.0):
+        ref = T.make_operator(model, recipe, phase).matrix
+        for rows in (1, 7, 65, 10 ** 6):
+            with mock.patch.object(T, "_BLOCK_ROWS", rows):
+                got = T.make_operator(model, recipe, phase).matrix
+            assert _bits(got.data.view(float)) == _bits(ref.data.view(float))
+        counts = T._stencil_table(model).entries(slice(None))[1]
+        assert ref.nnz == 2 * counts.sum() and counts.size == ref.shape[0]
+
+
 def _reference_apply(model, recipe, phase, u):
     """The per-stencil gather loop: interpolate, weight, sum, out factor."""
     shape = (len(model.intervals), model.grid_size + 1)
     coefs = []
-    for stc in T.build_stencils(model):
-        coef = recipe.coef_at_stencil(stc)
+    for stc in _old_build_stencils(model):
+        coef = _old_coef_at_stencil(recipe, stc)
         if phase != 0.0:
             coef = coef * np.exp(1j * phase * np.asarray(model.roof(stc.y)))
         coefs.append((stc, coef))
     dtype = np.result_type(u.dtype, *(c.dtype for _, c in coefs))
     out = np.zeros(shape, dtype=dtype)
     for stc, coef in coefs:
-        out[stc.domain_idx] += coef * T.gather(u, stc)
-    fac = recipe.out_factor(shape)
+        out[stc.domain_idx] += coef * _old_gather(u, stc)
+    fac = _old_out_factor(recipe, shape)
     return out if fac is None else out * fac
 
 
@@ -928,11 +1068,11 @@ def _reference_adjoint(model, recipe, w):
     """The bincount push-forward: mass at z, weighted and out-factored,
     scatters to the two interpolation cells of each of its preimages."""
     n = model.grid_size
-    fac = recipe.out_factor(w.shape)
+    fac = _old_out_factor(recipe, w.shape)
     src = w if fac is None else w * fac
     out = np.zeros_like(w)
-    for stc in T.build_stencils(model):
-        mass = src[stc.domain_idx] * recipe.coef_at_stencil(stc)
+    for stc in _old_build_stencils(model):
+        mass = src[stc.domain_idx] * _old_coef_at_stencil(recipe, stc)
         out[stc.target_idx] += np.bincount(stc.j, mass * (1.0 - stc.frac),
                                            minlength=n + 1)
         out[stc.target_idx] += np.bincount(stc.j + 1, mass * stc.frac,
@@ -953,7 +1093,8 @@ def test_fused_phase_operator_matches_gather_loop(model, a, b, normalized,
     for phase in (0.0, b):
         op = T.make_operator(model, recipe, phase=phase)
         assert op.matrix.dtype == (complex if phase else float)
-        assert len(op.stencils) == len(_old_branches(model))
+        assert (sum(stc.y.size for stc in op.stencils) == op.matrix.nnz // 2
+                == len(_old_branches(model)) * (model.grid_size + 1))
         for field in (u, u.real.copy()):
             got, ref = op(field), _reference_apply(model, recipe, phase,
                                                    field)
@@ -972,10 +1113,10 @@ def _cell_loop_apply(model, recipe, u):
     term split into its two interpolation cells, added to the output row
     lower cell first, stencil by stencil: the order of a CSR row sum."""
     shape = (len(model.intervals), model.grid_size + 1)
-    fac = recipe.out_factor(shape)
+    fac = _old_out_factor(recipe, shape)
     out = np.zeros(shape, dtype=np.result_type(u.dtype, float))
-    for stc in T.build_stencils(model):
-        amp = recipe.coef_at_stencil(stc)
+    for stc in _old_build_stencils(model):
+        amp = _old_coef_at_stencil(recipe, stc)
         if fac is not None:
             amp = amp * fac[stc.domain_idx]
         row = u[stc.target_idx]
@@ -1025,10 +1166,10 @@ class _ClosureRecipe:
         for fn in self.closed:
             acc = acc + np.asarray(fn(stc.y))
         for g in self.grids:
-            acc = acc + T.gather(np.asarray(g), stc)
+            acc = acc + _old_gather(np.asarray(g), stc)
         coef = np.exp(acc)
         for g, p in self.factors:
-            coef = coef * T.gather(np.asarray(g), stc) ** p
+            coef = coef * _old_gather(np.asarray(g), stc) ** p
         return coef
 
     def out_factor(self, shape):
@@ -1059,7 +1200,7 @@ class _ClosureRecipe:
 
 def _closure_operator(model, recipe, phase):
     """make_operator as it was, evaluating the roof again for the phase."""
-    stencils, indptr, indices, slots = T._operator_pattern(model)
+    stencils, indptr, indices, slots = _old_operator_pattern(model)
     shape = (len(model.intervals), model.grid_size + 1)
     out_factor = recipe.out_factor(shape)
     data = np.empty(indices.size, dtype=complex if phase else float)
@@ -1166,15 +1307,19 @@ def test_data_recipes_match_closure_recipes_bitwise(model, a, b, s, phase_on,
     phase = b if phase_on else 0.0
     for name, new, old in _recipe_pairs(model, a, b, s):
         assert not any(map(callable, vars(new).values())), name
-        for stc in T._operator_pattern(model)[0]:
-            assert (_bits(new.coef_at_stencil(stc))
+        for stc in _old_build_stencils(model):
+            assert (_bits(_old_coef_at_stencil(new, stc))
                     == _bits(old.coef_at_stencil(stc))), name
-        got, ref = new.out_factor(shape), old.out_factor(shape)
+        got, ref = _old_out_factor(new, shape), old.out_factor(shape)
         assert (got is None) == (ref is None), name
         assert got is None or _bits(got) == _bits(ref), name
         assert _bits(new.sample(model)) == _bits(old.sample(model)), name
         op, ref_op = (T.make_operator(model, new, phase),
                       _closure_operator(model, old, phase))
+        assert _bits(op.matrix.data.view(float)) == _bits(
+            ref_op.matrix.data.view(float)), name
+        assert np.array_equal(op.matrix.indices, ref_op.matrix.indices)
+        assert np.array_equal(op.matrix.indptr, ref_op.matrix.indptr)
         for field in (u, u.real.copy()):
             got, ref = op(field), ref_op(field)
             assert got.dtype == ref.dtype, name
@@ -2076,7 +2221,7 @@ def test_branch_arrays_match_branch_instances(model):
 @given(model=models(_ANY_FORBIDDEN), k=st.integers(1, 3))
 def test_branch_table_readers_match_branch_list(model, k):
     old = _old_branches(model)
-    stencils = T.build_stencils(model)
+    stencils = _old_build_stencils(model)
     assert len(stencils) == len(old)
     for sten, b in zip(stencils, old):
         assert sten.domain_idx == model.intervals.index(b.domain)

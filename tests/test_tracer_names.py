@@ -3,8 +3,10 @@
 perfbench/tracer.py patches package functions and methods by name,
 derives counts for some of them and probes three caches before some
 calls; a renamed or deleted target would make its metric read zero
-instead of failing.  The tracer is loaded from its file, so the
-benchmark directory needs no package of its own.
+instead of failing.  The exact operator point count it derives from an
+operator's ``stencils`` is pinned to the operator's matrix, so a layout
+change cannot move it unnoticed.  The tracer is loaded from its file, so
+the benchmark directory needs no package of its own.
 """
 
 import importlib
@@ -12,6 +14,7 @@ import importlib.util
 import inspect
 import os
 
+import numpy as np
 import pytest
 
 TRACER = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench",
@@ -74,3 +77,23 @@ def test_pre_names_resolve(tracer):
     for name in INERT_PRE:
         layer, _, attr = name.partition(".")
         assert name in tracer._PRE and not hasattr(_layer(layer), attr), name
+
+
+@pytest.mark.parametrize("family", ["doubling", "markov3"])
+def test_apply_points_count_the_stencil_table(tracer, family):
+    """The benchmark's exact count ``thermo.apply.points`` adds, per
+    application, one point per (branch, grid node): half the stored
+    entries of the operator's matrix, real or with a phase."""
+    from transferlab import thermo
+    from transferlab.markov import ModelConfig, build_model
+
+    model = build_model(ModelConfig(family, (2.0, 0.1, 0.2, 0.0),
+                                    (0.1, 0.0, 0.2, 0.0), grid_size=64))
+    branches = int(np.count_nonzero(~np.isnan(model.branch_slope)))
+    u = np.ones((len(model.intervals), model.grid_size + 1))
+    for op in (thermo.transfer_real(model, 0.02),
+               thermo.transfer_complex(model, 0.02, 40.0)):
+        tr = tracer.Tracer()
+        tracer._post_apply(tr, (op, u), {}, op(u), None)
+        assert (tr.counts["thermo.apply.points"] == op.matrix.nnz // 2
+                == branches * (model.grid_size + 1))
