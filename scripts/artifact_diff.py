@@ -13,10 +13,14 @@ complex arrays as floats, all others exactly.
 
 For each file that differs, one line gives the worst |new - old| /
 max(1, |old|) over its floats and the number of floats that moved; every
-non-float token that differs is listed below it.  A summary line ends the
-output.  The exit code is 1 on any non-float difference, line-count or
-shape difference, exit-code difference (``q<tag>.exit`` is compared as
-text) or missing file, and 0 otherwise, however large a float move.
+non-float token that differs is listed below it.  Then one line per
+artifact kind gives the files of that kind that differ and their worst
+float move; the kind is the file's basename, and a query's own
+``q<tag>.stdout``, ``q<tag>.exit`` or ``q<tag>.npz`` counts under its
+extension.  A summary line ends the output.  The exit code is 1 on any
+non-float difference, line-count or shape difference, exit-code
+difference (``q<tag>.exit`` is compared as text) or missing file, and 0
+otherwise, however large a float move.
 """
 
 from __future__ import annotations
@@ -31,6 +35,8 @@ import numpy as np
 # a number not glued to a word, so hex digests and names stay text
 NUMBER = re.compile(r"(?<![\w.])[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?"
                     r"(?![\w.])")
+# what artifact_digest.py --keep writes next to a query's directory
+QUERY_FILE = re.compile(r"q[^./]*\.(stdout|exit|npz)")
 
 
 def _files(root: str) -> set[str]:
@@ -48,6 +54,13 @@ def _split(line: str) -> list[str]:
         parts += [line[pos:m.start()], m.group()]
         pos = m.end()
     return parts + [line[pos:]]
+
+
+def kind(rel: str) -> str:
+    """The artifact kind of a relative path (see the module docstring)."""
+    name = os.path.basename(rel)
+    m = QUERY_FILE.fullmatch(name)
+    return m.group(1) if m else name
 
 
 def _is_float(token: str) -> bool:
@@ -110,6 +123,7 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     old, new = _files(args.old), _files(args.new)
     bad, worst, moved_files = 0, 0.0, 0
+    kinds: dict[str, tuple[int, float]] = {}
     for rel in sorted(old ^ new):
         print(f"{rel}: only in {args.old if rel in old else args.new}")
         bad += 1
@@ -127,6 +141,11 @@ def main(argv=None) -> int:
             print(f"  {line}")
         worst, moved_files = max(worst, w), moved_files + 1
         bad += len(other)
+        name = kind(rel)
+        files, kind_worst = kinds.get(name, (0, 0.0))
+        kinds[name] = files + 1, max(kind_worst, w)
+    for name, (files, w) in sorted(kinds.items()):
+        print(f"kind {name}: {files} files differ, worst {w:.3e}")
     print(f"{len(old | new)} files, {moved_files} differ, worst float move "
           f"{worst:.3e}, {bad} non-float differences")
     return 1 if bad else 0

@@ -507,13 +507,8 @@ def _invariant_checks(model: MarkovModel, cfg: ExperimentConfig):
 
     eps = cfg.eps if cfg.eps is not None else 2.0 ** -6
     cert = scales.uni_scan(model, scales.matching_scale(model, eps))
-    # reads 0 by construction: kappa_hat is a min of _best_margin values,
-    # each >= 0.  The row stays because the golden invariants.csv digest
-    # pins its bytes.
-    neg_part = max(0.0, -cert.kappa_hat)
-    if not math.isfinite(cert.kappa_hat):
-        neg_part = float("inf")
-    checks.append(("uni_kappa_nonnegative", neg_part, 0.0))
+    checks.append(("uni_witness_recheck",
+                   scales.uni_witness_recheck(model, cert), 1e-12))
     return checks
 
 

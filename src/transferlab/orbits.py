@@ -17,12 +17,10 @@ prefixes of Lyndon words, settles one fixed point per orbit by
 contraction iteration, and reaches the other points of the orbit by one
 inverse branch each, so it never builds the rotations of a word.
 
-The entropy is the root scipy's bisection returns, found from a third of
-its pressure evaluations: pressure falls at least as fast as tau_min * s,
-so once brentq has located the root, bisect runs on predicted signs and
-evaluates only the midpoints near it.  Monte Carlo blocks each draw from
-their own seed stream and are then advanced together as one array; both
-results are bit for bit those of the one-at-a-time loops they replace.
+The entropy is the root scipy's brentq finds in a bracket where the
+pressure changes sign.  Monte Carlo blocks each draw from their own seed
+stream and are then advanced together as one array, bit for bit as the
+one-at-a-time loop they replace.
 """
 
 from __future__ import annotations
@@ -36,16 +34,13 @@ import numpy as np
 
 from .markov import (NO_SYMBOL, MarkovModel, ModelError, _decode_words,
                      _encode_words, _walk_words)
-from .thermo import RATIO_TOL, ConvergenceError, gibbs_measure, pressure
+from .thermo import ConvergenceError, gibbs_measure, pressure
 
 WORD_CAP_DEFAULT = 2 ** 21
 # upper bound on fixed-point rounds; a point stops early once a round
 # leaves it unchanged (see _settle)
 FIXED_POINT_ITERATIONS = 200
 ENTROPY_TOL = 1e-10
-# entropy root: pressure signs are taken from the bracket beyond this
-# distance (derived in _bisect_root), which brentq shrinks below it first
-MARGIN = 1e-9
 # Monte Carlo points advanced at once (whole blocks; at least one block)
 MC_CHUNK_POINTS = 2 ** 17
 # largest T / tau_0 a correlation accepts: advancing to T unwinds up to
@@ -273,9 +268,13 @@ _entropy_cache: dict = {}
 
 
 def entropy(model: MarkovModel, tol: float = ENTROPY_TOL) -> float:
-    """Unique s with P(-s tau) = pressure(model, s) = 0: the root that
-    scipy.optimize.bisect(pressure, 0, hi, xtol=tol) returns, bit for bit,
-    from about a third of its pressure evaluations (see _bisect_root).
+    """Unique s with P(-s tau) = pressure(model, s) = 0.
+
+    The pressure is positive at 0 and falls at least as fast as
+    tau_min * s (Parry and Pollicott, Asterisque 187-188, 1990), so
+    hi = P(0) / tau_0 + 1, doubled until the pressure is negative,
+    brackets the root, and scipy.optimize.brentq(pressure, 0, hi,
+    xtol=tol) returns it; its iteration cap raises ConvergenceError.
     Pressure is evaluated once per s.
     """
     key = (model.config, tol)
@@ -298,66 +297,12 @@ def entropy(model: MarkovModel, tol: float = ENTROPY_TOL) -> float:
         hi *= 2.0
     else:
         raise ModelError("failed to bracket the entropy root")
-    # assumes only tau >= tau_0 / 2, so a roof that dips below the
-    # validation grid's minimum tau_0 between its samples is covered
-    margin = max(MARGIN, 4.0 * RATIO_TOL / model.tau_0)
-    h = _bisect_root(pr, hi, tol, margin)
+    # imported here so that commands with no entropy never load it
+    from scipy.optimize import brentq
+
+    h = _solved(*brentq(pr, 0.0, hi, xtol=tol, full_output=True, disp=False))
     _entropy_cache[key] = h
     return h
-
-
-def _bisect_root(f, hi: float, xtol: float, margin: float) -> float:
-    """bisect(f, 0, hi, xtol=xtol), bit for bit, for a decreasing f with
-    f(0) > 0 > f(hi), evaluating f only near the root.
-
-    brentq(f, 0, hi, xtol=margin) returns r, and stops on two evaluated
-    points of opposite sign within w = margin + 4 eps |r| of r (its xtol
-    plus its default rtol).  bisect then runs on sign(s): f(s) at both ends
-    and at every midpoint within margin of [lo, up] = [r - w, r + w], +1
-    left of that and -1 right of it.  scipy's loop reads a midpoint only
-    through the sign of f(xm) * f(xa), with f(xa) the true f(0) > 0, and
-    the test f(xm) == 0, so the midpoints and the root are those of bisect
-    on f itself.  Evaluations need not narrow [lo, up]: bisect's bracket
-    shrinks to each evaluated midpoint, and its later midpoints stay
-    inside it.  An iteration cap of either solver raises ConvergenceError.
-
-    Why margin = MARGIN = 1e-9 is safe for the entropy pressure.  Let
-    P_N(s) = log lambda(s) be the exact pressure of the grid operator,
-    whose matrix entries are sums of c * exp(-s tau(y)) with c >= 0 and
-    tau(y) >= tau_min.  Raising s by d scales every entry down by at least
-    exp(-tau_min d), and the Perron root is monotone in the entries, so
-    P_N(s + d) <= P_N(s) - tau_min * d: the grid form of
-    P'(s) = -int tau dmu_s <= -tau_min (Parry and Pollicott, Asterisque
-    187-188, 1990).  power_iteration stops with every ratio (L u / u) in
-    [rmin, rmax], rmax / rmin < 1 + RATIO_TOL, and both lambda and the
-    returned eigenvalue lie in that range (Collatz-Wielandt), so a
-    computed pressure is within RATIO_TOL of P_N (plus rounding near
-    1e-15).  brentq's two points give an evaluated x+ >= lo with
-    f(x+) >= 0 and an evaluated x- <= up with f(x-) <= 0.  A midpoint
-    xm < lo - margin then has
-    P_N(xm) >= P_N(x+) + tau_min * margin > tau_min * margin - RATIO_TOL,
-    and a computed pressure above tau_min * margin - 2 * RATIO_TOL > 0 when
-    margin > 2 * RATIO_TOL / tau_min; the right side is the mirror image.
-    MARGIN = 1e-9 = 1000 * RATIO_TOL meets that for every tau_min >= 2e-3,
-    and entropy() widens it to 4 * RATIO_TOL / tau_0 when tau_0 < 4e-3.
-    """
-    # imported here so that commands with no entropy never load it
-    from scipy.optimize import bisect, brentq
-
-    r = _solved(*brentq(f, 0.0, hi, xtol=margin, full_output=True,
-                        disp=False))
-    w = margin + 4 * np.finfo(float).eps * abs(r)
-    lo, up = r - w, r + w
-
-    def sign(s: float) -> float:
-        if 0.0 < s < lo - margin:
-            return 1.0
-        if up + margin < s < hi:
-            return -1.0
-        return f(s)
-
-    return _solved(*bisect(sign, 0.0, hi, xtol=xtol, full_output=True,
-                           disp=False))
 
 
 def _solved(x: float, res) -> float:

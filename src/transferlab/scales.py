@@ -384,10 +384,18 @@ def _sample_points(model: MarkovModel, samples: int) -> list[tuple[float, int]]:
 
 @dataclass(frozen=True)
 class UniWitness:
+    """The profile that decides one sample point's margin in uni_scan: the
+    pair read on the chart window of length 1 / value on this side of x
+    (+1 right, -1 left), the phase omega, and the subwindow (window, a
+    fraction window_frac of the chart) whose least distance to omega is
+    inf_dist; kappa_x = min(window_frac, inf_dist)."""
+
+    x: float
     theta: int
     value: float
     kappa_x: float
     pair: tuple[str, str]
+    side: int
     omega: float
     window_frac: float
     window: tuple[float, float]
@@ -551,8 +559,9 @@ def uni_scan(model: MarkovModel, scale: ScaleFunction) -> UniCertificate:
     thetas, values = _stopping_cocycle(model, [x for x, _ in pts], scale.eps)
     ks, lams = thetas.tolist(), values.tolist()
     # one profile per (point, pair, side), in that order
-    point, pairs, zs = zip(*[
-        (i, pair, x + side * s / lams[i]) for i, (x, r) in enumerate(pts)
+    point, pairs, sides, zs = zip(*[
+        (i, pair, side, x + side * s / lams[i])
+        for i, (x, r) in enumerate(pts)
         for pair in word_pairs(model, r, ks[i])
         for side in _chart_sides(model, r, x, lams[i])])
     point, zs = np.array(point), np.array(zs)
@@ -565,15 +574,36 @@ def uni_scan(model: MarkovModel, scale: ScaleFunction) -> UniCertificate:
                              xs[point[rows]], zs[rows])
         psi[sel] = (rel[0::2] - rel[1::2]) / scale.eps
     wits = [None] * len(pts)
-    for i, pair, p in zip(point.tolist(), pairs, psi):
+    for i, pair, side, p in zip(point.tolist(), pairs, sides, psi):
         margin, d = _best_margin(_torus_dist(p[None, :] - omegas[:, None]), 32)
         if wits[i] is None or margin > wits[i].kappa_x:
             wits[i] = UniWitness(
-                ks[i], lams[i], margin, pair, float(omegas[d["omega_idx"]]),
-                d["frac"], (d["lo"] / UNI_S_POINTS, d["hi"] / UNI_S_POINTS),
-                d["dist"])
+                pts[i][0], ks[i], lams[i], margin, pair, side,
+                float(omegas[d["omega_idx"]]), d["frac"],
+                (d["lo"] / UNI_S_POINTS, d["hi"] / UNI_S_POINTS), d["dist"])
     kappa_hat = min(w.kappa_x for w in wits)
     return UniCertificate(scale.eps, float(kappa_hat), tuple(wits))
+
+
+def uni_witness_recheck(model: MarkovModel, cert: UniCertificate) -> float:
+    """Largest |min(window_frac, dist) - kappa_x| over the witnesses of a
+    uni_scan certificate, with dist recomputed from the witness alone: the
+    least torus distance to omega of temporal_distance(model, x, *pair, z)
+    / eps at the window's chart points z (+inf on an empty window).  Reads
+    0 when every witness is the profile it claims; uni_scan's walk and
+    temporal_distance's take the same steps, so the match is exact.
+    """
+    worst = 0.0
+    for w in cert.witnesses:
+        lo, hi = (round(t * UNI_S_POINTS) for t in w.window)
+        dist = math.inf
+        if hi > lo:
+            s = np.arange(lo, hi) / UNI_S_POINTS
+            psi = temporal_distance(model, w.x, *w.pair,
+                                    w.x + w.side * s / w.value) / cert.eps
+            dist = float(_torus_dist(psi - w.omega).min())
+        worst = max(worst, abs(min(w.window_frac, dist) - w.kappa_x))
+    return worst
 
 
 # ---------------------------------------------------------------------------

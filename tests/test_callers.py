@@ -12,8 +12,8 @@ every unused method.
 
 The ledger names the functions that stay without such a caller: the
 paper-lemma checks, which the tests exercise as statements of the
-paper, the minimax tools of ``gridfun``, and two functions the tests
-state properties of (each with its reason below).
+paper, the minimax tools of ``gridfun``, and one function the tests
+state properties of (with its reason below).
 
 Each defaulted parameter of those functions must also be passed, by
 keyword or by position, by some call under ``src/``, ``scripts/`` or
@@ -51,9 +51,6 @@ LEDGER = frozenset({
     "thermo.doubling_constant", "thermo.invariance_defect",
     "cancellation.choose_n4",
     "gridfun.oscillation", "gridfun.poly_distance",
-    # the paper's temporal distance: the tests state its antisymmetry and
-    # its exact cancellation on affine roofs
-    "scales.temporal_distance",
     # the fixed point of one cyclic word, with its wrap-transition check
     "orbits.orbit_fixed_point",
 })

@@ -20,11 +20,11 @@ move them.
 GOLDEN_MC_SHA256 pins pressure.csv (`pressure`) and correlation.csv
 (`correlation` at seed 7 with SAMPLES=8000, so 32 blocks of 250 points,
 enough for numpy's pairwise summation to engage) for the same model.
-They were made the same way, on the code as it stood before the entropy
-root was found by replayed bisection and the Monte Carlo blocks were
-advanced together (scipy's bisect called on pressure directly; one block
-at a time, roof values recomputed at every time step), with numpy 2.4.6
-and scipy 1.17.1.
+correlation.csv was made the same way, on the code as it stood before
+the Monte Carlo blocks were advanced together (one block at a time, roof
+values recomputed at every time step), with numpy 2.4.6 and scipy
+1.17.1.  pressure.csv was made on the code whose entropy root is scipy's
+brentq on the pressure (see the last re-pin below).
 
 GOLDEN_DOLGOPYAT_SHA256 pins dolgopyat.csv for DOLGOPYAT_MODEL
 (three-symbol family, 0>1 forbidden, sine roof, N=1024) at b=64, a run
@@ -81,6 +81,20 @@ necklace_vs_trace row (0 by construction) became period_vs_rotations
 counting.csv kept its bits.  The new digests were made by running the
 same commands with numpy 2.4.6 and scipy 1.17.1 on x86-64 Linux.
 
+Re-pinned when the entropy root became scipy's brentq alone (before,
+brentq located it and scipy's bisect was replayed on predicted signs, so
+the root had the bits of a bisection to 1e-10): counting.csv,
+invariants.csv and pressure.csv.  The root moved by 8.7e-11 and its
+pressure residual went from -1.7e-10 to 0.0.  scripts/artifact_diff.py
+over the old and the new artifacts found the worst float moves 1.6e-8
+in counting.csv (the li column, through e^{hT}) and 1.7e-10 in
+invariants.csv and pressure.csv.  Its one non-float change is the
+invariants row uni_kappa_nonnegative (0 by construction, bound 0)
+becoming uni_witness_recheck (0.0, bound 1e-12), which recomputes each
+UNI witness from temporal_distance.  orbit_table.csv and
+correlation.csv kept their bits.  The new digests were made by running
+the same commands with numpy 2.4.6 and scipy 1.17.1 on x86-64 Linux.
+
 Each golden test compares the whole {name: sha256} dict in one
 assertion, so a failing run names every artifact that moved.
 """
@@ -125,9 +139,9 @@ GOLDEN_SHA256 = {
     "orbit_table.csv":
         "e48c6ce9084263e5e710a3cb5a53616a21b9195b39645e8879a01c21cf438ad0",
     "counting.csv":
-        "b1ad073baf96cfcf151882150a7c480aa1e14e26d21ea9ccfc3c4a4211ae7788",
+        "cbfd38232ffa634531f429f25829d5f6383206bfb11a2b8d43cc2272c4ad54a4",
     "invariants.csv":
-        "9842db3463e92d4f090fde9763f62011bc1d5db144941e58c0a8c014801a9e86",
+        "448dbde2e5dae9763558b73a208615f25e9a36f13a82eb5f78f757178c4fd09f",
 }
 
 DOLGOPYAT_MODEL = """family = markov3
@@ -164,7 +178,7 @@ GOLDEN_DECAY_SHA256 = \
 
 GOLDEN_MC_SHA256 = {
     "pressure.csv":
-        "c3a2c5c4b45f9843a8759dd710067a41f58ee4c78287a260a56ca2b74a0a3a74",
+        "ab7539a3f08c41baf262d295c4c8a36dd065c272b4081434f1e8523454816e0d",
     "correlation.csv":
         "1884d69db64b11ee9714dd2567bb346d73f4b9373cd0b753f100c5d2eabfcd3e",
 }

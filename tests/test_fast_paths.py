@@ -51,13 +51,9 @@ tolerances are stated below.
 * The row Hoelder seminorm against its own dyadic loop (bitwise), and
   column-wise CSV formatting against ``_fmt`` one value at a time, numpy
   columns included.
-* Entropy: ``entropy`` (brentq locates the root, then scipy's bisect
-  runs on predicted signs) against ``scipy.optimize.bisect`` on the same
-  pressure, bit for bit, with fewer than 21 pressure evaluations;
-  ``_bisect_root`` against scipy on synthetic decreasing pressures whose
-  noise is below the bound the margin is derived from, root and every
-  midpoint, a check that noise above it is caught, and the iteration cap
-  raising ``ConvergenceError``.
+* Entropy: ``entropy`` against ``scipy.optimize.brentq`` on the closure
+  pressure over the same bracket, bit for bit, in at most 10 pressure
+  evaluations, and brentq's iteration cap raising ``ConvergenceError``.
 * ``_best_margin`` (one exact row scan, one run test per other row)
   against the scan of every window size for every phase: value and
   witness, on torus-distance rows with constant, zero, rounded (tied)
@@ -142,22 +138,19 @@ stable factors; the coefficient ranges keep the roof positive and mu
 inside (0, 1) on the whole leaf, so every draw is a valid model.
 """
 
-import hashlib
 import itertools
 import cmath
 import math
-import struct
 from collections import namedtuple
 from dataclasses import dataclass, replace
 from unittest import mock
 
 import numpy as np
 import pytest
-import scipy.optimize
 from hypothesis import assume, example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy.ndimage import minimum_filter1d
-from scipy.optimize import bisect
+from scipy.optimize import brentq
 from scipy.sparse import csr_array
 
 from transferlab import cancellation as C
@@ -1431,26 +1424,25 @@ def test_column_formatting_matches_fmt(data):
 
 
 # ---------------------------------------------------------------------------
-# entropy root: brentq, then scipy's bisect on predicted signs
+# entropy root: scipy's brentq on the pressure
 
 
 def _reference_entropy(model):
-    """The bracket and scipy bisection whose root entropy returns."""
+    """scipy's brentq on the closure pressure, over entropy's bracket."""
     def pr(s):
         return _closure_pressure(model, s)
 
-    p0 = pr(0.0)
-    hi = p0 / model.tau_0 + 1.0
+    hi = pr(0.0) / model.tau_0 + 1.0
     for _ in range(60):
         if pr(hi) < 0:
             break
         hi *= 2.0
-    return float(bisect(pr, 0.0, hi, xtol=O.ENTROPY_TOL))
+    return float(brentq(pr, 0.0, hi, xtol=O.ENTROPY_TOL))
 
 
 @settings(max_examples=15, deadline=None)
 @given(model=models())
-def test_entropy_matches_scipy_bisect_bitwise(model):
+def test_entropy_matches_scipy_brentq_bitwise(model):
     evals = []
 
     def counted(*args, **kwargs):
@@ -1462,138 +1454,24 @@ def test_entropy_matches_scipy_bisect_bitwise(model):
         mp.setattr(O, "pressure", counted)
         h = O.entropy(model)
     assert _bits(h) == _bits(_reference_entropy(model))
-    # scipy's loop takes about 38 evaluations on these models
-    assert len(evals) <= 20
+    assert len(evals) <= 10
 
 
-def _noise(s, seed):
-    """A fixed pseudo-random number in [-1, 1) for each float s."""
-    h = hashlib.blake2b(struct.pack("<dq", s, seed), digest_size=8).digest()
-    return int.from_bytes(h, "little") / 2.0 ** 63 - 1.0
-
-
-def _noisy_pressure(taus, weights, amp, seed):
-    """log sum w_i exp(-s tau_i), a finite-system pressure with slope at
-    most -min(taus), plus noise of size amp."""
-    taus, logw = np.asarray(taus), np.log(weights)
-
-    def f(s):
-        z = logw - s * taus
-        top = z.max()
-        return float(top + np.log(np.exp(z - top).sum())) + amp * _noise(s, seed)
-    return f
-
-
-def _replay(f, hi, margin, xtol=O.ENTROPY_TOL):
-    return O._bisect_root(f, hi, xtol, margin)
-
-
-finite_systems = st.tuples(
-    st.lists(st.floats(0.05, 4.0), min_size=2, max_size=6),
-    st.lists(st.floats(0.2, 3.0), min_size=6, max_size=6),
-    st.integers(0, 2 ** 32),
-    st.sampled_from((1e-10, 1e-7, 1e-13, 1e-16, 5e-324)))
-
-
-@settings(max_examples=200, deadline=None)
-@given(system=finite_systems, frac=st.floats(0.0, 0.49))
-def test_replay_matches_scipy_bisect_below_noise_bound(system, frac):
-    taus, weights, seed, xtol = system
-    weights = weights[:len(taus)]
-    assume(sum(weights) > 1.0)          # positive pressure at s = 0
-    # noise below the bound: |noise| < tau_min * margin / 2
-    amp = frac * min(taus) * O.MARGIN
-    f = _noisy_pressure(taus, weights, amp, seed)
-    hi = f(0.0) / min(taus) + 1.0
-    assert f(hi) < 0
-    assert _bits(_replay(f, hi, O.MARGIN, xtol)) == _bits(
-        bisect(f, 0.0, hi, xtol=xtol))
-
-
-def _assert_scipys_midpoints(f, hi, xtol):
-    """Every sign decision, not only the root: the points scipy's bisect
-    passes to the sign oracle are the points it passes to f itself."""
-    def recorded(points):
-        def run(g, *args, **kwargs):
-            def seen(s):
-                points.append(s)
-                return g(s)
-            return bisect(seen, *args, **kwargs)
-        return run
-
-    oracle, plain = [], []
-    with pytest.MonkeyPatch.context() as mp:
-        # _bisect_root imports bisect from scipy.optimize at each call
-        mp.setattr(scipy.optimize, "bisect", recorded(oracle))
-        root = _replay(f, hi, O.MARGIN, xtol)
-    assert _bits(root) == _bits(recorded(plain)(f, 0.0, hi, xtol=xtol))
-    assert [_bits(s) for s in oracle] == [_bits(s) for s in plain]
-
-
-@settings(max_examples=100, deadline=None)
-@given(system=finite_systems, frac=st.floats(0.0, 0.49))
-def test_bisect_root_takes_scipys_midpoints(system, frac):
-    taus, weights, seed, xtol = system
-    weights = weights[:len(taus)]
-    assume(sum(weights) > 1.0)
-    f = _noisy_pressure(taus, weights, frac * min(taus) * O.MARGIN, seed)
-    _assert_scipys_midpoints(f, f(0.0) / min(taus) + 1.0, xtol)
-
-
-@settings(max_examples=100, deadline=None)
-@given(root=st.floats(0.1, 3.0), tau=st.floats(0.05, 4.0),
-       frac=st.floats(0.3, 0.49),
-       width=st.one_of(st.floats(0.01, 1.0), st.just(1e9)),
-       xtol=st.sampled_from((1e-10, 1e-13)))
-# sign changes just below brentq's positive end, found by search: a left
-# prediction without the margin takes the wrong sign there
-@example(root=0.602, tau=2.22, frac=0.43, width=0.68, xtol=1e-10)
-@example(root=1.992, tau=1.82, frac=0.49, width=0.72, xtol=1e-10)
-def test_bisect_root_with_worst_noise_below_bound(root, tau, frac, width,
-                                                  xtol):
-    # a line of slope -tau plus a square wave of the largest amplitude the
-    # margin allows, flipping every width * MARGIN (1e9: once, at the
-    # root): a sign change every few bisection steps next to the root
-    amp, width = frac * tau * O.MARGIN, width * O.MARGIN
-
-    def f(s):
-        odd = math.floor((s - root) / width) % 2
-        return tau * (root - s) + (-amp if odd else amp)
-    _assert_scipys_midpoints(f, root + 1.0, xtol)
-
-
-def test_bisect_root_iteration_cap_raises():
-    # brentq finds 1 at once; bisection from 1e300 down to the 4 eps
-    # relative stop needs about 1050 halvings, past scipy's cap of 100
-    with pytest.raises(T.ConvergenceError, match="bisect did not converge"):
-        O._bisect_root(lambda s: 1 - s, 1e300, 5e-324, O.MARGIN)
-
-
-def test_replay_with_too_small_margin_is_caught():
-    # noise 50 times the bound flips signs farther than MARGIN from the
-    # root, and the comparison with scipy notices
-    taus, weights = [1.0, 2.5], [1.5, 1.0]
-    amp = 50.0 * O.MARGIN
-    misses = 0
-    for seed in range(40):
-        f = _noisy_pressure(taus, weights, amp, seed)
-        hi = f(0.0) + 1.0
-        misses += _replay(f, hi, O.MARGIN) != bisect(f, 0.0, hi,
-                                                     xtol=O.ENTROPY_TOL)
-    assert misses > 0
-
-
-def test_replay_exact_zero_and_flat_roof():
-    # a line with an exact zero at a dyadic point: scipy stops there
-    f = lambda s: 0.75 - s          # noqa: E731
-    assert _replay(f, 2.0, O.MARGIN) == bisect(f, 0.0, 2.0,
-                                               xtol=O.ENTROPY_TOL) == 0.75
-    # flat roof: pressure is linear in s, and brentq lands on the root
-    model = build_model(ModelConfig("doubling", (1.7, 0.0, 0.0, 0.0),
+def test_entropy_iteration_cap_raises():
+    # a step at 1/3 on a unit roof: the bracket is [0, 1e300], and closing
+    # it to brentq's 4 eps relative stop takes about 1000 halvings, past
+    # scipy's cap of 100
+    model = build_model(ModelConfig("doubling", (1.0, 0.0, 0.0, 0.0),
                                     (0.0,) * 4, (0.5, 0.0, 0.0, 0.0), 128,
                                     0.5))
     O._entropy_cache.clear()
-    assert _bits(O.entropy(model)) == _bits(_reference_entropy(model))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(O, "pressure",
+                   lambda model, s: 1e300 if s < 1 / 3 else -1.0)
+        with pytest.raises(T.ConvergenceError,
+                           match="brentq did not converge in 100 steps"):
+            O.entropy(model, 5e-324)
+    O._entropy_cache.clear()
 
 
 # ---------------------------------------------------------------------------
@@ -2794,7 +2672,7 @@ def _old_uni_scan(model, scale):
                 if margin > best_x or wit is None:
                     best_x = margin
                     wit = S.UniWitness(
-                        int(k), float(lam), margin, (w1, w2),
+                        x, int(k), float(lam), margin, (w1, w2), side,
                         float(omegas[d["omega_idx"]]), d["frac"],
                         (d["lo"] / S.UNI_S_POINTS, d["hi"] / S.UNI_S_POINTS),
                         d["dist"])

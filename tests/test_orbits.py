@@ -12,8 +12,9 @@ Frozen oracles used below, each recomputed independently before freezing:
   120, 270 for n = 1..8 (independent integer matrix powers).
 * tau = 1: pi(4.5) = 2 + 1 + 2 + 3 = 8; li checked against a direct
   quadrature of 1/log u on [2, y].
-* entropy roots: log 2 (tau = 1), (log 2)/3 (tau = 3), log 3 (full
-  three-symbol family), from the scalar pressure equations.
+* entropy roots on a flat roof c: log rho(A) / c, A the transition
+  matrix (log 2 for doubling, log 3 for the full three-symbol family),
+  from the scalar pressure equations.
 * sin roof 2 + 0.5 sin(2 pi x) zero-lag covariance of sin(2 pi x): the
   size-biased density (2 + 0.5 sin)/2 gives E[A^2] = 1/2 and
   E[A] = 1/8, so C(0) = 1/2 - 1/64 = 31/64 exactly.
@@ -44,6 +45,7 @@ from transferlab.orbits import (
     prime_orbit_report,
     transfer_matrix,
 )
+from transferlab.thermo import RATIO_TOL
 
 SINROOF = (2.0, 0.0, 0.5, 0.0)
 
@@ -224,11 +226,22 @@ def test_period_is_roof_sum(sin_model):
 # entropy and the counting report
 # ---------------------------------------------------------------------------
 
-def test_entropy_values():
-    assert entropy(doubling_model()) == pytest.approx(math.log(2), abs=1e-8)
-    assert entropy(doubling_model(roof=(3.0, 0.0, 0.0, 0.0))) == \
-        pytest.approx(math.log(2) / 3, abs=1e-8)
-    assert entropy(markov3_model()) == pytest.approx(math.log(3), abs=1e-8)
+_SHIFTS = {"doubling": ("doubling", ()), "markov3": ("markov3", ()),
+           **{f"markov3-{a}>{b}": ("markov3", (f"{a}>{b}",))
+              for a in "012" for b in "012"}}
+
+
+@pytest.mark.parametrize("c", (1.0, 1.5, 3.0))
+@pytest.mark.parametrize("family, forbidden", _SHIFTS.values(),
+                         ids=_SHIFTS.keys())
+def test_entropy_values(family, forbidden, c):
+    # a flat roof c makes the pressure log rho(A) - s c, A the transition
+    # matrix; the power iteration's ratio test bounds the error
+    roof = (c, 0.0, 0.0, 0.0)
+    model = (doubling_model(roof) if family == "doubling" else
+             markov3_model(roof, forbidden=forbidden))
+    rho = max(abs(np.linalg.eigvals(model.transitions.astype(float))))
+    assert abs(entropy(model) - math.log(rho) / c) <= RATIO_TOL
 
 
 def test_li_against_direct_quadrature():

@@ -19,12 +19,16 @@ Frozen reference values, each computed by an independent route first:
 * Oscillation margins for that roof at grid 512, default sampling:
   kappa_hat = 0.1907 at eps = 2^-8, stable within a factor 2 over
   eps = 2^-6 .. 2^-10.  Affine and constant roofs give exactly 0.
+* The witnesses of that scan, recomputed from temporal_distance alone,
+  give their margins back exactly (recheck 0.0): both walks take the same
+  steps.
 * det = 2/3 (mu = 1/3): partial sums i * log(2/3) stay below any
   positive kappa line, so the uniform set is everything; mu chosen to
   make det = e^(2 kappa) puts every point above the line beyond n.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -258,6 +262,27 @@ def test_uni_scan_sin_roof_margin(sin_roof, sin_scale):
         assert w.kappa_x >= cert.kappa_hat - 1e-12
         assert w.kappa_x == pytest.approx(min(w.window_frac, w.inf_dist), abs=1e-12)
         assert 0.0 <= w.window[0] < w.window[1] <= 1.0
+
+
+def test_uni_witness_recheck_catches_a_moved_witness(sin_roof, sin_scale):
+    cert = S.uni_scan(sin_roof, sin_scale)
+    assert S.uni_witness_recheck(sin_roof, cert) == 0.0
+    # the witness that decides kappa_hat; its window distance binds, and
+    # its chart fits on both sides of x
+    i = min(range(len(cert.witnesses)),
+            key=lambda i: cert.witnesses[i].kappa_x)
+    w = cert.witnesses[i]
+    assert w.kappa_x == w.inf_dist < w.window_frac
+    r = int(sin_roof.interval_index(w.x))
+    assert len(S._chart_sides(sin_roof, r, w.x, w.value)) == 2
+    step, sample = S.TWO_PI / S.UNI_PHASES, 1.0 / S.UNI_S_POINTS
+    lo, hi = w.window
+    for change in ({"omega": w.omega + step}, {"omega": w.omega - step},
+                   {"side": -w.side}, {"window": (lo - sample, hi - sample)}):
+        wits = list(cert.witnesses)
+        wits[i] = replace(w, **change)
+        moved = replace(cert, witnesses=tuple(wits))
+        assert S.uni_witness_recheck(sin_roof, moved) > 1e-12, change
 
 
 def test_uni_scan_resolution_stability(sin_roof):

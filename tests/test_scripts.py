@@ -85,6 +85,27 @@ def test_artifact_diff_reports_float_moves(tmp_path, capsys):
     assert _diff(tmp_path / "same", {}) == 0
 
 
+def test_artifact_diff_groups_moves_by_kind(tmp_path, capsys):
+    old = {"q000.stdout": "h=0.5\n", "qinfo-a.stdout": "h=0.25\n",
+           "q000.exit": "0\n", "q000/counting.csv": "t,li\n1.0,2.0\n",
+           "q001/counting.csv": "t,li\n1.0,2.0\n"}
+    new = dict(old, **{"q000.stdout": "h=0.5000000000000001\n",
+                       "qinfo-a.stdout": "h=0.25000000000000006\n",
+                       "q001/counting.csv": "t,li\n1.0,2.0000000000000004\n"})
+    diff = _load_script("artifact_diff.py")
+    assert diff.main([_tree(tmp_path / "old", old),
+                      _tree(tmp_path / "new", new)]) == 0
+    assert capsys.readouterr().out.splitlines()[-3:] == [
+        "kind counting.csv: 1 files differ, worst 2.220e-16",
+        "kind stdout: 2 files differ, worst 1.110e-16",
+        "5 files, 3 differ, worst float move 2.220e-16, "
+        "0 non-float differences"]
+    assert [diff.kind(rel) for rel in ("q000.exit", "q001.npz",
+                                       "census/seed1/q012/pressure.csv",
+                                       "census/seed1/qinfo-m0.stdout")] == [
+        "exit", "npz", "pressure.csv", "stdout"]
+
+
 @pytest.mark.parametrize("changes, drop", [
     ({"q000/decay.csv": "# params b=64.0 atoms=13\nb,l2\n64.0,0.125\n"}, ()),
     ({"q000.exit": "1\n"}, ()),
