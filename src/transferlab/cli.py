@@ -14,7 +14,6 @@ violation (a soundness check tripped).
 from __future__ import annotations
 
 import argparse
-import csv
 import hashlib
 import math
 import os
@@ -51,11 +50,13 @@ DEFAULT_SAMPLES = 100_000
 DEFAULT_BLOCKS = 32
 DEFAULT_DOLGOPYAT_B = 256.0
 MC_CHECK_SAMPLES = 20_000
-# rows _write_csv formats at a time: each slice bounds the memory held by
-# formatted strings.  Formatting whole columns raised the peak RSS of a
-# census pass from 175.0-176.6 to 182.3-185.0 MB (three runs each), and
-# 4096-row blocks raised it by about 4 MB
-CSV_BLOCK_ROWS = 32
+# rows _write_csv formats and writes at a time: each block bounds the
+# memory held by formatted strings.  On a 2-vCPU VM, the peak RSS of a
+# seed-1 census pass read 116.9-117.1 MB with 32-row blocks, 116.9-117.0
+# MB with 2048 and 117.4-117.6 MB with 16384 (three runs each), and a full
+# markov3 orbit table of 69,706 rows took 80, 67 and 69 ms to write (75
+# ms as one block)
+CSV_BLOCK_ROWS = 2048
 
 
 class UsageError(ValueError):
@@ -243,17 +244,17 @@ def _fmt(v) -> str:
 
 def _fmt_column(col) -> list:
     """``_fmt`` over one column, a list, tuple or numpy array (whose values
-    format as the Python scalars of ``tolist``); a column of one plain type
-    (float, int or str) is formatted in a single pass."""
-    if isinstance(col, np.ndarray):
-        col = col.tolist()
-    kinds = set(map(type, col))
-    if kinds == {float}:
+    format as the Python scalars of ``tolist``).  A float, int or str
+    array is formatted in one pass, chosen by its dtype."""
+    if not isinstance(col, np.ndarray):
+        return [_fmt(v) for v in col]
+    kind, col = col.dtype.kind, col.tolist()
+    if kind == "f":
         return list(map(float.__repr__, col))
-    if kinds == {int}:
+    if kind in "iu":
         return list(map(int.__repr__, col))
-    if kinds == {str}:
-        return list(col)
+    if kind == "U":
+        return col
     return [_fmt(v) for v in col]
 
 
@@ -261,12 +262,29 @@ def model_hash(model: MarkovModel) -> str:
     return hashlib.sha256(model.config.to_text().encode("utf-8")).hexdigest()
 
 
+def _csv_lines(names, fields) -> str:
+    """The rows of formatted columns as text, one line per row, the fields
+    joined by commas.  No field is quoted, so one holding ',', '"', CR or
+    LF raises ValueError naming its column."""
+    rows, k = len(fields[0]), len(fields)
+    text = "".join(map((",".join(["{}"] * k) + "\n").format, *fields))
+    # the counts hold exactly when no field adds a comma or a line feed
+    if (text.count(",") == rows * (k - 1) and text.count("\n") == rows
+            and '"' not in text and "\r" not in text):
+        return text
+    bad = next(name for name, col in zip(names, fields)
+               if any(c in "".join(col) for c in ',"\r\n'))
+    raise ValueError(f"CSV column {bad!r} holds a ',', '\"', CR or LF")
+
+
 def _write_csv(cfg: ExperimentConfig, model: MarkovModel, name: str,
                params, columns: dict) -> None:
     """<out>/<name> as CSV with `#` metadata lines: command, model hash,
     config, params.  columns maps each header name to its values, one
     sequence of the table's length per column; each slice of
-    CSV_BLOCK_ROWS rows is formatted a column at a time."""
+    CSV_BLOCK_ROWS rows is formatted a column at a time and written as
+    one string.  No field is quoted (see _csv_lines)."""
+    names, cols = list(columns), list(columns.values())
     with open(os.path.join(cfg.out_dir, name), "w", newline="",
               encoding="utf-8") as fh:
         fh.write(f"# transferlab {cfg.command}\n")
@@ -276,12 +294,10 @@ def _write_csv(cfg: ExperimentConfig, model: MarkovModel, name: str,
         if params:
             pairs = " ".join(f"{k}={_fmt(v)}" for k, v in params)
             fh.write(f"# params {pairs}\n")
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(columns)
-        cols = list(columns.values())
+        fh.write(",".join(names) + "\n")
         for i in range(0, len(cols[0]), CSV_BLOCK_ROWS):
-            writer.writerows(zip(*(_fmt_column(c[i:i + CSV_BLOCK_ROWS])
-                                   for c in cols)))
+            fh.write(_csv_lines(names, [_fmt_column(c[i:i + CSV_BLOCK_ROWS])
+                                        for c in cols]))
 
 
 def _echo_config(cfg: ExperimentConfig, source: str) -> None:
@@ -480,10 +496,11 @@ def _invariant_checks(model: MarkovModel, cfg: ExperimentConfig):
         words = enum.word[enum.n == n].tolist()
         if not words:
             continue
-        # the fixed points of every rotation of each word, each found on
-        # its own; the first rotation is the word itself
-        points = [orbits.cyclic_fixed_points(
-            model, [w[r:] + w[:r] for w in words]) for r in range(n)]
+        # the fixed points of every rotation of each word, one row per
+        # rotation, each point settled on its own; row 0 is the words
+        points = orbits.cyclic_fixed_points(
+            model, [w[r:] + w[:r] for r in range(n) for w in words]
+        ).reshape(n, len(words))
         period = enum.period[enum.n == n]
         total = sum(model.roof(x) for x in points)
         worst_period = max(worst_period,

@@ -510,6 +510,20 @@ def test_invariants_green_on_doubling(tmp_path, capsys):
     assert rows and all(r[3] == "pass" for r in rows)
 
 
+@pytest.mark.parametrize("forbidden", ("1>2", "2>2"))
+def test_invariants_on_a_seam_model_exit_1(tmp_path, capsys, forbidden):
+    # a known debt: a fixed point on a slice seam stops the rotation
+    # check with the ModelError of the word walk; settling all rotations
+    # at once must neither mask it nor change it
+    model = tmp_path / "seam.txt"
+    model.write_text(f"family = markov3\nforbidden = {forbidden}\n"
+                     "grid_size = 256\n")
+    out = str(tmp_path / "run")
+    assert cli.main(["invariants", "--model", str(model), "--out", out]) == 1
+    assert capsys.readouterr().err == (
+        f"transferlab: error: no branch '{forbidden[0]}' with domain '2'\n")
+
+
 def test_invariant_failure_exits_2(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(cli, "_invariant_checks",
                         lambda model, cfg: [("forced", 1.0, 0.0)])

@@ -19,7 +19,9 @@ tolerances are stated below.
 * ``locate`` against a linear scan of the atoms.
 * ``_best_margin`` against window minima taken one window at a time.
 * Periodic orbits: ``cyclic_fixed_points`` and ``orbit_fixed_point``
-  against FIXED_POINT_ITERATIONS scalar ``apply_word`` rounds; the
+  against FIXED_POINT_ITERATIONS scalar ``apply_word`` rounds, and one
+  call over the rotation lists joined against a call per list, seam
+  errors included; the
   early-exit affine iteration against the same number of full steps; the
   shared word decoder against ``divmod``, rows of different depths
   included, and the encoder as its inverse; the shared word grower, on
@@ -50,7 +52,11 @@ tolerances are stated below.
   with the triangle kernel, within 1e-12; constants stay exact.
 * The row Hoelder seminorm against its own dyadic loop (bitwise), and
   column-wise CSV formatting against ``_fmt`` one value at a time, numpy
-  columns included.
+  columns included.  The block writer (each block joined into one
+  string) against a copy of the ``csv.writer`` rows it replaced, byte
+  for byte, at 0, 1, ``CSV_BLOCK_ROWS`` and ``CSV_BLOCK_ROWS + 1`` rows of
+  numpy and mixed list columns; a field holding ',', '"', CR or LF
+  raises ``ValueError`` naming its column.
 * Entropy: ``entropy`` against ``scipy.optimize.brentq`` on the closure
   pressure over the same bracket, bit for bit, in at most 10 pressure
   evaluations, and brentq's iteration cap raising ``ConvergenceError``.
@@ -74,9 +80,13 @@ tolerances are stated below.
   subnormals, +-1e300, infinities and NaN, scalar, 0-d and (64, 256),
   bits and types.
 * Monte Carlo: ``correlation_decay`` (blocks advanced together, roof
-  values carried, any chunk size) against the per-block loop and roof
-  recomputation it replaced, bit for bit, with repeated, unsorted and
-  zero times and a fibre profile.
+  values carried, any chunk size, section values recomputed only where
+  a point crossed the roof, keys searched in sorted order) against the
+  per-block loop it replaced, with its own unsorted-key draw and every
+  observable evaluated at every point at every time, bit for bit, with
+  repeated, unsorted and zero times, fibre profiles on either side, one
+  section shared by both observables or two different ones, and a
+  section that returns a Python scalar.
 * One copy of each primitive, against copies of the loops it replaced,
   bit for bit, on every single forbidden ``markov3`` transition: the lag
   seminorm kernel against the dyadic row loop (any theta, NaN samples
@@ -138,9 +148,13 @@ stable factors; the coefficient ranges keep the roof positive and mu
 inside (0, 1) on the whole leaf, so every draw is a valid model.
 """
 
-import itertools
 import cmath
+import csv
+import io
+import itertools
 import math
+import os
+import tempfile
 from collections import namedtuple
 from dataclasses import dataclass, replace
 from unittest import mock
@@ -645,6 +659,31 @@ def test_fixed_point_kernel_on_slice_seams():
         O.cyclic_fixed_points(end, ["21", "112"])
     with pytest.raises(ModelError, match="nonempty"):
         O.cyclic_fixed_points(end, [""])
+
+
+@PROPS
+@given(model=models(_ANY_FORBIDDEN), n=st.integers(1, 5))
+def test_joined_word_lists_settle_as_each_list(model, n):
+    # the invariants check settles every rotation of the length-n words in
+    # one call; each point must keep the bits of its own list's call, and
+    # a seam error must be one a list's call raises
+    words = _cyclic_words(model, n)
+    assume(words)
+    lists = [[w[r:] + w[:r] for w in words] for r in range(n)]
+    each, errors = [], []
+    for ws in lists:
+        try:
+            each.append(O.cyclic_fixed_points(model, ws))
+        except ModelError as exc:
+            errors.append(str(exc))
+    joined = [w for ws in lists for w in ws]
+    if errors:
+        with pytest.raises(ModelError) as got:
+            O.cyclic_fixed_points(model, joined)
+        assert str(got.value) in errors
+    else:
+        assert (_bits(O.cyclic_fixed_points(model, joined))
+                == _bits(np.concatenate(each)))
 
 
 @PROPS
@@ -1423,6 +1462,83 @@ def test_column_formatting_matches_fmt(data):
                                           for v in arr[1::2].tolist()]
 
 
+def _old_csv_body(columns) -> str:
+    """The table as csv.writer wrote it: the header row, then each row's
+    values formatted one at a time (an array column as its tolist)."""
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(columns)
+    cols = [c.tolist() if isinstance(c, np.ndarray) else c
+            for c in columns.values()]
+    writer.writerows([cli._fmt(v) for v in row] for row in zip(*cols))
+    return out.getvalue()
+
+
+def _written_body(columns) -> str:
+    """The lines _write_csv writes after its `#` metadata lines."""
+    model = build_model(ModelConfig(grid_size=64))
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = replace(cli.resolve(cli._build_parser().parse_args(
+            ["gibbs"]), {}), out_dir=tmp)
+        cli._write_csv(cfg, model, "t.csv", [("k", 1.5)], columns)
+        with open(os.path.join(tmp, "t.csv"), encoding="utf-8") as fh:
+            lines = fh.read().splitlines(keepends=True)
+    return "".join(line for line in lines if not line.startswith("#"))
+
+
+# values that csv.writer writes unquoted: no ',', '"', CR or LF, and tuples
+# of one value (more would be joined by commas)
+_PLAIN_TEXT = st.text(alphabet="ab ;'\t", min_size=1, max_size=4)
+_PLAIN_KINDS = (
+    st.floats(), st.integers(-10 ** 6, 10 ** 6), st.booleans(), st.none(),
+    _PLAIN_TEXT, st.tuples(st.floats()), st.floats(-1e3, 1e3).map(np.float64))
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(),
+       rows=st.sampled_from((0, 1, cli.CSV_BLOCK_ROWS, cli.CSV_BLOCK_ROWS + 1)),
+       width=st.integers(1, 4))
+def test_block_writer_matches_csv_writer(data, rows, width):
+    # numpy columns of every kind and lists mixing two plain kinds, at
+    # zero, one, one block and one block and a row; each column repeats a
+    # drawn run of up to 40 values, so long columns stay cheap to draw
+    columns = {}
+    for j in range(width):
+        if data.draw(st.booleans()):
+            run = data.draw(st.one_of(
+                hnp.arrays(np.float64, 40, elements=st.floats()),
+                hnp.arrays(np.int64, 40),
+                hnp.arrays(np.bool_, 40),
+                hnp.arrays("U4", 40, elements=_PLAIN_TEXT)))
+            col = np.resize(run, rows)
+        else:
+            kinds = data.draw(st.lists(st.sampled_from(_PLAIN_KINDS),
+                                       min_size=1, max_size=2))
+            run = data.draw(st.lists(st.one_of(kinds), min_size=1,
+                                     max_size=40))
+            col = [run[i % len(run)] for i in range(rows)]
+        columns[f"c{j}"] = col
+    assert _written_body(columns) == _old_csv_body(columns)
+
+
+@pytest.mark.parametrize("char", (",", '"', "\r", "\n"))
+@pytest.mark.parametrize("as_array", (False, True))
+def test_block_writer_refuses_fields_that_need_quoting(char, as_array):
+    label = ["a", f"b{char}c", "d"]
+    columns = {"n": np.arange(3),
+               "label": np.array(label) if as_array else label}
+    with pytest.raises(ValueError, match="'label'"):
+        _written_body(columns)
+
+
+def test_block_writer_refuses_joined_fields():
+    # a tuple of two values formats with a comma; an empty field needs no
+    # quoting beside another column
+    with pytest.raises(ValueError, match="'pair'"):
+        _written_body({"n": [1, 2], "pair": [(1.0,), (1.0, 2)]})
+    assert _written_body({"n": [1, 2], "s": ["a", ""]}) == "n,s\n1,a\n2,\n"
+
+
 # ---------------------------------------------------------------------------
 # entropy root: scipy's brentq on the pressure
 
@@ -1587,21 +1703,38 @@ def _reference_advance(model, x, u, dt):
     return x, u
 
 
+def _reference_draw(cum, lefts, grid_size, rng, m):
+    """The section draw with one search over the unsorted keys."""
+    r = rng.random(m) * cum[-1]
+    iv, cell = np.divmod(np.searchsorted(cum, r, side="right"), grid_size)
+    return lefts[iv] + (cell + rng.random(m)) / grid_size
+
+
+def _reference_observable(sec, fib, x, u):
+    """The observable at every point, section and fibre profile."""
+    vals = np.asarray(sec(x), dtype=float)
+    if vals.shape != np.shape(x):
+        vals = np.broadcast_to(vals, np.shape(x)).astype(float)
+    if fib is not None:
+        vals = vals * np.asarray(fib(u), dtype=float)
+    return vals
+
+
 def _reference_mc_block(model, sec_a, fib_a, sec_b, fib_b, t_sorted, m,
                         child, sampler):
-    """One block run alone, as correlation_decay did block by block."""
+    """One block run alone, as correlation_decay did block by block, each
+    observable evaluated at every point at every time."""
     rng = np.random.Generator(np.random.PCG64(child))
-    cum, lefts, grid_size = sampler
-    x = O._draw_section(cum, lefts, grid_size, rng, m)
+    x = _reference_draw(*sampler, rng, m)
     u = rng.random(m) * np.asarray(model.roof(x), dtype=float)
-    b0 = O._eval_observable(sec_b, fib_b, x, u)
+    b0 = _reference_observable(sec_b, fib_b, x, u)
     b0 = b0 - b0.mean()
     out = np.empty(t_sorted.size)
     t_prev = 0.0
     for k, t in enumerate(t_sorted):
         x, u = _reference_advance(model, x, u, t - t_prev)
         t_prev = t
-        a_t = O._eval_observable(sec_a, fib_a, x, u)
+        a_t = _reference_observable(sec_a, fib_a, x, u)
         out[k] = float(((a_t - a_t.mean()) * b0).mean())
     return out
 
@@ -1614,18 +1747,46 @@ def _section(x):
     return np.sin(2.0 * np.pi * np.asarray(x))
 
 
-@settings(max_examples=15, deadline=None)
+def _cosine(x):
+    return np.cos(2.0 * np.pi * np.asarray(x))
+
+
+def _flat(x):
+    # a Python scalar: broadcast over whichever points are evaluated
+    return 0.25
+
+
+_MC_MODEL = build_model(ModelConfig(grid_size=256))
+
+
+@settings(max_examples=25, deadline=None)
 @given(model=models(),
        t_grid=st.lists(st.sampled_from((0.0, 0.3, 1.1, 2.5, 4.0)),
                        min_size=1, max_size=5),
        samples=st.integers(40, 3000), blocks=st.integers(2, 12),
-       seed=st.integers(0, 2 ** 32), fibre=st.booleans(),
+       seed=st.integers(0, 2 ** 32),
+       sec_a=st.sampled_from((_section, _cosine, _flat)),
+       sec_b=st.sampled_from((_section, _cosine, _flat)),
+       fib_a=st.sampled_from((None, _fibre)),
+       fib_b=st.sampled_from((None, _fibre)),
        chunk=st.sampled_from((1, 100, O.MC_CHUNK_POINTS)))
+@example(model=_MC_MODEL, t_grid=[0.0, 1.1, 0.3],
+         samples=300, blocks=3, seed=7, sec_a=_section, sec_b=_section,
+         fib_a=_fibre, fib_b=None, chunk=100)
+@example(model=_MC_MODEL, t_grid=[2.5, 0.3],
+         samples=300, blocks=3, seed=7, sec_a=_section, sec_b=_cosine,
+         fib_a=None, fib_b=None, chunk=O.MC_CHUNK_POINTS)
+@example(model=_MC_MODEL, t_grid=[4.0, 1.1],
+         samples=300, blocks=3, seed=7, sec_a=_flat, sec_b=_section,
+         fib_a=_fibre, fib_b=None, chunk=O.MC_CHUNK_POINTS)
 def test_block_monte_carlo_matches_block_loop(model, t_grid, samples, blocks,
-                                              seed, fibre, chunk):
+                                              seed, sec_a, sec_b, fib_a,
+                                              fib_b, chunk):
+    # one section for both observables shares the t = 0 values; two
+    # sections, or a scalar one, take the separate and broadcast paths
     assume(samples >= blocks)
-    obs_a = (_section, _fibre) if fibre else _section
-    obs_b = _section
+    obs_a = (sec_a, fib_a) if fib_a else sec_a
+    obs_b = (sec_b, fib_b) if fib_b else sec_b
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(O, "MC_CHUNK_POINTS", chunk)
         rep = O.correlation_decay(model, obs_a, obs_b, t_grid, samples,
@@ -1634,9 +1795,8 @@ def test_block_monte_carlo_matches_block_loop(model, t_grid, samples, blocks,
     order = np.argsort(t, kind="stable")
     m = samples // blocks
     sampler = O._section_sampler(model)
-    fib_a = _fibre if fibre else None
     table = np.vstack([
-        _reference_mc_block(model, _section, fib_a, _section, None, t[order],
+        _reference_mc_block(model, sec_a, fib_a, sec_b, fib_b, t[order],
                             m, child, sampler)
         for child in np.random.SeedSequence(seed).spawn(blocks)])
     corr = np.empty(t.size)

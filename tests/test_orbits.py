@@ -371,6 +371,14 @@ def test_correlation_rejects_bad_grid(sin_model):
                           np.array([0.0]), 8)
 
 
+@pytest.mark.parametrize("blocks", (-3, 0, 1))
+def test_correlation_rejects_fewer_than_two_blocks(sin_model, blocks):
+    # 0 divided by zero, 1 gave a NaN stderr and -3 overflowed
+    with pytest.raises(ModelError, match="at least 2 blocks"):
+        correlation_decay(sin_model, sec_sin, sec_sin, np.array([0.0]),
+                          100, blocks=blocks)
+
+
 def test_correlation_horizon_is_bounded(sin_model):
     # each roof crossing is one Python round; T = 1e9 on a unit roof once
     # ran for hours
