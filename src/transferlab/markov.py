@@ -23,8 +23,10 @@ cylinders, inner branch first for the n-step word table.  The orbit
 census grows only Lyndon-word prefixes, by its own rule
 (``orbits.enumerate_periodic_orbits``).  One walk,
 ``_walk_words``, applies the branches of rows to points: ``apply_word``
-and cyclic fixed points use it, and ``_roof_sums`` adds the roof along
-it for ``roof_sum_on_word`` and the UNI contrast tables.  Strings become
+uses it, ``_roof_sums`` adds the roof along it for ``roof_sum_on_word``
+and the UNI contrast tables, and cyclic fixed points read its step
+tables (``_word_steps``) once per call and look up only the first
+step's branch again each round.  Strings become
 rows (``_encode_words``) only where those, ``_roof_sums`` and
 ``word_admissible`` take them, and rows become strings
 (``_decode_words``) only in orbit tables, bump records, refinement
@@ -322,16 +324,12 @@ def _roof_sums(model: MarkovModel, words, y: np.ndarray,
     return total
 
 
-def _walk_words(model: MarkovModel, rows: np.ndarray, y: np.ndarray,
-                dom: np.ndarray, words):
-    """Yield y after each symbol of the uint8 rows, right to left:
-    y / branch_slope[sym, dom] + branch_offset[sym, dom], dom starting at
-    the given indices (one per row) and then the symbol's target.  y holds
-    one point per row, one row of points for a single row, or a row of
-    points per row (rows x points; each step's slope and offset broadcast
-    over the trailing point axis).  Before the first step, the first
-    missing branch the walk would meet (NO_SYMBOL has none) raises
-    ModelError naming its character in words, the rows' strings.
+def _word_steps(model: MarkovModel, rows: np.ndarray, dom: np.ndarray,
+                words) -> tuple[np.ndarray, np.ndarray]:
+    """(slope, offset) tables of the walk of the uint8 rows (see
+    _walk_words), a row per step in walk order and a column per word.
+    The first missing branch the walk would meet (NO_SYMBOL has none)
+    raises ModelError naming its character in words, the rows' strings.
     """
     sym = np.minimum(rows, len(model.alphabet) - 1)  # bad marks NO_SYMBOL
     doms = np.concatenate((model.symbol_target[sym[:, 1:]], dom[:, None]), 1)
@@ -340,9 +338,27 @@ def _walk_words(model: MarkovModel, rows: np.ndarray, y: np.ndarray,
     if np.count_nonzero(bad):
         i = int(np.flatnonzero(bad.any(axis=0))[-1])  # walked first
         r = int(np.flatnonzero(bad[:, i])[0])
-        raise ModelError(f"no branch {words[r][i]!r} with domain "
-                         f"{model.intervals[doms[r, i]]!r}")
-    s, off = s.T[::-1], model.branch_offset[sym, doms].T[::-1]
+        raise _no_branch(model, words[r][i], doms[r, i])
+    return s.T[::-1], model.branch_offset[sym, doms].T[::-1]
+
+
+def _no_branch(model: MarkovModel, char: str, dom: int) -> ModelError:
+    """The error of a walk that meets no branch char with domain dom."""
+    return ModelError(f"no branch {char!r} with domain "
+                      f"{model.intervals[dom]!r}")
+
+
+def _walk_words(model: MarkovModel, rows: np.ndarray, y: np.ndarray,
+                dom: np.ndarray, words):
+    """Yield y after each symbol of the uint8 rows, right to left:
+    y / branch_slope[sym, dom] + branch_offset[sym, dom], dom starting at
+    the given indices (one per row) and then the symbol's target.  y holds
+    one point per row, one row of points for a single row, or a row of
+    points per row (rows x points; each step's slope and offset broadcast
+    over the trailing point axis).  A missing branch raises ModelError
+    before the first step (_word_steps).
+    """
+    s, off = _word_steps(model, rows, dom, words)
     if np.ndim(y) == 2:
         s, off = s[..., None], off[..., None]
     for s_i, off_i in zip(s, off):

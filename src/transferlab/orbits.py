@@ -17,8 +17,11 @@ prefixes of Lyndon words, settles one fixed point per orbit by
 contraction iteration, and reaches the other points of the orbit by one
 inverse branch each, so it never builds the rotations of a word.
 
-The entropy is the root scipy's brentq finds in a bracket where the
-pressure changes sign.  Monte Carlo blocks each draw from their own seed
+The entropy is the root Brent's method finds in a bracket where the
+pressure changes sign, by a loop that evaluates the pressure at the
+points scipy.optimize.brentq would and returns its bits; li is
+Ei(log y) - Ei(log 2), summed by series.  No scipy solver is imported.
+Monte Carlo blocks each draw from their own seed
 stream and are then advanced together as one array, bit for bit as the
 one-at-a-time loop they replace; a section observable is evaluated again
 only at the points that crossed the roof since its last evaluation.
@@ -34,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .markov import (NO_SYMBOL, MarkovModel, ModelError, _decode_words,
-                     _encode_words, _walk_words)
+                     _encode_words, _no_branch, _word_steps)
 from .thermo import ConvergenceError, gibbs_measure, pressure
 
 WORD_CAP_DEFAULT = 2 ** 21
@@ -50,6 +53,12 @@ MC_CHUNK_POINTS = 2 ** 17
 MC_MAX_CROSSINGS = 10 ** 3
 FIBER_ORDER = 64             # midpoint nodes per fiber in flow_average
 LOG_FLOAT_MAX = math.log(sys.float_info.max)   # largest h*T for li(e^(hT))
+_BRENT_STEPS = 100           # scipy.optimize.brentq's default maxiter
+_BRENT_RTOL = 4 * sys.float_info.epsilon     # and its smallest rtol
+_LOG_2 = math.log(2.0)
+# li sums its convergent series up to log y = 50 and the asymptotic one
+# beyond, whose smallest term there is about 3e-21 of the sum
+_EI_SERIES_MAX = 50.0
 
 
 # ---------------------------------------------------------------------------
@@ -181,19 +190,31 @@ def cyclic_fixed_points(model: MarkovModel, words) -> np.ndarray:
     Each round walks all words at once as apply_word walks one, from the
     domain interval of the current point (model.interval_index): a point
     on a slice seam raises the same error as there, and the result equals
-    FIXED_POINT_ITERATIONS apply_word rounds bit for bit.
+    FIXED_POINT_ITERATIONS apply_word rounds bit for bit.  Only the first
+    step's domain follows the point, so only its branch is looked up each
+    round; the other steps' slopes and offsets are read once, from the
+    first round's walk, which also checks every branch that round meets.
     """
     rows = _encode_words(model, words)
     if not rows.size or (rows == NO_SYMBOL).any():
         raise ModelError("cyclic words must be nonempty, over the alphabet")
+    start = model.symbol_target[rows[:, 0]]
+    slope, offset = _word_steps(model, rows, start, words)
 
-    def apply_words(y, rows, words):
-        for y in _walk_words(model, rows, y, model.interval_index(y), words):
-            pass
+    def apply_words(y, last, words, slope, offset):
+        dom = model.interval_index(y)
+        s = model.branch_slope[last, dom]
+        missing = np.isnan(s)
+        if missing.any():
+            r = int(missing.argmax())
+            raise _no_branch(model, words[r][-1], dom[r])
+        y = y / s + model.branch_offset[last, dom]
+        for s_i, off_i in zip(slope.T, offset.T):
+            y = y / s_i + off_i
         return y
 
-    return _settle(apply_words, model.lefts[model.symbol_target[rows[:, 0]]]
-                   + 0.5, rows, np.asarray(words))
+    return _settle(apply_words, model.lefts[start] + 0.5, rows[:, -1],
+                   np.asarray(words), slope[1:].T, offset[1:].T)
 
 
 def orbit_fixed_point(model: MarkovModel, word: str) -> float:
@@ -274,8 +295,8 @@ def entropy(model: MarkovModel, tol: float = ENTROPY_TOL) -> float:
     The pressure is positive at 0 and falls at least as fast as
     tau_min * s (Parry and Pollicott, Asterisque 187-188, 1990), so
     hi = P(0) / tau_0 + 1, doubled until the pressure is negative,
-    brackets the root, and scipy.optimize.brentq(pressure, 0, hi,
-    xtol=tol) returns it; its iteration cap raises ConvergenceError.
+    brackets the root, and Brent's method (_brentq) closes the bracket
+    [0, hi] to xtol=tol; its iteration cap raises ConvergenceError.
     Pressure is evaluated once per s.
     """
     key = (model.config, tol)
@@ -298,30 +319,118 @@ def entropy(model: MarkovModel, tol: float = ENTROPY_TOL) -> float:
         hi *= 2.0
     else:
         raise ModelError("failed to bracket the entropy root")
-    # imported here so that commands with no entropy never load it
-    from scipy.optimize import brentq
-
-    h = _solved(*brentq(pr, 0.0, hi, xtol=tol, full_output=True, disp=False))
+    h = _brentq(pr, 0.0, hi, tol)
     _entropy_cache[key] = h
     return h
 
 
-def _solved(x: float, res) -> float:
-    if not res.converged:
-        raise ConvergenceError(f"{res.method} did not converge in "
-                               f"{res.iterations} steps, value is {x}")
-    return x
+def _brentq(f, a: float, b: float, xtol: float) -> float:
+    """Root of f in [a, b] by Brent's method (Brent, Algorithms for
+    Minimization without Derivatives, 1973, ch. 4), step for step as the C
+    loop of scipy.optimize.brentq with rtol = 4 eps and maxiter = 100, so
+    that both evaluate f at the same points and return the same bits.
+
+    As there: a NaN value raises ValueError, as does a bracket whose ends
+    have values of one sign; an end with value 0 is returned; and a
+    bracket still wider than the tolerance after 100 steps raises
+    ConvergenceError.
+    """
+    def value(x):
+        fx = float(f(x))
+        if math.isnan(fx):
+            raise ValueError(f"The function value at x={x} is NaN; "
+                             "solver cannot continue.")
+        return fx
+
+    xpre, xcur = float(a), float(b)
+    xblk = fblk = spre = scur = 0.0
+    fpre, fcur = value(xpre), value(xcur)
+    if fpre == 0:
+        return xpre
+    if fcur == 0:
+        return xcur
+    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
+        raise ValueError("f(a) and f(b) must have different signs")
+    for _ in range(_BRENT_STEPS):
+        if fpre != 0 and fcur != 0 and (math.copysign(1.0, fpre)
+                                        != math.copysign(1.0, fcur)):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + _BRENT_RTOL * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:
+                # secant step
+                stry = _c_div(-fcur * (xcur - xpre), fcur - fpre)
+            else:
+                # inverse quadratic step
+                dpre = _c_div(fpre - fcur, xpre - xcur)
+                dblk = _c_div(fblk - fcur, xblk - xcur)
+                stry = _c_div(-fcur * (fblk * dblk - fpre * dpre),
+                              dblk * dpre * (fblk - fpre))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = value(xcur)
+    raise ConvergenceError(f"brentq did not converge in {_BRENT_STEPS} "
+                           f"steps, value is {xcur}")
+
+
+def _c_div(a: float, b: float) -> float:
+    """a / b as C divides doubles: a zero b (such as an underflowed
+    product) gives a signed infinity, or NaN for a zero or NaN a."""
+    if b:
+        return a / b
+    if a == 0 or math.isnan(a):
+        return math.nan
+    return math.copysign(math.inf, a) * math.copysign(1.0, b)
 
 
 def li(y: float) -> float:
-    """Offset logarithmic integral int_2^y du/log u; zero at or below 2."""
+    """Offset logarithmic integral int_2^y du/log u = Ei(log y) - Ei(log 2);
+    zero at or below 2.
+
+    With x = log y and x0 = log 2 it is int_x0^x e^t/t dt, summed as
+    log(x/x0) + sum_k (x^k - x0^k)/(k k!), whose terms are all positive,
+    up to x = _EI_SERIES_MAX; beyond, Ei(x) is the asymptotic series
+    e^x/x sum_k k!/x^k, cut at its first term below eps of the sum
+    (Abramowitz and Stegun 5.1.10 and 5.1.51).  There Ei(x) > 1e20, and
+    Ei(log 2) = 1.045... is below half its ulp, so it is not subtracted.
+    """
     if y <= 2.0:
         return 0.0
-    from scipy.integrate import quad    # here: only orbit counting needs it
-
-    val, _ = quad(lambda t: math.exp(t) / t, math.log(2.0), math.log(y),
-                  limit=200)
-    return float(val)
+    x = math.log(y)
+    eps = sys.float_info.epsilon
+    if x > _EI_SERIES_MAX:
+        total, term, k = 1.0, 1.0, 1
+        while term > eps * total:
+            term *= k / x
+            total += term
+            k += 1
+        return math.exp(x) / x * total
+    d = x - _LOG_2
+    # e_k = (x^k - x0^k)/k! and q = x0^(k-1)/(k-1)!, both by recurrence
+    total, e_k, q, k = math.log1p(d / _LOG_2), 0.0, 1.0, 1
+    while True:
+        e_k = (x * e_k + d * q) / k
+        total += e_k / k
+        if k > x and e_k / k <= eps * total:
+            return total
+        q *= _LOG_2 / k
+        k += 1
 
 
 @dataclass(frozen=True)

@@ -59,7 +59,12 @@ tolerances are stated below.
   raises ``ValueError`` naming its column.
 * Entropy: ``entropy`` against ``scipy.optimize.brentq`` on the closure
   pressure over the same bracket, bit for bit, in at most 10 pressure
-  evaluations, and brentq's iteration cap raising ``ConvergenceError``.
+  evaluations, and the iteration cap raising ``ConvergenceError``.  The
+  Brent loop ``_brentq`` against ``brentq`` on named and random
+  brackets: the same evaluation points and root bits, or the same
+  exception and text (secant, inverse quadratic and bisection steps, a
+  root at either end, ends of one sign, NaN values, an underflowed
+  divisor and the 100-step cap).
 * ``_best_margin`` (one exact row scan, one run test per other row)
   against the scan of every window size for every phase: value and
   witness, on torus-distance rows with constant, zero, rounded (tied)
@@ -1540,7 +1545,7 @@ def test_block_writer_refuses_joined_fields():
 
 
 # ---------------------------------------------------------------------------
-# entropy root: scipy's brentq on the pressure
+# entropy root: the package's Brent loop against scipy's brentq
 
 
 def _reference_entropy(model):
@@ -1588,6 +1593,100 @@ def test_entropy_iteration_cap_raises():
                            match="brentq did not converge in 100 steps"):
             O.entropy(model, 5e-324)
     O._entropy_cache.clear()
+
+
+def _scipy_brent(f, a, b, xtol):
+    """scipy's brentq with the package loop's rtol and step cap; a root
+    still unconverged at the cap raises ConvergenceError, as entropy
+    raised it when it called brentq."""
+    x, res = brentq(f, a, b, xtol=xtol, rtol=4 * np.finfo(float).eps,
+                    maxiter=100, full_output=True, disp=False)
+    if not res.converged:
+        raise T.ConvergenceError(f"brentq did not converge in "
+                                 f"{res.iterations} steps, value is {x}")
+    return x
+
+
+def _brent_run(solver, f, a, b, xtol):
+    """The points solver evaluates f at, and the bits of the root it
+    returns or the type and text of what it raises."""
+    xs = []
+
+    def logged(x):
+        xs.append(x)
+        return f(x)
+
+    try:
+        out = _bits(solver(logged, a, b, xtol))
+    except (ValueError, T.ConvergenceError) as exc:
+        out = (type(exc).__name__, str(exc))
+    return xs, out
+
+
+# name: (f, a, b, xtol, what the loop ends with)
+_BRENT_CASES = {
+    # the first secant step lands on the root of a line
+    "secant": (lambda x: 3.0 * x - 1.0, 0.0, 1.0, 1e-10, "root"),
+    # inverse quadratic steps
+    "cubic": (lambda x: x ** 3 - 2.0 * x - 5.0, 2.0, 3.0, 1e-12, "root"),
+    "cos": (lambda x: math.cos(x) - x, 0.0, 1.0, 1e-10, "root"),
+    # interpolation overshoots a jump, and bisection takes over
+    "jump": (lambda x: 1.0 if x < 0.3 else -1.0, 0.0, 1.0, 1e-10, "root"),
+    "flat_tail": (lambda x: math.exp(x) - 1e5, 0.0, 20.0, 1e-10, "root"),
+    # slow steps towards a triple root, where spre trails scur
+    "triple_root": (lambda x: (x - 0.3) ** 3, 0.0, 1.0, 1e-10, "root"),
+    # a tolerance wide enough that the -delta of the fallback test decides
+    "wide_tolerance": (lambda x: x * x - 0.4, 0.0, 1.0, 0.1, "root"),
+    # the divisor of the inverse quadratic step underflows to 0
+    "underflow": (lambda x: 1e-170 * (x ** 3 - 0.3), 0.0, 1.0, 1e-10,
+                  "root"),
+    "root_at_a": (lambda x: x - 0.5, 0.5, 1.0, 1e-10, "root"),
+    "root_at_b": (lambda x: x - 1.0, 0.5, 1.0, 1e-10, "root"),
+    "minus_zero_at_a": (lambda x: -0.0 if x < 0.5 else 1.0, 0.0, 1.0,
+                        1e-10, "root"),
+    "same_sign": (lambda x: x + 1.0, 0.5, 1.0, 1e-10, "ValueError"),
+    "nan_at_b": (lambda x: math.nan if x > 0.7 else x - 0.9, 0.0, 1.0,
+                 1e-10, "ValueError"),
+    "nan_inside": (lambda x: math.nan if 0.5 < x < 0.6 else x - 0.55, 0.0,
+                   1.0, 1e-10, "ValueError"),
+    # closing [0, 1e300] around a jump at 1/3 to 4 eps relative takes
+    # about 1000 halvings
+    "step_cap": (lambda x: 1e300 if x < 1 / 3 else -1.0, 0.0, 1e300, 5e-324,
+                 "ConvergenceError"),
+}
+
+
+@pytest.mark.parametrize("name", _BRENT_CASES)
+def test_brent_loop_matches_scipy_brentq_bitwise(name):
+    f, a, b, xtol, ends = _BRENT_CASES[name]
+    xs, out = _brent_run(O._brentq, f, a, b, xtol)
+    assert (xs, out) == _brent_run(_scipy_brent, f, a, b, xtol)
+    assert (out[0] if isinstance(out, tuple) else "root") == ends
+    if ends == "ConvergenceError":
+        assert out[1].startswith("brentq did not converge in 100 steps")
+        assert len(xs) == 102
+
+
+_BRENT_SHAPES = (
+    lambda x, c, p: x ** p - c,
+    lambda x, c, p: math.tanh(50.0 * (x - c)),
+    lambda x, c, p: (x - c) ** 3,
+    lambda x, c, p: math.atan(x - c) + 1e-3 * math.sin(40.0 * p * x),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(shape=st.sampled_from(_BRENT_SHAPES), c=st.floats(0.05, 0.95),
+       p=st.integers(1, 7), scale=st.integers(-320, 300),
+       xtol=st.sampled_from((0.1, 1e-10, 1e-13, 5e-324)))
+def test_brent_loop_matches_scipy_brentq_on_random_brackets(shape, c, p,
+                                                            scale, xtol):
+    # values from about 1e-320 (subnormal) to 1e300
+    def f(x):
+        return 10.0 ** scale * shape(x, c, p)
+
+    assert (_brent_run(O._brentq, f, 0.0, 1.0, xtol)
+            == _brent_run(_scipy_brent, f, 0.0, 1.0, xtol))
 
 
 # ---------------------------------------------------------------------------

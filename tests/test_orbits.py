@@ -11,10 +11,13 @@ Frozen oracles used below, each recomputed independently before freezing:
   18, 47, 123, 322, 843, 2207 and necklace counts 3, 2, 5, 10, 24, 50,
   120, 270 for n = 1..8 (independent integer matrix powers).
 * tau = 1: pi(4.5) = 2 + 1 + 2 + 3 = 8; li checked against a direct
-  quadrature of 1/log u on [2, y].
+  quadrature of 1/log u on [2, y], and against mpmath's Ei in 40 digits
+  from just above 2 up to e^LOG_FLOAT_MAX.
 * entropy roots on a flat roof c: log rho(A) / c, A the transition
   matrix (log 2 for doubling, log 3 for the full three-symbol family),
-  from the scalar pressure equations.
+  from the scalar pressure equations; on doubling with roof c0 + c1 x,
+  the root of -s c0 + log(1 + e^(-s c1)) (each period-n orbit's section
+  points sum to its count of 1s).
 * sin roof 2 + 0.5 sin(2 pi x) zero-lag covariance of sin(2 pi x): the
   size-biased density (2 + 0.5 sin)/2 gives E[A^2] = 1/2 and
   E[A] = 1/8, so C(0) = 1/2 - 1/64 = 31/64 exactly.
@@ -23,6 +26,7 @@ Frozen oracles used below, each recomputed independently before freezing:
 import math
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -31,6 +35,8 @@ from scipy.integrate import quad
 
 from transferlab.markov import ModelError, doubling_model, markov3_model
 from transferlab.orbits import (
+    ENTROPY_TOL,
+    LOG_FLOAT_MAX,
     MC_MAX_CROSSINGS,
     CountingReport,
     correlation_decay,
@@ -242,6 +248,43 @@ def test_entropy_values(family, forbidden, c):
              markov3_model(roof, forbidden=forbidden))
     rho = max(abs(np.linalg.eigvals(model.transitions.astype(float))))
     assert abs(entropy(model) - math.log(rho) / c) <= RATIO_TOL
+
+
+# doubling with roof c0 + c1 x: the section points of a period-n orbit
+# sum to its count of 1s, so P(-s tau) = -s c0 + log(1 + e^(-s c1)).  The
+# grid pressure is off by about C / N^2 (measured C: 6.6e-4, 4.0e-3 and
+# 9.9e-3, the same at N = 256, 1024 and 4096).
+@pytest.mark.parametrize("c0, c1, const", [(2.0, 0.5, 1e-3),
+                                           (1.5, -0.5, 6e-3),
+                                           (1.0, 1.0, 1.5e-2)])
+def test_entropy_on_a_linear_roof(c0, c1, const):
+    with mpmath.workdps(30):
+        exact = mpmath.findroot(
+            lambda s: -s * c0 + mpmath.log1p(mpmath.exp(-s * c1)), 0.5)
+    for n in (256, 1024, 4096):
+        h = entropy(doubling_model((c0, c1, 0.0, 0.0), grid_size=n))
+        assert abs(h - exact) <= const / n ** 2 + ENTROPY_TOL
+
+
+# li(y) against Ei(x) - Ei(x0) in 40 digits at the rounded x = log y and
+# x0 = log 2.  Measured worst over 20,000 log-uniform x up to
+# LOG_FLOAT_MAX: 2.4e-15 relative (11 eps), near x = 35-45, where the
+# convergent series is summed.
+LI_REL = 4e-15
+
+
+def test_li_matches_mpmath_ei():
+    assert li(1.0) == 0.0
+    assert li(2.0) == 0.0
+    xs = np.geomspace(math.log(2.0), LOG_FLOAT_MAX, 400)[1:]
+    ys = [math.nextafter(2.0, 3.0), 2.0 * (1.0 + 1e-12), 2.5, 4.5, 1e3,
+          math.exp(50.0), math.exp(math.nextafter(50.0, 51.0))]
+    ys += [math.exp(x) for x in xs]
+    with mpmath.workdps(40):
+        ei_2 = mpmath.ei(math.log(2.0))
+        for y in ys:
+            ref = mpmath.ei(math.log(y)) - ei_2
+            assert abs(li(y) - ref) <= LI_REL * ref, y
 
 
 def test_li_against_direct_quadrature():
