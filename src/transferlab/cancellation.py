@@ -21,6 +21,7 @@ makes the engine refuse cancellation and run with P identically one.
 The partition is one record array with a row per atom and the columns
 left, right, depth, lam_lo, iid (interval index), j_lo, j_hi and word (a
 symbol row), sorted by left end; each interval's atoms form one run.
+Grid functions are read between nodes by thermo._read_rows.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from .markov import (NO_SYMBOL, MarkovModel, ModelError, _decode_words,
 from .rpf import ComplexRPF, build_rpf, slice_holder_norm
 from .scales import (ScaleFunction, _torus_dist, _window_min, matching_scale,
                      recurrence_rate, uni_scan)
-from .thermo import base_system, grid_orbit
+from .thermo import _read_rows, base_system, grid_orbit
 
 KAPPA5_DEFAULT = 0.05
 C9_DEFAULT = 4.0
@@ -406,27 +407,6 @@ DICHOTOMY_DTYPE = np.dtype([("kind", np.int8), ("max_ratio", float),
                             ("spread", float), ("weight", float)])
 
 
-def _interp_rows(model: MarkovModel, values: np.ndarray, rows, pts):
-    """Linear interpolation of grid rows: pts[i] is read on row rows[i].
-
-    rows may be one interval index for all points.
-    """
-    xs = np.arange(model.grid_size + 1) / model.grid_size
-    pts = np.asarray(pts, dtype=float)
-    rows = np.broadcast_to(rows, pts.shape)
-    out = np.empty(pts.shape, dtype=values.dtype)
-    for r in np.unique(rows):
-        sel = rows == r
-        loc = pts[sel] - model.lefts[r]
-        row = values[r]
-        if np.iscomplexobj(row):
-            out[sel] = (np.interp(loc, xs, row.real)
-                        + 1j * np.interp(loc, xs, row.imag))
-        else:
-            out[sel] = np.interp(loc, xs, row)
-    return out
-
-
 def _orbit_weight(model: MarkovModel, f_hat: np.ndarray, z: np.ndarray,
                   n: int, r0: int) -> np.ndarray:
     """exp of the normalized log-weight summed along the n-step orbit of z.
@@ -440,10 +420,7 @@ def _orbit_weight(model: MarkovModel, f_hat: np.ndarray, z: np.ndarray,
     pts = model.orbit(z, n)
     rows = model.interval_index(pts)
     rows[:1] = r0
-    total = np.zeros(np.shape(z))
-    for cur, r in zip(pts, rows):
-        total += _interp_rows(model, f_hat, r, cur)
-    return np.exp(total)
+    return np.exp(_read_rows(model, f_hat, rows, pts).sum(axis=0))
 
 
 def _grid_orbit_sum(model: MarkovModel, samples: np.ndarray,
@@ -773,9 +750,9 @@ def _pair_plan(model, b, f_hat, y, omegas, weights, contr, off, tgt, u,
     z2 = contr[k2] * y + off[k2]
     r1, r2 = tgt[k1], tgt[k2]
     ph1 = b * np.asarray(model.birkhoff_sum(model.roof, z1, n1)) \
-        + np.angle(_interp_rows(model, u, r1, z1))
+        + np.angle(_read_rows(model, u, r1, z1))
     ph2 = b * np.asarray(model.birkhoff_sum(model.roof, z2, n1)) \
-        + np.angle(_interp_rows(model, u, r2, z2))
+        + np.angle(_read_rows(model, u, r2, z2))
     j1 = _pair_window(ph1 - ph2, kappa6)
     if j1 is None:
         return None
@@ -784,9 +761,9 @@ def _pair_plan(model, b, f_hat, y, omegas, weights, contr, off, tgt, u,
     hi = max(lo + 1, int(round(j1[1] * (len(y) - 1))))
     sel = slice(lo, hi + 1)
     g1 = _orbit_weight(model, f_hat, z1[sel], n1, r1) \
-        * np.abs(_interp_rows(model, big_h, r1, z1[sel]))
+        * np.abs(_read_rows(model, big_h, r1, z1[sel]))
     g2 = _orbit_weight(model, f_hat, z2[sel], n1, r2) \
-        * np.abs(_interp_rows(model, big_h, r2, z2[sel]))
+        * np.abs(_read_rows(model, big_h, r2, z2[sel]))
     two = np.abs(g1 * np.exp(1j * ph1[sel]) + g2 * np.exp(1j * ph2[sel]))
     room = (g1 + g2 - two) / np.maximum(g1, 1e-300)
     allowed = float(room.min())

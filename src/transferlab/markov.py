@@ -11,8 +11,9 @@ row k of ``nodes()`` holds its grid, and every package function that
 names an interval takes k.  The ids in ``intervals`` (``intervals[k]``
 names U_k) appear only in CSV columns and messages.  A coordinate on a
 seam between two intervals belongs to the interval on its right, and the
-right end of the last interval belongs to that interval
-(``interval_index``).
+right end of the last interval belongs to that interval: one rule,
+``MarkovModel._interval``, which ``interval_index`` applies after
+checking its coordinates and ``forward`` and ``slope_at`` apply as is.
 
 Each symbol names the interval an inverse branch lands in; a word is a
 uint8 row of symbols, applied right to left, and is admissible when
@@ -21,19 +22,18 @@ grower, ``_grow_words``, makes every set of all admissible words; its
 callers compose (contraction, offset) outer branch first for partition
 cylinders, inner branch first for the n-step word table.  The orbit
 census grows only Lyndon-word prefixes, by its own rule
-(``orbits.enumerate_periodic_orbits``).  One walk,
-``_walk_words``, applies the branches of rows to points: ``apply_word``
-uses it, ``_roof_sums`` adds the roof along it for ``roof_sum_on_word``
-and the UNI contrast tables, and cyclic fixed points read its step
-tables (``_word_steps``) once per call and look up only the first
-step's branch again each round.  Strings become
-rows (``_encode_words``) only where those, ``_roof_sums`` and
+(``orbits.enumerate_periodic_orbits``).  ``_word_steps`` checks every
+branch of a walk of rows and then yields each step's slopes and offsets
+in walk order: ``_walk_words`` applies them to points (``apply_word``,
+and ``_roof_sums`` for ``roof_sum_on_word`` and the UNI tables), and
+cyclic words read them from the wrap domain, the target of their first
+symbol (the census, ``orbits._cyclic_affine``, fixed points).  Strings
+become rows (``_encode_words``) only where those, ``_roof_sums`` and
 ``word_admissible`` take them, and rows become strings
 (``_decode_words``) only in orbit tables, bump records, refinement
-witnesses and UNI words.  Branch slopes are
-constant, so all cocycle products over words of integer-slope models
-are exact in double precision, and forward orbits of dyadic grid points
-stay on the grid.
+witnesses and UNI words.  Branch slopes are constant, so all cocycle
+products over words of integer-slope models are exact in double
+precision, and forward orbits of dyadic grid points stay on the grid.
 
 Two families are built in:
 
@@ -209,12 +209,18 @@ class MarkovModel:
         NaN and infinities included.
         """
         x = np.asarray(x, dtype=float)
-        last = len(self.intervals) - 1
-        inside = (x >= 0.0) & (x <= last + 1.0)      # False for NaN, +-inf
+        inside = (x >= 0.0) & (x <= len(self.intervals))  # False for NaN, inf
         if not inside.all():
             bad = float(x[~inside].flat[0])
             raise ModelError(f"coordinate {bad!r} outside the phase space")
-        return np.minimum(np.floor(x).astype(int), last)
+        return self._interval(x)
+
+    def _interval(self, x: np.ndarray) -> np.ndarray:
+        """Interval indices of coordinates, unchecked: the package's one
+        rule for which interval owns a point (floor, clipped)."""
+        k = np.asarray(np.floor(x), dtype=int)
+        np.maximum(k, 0, out=k)         # in place; np.clip is slower
+        return np.minimum(k, len(self.intervals) - 1, out=k)
 
     def nodes(self) -> np.ndarray:
         """All sample points, stacked (intervals, grid_size + 1): row k
@@ -230,7 +236,7 @@ class MarkovModel:
         """
         scalar = np.isscalar(x)
         x = np.atleast_1d(np.asarray(x, dtype=float))
-        k = np.clip(np.floor(x).astype(int), 0, len(self.intervals) - 1)
+        k = self._interval(x)
         d = self.out_degree[k]
         s = d * (x - self.lefts[k])
         j = np.clip(np.floor(s).astype(int), 0, d - 1)
@@ -252,8 +258,7 @@ class MarkovModel:
         """Forward expansion |sigma'(x)|."""
         scalar = np.isscalar(x)
         x = np.atleast_1d(np.asarray(x, dtype=float))
-        k = np.clip(np.floor(x).astype(int), 0, len(self.intervals) - 1)
-        out = self.out_degree[k].astype(float)
+        out = self.out_degree[self._interval(x)].astype(float)
         return float(out[0]) if scalar else out
 
     def det_step(self, x):
@@ -325,27 +330,39 @@ def _roof_sums(model: MarkovModel, words, y: np.ndarray,
 
 
 def _word_steps(model: MarkovModel, rows: np.ndarray, dom: np.ndarray,
-                words) -> tuple[np.ndarray, np.ndarray]:
-    """(slope, offset) tables of the walk of the uint8 rows (see
-    _walk_words), a row per step in walk order and a column per word.
-    The first missing branch the walk would meet (NO_SYMBOL has none)
-    raises ModelError naming its character in words, the rows' strings.
-    """
-    sym = np.minimum(rows, len(model.alphabet) - 1)  # bad marks NO_SYMBOL
-    doms = np.concatenate((model.symbol_target[sym[:, 1:]], dom[:, None]), 1)
-    s = model.branch_slope[sym, doms]
-    bad = np.isnan(s) | (rows == NO_SYMBOL)
-    if np.count_nonzero(bad):
-        i = int(np.flatnonzero(bad.any(axis=0))[-1])  # walked first
-        r = int(np.flatnonzero(bad[:, i])[0])
-        raise _no_branch(model, words[r][i], doms[r, i])
-    return s.T[::-1], model.branch_offset[sym, doms].T[::-1]
+                words=None):
+    """Yield (slope, offset) of each step of the walk of the uint8 rows
+    (see _walk_words) in walk order, a value per row; the last symbol's
+    domain is dom (an index per row), every other's the next's target.
+    Before the first yield, the first missing branch the walk would meet
+    (NO_SYMBOL has none) raises ModelError naming its character in words,
+    the rows' strings, which rows free of NO_SYMBOL may leave out."""
+    # (domain, byte) tables, flat: a step's entry is 256 domain + symbol,
+    # and every byte past the alphabet (NO_SYMBOL) is a missing branch
+    k, width = len(model.alphabet), NO_SYMBOL + 1
+    slope, offset = np.full((2, len(model.intervals), width), np.nan)
+    slope[:, :k], offset[:, :k] = model.branch_slope.T, model.branch_offset.T
+    missing = np.isnan(slope)             # take reads the tables flat
+    then = np.zeros((len(model.intervals), width), np.intp)
+    then[:, :k] = model.symbol_target * width   # the next step's base
 
+    def steps():         # one index array alive between steps
+        idx = dom * width
+        for i in range(rows.shape[1] - 1, -1, -1):
+            idx += rows[:, i]
+            yield i, idx
+            idx = then.take(idx)
 
-def _no_branch(model: MarkovModel, char: str, dom: int) -> ModelError:
-    """The error of a walk that meets no branch char with domain dom."""
-    return ModelError(f"no branch {char!r} with domain "
-                      f"{model.intervals[dom]!r}")
+    for i, idx in steps():
+        bad = missing.take(idx)
+        if np.count_nonzero(bad):
+            r = int(bad.argmax())
+            char = (words[r][i] if words is not None
+                    else model.alphabet[rows[r, i]])
+            raise ModelError(f"no branch {char!r} with domain "
+                             f"{model.intervals[idx[r] // width]!r}")
+    for _, idx in steps():
+        yield slope.take(idx), offset.take(idx)
 
 
 def _walk_words(model: MarkovModel, rows: np.ndarray, y: np.ndarray,
@@ -358,11 +375,10 @@ def _walk_words(model: MarkovModel, rows: np.ndarray, y: np.ndarray,
     over the trailing point axis).  A missing branch raises ModelError
     before the first step (_word_steps).
     """
-    s, off = _word_steps(model, rows, dom, words)
-    if np.ndim(y) == 2:
-        s, off = s[..., None], off[..., None]
-    for s_i, off_i in zip(s, off):
-        y = y / s_i + off_i
+    for s, off in _word_steps(model, rows, dom, words):
+        if np.ndim(y) == 2:
+            s, off = s[:, None], off[:, None]
+        y = y / s + off
         yield y
 
 

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .markov import (NO_SYMBOL, MarkovModel, ModelError, _decode_words,
-                     _encode_words, _no_branch, _word_steps)
+                     _encode_words, _word_steps)
 from .thermo import ConvergenceError, gibbs_measure, pressure
 
 WORD_CAP_DEFAULT = 2 ** 21
@@ -155,33 +155,17 @@ def _affine_step(y, contr, off):
     return contr * y + off
 
 
-def _cyclic_steps(model: MarkovModel, words: np.ndarray):
-    """Yield (slope, offset) of the branch instance at each position of
-    the equal-length cyclic uint8 rows, innermost (last position) first:
-    the domain of position i's branch is the target interval of the
-    symbol at position i+1, cyclically."""
-    target = model.symbol_target
-    k = len(model.alphabet)
-    # flat (symbol, next symbol) tables
-    slope, offset = (t[:, target].ravel()
-                     for t in (model.branch_slope, model.branch_offset))
-    n = words.shape[1]
-    for i in range(n - 1, -1, -1):
-        # widened first: the compact rows would wrap at k * k
-        pair = words[:, i].astype(np.intp) * k + words[:, (i + 1) % n]
-        yield slope.take(pair), offset.take(pair)
-
-
 def _cyclic_affine(model: MarkovModel, words: np.ndarray):
     """Composite inverse-branch coefficients (contraction, offset) per
-    cyclic word, and the left endpoint of the interval holding its fixed
-    point."""
+    cyclic uint8 row, and the left endpoint of the interval holding its
+    fixed point: the wrap, its first symbol's target."""
+    wrap = model.symbol_target[words[:, 0]]
     contr = np.ones(words.shape[0])
     off = np.zeros(words.shape[0])
-    for s, b_off in _cyclic_steps(model, words):
+    for s, b_off in _word_steps(model, words, wrap):
         contr /= s
         off = off / s + b_off
-    return contr, off, model.lefts[model.symbol_target[words[:, 0]]]
+    return contr, off, model.lefts[wrap]
 
 
 def cyclic_fixed_points(model: MarkovModel, words) -> np.ndarray:
@@ -192,29 +176,27 @@ def cyclic_fixed_points(model: MarkovModel, words) -> np.ndarray:
     on a slice seam raises the same error as there, and the result equals
     FIXED_POINT_ITERATIONS apply_word rounds bit for bit.  Only the first
     step's domain follows the point, so only its branch is looked up each
-    round; the other steps' slopes and offsets are read once, from the
-    first round's walk, which also checks every branch that round meets.
+    round; the other steps are read once, from the wrap domain, where
+    every point starts.
     """
     rows = _encode_words(model, words)
     if not rows.size or (rows == NO_SYMBOL).any():
         raise ModelError("cyclic words must be nonempty, over the alphabet")
     start = model.symbol_target[rows[:, 0]]
-    slope, offset = _word_steps(model, rows, start, words)
+    slope, offset = map(np.array, zip(*_word_steps(model, rows, start)))
 
-    def apply_words(y, last, words, slope, offset):
+    def apply_words(y, last, slope, offset):
         dom = model.interval_index(y)
         s = model.branch_slope[last, dom]
-        missing = np.isnan(s)
-        if missing.any():
-            r = int(missing.argmax())
-            raise _no_branch(model, words[r][-1], dom[r])
+        if np.isnan(s).any():           # raises the walk's missing branch
+            next(_word_steps(model, last[:, None], dom))
         y = y / s + model.branch_offset[last, dom]
         for s_i, off_i in zip(slope.T, offset.T):
             y = y / s_i + off_i
         return y
 
     return _settle(apply_words, model.lefts[start] + 0.5, rows[:, -1],
-                   np.asarray(words), slope[1:].T, offset[1:].T)
+                   slope[1:].T, offset[1:].T)
 
 
 def orbit_fixed_point(model: MarkovModel, word: str) -> float:
@@ -274,8 +256,8 @@ def enumerate_periodic_orbits(model: MarkovModel, n_max: int) -> np.recarray:
         y = _settle(_affine_step, lefts + 0.5, contr, off)
         rows = table[sum(counts[:n - 1]):sum(counts[:n])]
         rows.period = model.roof(y)
-        for s, b_off in itertools.islice(_cyclic_steps(model, lyndon),
-                                         n - 1):
+        for s, b_off in itertools.islice(_word_steps(
+                model, lyndon, model.symbol_target[lyndon[:, 0]]), n - 1):
             y = y / s + b_off
             rows.period += model.roof(y)
         rows.word, rows.n = _decode_words(lyndon, model.alphabet), n
@@ -409,9 +391,12 @@ def li(y: float) -> float:
     e^x/x sum_k k!/x^k, cut at its first term below eps of the sum
     (Abramowitz and Stegun 5.1.10 and 5.1.51).  There Ei(x) > 1e20, and
     Ei(log 2) = 1.045... is below half its ulp, so it is not subtracted.
+    li is inf at inf and NaN at NaN.
     """
     if y <= 2.0:
         return 0.0
+    if not math.isfinite(y):
+        return float(y)
     x = math.log(y)
     eps = sys.float_info.epsilon
     if x > _EI_SERIES_MAX:
@@ -464,6 +449,8 @@ def prime_orbit_report(model: MarkovModel, n_max: int,
     t = np.asarray(t_grid, dtype=float)
     if t.ndim != 1 or t.size == 0:
         raise ModelError("t_grid must be a nonempty 1-d array")
+    if not (np.isfinite(t) & (t >= 0)).all():
+        raise ModelError("orbit-count periods must be finite and nonnegative")
     orbits = enumerate_periodic_orbits(model, n_max)
     periods = np.sort(orbits.period)
     h = entropy(model)

@@ -424,10 +424,6 @@ def _torus_dist(a: np.ndarray) -> np.ndarray:
     r == 2 pi, which fmod maps to 0.
     """
     r = a + math.pi
-    if not np.ndim(r):
-        if abs(r) >= TWO_PI:
-            r = np.fmod(r, TWO_PI)
-        return np.abs((r + TWO_PI if r < 0 else r) - math.pi)
     far = np.abs(r) >= TWO_PI
     if far.any():
         r[far] = np.fmod(r[far], TWO_PI)

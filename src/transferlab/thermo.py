@@ -4,7 +4,9 @@ The operator with weight w acts on grid functions by
 
     (L_w u)(z) = sum over inverse branches v of  exp(w(v z)) u(v z),
 
-with u read off by linear interpolation at the branch preimages.  Weights are
+with u read off by linear interpolation at the branch preimages, by the
+package's one cell rule and formula (``_cell``, ``_lerp``; ``_read_rows``
+reads rows at other points).  Weights are
 *recipes*, not bare samples: the model potential (a flag) plus a multiple of
 the roof (a tilt), both read exactly at the preimages, grid parts
 interpolated there, a constant, and eigenfunction ratios rho(v z) / rho(z).
@@ -91,9 +93,8 @@ def _stencil_table(model: MarkovModel) -> StencilTable:
             at = slice(start + slot, start + n1 * degree[k], degree[k])
             t = model.symbol_target[i]
             yb = xs / model.branch_slope[i, k] + model.branch_offset[i, k]
-            local = np.clip((yb - model.lefts[t]) * n, 0.0, float(n))
-            j = np.minimum(local.astype(int), n - 1)
-            y[at], frac[at], cell[at] = yb, local - j, t * n1 + j
+            j, frac[at] = _cell((yb - model.lefts[t]) * n, n)
+            y[at], cell[at] = yb, t * n1 + j
             roof[at], potential[at] = model.roof(yb), model.potential(yb)
             pair[at, 0], pair[at, 1] = cell[at], cell[at] + 1
         start += n1 * degree[k]
@@ -104,14 +105,35 @@ def _stencil_table(model: MarkovModel) -> StencilTable:
     return table
 
 
+def _cell(local: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(lower node, fraction) of the cell of each local grid coordinate
+    (offset from the interval's left end, times n), clamped to [0, n]."""
+    local = np.clip(local, 0.0, float(n))
+    j = np.minimum(local.astype(int), n - 1)
+    return j, local - j
+
+
+def _lerp(lo: np.ndarray, hi: np.ndarray, frac: np.ndarray) -> np.ndarray:
+    """The linear interpolation of every read: lo at 0, hi at 1."""
+    return lo * (1.0 - frac) + hi * frac
+
+
 def gather(values: np.ndarray, table: StencilTable,
            rows: slice = slice(None)) -> np.ndarray:
     """Linear interpolation of stacked grid values at the preimages of the
     table's entries, or of those of a range of samples."""
     flat = np.asarray(values).reshape(-1)
     block, _ = table.entries(rows)
-    cell, frac = table.cell[block], table.frac[block]
-    return flat[cell] * (1.0 - frac) + flat[cell + 1] * frac
+    cell = table.cell[block]
+    return _lerp(flat[cell], flat[cell + 1], table.frac[block])
+
+
+def _read_rows(model: MarkovModel, values, rows, pts) -> np.ndarray:
+    """Stacked grid values, real or complex, read as gather reads them at
+    points: pts[i] on row rows[i] (or all on one row), clamped to it."""
+    n = model.grid_size
+    j, frac = _cell((np.asarray(pts, dtype=float) - model.lefts[rows]) * n, n)
+    return _lerp(values[rows, j], values[rows, j + 1], frac)
 
 
 def forward_index(model: MarkovModel) -> tuple[np.ndarray, np.ndarray]:
@@ -122,7 +144,7 @@ def forward_index(model: MarkovModel) -> tuple[np.ndarray, np.ndarray]:
     """
     n = model.grid_size
     img = model.forward(model.nodes())
-    rows = np.clip(np.floor(img).astype(int), 0, len(model.intervals) - 1)
+    rows = model.interval_index(img)
     ongrid = (img - model.lefts[rows]) * n
     cols = np.round(ongrid).astype(int)
     if np.max(np.abs(ongrid - cols)) > 1e-9:

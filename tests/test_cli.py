@@ -30,11 +30,17 @@ package's Brent loop keeps.
 GOLDEN_DOLGOPYAT_SHA256 pins dolgopyat.csv for DOLGOPYAT_MODEL
 (three-symbol family, 0>1 forbidden, sine roof, N=1024) at b=64, a run
 with 4562 atoms, n1 = 3 and a positive kappa4_min, so the cylinder
-partition, the refinement step and the paired and small bumps all feed
-it.  It was made the same way, on the code as it stood while each atom
-was a dataclass instance with two index dicts beside it and paired-bump
-windows came from scipy's minimum_filter1d, with numpy 2.4.6 and scipy
-1.17.1.
+partition, the refinement step and the small bumps (160 and 25 in its
+two steps) feed it.  The run makes 2 build_cancellation and 5
+dichotomy_test calls and no _pair_plan call, so no paired bump and no
+orbit weight reaches the digest; the paired path is pinned by
+test_cancellation.py's test_paired_case and
+test_pair_plan_bumps_the_lighter_branch and by the per-atom
+build_cancellation comparison in test_fast_paths.py
+(test_build_cancellation_matches_per_atom_loop).  It was made the same
+way, on the code as it stood while each atom was a dataclass instance
+with two index dicts beside it and paired-bump windows came from scipy's
+minimum_filter1d, with numpy 2.4.6 and scipy 1.17.1.
 
 GOLDEN_DOUBLING_DOLGOPYAT_SHA256 pins dolgopyat.csv for
 DOUBLING_DOLGOPYAT_MODEL (doubling family, sine roof 2 + 0.5 sin 2 pi x,

@@ -16,6 +16,10 @@ tolerances are stated below.
   every single forbidden ``markov3`` transition, atom words included.
 * Grid orbit sums: the n-step weight and roof tables against per-node
   forward walks, the interpolating ``_orbit_weight`` and ``birkhoff_sum``.
+* The shared linear interpolation ``_read_rows`` against ``np.interp``
+  a row at a time, real and complex rows: nodes, clamped ends, right
+  ends and seams exactly, other points within LERP_EPS eps of the larger
+  neighbour (np.interp's slope form rounds differently).
 * ``locate`` against a linear scan of the atoms.
 * ``_best_margin`` against window minima taken one window at a time.
 * Periodic orbits: ``cyclic_fixed_points`` and ``orbit_fixed_point``
@@ -82,7 +86,7 @@ tolerances are stated below.
   ``0>2`` (whose mixed words can join 0 to 2) against that loop over the
   mixed words that apply;
   ``_torus_dist`` against the % form on signed zeros, multiples of pi,
-  subnormals, +-1e300, infinities and NaN, scalar, 0-d and (64, 256),
+  subnormals, +-1e300, infinities and NaN, 1-element and (64, 256),
   bits and types.
 * Monte Carlo: ``correlation_decay`` (blocks advanced together, roof
   values carried, any chunk size, section values recomputed only where
@@ -383,16 +387,82 @@ def test_orbit_weight_window_across_seam():
     assert np.array_equal(w, alone)
     # reading every orbit point on the row of the first point, as a walk
     # that ignores the seam would, gives different weights past 1/2
-    xs = np.arange(model.grid_size + 1) / model.grid_size
     total, cur = np.zeros(z.size), z.copy()
     for _ in range(3):
-        r = model.interval_index(cur[0])
-        total += np.interp(cur - model.lefts[r], xs, f[r])
+        total += T._read_rows(model, f, model.interval_index(cur[0]), cur)
         cur = model.forward(cur)
     first_row = np.exp(total)
     past = z >= 0.5
     assert np.array_equal(first_row[~past], w[~past])
     assert np.all(first_row[past] != w[past])
+
+
+# ---------------------------------------------------------------------------
+# the shared linear interpolation
+
+# |_read_rows - np.interp| per real component, in eps times the larger of
+# the two neighbours M: both take the cell fraction exactly (an offset
+# from an integer left end, times a power of two), the lerp
+# lo (1 - f) + hi f lands within 1.5 eps M of the exact value and
+# np.interp's lo + (hi - lo) n (x - x_j) within 2.5 eps M, so 4 eps M
+# bounds the gap to first order and 5 leaves room for the rest
+LERP_EPS = 5
+
+
+def _np_interp_rows(model, values, rows, pts):
+    """Grid rows read by np.interp a row at a time, real and imaginary
+    parts apart: the reading the paired bumps made before _read_rows."""
+    xs = np.arange(model.grid_size + 1) / model.grid_size
+    rows = np.broadcast_to(rows, pts.shape)
+    out = np.empty(pts.shape, values.dtype)
+    for r in np.unique(rows):
+        sel = rows == r
+        loc, row = pts[sel] - model.lefts[r], values[r]
+        out[sel] = (np.interp(loc, xs, row.real)
+                    + 1j * np.interp(loc, xs, row.imag)
+                    if np.iscomplexobj(row) else np.interp(loc, xs, row))
+    return out
+
+
+@PROPS
+@given(model=models(_ANY_FORBIDDEN), data=point_lists,
+       seed=st.integers(0, 2 ** 16))
+def test_read_rows_matches_np_interp(model, data, seed):
+    rng = np.random.default_rng(seed)
+    n, m = model.grid_size, len(model.intervals)
+    shape = (m, n + 1)
+    real = rng.normal(size=shape) * 10.0 ** rng.uniform(-3, 3, shape)
+    cplx = real + 1j * rng.normal(size=shape) * 10.0 ** rng.uniform(-3, 3,
+                                                                   shape)
+    nodes = model.nodes().ravel()
+    pts = np.concatenate([_points(data, model), rng.uniform(0.0, m, 64),
+                          np.nextafter(model.lefts + 1.0, 0.0),
+                          np.nextafter(model.lefts, m)])
+    rows = model.interval_index(pts)
+    eps = np.finfo(float).eps
+    for values in (real, cplx):
+        # a node on its own row is its value, exactly
+        node_rows = np.repeat(np.arange(m), n + 1)
+        for read in (T._read_rows, _np_interp_rows):
+            assert np.array_equal(read(model, values, node_rows, nodes),
+                                  values.ravel())
+        # a read clamps to its row's ends outside the interval, and a
+        # seam (or the last right end) is the right end of the row on
+        # its left and the left end of the row on its right
+        for r, left in enumerate(model.lefts.tolist()):
+            ends = np.array([left - 0.3, left, left + 1.0, left + 1.7])
+            want = values[r, [0, 0, -1, -1]]
+            assert np.array_equal(T._read_rows(model, values, r, ends), want)
+            assert np.array_equal(_np_interp_rows(model, values, r, ends),
+                                  want)
+        # inside a cell, within LERP_EPS eps of the larger neighbour
+        got = T._read_rows(model, values, rows, pts)
+        ref = _np_interp_rows(model, values, rows, pts)
+        j = np.minimum(((pts - model.lefts[rows]) * n).astype(int), n - 1)
+        lo, hi = values[rows, j], values[rows, j + 1]
+        for part in (np.real, np.imag):
+            bound = LERP_EPS * eps * np.maximum(abs(part(lo)), abs(part(hi)))
+            assert (abs(part(got) - part(ref)) <= bound).all()
 
 
 # ---------------------------------------------------------------------------
@@ -522,11 +592,11 @@ def test_pair_window_matches_window_scan(phases, kappa6):
 @given(a=st.floats(-50.0, 50.0), b=st.floats(-50.0, 50.0),
        xs=st.lists(st.floats(-50.0, 50.0), min_size=1, max_size=20))
 def test_torus_dist_matches_hand_copies(a, b, xs):
-    # the scalar phase gap of _pair_plan and the array sites of
-    # the circular statistics and _pair_window, as written by hand
+    # a phase gap as Python's % gives it, and the array sites of the
+    # circular statistics and _pair_window, as written by hand
     gap = abs((a - b + math.pi) % (2 * math.pi) - math.pi)
     assert _bits(S._torus_dist(np.array([a]) - np.array([b]))) == _bits([gap])
-    assert _bits(S._torus_dist(a - b)) == _bits(gap)
+    assert _bits(S._torus_dist(np.array([a - b]))) == _bits([gap])
     x = np.array(xs)
     assert _bits(S._torus_dist(x - a)) == _bits(
         np.abs((x - a + math.pi) % (2 * math.pi) - math.pi))
@@ -544,9 +614,9 @@ _TORUS_EDGES = ([0.0, -0.0, math.pi, -math.pi, 2 * math.pi, -2 * math.pi,
 
 
 def test_torus_dist_edge_values():
-    # the remainder-free form against numpy's and Python's % on signed
-    # zeros, multiples of pi, subnormals, huge values, infinities and NaN:
-    # bits and types, scalar, 0-d and (64, 256) inputs
+    # the remainder-free form against numpy's % on signed zeros,
+    # multiples of pi, subnormals, huge values, infinities and NaN: bits
+    # and types, 1-element and (64, 256) inputs
     def ref(a):
         return np.abs((a + math.pi) % (2 * math.pi) - math.pi)
 
@@ -554,9 +624,7 @@ def test_torus_dist_edge_values():
     table = rng.choice(np.array(_TORUS_EDGES), size=(64, 256))
     table[0, :len(_TORUS_EDGES)] = _TORUS_EDGES
     with np.errstate(invalid="ignore"):
-        for a in ([float(v) for v in _TORUS_EDGES]
-                  + [np.float64(v) for v in _TORUS_EDGES]
-                  + [np.array(v) for v in _TORUS_EDGES] + [table]):
+        for a in [np.array([v]) for v in _TORUS_EDGES] + [table]:
             got, want = S._torus_dist(a), ref(a)
             assert type(got) is type(want)
             assert _bits(got) == _bits(want), a
@@ -2460,6 +2528,26 @@ def test_word_walk_matches_scalar_loop(model, data, n, pick):
                          roof_sum) == ("value", [ref[i][1] for i in ok]))
 
 
+@pytest.mark.parametrize("words, message", [
+    # walked right to left from U_0: row 0 meets 1>2 at its second symbol
+    # (whose domain is the third symbol's target) before row 1 meets its
+    # unknown "9" at its first
+    (["0122", "9200"], "no branch '1' with domain '2'"),
+    # row 0's unknown "9", on the domain of the "2" after it, is met
+    # before row 1 meets 1>2 at its first symbol
+    (["0192", "1200"], "no branch '9' with domain '2'"),
+])
+def test_word_steps_name_the_first_missing_branch(words, message):
+    model = build_model(ModelConfig("markov3", grid_size=64,
+                                    forbidden=("1>2",)))
+    rows, dom = M._encode_words(model, words), np.zeros(2, int)
+    with pytest.raises(ModelError, match=message):
+        next(M._word_steps(model, rows, dom, words))
+    if "9" not in message:          # rows alone name the alphabet symbol
+        with pytest.raises(ModelError, match=message):
+            next(M._word_steps(model, rows, dom))
+
+
 def test_temporal_distance_looks_up_the_domain_once(monkeypatch):
     model = build_model(ModelConfig("markov3", roof=(2.0, 0.1, 0.3, -0.2),
                                     grid_size=64, forbidden=("2>1",)))
@@ -2551,9 +2639,9 @@ def _old_pair_plan(model, b, f_hat, y, aligned, u, big_h, kappa6, n1):
     r1 = model.intervals.index(w1[3])
     r2 = model.intervals.index(w2[3])
     ph1 = b * np.asarray(model.birkhoff_sum(model.roof, z1, n1)) \
-        + np.angle(C._interp_rows(model, u, r1, z1))
+        + np.angle(T._read_rows(model, u, r1, z1))
     ph2 = b * np.asarray(model.birkhoff_sum(model.roof, z2, n1)) \
-        + np.angle(C._interp_rows(model, u, r2, z2))
+        + np.angle(T._read_rows(model, u, r2, z2))
     j1 = C._pair_window(ph1 - ph2, kappa6)
     if j1 is None:
         return None
@@ -2561,9 +2649,9 @@ def _old_pair_plan(model, b, f_hat, y, aligned, u, big_h, kappa6, n1):
     hi = max(lo + 1, int(round(j1[1] * (len(y) - 1))))
     sel = slice(lo, hi + 1)
     g1 = C._orbit_weight(model, f_hat, z1[sel], n1, r1) * np.abs(
-        C._interp_rows(model, big_h, r1, z1[sel]))
+        T._read_rows(model, big_h, r1, z1[sel]))
     g2 = C._orbit_weight(model, f_hat, z2[sel], n1, r2) * np.abs(
-        C._interp_rows(model, big_h, r2, z2[sel]))
+        T._read_rows(model, big_h, r2, z2[sel]))
     two = np.abs(g1 * np.exp(1j * ph1[sel]) + g2 * np.exp(1j * ph2[sel]))
     room = (g1 + g2 - two) / np.maximum(g1, 1e-300)
     allowed = float(room.min())

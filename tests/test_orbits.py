@@ -24,6 +24,7 @@ Frozen oracles used below, each recomputed independently before freezing:
 """
 
 import math
+import signal
 import tracemalloc
 
 import mpmath
@@ -321,6 +322,33 @@ def test_report_names_first_overflowing_period(plain):
     # h*T > log(float max) once raised OverflowError inside li(e^(hT))
     with pytest.raises(ModelError, match=r"T = 2000\.0 "):
         prime_orbit_report(plain, 4, np.array([1.0, 2000.0, 3000.0]))
+
+
+def _within(seconds, fn, *args):
+    """fn(*args), or TimeoutError once it has run for the given seconds
+    (a NaN once kept li's series summing forever)."""
+    def stop(*_):
+        raise TimeoutError(f"{fn.__name__} ran for {seconds} s")
+    old = signal.signal(signal.SIGALRM, stop)
+    signal.alarm(seconds)
+    try:
+        return fn(*args)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, old)
+
+
+@pytest.mark.parametrize("bad", (math.nan, math.inf, -1.0))
+def test_report_rejects_non_finite_or_negative_periods(bad):
+    model = doubling_model(grid_size=256)
+    with pytest.raises(ModelError, match="finite and nonnegative"):
+        _within(10, prime_orbit_report, model, 4, np.array([1.0, bad]))
+
+
+def test_li_at_non_finite_arguments():
+    assert _within(10, li, math.inf) == math.inf
+    assert math.isnan(_within(10, li, math.nan))
+    assert li(-math.inf) == 0.0
 
 
 def test_report_fit(plain):
