@@ -22,9 +22,9 @@ grower, ``_grow_words``, makes every set of all admissible words; its
 callers compose (contraction, offset) outer branch first for partition
 cylinders, inner branch first for the n-step word table.  The orbit
 census grows only Lyndon-word prefixes, by its own rule
-(``orbits.enumerate_periodic_orbits``).  ``_word_steps`` checks every
-branch of a walk of rows and then yields each step's slopes and offsets
-in walk order: ``_walk_words`` applies them to points (``apply_word``,
+(``orbits.enumerate_periodic_orbits``).  ``_word_steps``, the one
+branch check of a walk, checks each step of a walk of rows as it yields
+its slopes and offsets: ``_walk_words`` applies them (``apply_word``,
 and ``_roof_sums`` for ``roof_sum_on_word`` and the UNI tables), and
 cyclic words read them from the wrap domain, the target of their first
 symbol (the census, ``orbits._cyclic_affine``, fixed points).  Strings
@@ -43,7 +43,8 @@ Two families are built in:
   edge (out-degree 2 rows then have slope 2).
 
 ``build_model`` lays the branch structure out once, as the read-only array
-fields ``lefts`` through ``transitions`` of ``MarkovModel``; these branch
+fields ``lefts`` through ``walk_next`` of ``MarkovModel``, each branch
+once (``branch_slope`` and ``branch_offset`` view the walk tables); these
 tables are the model's only branch structure, and every reader walks them.
 """
 
@@ -190,7 +191,9 @@ class MarkovModel:
     # in slice order (NaN past the out-degree) per interval; inverse branch
     # v(y) = y / slope + offset by (symbol, domain), NaN where none exists;
     # target interval per symbol; transitions[i, j] = 1 when symbol j may
-    # follow symbol i in a word
+    # follow symbol i in a word; the walk tables by (domain, byte), read
+    # flat at 256 domain + byte: slope and offset (branch_* view them; NaN
+    # past the alphabet) and the next step's base, 256 times the target
     lefts: np.ndarray = field(repr=False, compare=False)          # (m,)
     out_degree: np.ndarray = field(repr=False, compare=False)     # (m,)
     slice_lefts: np.ndarray = field(repr=False, compare=False)    # (m, max d)
@@ -198,6 +201,9 @@ class MarkovModel:
     branch_offset: np.ndarray = field(repr=False, compare=False)  # (k, m)
     symbol_target: np.ndarray = field(repr=False, compare=False)  # (k,)
     transitions: np.ndarray = field(repr=False, compare=False)    # (k, k)
+    walk_slope: np.ndarray = field(repr=False, compare=False)     # (m, 256)
+    walk_offset: np.ndarray = field(repr=False, compare=False)    # (m, 256)
+    walk_next: np.ndarray = field(repr=False, compare=False)      # (m, 256)
 
     # -- geometry --------------------------------------------------------
 
@@ -217,7 +223,9 @@ class MarkovModel:
 
     def _interval(self, x: np.ndarray) -> np.ndarray:
         """Interval indices of coordinates, unchecked: the package's one
-        rule for which interval owns a point (floor, clipped)."""
+        rule for which interval owns a point (floor, clipped).  A
+        coordinate outside the phase space reads the nearest interval:
+        below 0 the first, beyond the last right end the last."""
         k = np.asarray(np.floor(x), dtype=int)
         np.maximum(k, 0, out=k)         # in place; np.clip is slower
         return np.minimum(k, len(self.intervals) - 1, out=k)
@@ -334,35 +342,22 @@ def _word_steps(model: MarkovModel, rows: np.ndarray, dom: np.ndarray,
     """Yield (slope, offset) of each step of the walk of the uint8 rows
     (see _walk_words) in walk order, a value per row; the last symbol's
     domain is dom (an index per row), every other's the next's target.
-    Before the first yield, the first missing branch the walk would meet
-    (NO_SYMBOL has none) raises ModelError naming its character in words,
-    the rows' strings, which rows free of NO_SYMBOL may leave out."""
-    # (domain, byte) tables, flat: a step's entry is 256 domain + symbol,
-    # and every byte past the alphabet (NO_SYMBOL) is a missing branch
-    k, width = len(model.alphabet), NO_SYMBOL + 1
-    slope, offset = np.full((2, len(model.intervals), width), np.nan)
-    slope[:, :k], offset[:, :k] = model.branch_slope.T, model.branch_offset.T
-    missing = np.isnan(slope)             # take reads the tables flat
-    then = np.zeros((len(model.intervals), width), np.intp)
-    then[:, :k] = model.symbol_target * width   # the next step's base
-
-    def steps():         # one index array alive between steps
-        idx = dom * width
-        for i in range(rows.shape[1] - 1, -1, -1):
-            idx += rows[:, i]
-            yield i, idx
-            idx = then.take(idx)
-
-    for i, idx in steps():
-        bad = missing.take(idx)
-        if np.count_nonzero(bad):
-            r = int(bad.argmax())
+    When the walk reaches a missing branch (NO_SYMBOL has none), the
+    first row's raises ModelError naming its character in words, the rows'
+    strings, which rows free of NO_SYMBOL may leave out."""
+    width = NO_SYMBOL + 1
+    idx = dom * width
+    for i in range(rows.shape[1] - 1, -1, -1):
+        idx += rows[:, i]
+        slope = model.walk_slope.take(idx)
+        if np.isnan(slope).any():
+            r = int(np.isnan(slope).argmax())
             char = (words[r][i] if words is not None
                     else model.alphabet[rows[r, i]])
             raise ModelError(f"no branch {char!r} with domain "
                              f"{model.intervals[idx[r] // width]!r}")
-    for _, idx in steps():
-        yield slope.take(idx), offset.take(idx)
+        yield slope, model.walk_offset.take(idx)
+        idx = model.walk_next.take(idx)
 
 
 def _walk_words(model: MarkovModel, rows: np.ndarray, y: np.ndarray,
@@ -373,7 +368,7 @@ def _walk_words(model: MarkovModel, rows: np.ndarray, y: np.ndarray,
     one point per row, one row of points for a single row, or a row of
     points per row (rows x points; each step's slope and offset broadcast
     over the trailing point axis).  A missing branch raises ModelError
-    before the first step (_word_steps).
+    when the walk reaches it (_word_steps).
     """
     for s, off in _word_steps(model, rows, dom, words):
         if np.ndim(y) == 2:
@@ -511,8 +506,11 @@ def build_model(config: ModelConfig) -> MarkovModel:
     out_degree = np.array([len(t) for t in slices])
     slice_lefts = np.array([[lefts[k] for _, k in t] + [np.nan] * (
         out_degree.max() - len(t)) for t in slices])
-    branch_slope, branch_offset = np.full(
-        (2, len(alphabet), len(intervals)), np.nan)
+    width = NO_SYMBOL + 1       # walk tables by (domain, byte), viewed as
+    # branch tables by (symbol, domain), so each branch is stored once
+    walk_slope, walk_offset = np.full((2, len(intervals), width), np.nan)
+    branch_slope = walk_slope[:, :len(alphabet)].T
+    branch_offset = walk_offset[:, :len(alphabet)].T
     symbol_target = np.empty(len(alphabet), dtype=int)
     for t, row in enumerate(slices):
         d = len(row)
@@ -526,12 +524,15 @@ def build_model(config: ModelConfig) -> MarkovModel:
     chi_u_bar = float(np.log(np.nanmax(branch_slope)))
     chi_s = float(-np.log(mu_vals.max()))
     chi_s_bar = float(-np.log(mu_vals.min()))
+    walk_next = np.zeros((len(intervals), width), np.intp)
+    walk_next[:, :len(alphabet)] = symbol_target * width
 
     tables = dict(
         lefts=lefts, out_degree=out_degree, slice_lefts=slice_lefts,
         branch_slope=branch_slope, branch_offset=branch_offset,
         symbol_target=symbol_target,
-        transitions=(~np.isnan(branch_slope[:, symbol_target])).astype(int))
+        transitions=(~np.isnan(branch_slope[:, symbol_target])).astype(int),
+        walk_slope=walk_slope, walk_offset=walk_offset, walk_next=walk_next)
     for arr in tables.values():
         arr.setflags(write=False)
 

@@ -175,9 +175,9 @@ def cyclic_fixed_points(model: MarkovModel, words) -> np.ndarray:
     domain interval of the current point (model.interval_index): a point
     on a slice seam raises the same error as there, and the result equals
     FIXED_POINT_ITERATIONS apply_word rounds bit for bit.  Only the first
-    step's domain follows the point, so only its branch is looked up each
-    round; the other steps are read once, from the wrap domain, where
-    every point starts.
+    step's domain follows the point, so each round takes only that step
+    from _word_steps, which checks its branch; the other steps are read
+    once, from the wrap domain, where every point starts.
     """
     rows = _encode_words(model, words)
     if not rows.size or (rows == NO_SYMBOL).any():
@@ -186,11 +186,9 @@ def cyclic_fixed_points(model: MarkovModel, words) -> np.ndarray:
     slope, offset = map(np.array, zip(*_word_steps(model, rows, start)))
 
     def apply_words(y, last, slope, offset):
-        dom = model.interval_index(y)
-        s = model.branch_slope[last, dom]
-        if np.isnan(s).any():           # raises the walk's missing branch
-            next(_word_steps(model, last[:, None], dom))
-        y = y / s + model.branch_offset[last, dom]
+        s, off = next(_word_steps(model, last[:, None],
+                                  model.interval_index(y)))
+        y = y / s + off
         for s_i, off_i in zip(slope.T, offset.T):
             y = y / s_i + off_i
         return y

@@ -114,7 +114,8 @@ tolerances are stated below.
   point as Python floats with the bits of that point in a 1-d and a 2-d
   batch, at slice seams, both ends of each interval and the last right
   end; the arrays, bitwise, against a copy of the branch-instance list
-  ``build_model`` used to keep, and the per-branch stencils (built from
+  ``build_model`` used to keep, read-only, the branch tables sharing
+  memory with the walk tables, and the per-branch stencils (built from
   the arrays by the copy the stencil table is checked against) and
   ``all_words`` against that list; ``apply_word``,
   ``roof_sum_on_word`` with and without a given domain, and the shared
@@ -2415,9 +2416,20 @@ def test_branch_arrays_match_branch_instances(model):
         fiber = {b.sym for b in _old_fiber_branches(model, iid)}
         assert fiber == {a for i, a in enumerate(model.alphabet)
                          if not np.isnan(model.branch_slope[i, k])}
+    # the walk tables hold the branch tables as views, NaN past the
+    # alphabet, and each byte's next step base
+    k = len(model.alphabet)
+    for branch, walk in ((model.branch_slope, model.walk_slope),
+                         (model.branch_offset, model.walk_offset)):
+        assert np.shares_memory(branch, walk)
+        assert _bits(walk[:, :k]) == _bits(branch.T)
+        assert np.isnan(walk[:, k:]).all()
+    assert (model.walk_next[:, :k] == 256 * model.symbol_target).all()
+    assert not model.walk_next[:, k:].any()
     for arr in (model.lefts, model.out_degree, model.slice_lefts,
                 model.branch_slope, model.branch_offset, model.symbol_target,
-                model.transitions):
+                model.transitions, model.walk_slope, model.walk_offset,
+                model.walk_next):
         with pytest.raises(ValueError):
             arr[0] = 0
 
@@ -2542,10 +2554,10 @@ def test_word_steps_name_the_first_missing_branch(words, message):
                                     forbidden=("1>2",)))
     rows, dom = M._encode_words(model, words), np.zeros(2, int)
     with pytest.raises(ModelError, match=message):
-        next(M._word_steps(model, rows, dom, words))
+        list(M._word_steps(model, rows, dom, words))
     if "9" not in message:          # rows alone name the alphabet symbol
         with pytest.raises(ModelError, match=message):
-            next(M._word_steps(model, rows, dom))
+            list(M._word_steps(model, rows, dom))
 
 
 def test_temporal_distance_looks_up_the_domain_once(monkeypatch):

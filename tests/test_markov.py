@@ -10,6 +10,11 @@ frozen here:
   * word counts: doubling length 3 -> 2^3 = 8; markov3 with one forbidden
     transition, length 2 -> 3^2 - 1 = 8.
   * roof 2 + 0.5 sin(2 pi x): extrema 1.5 and 2.5.
+  * markov3 with 0>1 forbidden, read outside the phase space [0, 3]:
+    U_0 has slices onto U_0 and U_2 (out-degree 2), U_2 three slices
+    (out-degree 3).  -0.5 reads U_0: slope 2, and slice 0 at 2 * -0.5 =
+    -1 sends it to 0 + (-1) = -1.  3.5 reads U_2: slope 3, and slice 2 at
+    3 * 1.5 = 4.5 sends it to 2 + (4.5 - 2) = 4.5.
 """
 
 import itertools
@@ -197,6 +202,19 @@ class TestForward:
         m = doubling_model()
         # 0.5 is the left endpoint of the second slice
         assert m.forward(0.5) == pytest.approx(0.0, abs=0)
+
+    def test_outside_coordinates_read_the_nearest_interval(self):
+        # each side reads an interval of its own out-degree, so neither
+        # clip of MarkovModel._interval can go unseen
+        m = markov3_model(forbidden=("0>1",))
+        xs = np.array([-0.5, 3.5])
+        assert m.slope_at(xs).tolist() == [2.0, 3.0]
+        assert m.forward(xs).tolist() == [-1.0, 4.5]
+        assert (m.slope_at(-0.5), m.forward(-0.5)) == (2.0, -1.0)
+        assert (m.slope_at(3.5), m.forward(3.5)) == (3.0, 4.5)
+        for x in xs:
+            with pytest.raises(ModelError, match="outside the phase space"):
+                m.interval_index(x)
 
     def test_contraction_sandwich(self):
         # measured contraction of every word of length n sits between the
