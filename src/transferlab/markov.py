@@ -27,7 +27,8 @@ branch check of a walk, checks each step of a walk of rows as it yields
 its slopes and offsets: ``_walk_words`` applies them (``apply_word``,
 and ``_roof_sums`` for ``roof_sum_on_word`` and the UNI tables), and
 cyclic words read them from the wrap domain, the target of their first
-symbol (the census, ``orbits._cyclic_affine``, fixed points).  Strings
+symbol (``orbits._cyclic_points``, every fixed point of a cyclic word,
+and the census's walk around each orbit).  Strings
 become rows (``_encode_words``) only where those, ``_roof_sums`` and
 ``word_admissible`` take them, and rows become strings
 (``_decode_words``) only in orbit tables, bump records, refinement

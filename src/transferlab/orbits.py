@@ -13,9 +13,10 @@ flow correlation functions by seeded Monte Carlo on the suspension.
 The orbit set is one record array, a row per primitive orbit with columns
 word, n and period (see enumerate_periodic_orbits).  Each orbit is named
 by its Lyndon word, the least of its rotations; the census grows only
-prefixes of Lyndon words, settles one fixed point per orbit by
-contraction iteration, and reaches the other points of the orbit by one
-inverse branch each, so it never builds the rotations of a word.
+prefixes of Lyndon words, settles one fixed point per orbit, and reaches
+the other points of the orbit by one inverse branch each, so it never
+builds the rotations of a word.  _cyclic_points is the one fixed-point
+routine, for the census and cyclic_fixed_points alike.
 
 The entropy is the root Brent's method finds in a bracket where the
 pressure changes sign, by a loop that evaluates the pressure at the
@@ -124,11 +125,11 @@ def necklace_counts(model: MarkovModel, n_max: int) -> tuple[int, ...]:
 # orbit enumeration
 # ---------------------------------------------------------------------------
 
-def _settle(step, y: np.ndarray, *cols) -> np.ndarray:
-    """FIXED_POINT_ITERATIONS rounds of y <- step(y, *cols), elementwise.
+def _settle(y: np.ndarray, contr: np.ndarray, off: np.ndarray) -> np.ndarray:
+    """FIXED_POINT_ITERATIONS rounds of y <- contr * y + off, elementwise.
 
     An element whose bits a round leaves unchanged drops out: the round is
-    a function of those bits and of the element's own rows of cols, so
+    a function of those bits and of the element's own contr and off, so
     every later round would leave it unchanged too, and the result equals
     the full iteration bit for bit.  Stopping the whole array at once
     would not help: the point of a word of zeros shrinks towards 0 every
@@ -140,61 +141,38 @@ def _settle(step, y: np.ndarray, *cols) -> np.ndarray:
     for _ in range(FIXED_POINT_ITERATIONS):
         if not live.size:
             break
-        nxt = step(cur, *cols)
+        nxt = contr * cur + off
         moved = nxt.view(np.uint64) != cur.view(np.uint64)
         if not moved.all():
             y[live] = nxt
             live, nxt = live[moved], nxt[moved]
-            cols = tuple(c[moved] for c in cols)
+            contr, off = contr[moved], off[moved]
         cur = nxt
     y[live] = cur
     return y
 
 
-def _affine_step(y, contr, off):
-    return contr * y + off
-
-
-def _cyclic_affine(model: MarkovModel, words: np.ndarray):
-    """Composite inverse-branch coefficients (contraction, offset) per
-    cyclic uint8 row, and the left endpoint of the interval holding its
-    fixed point: the wrap, its first symbol's target."""
-    wrap = model.symbol_target[words[:, 0]]
-    contr = np.ones(words.shape[0])
-    off = np.zeros(words.shape[0])
-    for s, b_off in _word_steps(model, words, wrap):
+def _cyclic_points(model: MarkovModel, rows: np.ndarray) -> np.ndarray:
+    """Fixed points of cyclic uint8 rows: each row's composite inverse
+    branch y -> contr * y + off, walked once from the wrap domain (its
+    first symbol's target, which holds the fixed point), settled from the
+    middle of that interval.  No domain is read back from a point, so a
+    fixed point on an interval's right end is found like any other."""
+    wrap = model.symbol_target[rows[:, 0]]
+    contr = np.ones(rows.shape[0])
+    off = np.zeros(rows.shape[0])
+    for s, b_off in _word_steps(model, rows, wrap):
         contr /= s
         off = off / s + b_off
-    return contr, off, model.lefts[wrap]
+    return _settle(model.lefts[wrap] + 0.5, contr, off)
 
 
 def cyclic_fixed_points(model: MarkovModel, words) -> np.ndarray:
-    """Fixed points of equal-length cyclic words by contraction iteration.
-
-    Each round walks all words at once as apply_word walks one, from the
-    domain interval of the current point (model.interval_index): a point
-    on a slice seam raises the same error as there, and the result equals
-    FIXED_POINT_ITERATIONS apply_word rounds bit for bit.  Only the first
-    step's domain follows the point, so each round takes only that step
-    from _word_steps, which checks its branch; the other steps are read
-    once, from the wrap domain, where every point starts.
-    """
+    """Fixed points of equal-length cyclic str words (_cyclic_points)."""
     rows = _encode_words(model, words)
     if not rows.size or (rows == NO_SYMBOL).any():
         raise ModelError("cyclic words must be nonempty, over the alphabet")
-    start = model.symbol_target[rows[:, 0]]
-    slope, offset = map(np.array, zip(*_word_steps(model, rows, start)))
-
-    def apply_words(y, last, slope, offset):
-        s, off = next(_word_steps(model, last[:, None],
-                                  model.interval_index(y)))
-        y = y / s + off
-        for s_i, off_i in zip(slope.T, offset.T):
-            y = y / s_i + off_i
-        return y
-
-    return _settle(apply_words, model.lefts[start] + 0.5, rows[:, -1],
-                   slope[1:].T, offset[1:].T)
+    return _cyclic_points(model, rows)
 
 
 def orbit_fixed_point(model: MarkovModel, word: str) -> float:
@@ -222,8 +200,9 @@ def enumerate_periodic_orbits(model: MarkovModel, n_max: int) -> np.recarray:
     length of the longest Lyndon prefix, which stays p when a_n == a_{n-p}
     and becomes n otherwise.  The rows with p == n and an allowed wrap
     a_n -> a_1 are the level's table words.  Only their fixed points are
-    iterated; the other n - 1 orbit points follow backwards around the
-    cycle, one inverse branch each, from the last symbol to the second.
+    settled (_cyclic_points); the other n - 1 orbit points follow
+    backwards around the cycle, one inverse branch each, from the last
+    symbol to the second.
     A period sums the roof in that order: the word's fixed point first,
     then each point as the walk reaches it.
     """
@@ -250,8 +229,7 @@ def enumerate_periodic_orbits(model: MarkovModel, n_max: int) -> np.recarray:
             p = np.where(sym == ref[parent], p[parent], n)
             words = np.concatenate((words[parent], sym[:, None]), axis=1)
         lyndon = words[(p == n) & allowed[words[:, -1], words[:, 0]]]
-        contr, off, lefts = _cyclic_affine(model, lyndon)
-        y = _settle(_affine_step, lefts + 0.5, contr, off)
+        y = _cyclic_points(model, lyndon)
         rows = table[sum(counts[:n - 1]):sum(counts[:n])]
         rows.period = model.roof(y)
         for s, b_off in itertools.islice(_word_steps(

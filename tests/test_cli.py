@@ -158,7 +158,7 @@ GOLDEN_SHA256 = {
     "counting.csv":
         "d6d4ee332384bba6f054400436477307761c839ff6eb2f4e9477ac0975c0c540",
     "invariants.csv":
-        "448dbde2e5dae9763558b73a208615f25e9a36f13a82eb5f78f757178c4fd09f",
+        "9cbc9feced68d42b0a97e11895b68afd63d497059d8a6276d3cd2e1a68d8346c",
 }
 
 DOLGOPYAT_MODEL = """family = markov3
@@ -528,17 +528,24 @@ def test_invariants_green_on_doubling(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("forbidden", ("1>2", "2>2"))
-def test_invariants_on_a_seam_model_exit_1(tmp_path, capsys, forbidden):
-    # a known debt: a fixed point on a slice seam stops the rotation
-    # check with the ModelError of the word walk; settling all rotations
-    # at once must neither mask it nor change it
+def test_invariants_on_seam_models(tmp_path, capsys, forbidden):
+    # fixed points settle from their wrap domain, so no rotation check
+    # stops on a seam.  With 1>2 forbidden the word 1's fixed point is
+    # exactly 2.0, the right end of U_1, which forward reads as a point of
+    # U_2: a true seam orbit, whose return residual fails (exit 2) until
+    # the seam rule is decided.  With 2>2 every check passes.
     model = tmp_path / "seam.txt"
     model.write_text(f"family = markov3\nforbidden = {forbidden}\n"
                      "grid_size = 256\n")
     out = str(tmp_path / "run")
-    assert cli.main(["invariants", "--model", str(model), "--out", out]) == 1
-    assert capsys.readouterr().err == (
-        f"transferlab: error: no branch '{forbidden[0]}' with domain '2'\n")
+    code = cli.main(["invariants", "--model", str(model), "--out", out])
+    _, rows = read_csv(os.path.join(out, "invariants.csv"))
+    failed = {r[0]: float(r[1]) for r in rows if r[3] == "fail"}
+    if forbidden == "1>2":
+        assert (code, failed) == (2, {"orbit_return_residual": 2.0})
+    else:
+        assert (code, failed) == (0, {})
+        assert "10/10 pass" in capsys.readouterr().out
 
 
 def test_invariant_failure_exits_2(tmp_path, monkeypatch, capsys):

@@ -23,9 +23,14 @@ tolerances are stated below.
 * ``locate`` against a linear scan of the atoms.
 * ``_best_margin`` against window minima taken one window at a time.
 * Periodic orbits: ``cyclic_fixed_points`` and ``orbit_fixed_point``
-  against FIXED_POINT_ITERATIONS scalar ``apply_word`` rounds, and one
-  call over the rotation lists joined against a call per list, seam
-  errors included; the
+  against the exact fixed point off / (1 - contr) of each word's
+  composite branch in ``fractions.Fraction``, within FIXED_POINT_TOL, on
+  every cyclic word n <= 6 of ``doubling`` and of ``markov3`` with no and
+  with each single forbidden transition, seams included; against
+  FIXED_POINT_ITERATIONS scalar ``apply_word`` rounds within the same
+  tolerance wherever that loop, which re-reads each point's interval,
+  does not stop on a seam; one call over the rotation lists joined
+  against a call per list; the
   early-exit affine iteration against the same number of full steps; the
   shared word decoder against ``divmod``, rows of different depths
   included, and the encoder as its inverse; the shared word grower, on
@@ -167,6 +172,7 @@ import os
 import tempfile
 from collections import namedtuple
 from dataclasses import dataclass, replace
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -190,8 +196,9 @@ from transferlab.markov import CoefFn, ModelConfig, ModelError, build_model
 PROPS = settings(max_examples=25, deadline=None)
 
 _FORBIDDEN = ((), ("0>1",), ("2>0",), ("1>1",))
-# every single forbidden transition; 1>2 and 2>2 put fixed points on a
-# slice seam
+# every single forbidden transition; 1>2 and 2>2 put fixed points on
+# (or an ulp below) the right end of an interval, which apply_word and
+# forward read as a point of the next one
 _ANY_FORBIDDEN = ((),) + tuple((f"{a}>{b}",) for a in "012" for b in "012")
 
 
@@ -694,40 +701,79 @@ def _reference_fixed_point(model, word):
     return y
 
 
+# absolute; the worst gap to the exact fixed point over every cyclic word
+# n <= 6 of the closed-form models below was 4.8e-16 (one ulp at 2.0 is
+# 4.4e-16), and the apply_word loop's, off seams, 3.3e-16
+FIXED_POINT_TOL = 1e-15
+
+
+def _exact_fixed_point(model, word):
+    """off / (1 - contr) of the word's composite inverse branch in exact
+    rationals, composed right to left from the wrap domain, the target
+    of its first symbol."""
+    syms = [model.alphabet.index(c) for c in word]
+    dom = model.symbol_target[syms[0]]
+    contr, off = Fraction(1), Fraction(0)
+    for a in reversed(syms):
+        s = Fraction(model.branch_slope[a, dom])
+        contr /= s
+        off = off / s + Fraction(model.branch_offset[a, dom])
+        dom = model.symbol_target[a]
+    return off / (1 - contr)
+
+
+def _fixed_point_gap(model, word, x):
+    return abs(Fraction(float(x)) - _exact_fixed_point(model, word))
+
+
+@pytest.mark.parametrize("family, forbidden",
+                         [("doubling", ())] + [("markov3", f)
+                                               for f in _ANY_FORBIDDEN],
+                         ids=lambda f: (f[0] if f else "none")
+                         if isinstance(f, tuple) else f)
+def test_fixed_points_match_closed_form(family, forbidden):
+    model = build_model(ModelConfig(family, forbidden=forbidden))
+    for n in range(1, 7):
+        words = _cyclic_words(model, n)
+        for w, x in zip(words, O.cyclic_fixed_points(model, words)):
+            assert _fixed_point_gap(model, w, x) <= FIXED_POINT_TOL
+
+
 @PROPS
 @given(model=models(_ANY_FORBIDDEN), n=st.integers(1, 5), data=st.data())
 def test_fixed_point_kernel_matches_apply_word_loop(model, n, data):
+    # the closed form against the exact fixed point, and the apply_word
+    # loop within the same tolerance wherever it does not stop: it
+    # re-reads each point's interval, so it stops only on a fixed point
+    # at an interval's right end
     words = data.draw(st.lists(st.sampled_from(_cyclic_words(model, n)),
                                min_size=1, max_size=8))
-    ref, errors = [], []
-    for w in words:
+    got = O.cyclic_fixed_points(model, words)
+    for w, x in zip(words, got):
+        assert _bits(O.orbit_fixed_point(model, w)) == _bits(x)
+        assert _fixed_point_gap(model, w, x) <= FIXED_POINT_TOL
         try:
-            ref.append(_reference_fixed_point(model, w))
-        except ModelError as exc:          # a fixed point on a slice seam
-            errors.append(str(exc))
-            with pytest.raises(ModelError) as got:
-                O.orbit_fixed_point(model, w)
-            assert str(got.value) == str(exc)
+            ref = _reference_fixed_point(model, w)
+        except ModelError:
+            wrap = model.symbol_target[model.alphabet.index(w[0])]
+            assert abs(model.lefts[wrap] + 1.0 - x) <= FIXED_POINT_TOL
         else:
-            assert _bits(O.orbit_fixed_point(model, w)) == _bits(ref[-1])
-    if errors:
-        with pytest.raises(ModelError) as got:
-            O.cyclic_fixed_points(model, words)
-        assert str(got.value) in errors
-    else:
-        assert _bits(O.cyclic_fixed_points(model, words)) == _bits(ref)
+            assert abs(ref - x) <= FIXED_POINT_TOL
 
 
 def test_fixed_point_kernel_on_slice_seams():
-    # 1>2 forbidden: the word 1 converges to 2.0, which the next round
-    # reads as a point of U_2, where branch 1 has no instance
+    # 1>2 forbidden: the word 1's fixed point is exactly 2.0, the right
+    # end of U_1, which the apply_word loop reads as a point of U_2,
+    # where branch 1 has no instance; the closed form never reads it back
     seam = build_model(ModelConfig("markov3", forbidden=("1>2",)))
     with pytest.raises(ModelError, match="no branch '1' with domain '2'"):
-        O.orbit_fixed_point(seam, "1")
-    with pytest.raises(ModelError, match="no branch '1' with domain '2'"):
-        O.cyclic_fixed_points(seam, ["0", "1"])
-    # 2>2 forbidden: the word 21 sits on the right end of the leaf
+        _reference_fixed_point(seam, "1")
+    assert O.orbit_fixed_point(seam, "1") == 2.0
+    assert O.cyclic_fixed_points(seam, ["0", "1"])[1] == 2.0
+    # 2>2 forbidden: the word 12 lands an ulp inside U_1, and 21 on the
+    # right end of the leaf
     end = build_model(ModelConfig("markov3", forbidden=("2>2",)))
+    assert end.interval_index(O.orbit_fixed_point(end, "12")) == 1
     assert O.orbit_fixed_point(end, "21") == 3.0
     with pytest.raises(ModelError, match="one length"):
         O.cyclic_fixed_points(end, ["21", "112"])
@@ -760,15 +806,25 @@ def test_joined_word_lists_settle_as_each_list(model, n):
                 == _bits(np.concatenate(each)))
 
 
+def _composite(model, rows):
+    """(contr, off) of each cyclic row's composite inverse branch, walked
+    from the wrap domain, and that domain's left end."""
+    wrap = model.symbol_target[rows[:, 0]]
+    contr, off = np.ones(len(rows)), np.zeros(len(rows))
+    for s, b_off in M._word_steps(model, rows, wrap):
+        contr, off = contr / s, off / s + b_off
+    return contr, off, model.lefts[wrap]
+
+
 @PROPS
 @given(model=models(_ANY_FORBIDDEN), n=st.integers(1, 6))
 def test_settled_affine_iteration_matches_full_loop(model, n):
     rows = M._encode_words(model, _cyclic_words(model, n))
-    contr, off, lefts = O._cyclic_affine(model, rows)
+    contr, off, lefts = _composite(model, rows)
     ref = lefts + 0.5
     for _ in range(O.FIXED_POINT_ITERATIONS):
         ref = contr * ref + off
-    got = O._settle(O._affine_step, lefts + 0.5, contr, off)
+    got = O._cyclic_points(model, rows)
     assert _bits(got) == _bits(ref)
 
 
@@ -782,7 +838,7 @@ def test_settled_iteration_matches_full_loop_on_any_contraction(maps):
     ref = y0.copy()
     for _ in range(O.FIXED_POINT_ITERATIONS):
         ref = contr * ref + off
-    got = O._settle(O._affine_step, y0, contr, off)
+    got = O._settle(y0, contr, off)
     assert _bits(got) == _bits(ref)
     assert got[0] == 0.5 ** (O.FIXED_POINT_ITERATIONS + 1)
 
@@ -949,7 +1005,7 @@ def test_orbit_table_matches_brute_force(forbidden, n_max, data):
 
 def _reference_orbit_table(model, n_max):
     """(words, lengths, periods) from every cyclic word of each length:
-    each row's fixed point settled on its own (_cyclic_affine, _settle)
+    each row's fixed point settled on its own (_cyclic_points)
     and the roof summed per class with np.bincount over the rows, last
     symbol most significant, as the census summed its periods before it
     walked each orbit from one fixed point."""
@@ -962,8 +1018,7 @@ def _reference_orbit_table(model, n_max):
         rows = rows[trans[rows, np.roll(rows, -1, axis=1)].all(axis=1)]
         if not rows.size:
             continue
-        contr, off, lefts = O._cyclic_affine(model, rows)
-        tau = model.roof(O._settle(O._affine_step, lefts + 0.5, contr, off))
+        tau = model.roof(O._cyclic_points(model, rows))
         rots = [[tuple(r[i:]) + tuple(r[:i]) for i in range(n)]
                 for r in rows.tolist()]
         least = sorted({min(rot) for rot in rots if len(set(rot)) == n})
