@@ -23,14 +23,22 @@ weighted point masses on grid cells.
 Every operator, real or with a phase exp(i b tau), is fused: the weights
 at the table's entries, split over their two interpolation cells, are the
 data of one sparse matrix in the table's entry order, and an application
-is one product (the adjoint, one product with the transpose).  The
-arithmetic order of an application therefore lives in the table alone.
+is one product (the adjoint, one product with the transpose).  The matrix
+keeps only the cells whose interpolation weight is not exactly 0, decided
+from the fractions alone: a preimage on a grid node has no upper slot,
+one clamped at a right end no lower slot.  A dropped slot only added an
+exact +-0 to a sum that starts at +0, so every application has the bits
+of the two-slot layout, except that a non-finite value read only with
+weight 0 leaves its row finite.  The arithmetic order of an application
+therefore lives in the table alone.  A recipe's real slot weights are
+computed once and reused while the same recipe object keeps building the
+model's operators, as the phases of one tilt do.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.sparse import csr_array
@@ -52,23 +60,34 @@ _BLOCK_ROWS = 1 << 13   # samples per operator fill step, a cache-sized block
 @dataclass(frozen=True)
 class StencilTable:
     """Interpolation data of a model's operators, one entry per (sample z,
-    inverse branch v) in the CSR order of their matrices: rows (samples) by
-    interval and node, each row's branches in symbol order.  Entry e is
-    matrix entries 2e and 2e + 1, the lower and the upper cell of v z."""
+    inverse branch v): rows (samples) by interval and node, each row's
+    branches in symbol order.  Entry e reads the lower cell of v z with
+    weight 1 - frac and the upper with weight frac; each weight that is not
+    exactly 0 is one matrix slot, lower before upper, in CSR order."""
 
     y: np.ndarray          # preimage v(z)
-    cell: np.ndarray       # flat index of the lower sample of y (intp)
-    frac: np.ndarray       # interpolation fraction in [0, 1)
+    cell: np.ndarray       # flat index of the lower sample of y (int32)
+    frac: np.ndarray       # interpolation fraction in [0, 1]
     roof: np.ndarray       # the roof at y
     potential: np.ndarray  # the model potential at y
-    indptr: np.ndarray     # CSR row pointers (int32)
-    indices: np.ndarray    # CSR columns: cell, cell + 1 per entry (int32)
+    width: np.ndarray      # slots of each entry, 1 or 2 (uint8)
+    starts: np.ndarray     # entry row pointers (int32)
+    indptr: np.ndarray     # CSR row pointers of the slots (int32)
+    indices: np.ndarray    # CSR column of each slot (int32)
+    # [recipe, its read-only slot weights] of the last recipe to build an
+    # operator from the table, or empty
+    memo: list = field(default_factory=list, repr=False, compare=False)
 
     def entries(self, rows: slice) -> tuple[slice, np.ndarray]:
         """The entries of a range of samples, and how many each has."""
-        start, stop, _ = rows.indices(self.indptr.size - 1)
-        ptr = self.indptr[start:stop + 1] // 2
+        start, stop, _ = rows.indices(self.starts.size - 1)
+        ptr = self.starts[start:stop + 1]
         return slice(ptr[0], ptr[-1]), np.diff(ptr)
+
+    def slots(self, rows: slice) -> slice:
+        """The matrix slots of a range of samples."""
+        start, stop, _ = rows.indices(self.indptr.size - 1)
+        return slice(self.indptr[start], self.indptr[stop])
 
 
 _stencil_cache: dict = {}     # config -> StencilTable
@@ -84,8 +103,7 @@ def _stencil_table(model: MarkovModel) -> StencilTable:
     live = ~np.isnan(model.branch_slope)       # (symbol, interval)
     degree = live.sum(axis=0)                  # branches per interval
     y, frac, roof, potential = (np.empty(n1 * degree.sum()) for _ in range(4))
-    cell = np.empty(y.size, np.intp)
-    pair = np.empty((y.size, 2), np.int32)     # the CSR columns by entry
+    cell = np.empty(y.size, np.int32)
     start = 0
     # branch by branch, so no temporary outgrows a grid row
     for k, xs in enumerate(model.nodes()):
@@ -96,11 +114,14 @@ def _stencil_table(model: MarkovModel) -> StencilTable:
             j, frac[at] = _cell((yb - model.lefts[t]) * n, n)
             y[at], cell[at] = yb, t * n1 + j
             roof[at], potential[at] = model.roof(yb), model.potential(yb)
-            pair[at, 0], pair[at, 1] = cell[at], cell[at] + 1
         start += n1 * degree[k]
-    indptr = np.concatenate(([0], np.cumsum(np.repeat(2 * degree, n1))))
-    table = StencilTable(y, cell, frac, roof, potential,
-                         indptr.astype(np.int32), pair.ravel())
+    kept = _kept(frac)
+    width = kept.sum(axis=1).astype(np.uint8)
+    starts = np.concatenate(([0], np.cumsum(np.repeat(degree, n1))))
+    indptr = np.concatenate(([0], np.cumsum(width)))[starts]
+    table = StencilTable(y, cell, frac, roof, potential, width,
+                         starts.astype(np.int32), indptr.astype(np.int32),
+                         np.stack((cell, cell + 1), axis=1)[kept])
     _stencil_cache[key] = table
     return table
 
@@ -111,6 +132,12 @@ def _cell(local: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     local = np.clip(local, 0.0, float(n))
     j = np.minimum(local.astype(int), n - 1)
     return j, local - j
+
+
+def _kept(frac: np.ndarray) -> np.ndarray:
+    """(entries, 2): where the lower and the upper interpolation weights,
+    1 - frac and frac, are not exactly 0, that is, the matrix slots."""
+    return np.stack((frac != 1.0, frac != 0.0), axis=1)
 
 
 def _lerp(lo: np.ndarray, hi: np.ndarray, frac: np.ndarray) -> np.ndarray:
@@ -182,7 +209,8 @@ class WeightRecipe:
     the grid at z.  The eigenfunction correction then cancels against
     the eigensolver's own interpolation sample-for-sample, so normalized
     fiber sums inherit the solver residual instead of an interpolation
-    bias.
+    bias.  A recipe makes its grid and eigenfunction arrays read-only,
+    since its weights are kept while it keeps building operators.
     """
 
     potential: bool = False
@@ -190,6 +218,10 @@ class WeightRecipe:
     grids: tuple = ()
     const: float = 0.0
     rhos: tuple = ()
+
+    def __post_init__(self):
+        for values in self.grids + self.rhos:
+            values.flags.writeable = False
 
     def plus(self, *, tilt=0.0, const=0.0, rho=None) -> "WeightRecipe":
         rhos = self.rhos if rho is None else self.rhos + (rho,)
@@ -245,7 +277,9 @@ class TransferOperator:
     model's stencil table order), so an application is ``matrix @ u`` and
     the adjoint ``matrix.T @ w``, real or complex alike.  ``stencils`` is
     the one-tuple (table,), since the benchmark counts an application's
-    interpolation points as the sum of ``y.size`` over ``stencils``."""
+    interpolation points as the sum of ``y.size`` over ``stencils``.  The
+    matrix holds the table's slots, two per point less one for each point
+    on a grid node or clamped at a right end."""
 
     model: MarkovModel
     stencils: tuple[StencilTable]
@@ -265,28 +299,47 @@ class TransferOperator:
         return (self.matrix.T @ w.reshape(-1)).reshape(w.shape)
 
 
+def _slot_weights(table: StencilTable, recipe: WeightRecipe) -> np.ndarray:
+    """The recipe's real weight at every slot of the table's matrix, read
+    only.  The table's memo keeps the last recipe object (a strong
+    reference, compared with ``is``) and its weights, so a recipe that
+    keeps building operators computes them once."""
+    if table.memo and table.memo[0] is recipe:
+        return table.memo[1]
+    table.memo.clear()                  # free the old weights before the new
+    weight = np.empty(table.indices.size)
+    for start in range(0, table.indptr.size - 1, _BLOCK_ROWS):
+        rows = slice(start, start + _BLOCK_ROWS)
+        block, _ = table.entries(rows)
+        amp = np.repeat(recipe.at_entries(table, rows), table.width[block])
+        frac = table.frac[block]
+        sides = np.stack((1.0 - frac, frac), axis=1)[_kept(frac)]
+        np.multiply(amp, sides, out=weight[table.slots(rows)])
+    weight.flags.writeable = False
+    table.memo[:] = (recipe, weight)
+    return weight
+
+
 def make_operator(model: MarkovModel, recipe: WeightRecipe,
                   phase: float = 0.0) -> TransferOperator:
     """Build L with the recipe's real weight and optional phase exp(i b tau),
     the roof entering the phase unsmoothed and in closed form, as one
-    matrix: real without a phase, complex with one."""
+    matrix: real without a phase (its data the read-only slot weights),
+    complex with one."""
     table = _stencil_table(model)
-    data = np.empty(table.indices.size, dtype=complex if phase else float)
-    cells = data.reshape(-1, 2)       # (lower, upper) cell of each entry
-    for start in range(0, table.indptr.size - 1, _BLOCK_ROWS):
-        rows = slice(start, start + _BLOCK_ROWS)
-        amp = recipe.at_entries(table, rows)
-        block, _ = table.entries(rows)
-        frac, cell = table.frac[block], cells[block]
-        sides = (amp * (1.0 - frac), amp * frac)
-        if not phase:
-            cell[:, 0], cell[:, 1] = sides
-            continue
-        arg = phase * table.roof[block]
-        cos, sin = np.cos(arg), np.sin(arg)
-        for side, w in enumerate(sides):
-            np.multiply(w, cos, out=cell[:, side].real)
-            np.multiply(w, sin, out=cell[:, side].imag)
+    data = weight = _slot_weights(table, recipe)
+    if phase:
+        data = np.empty(weight.size, dtype=complex)
+        for start in range(0, table.indptr.size - 1, _BLOCK_ROWS):
+            rows = slice(start, start + _BLOCK_ROWS)
+            block, _ = table.entries(rows)
+            slots = table.slots(rows)
+            arg = phase * table.roof[block]
+            width = table.width[block]
+            np.multiply(weight[slots], np.repeat(np.cos(arg), width),
+                        out=data.real[slots])
+            np.multiply(weight[slots], np.repeat(np.sin(arg), width),
+                        out=data.imag[slots])
     size = len(model.intervals) * (model.grid_size + 1)
     matrix = csr_array((data, table.indices, table.indptr), shape=(size, size))
     return TransferOperator(model, (table,), matrix)

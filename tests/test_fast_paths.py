@@ -30,7 +30,8 @@ tolerances are stated below.
   FIXED_POINT_ITERATIONS scalar ``apply_word`` rounds within the same
   tolerance wherever that loop, which re-reads each point's interval,
   does not stop on a seam; one call over the rotation lists joined
-  against a call per list; the
+  against a call per list, and a word that is not cyclically admissible
+  joined in raising the error it raises alone; the
   early-exit affine iteration against the same number of full steps; the
   shared word decoder against ``divmod``, rows of different depths
   included, and the encoder as its inverse; the shared word grower, on
@@ -48,8 +49,14 @@ tolerances are stated below.
   against a fresh enumeration.  Fixed points compare by their bits.
 * Operators: the stencil table (one entry per grid node and branch, in
   CSR order) against ``_old_*`` copies of the per-branch stencils, their
-  gather and the index pattern with its slot map, every column and
-  index bit for bit; ``make_operator``, real and with a phase, against
+  gather and the index pattern with its slot map, less the slots whose
+  interpolation weight is exactly 0, every column and index bit for bit,
+  and that rule on fractions the built-in families never produce;
+  every matrix, real and with a phase, against the full two-slot layout
+  after ``eliminate_zeros``, and its products and transposed products on
+  real and complex fields with signed zeros, bit for bit; the weight memo
+  (R1, R2, R1 with phases, then R1 real) against builds with every cache
+  cleared; ``make_operator``, real and with a phase, against
   the per-stencil gather loop over those copies (with the old
   ``coef_at_stencil`` and ``out_factor`` readers), and the real adjoint
   against the bincount push-forward, each within a relative 1e-13 of
@@ -130,7 +137,8 @@ tolerances are stated below.
 * Weight recipes as data, bit for bit, against a copy of the closure
   recipes (callables, (array, power) factors) and the ``make_operator``
   they fed: stencil coefficients, out factors, grid samples, matrix data
-  and applied operators, with and without a phase, of the ``base_system``,
+  (against the closure matrix without its exact zeros) and applied
+  operators, with and without a phase, of the ``base_system``,
   ``normalize_potential``, ``build_rpf`` and pressure recipes, each
   rebuilt with its eigendata on the closure path; ``entropy``'s
   reference pressure stays on that path too.  After one warm-up
@@ -770,6 +778,8 @@ def test_fixed_point_kernel_on_slice_seams():
         _reference_fixed_point(seam, "1")
     assert O.orbit_fixed_point(seam, "1") == 2.0
     assert O.cyclic_fixed_points(seam, ["0", "1"])[1] == 2.0
+    with pytest.raises(ModelError, match="no branch '1' with domain '2'"):
+        O.cyclic_fixed_points(seam, ["00", "12", "01"])
     # 2>2 forbidden: the word 12 lands an ulp inside U_1, and 21 on the
     # right end of the leaf
     end = build_model(ModelConfig("markov3", forbidden=("2>2",)))
@@ -782,28 +792,31 @@ def test_fixed_point_kernel_on_slice_seams():
 
 
 @PROPS
-@given(model=models(_ANY_FORBIDDEN), n=st.integers(1, 5))
-def test_joined_word_lists_settle_as_each_list(model, n):
+@given(model=models(_ANY_FORBIDDEN), n=st.integers(1, 5), data=st.data())
+def test_joined_word_lists_settle_as_each_list(model, n, data):
     # the invariants check settles every rotation of the length-n words in
-    # one call; each point must keep the bits of its own list's call, and
-    # a seam error must be one a list's call raises
+    # one call; no admissible rotation raises, and each point keeps the
+    # bits of its own list's call
     words = _cyclic_words(model, n)
     assume(words)
     lists = [[w[r:] + w[:r] for w in words] for r in range(n)]
-    each, errors = [], []
-    for ws in lists:
-        try:
-            each.append(O.cyclic_fixed_points(model, ws))
-        except ModelError as exc:
-            errors.append(str(exc))
+    each = [O.cyclic_fixed_points(model, ws) for ws in lists]
     joined = [w for ws in lists for w in ws]
-    if errors:
+    assert (_bits(O.cyclic_fixed_points(model, joined))
+            == _bits(np.concatenate(each)))
+    # a word that is not cyclically admissible, joined in anywhere, raises
+    # the error it raises alone
+    bad = [w for w in map("".join, itertools.product(model.alphabet,
+                                                      repeat=n))
+           if not model.word_admissible(w + w[0])]
+    if bad:
+        word = data.draw(st.sampled_from(bad))
+        with pytest.raises(ModelError) as own:
+            O.cyclic_fixed_points(model, [word])
+        at = data.draw(st.integers(0, len(joined)))
         with pytest.raises(ModelError) as got:
-            O.cyclic_fixed_points(model, joined)
-        assert str(got.value) in errors
-    else:
-        assert (_bits(O.cyclic_fixed_points(model, joined))
-                == _bits(np.concatenate(each)))
+            O.cyclic_fixed_points(model, joined[:at] + [word] + joined[at:])
+        assert str(got.value) == str(own.value)
 
 
 def _composite(model, rows):
@@ -1152,19 +1165,37 @@ def _old_operator_pattern(model):
     return stencils, indptr, indices, tuple(slots)
 
 
+def _live_pattern(indptr, indices, frac):
+    """The old index pattern without its zero-weight slots: the slot pair
+    (2e, 2e + 1) of entry e weighs 1 - frac[e] and frac[e]."""
+    live = np.stack((1.0 - frac, frac), axis=1).ravel() != 0.0
+    return np.concatenate(([0], np.cumsum(live)))[indptr], indices[live]
+
+
+
+def test_kept_slots_are_the_nonzero_weights():
+    """A slot goes only when its weight, 1 - frac or frac, is exactly 0;
+    the built-in families' fractions are 0, 1, or at least 1/3, so this
+    pins the rule between them too."""
+    frac = np.array([0.0, 5e-324, 1e-3, 0.5, 1.0 - 2 ** -53, 1.0])
+    kept = T._kept(frac)
+    assert np.array_equal(kept, np.stack((1.0 - frac, frac), axis=1) != 0.0)
+    assert kept.sum(axis=1).tolist() == [1, 2, 2, 2, 2, 1]
+
 @PROPS
 @given(model=models(_ANY_FORBIDDEN))
 def test_stencil_table_matches_branch_stencils(model):
     """The stencil table holds the per-branch stencils' columns, bit for
-    bit, at the entries their slots named, and the same index pattern."""
+    bit, at the entries their slots named, and their index pattern without
+    the slots whose interpolation weight is exactly 0."""
     table = T._stencil_table(model)
     stencils, indptr, indices, slots = _old_operator_pattern(model)
     n1 = model.grid_size + 1
-    assert table.indptr.dtype == table.indices.dtype == np.int32
-    assert table.cell.dtype == np.intp
-    assert np.array_equal(table.indptr, indptr)
-    assert np.array_equal(table.indices, indices)
+    assert (table.indptr.dtype == table.indices.dtype == table.cell.dtype
+            == table.starts.dtype == np.int32)
+    assert np.array_equal(table.starts, indptr // 2)
     assert table.y.size == len(stencils) * n1 == indices.size // 2
+    frac = np.full(table.y.size, np.nan)
     for stc, (start, d, slot) in zip(stencils, slots):
         at = start // 2 + np.arange(n1) * d + slot
         assert np.array_equal(table.cell[at], stc.target_idx * n1 + stc.j)
@@ -1175,6 +1206,11 @@ def test_stencil_table_matches_branch_stencils(model):
             model.intervals), n1))
         assert (_bits(T.gather(values, table)[at])
                 == _bits(_old_gather(values, stc)))
+        frac[at] = stc.frac
+    live_indptr, live_indices = _live_pattern(indptr, indices, frac)
+    assert np.array_equal(table.indptr, live_indptr)
+    assert np.array_equal(table.indices, live_indices)
+    assert np.array_equal(table.width, 2 - (frac == 0.0) - (frac == 1.0))
 
 
 @pytest.mark.parametrize("family, forbidden", [
@@ -1186,14 +1222,18 @@ def test_operator_blocks_keep_the_bits(family, forbidden):
                                     (0.1, 0.0, 0.2, 0.1), grid_size=64,
                                     forbidden=forbidden))
     recipe = T.normalize_potential(model, 0.02).recipe.plus(tilt=0.01)
+    table = T._stencil_table(model)
     for phase in (0.0, 37.0):
         ref = T.make_operator(model, recipe, phase).matrix
         for rows in (1, 7, 65, 10 ** 6):
+            table.memo.clear()      # the weights are filled again too
             with mock.patch.object(T, "_BLOCK_ROWS", rows):
                 got = T.make_operator(model, recipe, phase).matrix
             assert _bits(got.data.view(float)) == _bits(ref.data.view(float))
-        counts = T._stencil_table(model).entries(slice(None))[1]
-        assert ref.nnz == 2 * counts.sum() and counts.size == ref.shape[0]
+        counts = table.entries(slice(None))[1]
+        hits = np.count_nonzero((table.frac == 0.0) | (table.frac == 1.0))
+        assert (ref.nnz == 2 * counts.sum() - hits
+                and counts.size == ref.shape[0])
 
 
 def _reference_apply(model, recipe, phase, u):
@@ -1254,8 +1294,11 @@ def test_fused_phase_operator_matches_gather_loop(model, a, b, normalized,
     for phase in (0.0, b):
         op = T.make_operator(model, recipe, phase=phase)
         assert op.matrix.dtype == (complex if phase else float)
-        assert (sum(stc.y.size for stc in op.stencils) == op.matrix.nnz // 2
-                == len(_old_branches(model)) * (model.grid_size + 1))
+        points = sum(stc.y.size for stc in op.stencils)
+        hits = sum(np.count_nonzero((stc.frac == 0.0) | (stc.frac == 1.0))
+                   for stc in _old_build_stencils(model))
+        assert points == len(_old_branches(model)) * (model.grid_size + 1)
+        assert op.matrix.nnz == 2 * points - hits
         for field in (u, u.real.copy()):
             got, ref = op(field), _reference_apply(model, recipe, phase,
                                                    field)
@@ -1299,6 +1342,96 @@ def test_real_operator_matches_gather_loop_bitwise(model, a, normalized, seed):
     for field in (u, u.real.copy()):
         got, ref = op(field), _cell_loop_apply(model, recipe, field)
         assert got.dtype == ref.dtype and np.array_equal(got, ref)
+
+
+def _full_layout_matrix(model, recipe, phase):
+    """make_operator's matrix as it was before the zero-weight slots went:
+    slots 2e and 2e + 1 for the lower and the upper cell of every entry e
+    of the old index pattern, whatever their weight."""
+    table = T._stencil_table(model)
+    _, indptr, indices, _ = _old_operator_pattern(model)
+    amp = recipe.at_entries(table, slice(None))
+    sides = np.stack((amp * (1.0 - table.frac), amp * table.frac), axis=1)
+    data = sides.ravel()
+    if phase:
+        arg = phase * table.roof
+        data = np.empty(data.size, dtype=complex)
+        data.real = (sides * np.cos(arg)[:, None]).ravel()
+        data.imag = (sides * np.sin(arg)[:, None]).ravel()
+    return csr_array((data, indices, indptr), shape=(indptr.size - 1,) * 2)
+
+
+def _field(model, seed, complex_):
+    """A random field with some signed zeros in it."""
+    u = _complex_field(model, seed)
+    u = u if complex_ else u.real.copy()
+    u.reshape(-1)[::7] = 0.0
+    u.reshape(-1)[3::11] = -0.0
+    return u
+
+
+@PROPS
+@given(model=models(_ANY_FORBIDDEN), a=st.floats(-0.04, 0.04),
+       b=st.floats(-4096.0, 4096.0), normalized=st.booleans(),
+       seed=st.integers(0, 2 ** 16))
+def test_live_slots_keep_the_full_layout_bits(model, a, b, normalized, seed):
+    """Each matrix is the full-layout matrix without its exact zeros, data,
+    indices and indptr bit for bit, and its products, forward and
+    transposed, on real and complex fields are the full layout's bits."""
+    assume(b != 0.0)
+    recipe = _recipe(model, a, normalized)
+    for phase in (0.0, b):
+        op = T.make_operator(model, recipe, phase)
+        full = _full_layout_matrix(model, recipe, phase)
+        for k, complex_ in enumerate((False, True)):
+            u = _field(model, seed + k, complex_)
+            flat = u.reshape(-1)
+            # the adjoint is defined for real operators only
+            back = (op.adjoint(u) if not phase
+                    else (op.matrix.T @ flat).reshape(u.shape))
+            for got, ref in ((op(u), full @ flat), (back, full.T @ flat)):
+                assert got.dtype == ref.dtype
+                assert (_bits(got.view(float))
+                        == _bits(ref.reshape(u.shape).view(float)))
+        full.eliminate_zeros()
+        assert _bits(op.matrix.data.view(float)) == _bits(
+            full.data.view(float))
+        assert np.array_equal(op.matrix.indices, full.indices)
+        assert np.array_equal(op.matrix.indptr, full.indptr)
+
+
+@settings(max_examples=10, deadline=None)
+@given(model=models(_ANY_FORBIDDEN), a=st.floats(-0.04, 0.04),
+       bs=st.lists(st.floats(1.0, 4096.0), min_size=3, max_size=3))
+def test_weight_memo_never_serves_a_stale_recipe(model, a, bs):
+    """R1 at b1, R2 at b2, R1 at b3, then R1 real: each matrix holds the
+    bits of a build made with every cache cleared."""
+    r1 = T.normalize_potential(model, a).recipe
+    r2 = r1.plus(tilt=0.01)
+    builds = ((r1, bs[0]), (r2, bs[1]), (r1, bs[2]), (r1, 0.0))
+    fresh = []
+    with mock.patch.object(T, "_stencil_cache", {}):
+        for recipe, phase in builds:
+            T._stencil_cache.clear()
+            fresh.append(T.make_operator(model, recipe, phase).matrix)
+        T._stencil_cache.clear()
+        for (recipe, phase), ref in zip(builds, fresh):
+            got = T.make_operator(model, recipe, phase).matrix
+            assert T._stencil_table(model).memo[0] is recipe
+            assert _bits(got.data.view(float)) == _bits(ref.data.view(float))
+            assert np.array_equal(got.indices, ref.indices)
+            assert np.array_equal(got.indptr, ref.indptr)
+    assert not got.data.flags.writeable
+
+
+def test_recipe_arrays_are_read_only():
+    """The memo keeps a recipe's weights by object, so its grid and
+    eigenfunction arrays cannot change in place once it exists."""
+    grid, rho = np.zeros((2, 5)), np.ones((2, 5))
+    recipe = T.WeightRecipe(grids=(grid,)).plus(rho=rho)
+    for values in recipe.grids + recipe.rhos:
+        with pytest.raises(ValueError, match="read-only"):
+            values /= 2.0
 
 
 # ---------------------------------------------------------------------------
@@ -1477,14 +1610,17 @@ def test_data_recipes_match_closure_recipes_bitwise(model, a, b, s, phase_on,
         assert _bits(new.sample(model)) == _bits(old.sample(model)), name
         op, ref_op = (T.make_operator(model, new, phase),
                       _closure_operator(model, old, phase))
-        assert _bits(op.matrix.data.view(float)) == _bits(
-            ref_op.matrix.data.view(float)), name
-        assert np.array_equal(op.matrix.indices, ref_op.matrix.indices)
-        assert np.array_equal(op.matrix.indptr, ref_op.matrix.indptr)
         for field in (u, u.real.copy()):
             got, ref = op(field), ref_op(field)
             assert got.dtype == ref.dtype, name
             assert (_bits(got.view(float)) == _bits(ref.view(float))), name
+        # the closure path kept every slot; the package drops those whose
+        # interpolation weight is exactly 0
+        ref_op.matrix.eliminate_zeros()
+        assert _bits(op.matrix.data.view(float)) == _bits(
+            ref_op.matrix.data.view(float)), name
+        assert np.array_equal(op.matrix.indices, ref_op.matrix.indices)
+        assert np.array_equal(op.matrix.indptr, ref_op.matrix.indptr)
 
 
 def test_roof_and_potential_sampled_once_per_model(monkeypatch):

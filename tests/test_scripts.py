@@ -1,5 +1,6 @@
-"""Smoke tests of the runnable experiments in scripts/, and unit tests of
-the artifact comparison on tiny trees.
+"""Smoke tests of the runnable experiments in scripts/, unit tests of the
+artifact comparison on tiny trees, and of the benchmark pair summary on
+recorded numbers.
 
 Each experiment's main() runs in this process on small arguments; the
 test checks that it returns normally and prints its header line.  The scripts
@@ -135,3 +136,37 @@ def test_artifact_diff_compares_saved_results(tmp_path, capsys):
         "q001.npz: worst 2.220e-16 over 1 moved floats"
     assert diff.main([old, moved]) == 1
     assert "  result.n: 3 -> 4" in capsys.readouterr().out.splitlines()
+
+
+# wall_ref_s of ten alternated census pairs, parent then change, as a past
+# change recorded them (median 3.177 -> 3.168 s, lower in 5 of 10 pairs,
+# parent IQR 0.120 s)
+CENSUS_PAIRS = ((3.192, 3.195), (3.169, 2.986), (3.071, 3.043),
+                (3.292, 3.164), (3.185, 3.104), (3.151, 3.103),
+                (3.103, 3.173), (3.214, 3.299), (3.062, 3.185),
+                (3.218, 3.300))
+
+
+def test_bench_pairs_summary_of_recorded_pairs():
+    summarize = _load_script("bench_pairs.py").summarize
+    pairs = [({"wall_ref_s": a}, {"wall_ref_s": b}) for a, b in CENSUS_PAIRS]
+    none_failed = [(0, 0)] * 10
+    (row,) = summarize(pairs, {"wall_ref_s": "lower"}, none_failed)
+    assert row["metric"] == "wall_ref_s" and row["pairs"] == 10
+    assert row["parent"] == pytest.approx((3.095, 3.177, 3.215))
+    assert row["change"][1] == pytest.approx(3.1685)
+    assert row["wins"] == 5 and not row["claim"]
+    # 9 wins of 10 and a median gap wider than the parent's IQR claim a
+    # gain; a tie counts for neither side, and "higher" flips the sign
+    faster = [(a, b - 0.2) for a, b in CENSUS_PAIRS[:9]] + [(3.2, 3.2)]
+    pairs = [({"t": a, "r": -a}, {"t": b, "r": -b}) for a, b in faster]
+    rows = summarize(pairs, {"t": "lower", "r": "higher"}, none_failed)
+    assert [(r["wins"], r["claim"]) for r in rows] == [(9, True), (9, True)]
+    assert not summarize(pairs[:8] + pairs[-1:] * 2, {"t": "lower"},
+                         none_failed)[0]["claim"]
+    # a change that fails more queries in all claims nothing, however fast;
+    # as many failures as the parent, spread differently, still claim
+    more = none_failed[:9] + [(1, 2)]
+    assert not summarize(pairs, {"t": "lower"}, more)[0]["claim"]
+    same = none_failed[:8] + [(2, 0), (0, 2)]
+    assert summarize(pairs, {"t": "lower"}, same)[0]["claim"]

@@ -82,8 +82,10 @@ def test_pre_names_resolve(tracer):
 @pytest.mark.parametrize("family", ["doubling", "markov3"])
 def test_apply_points_count_the_stencil_table(tracer, family):
     """The benchmark's exact count ``thermo.apply.points`` adds, per
-    application, one point per (branch, grid node): half the stored
-    entries of the operator's matrix, real or with a phase."""
+    application, one point per (branch, grid node), real or with a phase.
+    The operator's matrix stores two slots per point, less one for each
+    point on a grid node (or clamped at a right end), whose other
+    interpolation weight is exactly 0."""
     from transferlab import thermo
     from transferlab.markov import ModelConfig, build_model
 
@@ -95,5 +97,8 @@ def test_apply_points_count_the_stencil_table(tracer, family):
                thermo.transfer_complex(model, 0.02, 40.0)):
         tr = tracer.Tracer()
         tracer._post_apply(tr, (op, u), {}, op(u), None)
-        assert (tr.counts["thermo.apply.points"] == op.matrix.nnz // 2
-                == branches * (model.grid_size + 1))
+        points = tr.counts["thermo.apply.points"]
+        (table,) = op.stencils
+        hits = np.count_nonzero((table.frac == 0.0) | (table.frac == 1.0))
+        assert points == branches * (model.grid_size + 1) == table.y.size
+        assert 0 < hits < points and op.matrix.nnz == 2 * points - hits
