@@ -17,6 +17,19 @@ every sampled point admits, for every phase on a reference grid, a
 subwindow of length kappa staying kappa away from that phase.  A model
 with an affine roof fails with margin exactly zero and the certificate
 says so instead of raising.
+
+The sample points are grid nodes, so their stopping index and value are
+read from the scale.  The margins of all profiles of a scan are read in
+one pass (_margins) that gives the full phase table's answer bit for bit
+without building the table: one candidate phase per profile is scanned
+exactly, and any candidate gives the same answer, since every other phase
+needs only a run test against the candidate's margin u, and a phase can
+fail it only where the profile comes within u of it.  The distances are
+read only in that band of phases around each profile value (within
+u + 1/2 phase step of it), where they take the full table's bits; a
+profile past BAND_MAX in modulus, where the computed distance need not
+track the true one, reads every phase.  Only the phases that fail their
+run test are scanned exactly.
 """
 
 from __future__ import annotations
@@ -36,6 +49,7 @@ THETA_CAP = 4096          # stopping-index iterations before giving up
 HORIZON_CAP = 10000
 UNI_S_POINTS = 256        # profile samples per chart window in uni_scan
 UNI_PHASES = 64           # reference phases of the uni_scan margin
+BAND_MAX = 2.0 ** 20      # |profile| up to which _band_failures reads a band
 TAME_KAPPA = 0.5          # pair-size exponent of the check_tame budget
 RECURRENCE_TRIALS = 1024  # Gibbs-drawn orbits of recurrence_rate
 RECURRENCE_KAPPAS = (0.05, 0.1, 0.2, 0.3, 0.5)   # visit rates it tests
@@ -341,9 +355,8 @@ def check_tame(model: MarkovModel, scale: ScaleFunction,
     """
     rows = []
     worst = 0.0
-    pts = _sample_points(model, samples)
-    thetas, values = _stopping_cocycle(model, [x for x, _ in pts], scale.eps)
-    for (x, r), k, lam in zip(pts, thetas.tolist(), values.tolist()):
+    for x, r, j in _sample_points(model, samples):
+        k, lam = int(scale.steps[r, j]), float(scale.values[r, j])
         s = np.arange(128) / 128
         side = _chart_sides(model, r, x, lam)[0]
         zs = x + side * s / lam
@@ -365,16 +378,18 @@ def check_tame(model: MarkovModel, scale: ScaleFunction,
     return TameReport(worst, tuple(rows))
 
 
-def _sample_points(model: MarkovModel, samples: int) -> list[tuple[float, int]]:
-    """Deterministic spread of interior grid nodes across intervals, each
-    with its interval index."""
+def _sample_points(model: MarkovModel,
+                   samples: int) -> list[tuple[float, int, int]]:
+    """Deterministic spread of interior grid nodes across intervals: each
+    x = nodes()[r, j] with its interval index r and node column j, so the
+    stopping index and value at x are a scale's steps[r, j], values[r, j]."""
     n = model.grid_size
     out = []
     for t in range(samples):
         r = t % len(model.intervals)
         j = (n * (2 * t + 3)) // (2 * samples + 4)
         j = min(max(j, 1), n - 1)
-        out.append((float(model.lefts[r] + j / n), r))
+        out.append((float(model.lefts[r] + j / n), r, j))
     return out
 
 
@@ -452,36 +467,107 @@ def _window_size(j: int, n_windows: int, n_s: int) -> int:
     return max(1, int(round(j / n_windows * n_s)))
 
 
-def _scan_row(d: np.ndarray, n_windows: int) -> tuple:
-    """Margin of one phase row d over the window sizes in turn, with its
-    witness (frac, lo, size, dist): the first size, and the first window
-    of it, that attain the margin.  The scan ends at the first size whose
-    best window margin m is at most the margin so far, or NaN (numpy's
-    argmax picks NaN first): larger sizes keep m or lower it, and a NaN
-    stays in a window of every size, so that row's margin is 0."""
-    best, wit = 0.0, (0.0, 0, 0, 0.0)
+def _scan_rows(d: np.ndarray, n_windows: int) -> tuple:
+    """Margin of each phase row of d (rows, points) over the window sizes
+    in turn, with its witness: arrays (margin, frac, lo, size, dist), the
+    first size and the first window of it that attain the margin.  A
+    row's scan ends at the first size whose best window margin m is at
+    most the row's margin so far, or NaN (numpy's argmax picks NaN first):
+    larger sizes keep m or lower it, and a NaN stays in a window of every
+    size, so that row's margin is 0 with the witness (0, 0, 0, 0)."""
+    n = len(d)
+    margin, frac, dist = np.zeros(n), np.zeros(n), np.zeros(n)
+    lo, size = np.zeros(n, dtype=int), np.zeros(n, dtype=int)
+    live = np.arange(n)
     win, width = d, 1
     for j in range(1, n_windows + 1):
-        size = _window_size(j, n_windows, d.size)
-        win, width = _window_min(win, width, size), size
-        pos = int(np.argmax(win))
-        m = float(win[pos])
-        if not m > best:
+        w = _window_size(j, n_windows, d.shape[1])
+        win, width = _window_min(win, width, w), w
+        pos = np.argmax(win, axis=1)
+        m = win[np.arange(len(live)), pos]
+        keep = m > margin[live]
+        live, win, pos, m = live[keep], win[keep], pos[keep], m[keep]
+        if not live.size:
             break
-        frac = j / n_windows
-        best, wit = min(frac, m), (frac, pos, size, m)
-    return best, wit
+        f = j / n_windows
+        margin[live], frac[live], dist[live] = np.minimum(f, m), f, m
+        lo[live], size[live] = pos, w
+    return margin, frac, lo, size, dist
 
 
-def _best_margin(dist: np.ndarray, n_windows: int) -> tuple[float, dict]:
-    """Largest min(window length, worst-phase window margin) over sizes.
+def _candidate_phases(psi: np.ndarray, n_phases: int) -> np.ndarray:
+    """Index of the phase 2 pi k / n_phases nearest the circular mean of
+    each (finite) profile row of psi: a guess at its weakest phase."""
+    mean = np.arctan2(np.sin(psi).sum(axis=1), np.cos(psi).sum(axis=1))
+    return np.rint(mean * (n_phases / TWO_PI)).astype(np.intp) % n_phases
 
-    dist has shape (phases, s points) and holds distances, >= 0 or NaN.
+
+def _band_failures(psi: np.ndarray, c: np.ndarray, u: np.ndarray,
+                   n_phases: int) -> tuple[np.ndarray, np.ndarray]:
+    """Where each finite profile row p of psi fails its run tests against
+    the phases omega_k = 2 pi k / n_phases, given its candidate phase
+    c[p] of margin u[p]: the phases k < c[p] need dist > u[p], those
+    k > c[p] dist >= u[p], dist the torus distance of psi[p, s] from
+    omega_k; c[p] itself is not tested.  Returns the failing (row, point)
+    pairs, row = p * n_phases + k, sorted by row and then by point.
+
+    Only a phase within u of psi[p, s] can fail there.  For |psi| <=
+    BAND_MAX the computed distance is within 1e-9 of the true one (the
+    rounding of psi - omega, and fmod by a 2 pi off by 2.5e-16 over fewer
+    than 2^18 turns), so those phases lie within u + 1/2 step of the
+    phase nearest psi[p, s], inside the band of half = int(u / step) + 1
+    phases on either side of it.  The distance is read only there, with
+    the elementwise formula of the full table and so with its bits.  A row
+    past BAND_MAX, or whose band would cover every phase, reads them all.
+    """
+    n_p, n_s = psi.shape
+    step = TWO_PI / n_phases
+    omegas = TWO_PI * np.arange(n_phases) / n_phases
+    k = np.arange(n_phases)
+    # dist <= thr fails: u before c, the float below u after it, never at c
+    thr = np.where(k < c[:, None], u[:, None],
+                   np.where(k > c[:, None], np.nextafter(u, -np.inf)[:, None],
+                            -np.inf))
+    half = (u / step).astype(int) + 1
+    half[(np.abs(psi).max(axis=1) > BAND_MAX)
+         | (2 * half + 1 >= n_phases)] = -1         # every phase
+    rows, points = [], []
+    for r in np.unique(half).tolist():
+        sel = np.flatnonzero(half == r)
+        p = psi[sel]
+        if r < 0:
+            width, base = n_phases, np.zeros((sel.size, n_s, 1), np.intp)
+        else:
+            width = 2 * r + 1
+            base = (np.rint(p / step).astype(np.intp) % n_phases)[:, :, None]
+        # band slot kx holds phase wrap[kx]: r phases either side of base
+        wrap = (np.arange(n_phases + width - 1) - max(r, 0)) % n_phases
+        kx = base + np.arange(width)
+        d = _torus_dist(p[:, :, None] - omegas[wrap].take(kx))
+        tab = thr[sel][:, wrap]
+        at = kx + (np.arange(sel.size) * tab.shape[1])[:, None, None]
+        fail = np.flatnonzero(d <= tab.take(at))
+        rows.append(sel[fail // (n_s * width)] * n_phases
+                    + wrap[kx.ravel()[fail]])
+        points.append(fail // width % n_s)
+    rows = np.concatenate(rows or [np.zeros(0, np.intp)])
+    points = np.concatenate(points or [np.zeros(0, np.intp)])
+    # a stable sort keeps each row's points in order (radix on 16 bits)
+    order = np.argsort(rows.astype(np.min_scalar_type(n_p * n_phases)),
+                       kind="stable")
+    return rows[order], points[order]
+
+
+def _margins(psi: np.ndarray, n_phases: int, n_windows: int) -> tuple:
+    """Largest min(window length, worst-phase window margin) over sizes,
+    for each profile row of psi against the phases 2 pi k / n_phases.
+
     For each phase and each tested length frac = j / n_windows the best
-    window is the one with the largest minimum m; the phase's margin is
-    the largest min(frac, m), or 0 if none is positive, and the weakest
-    phase, the first on a tie, decides.  Returns the margin and witness
-    data for that phase.
+    window is the one with the largest minimum m of the torus distance of
+    the profile from the phase; the phase's margin is the largest
+    min(frac, m), or 0 if none is positive, and the weakest phase, the
+    first on a tie, decides.  Returns arrays over the profiles: margin,
+    phase index and the witness (frac, lo, hi, dist) of that phase.
 
     The threshold fact: frac rises with j and m never does, so with k the
     first j where j / n_windows >= u, a phase's margin is >= u (u > 0)
@@ -489,36 +575,64 @@ def _best_margin(dist: np.ndarray, n_windows: int) -> tuple[float, dict]:
     it is > u exactly when dist > u holds on a run of size_k', k' the
     first j where j / n_windows > u (never when u >= 1).
 
-    The row of least distance sum is scanned exactly, giving u.  Every
-    other row takes one run test: rows before it must pass the strict one
-    and rows after it the non-strict one, which keeps argmin's first-index
-    tie rule.  A row that fails is scanned exactly and may become the
-    weakest.  A NaN in a row lies in a window of every size, so that row's
-    margin is 0; argmin takes the first NaN sum, so no row before the
-    candidate holds a NaN, and u = 0 passes every row after it.
+    One candidate phase c per profile is scanned exactly, all profiles'
+    candidates as one table, giving u.  Every other phase takes one run
+    test (see _band_failures), read from its sorted failing points: the
+    phases before c must pass the strict one and those after it the
+    non-strict one.  A phase that passes has a margin above u, or equal
+    to u but after c, so it cannot be the first weakest; the phases that
+    fail are scanned exactly, and the first of least margin among them
+    and c is the first weakest phase of the whole table, whichever c was
+    taken.  The guess (_candidate_phases) only saves rescans.  A
+    non-finite profile entry puts NaN on every phase, and a phase with a
+    NaN has margin 0 while it may still pass a run test, so such a
+    profile takes c = 0, whose margin 0 every later phase matches.
     """
-    n_om, n_s = dist.shape
-    c = int(np.argmin(dist.sum(axis=1)))
-    scans = {c: _scan_row(dist[c], n_windows)}
-    u = scans[c][0]
+    n_p, n_s = psi.shape
+    omegas = TWO_PI * np.arange(n_phases) / n_phases
+    prof = np.arange(n_p)
+    c = np.zeros(n_p, dtype=np.intp)
+    finite = np.isfinite(psi).all(axis=1)
+    c[finite] = _candidate_phases(psi[finite], n_phases)
+    p, ph = prof, c
+    res = _scan_rows(_torus_dist(psi - omegas[c, None]), n_windows)
+    u = res[0]
+    # the run each phase must hold, by searchsorted index: past the last
+    # length no run is long enough; the candidate itself holds any
     fracs = np.arange(1, n_windows + 1) / n_windows
-    passed = np.ones(n_om, dtype=bool)
-    for part, above, side in ((slice(0, c), np.greater, "right"),
-                              (slice(c + 1, n_om), np.greater_equal, "left")):
-        if side == "left" and u <= 0.0:
-            continue                          # every margin is >= 0
-        j = int(np.searchsorted(fracs, u, side=side)) + 1
-        if j > n_windows:
-            passed[part] = False
-            continue
-        size = _window_size(j, n_windows, n_s)
-        passed[part] = _window_min(above(dist[part], u), 1, size).any(axis=1)
-    for i in np.flatnonzero(~passed).tolist():
-        scans[i] = _scan_row(dist[i], n_windows)
-    i = min(scans, key=lambda i: (scans[i][0], i))
-    margin, (frac, lo, size, m) = scans[i]
-    return margin, {"omega_idx": i, "frac": frac, "lo": lo, "hi": lo + size,
-                    "dist": m}
+    sizes = np.array([_window_size(j, n_windows, n_s)
+                      for j in range(1, n_windows + 1)] + [n_s + 1])
+    strict = sizes[np.searchsorted(fracs, u, "right")]
+    loose = sizes[np.searchsorted(fracs, u, "left")]
+    k = np.arange(n_phases)
+    need = np.where(k < c[:, None], strict[:, None],
+                    np.where(k > c[:, None], loose[:, None], 0)).ravel()
+    ok = n_s >= need                      # a row with no failing point
+    # nothing can fail after a candidate of margin 0 at phase 0
+    test = np.flatnonzero((c > 0) | (u > 0.0))
+    rows, s = _band_failures(psi[test], c[test], u[test], n_phases)
+    if rows.size:
+        rows = test[rows // n_phases] * n_phases + rows % n_phases
+        first = np.ones(rows.size, dtype=bool)
+        first[1:] = rows[1:] != rows[:-1]
+        last = np.append(first[1:], True)
+        prev = np.where(first, -1, np.roll(s, 1))
+        # the passing runs lie before each failing point and after the last
+        ok[rows] = False
+        ok[rows[s - prev - 1 >= need[rows]]] = True
+        end = rows[last]
+        ok[end[n_s - 1 - s[last] >= need[end]]] = True
+    bad = np.flatnonzero(~ok)
+    if bad.size:
+        bp, bk = bad // n_phases, bad % n_phases
+        p, ph = np.append(p, bp), np.append(ph, bk)
+        res = [np.append(a, b) for a, b in zip(res, _scan_rows(
+            _torus_dist(psi[bp] - omegas[bk, None]), n_windows))]
+    margin, frac, lo, size, dist = res
+    order = np.lexsort((ph, margin, p))
+    pick = order[np.searchsorted(p[order], prof)]
+    return (margin[pick], ph[pick], frac[pick], lo[pick],
+            lo[pick] + size[pick], dist[pick])
 
 
 def _chart_sides(model: MarkovModel, r: int, x: float,
@@ -538,45 +652,56 @@ def _chart_sides(model: MarkovModel, r: int, x: float,
 def uni_scan(model: MarkovModel, scale: ScaleFunction) -> UniCertificate:
     """Measure the oscillation margin of normalized contrast profiles.
 
-    For each of 12 sampled base points the profile of each word pair is
+    For each of 12 sampled grid nodes the profile of each word pair is
     read on a unit chart window on either admissible side, and the margin
     against a grid of UNI_PHASES reference phases is the largest kappa
     such that every phase admits a subwindow of length >= kappa staying
     >= kappa away from it.  The certificate takes the best pair and side
     per point (the first on ties) and the worst point overall.  The
-    profiles of all points with one stopping index are walked as one
-    table of word rows (see _relative_sums); the margin is then read one
-    profile at a time.  kappa_hat == 0 is a failure report, not an
+    stopping index and value of each point are read from the scale; the
+    word pairs are built once per (interval, stopping index), and each
+    distinct (point, side, word) row is walked once, the rows of all
+    points with one stopping index as one table (see _relative_sums).
+    The margins of all profiles are then read in one pass (see _margins):
+    one candidate phase per profile scanned exactly, the other phases
+    only inside a band of the profile's values, and exact rescans only
+    where a run test fails.  kappa_hat == 0 is a failure report, not an
     exception.
     """
     pts = _sample_points(model, 12)
-    omegas = TWO_PI * np.arange(UNI_PHASES) / UNI_PHASES
     s = np.arange(UNI_S_POINTS) / UNI_S_POINTS
-    thetas, values = _stopping_cocycle(model, [x for x, _ in pts], scale.eps)
-    ks, lams = thetas.tolist(), values.tolist()
-    # one profile per (point, pair, side), in that order
-    point, pairs, sides, zs = zip(*[
-        (i, pair, side, x + side * s / lams[i])
-        for i, (x, r) in enumerate(pts)
-        for pair in word_pairs(model, r, ks[i])
-        for side in _chart_sides(model, r, x, lams[i])])
-    point, zs = np.array(point), np.array(zs)
-    xs = np.array([x for x, _ in pts])
-    psi = np.empty_like(zs)
-    for k in np.unique(thetas):
-        sel = np.flatnonzero(thetas[point] == k)
-        rows = np.repeat(sel, 2)                  # w1 and w2 of each profile
-        rel = _relative_sums(model, [w for j in sel for w in pairs[j]],
-                             xs[point[rows]], zs[rows])
-        psi[sel] = (rel[0::2] - rel[1::2]) / scale.eps
+    ks = [int(scale.steps[r, j]) for _, r, j in pts]
+    lams = [float(scale.values[r, j]) for _, r, j in pts]
+    pairs_at = {}                 # (interval, stopping index) -> word pairs
+    profiles, walk = [], {}       # (point, pair, side); (point, side, word)
+    for i, (x, r, _) in enumerate(pts):
+        if (r, ks[i]) not in pairs_at:
+            pairs_at[r, ks[i]] = word_pairs(model, r, ks[i])
+        for pair in pairs_at[r, ks[i]]:
+            for side in _chart_sides(model, r, x, lams[i]):
+                profiles.append((i, pair, side))
+                for w in pair:
+                    walk.setdefault((i, side, w), len(walk))
+    keys = list(walk)
+    rel = np.empty((len(keys), UNI_S_POINTS))
+    for k in sorted(set(ks)):
+        sel = [n for n, (i, _, _) in enumerate(keys) if ks[i] == k]
+        rel[sel] = _relative_sums(
+            model, [keys[n][2] for n in sel],
+            np.array([pts[keys[n][0]][0] for n in sel]),
+            np.array([pts[i][0] + side * s / lams[i]
+                      for i, side, _ in (keys[n] for n in sel)]))
+    psi = np.array([rel[walk[i, side, w1]] - rel[walk[i, side, w2]]
+                    for i, (w1, w2), side in profiles]) / scale.eps
+    margin, phase, frac, lo, hi, dist = (
+        a.tolist() for a in _margins(psi, UNI_PHASES, 32))
     wits = [None] * len(pts)
-    for i, pair, side, p in zip(point.tolist(), pairs, sides, psi):
-        margin, d = _best_margin(_torus_dist(p[None, :] - omegas[:, None]), 32)
-        if wits[i] is None or margin > wits[i].kappa_x:
+    for n, (i, pair, side) in enumerate(profiles):
+        if wits[i] is None or margin[n] > wits[i].kappa_x:
             wits[i] = UniWitness(
-                pts[i][0], ks[i], lams[i], margin, pair, side,
-                float(omegas[d["omega_idx"]]), d["frac"],
-                (d["lo"] / UNI_S_POINTS, d["hi"] / UNI_S_POINTS), d["dist"])
+                pts[i][0], ks[i], lams[i], margin[n], pair, side,
+                TWO_PI * phase[n] / UNI_PHASES, frac[n],
+                (lo[n] / UNI_S_POINTS, hi[n] / UNI_S_POINTS), dist[n])
     kappa_hat = min(w.kappa_x for w in wits)
     return UniCertificate(scale.eps, float(kappa_hat), tuple(wits))
 

@@ -21,7 +21,8 @@ tolerances are stated below.
   ends and seams exactly, other points within LERP_EPS eps of the larger
   neighbour (np.interp's slope form rounds differently).
 * ``locate`` against a linear scan of the atoms.
-* ``_best_margin`` against window minima taken one window at a time.
+* ``_margins`` (profiles in) against window minima taken one window at
+  a time over each profile's full phase table, for 1 to 8 phases.
 * Periodic orbits: ``cyclic_fixed_points`` and ``orbit_fixed_point``
   against the exact fixed point off / (1 - contr) of each word's
   composite branch in ``fractions.Fraction``, within FIXED_POINT_TOL, on
@@ -81,11 +82,21 @@ tolerances are stated below.
   exception and text (secant, inverse quadratic and bisection steps, a
   root at either end, ends of one sign, NaN values, an underflowed
   divisor and the 100-step cap).
-* ``_best_margin`` (one exact row scan, one run test per other row)
-  against the scan of every window size for every phase: value and
-  witness, on torus-distance rows with constant, zero, rounded (tied)
-  and duplicated rows, NaN or +-inf profile entries and NaN rows.
-* ``uni_scan`` and ``check_tame`` run the stopping cocycle once each.
+* ``_margins`` (one candidate phase per profile scanned exactly, the
+  other phases read only in a band around each profile value, exact
+  rescans where a run test fails) against the scan of every window size
+  for every phase of the full table: value and witness bit for bit, on
+  constant profiles, profiles inside one phase step, spanning several
+  turns, on a phase and at +-pi, half-way between two phases, rounded
+  (tied), with NaN or +-inf entries and past 2^20, several in one call,
+  with the guessed candidate and with any candidate (a candidate of
+  margin 1 and a weakest phase that is not the candidate included).  The
+  band's failing (phase, point) pairs against the full table's, at
+  random u, u = 0 and u equal to a table entry, for 1 to 64 phases.
+* ``uni_scan`` and ``check_tame`` run no stopping cocycle: the sample
+  points are grid nodes, bit for bit, and the scale's steps and values
+  there are the cocycle's; ``uni_scan`` builds the word pairs once per
+  (interval, stopping index) and walks each (point, side, word) row once.
 * Contrast profiles as one table, against copies of the loops they
   replaced: ``uni_scan`` (one word walk per stopping index) against one
   frozen ``temporal_distance``, %-form torus distance and full-scan
@@ -669,17 +680,41 @@ def _reference_best_margin(dist, n_windows):
                             "hi": hi, "dist": d}
 
 
+def _phase_table(psi, n_phases):
+    """Torus distances of one profile from every phase 2 pi k / n_phases,
+    the full (phases, points) table."""
+    omegas = S.TWO_PI * np.arange(n_phases) / n_phases
+    with np.errstate(invalid="ignore"):       # fmod of +-inf gives NaN
+        return S._torus_dist(psi[None, :] - omegas[:, None])
+
+
+def _margin_of(got, p):
+    """Profile p of a _margins result as (margin, witness dict)."""
+    margin, phase, frac, lo, hi, dist = (a[p].item() for a in got)
+    return margin, {"omega_idx": phase, "frac": frac, "lo": lo, "hi": hi,
+                    "dist": dist}
+
+
 @PROPS
-@given(n_om=st.integers(1, 6), n_s=st.integers(1, 40),
-       n_windows=st.integers(1, 12), seed=st.integers(0, 2 ** 16),
-       coarse=st.booleans())
-def test_best_margin_matches_window_by_window(n_om, n_s, n_windows, seed,
-                                              coarse):
-    dist = np.random.default_rng(seed).uniform(0.0, 3.0, (n_om, n_s))
-    if coarse:                 # ties between windows and phases
-        dist = np.round(dist, 0)
-    assert S._best_margin(dist, n_windows) == _reference_best_margin(
-        dist, n_windows)
+@given(n_p=st.integers(1, 4), n_s=st.integers(1, 40),
+       n_phases=st.integers(1, 8), n_windows=st.integers(1, 12),
+       seed=st.integers(0, 2 ** 16), coarse=st.booleans())
+def test_best_margin_matches_window_by_window(n_p, n_s, n_phases, n_windows,
+                                              seed, coarse):
+    # profiles in, each against window minima taken one window at a time
+    # over its full phase table; coarse profiles sit on the phases, so
+    # windows and phases tie
+    rng = np.random.default_rng(seed)
+    if coarse:
+        psi = S.TWO_PI * rng.integers(-2 * n_phases, 2 * n_phases,
+                                      (n_p, n_s)) / n_phases
+    else:
+        psi = rng.uniform(-10.0, 10.0, (n_p, n_s))
+    got = S._margins(psi, n_phases, n_windows)
+    for p in range(n_p):
+        ref = _reference_best_margin(_phase_table(psi[p], n_phases), n_windows)
+        assert _margin_of(got, p) == ref
+        assert _bits(got[0][p]) == _bits(ref[0])
 
 
 # ---------------------------------------------------------------------------
@@ -1986,63 +2021,198 @@ def _full_best_margin(dist, n_windows):
         "hi": lo + int(w_size[i]), "dist": float(w_dist[i])}
 
 
-@settings(max_examples=120, deadline=None)
-@given(seed=st.integers(0, 2 ** 32), n_s=st.sampled_from((7, 64, 256)),
-       n_windows=st.sampled_from((5, 32)), amp=st.floats(0.0, 30.0),
-       special=st.sampled_from(("none", "constant", "zero", "tied",
-                                "duplicate", "nonfinite", "nan_rows")))
-def test_pruned_best_margin_matches_full_scan(seed, n_s, n_windows, amp,
-                                              special):
-    # torus distances of a contrast profile from a phase grid, as uni_scan
-    # builds them, with rows made constant, zero, tied or NaN on demand; a
-    # NaN or +-inf profile entry makes every row NaN there, and a row with
-    # a NaN has margin 0 and the empty witness in the full scan
-    rng = np.random.default_rng(seed)
+_PROFILE_KINDS = ("sine", "constant", "narrow", "turns", "on_phase",
+                  "midway", "tied", "nonfinite", "huge")
+
+
+def _profile(rng, kind, n_s):
+    """A contrast-like profile of n_s points; kind "narrow" stays inside
+    one step of the 64-phase grid, "turns" winds several times round the
+    circle, "on_phase" takes phases and +-pi exactly, "midway" sits
+    half-way between two phases, "huge" lies past 2^20, up to 1e300."""
     s = np.arange(n_s) / n_s
-    psi = amp * np.sin(2 * np.pi * (s + rng.uniform())) * rng.uniform(0, 1)
-    if special == "nonfinite":
+    step = S.TWO_PI / 64
+    psi = (rng.uniform(0.0, 30.0) * rng.uniform()
+           * np.sin(2 * np.pi * (s + rng.uniform())))
+    if kind == "constant":
+        psi = np.full(n_s, rng.uniform(-10.0, 10.0))
+    elif kind == "narrow":
+        psi = S.TWO_PI * rng.integers(-128, 128) / 64 \
+            + step * rng.uniform(0.0, 1.0, n_s)
+    elif kind == "turns":
+        psi = rng.uniform(-20.0, 20.0) + S.TWO_PI * rng.uniform(2, 10) * s
+    elif kind == "on_phase":
+        psi = rng.choice(np.r_[S.TWO_PI * np.arange(-64, 64) / 64,
+                               math.pi, -math.pi], n_s)
+    elif kind == "midway":
+        psi = np.full(n_s, (rng.integers(0, 64) + 0.5) * step)
+    elif kind == "tied":
+        psi = np.round(psi, 1)
+    elif kind == "nonfinite":
         at = rng.choice(n_s, size=min(3, n_s), replace=False)
         psi[at] = rng.choice([np.nan, np.inf, -np.inf], size=at.size)
-    omegas = S.TWO_PI * np.arange(64) / 64
-    with np.errstate(invalid="ignore"):
-        dist = S._torus_dist(psi[None, :] - omegas[:, None])
-    rows = rng.choice(64, size=3, replace=False)
-    if special == "constant":
-        dist[rows] = rng.uniform(0.0, 1.0)
-    elif special == "zero":
-        dist[rows] = 0.0
-    elif special == "tied":
-        dist = np.round(dist, 1)
-    elif special == "duplicate":
-        dist[rows[1:]] = dist[rows[0]]
-    elif special == "nan_rows":
-        dist[rows, rng.integers(0, n_s, size=3)] = np.nan
-    got = S._best_margin(dist, n_windows)
-    ref = _full_best_margin(dist, n_windows)
-    assert _bits(got[0]) == _bits(ref[0]) and got[1] == ref[1]
+    elif kind == "huge":
+        psi = rng.choice([-1.0, 1.0]) * rng.choice([2.0 ** 21, 2.0 ** 52,
+                                                    1e300]) \
+            * (1.0 + rng.uniform(0.0, 1e-3, n_s))
+    return psi
+
+
+def _check_margins(psi, n_windows, rng=None):
+    """_margins of the profiles of psi against the full scan of each
+    profile's 64-phase table, bit for bit; with rng, every candidate
+    phase is drawn from it instead of guessed."""
+    with pytest.MonkeyPatch.context() as mp:
+        if rng is not None:
+            mp.setattr(S, "_candidate_phases",
+                       lambda p, n: rng.integers(0, n, len(p)))
+        with np.errstate(invalid="ignore"):   # fmod of +-inf gives NaN
+            got = S._margins(psi, 64, n_windows)
+    for p in range(len(psi)):
+        ref = _full_best_margin(_phase_table(psi[p], 64), n_windows)
+        assert _margin_of(got, p) == ref
+        assert _bits(got[0][p]) == _bits(ref[0])
+
+
+@settings(max_examples=120, deadline=None)
+@given(seed=st.integers(0, 2 ** 32), n_s=st.sampled_from((7, 64, 256)),
+       n_windows=st.sampled_from((5, 32)),
+       kinds=st.lists(st.sampled_from(_PROFILE_KINDS), min_size=1,
+                      max_size=5),
+       any_candidate=st.booleans())
+def test_pruned_best_margin_matches_full_scan(seed, n_s, n_windows, kinds,
+                                              any_candidate):
+    # profiles of every kind in one call, each against the scan of every
+    # window size for every phase of its full table: a NaN or +-inf entry
+    # makes every phase NaN there, and a phase with a NaN has margin 0
+    # and the empty witness; any candidate phase gives the same answer
+    rng = np.random.default_rng(seed)
+    psi = np.array([_profile(rng, kind, n_s) for kind in kinds])
+    _check_margins(psi, n_windows, rng if any_candidate else None)
+
+
+@pytest.mark.parametrize("kind", _PROFILE_KINDS)
+@pytest.mark.parametrize("candidate", [None, 0, 31, 63])
+def test_margins_of_each_profile_kind(kind, candidate):
+    # every kind at uni_scan's size, alone and beside a sine profile, with
+    # the guessed candidate and with the first, a middle and the last
+    # phase forced
+    rng = np.random.default_rng(sorted(_PROFILE_KINDS).index(kind))
+    psi = np.array([_profile(rng, kind, 256), _profile(rng, "sine", 256)])
+    with pytest.MonkeyPatch.context() as mp:
+        if candidate is not None:
+            mp.setattr(S, "_candidate_phases",
+                       lambda p, n: np.full(len(p), candidate))
+        _check_margins(psi, 32)
+        _check_margins(psi[:1], 32)
+
+
+def test_margins_past_a_candidate_of_margin_one():
+    # a constant profile half a turn from its candidate: the candidate's
+    # margin is u = 1, so every phase before it is rescanned, and the
+    # weakest phase is not the candidate
+    psi = np.full((1, 256), 0.3)
+    assert S._scan_rows(_phase_table(psi[0], 64)[32:33], 32)[0][0] == 1.0
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(S, "_candidate_phases", lambda p, n: np.full(len(p), 32))
+        got = S._margins(psi, 64, 32)
+    assert _margin_of(got, 0) == _full_best_margin(_phase_table(psi[0], 64),
+                                                   32)
+    assert got[1][0] == 3 and got[0][0] < 1.0
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2 ** 32), n_p=st.integers(1, 5),
+       n_s=st.sampled_from((1, 7, 64, 256)),
+       n_phases=st.sampled_from((1, 2, 3, 8, 64, 64)),
+       u_from=st.sampled_from(("table", "uniform", "zero")))
+def test_band_failures_match_full_table(seed, n_p, n_s, n_phases, u_from):
+    # the (phase, point) pairs the band marks as failing against the full
+    # table: dist <= u before the candidate, dist < u after it, at random
+    # u, u = 0 and u equal to a table entry (the tie the two tests split)
+    rng = np.random.default_rng(seed)
+    kinds = [k for k in _PROFILE_KINDS if k != "nonfinite"]
+    psi = np.array([_profile(rng, rng.choice(kinds), n_s)
+                    for _ in range(n_p)])
+    c = rng.integers(0, n_phases, n_p)
+    tables = [_phase_table(p, n_phases) for p in psi]
+    if u_from == "table":
+        u = np.array([t[rng.integers(0, n_phases), rng.integers(0, n_s)]
+                      for t in tables])
+    elif u_from == "uniform":
+        u = rng.uniform(0.0, 3.5, n_p)
+    else:
+        u = np.zeros(n_p)
+    _check_band(psi, c, u, n_phases)
+
+
+@pytest.mark.parametrize("big", [2.0 ** 21, 2.0 ** 52, 1e300])
+def test_band_failures_past_the_bound(big):
+    # past BAND_MAX every phase is read: at 1e300 psi - omega rounds to
+    # psi, so every phase has the same distance, far from any band
+    rng = np.random.default_rng(0)
+    psi = big * (1.0 + rng.uniform(0.0, 1e-3, (3, 256)))
+    u = np.array([_phase_table(p, 64)[7, 11 * i] for i, p in enumerate(psi)])
+    _check_band(psi, np.array([0, 32, 63]), u, 64)
+
+
+def _check_band(psi, c, u, n_phases):
+    """_band_failures against the full tables of the profiles of psi."""
+    n_p, n_s = psi.shape
+    rows, points = S._band_failures(psi, c, u, n_phases)
+    k = np.arange(n_phases)[:, None]
+    want = np.array([np.where(k < c[p], t <= u[p], t < u[p]) & (k != c[p])
+                     for p, t in enumerate(_phase_table(q, n_phases)
+                                           for q in psi)])
+    want_rows, want_points = np.nonzero(want.reshape(n_p * n_phases, n_s))
+    assert rows.tolist() == want_rows.tolist()
+    assert points.tolist() == want_points.tolist()
 
 
 # ---------------------------------------------------------------------------
-# one stopping-cocycle call per scan
+# the scale read at the sample points
+
+
+@settings(max_examples=12, deadline=None)
+@given(model=models(_ANY_FORBIDDEN), samples=st.integers(1, 16),
+       q=st.integers(4, 12))
+def test_sample_points_are_grid_nodes(model, samples, q):
+    # each sample point is nodes()[r, j] bit for bit, so the scale's
+    # steps and values there are the stopping cocycle run at the point
+    scale = S.matching_scale(model, 2.0 ** -q)
+    pts = S._sample_points(model, samples)
+    steps, values = S._stopping_cocycle(model, [x for x, *_ in pts],
+                                        scale.eps)
+    for (x, r, j), k, lam in zip(pts, steps.tolist(), values.tolist()):
+        assert _bits(x) == _bits(model.nodes()[r, j])
+        assert k == scale.steps[r, j] and _bits(lam) == _bits(
+            scale.values[r, j])
 
 
 @settings(max_examples=8, deadline=None)
 @given(model=models(), q=st.integers(4, 7))
-def test_uni_scan_and_tame_run_the_cocycle_once(model, q):
+def test_uni_scan_and_tame_read_the_scale(model, q):
+    # no stopping cocycle runs; uni_scan builds word pairs once per
+    # (interval, stopping index) and walks each (point, side, word) row
+    # once
     scale = S.matching_scale(model, 2.0 ** -q)
-    calls = []
-    kernel = S._stopping_cocycle
-
-    def counted(*args):
-        calls.append(args)
-        return kernel(*args)
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(S, "_stopping_cocycle", counted)
+    pts = S._sample_points(model, 12)
+    keys = {(r, int(scale.steps[r, j])) for _, r, j in pts}
+    n_rows = sum(
+        len({w for pair in S.word_pairs(model, r, int(scale.steps[r, j]))
+             for w in pair})
+        * len(S._chart_sides(model, r, x, float(scale.values[r, j])))
+        for x, r, j in pts)
+    with mock.patch.object(S, "_stopping_cocycle") as runs, \
+            mock.patch.object(S, "word_pairs",
+                              side_effect=S.word_pairs) as pairs, \
+            mock.patch.object(S, "_relative_sums",
+                              side_effect=S._relative_sums) as walks:
         S.uni_scan(model, scale)
-        assert len(calls) == 1
+        assert pairs.call_count == len(keys)
+        assert sum(len(c.args[1]) for c in walks.call_args_list) == n_rows
         S.check_tame(model, scale, samples=4)
-    assert len(calls) == 2
+    assert runs.call_count == 0
 
 
 # ---------------------------------------------------------------------------
@@ -3206,10 +3376,10 @@ def _old_uni_scan(model, scale):
     pts = S._sample_points(model, 12)
     omegas = S.TWO_PI * np.arange(S.UNI_PHASES) / S.UNI_PHASES
     s = np.arange(S.UNI_S_POINTS) / S.UNI_S_POINTS
-    thetas, values = S._stopping_cocycle(model, [x for x, _ in pts],
+    thetas, values = S._stopping_cocycle(model, [x for x, *_ in pts],
                                          scale.eps)
     wits = []
-    for (x, r), k, lam in zip(pts, thetas.tolist(), values.tolist()):
+    for (x, r, _), k, lam in zip(pts, thetas.tolist(), values.tolist()):
         sides = S._chart_sides(model, r, x, lam)
         best_x, wit = -1.0, None
         for w1, w2 in S.word_pairs(model, r, k):
@@ -3238,9 +3408,9 @@ def _old_check_tame(model, scale, samples, admissible_only=False):
     rows = []
     worst = 0.0
     pts = S._sample_points(model, samples)
-    thetas, values = S._stopping_cocycle(model, [x for x, _ in pts],
+    thetas, values = S._stopping_cocycle(model, [x for x, *_ in pts],
                                          scale.eps)
-    for (x, r), k, lam in zip(pts, thetas.tolist(), values.tolist()):
+    for (x, r, _), k, lam in zip(pts, thetas.tolist(), values.tolist()):
         s = np.arange(128) / 128
         side = S._chart_sides(model, r, x, lam)[0]
         zs = x + side * s / lam
@@ -3279,11 +3449,11 @@ _ONE_SIDED = build_model(ModelConfig("doubling", (2.0, 0.1, 0.3, 0.0),
 def test_one_sided_fixture_reaches_its_cases():
     scale = S.matching_scale(_ONE_SIDED, 2.0 ** -5)
     pts = S._sample_points(_ONE_SIDED, 12)
-    ks, lams = S._stopping_cocycle(_ONE_SIDED, [x for x, _ in pts],
+    ks, lams = S._stopping_cocycle(_ONE_SIDED, [x for x, *_ in pts],
                                    scale.eps)
     assert set(ks.tolist()) == {3, 4}
     sides = [S._chart_sides(_ONE_SIDED, r, x, lam)
-             for (x, r), lam in zip(pts, lams.tolist())]
+             for (x, r, _), lam in zip(pts, lams.tolist())]
     assert [len(s) for s in sides] == [2] * 11 + [1]
 
 

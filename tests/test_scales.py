@@ -342,8 +342,8 @@ def test_uni_scan_every_sample_point_has_a_side(family, forbidden, mu, wave,
                               forbidden=forbidden)
     pts = S._sample_points(model, 12)
     with np.errstate(over="ignore"):    # values overflow to inf near 1e-300
-        _, values = S._stopping_cocycle(model, [x for x, _ in pts], eps)
-    for (x, r), lam in zip(pts, values.tolist()):
+        _, values = S._stopping_cocycle(model, [x for x, *_ in pts], eps)
+    for (x, r, _), lam in zip(pts, values.tolist()):
         assert S._chart_sides(model, r, x, lam)
     # a window that overshoots the right end by less than the tolerance
     # still fits there: uni_scan and check_tame both take the right side
