@@ -13,9 +13,10 @@ end-to-end metric of BENCHMARK.json.
 
 The summary gives, for each metric, the median and the quartiles of each
 side, how many pairs the change wins (ties count for neither side) and
-whether a gain may be claimed: the change wins at least nine tenths of
-the pairs, the medians differ by more than the parent's interquartile
-range and the change fails no more queries in all than the parent.
+whether a gain may be claimed: there are at least ten pairs, the change
+wins at least nine tenths of them, the medians differ by more than the
+parent's interquartile range and the change fails no more queries in
+all than the parent.
 Exits 1 when a run fails to produce its result line.
 """
 
@@ -30,6 +31,7 @@ import sys
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 WIN_SHARE = 0.9                   # pairs the change must win for a claim
+MIN_PAIRS = 10                    # pairs a claim needs at all
 
 
 def summarize(pairs, better: dict, failed) -> list[dict]:
@@ -50,7 +52,8 @@ def summarize(pairs, better: dict, failed) -> list[dict]:
         gain = sign * (q_old[1] - q_new[1])
         rows.append({"metric": name, "parent": q_old, "change": q_new,
                      "wins": wins, "pairs": len(pairs),
-                     "claim": (wins >= WIN_SHARE * len(pairs)
+                     "claim": (len(pairs) >= MIN_PAIRS
+                               and wins >= WIN_SHARE * len(pairs)
                                and gain > q_old[2] - q_old[0]
                                and fails_no_more)})
     return rows

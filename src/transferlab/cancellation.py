@@ -19,9 +19,10 @@ A model whose oscillation certificate is zero (constant or affine roof)
 makes the engine refuse cancellation and run with P identically one.
 
 The partition is one record array with a row per atom and the columns
-left, right, depth, lam_lo, iid (interval index), j_lo, j_hi and word (a
-symbol row), sorted by left end; each interval's atoms form one run.
-Grid functions are read between nodes by thermo._read_rows.
+left, right, depth, lam_lo, iid (interval index), j_lo and j_hi, sorted
+by left end, each interval's atoms in one run: an atom is an interval
+with its scale data, and keeps no word.  Grid functions are read between
+nodes by thermo._read_rows.
 """
 
 from __future__ import annotations
@@ -33,8 +34,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .gridfun import norm_theta_b
-from .markov import (NO_SYMBOL, MarkovModel, ModelError, _decode_words,
-                     _grow_words)
+from .markov import MarkovModel, ModelError, _decode_words, _grow_words
 from .rpf import ComplexRPF, build_rpf, slice_holder_norm
 from .scales import (ScaleFunction, _torus_dist, _window_min, matching_scale,
                      recurrence_rate, uni_scan)
@@ -61,13 +61,12 @@ class EngineError(ModelError):
 # scale-adapted cylinder partitions
 
 
-# One row per atom, the cylinder v_word(U_domain) inside interval iid: its
-# ends, depth, the smallest scale value read on it, the interval index, the
-# inclusive grid-node range j_lo..j_hi inside U_iid, and the word as a
-# symbol row of DEPTH_CAP bytes, NO_SYMBOL past the depth.
+# One row per atom, a cylinder inside interval iid: its ends, depth, the
+# smallest scale value read on it, the interval index and the inclusive
+# grid-node range j_lo..j_hi inside U_iid.
 ATOM_DTYPE = np.dtype([("left", float), ("right", float), ("depth", int),
                        ("lam_lo", float), ("iid", int), ("j_lo", int),
-                       ("j_hi", int), ("word", np.uint8, (DEPTH_CAP,))])
+                       ("j_hi", int)])
 
 
 @dataclass(frozen=True)
@@ -147,10 +146,9 @@ def build_partition(model: MarkovModel,
     scale once; a split cylinder's children follow the offset order of
     the branches into its inner domain.
     """
-    # cylinders of one depth: word, inner domain, containing interval and
-    # the affine map contr * x + off
+    # cylinders of one depth: inner domain, containing interval and the
+    # affine map contr * x + off
     m = len(model.intervals)
-    word = np.empty((m, 0), np.uint8)
     dom, iid = np.arange(m), np.arange(m)
     contr, off = np.ones(m), np.zeros(m)
     done = []
@@ -161,16 +159,14 @@ def build_partition(model: MarkovModel,
                                                 lefts, rights)
         stop = (rights - lefts) * lam_lo <= 1.0
         done.append((lefts[stop], rights[stop], np.full(stop.sum(), depth),
-                     lam_lo[stop], iid[stop], j_lo[stop], j_hi[stop],
-                     np.pad(word[stop], ((0, 0), (0, DEPTH_CAP - depth)),
-                            constant_values=NO_SYMBOL)))
+                     lam_lo[stop], iid[stop], j_lo[stop], j_hi[stop]))
         split = np.flatnonzero(~stop)
         if split.size == 0:
             break
         if depth == DEPTH_CAP:
             raise EngineError("partition refinement did not terminate")
-        word, dom, parent, slope, b_off = _grow_words(
-            model, "target", word[split], dom[split])
+        _, dom, parent, slope, b_off = _grow_words(model, "target",
+                                                   dom[split])
         parent = split[parent]
         iid = iid[parent]
         contr, off = contr[parent] / slope, contr[parent] * b_off + off[parent]
@@ -210,15 +206,16 @@ def all_words(model: MarkovModel, k: int):
     target[r]; the rows of interval i are first[i]:first[i + 1], intervals
     in index order.  The table grows level by level: each row is followed
     by one child per branch whose domain is the row's target, in offset
-    order, and the branch is prepended (applied after the composite).
+    order, and the branch is prepended (applied after the composite): the
+    one table of word rows.
     """
     m = len(model.intervals)
     word = np.empty((m, 0), np.uint8)
     contr, off = np.ones(m), np.zeros(m)
     tgt = home = np.arange(m)
     for _ in range(k):
-        word, tgt, parent, slope, b_off = _grow_words(model, "domain", word,
-                                                      tgt)
+        sym, tgt, parent, slope, b_off = _grow_words(model, "domain", tgt)
+        word = np.concatenate((sym[:, None], word[parent]), axis=1)
         contr, off = contr[parent] / slope, off[parent] / slope + b_off
         home = home[parent]
     return word, contr, off, tgt, np.searchsorted(home, np.arange(m + 1))
@@ -230,7 +227,7 @@ def check_refining(model: MarkovModel, part: CylinderPartition,
 
     Atoms are checked in order, a block of them against all words of their
     interval (a slice of the all_words table) at once; the first failing
-    (atom word, branch word) pair is the witness.
+    pair is the witness, as (atom index, branch word).
     """
     lefts, rights = part.atoms.left, part.atoms.right
     words, w_contr, w_off, _, first = all_words(model, n)
@@ -248,20 +245,27 @@ def check_refining(model: MarkovModel, part: CylinderPartition,
             if bad.any():
                 k = int(np.argmax(bad.any(axis=0)))
                 j = int(np.argmax(bad[:, k]))
-                return False, tuple(
-                    str(_decode_words(w[None], model.alphabet)[0])
-                    for w in (part.atoms.word[start + k], word[j]))
+                return False, (start + k, str(_decode_words(
+                    word[j:j + 1], model.alphabet)[0]))
     return True, None
 
 
 def choose_n1(model: MarkovModel, part: CylinderPartition) -> int:
-    """Smallest n making the partition refine under n-step preimages."""
+    """Smallest n making the partition refine under n-step preimages, from
+    the spread of atom depths (at most STEP_CAP) up to STEP_CAP; the error
+    names the last witness: atom, interval, left end and branch word."""
     depth = part.atoms.depth
-    for n in range(max(1, int(depth.max() - depth.min())), STEP_CAP + 1):
-        ok, _ = check_refining(model, part, n)
+    least = min(max(1, int(depth.max() - depth.min())), STEP_CAP)
+    for n in range(least, STEP_CAP + 1):
+        ok, witness = check_refining(model, part, n)
         if ok:
             return n
-    raise EngineError(f"no refining step length up to {STEP_CAP}")
+    k, word = witness
+    raise EngineError(
+        f"no refining step length up to {STEP_CAP}; the image of atom {k} "
+        f"(U_{model.intervals[part.atoms.iid[k]]}, left "
+        f"{float(part.atoms.left[k])!r}) under branch word {word!r} lies in "
+        "no one atom")
 
 
 # ---------------------------------------------------------------------------
@@ -958,8 +962,6 @@ def run_l2_iteration(model: MarkovModel, a: float, b: float,
                                       state.big_h.values, state.omega_atoms,
                                       n1, KAPPA5_DEFAULT, kappa6)
         state, cs = majorant_step(model, rpf, state, canc, n1)
-        if len(canc.records):
-            kappa4_min = min(kappa4_min, cs.kappa4)
         sem = slice_holder_norm(model, np.abs(state.u), model.theta)[1]
         holder_ratio = max(holder_ratio,
                            sem / ((state.n + 1) * eps ** 0.5 * h0))
@@ -969,6 +971,7 @@ def run_l2_iteration(model: MarkovModel, a: float, b: float,
             len(state.omega_atoms) / len(part.atoms),
             len(canc.records), cs.kappa4, cs.max_violation))
         if len(canc.records):
+            kappa4_min = min(kappa4_min, cs.kappa4)
             kappa5_eff = min(kappa5_eff, canc.kappa5)
             core_union |= canc.core_mask
         # cancellation may only keep iterating above the majorant floor
@@ -976,10 +979,8 @@ def run_l2_iteration(model: MarkovModel, a: float, b: float,
         if not refused and float(state.big_h.values.min()) < floor:
             truncated_at = state.n
             break
-    if not math.isfinite(kappa4_min):
-        kappa4_min = 0.0
-    if not math.isfinite(kappa5_eff):
-        kappa5_eff = 0.0
+    if not math.isfinite(kappa5_eff):       # no step placed a bump
+        kappa4_min = kappa5_eff = 0.0
     tail = [r for r in rows if r.l2_u > 0.0]
     kappa_fit = None
     if len(tail) >= 3:

@@ -18,23 +18,23 @@ checking its coordinates and ``forward`` and ``slope_at`` apply as is.
 Each symbol names the interval an inverse branch lands in; a word is a
 uint8 row of symbols, applied right to left, and is admissible when
 consecutive transitions are allowed by the adjacency structure.  One
-grower, ``_grow_words``, makes every set of all admissible words; its
-callers compose (contraction, offset) outer branch first for partition
-cylinders, inner branch first for the n-step word table.  The orbit
-census grows only Lyndon-word prefixes, by its own rule
-(``orbits.enumerate_periodic_orbits``).  ``_word_steps``, the one
+grower, ``_grow_words``, makes every set of all admissible words, as each
+child's symbol and parent; partition cylinders compose (contraction,
+offset) outer branch first and keep no word, and the n-step word table
+(``cancellation.all_words``), inner branch first, holds the only rows
+built from them.  The orbit census grows only Lyndon-word prefixes, by its
+own rule (``orbits.enumerate_periodic_orbits``).  ``_word_steps``, the one
 branch check of a walk, checks each step of a walk of rows as it yields
-its slopes and offsets: ``_walk_words`` applies them (``apply_word``,
-and ``_roof_sums`` for ``roof_sum_on_word`` and the UNI tables), and
-cyclic words read them from the wrap domain, the target of their first
-symbol (``orbits._cyclic_points``, every fixed point of a cyclic word,
-and the census's walk around each orbit).  Strings
-become rows (``_encode_words``) only where those, ``_roof_sums`` and
-``word_admissible`` take them, and rows become strings
-(``_decode_words``) only in orbit tables, bump records, refinement
-witnesses and UNI words.  Branch slopes are constant, so all cocycle
-products over words of integer-slope models are exact in double
-precision, and forward orbits of dyadic grid points stay on the grid.
+its slopes and offsets: ``_walk_words`` applies them (``apply_word``, and
+``_roof_sums`` for ``roof_sum_on_word`` and the UNI tables), and cyclic
+words read them from the wrap domain, the target of their first symbol
+(``orbits._cyclic_points``, every fixed point of a cyclic word, and the
+census's walk around each orbit).  Strings become rows (``_encode_words``)
+only where those, ``_roof_sums`` and ``word_admissible`` take them, and
+rows become strings (``_decode_words``) only in orbit tables, bump records
+and refinement witnesses.  Branch slopes are constant, so all cocycle
+products over words of integer-slope models are exact in double precision,
+and forward orbits of dyadic grid points stay on the grid.
 
 Two families are built in:
 
@@ -60,7 +60,7 @@ TWO_PI = 2.0 * math.pi
 
 # Dense sampling used for field extrema and positivity validation.
 _VALIDATION_SAMPLES = 1 << 14
-NO_SYMBOL = 255     # pads the row of a shorter word; decodes to nothing
+NO_SYMBOL = 255     # a byte that names no symbol: no walk-table branch
 
 
 @dataclass(frozen=True)
@@ -378,14 +378,15 @@ def _walk_words(model: MarkovModel, rows: np.ndarray, y: np.ndarray,
         yield y
 
 
-def _grow_words(model: MarkovModel, side: str, words: np.ndarray,
-                near: np.ndarray):
-    """Admissible words one symbol longer: the children of each uint8
-    symbol row, one per branch whose interval on side ("domain" or
-    "target") is the row's near interval, in offset order, ties in
-    (symbol, domain) order; a domain-side branch is prepended (applied
-    after the word), a target-side one appended.  Returns the child rows
-    and, per child, its near interval, parent row, branch slope and offset.
+def _grow_words(model: MarkovModel, side: str, near: np.ndarray):
+    """Admissible words one symbol longer: the children of each word whose
+    interval on side ("domain" or "target") is near[i], one per branch
+    whose interval on that side is near[i], in offset order, ties in
+    (symbol, domain) order.  A domain-side symbol goes in front of its
+    parent's word (applied after it), a target-side one at its end.
+    Returns, per child, its symbol, near interval, parent index, branch
+    slope and offset; the callers that keep words build them from the
+    symbols and parents.
     """
     sym, dom = np.nonzero(~np.isnan(model.branch_slope))
     slope, offset = model.branch_slope[sym, dom], model.branch_offset[sym, dom]
@@ -399,20 +400,18 @@ def _grow_words(model: MarkovModel, side: str, words: np.ndarray,
     fan = (kids != NO_SYMBOL).sum(axis=1)[near]
     kids = kids[near]
     b = kids[kids != NO_SYMBOL]
-    new, old = sym.astype(np.uint8)[b, None], np.repeat(words, fan, axis=0)
-    out = np.concatenate((new, old) if side == "domain" else (old, new), 1)
     parent = np.repeat(np.arange(len(near)), fan)
-    return out, far[b], parent, slope[b], offset[b]
+    return sym.astype(np.uint8)[b], far[b], parent, slope[b], offset[b]
 
 
 def _decode_words(rows: np.ndarray, alphabet) -> np.ndarray:
     """Symbol rows as str, first symbol first: one alphabet byte per
-    symbol, read a row at a time; NO_SYMBOL padding decodes to nothing."""
+    symbol, read a row at a time.  Every row holds a whole word, so the
+    rows of one call decode to words of one length."""
     n = rows.shape[1]
     if n == 0:
         return np.zeros(len(rows), "U1")
-    text = "".join(alphabet).encode("ascii")
-    letters = np.frombuffer(text.ljust(256, b"\0"), dtype=np.uint8)
+    letters = np.frombuffer("".join(alphabet).encode("ascii"), np.uint8)
     return letters[rows].view(f"S{n}").ravel().astype(f"U{n}")
 
 

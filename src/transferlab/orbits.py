@@ -84,14 +84,7 @@ def fixed_word_count(model: MarkovModel, n: int) -> int:
     return int(np.trace(np.linalg.matrix_power(mat, n)))
 
 
-def _divisors(n: int) -> list[int]:
-    out = [d for d in range(1, n + 1) if n % d == 0]
-    return out
-
-
 def _mobius(n: int) -> int:
-    if n == 1:
-        return 1
     sign = 1
     d = 2
     while d * d <= n:
@@ -113,7 +106,8 @@ def necklace_counts(model: MarkovModel, n_max: int) -> tuple[int, ...]:
     traces = {n: fixed_word_count(model, n) for n in range(1, n_max + 1)}
     out = []
     for n in range(1, n_max + 1):
-        total = sum(_mobius(n // d) * traces[d] for d in _divisors(n))
+        total = sum(_mobius(n // d) * traces[d]
+                    for d in range(1, n + 1) if n % d == 0)
         q, r = divmod(total, n)
         if r:
             raise ModelError(f"necklace count for n={n} not divisible by n")

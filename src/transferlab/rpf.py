@@ -49,13 +49,10 @@ def slice_table(model: MarkovModel) -> tuple[tuple[tuple[int, int], ...], ...]:
     n = model.grid_size
     out = []
     for d in model.out_degree.tolist():
-        # slices ordered by position: slice j covers [j/d, (j+1)/d) locally
-        cuts = [math.ceil(j * n / d) for j in range(d)] + [n]
-        ranges = []
-        for j in range(d):
-            hi = cuts[j + 1] - 1 if j + 1 < d else n
-            ranges.append((cuts[j], hi))
-        out.append(tuple(ranges))
+        # slices ordered by position: slice j covers [j/d, (j+1)/d) locally,
+        # and the last one also the right end
+        cuts = [math.ceil(j * n / d) for j in range(d)] + [n + 1]
+        out.append(tuple((cuts[j], cuts[j + 1] - 1) for j in range(d)))
     return tuple(out)
 
 

@@ -35,13 +35,14 @@ run test are scanned exactly.
 from __future__ import annotations
 
 import math
+import os
 from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
 
 from .gridfun import _lag_seminorm
-from .markov import MarkovModel, ModelError, _decode_words, _roof_sums
+from .markov import MarkovModel, ModelError, _roof_sums
 from .thermo import base_system, grid_orbit
 
 EPS_MAX = 0.5
@@ -207,12 +208,7 @@ def check_adapted(model: MarkovModel, scale: ScaleFunction,
     worst = 1.0
     checked = 0
     for d in range(-max_cells, max_cells + 1):
-        if d == 0:
-            lo_z, hi_z, lo_y = 0, npts, 0
-        elif d > 0:
-            lo_z, hi_z, lo_y = 0, npts - d, d
-        else:
-            lo_z, hi_z, lo_y = -d, npts, 0
+        lo_z, hi_z, lo_y = max(-d, 0), npts - max(d, 0), max(d, 0)
         lam_y = scale.values[:, lo_y:lo_y + hi_z - lo_z]
         near = (abs(d) * h) * lam_y < radius_factor
         use = sel[:, lo_z:hi_z] & near
@@ -287,12 +283,12 @@ def extreme_word(model: MarkovModel, domain: int, k: int,
     has = ~np.isnan(model.branch_slope)
     low = has.argmax(axis=0).tolist()
     high = (len(has) - 1 - has[::-1].argmax(axis=0)).tolist()
-    word, dom = np.empty((1, k), np.uint8), domain
+    word, dom = "", domain
     for i in range(k):
         sym = (high if flavor == "high" or (flavor != "low" and i % 2 == 0)
                else low)[dom]
-        word[0, k - 1 - i], dom = sym, model.symbol_target[sym]
-    return str(_decode_words(word, model.alphabet)[0])
+        word, dom = model.alphabet[sym] + word, model.symbol_target[sym]
+    return word
 
 
 def word_pairs(model: MarkovModel, domain: int,
@@ -312,11 +308,7 @@ def pair_offset(model: MarkovModel, x: float, w1: str, w2: str) -> float:
     Words sharing a longer prefix sit deeper in the same cylinder and
     produce smaller contrasts; the empty prefix has size one.
     """
-    j = 0
-    for a, b in zip(w1, w2):
-        if a != b:
-            break
-        j += 1
+    j = len(os.path.commonprefix((w1, w2)))
     if j == 0:
         return 1.0
     z0 = model.apply_word(w1, float(x))
@@ -357,9 +349,8 @@ def check_tame(model: MarkovModel, scale: ScaleFunction,
     worst = 0.0
     for x, r, j in _sample_points(model, samples):
         k, lam = int(scale.steps[r, j]), float(scale.values[r, j])
-        s = np.arange(128) / 128
         side = _chart_sides(model, r, x, lam)[0]
-        zs = x + side * s / lam
+        zs = _chart_points(scale.eps, [x], [side], [lam], 128)[0]
         lo = extreme_word(model, r, k, "low")
         hi = extreme_word(model, r, k, "high")
         # the low word and every mixed word lo[:j] + hi[j:] as one table;
@@ -649,6 +640,22 @@ def _chart_sides(model: MarkovModel, r: int, x: float,
     return sides
 
 
+def _chart_points(eps: float, x, side, lam, n_s: int) -> np.ndarray:
+    """x + side s / lam at s = k / n_s, k < n_s, a row per entry of the
+    columns x, side and lam.  ScaleError, naming eps and x, when a row's
+    points are not all distinct: its profiles would read float spacing."""
+    x, side, lam = (np.asarray(c, float)[:, None] for c in (x, side, lam))
+    z = x + side * (np.arange(n_s) / n_s) / lam
+    flat = (np.diff(z, axis=1) == 0.0).any(axis=1)
+    if flat.any():
+        i = int(flat.argmax())
+        raise ScaleError(
+            f"chart window 1/{float(lam[i, 0]):.6g} at x = "
+            f"{float(x[i, 0])!r} lies below the float spacing there "
+            f"(eps = {eps!r}): its {n_s} points are not all distinct")
+    return z
+
+
 def uni_scan(model: MarkovModel, scale: ScaleFunction) -> UniCertificate:
     """Measure the oscillation margin of normalized contrast profiles.
 
@@ -669,7 +676,6 @@ def uni_scan(model: MarkovModel, scale: ScaleFunction) -> UniCertificate:
     exception.
     """
     pts = _sample_points(model, 12)
-    s = np.arange(UNI_S_POINTS) / UNI_S_POINTS
     ks = [int(scale.steps[r, j]) for _, r, j in pts]
     lams = [float(scale.values[r, j]) for _, r, j in pts]
     pairs_at = {}                 # (interval, stopping index) -> word pairs
@@ -686,11 +692,11 @@ def uni_scan(model: MarkovModel, scale: ScaleFunction) -> UniCertificate:
     rel = np.empty((len(keys), UNI_S_POINTS))
     for k in sorted(set(ks)):
         sel = [n for n, (i, _, _) in enumerate(keys) if ks[i] == k]
+        idx, sides, words = zip(*(keys[n] for n in sel))
+        x = np.array([pts[i][0] for i in idx])
         rel[sel] = _relative_sums(
-            model, [keys[n][2] for n in sel],
-            np.array([pts[keys[n][0]][0] for n in sel]),
-            np.array([pts[i][0] + side * s / lams[i]
-                      for i, side, _ in (keys[n] for n in sel)]))
+            model, list(words), x, _chart_points(
+                scale.eps, x, sides, [lams[i] for i in idx], UNI_S_POINTS))
     psi = np.array([rel[walk[i, side, w1]] - rel[walk[i, side, w2]]
                     for i, (w1, w2), side in profiles]) / scale.eps
     margin, phase, frac, lo, hi, dist = (

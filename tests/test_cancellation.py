@@ -119,11 +119,8 @@ def test_partition_dyadic_32(plain, part32):
     assert part32.condition_margin == pytest.approx(1.0, abs=1e-12)
     assert part32.half_scale == pytest.approx(1.0, abs=1e-12)
     # exact dyadic spans, sorted and touching
-    for i, a in enumerate(atoms):
-        assert a.left == i / 32
-        assert a.right == (i + 1) / 32
-    # the outermost branch picks the first binary digit of the left end
-    assert _words(plain, atoms.word) == [f"{i:05b}" for i in range(32)]
+    assert atoms.left.tolist() == [i / 32 for i in range(32)]
+    assert atoms.right.tolist() == [(i + 1) / 32 for i in range(32)]
 
 
 def test_partition_coarsest():
@@ -132,8 +129,8 @@ def test_partition_coarsest():
     assert sc.min_value == sc.values.max() == 2.0
     part = build_partition(m, sc)
     assert len(part.atoms) == 2
+    assert part.atoms.left.tolist() == [0.0, 0.5]
     assert (part.atoms.right - part.atoms.left).tolist() == [0.5, 0.5]
-    assert _words(m, part.atoms.word) == ["0", "1"]
 
 
 def test_partition_nesting(plain, part32, scale32):
@@ -174,6 +171,23 @@ def test_refinement_step(plain, part32):
     ok, witness = check_refining(plain, part32, 1)
     assert ok and witness is None
     assert check_refining(plain, part32, 2)[0]   # deeper also refines
+
+
+def test_choose_n1_error_names_the_last_witness(monkeypatch):
+    # 0>1 forbidden: at eps 2^-4 the atom depths run from 4 to 6 and two
+    # steps refine, so a cap of one step fails on its witness
+    m = markov3_model(roof=SINROOF, grid_size=256, forbidden=("0>1",))
+    part = build_partition(m, matching_scale(m, 2.0 ** -4))
+    assert choose_n1(m, part) == 2
+    ok, (k, word) = check_refining(m, part, 1)
+    assert not ok and part.atoms.iid[k] == 0 and len(word) == 1
+    monkeypatch.setattr(cancellation, "STEP_CAP", 1)
+    with pytest.raises(EngineError) as err:
+        choose_n1(m, part)
+    assert str(err.value) == (
+        f"no refining step length up to 1; the image of atom {k} (U_0, "
+        f"left {float(part.atoms.left[k])!r}) under branch word {word!r} "
+        "lies in no one atom")
 
 
 def test_all_words_affine(plain):

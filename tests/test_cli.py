@@ -649,6 +649,41 @@ def test_uni_scan_matches_golden_digest(tmp_path, sin_path):
         assert hashlib.sha256(fh.read()).hexdigest() == GOLDEN_UNI_SCAN_SHA256
 
 
+# uni_scan.csv of `uni-scan --eps 1e-12` on SIN_MODEL, made by the code
+# before uni_scan checked its chart windows, with numpy 2.4.6
+GOLDEN_UNI_SCAN_1E12_SHA256 = \
+    "3b8431d23188edf3de053ccee8b8f4ffea5f9005b6e522f20486c3607b9675b6"
+
+
+def test_uni_scan_at_small_eps(tmp_path, sin_path, capsys):
+    """eps 1e-12 keeps its bytes; at eps 1e-30 the chart window 1/value
+    lies below the float spacing at the sample points, so the scan stops
+    with exit 1, naming eps and the point, instead of reporting the flat
+    profiles as a failed margin."""
+    out = str(tmp_path / "run")
+    assert cli.main(["uni-scan", "--model", sin_path, "--out", out,
+                     "--eps", "1e-12"]) == 0
+    with open(os.path.join(out, "uni_scan.csv"), "rb") as fh:
+        assert (hashlib.sha256(fh.read()).hexdigest()
+                == GOLDEN_UNI_SCAN_1E12_SHA256)
+    capsys.readouterr()
+    assert cli.main(["uni-scan", "--model", sin_path, "--out",
+                     str(tmp_path / "tiny"), "--eps", "1e-30"]) == 1
+    err = capsys.readouterr().err
+    assert "(eps = 1e-30)" in err and " at x = 0." in err
+    assert "points are not all distinct" in err
+
+
+def test_dolgopyat_at_tiny_eps_stops_in_bounded_time(tmp_path, capsys):
+    """`dolgopyat --eps 1e-30` once refined its partition without bound;
+    the UNI scan before it now stops on the collapsed chart window."""
+    start = time.perf_counter()
+    code = cli.main(["dolgopyat", "--eps", "1e-30", "--b", "256",
+                     "--grid", "64", "--out", str(tmp_path / "run")])
+    assert code == 1 and time.perf_counter() - start < 5.0
+    assert "(eps = 1e-30)" in capsys.readouterr().err
+
+
 def test_dolgopyat_certificate_rows(tmp_path, sin_path):
     out = str(tmp_path / "run")
     assert cli.main(["dolgopyat", "--model", sin_path, "--out", out,

@@ -13,7 +13,8 @@ tolerances are stated below.
   at random off-grid points.
 * Cylinder partition: the level-wise ``build_partition`` against a
   depth-first refinement that reads the scale one probe at a time, on
-  every single forbidden ``markov3`` transition, atom words included.
+  every single forbidden ``markov3`` transition: every atom column, bit
+  for bit (atoms keep no words).
 * Grid orbit sums: the n-step weight and roof tables against per-node
   forward walks, the interpolating ``_orbit_weight`` and ``birkhoff_sum``.
 * The shared linear interpolation ``_read_rows`` against ``np.interp``
@@ -34,11 +35,12 @@ tolerances are stated below.
   against a call per list, and a word that is not cyclically admissible
   joined in raising the error it raises alone; the
   early-exit affine iteration against the same number of full steps; the
-  shared word decoder against ``divmod``, rows of different depths
-  included, and the encoder as its inverse; the shared word grower, on
-  both sides and both families with every forbidden transition, against
-  the rebuild from length 1, the ``all_words`` tuple builder and a
-  depth-first cylinder expansion, with near and far intervals and the
+  shared word decoder against ``divmod``, and the encoder as its
+  inverse; the shared word grower (each child's symbol and parent, rows
+  built from them here), on both sides and both families with every
+  forbidden transition, against the rebuild from length 1, the
+  ``all_words`` tuple builder and a depth-first cylinder expansion, with
+  near and far intervals and the
   composed columns bit for bit; the orbit table's words against the
   least rotations of all primitive cyclic words from
   ``itertools.product``, on both families and every single forbidden
@@ -355,12 +357,6 @@ def test_levelwise_partition_matches_depth_first(model, q):
         assert _bits(atoms[col]) == _bits([getattr(a, col) for a in ref]), col
     for col in ("depth", "j_lo", "j_hi"):
         assert atoms[col].tolist() == [getattr(a, col) for a in ref], col
-    assert (M._decode_words(atoms.word, model.alphabet).tolist()
-            == [a.word for a in ref])
-    # each word row holds symbols up to the atom's depth, padding after
-    for row, d in zip(atoms.word, atoms.depth):
-        assert (row[:d] < len(model.alphabet)).all()
-        assert (row[d:] == M.NO_SYMBOL).all()
     assert [model.intervals[k] for k in atoms.iid] == [a.iid for a in ref]
     # interval k owns the contiguous run atoms[starts[k]:starts[k + 1]]
     runs = np.repeat(np.arange(len(model.intervals)), np.diff(part.starts))
@@ -560,9 +556,7 @@ def _per_atom_refining(model, part, n):
         first = np.flatnonzero(bad)
         if first.size:
             k, j = divmod(int(first[0]), len(items))
-            atom_word = M._decode_words(part.atoms.word[[atoms.start + k]],
-                                        model.alphabet)[0]
-            return False, (atom_word, items[j][0])
+            return False, (atoms.start + k, items[j][0])
     return True, None
 
 
@@ -919,13 +913,6 @@ def test_array_decode_matches_divmod(alphabet, n, data):
     assert M._encode_words(model, ref).tolist() == rows.tolist()
     assert (M._encode_words(model, ["9" + alphabet[-1]]).tolist()
             == [[M.NO_SYMBOL, len(alphabet) - 1]])
-    # rows of different depths in one column, as atoms hold them
-    depths = data.draw(st.lists(st.integers(0, n), min_size=len(codes),
-                                max_size=len(codes)))
-    for row, d in zip(rows, depths):
-        row[d:] = M.NO_SYMBOL
-    assert (M._decode_words(rows, alphabet).tolist()
-            == [w[:d] for w, d in zip(ref, depths)])
 
 
 def _reference_words(trans, n):
@@ -970,13 +957,23 @@ def _reference_cylinders(model, k):
 @PROPS
 @given(model=models(_ANY_FORBIDDEN), n_max=st.integers(1, 7))
 def test_grown_words_match_rebuild(model, n_max):
-    """The shared grower, every row grown at each level, against the
-    frozen builders: on the domain side from the one-symbol words
+    """The shared grower, every word grown at each level, against the
+    frozen builders, with the word rows built here from each child's
+    symbol and parent: on the domain side from the one-symbol words
     against the rebuild from length 1, rows in its order;
     from the intervals (the word table) against _old_all_words, and on
     the target side (partition cylinders) against the depth-first
     expansion, each with near and far intervals and the composed columns,
     inner branch first and outer branch first."""
+
+    def grow(side, rows, near):
+        sym, near, p, slope, b_off = M._grow_words(model, side, near)
+        assert sym.dtype == np.uint8
+        new, old = sym[:, None], rows[p]
+        rows = np.concatenate((new, old) if side == "domain" else (old, new),
+                              axis=1)
+        return rows, near, p, slope, b_off
+
     trans = np.array(O.transfer_matrix(model), dtype=bool)
     ids = model.intervals
     m = len(ids)
@@ -987,13 +984,11 @@ def test_grown_words_match_rebuild(model, n_max):
     dom_cols = tgt_cols = (np.ones(m), np.zeros(m))
     for n in range(1, n_max + 1):
         if n > 1:
-            cyc = M._grow_words(model, "domain", cyc,
-                                model.symbol_target[cyc[:, 0]])[0]
-        assert cyc.dtype == np.uint8
+            cyc = grow("domain", cyc, model.symbol_target[cyc[:, 0]])[0]
         assert np.array_equal(cyc, _reference_words(trans, n))
 
-        dom_rows, dom_near, p, slope, b_off = M._grow_words(
-            model, "domain", dom_rows, dom_near)
+        dom_rows, dom_near, p, slope, b_off = grow("domain", dom_rows,
+                                                   dom_near)
         (c, o), dom_far = dom_cols, dom_far[p]
         dom_cols = (c[p] / slope, o[p] / slope + b_off)
         ref = [(i, r) for i in ids for r in _old_all_words(model, i, n)]
@@ -1004,8 +999,8 @@ def test_grown_words_match_rebuild(model, n_max):
         assert _bits(np.stack(dom_cols, axis=1)) == _bits(
             [r[1:3] for _, r in ref])
 
-        tgt_rows, tgt_near, p, slope, b_off = M._grow_words(
-            model, "target", tgt_rows, tgt_near)
+        tgt_rows, tgt_near, p, slope, b_off = grow("target", tgt_rows,
+                                                   tgt_near)
         (c, o), tgt_far = tgt_cols, tgt_far[p]
         tgt_cols = (c[p] / slope, c[p] * b_off + o[p])
         ref = _reference_cylinders(model, n)
@@ -3078,7 +3073,7 @@ def _old_build_cancellation(model, rpf, part, u, big_h, omega_atoms, n1,
     marked = 0
     for ai in omega_atoms:
         marked += 1
-        left, right, _, _, iid, j_lo, j_hi, _ = part.atoms[ai].item()
+        left, right, _, _, iid, j_lo, j_hi = part.atoms[ai].item()
         atom = (left, right, iid)
         ws = words[iid]
         tests = [_old_dichotomy_test(model, rpf, u, big_h, (left, right), w,

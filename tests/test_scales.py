@@ -294,6 +294,21 @@ def test_uni_scan_resolution_stability(sin_roof):
     assert max(margins) <= 2.0 * min(margins)
 
 
+@pytest.mark.parametrize("eps", (1e-14, 1e-16, 1e-30, 1e-300))
+def test_collapsed_chart_windows_raise(sin_roof, eps):
+    """Below about eps 1e-13 some chart window 1/value is narrower than
+    the float spacing at its sample point, so two of its points coincide
+    and the profile reads float resolution: both scans stop instead,
+    naming eps and the point."""
+    with np.errstate(over="ignore"):    # values overflow to inf near 1e-300
+        sc = S.matching_scale(sin_roof, eps)
+    for scan in (S.uni_scan, S.check_tame):
+        with pytest.raises(S.ScaleError, match=(
+                rf"at x = 0\.\d+ lies .*\(eps = {eps!r}\): its \d+ points "
+                "are not all distinct")):
+            scan(sin_roof, sc)
+
+
 def test_uni_scan_affine_is_failure_report():
     for roof in ((1.0, 0.0, 0.0, 0.0), (2.0, 0.25, 0.0, 0.0)):
         model = doubling_model(roof=roof, grid_size=256)

@@ -147,6 +147,11 @@ CENSUS_PAIRS = ((3.192, 3.195), (3.169, 2.986), (3.071, 3.043),
                 (3.218, 3.300))
 
 
+# wall_ref_s of three alternated spectral pairs, parent then change,
+# around the medians a past change recorded
+SPECTRAL_3_PAIRS = ((2.601, 2.470), (2.647, 2.492), (2.712, 2.531))
+
+
 def test_bench_pairs_summary_of_recorded_pairs():
     summarize = _load_script("bench_pairs.py").summarize
     pairs = [({"wall_ref_s": a}, {"wall_ref_s": b}) for a, b in CENSUS_PAIRS]
@@ -170,3 +175,14 @@ def test_bench_pairs_summary_of_recorded_pairs():
     assert not summarize(pairs, {"t": "lower"}, more)[0]["claim"]
     same = none_failed[:8] + [(2, 0), (0, 2)]
     assert summarize(pairs, {"t": "lower"}, same)[0]["claim"]
+    # fewer than ten pairs claim nothing: a past 3-pair spectral run, on a
+    # workload the change never called, read a median of 2.647 -> 2.492 s
+    # in 3 of 3 pairs (the 10-pair re-run read 2.463 -> 2.476 s); only its
+    # medians were recorded, and the outer pairs are set so that the old
+    # rule (wins and IQR alone) claims it
+    (row,) = summarize([({"t": a}, {"t": b}) for a, b in SPECTRAL_3_PAIRS],
+                       {"t": "lower"}, none_failed[:3])
+    assert row["wins"] == 3 and row["pairs"] == 3
+    assert row["parent"][1] == 2.647 and row["change"][1] == 2.492
+    gap = row["parent"][1] - row["change"][1]
+    assert gap > row["parent"][2] - row["parent"][0] and not row["claim"]
