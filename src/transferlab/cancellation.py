@@ -27,7 +27,6 @@ nodes by thermo._read_rows.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass, field
 
@@ -450,22 +449,6 @@ def _dichotomy_tables(model: MarkovModel, f_hat: np.ndarray,
     return np.exp(log_w), tau_n
 
 
-def _window_means(values: np.ndarray, seg: np.ndarray,
-                  size: np.ndarray) -> np.ndarray:
-    """Mean of each window values[seg[i]:seg[i] + size[i]].
-
-    Windows of one length are stacked into a (k, length) array whose row
-    means keep numpy's pairwise summation, so each mean equals the
-    window's own 1-d .mean() bit for bit; a flat np.add.reduceat sums in
-    another order.
-    """
-    out = np.empty(len(seg), dtype=values.dtype)
-    for length in np.unique(size).tolist():
-        rows = np.flatnonzero(size == length)
-        out[rows] = values[seg[rows, None] + np.arange(length)].mean(axis=1)
-    return out
-
-
 def dichotomy_test(model: MarkovModel, rpf: ComplexRPF, u: np.ndarray,
                    big_h: np.ndarray, left, right, contr, off, tgt,
                    kappa6: float, tables: tuple) -> np.recarray:
@@ -481,18 +464,12 @@ def dichotomy_test(model: MarkovModel, rpf: ComplexRPF, u: np.ndarray,
     indeterminate otherwise, and treated as aligned with no usable phase,
     so no cancellation is claimed on it.
 
-    Every window is gathered into one flat array.  The load maxima and
-    minima are np.maximum.reduceat and np.minimum.reduceat over it, exact
-    in any order.  The weight mean and the circular mean of exp(i phase),
-    taken only where the load stays at least 1/C9_DEFAULT, are row means of
-    equal-length windows stacked as (k, L) arrays (_window_means): these
-    keep numpy's pairwise summation, so they equal each window's own
-    .mean() bit for bit, where a flat np.add.reduceat would not, and the
-    weight decides which branch of a pair carries a bump.  The mean
-    direction and its modulus come from cmath.phase and abs of Python
-    complex values (libm's atan2 and hypot), which numpy's SIMD arctan2
-    and complex absolute do not match in every last bit.  tables are the
-    n1-step _dichotomy_tables.  Memory is linear in the window points;
+    Every window is gathered into one flat array, and each column is one
+    reduction over it: the load maxima and minima by np.maximum.reduceat
+    and np.minimum.reduceat, the weight mean and the circular mean of
+    exp(i phase), taken only where the load stays at least 1/C9_DEFAULT,
+    by np.add.reduceat over the window length.  tables are the n1-step
+    _dichotomy_tables.  Memory is linear in the window points;
     build_cancellation passes batches of at most CHUNK_POINTS of them.
     """
     n = model.grid_size
@@ -513,11 +490,11 @@ def dichotomy_test(model: MarkovModel, rpf: ComplexRPF, u: np.ndarray,
     circ = np.flatnonzero(~small & (min_ratio >= 1.0 / C9_DEFAULT))
     pos, cseg = _ranges(seg[circ], size[circ])
     phases = rpf.b * roof_sums.reshape(-1)[flat[pos]] + np.angle(uz[pos])
-    z = _window_means(np.exp(1j * phases), cseg, size[circ]).tolist()
-    mean_dir = np.fromiter(map(cmath.phase, z), float, len(z))
+    z = np.add.reduceat(np.exp(1j * phases), cseg) / size[circ]
+    mean_dir = np.angle(z)
     worst = np.maximum.reduceat(
         _torus_dist(phases - np.repeat(mean_dir, size[circ])), cseg)
-    no_dir = np.fromiter(map(abs, z), float, len(z)) < 1e-12
+    no_dir = np.abs(z) < 1e-12
     omega = np.full(len(size), np.nan)
     omega[circ] = np.where(no_dir, 0.0, mean_dir % (2 * math.pi))
     spread = np.where(small, 0.0, math.pi)
@@ -526,7 +503,7 @@ def dichotomy_test(model: MarkovModel, rpf: ComplexRPF, u: np.ndarray,
     kind[circ[spread[circ] <= ALIGN_SPREAD * kappa6]] = ALIGNED
     return np.rec.fromarrays(
         [kind, max_ratio, min_ratio, omega, spread,
-         _window_means(weights.reshape(-1)[flat], seg, size)],
+         np.add.reduceat(weights.reshape(-1)[flat], seg) / size],
         dtype=DICHOTOMY_DTYPE)
 
 

@@ -313,7 +313,7 @@ def decay_profile(model: MarkovModel, a: float,
         rows.append(DecayRow(float(b), n, c0, l2, sem, flagged))
     good = [r for r in rows if not r.flagged and r.l2 > 0]
     if len(good) >= 4:
-        xs = np.log([r.b for r in good])
+        xs = np.log([abs(r.b) for r in good])
         ys = np.log([r.l2 for r in good])
         slope, intercept = np.polyfit(xs, ys, 1)
         return DecayProfile(rows, float(-slope), float(intercept))

@@ -485,6 +485,8 @@ EDGE_INPUTS = (
     (["decay"], {"B_LIST": "64,0"}, NONZERO_B, None),
     (["decay", "--b", "1e300"], {}, None, None),
     (["decay", "--a", "0.2"], {}, _tilt_error(0.2), False),
+    (["decay"], {"B_LIST": "-64,-128,-256,-512"}, None, True),
+    (["decay"], {"B_LIST": "64,-128,256,512"}, None, True),
     (["dolgopyat", "--b", "1"], {}, None, None),
     (["dolgopyat", "--b", "2.5"], {}, None, None),
     (["dolgopyat", "--b", "-256"], {}, None, None),
@@ -618,6 +620,24 @@ def test_decay_single_b_has_no_fit(tmp_path, capsys):
     out = str(tmp_path / "run")
     assert cli.main(["decay", "--out", out, "--b", "64"]) == 0
     assert "kappa_hat=none" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("b_list", ("-64,-128,-256,-512", "64,-128,256,512"))
+def test_decay_fits_against_abs_b(tmp_path, monkeypatch, sin_path, b_list):
+    # L_{a,-b} is the conjugate of L_{a,b} on a real function, so a sweep
+    # with negative b reads the same norms and fits the same slope
+    runs = {}
+    for name, sweep in (("pos", "64,128,256,512"), ("mixed", b_list)):
+        monkeypatch.setenv("TRANSFERLAB_B_LIST", sweep)
+        out = str(tmp_path / name)
+        assert cli.main(["decay", "--model", sin_path, "--out", out,
+                         "--grid", "256"]) == 0
+        path = os.path.join(out, "decay.csv")
+        params = header_lines(path)[-1].split()
+        rows = [[r[0].lstrip("-")] + r[1:] for r in read_csv(path)[1]]
+        runs[name] = (params[-1], rows)
+    assert runs["mixed"] == runs["pos"]
+    assert float(runs["pos"][0].partition("=")[2]) > 0.0
 
 
 def test_decay_threads_byte_identical(tmp_path, sin_path):

@@ -18,6 +18,12 @@ Frozen oracles used below, each recomputed independently before freezing:
   from the scalar pressure equations; on doubling with roof c0 + c1 x,
   the root of -s c0 + log(1 + e^(-s c1)) (each period-n orbit's section
   points sum to its count of 1s).
+* pressures P(-s tau) from det(1 - zL) over the orbit table, to 1e-14:
+  0.19873318128019 and -0.28495205173203 on doubling with roof
+  1 + 0.3 sin(2 pi x) (orbits to length 16), 0.60110865364558 and
+  0.10855463969090 on the full three-symbol family with roof
+  1 + 0.2 sin(2 pi x) (length 12), at s = 0.5 and 1; the grid pressure at
+  N = 1024, 4096 and 16384 converges to each as N^-2.
 * sin roof 2 + 0.5 sin(2 pi x) zero-lag covariance of sin(2 pi x): the
   size-biased density (2 + 0.5 sin)/2 gives E[A^2] = 1/2 and
   E[A] = 1/8, so C(0) = 1/2 - 1/64 = 31/64 exactly.
@@ -52,7 +58,7 @@ from transferlab.orbits import (
     prime_orbit_report,
     transfer_matrix,
 )
-from transferlab.thermo import RATIO_TOL
+from transferlab.thermo import RATIO_TOL, pressure
 
 SINROOF = (2.0, 0.0, 0.5, 0.0)
 
@@ -265,6 +271,58 @@ def test_entropy_on_a_linear_roof(c0, c1, const):
     for n in (256, 1024, 4096):
         h = entropy(doubling_model((c0, c1, 0.0, 0.0), grid_size=n))
         assert abs(h - exact) <= const / n ** 2 + ENTROPY_TOL
+
+
+def _determinant(table, slope, s, order):
+    """Coefficients c_0..c_order of det(1 - zL) for the operator weighted
+    by e^(-s tau) on a map of constant slope: tr L^n sums
+    n_p e^(-s r T_p) / (1 - slope^-n) over primitive orbits p and r >= 1
+    with r n_p = n (Ruelle), and Newton's identities turn the traces into
+    coefficients, k c_k = -sum_j tr L^j c_(k-j)."""
+    traces = np.zeros(order + 1)
+    for r in range(1, order + 1):
+        rows = table[table.n * r <= order]
+        np.add.at(traces, rows.n * r, rows.n * np.exp(-s * r * rows.period))
+    traces[1:] /= 1.0 - slope ** -np.arange(1.0, order + 1)
+    c = np.zeros(order + 1)
+    c[0] = 1.0
+    for k in range(1, order + 1):
+        c[k] = -np.dot(traces[1:k + 1], c[k - 1::-1]) / k
+    return c
+
+
+def _least_zero(c):
+    """Least positive zero of sum c_k z^k on (0, 2], bisected from the
+    first sign change on a grid down to adjacent floats."""
+    poly = np.polynomial.Polynomial(c)
+    z = np.linspace(0.0, 2.0, 2001)
+    k = np.flatnonzero(poly(z) <= 0.0)[0]
+    lo, hi = z[k - 1], z[k]
+    while lo < 0.5 * (lo + hi) < hi:
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if poly(mid) > 0.0 else (lo, mid)
+    return lo
+
+
+# P(-s tau) = -log z0, z0 the least zero of det(1 - zL) from the orbit
+# table alone.  The grid pressure is off by about C / N^2 (measured C:
+# 1.5e-4, 2.3e-3, 6.1e-6 and 9.5e-5, the same at N = 1024 and 4096).
+@pytest.mark.parametrize("family, roof, order, s, value", [
+    ("doubling", (1.0, 0.0, 0.3, 0.0), 16, 0.5, 0.19873318128019),
+    ("doubling", (1.0, 0.0, 0.3, 0.0), 16, 1.0, -0.28495205173203),
+    ("markov3", (1.0, 0.0, 0.2, 0.0), 12, 0.5, 0.60110865364558),
+    ("markov3", (1.0, 0.0, 0.2, 0.0), 12, 1.0, 0.10855463969090)])
+def test_pressure_from_the_orbit_table(family, roof, order, s, value):
+    build = doubling_model if family == "doubling" else markov3_model
+    table = enumerate_periodic_orbits(build(roof, grid_size=64), order)
+    c = _determinant(table, len(build().alphabet), s, order)
+    p = -math.log(_least_zero(c))
+    assert abs(p - value) <= 1e-14
+    # the coefficients fall super-exponentially, so two orders fewer agree
+    # to the rounding of the Newton sums (measured worst 2.3e-15)
+    assert abs(-math.log(_least_zero(c[:-2])) - p) <= 1e-14
+    for n in (1024, 4096):
+        assert abs(pressure(build(roof, grid_size=n), s) - p) <= 4e-3 / n ** 2
 
 
 # li(y) against Ei(x) - Ei(x0) in 40 digits at the rounded x = log y and

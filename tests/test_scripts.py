@@ -152,37 +152,63 @@ CENSUS_PAIRS = ((3.192, 3.195), (3.169, 2.986), (3.071, 3.043),
 SPECTRAL_3_PAIRS = ((2.601, 2.470), (2.647, 2.492), (2.712, 2.531))
 
 
+def _metrics(*specs):
+    """BENCHMARK.json end_to_end entries from (name, better, bound)."""
+    return [dict(zip(("name", "better", "bound"), m)) for m in specs]
+
+
 def test_bench_pairs_summary_of_recorded_pairs():
     summarize = _load_script("bench_pairs.py").summarize
     pairs = [({"wall_ref_s": a}, {"wall_ref_s": b}) for a, b in CENSUS_PAIRS]
     none_failed = [(0, 0)] * 10
-    (row,) = summarize(pairs, {"wall_ref_s": "lower"}, none_failed)
+    wall = _metrics(("wall_ref_s", "lower", 0.25))
+    (row,) = summarize(pairs, wall, none_failed)
     assert row["metric"] == "wall_ref_s" and row["pairs"] == 10
     assert row["parent"] == pytest.approx((3.095, 3.177, 3.215))
     assert row["change"][1] == pytest.approx(3.1685)
     assert row["wins"] == 5 and not row["claim"]
+    assert row["verdict"] == "ok"
     # 9 wins of 10 and a median gap wider than the parent's IQR claim a
     # gain; a tie counts for neither side, and "higher" flips the sign
     faster = [(a, b - 0.2) for a, b in CENSUS_PAIRS[:9]] + [(3.2, 3.2)]
     pairs = [({"t": a, "r": -a}, {"t": b, "r": -b}) for a, b in faster]
-    rows = summarize(pairs, {"t": "lower", "r": "higher"}, none_failed)
+    both = _metrics(("t", "lower", 0.25), ("r", "higher", 0.25))
+    rows = summarize(pairs, both, none_failed)
     assert [(r["wins"], r["claim"]) for r in rows] == [(9, True), (9, True)]
-    assert not summarize(pairs[:8] + pairs[-1:] * 2, {"t": "lower"},
+    t_only = _metrics(("t", "lower", 0.25))
+    assert not summarize(pairs[:8] + pairs[-1:] * 2, t_only,
                          none_failed)[0]["claim"]
     # a change that fails more queries in all claims nothing, however fast;
     # as many failures as the parent, spread differently, still claim
     more = none_failed[:9] + [(1, 2)]
-    assert not summarize(pairs, {"t": "lower"}, more)[0]["claim"]
+    assert not summarize(pairs, t_only, more)[0]["claim"]
     same = none_failed[:8] + [(2, 0), (0, 2)]
-    assert summarize(pairs, {"t": "lower"}, same)[0]["claim"]
+    assert summarize(pairs, t_only, same)[0]["claim"]
     # fewer than ten pairs claim nothing: a past 3-pair spectral run, on a
     # workload the change never called, read a median of 2.647 -> 2.492 s
     # in 3 of 3 pairs (the 10-pair re-run read 2.463 -> 2.476 s); only its
     # medians were recorded, and the outer pairs are set so that the old
     # rule (wins and IQR alone) claims it
     (row,) = summarize([({"t": a}, {"t": b}) for a, b in SPECTRAL_3_PAIRS],
-                       {"t": "lower"}, none_failed[:3])
+                       t_only, none_failed[:3])
     assert row["wins"] == 3 and row["pairs"] == 3
     assert row["parent"][1] == 2.647 and row["change"][1] == 2.492
     gap = row["parent"][1] - row["change"][1]
     assert gap > row["parent"][2] - row["parent"][0] and not row["claim"]
+    # no-regression verdicts, each bound a fraction of the parent's median
+    # of 3.177 s: the recorded change is ok; a quarter slower is worse at
+    # a bound of 20%; at 2% (0.064 s) the parent's IQR of 0.120 s is wider
+    # than the bound, so the recorded change is unresolved unless every
+    # run of the change beats every parent run
+    def verdict(scale, cut, bound, better="lower"):
+        sign = 1.0 if better == "lower" else -1.0
+        pairs = [({"t": sign * a}, {"t": sign * (scale * b - cut)})
+                 for a, b in CENSUS_PAIRS]
+        (row,) = summarize(pairs, _metrics(("t", better, bound)),
+                           none_failed)
+        return row["verdict"]
+    assert verdict(1.0, 0.0, 0.25) == "ok"
+    assert verdict(1.25, 0.0, 0.2) == "worse"
+    assert verdict(1.25, 0.0, 0.2, "higher") == "worse"
+    assert verdict(1.0, 0.0, 0.02) == "unresolved"
+    assert verdict(1.0, 0.3, 0.02) == "ok"
