@@ -13,13 +13,14 @@ end-to-end metric of BENCHMARK.json.
 
 The summary gives, for each metric, the median and the quartiles of each
 side, how many pairs the change wins (ties count for neither side),
-whether a gain may be claimed and whether the metric got worse.  A gain
-may be claimed when there are at least ten pairs, the change wins at
-least nine tenths of them, the medians differ by more than the parent's
-interquartile range and the change fails no more queries in all than the
-parent.  The no-regression verdict reads the metric's ``bound`` in
-BENCHMARK.json as a fraction of the parent's median: ``worse`` when the
-change's median is worse than the parent's by more than the bound,
+whether a gain may be claimed and whether the metric got worse.  Both
+read the metric's ``bound`` in BENCHMARK.json as a fraction of the
+parent's median.  A gain may be claimed when there are at least ten
+pairs, the change wins at least nine tenths of them, the medians differ
+by more than the parent's interquartile range and by more than the
+bound, and the change fails no more queries in all than the parent.  The
+no-regression verdict is ``worse`` when the change's median is worse
+than the parent's by more than the bound,
 ``unresolved`` when the parent's interquartile range is wider than the
 bound and not every run of the change beats every run of the parent,
 ``ok`` otherwise.
@@ -71,7 +72,7 @@ def summarize(pairs, metrics, failed) -> list[dict]:
                      "wins": wins, "pairs": len(pairs),
                      "claim": (len(pairs) >= MIN_PAIRS
                                and wins >= WIN_SHARE * len(pairs)
-                               and gain > q_old[2] - q_old[0]
+                               and gain > max(q_old[2] - q_old[0], bound)
                                and fails_no_more),
                      "verdict": verdict})
     return rows

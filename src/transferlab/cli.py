@@ -52,10 +52,10 @@ DEFAULT_DOLGOPYAT_B = 256.0
 MC_CHECK_SAMPLES = 20_000
 # rows _write_csv formats and writes at a time: each block bounds the
 # memory held by formatted strings.  On a 2-vCPU VM, the peak RSS of a
-# seed-1 census pass read 116.9-117.1 MB with 32-row blocks, 116.9-117.0
-# MB with 2048 and 117.4-117.6 MB with 16384 (three runs each), and a full
-# markov3 orbit table of 69,706 rows took 80, 67 and 69 ms to write (75
-# ms as one block)
+# seed-1 census pass read 73.1-73.5 MB with 32-row blocks, 73.2-74.4 MB
+# with 2048 and 74.1-74.6 MB with 16384 (three runs each), and a full
+# markov3 orbit table of 69,706 rows took 89, 70 and 74 ms to write (82
+# ms as one block; medians of 7)
 CSV_BLOCK_ROWS = 2048
 
 

@@ -39,7 +39,8 @@ import numpy as np
 
 from .markov import (NO_SYMBOL, MarkovModel, ModelError, _decode_words,
                      _encode_words, _word_steps)
-from .thermo import ConvergenceError, gibbs_measure, pressure
+from .thermo import (ConvergenceError, _config_caches, _touch,
+                     gibbs_measure, pressure)
 
 WORD_CAP_DEFAULT = 2 ** 21
 # upper bound on fixed-point rounds; a point stops early once a round
@@ -238,7 +239,8 @@ def enumerate_periodic_orbits(model: MarkovModel, n_max: int) -> np.recarray:
 # entropy and the orbit-count comparison
 # ---------------------------------------------------------------------------
 
-_entropy_cache: dict = {}
+_entropy_cache: dict = {}     # (config, tol) -> h
+_config_caches.append((globals(), "_entropy_cache"))
 
 
 def entropy(model: MarkovModel, tol: float = ENTROPY_TOL) -> float:
@@ -249,9 +251,11 @@ def entropy(model: MarkovModel, tol: float = ENTROPY_TOL) -> float:
     hi = P(0) / tau_0 + 1, doubled until the pressure is negative,
     brackets the root, and Brent's method (_brentq) closes the bracket
     [0, hi] to xtol=tol; its iteration cap raises ConvergenceError.
-    Pressure is evaluated once per s.
+    Pressure is evaluated once per s.  Roots are cached by (config, tol)
+    for the two configs used most recently, as thermo's caches are.
     """
     key = (model.config, tol)
+    _touch(model.config)
     if key in _entropy_cache:
         return _entropy_cache[key]
     memo: dict = {}

@@ -33,6 +33,12 @@ weight 0 leaves its row finite.  The arithmetic order of an application
 therefore lives in the table alone.  A recipe's real slot weights are
 computed once and reused while the same recipe object keeps building the
 model's operators, as the phases of one tilt do.
+
+Stencil tables, base systems and normalized potentials are cached by
+model config, as ``orbits`` caches entropy roots.  Together these caches
+keep the ``CONFIGS_KEPT`` = 2 configs used most recently, a hit counting
+as a use: a third config drops every entry of the oldest, so a process
+that works through many models holds the data of two at most.
 """
 
 from __future__ import annotations
@@ -90,13 +96,43 @@ class StencilTable:
         return slice(self.indptr[start], self.indptr[stop])
 
 
+# ---------------------------------------------------------------------------
+# the model caches: the two configs used most recently
+# ---------------------------------------------------------------------------
+
+CONFIGS_KEPT = 2
+_recent_configs: list = []    # least recently used first
+# (module namespace, name) of each dict keyed by a config or by a tuple
+# that starts with one, read at each eviction so a swapped dict is seen;
+# orbits adds its entropy roots
+_config_caches = [(globals(), "_stencil_cache"), (globals(), "_system_cache")]
+
+
+def _touch(config) -> None:
+    """Mark the config as used most recently.  When a third config comes
+    in, every entry of the least recently used one leaves every dict
+    under the bound."""
+    if config in _recent_configs:
+        _recent_configs.remove(config)
+    _recent_configs.append(config)
+    if len(_recent_configs) > CONFIGS_KEPT:
+        old = _recent_configs.pop(0)
+        for namespace, name in _config_caches:
+            cache = namespace[name]
+            for key in [k for k in cache
+                        if (k[0] if isinstance(k, tuple) else k) == old]:
+                del cache[key]
+
+
 _stencil_cache: dict = {}     # config -> StencilTable
 
 
 def _stencil_table(model: MarkovModel) -> StencilTable:
     """The model's stencil table, built on first use and cached by config,
-    so the roof and the potential are sampled once per model."""
+    so the roof and the potential are sampled once per model; the cache
+    keeps the tables of the two configs used most recently."""
     key = model.config
+    _touch(key)
     if key in _stencil_cache:
         return _stencil_cache[key]
     n, n1 = model.grid_size, model.grid_size + 1
@@ -430,11 +466,14 @@ class NormalizedPotential:
     residual: float
 
 
-_system_cache: dict = {}
+_system_cache: dict = {}      # config, or (config, "norm", a)
 
 
 def base_system(model: MarkovModel) -> BaseSystem:
+    """The model's zero-pressure normalization, cached by config for the
+    two configs used most recently."""
     key = model.config
+    _touch(key)
     if key in _system_cache:
         return _system_cache[key]
     raw = WeightRecipe(potential=True)
@@ -475,8 +514,10 @@ def leading_eigendata(model: MarkovModel, a: float) -> EigenData:
 
 
 def normalize_potential(model: MarkovModel, a: float) -> NormalizedPotential:
-    """f^(a): the a-tilted potential normalized so its operator fixes 1."""
+    """f^(a): the a-tilted potential normalized so its operator fixes 1,
+    cached by (config, "norm", a) for the two configs used most recently."""
     key = (model.config, "norm", a)
+    _touch(model.config)
     if key in _system_cache:
         return _system_cache[key]
     sys = base_system(model)

@@ -24,6 +24,11 @@ Frozen oracles used below, each recomputed independently before freezing:
   0.10855463969090 on the full three-symbol family with roof
   1 + 0.2 sin(2 pi x) (length 12), at s = 0.5 and 1; the grid pressure at
   N = 1024, 4096 and 16384 converges to each as N^-2.
+* entropies h with P(-h tau) = 0 from the same determinant, to 1e-14:
+  0.35037379885910 on doubling with roof 2 + 0.5 sin(2 pi x) (orbits to
+  length 16) and 0.56638334255130 on the full three-symbol family with
+  roof 1.8 + 0.1x + 0.3 sin(2 pi x) - 0.2 cos(2 pi x) (length 12); the
+  grid entropy at N = 1024 and 4096 converges to each as N^-2.
 * sin roof 2 + 0.5 sin(2 pi x) zero-lag covariance of sin(2 pi x): the
   size-biased density (2 + 0.5 sin)/2 gives E[A^2] = 1/2 and
   E[A] = 1/8, so C(0) = 1/2 - 1/64 = 31/64 exactly.
@@ -323,6 +328,40 @@ def test_pressure_from_the_orbit_table(family, roof, order, s, value):
     assert abs(-math.log(_least_zero(c[:-2])) - p) <= 1e-14
     for n in (1024, 4096):
         assert abs(pressure(build(roof, grid_size=n), s) - p) <= 4e-3 / n ** 2
+
+
+def _table_entropy(model, table, order):
+    """h with P(-h tau) = 0, P = -log z0 from the orbit table as above.
+    P(-s tau) lies between log lam - s max tau and log lam - s min tau,
+    lam the spectral radius of the transition matrix, so log lam / max tau
+    and log lam / min tau bracket h; bisected down to adjacent floats."""
+    slope = len(model.alphabet)
+    lam = max(abs(np.linalg.eigvals(model.transitions.astype(float))))
+    tau = model.roof(model.nodes())
+    lo, hi = math.log(lam) / tau.max(), math.log(lam) / tau.min()
+    while lo < 0.5 * (lo + hi) < hi:
+        mid = 0.5 * (lo + hi)
+        z0 = _least_zero(_determinant(table, slope, mid, order))
+        lo, hi = (mid, hi) if z0 < 1.0 else (lo, mid)
+    return lo
+
+
+# h from the orbit table alone.  The grid entropy is off by about C / N^2
+# (measured C: 1.4e-4 on doubling at N = 1024 and 4096; 1.62e-3 and
+# 1.75e-3 on markov3, so that Brent's stop at 10 ENTROPY_TOL fails it).
+@pytest.mark.parametrize("family, roof, order, value", [
+    ("doubling", (2.0, 0.0, 0.5, 0.0), 16, 0.35037379885910),
+    ("markov3", (1.8, 0.1, 0.3, -0.2), 12, 0.56638334255130)])
+def test_entropy_from_the_orbit_table(family, roof, order, value):
+    build = doubling_model if family == "doubling" else markov3_model
+    model = build(roof, grid_size=64)
+    table = enumerate_periodic_orbits(model, order)
+    h = _table_entropy(model, table, order)
+    assert abs(h - value) <= 1e-14
+    # two orders fewer agree to the rounding (measured worst 3.3e-16)
+    assert abs(_table_entropy(model, table, order - 2) - h) <= 1e-14
+    for n in (1024, 4096):
+        assert abs(entropy(build(roof, grid_size=n)) - h) <= 2e-3 / n ** 2
 
 
 # li(y) against Ei(x) - Ei(x0) in 40 digits at the rounded x = log y and

@@ -152,6 +152,14 @@ CENSUS_PAIRS = ((3.192, 3.195), (3.169, 2.986), (3.071, 3.043),
 SPECTRAL_3_PAIRS = ((2.601, 2.470), (2.647, 2.492), (2.712, 2.531))
 
 
+# peak_rss_mb of ten alternated certify pairs, parent then change, around
+# the medians a past change recorded (67.59 -> 67.39 MB, 10 of 10 lower)
+CERTIFY_RSS_PAIRS = ((67.56, 67.36), (67.58, 67.38), (67.59, 67.39),
+                     (67.61, 67.41), (67.57, 67.37), (67.59, 67.39),
+                     (67.60, 67.40), (67.58, 67.38), (67.62, 67.42),
+                     (67.59, 67.39))
+
+
 def _metrics(*specs):
     """BENCHMARK.json end_to_end entries from (name, better, bound)."""
     return [dict(zip(("name", "better", "bound"), m)) for m in specs]
@@ -168,13 +176,19 @@ def test_bench_pairs_summary_of_recorded_pairs():
     assert row["change"][1] == pytest.approx(3.1685)
     assert row["wins"] == 5 and not row["claim"]
     assert row["verdict"] == "ok"
-    # 9 wins of 10 and a median gap wider than the parent's IQR claim a
-    # gain; a tie counts for neither side, and "higher" flips the sign
-    faster = [(a, b - 0.2) for a, b in CENSUS_PAIRS[:9]] + [(3.2, 3.2)]
-    pairs = [({"t": a, "r": -a}, {"t": b, "r": -b}) for a, b in faster]
+    # 9 wins of 10 and a median gap wider than the parent's IQR and than
+    # the bound (a quarter of 3.177 s) claim a gain; a tie counts for
+    # neither side, and "higher" flips the sign
+    def shifted(cut):
+        faster = [(a, b - cut) for a, b in CENSUS_PAIRS[:9]] + [(3.2, 3.2)]
+        return [({"t": a, "r": -a}, {"t": b, "r": -b}) for a, b in faster]
     both = _metrics(("t", "lower", 0.25), ("r", "higher", 0.25))
-    rows = summarize(pairs, both, none_failed)
+    rows = summarize(shifted(0.9), both, none_failed)
     assert [(r["wins"], r["claim"]) for r in rows] == [(9, True), (9, True)]
+    # the same wins 0.2 s faster, past the IQR but inside the bound, do not
+    rows = summarize(shifted(0.2), both, none_failed)
+    assert [(r["wins"], r["claim"]) for r in rows] == [(9, False), (9, False)]
+    pairs = shifted(0.9)
     t_only = _metrics(("t", "lower", 0.25))
     assert not summarize(pairs[:8] + pairs[-1:] * 2, t_only,
                          none_failed)[0]["claim"]
@@ -195,6 +209,19 @@ def test_bench_pairs_summary_of_recorded_pairs():
     assert row["parent"][1] == 2.647 and row["change"][1] == 2.492
     gap = row["parent"][1] - row["change"][1]
     assert gap > row["parent"][2] - row["parent"][0] and not row["claim"]
+    # a past certify run read peak_rss_mb 67.59 -> 67.39 MB in 10 of 10
+    # pairs, a gap wider than the parent's IQR but 0.3% of the median, far
+    # inside the bound of 10%: no gain; only the medians were recorded, and
+    # the pairs are set so that the rule without the bound claims it
+    rss = _metrics(("peak_rss_mb", "lower", 0.1))
+    (row,) = summarize([({"peak_rss_mb": a}, {"peak_rss_mb": b})
+                        for a, b in CERTIFY_RSS_PAIRS], rss, none_failed)
+    assert row["wins"] == 10 and row["pairs"] == 10
+    assert row["parent"][1] == pytest.approx(67.59)
+    assert row["change"][1] == pytest.approx(67.39)
+    gap = row["parent"][1] - row["change"][1]
+    assert gap > row["parent"][2] - row["parent"][0] and not row["claim"]
+    assert row["verdict"] == "ok"
     # no-regression verdicts, each bound a fraction of the parent's median
     # of 3.177 s: the recorded change is ok; a quarter slower is worse at
     # a bound of 20%; at 2% (0.064 s) the parent's IQR of 0.120 s is wider

@@ -25,6 +25,7 @@ Frozen oracle values (computed independently before implementation):
 """
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -33,6 +34,7 @@ from hypothesis import strategies as st
 
 from transferlab import doubling_model, markov3_model
 from transferlab.markov import CoefFn, ModelError
+from transferlab import orbits as O
 from transferlab import thermo as T
 
 SIN = CoefFn(0.0, 0.0, 0.2)  # 0.2 sin(2 pi x)
@@ -281,3 +283,57 @@ def test_grid_refinement_consistency():
         vals.append(T.base_system(m).value)
     assert abs(vals[2] - vals[1]) < abs(vals[1] - vals[0])
     assert abs(vals[1] - vals[0]) < 1e-6
+
+
+def _cached_configs():
+    """The config of every entry of the three model caches."""
+    return {k[0] if isinstance(k, tuple) else k
+            for cache in (T._stencil_cache, T._system_cache, O._entropy_cache)
+            for k in cache}
+
+
+def test_caches_keep_the_two_configs_used_most_recently():
+    """Three small models in turn, on fresh caches swapped in through the
+    module attributes: after the third, nothing of the first is left, the
+    second's objects come back as they were, and the first, rebuilt, has
+    the bits it had."""
+    models = [doubling_model(potential=SIN, grid_size=64),
+              markov3_model((1.5, 0.0, 0.2, 0.0), grid_size=64),
+              doubling_model((2.0, 0.1, 0.0, 0.3), grid_size=128)]
+    configs = [m.config for m in models]
+
+    def query(model):
+        norm = T.normalize_potential(model, 0.02)
+        return (T._stencil_table(model), T.base_system(model), norm,
+                T.transfer_real(model, 0.02).matrix.data, O.entropy(model))
+
+    with mock.patch.object(T, "_stencil_cache", {}), \
+            mock.patch.object(T, "_system_cache", {}), \
+            mock.patch.object(O, "_entropy_cache", {}), \
+            mock.patch.object(T, "_recent_configs", []):
+        first, second = query(models[0]), query(models[1])
+        assert _cached_configs() == set(configs[:2])
+        query(models[2])
+        assert _cached_configs() == set(configs[1:])
+        assert T._recent_configs == configs[1:]
+        assert len(T._stencil_cache) == 2 and len(O._entropy_cache) == 2
+        # every lookup touches its config on a hit as well
+        for lookup in (T._stencil_table, T.base_system,
+                       lambda m: T.normalize_potential(m, 0.02), O.entropy):
+            oldest = T._recent_configs[0]
+            lookup(models[configs.index(oldest)])
+            assert T._recent_configs[-1] == oldest
+        assert _cached_configs() == set(configs[1:])
+        again = query(models[1])
+        for got, kept in zip(again[:3], second[:3]):
+            assert got is kept
+        assert T._recent_configs == [configs[2], configs[1]]
+        rebuilt = query(models[0])
+        assert _cached_configs() == {configs[0], configs[1]}
+        assert rebuilt[1] is not first[1] and rebuilt[2] is not first[2]
+        for old, new in ((first[1].rho, rebuilt[1].rho),
+                         (first[1].nu, rebuilt[1].nu),
+                         (first[2].rho, rebuilt[2].rho),
+                         (first[3], rebuilt[3])):
+            assert old.tobytes() == new.tobytes()
+        assert first[4] == rebuilt[4]

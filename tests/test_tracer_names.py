@@ -68,6 +68,30 @@ def test_probed_caches_exist(tracer):
     assert isinstance(_layer("orbits").ENTROPY_TOL, float)
 
 
+def test_probed_caches_hold_the_probed_keys(tracer):
+    """The keys the probes test are the keys the package stores: a
+    re-keyed cache would read as all misses, and the hit ratio as 0."""
+    from transferlab.markov import doubling_model
+
+    thermo, orbits = _layer("thermo"), _layer("orbits")
+    model = doubling_model((1.5, 0.0, 0.2, 0.0), grid_size=64)
+    a = 0.01
+    thermo.normalize_potential(model, a)
+    orbits.entropy(model)
+    assert model.config in thermo._system_cache
+    assert (model.config, "norm", a) in thermo._system_cache
+    assert model.config in thermo._stencil_cache
+    assert (model.config, orbits.ENTROPY_TOL) in orbits._entropy_cache
+    tr = tracer.Tracer()
+    for name, args in (("thermo.base_system", (model,)),
+                       ("thermo.normalize_potential", (model, a)),
+                       ("thermo.make_operator", (model, None)),
+                       ("orbits.entropy", (model,))):
+        tracer._PRE[name](tr, args, {})
+    assert tr.counts["thermo.cache.hits"] == 4
+    assert tr.counts["thermo.cache.misses"] == 0
+
+
 def test_pre_names_resolve(tracer):
     for name in sorted(set(tracer._PRE) - INERT_PRE):
         layer, _, attr = name.partition(".")
