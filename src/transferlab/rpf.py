@@ -286,7 +286,6 @@ class DecayRow:
 class DecayProfile:
     rows: list
     kappa_hat: float | None    # fitted L2 ~ |b|^(-kappa_hat); None if < 4 rows
-    intercept: float | None
 
 
 def decay_profile(model: MarkovModel, a: float,
@@ -315,9 +314,9 @@ def decay_profile(model: MarkovModel, a: float,
     if len(good) >= 4:
         xs = np.log([abs(r.b) for r in good])
         ys = np.log([r.l2 for r in good])
-        slope, intercept = np.polyfit(xs, ys, 1)
-        return DecayProfile(rows, float(-slope), float(intercept))
-    return DecayProfile(rows, None, None)
+        slope = np.polyfit(xs, ys, 1)[0]
+        return DecayProfile(rows, float(-slope))
+    return DecayProfile(rows, None)
 
 
 @dataclass

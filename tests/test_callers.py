@@ -127,8 +127,10 @@ DEFAULT_LEDGER = {
     "cancellation.build_cancellation.kappa5":
         "tests reach the SHRINK_RETRIES loop only through it",
     "cancellation.cone_image_trials.seed": "criterion 06 states its seed",
+    "markov.doubling_model.roof": "mirrors the ModelConfig field",
     "markov.doubling_model.potential": "mirrors the ModelConfig field",
     "markov.doubling_model.mu": "mirrors the ModelConfig field",
+    "markov.doubling_model.grid_size": "mirrors the ModelConfig field",
     "markov.doubling_model.theta": "mirrors the ModelConfig field",
     "markov.markov3_model.roof": "mirrors the ModelConfig field",
     "markov.markov3_model.potential": "mirrors the ModelConfig field",
@@ -274,6 +276,11 @@ FIELD_DIRS = CALLER_DIRS + ("tests",)
 FIELD_LEDGER = {
     "rpf.ComplexRPF.delta1": "scripts/artifact_digest.py digests every "
                              "field of a build_rpf result",
+    # cli writes these by column name, through getattr
+    "rpf.DecayRow.seminorm": "the seminorm column of decay.csv",
+    "cancellation.StepRow.c0_u": "the c0_u column of dolgopyat.csv",
+    "cancellation.StepRow.omega_fraction":
+        "the omega_fraction column of dolgopyat.csv",
 }
 
 

@@ -436,6 +436,36 @@ def test_pair_plan_bumps_the_lighter_branch(weights):
     assert plan[0] == int(np.argmin(weights))
 
 
+def _plan_on_halves(omegas, kappa6, big_h=1.0, off=(0.0, 0.5)):
+    """_pair_plan at b = 64 on the sine-roof doubling map, grid 64, for the
+    first 17 nodes: two one-step branches y/2 + off, both into interval 0,
+    weights 1 and 2, u = e^(40ix) and H constant."""
+    m = doubling_model(roof=SINROOF, grid_size=64)
+    x = np.arange(65) / 64
+    return cancellation._pair_plan(
+        m, 64.0, np.zeros((1, 65)), x[:17], np.array(omegas),
+        np.array([1.0, 2.0]), np.array([0.5, 0.5]), np.array(off),
+        np.array([0, 0]), np.exp(40j * x)[None, :], np.full((1, 65), big_h),
+        kappa6, 1)
+
+
+def test_pair_plan_accepts_and_rejects():
+    # with H = 1 the plan is kept: the lighter branch 0 over the whole
+    # window, with room 0.0037 above the 1e-4 floor
+    k, window, room = _plan_on_halves((0.0, 1.0), 0.2)
+    assert (k, window) == (0, (0.0, 1.0))
+    assert room == pytest.approx(0.0037255037621712894, rel=1e-9)
+    # each rejection alone: no phase gap; a gap of exactly kappa6/2 (exact
+    # on the torus at kappa6 = 1/4, where a gap of 1 is accepted); equal
+    # branches, whose phase difference is 0 so no window clears; H = 0,
+    # which leaves room 0
+    assert _plan_on_halves((0.0, 0.0), 0.2) is None
+    assert _plan_on_halves((0.0, 1.0), 0.25) is not None
+    assert _plan_on_halves((0.0, 0.125), 0.25) is None
+    assert _plan_on_halves((0.0, 1.0), 0.2, off=(0.0, 0.0)) is None
+    assert _plan_on_halves((0.0, 1.0), 0.2, big_h=0.0) is None
+
+
 # ---------------------------------------------------------------------------
 # majorant recursion and square comparison
 

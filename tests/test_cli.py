@@ -494,6 +494,14 @@ EDGE_INPUTS = (
     (["dolgopyat", "--a", "400"], {}, _tilt_error(400.0), False),
     (["dolgopyat", "--eps", "0.5", "--b", "8"], {}, None, None),
     (["uni-scan", "--eps", "1e-300"], {}, None, None),
+    (["model-info", "--theta", "0"], {},
+     "transferlab: error: theta must lie in (0, 1]\n", False),
+    (["model-info"], {"THETA": "0"},
+     "transferlab: error: theta must lie in (0, 1]\n", False),
+    (["model-info", "--theta", "nan"], {},
+     "transferlab: error: theta must be a finite number, got nan\n", False),
+    (["orbits"], {"T_GRID": ","},
+     "transferlab: error: T_GRID must list at least one number\n", False),
 )
 
 
@@ -513,6 +521,20 @@ def test_edge_inputs_end_with_an_exit_code(tmp_path, monkeypatch, capsys,
         assert (code, err) == (1, error)
     if wrote is not None:
         assert out.exists() == wrote
+
+
+@pytest.mark.parametrize("argv, env", [(["--theta", "0.25"], {}),
+                                       ([], {"THETA": "0.25"})],
+                         ids=["flag", "env"])
+def test_theta_reaches_the_model_and_its_echo(tmp_path, monkeypatch, argv,
+                                              env):
+    for name, val in env.items():
+        monkeypatch.setenv(f"TRANSFERLAB_{name}", val)
+    out = tmp_path / "o"
+    assert cli.main(["model-info", *argv, "--grid", "64",
+                     "--out", str(out)]) == 0
+    text = (out / "model.csv").read_text()
+    assert "# config theta = 0.25\n" in text and "\ntheta,0.25\n" in text
 
 
 def test_bad_seed_and_threads(tmp_path):

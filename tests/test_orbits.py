@@ -32,6 +32,14 @@ Frozen oracles used below, each recomputed independently before freezing:
 * sin roof 2 + 0.5 sin(2 pi x) zero-lag covariance of sin(2 pi x): the
   size-biased density (2 + 0.5 sin)/2 gives E[A^2] = 1/2 and
   E[A] = 1/8, so C(0) = 1/2 - 1/64 = 31/64 exactly.
+* spectral radii of L_{0,b} from det(1 - zL_{0,b}) over the orbit table:
+  |cos 5| = 0.28366219 on doubling with roof 2 + x at b = 10 (order 14),
+  |sum_i e^(40i(1.5 + 0.9 i))| / 3 = 0.24802421 on the full three-symbol
+  family with roof 1.5 + 0.6x at b = 40 (order 12), both to 1e-7.
+* unit roof, fibre observable A = (1 + 0.5 sin(2 pi x)) cos(2 pi u): the
+  fibre mean of cos is 0 and of cos^2 is 1/2, so E[A] = 0 and
+  C(0) = E[A^2] = (1 + 1/8) / 2 = 9/16 exactly; the fibre mean of u is
+  1/2.
 """
 
 import math
@@ -278,18 +286,21 @@ def test_entropy_on_a_linear_roof(c0, c1, const):
         assert abs(h - exact) <= const / n ** 2 + ENTROPY_TOL
 
 
-def _determinant(table, slope, s, order):
-    """Coefficients c_0..c_order of det(1 - zL) for the operator weighted
-    by e^(-s tau) on a map of constant slope: tr L^n sums
-    n_p e^(-s r T_p) / (1 - slope^-n) over primitive orbits p and r >= 1
-    with r n_p = n (Ruelle), and Newton's identities turn the traces into
-    coefficients, k c_k = -sum_j tr L^j c_(k-j)."""
-    traces = np.zeros(order + 1)
+def _determinant(table, slope, log_weight, order):
+    """Coefficients c_0..c_order of det(1 - zL) for an operator on a map of
+    constant slope whose weight along each primitive orbit p of the table
+    is w_p = exp(log_weight[p]), real or complex: tr L^n sums
+    n_p w_p^r / (1 - slope^-n) over primitive orbits p and r >= 1 with
+    r n_p = n (Ruelle), and Newton's identities turn the traces into
+    coefficients, k c_k = -sum_j tr L^j c_(k-j).  The weight e^(-s tau)
+    has log_weight -s T_p; L_{0,b} has -n_p log(slope) + i b T_p."""
+    traces = np.zeros(order + 1, dtype=np.asarray(log_weight).dtype)
     for r in range(1, order + 1):
-        rows = table[table.n * r <= order]
-        np.add.at(traces, rows.n * r, rows.n * np.exp(-s * r * rows.period))
+        keep = table.n * r <= order
+        np.add.at(traces, table.n[keep] * r,
+                  table.n[keep] * np.exp(r * log_weight[keep]))
     traces[1:] /= 1.0 - slope ** -np.arange(1.0, order + 1)
-    c = np.zeros(order + 1)
+    c = np.zeros(order + 1, dtype=traces.dtype)
     c[0] = 1.0
     for k in range(1, order + 1):
         c[k] = -np.dot(traces[1:k + 1], c[k - 1::-1]) / k
@@ -320,7 +331,7 @@ def _least_zero(c):
 def test_pressure_from_the_orbit_table(family, roof, order, s, value):
     build = doubling_model if family == "doubling" else markov3_model
     table = enumerate_periodic_orbits(build(roof, grid_size=64), order)
-    c = _determinant(table, len(build().alphabet), s, order)
+    c = _determinant(table, len(build().alphabet), -s * table.period, order)
     p = -math.log(_least_zero(c))
     assert abs(p - value) <= 1e-14
     # the coefficients fall super-exponentially, so two orders fewer agree
@@ -341,7 +352,8 @@ def _table_entropy(model, table, order):
     lo, hi = math.log(lam) / tau.max(), math.log(lam) / tau.min()
     while lo < 0.5 * (lo + hi) < hi:
         mid = 0.5 * (lo + hi)
-        z0 = _least_zero(_determinant(table, slope, mid, order))
+        z0 = _least_zero(_determinant(table, slope, -mid * table.period,
+                                      order))
         lo, hi = (mid, hi) if z0 < 1.0 else (lo, mid)
     return lo
 
@@ -362,6 +374,33 @@ def test_entropy_from_the_orbit_table(family, roof, order, value):
     assert abs(_table_entropy(model, table, order - 2) - h) <= 1e-14
     for n in (1024, 4096):
         assert abs(entropy(build(roof, grid_size=n)) - h) <= 2e-3 / n ** 2
+
+
+# The spectral radius of L_{0,b} from the orbit table alone, as 1 / |z0|
+# with z0 the least-modulus zero of det(1 - zL_{0,b}) (np.roots), on
+# affine roofs cohomologous to a locally constant one (Livsic), whose
+# steps are the locally constant values: 2 + x on doubling is
+# 2 + (first digit) + h(Tx) - h(x), so rho = |e^(2ib) + e^(3ib)| / 2
+# = |cos(b/2)|, and 1.5 + 0.6x on full markov3 is 1.5 + 0.9 i on interval
+# i, so rho = |sum_i e^(ib(1.5 + 0.9 i))| / 3.  Measured gaps: 2.5e-11 at
+# order 14 on doubling (2.9e-8 at order 16, where the root finder's
+# conditioning takes over, so the order is stated), 1.1e-9 at order 12 on
+# markov3.
+@pytest.mark.parametrize("family, roof, steps, b, order, value", [
+    ("doubling", (2.0, 1.0, 0.0, 0.0), (2.0, 3.0), 10.0, 14, 0.28366219),
+    ("markov3", (1.5, 0.6, 0.0, 0.0), (1.5, 2.4, 3.3), 40.0, 12,
+     0.24802421)])
+def test_twisted_spectral_radius_from_the_orbit_table(family, roof, steps, b,
+                                                       order, value):
+    build = doubling_model if family == "doubling" else markov3_model
+    table = enumerate_periodic_orbits(build(roof, grid_size=64), order)
+    slope = len(steps)
+    c = _determinant(table, slope,
+                     -table.n * math.log(slope) + 1j * b * table.period, order)
+    rho = 1.0 / np.abs(np.roots(c[::-1])).min()
+    closed = abs(np.exp(1j * b * np.array(steps)).sum()) / slope
+    assert abs(closed - value) <= 5e-9
+    assert abs(rho - closed) <= 1e-7
 
 
 # li(y) against Ei(x) - Ei(x0) in 40 digits at the rounded x = log y and
@@ -470,6 +509,40 @@ def test_flow_average_constant(sin_model):
 def test_covariance_at_zero_exact(sin_model):
     assert covariance_at_zero(sin_model, sec_sin, sec_sin) == \
         pytest.approx(31 / 64, abs=1e-9)
+
+
+def _ramp(x):
+    return 1.0 + 0.5 * np.sin(2 * np.pi * np.asarray(x))
+
+
+def _wave(u):
+    return np.cos(2 * np.pi * np.asarray(u))
+
+
+def test_fibre_profiles_by_quadrature():
+    # unit roof: the fibre average of u over [0, 1) is 1/2, and
+    # A = (1 + sin(2 pi x)/2) cos(2 pi u) has E[A] = 0 and
+    # E[A^2] = (1 + 1/8) / 2 = 0.5625; both read exactly
+    model = doubling_model(grid_size=1024)
+    assert flow_average(model, (lambda x: np.ones_like(np.asarray(x, float)),
+                                lambda u: np.asarray(u))) == 0.5
+    obs = (_ramp, _wave)
+    assert covariance_at_zero(model, obs, obs) == 0.5625
+
+
+@pytest.mark.parametrize("roof, quad", [
+    ((1.0, 0.0, 0.0, 0.0), 0.5625),
+    (SINROOF, 0.6206006717214181)])
+def test_fibre_covariance_matches_monte_carlo_at_zero(roof, quad):
+    # one time only, so 3 stderr needs no correction; measured 0.56100 +-
+    # 0.00209 (-0.7 sigma) on the unit roof and 0.62183 +- 0.00196
+    # (+0.6 sigma) on the sine roof
+    model = doubling_model(roof, grid_size=1024)
+    obs = (_ramp, _wave)
+    assert covariance_at_zero(model, obs, obs) == pytest.approx(quad,
+                                                                abs=1e-12)
+    rep = correlation_decay(model, obs, obs, (0.0,), 10 ** 5, seed=3)
+    assert abs(rep.corr[0] - quad) <= 3 * rep.stderr[0]
 
 
 def test_correlation_constant_observable(sin_model):

@@ -22,6 +22,12 @@ Frozen oracle values (computed independently before implementation):
   symbols whose cylinder is the interval: 1 on doubling, 1/3 each on full
   markov3, and singular Parry masses with one forbidden transition.
   Measured within 3.1e-14 on every case below.
+* volume potential -log|T'| (constant on each interval): pressure 0, an
+  eigenfunction constant on each interval, and interval masses the
+  stationary vector of A_ij / deg_i: (0.4, 0.2, 0.4) on markov3 with 0>1
+  forbidden, (0.375, 0.375, 0.25) with 2>2.
+* doubling, roof 2 + x: L_{0,b} has spectral radius |cos(b/2)| (the roof
+  is cohomologous to 2 + first binary digit); the flat roof 2 gives 1.
 """
 
 import math
@@ -153,6 +159,40 @@ def test_zero_potential_interval_masses_are_parry_masses(family, forbidden,
     assert float(np.max(np.abs(masses - parry))) <= 1e-12
 
 
+@pytest.mark.parametrize("grid", (256, 1024, 4096))
+@pytest.mark.parametrize("family,forbidden", _PARRY_CASES.values(),
+                         ids=_PARRY_CASES.keys())
+def test_volume_potential_in_closed_form(family, forbidden, grid):
+    # the volume potential -log|T'| is constant on each interval, so the
+    # grid holds it exactly: pressure 0 (measured |log E| <= 5.6e-16), an
+    # eigenfunction constant on each interval (measured <= 6.7e-16
+    # relative), and interval masses the stationary vector of the chain
+    # that leaves interval i for j with probability (branches i -> j) /
+    # slope_i (measured <= 3.3e-14), on all 33 cases
+    model = (doubling_model(grid_size=grid) if family == "doubling" else
+             markov3_model(grid_size=grid, forbidden=forbidden))
+    sym, dom = np.nonzero(~np.isnan(model.branch_slope))
+    home, slope = model.symbol_target[sym], model.branch_slope[sym, dom]
+    k = len(model.intervals)
+    log_slope = np.empty(k)
+    log_slope[home] = np.log(slope)
+    chain = np.zeros((k, k))
+    np.add.at(chain, (home, dom), 1.0 / slope)
+    recipe = T.WeightRecipe(
+        grids=(np.repeat(-log_slope[:, None], grid + 1, axis=1),))
+    value, rho, _ = T.power_iteration(T.make_operator(model, recipe))
+    assert abs(math.log(value)) <= 1e-15
+    assert float(np.max(np.ptp(rho, axis=1) / rho.max(axis=1))) <= 1e-15
+    normed = recipe.plus(const=-math.log(value), rho=rho)
+    masses = T.adjoint_weights(T.make_operator(model, normed), 1.0).sum(axis=1)
+    stationary = _perron_vector(chain.T)
+    stationary /= stationary.sum()
+    assert float(np.max(np.abs(masses - stationary))) <= 1e-13
+    closed = {("0>1",): (0.4, 0.2, 0.4), ("2>2",): (0.375, 0.375, 0.25)}
+    if forbidden in closed:
+        assert np.allclose(stationary, closed[forbidden], rtol=0, atol=1e-15)
+
+
 def test_power_iteration_matches_dense_eigensolver():
     m = doubling_model(potential=SIN, grid_size=256)
     sys = T.base_system(m)
@@ -274,6 +314,38 @@ def test_complex_weight_modulus_dominated(sin_model):
     flat = T.transfer_real(sin_model, 0.02)
     twist = T.transfer_complex(sin_model, 0.02, 17.0)
     assert np.all(np.abs(twist(u)) <= flat(np.abs(u)) + 1e-12)
+
+
+def _spectral_radius(op, shape):
+    """rho of op by power iteration: 200 normalized applications, then the
+    mean log growth of the sup norm over 200 more."""
+    v = np.ones(shape, dtype=complex)
+    for _ in range(200):
+        v = op(v)
+        v /= np.abs(v).max()
+    growth = 0.0
+    for _ in range(200):
+        v = op(v)
+        top = float(np.abs(v).max())
+        growth += math.log(top)
+        v /= top
+    return math.exp(growth / 200)
+
+
+@pytest.mark.parametrize("c1", (0.0, 1.0), ids=("flat", "affine"))
+def test_spectral_radius_where_the_roof_does_not_mix(c1):
+    # 2 + x = 2 + (first binary digit) + h(Tx) - h(x) with h = x (Livsic),
+    # so L_{0,b} is conjugate to the locally constant roof's operator,
+    # whose leading eigenvalue (e^(2ib) + e^(3ib)) / 2 has modulus
+    # |cos(b/2)|; the flat roof 2 gives e^(2ib), modulus 1.  Measured at
+    # N = 4096: worst gap 1.8e-5 at b = 64 (it grows like 0.075 (b/N)^2),
+    # and 0 on the flat roof
+    model = doubling_model((2.0, c1, 0.0, 0.0), grid_size=4096)
+    for b in (0.5, 1.0, 2.0, 4.0, 8.0, 10.0, 16.0, 32.0, 64.0):
+        rho = _spectral_radius(T.transfer_complex(model, 0.0, b), (1, 4097))
+        closed = abs(math.cos(b / 2)) if c1 else 1.0
+        assert closed >= 0.1
+        assert abs(rho - closed) <= (1e-4 if c1 else 1e-8)
 
 
 def test_grid_refinement_consistency():
