@@ -24,7 +24,14 @@ than the parent's by more than the bound,
 ``unresolved`` when the parent's interquartile range is wider than the
 bound and not every run of the change beats every run of the parent,
 ``ok`` otherwise.
-Exits 1 when a run fails to produce its result line.
+The output ends with one JSON line, ``{"workload", "seed", "rows"}``,
+which holds the summary rows, so that a trajectory can be collected
+from the runs.  Exits 1 when a run fails to produce its result line.
+
+Peak RSS differs between two checkouts of one commit by up to 0.7 MB
+(seed-1 ``spectral`` on a 2-vCPU VM: a copy that had served ten earlier
+runs read 80.5-81.0 MB, a fresh one 81.2 MB), so a ``peak_rss_mb``
+comparison runs both sides from fresh ``git archive`` copies.
 """
 
 from __future__ import annotations
@@ -117,13 +124,16 @@ def main(argv=None) -> int:
         failed.append((fails["parent"], fails["change"]))
     print(f"{args.workload} seed {args.seed}, {len(pairs)} pairs "
           "(q1 / median / q3)")
-    for row in summarize(pairs, spec["end_to_end"], failed):
+    rows = summarize(pairs, spec["end_to_end"], failed)
+    for row in rows:
         old, new = row["parent"], row["change"]
         print(f"{row['metric']}: parent {old[0]:.4g} / {old[1]:.4g} / "
               f"{old[2]:.4g}, change {new[0]:.4g} / {new[1]:.4g} / "
               f"{new[2]:.4g}, change wins {row['wins']} of {row['pairs']}, "
               f"gain {'claimed' if row['claim'] else 'not claimed'}, "
               f"{row['verdict']}")
+    print(json.dumps({"workload": args.workload, "seed": args.seed,
+                      "rows": rows}))
     return 0
 
 

@@ -43,7 +43,6 @@ _INPUTS = {"MODEL": str, "OUT": str, "SEED": int, "THREADS": int,
            "B_LIST": tuple, "EPS_LIST": tuple, "N_MAX": int, "T_GRID": tuple,
            "SAMPLES": int, "BLOCKS": int}
 
-DEFAULT_B_LIST = (64.0, 128.0, 256.0, 512.0)
 DEFAULT_EPS_LIST = tuple(2.0 ** -q for q in range(6, 13))
 DEFAULT_N_MAX = 12
 DEFAULT_SAMPLES = 100_000
@@ -158,7 +157,7 @@ def _coerce(name: str, raw, kind):
     return val
 
 
-_DEFAULTS = {"out": "out", "seed": 0, "a": 0.0, "b_list": DEFAULT_B_LIST,
+_DEFAULTS = {"out": "out", "seed": 0, "a": 0.0, "b_list": rpf.DEFAULT_B_LIST,
              "eps_list": DEFAULT_EPS_LIST, "n_max": DEFAULT_N_MAX,
              "samples": DEFAULT_SAMPLES, "blocks": DEFAULT_BLOCKS}
 

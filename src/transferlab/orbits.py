@@ -18,9 +18,10 @@ the other points of the orbit by one inverse branch each, so it never
 builds the rotations of a word.  _cyclic_points is the one fixed-point
 routine, for the census and cyclic_fixed_points alike.
 
-The entropy is the root Brent's method finds in a bracket where the
-pressure changes sign, by a loop that evaluates the pressure at the
-points scipy.optimize.brentq would and returns its bits; li is
+The entropy is the zero of the pressure P(-s tau), reached from below by
+secant steps: P falls with a slope between -tau_star and -tau_0 and is
+convex in s, so every step stays left of the root, and the loop stops
+once P(s) <= tau_0 ENTROPY_TOL, within ENTROPY_TOL below it; li is
 Ei(log y) - Ei(log 2), summed by series.  No scipy solver is imported.
 Monte Carlo blocks each draw from their own seed
 stream and are then advanced together as one array, bit for bit as the
@@ -47,6 +48,9 @@ WORD_CAP_DEFAULT = 2 ** 21
 # leaves it unchanged (see _settle)
 FIXED_POINT_ITERATIONS = 200
 ENTROPY_TOL = 1e-10
+# secant steps entropy takes at most (300 random models stopped after at
+# most 6 pressure evaluations)
+ENTROPY_STEPS = 50
 # Monte Carlo points advanced at once (whole blocks; at least one block)
 MC_CHUNK_POINTS = 2 ** 17
 # largest T / tau_0 a correlation accepts: advancing to T unwinds up to
@@ -55,8 +59,6 @@ MC_CHUNK_POINTS = 2 ** 17
 MC_MAX_CROSSINGS = 10 ** 3
 FIBER_ORDER = 64             # midpoint nodes per fiber in flow_average
 LOG_FLOAT_MAX = math.log(sys.float_info.max)   # largest h*T for li(e^(hT))
-_BRENT_STEPS = 100           # scipy.optimize.brentq's default maxiter
-_BRENT_RTOL = 4 * sys.float_info.epsilon     # and its smallest rtol
 _LOG_2 = math.log(2.0)
 # li sums its convergent series up to log y = 50 and the asymptotic one
 # beyond, whose smallest term there is about 3e-21 of the sum
@@ -239,120 +241,44 @@ def enumerate_periodic_orbits(model: MarkovModel, n_max: int) -> np.recarray:
 # entropy and the orbit-count comparison
 # ---------------------------------------------------------------------------
 
-_entropy_cache: dict = {}     # (config, tol) -> h
+_entropy_cache: dict = {}     # (config, ENTROPY_TOL) -> h
 _config_caches.append((globals(), "_entropy_cache"))
 
 
-def entropy(model: MarkovModel, tol: float = ENTROPY_TOL) -> float:
-    """Unique s with P(-s tau) = pressure(model, s) = 0.
+def entropy(model: MarkovModel) -> float:
+    """Unique s with P(-s tau) = pressure(model, s) = 0, from below.
 
-    The pressure is positive at 0 and falls at least as fast as
-    tau_min * s (Parry and Pollicott, Asterisque 187-188, 1990), so
-    hi = P(0) / tau_0 + 1, doubled until the pressure is negative,
-    brackets the root, and Brent's method (_brentq) closes the bracket
-    [0, hi] to xtol=tol; its iteration cap raises ConvergenceError.
-    Pressure is evaluated once per s.  Roots are cached by (config, tol)
+    P falls with a slope between -tau_star and -tau_0 (Parry and
+    Pollicott, Asterisque 187-188, 1990), and it is convex in s, also on
+    the grid: a nonnegative matrix whose entries are log-convex in s has a
+    log-convex spectral radius (Kingman, Quart. J. Math. 12, 1961).  So
+    s0 = 0 and s1 = P(0) / (2 tau_star) lie left of the root, and each
+    secant step through the last two points stays left of it and rises
+    toward it.  The loop stops once P(s) <= tau_0 ENTROPY_TOL, which puts
+    s within ENTROPY_TOL below the root.  A pressure that fails to fall,
+    or ENTROPY_STEPS steps without that stop, raises ConvergenceError.
+    No scipy solver is used.  Roots are cached by (config, ENTROPY_TOL)
     for the two configs used most recently, as thermo's caches are.
     """
-    key = (model.config, tol)
+    key = (model.config, ENTROPY_TOL)
     _touch(model.config)
     if key in _entropy_cache:
         return _entropy_cache[key]
-    memo: dict = {}
-
-    def pr(s: float) -> float:
-        if s not in memo:
-            memo[s] = pressure(model, s)
-        return memo[s]
-
-    p0 = pr(0.0)
+    p0 = pressure(model, 0.0)
     if p0 <= 0:
         raise ModelError("pressure at s=0 is nonpositive; no entropy root")
-    hi = p0 / model.tau_0 + 1.0
-    for _ in range(60):
-        if pr(hi) < 0:
-            break
-        hi *= 2.0
-    else:
-        raise ModelError("failed to bracket the entropy root")
-    h = _brentq(pr, 0.0, hi, tol)
-    _entropy_cache[key] = h
-    return h
-
-
-def _brentq(f, a: float, b: float, xtol: float) -> float:
-    """Root of f in [a, b] by Brent's method (Brent, Algorithms for
-    Minimization without Derivatives, 1973, ch. 4), step for step as the C
-    loop of scipy.optimize.brentq with rtol = 4 eps and maxiter = 100, so
-    that both evaluate f at the same points and return the same bits.
-
-    As there: a NaN value raises ValueError, as does a bracket whose ends
-    have values of one sign; an end with value 0 is returned; and a
-    bracket still wider than the tolerance after 100 steps raises
-    ConvergenceError.
-    """
-    def value(x):
-        fx = float(f(x))
-        if math.isnan(fx):
-            raise ValueError(f"The function value at x={x} is NaN; "
-                             "solver cannot continue.")
-        return fx
-
-    xpre, xcur = float(a), float(b)
-    xblk = fblk = spre = scur = 0.0
-    fpre, fcur = value(xpre), value(xcur)
-    if fpre == 0:
-        return xpre
-    if fcur == 0:
-        return xcur
-    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
-        raise ValueError("f(a) and f(b) must have different signs")
-    for _ in range(_BRENT_STEPS):
-        if fpre != 0 and fcur != 0 and (math.copysign(1.0, fpre)
-                                        != math.copysign(1.0, fcur)):
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-        delta = (xtol + _BRENT_RTOL * abs(xcur)) / 2
-        sbis = (xblk - xcur) / 2
-        if fcur == 0 or abs(sbis) < delta:
-            return xcur
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            if xpre == xblk:
-                # secant step
-                stry = _c_div(-fcur * (xcur - xpre), fcur - fpre)
-            else:
-                # inverse quadratic step
-                dpre = _c_div(fpre - fcur, xpre - xcur)
-                dblk = _c_div(fblk - fcur, xblk - xcur)
-                stry = _c_div(-fcur * (fblk * dblk - fpre * dpre),
-                              dblk * dpre * (fblk - fpre))
-            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
-                spre, scur = scur, stry
-            else:
-                spre = scur = sbis
-        else:
-            spre = scur = sbis
-        xpre, fpre = xcur, fcur
-        if abs(scur) > delta:
-            xcur += scur
-        else:
-            xcur += delta if sbis > 0 else -delta
-        fcur = value(xcur)
-    raise ConvergenceError(f"brentq did not converge in {_BRENT_STEPS} "
-                           f"steps, value is {xcur}")
-
-
-def _c_div(a: float, b: float) -> float:
-    """a / b as C divides doubles: a zero b (such as an underflowed
-    product) gives a signed infinity, or NaN for a zero or NaN a."""
-    if b:
-        return a / b
-    if a == 0 or math.isnan(a):
-        return math.nan
-    return math.copysign(math.inf, a) * math.copysign(1.0, b)
+    s0, s1 = 0.0, p0 / (2.0 * model.tau_star)
+    for _ in range(ENTROPY_STEPS):
+        p1 = pressure(model, s1)
+        if p1 <= model.tau_0 * ENTROPY_TOL:
+            _entropy_cache[key] = s1
+            return s1
+        if not p1 < p0:
+            raise ConvergenceError(f"pressure does not fall: {p0!r} at "
+                                   f"s={s0!r}, {p1!r} at s={s1!r}")
+        s0, s1, p0 = s1, s1 - p1 * (s1 - s0) / (p1 - p0), p1
+    raise ConvergenceError(f"entropy secant did not converge in "
+                           f"{ENTROPY_STEPS} steps, value is {s1!r}")
 
 
 def li(y: float) -> float:

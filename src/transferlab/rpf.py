@@ -36,6 +36,7 @@ from .thermo import (WeightRecipe, _check_tilt, base_system, gibbs_measure,
 
 DELTA1_DEFAULT = 0.1
 B_MIN_SMOOTH = 2.0
+DEFAULT_B_LIST = (64.0, 128.0, 256.0, 512.0)   # decay sweep, also the CLI's
 
 
 # ---------------------------------------------------------------------------
@@ -289,7 +290,7 @@ class DecayProfile:
 
 
 def decay_profile(model: MarkovModel, a: float,
-                  b_list=(64.0, 128.0, 256.0, 512.0)) -> DecayProfile:
+                  b_list=DEFAULT_B_LIST) -> DecayProfile:
     """Iterate L_{a,b} default_n_rule(b) times on the constant 1 and record
     norms; fit the L2 norm against |b| by least squares on logs."""
     if any(float(b) == 0.0 for b in b_list):

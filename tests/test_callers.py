@@ -138,7 +138,6 @@ DEFAULT_LEDGER = {
     "markov.markov3_model.grid_size": "mirrors the ModelConfig field",
     "markov.markov3_model.theta": "mirrors the ModelConfig field",
     "markov.markov3_model.forbidden": "mirrors the ModelConfig field",
-    "orbits.entropy.tol": "the benchmark's cache probe keys on (config, tol)",
 }
 BENCH_DIR = "perfbench"
 

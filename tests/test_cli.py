@@ -23,9 +23,8 @@ enough for numpy's pairwise summation to engage) for the same model.
 correlation.csv was made the same way, on the code as it stood before
 the Monte Carlo blocks were advanced together (one block at a time, roof
 values recomputed at every time step), with numpy 2.4.6 and scipy
-1.17.1.  pressure.csv was made on the code whose entropy root is scipy's
-brentq on the pressure (see the brentq re-pin below), whose bits the
-package's Brent loop keeps.
+1.17.1.  pressure.csv was made on the code whose entropy root is found by
+secant steps from below (see the secant re-pin below).
 
 GOLDEN_DOLGOPYAT_SHA256 pins dolgopyat.csv for DOLGOPYAT_MODEL
 (three-symbol family, 0>1 forbidden, sine roof, N=1024) at b=64, a run
@@ -112,6 +111,19 @@ loop, kept its bits, and orbit_table.csv, invariants.csv, pressure.csv
 and correlation.csv kept theirs.  The new digest was made by running
 `orbits` with numpy 2.4.6 on x86-64 Linux.
 
+Re-pinned when the entropy root came from secant steps from below, which
+stop once the pressure is at most tau_0 ENTROPY_TOL (before, the
+package's loop replayed scipy's brentq step for step): counting.csv
+d6d4ee33... -> 31e30fb7..., invariants.csv 9cbc9fec... -> 64f7b8b2...
+and pressure.csv ab7539a3... -> f29012ba....  The root moved from
+0.4751008851953029 to 0.4751008851953026, and its pressure residual
+from 0.0 to 6.7e-16.  scripts/artifact_diff.py over the old and the new
+artifacts found no non-float change; the worst float moves were 6.0e-14
+in counting.csv (18 floats, the li and diff columns and c_hat, through
+e^{hT}) and 6.7e-16 in invariants.csv and pressure.csv.  orbit_table.csv
+and correlation.csv kept their bits.  The new digests were made by
+running the same commands with numpy 2.4.6 on x86-64 Linux.
+
 Each golden test compares the whole {name: sha256} dict in one
 assertion, so a failing run names every artifact that moved.
 """
@@ -156,9 +168,9 @@ GOLDEN_SHA256 = {
     "orbit_table.csv":
         "e48c6ce9084263e5e710a3cb5a53616a21b9195b39645e8879a01c21cf438ad0",
     "counting.csv":
-        "d6d4ee332384bba6f054400436477307761c839ff6eb2f4e9477ac0975c0c540",
+        "31e30fb7b83c9e99324915a5aaa2311dafe87f8881a669033f892ee678b9640f",
     "invariants.csv":
-        "9cbc9feced68d42b0a97e11895b68afd63d497059d8a6276d3cd2e1a68d8346c",
+        "64f7b8b2321c43d5738e1726a92bb13b20df74aee9b2449550462fa11e9b5372",
 }
 
 DOLGOPYAT_MODEL = """family = markov3
@@ -195,7 +207,7 @@ GOLDEN_DECAY_SHA256 = \
 
 GOLDEN_MC_SHA256 = {
     "pressure.csv":
-        "ab7539a3f08c41baf262d295c4c8a36dd065c272b4081434f1e8523454816e0d",
+        "f29012ba5e52ed7e27e44f81a09c601664f5c3751dd489ccb0ed7ae838ce63c9",
     "correlation.csv":
         "1884d69db64b11ee9714dd2567bb346d73f4b9373cd0b753f100c5d2eabfcd3e",
 }
@@ -875,7 +887,7 @@ for i, argv in enumerate(sys.argv[2:]):
 
 def test_no_command_loads_scipy_solvers(tmp_path):
     """No command loads scipy.optimize, scipy.integrate or scipy.special:
-    the entropy root (orbits._brentq) and li are computed in the package,
+    the entropy root (orbits.entropy) and li are computed in the package,
     so no command pays those modules' start-up cost."""
     commands = ["model-info", "gibbs", "pressure", "decay --b 64",
                 "uni-scan --eps 0.25", "dolgopyat --b 64", "orbits",

@@ -32,6 +32,11 @@ Frozen oracles used below, each recomputed independently before freezing:
 * sin roof 2 + 0.5 sin(2 pi x) zero-lag covariance of sin(2 pi x): the
   size-biased density (2 + 0.5 sin)/2 gives E[A^2] = 1/2 and
   E[A] = 1/8, so C(0) = 1/2 - 1/64 = 31/64 exactly.
+* the flat roof c = 2 on doubling, weight 2^-n_p e^(-s T_p): det(1 - zL)
+  = prod_k (1 - z 2^-k e^(-s c)), whose coefficients are Euler's
+  (-1)^n 2^(-n(n-1)/2) e^(-s n c) / prod_(j <= n) (1 - 2^-j), to order 12
+  within 1e-14 at s = 0 and 0.3; at s = 0 they sum to 0 (the zero at
+  z = 1 is the invariant measure).
 * spectral radii of L_{0,b} from det(1 - zL_{0,b}) over the orbit table:
   |cos 5| = 0.28366219 on doubling with roof 2 + x at b = 10 (order 14),
   |sum_i e^(40i(1.5 + 0.9 i))| / 3 = 0.24802421 on the full three-symbol
@@ -307,6 +312,26 @@ def _determinant(table, slope, log_weight, order):
     return c
 
 
+# The flat roof c = 2 on doubling: tr L^n = e^(-s c n) / (1 - 2^-n) sums
+# (2^-k e^(-s c))^n over k >= 0, so D(s) = det(1 - zL) is
+# prod_k (1 - z 2^-k e^(-s c)), whose coefficients Euler gave in closed
+# form (measured gap 2.2e-16).  At s = 0 the factor k = 0 makes D vanish
+# at z = 1: that zero is the invariant measure (measured 2.0e-17).
+@pytest.mark.parametrize("s", (0.0, 0.3))
+def test_flat_roof_determinant_in_closed_form(s):
+    c, order = 2.0, 12
+    table = enumerate_periodic_orbits(
+        doubling_model((c, 0.0, 0.0, 0.0), grid_size=64), order)
+    coef = _determinant(table, 2, -table.n * math.log(2.0) - s * table.period,
+                        order)
+    euler = [(-1) ** n * 2.0 ** (-n * (n - 1) / 2) * math.exp(-s * n * c)
+             / math.prod(1.0 - 2.0 ** -j for j in range(1, n + 1))
+             for n in range(order + 1)]
+    assert np.abs(coef - euler).max() <= 1e-14
+    if s == 0.0:
+        assert abs(coef.sum()) <= 1e-15
+
+
 def _least_zero(c):
     """Least positive zero of sum c_k z^k on (0, 2], bisected from the
     first sign change on a grid down to adjacent floats."""
@@ -359,8 +384,10 @@ def _table_entropy(model, table, order):
 
 
 # h from the orbit table alone.  The grid entropy is off by about C / N^2
-# (measured C: 1.4e-4 on doubling at N = 1024 and 4096; 1.62e-3 and
-# 1.75e-3 on markov3, so that Brent's stop at 10 ENTROPY_TOL fails it).
+# (measured C: 1.4e-4 on doubling and 1.62e-3 on markov3, at N = 1024 and
+# 4096).  entropy stops within ENTROPY_TOL below the grid root, and the
+# markov3 case at N = 4096 leaves 2.3e-11 of its bound, so a stop
+# 10 ENTROPY_TOL above the root would fail it.
 @pytest.mark.parametrize("family, roof, order, value", [
     ("doubling", (2.0, 0.0, 0.5, 0.0), 16, 0.35037379885910),
     ("markov3", (1.8, 0.1, 0.3, -0.2), 12, 0.56638334255130)])

@@ -1,12 +1,13 @@
 """A smoke test of the roof sweep in scripts/, unit tests of the artifact
-comparison on tiny trees, and of the benchmark pair summary on recorded
-numbers.
+comparison on tiny trees, and of the benchmark pair summary and its JSON
+line on recorded numbers.
 
 The scripts are loaded from their files, so scripts/ needs no package of
 its own.
 """
 
 import importlib.util
+import json
 import os
 
 import numpy as np
@@ -229,3 +230,37 @@ def test_bench_pairs_summary_of_recorded_pairs():
     assert verdict(1.25, 0.0, 0.2, "higher") == "worse"
     assert verdict(1.0, 0.0, 0.02) == "unresolved"
     assert verdict(1.0, 0.3, 0.02) == "ok"
+
+
+def test_bench_pairs_ends_with_its_summary_as_json(tmp_path, monkeypatch,
+                                                   capsys):
+    # the recorded census pairs stand in for perfbench/run.py, whose result
+    # line gives each metric's value and the failed and attempted queries
+    bench = _load_script("bench_pairs.py")
+    parent = str(tmp_path)
+    values = {parent: iter(a for a, _ in CENSUS_PAIRS),
+              bench.ROOT: iter(b for _, b in CENSUS_PAIRS)}
+
+    def recorded(root, args, seconds):
+        assert (args.workload, args.seed) == ("census", 1)
+        return {"failed": 0, "attempted": 100, "metrics": {
+            "wall_ref_s": {"value": next(values[root])},
+            "setup_s": {"value": 0.566}, "peak_rss_mb": {"value": 73.8}}}
+
+    monkeypatch.setattr(bench, "_run", recorded)
+    assert bench.main(["--parent", parent, "--workload", "census",
+                       "--seed", "1", "--pairs", "10"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    # 20 runs, the header, one line per metric, then the JSON line
+    assert len(lines) == 20 + 1 + 3 + 1
+    last = json.loads(lines[-1])
+    assert set(last) == {"workload", "seed", "rows"}
+    assert (last["workload"], last["seed"]) == ("census", 1)
+    assert [r["metric"] for r in last["rows"]] == ["wall_ref_s", "setup_s",
+                                                   "peak_rss_mb"]
+    wall = last["rows"][0]
+    assert wall["parent"] == pytest.approx([3.095, 3.177, 3.215])
+    assert wall["change"][1] == pytest.approx(3.1685)
+    assert (wall["wins"], wall["pairs"], wall["claim"], wall["verdict"]) \
+        == (5, 10, False, "ok")
+    assert last["rows"][2]["parent"] == [73.8, 73.8, 73.8]
